@@ -5,7 +5,8 @@ the usual x_1..x_N notation, and rational constants may be written "a/b".
 Reports are JSON with sorted keys so that identical seeds and inputs give
 byte-identical output; timings are added only on request because they
 would break that guarantee.  Exit codes: 0 all checks pass, 1 a
-verification check failed, 2 invalid input or regime.
+verification check failed, 2 invalid input or regime (including a ring whose
+arithmetic could overflow int64).
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .chsolver import (ValuationRegime, check_identity, solve_phi_psi,
                        substituted_series)
 from .errors import (AssertionFailed, DegenerateSpectrum, EquivalenceFailed,
                      EvaluationNotIntegral, InputBoundViolation,
-                     JacobiViolation, NoMatching, NonIntegralCoefficient,
-                     OutputBoundViolation, PartitionFailure,
-                     PrimeContextMismatch, PropertyFailed, RegimeViolation,
+                     IntegerHeadroomExceeded, JacobiViolation, NoMatching,
+                     NonIntegralCoefficient, OutputBoundViolation,
+                     PartitionFailure, PrimeContextMismatch,
+                     PropertyFailed, RegimeViolation,
                      StabilityCheckFailed, SubringNotClosed,
                      UnexpectedFailure, ValidationFailed,
                      WellDefinednessViolation)
@@ -50,8 +52,9 @@ _CHECK_FAILURES = (AssertionFailed, DegenerateSpectrum, EquivalenceFailed,
                    ValidationFailed)
 # the input itself (or the requested regime) is unusable: exit 2
 _INPUT_FAILURES = (EvaluationNotIntegral, InputBoundViolation,
-                   JacobiViolation, NonIntegralCoefficient,
-                   PrimeContextMismatch, RegimeViolation, SubringNotClosed,
+                   IntegerHeadroomExceeded, JacobiViolation,
+                   NonIntegralCoefficient, PrimeContextMismatch,
+                   RegimeViolation, SubringNotClosed,
                    WellDefinednessViolation)
 
 _KEY_RE = re.compile(r"^\((\d+),\s*(\d+)\)$")

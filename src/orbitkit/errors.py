@@ -49,6 +49,10 @@ class AutomorphismCheckFailed(OrbitkitError):
     """Ad(g) disagreed with conjugation or failed to preserve the bracket."""
 
 
+class IntegerHeadroomExceeded(OrbitkitError):
+    """Ring arithmetic at the working modulus could overflow int64."""
+
+
 class EvaluationNotIntegral(OrbitkitError):
     """A Lie-series coefficient cannot be reduced modulo the ring's moduli."""
 

@@ -14,6 +14,24 @@ regimes where CH multiplication makes the underlying set a group:
 
 Groups are the same coordinate vectors with CH as multiplication; exp and
 log are identity maps on coordinates.
+
+The constants are held once, as a triple table: the pairs i < j with a
+nonzero row, and for each pair its constants c at targets m (canonical
+residues, or in the uniform regime residues of the lifts mod the working
+precision).  One kernel brackets over that table,
+D = U[..., I]·V[..., J] − U[..., J]·V[..., I], then D @ C and one reduction,
+and serves every bracket, adjoint matrix and CH evaluation on elements.
+Validation (Jacobi, the lower central series) brackets the same triples in
+exact integer or Fraction arithmetic.
+
+Arithmetic on elements is int64, so make_ring checks headroom instead of
+assuming it.  With W the largest working modulus, S the largest column sum
+of the table and T the number of Lyndon words up to the evaluation degree
+(the most terms a product sums), every intermediate is at most
+(W − 1)² · max(S, T): D @ C weights differences of products of two
+residues by a column of the table, and a Lie series sums at most T products
+of a residue and a multiplier, reducing once at the end.  A ring whose bound exceeds 2^63 − 1 is rejected with
+IntegerHeadroomExceeded, and so is a longer series evaluated later.
 """
 
 from __future__ import annotations
@@ -26,9 +44,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (AutomorphismCheckFailed, EvaluationNotIntegral,
-                     JacobiViolation, PropertyFailed, RegimeViolation,
-                     SubringNotClosed, WellDefinednessViolation)
-from .freelie import DEGREE_CAP, _is_lyndon, bch, lyndon_words, vp
+                     IntegerHeadroomExceeded, JacobiViolation, PropertyFailed,
+                     RegimeViolation, SubringNotClosed,
+                     WellDefinednessViolation)
+from .freelie import (DEGREE_CAP, _is_lyndon, bch, lyndon_count, lyndon_words,
+                      vp)
 from .modlin import cyclic_basis, howell_form, solve_mod, span_equal
 
 
@@ -101,11 +121,11 @@ class FiniteLieRing:
 
     __slots__ = ("p", "moduli", "rank", "label", "sizes", "big", "cap",
                  "constants", "class_", "uniform_depth", "ch_truncation",
-                 "uniform", "_mods", "_tensor", "_lift_tensor", "_precision",
-                 "_shift", "_ch_terms", "_plan_cache")
+                 "uniform", "_mods", "_canon", "_work", "_table", "_shift",
+                 "_capacity", "_ch", "_exp_ad", "_plan_cache")
 
-    def __init__(self, p, moduli, constants, tensor, class_, uniform_depth,
-                 uniform, ch_truncation, lift_tensor, precision, shift, label):
+    def __init__(self, p, moduli, constants, working, class_, uniform_depth,
+                 uniform, ch_truncation, work_sizes, shift, capacity, label):
         self.p = p
         self.moduli = tuple(moduli)
         self.rank = len(self.moduli)
@@ -119,11 +139,14 @@ class FiniteLieRing:
         self.uniform = uniform
         self.ch_truncation = ch_truncation
         self._mods = np.array(self.sizes, dtype=np.int64)
-        self._tensor = tensor
-        self._lift_tensor = lift_tensor
-        self._precision = precision
+        self._canon = _modulus(self.sizes)
+        self._work = _modulus(work_sizes)
+        self._table = _triple_table(self.rank, working)
         self._shift = shift
-        self._ch_terms = None
+        self._capacity = capacity
+        self._ch = None
+        self._exp_ad = [self._coefficient(Fraction(1, math.factorial(k)))
+                        for k in range(1, self._exp_ad_limit() + 1)]
         self._plan_cache = {}
 
     # -- elements ------------------------------------------------------------
@@ -157,104 +180,100 @@ class FiniteLieRing:
     # -- bracket -------------------------------------------------------------
 
     def bracket_batch(self, U, V):
-        U = np.asarray(U, dtype=np.int64)
-        V = np.asarray(V, dtype=np.int64)
-        out = np.einsum("...i,...j,ijm->...m", U, V, self._tensor)
-        return np.mod(out, self._mods)
+        """[U, V] for (..., rank) arrays of canonical residues."""
+        return _bracket(self._table, np.asarray(U, dtype=np.int64),
+                        np.asarray(V, dtype=np.int64), self._canon)
 
     def bracket(self, u, v):
         return tuple(int(x) for x in self.bracket_batch(u, v))
 
-    def _lift_bracket_batch(self, U, V):
-        out = np.einsum("...i,...j,ijm->...m", U, V, self._lift_tensor)
-        return np.mod(out, self._precision)
-
     # -- CH multiplication ---------------------------------------------------
 
-    def _ch_plan(self):
-        if self._ch_terms is None:
-            series = bch(self.ch_truncation)
-            terms = []
-            for n in range(1, self.ch_truncation + 1):
-                terms.extend(_poly_terms(series.component(n)))
-            self._ch_terms = terms
-        return self._ch_terms
-
-    def _steps_for(self, terms):
-        key = tuple(w for w, _ in terms)
-        if key not in self._plan_cache:
-            self._plan_cache[key] = _plan_steps({w for w in key if len(w) > 1})
-        return self._plan_cache[key]
-
-    def _apply_fraction(self, vals, q: Fraction, lifted: bool):
-        """vals * q with the p-part of the denominator divided out exactly."""
-        p = self.p
+    def _coefficient(self, q: Fraction):
+        """(q, a, multiplier): a is the p-adic valuation of q's denominator,
+        the multiplier is q·p^a reduced by the working modulus."""
         den = q.denominator
         a = 0
-        while den % p == 0:
-            den //= p
+        while den % self.p == 0:
+            den //= self.p
             a += 1
-        if a:
-            if lifted and a > self._shift:
-                raise EvaluationNotIntegral(
-                    f"coefficient {q} needs p^{a} beyond working precision")
-            if np.any(vals % p ** a):
-                raise EvaluationNotIntegral(
-                    f"value not divisible by p^{a} for coefficient {q}")
-            vals = vals // p ** a
-        num = q.numerator
-        if lifted:
-            mult = num * pow(den, -1, self._precision) % self._precision
-            return vals * mult % self._precision
-        mults = np.array([num * pow(den, -1, m) % m for m in self.sizes],
-                         dtype=np.int64)
-        return vals * mults % self._mods
+        if isinstance(self._work, int):
+            return q, a, q.numerator * pow(den, -1, self._work) % self._work
+        mult = np.array([q.numerator * pow(den, -1, m) % m
+                         for m in self._work.tolist()], dtype=np.int64)
+        return q, a, mult
 
-    def _eval_terms(self, terms, U, V):
+    def _term_plan(self, terms):
+        """Bracketing steps for the terms' words, and each term's word with
+        its coefficient worked out once; cached per tuple of terms."""
+        key = tuple(terms)
+        plan = self._plan_cache.get(key)
+        if plan is None:
+            if len(key) > self._capacity:
+                raise IntegerHeadroomExceeded(
+                    f"{len(key)} terms at working modulus "
+                    f"{int(np.max(self._work))} exceed the {self._capacity} "
+                    f"whose sum fits in int64")
+            steps = _plan_steps({w for w, _ in key if len(w) > 1})
+            plan = (steps, [(w, self._coefficient(q)) for w, q in key])
+            self._plan_cache[key] = plan
+        return plan
+
+    def _scaled(self, vals, coefficient):
+        """vals·q for reduced vals.  A p-unit q gives the unreduced product,
+        which callers sum and reduce once; a p in the denominator is divided
+        out exactly and the result reduced."""
+        q, a, mult = coefficient
+        if not a:
+            return vals * mult
+        if self.uniform and a > self._shift:
+            raise EvaluationNotIntegral(
+                f"coefficient {q} needs p^{a} beyond working precision")
+        if np.any(vals % self.p ** a):
+            raise EvaluationNotIntegral(
+                f"value not divisible by p^{a} for coefficient {q}")
+        return vals // self.p ** a * mult % self._work
+
+    def _eval_terms(self, plan, U, V):
         """Σ coeff · (bracketing word)(U, V) reduced to canonical coordinates.
 
-        U, V: (..., rank) arrays.  Uses the lift tensor at working precision
-        in the uniform regime, canonical per-coordinate residues otherwise.
+        U, V: (..., rank) arrays.  Brackets run at the working modulus: the
+        lift table at working precision in the uniform regime, canonical
+        per-coordinate residues otherwise.
         """
+        steps, terms = plan
         U = np.asarray(U, dtype=np.int64)
         V = np.asarray(V, dtype=np.int64)
-        lifted = self.uniform
-        if lifted:
-            red = lambda A: np.mod(A, self._precision)
-            brk = self._lift_bracket_batch
-        else:
-            red = lambda A: np.mod(A, self._mods)
-            brk = self.bracket_batch
-        values = {(0,): red(U), (1,): red(V)}
-        for w, left, right in self._steps_for(terms):
-            values[w] = brk(values[left], values[right])
-        out = np.zeros(np.broadcast(U, V).shape, dtype=np.int64)
-        for w, q in terms:
-            out = red(out + self._apply_fraction(values[w], q, lifted))
-        return np.mod(out, self._mods)
+        values = {(0,): np.mod(U, self._work), (1,): np.mod(V, self._work)}
+        for w, left, right in steps:
+            values[w] = _bracket(self._table, values[left], values[right],
+                                 self._work)
+        out = np.zeros(np.broadcast_shapes(U.shape, V.shape), dtype=np.int64)
+        for w, coefficient in terms:
+            out += self._scaled(values[w], coefficient)
+        return np.mod(out, self._canon)
 
     def ch_batch(self, U, V):
         if self.rank == 0:
             return np.zeros(np.broadcast(np.asarray(U), np.asarray(V)).shape,
                             dtype=np.int64)
-        return self._eval_terms(self._ch_plan(), U, V)
+        if self._ch is None:
+            series = bch(self.ch_truncation)
+            terms = []
+            for n in range(1, self.ch_truncation + 1):
+                terms.extend(_poly_terms(series.component(n)))
+            self._ch = self._term_plan(terms)
+        return self._eval_terms(self._ch, U, V)
 
     def ch_multiply(self, u, v):
         """Group product exp(u)·exp(v) in coordinates, Σ_n CH_n(u, v)."""
         return tuple(int(x) for x in self.ch_batch(u, v))
 
-    def evaluate_poly_batch(self, poly, U, V):
-        """A LiePoly in the free generators, evaluated at ring elements."""
-        if self.rank == 0:
-            return np.zeros(np.broadcast(np.asarray(U), np.asarray(V)).shape,
-                            dtype=np.int64)
-        return self._eval_terms(_poly_terms(poly), U, V)
-
     def evaluate_series_batch(self, series, U, V):
         if self.rank == 0:
             return np.zeros(np.broadcast(np.asarray(U), np.asarray(V)).shape,
                             dtype=np.int64)
-        return self._eval_terms(_series_terms(series), U, V)
+        return self._eval_terms(self._term_plan(_series_terms(series)), U, V)
 
     # -- adjoint machinery ---------------------------------------------------
 
@@ -269,51 +288,26 @@ class FiniteLieRing:
         X = np.asarray(X, dtype=np.int64)
         if self.rank == 0:
             return X.copy()
-        lifted = self.uniform
-        if lifted:
-            red = lambda A: np.mod(A, self._precision)
-            brk = self._lift_bracket_batch
-        else:
-            red = lambda A: np.mod(A, self._mods)
-            brk = self.bracket_batch
-        cur = red(X)
-        out = red(X)
-        for k in range(1, self._exp_ad_limit() + 1):
-            cur = brk(red(W), cur)
-            out = red(out + self._apply_fraction(
-                cur, Fraction(1, math.factorial(k)), lifted))
-        return np.mod(out, self._mods)
+        W = np.mod(W, self._work)
+        cur = np.mod(X, self._work)
+        out = np.zeros(np.broadcast_shapes(W.shape, X.shape), dtype=np.int64)
+        out += cur
+        for coefficient in self._exp_ad:
+            cur = _bracket(self._table, W, cur, self._work)
+            out += self._scaled(cur, coefficient)
+        return np.mod(out, self._canon)
 
     def ad_matrix(self, w):
         """Matrix of x ↦ [w, x]; row m is taken mod p^{k_m}."""
-        w = np.asarray(w, dtype=np.int64)
-        out = np.einsum("i,ijm->mj", w, self._tensor)
-        return np.mod(out, self._mods[:, None])
+        eye = np.eye(self.rank, dtype=np.int64)
+        return np.ascontiguousarray(self.bracket_batch(w, eye).T)
 
     def exp_ad_matrix(self, w):
         """Matrix of the truncated exponential Σ (ad w)^k / k!."""
         d = self.rank
-        if d == 0:
-            return np.zeros((0, 0), dtype=np.int64)
-        lifted = self.uniform
-        if lifted:
-            adm = np.mod(np.einsum("i,ijm->mj", np.asarray(w, dtype=np.int64),
-                                   self._lift_tensor), self._precision)
-            red = lambda A: np.mod(A, self._precision)
-        else:
-            adm = self.ad_matrix(w)
-            red = lambda A: np.mod(A, self._mods[:, None])
-        out = red(np.eye(d, dtype=np.int64))
-        cur = red(np.eye(d, dtype=np.int64))
-        for k in range(1, self._exp_ad_limit() + 1):
-            cur = red(adm @ cur)
-            q = Fraction(1, math.factorial(k))
-            if lifted:
-                term = self._apply_fraction(cur, q, True)
-            else:
-                term = self._apply_fraction(cur.T, q, False).T
-            out = red(out + term)
-        return np.mod(out, self._mods[:, None])
+        W = np.broadcast_to(np.asarray(w, dtype=np.int64), (d, d))
+        return np.ascontiguousarray(
+            self.exp_ad_batch(W, np.eye(d, dtype=np.int64)).T)
 
     # -- misc ----------------------------------------------------------------
 
@@ -339,58 +333,117 @@ class FiniteLieRing:
         return f"FiniteLieRing({tag}, class={self.class_})"
 
 
-def _signed_tensor(rank, sizes, constants, dtype=np.int64):
-    T = np.zeros((rank, rank, rank), dtype=dtype)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _modulus(sizes):
+    """Reduction modulus for coordinates of these sizes: a plain int when
+    they agree (numpy reduces by a scalar faster), else an int64 vector."""
+    if len(set(sizes)) == 1:
+        return int(sizes[0])
+    return np.array(sizes, dtype=np.int64)
+
+
+def _triple_table(rank, constants):
+    """Kernel form of {(i, j): {m: c}}: index arrays I, J of the pairs i < j
+    with a nonzero row, and the (pairs, rank) matrix C of their constants."""
+    keys = sorted(constants)
+    C = np.zeros((len(keys), rank), dtype=np.int64)
+    for t, key in enumerate(keys):
+        for m, c in constants[key].items():
+            C[t, m] = c
+    return (np.array([i for i, _ in keys], dtype=np.intp),
+            np.array([j for _, j in keys], dtype=np.intp), C)
+
+
+def _bracket(table, U, V, modulus):
+    """[U, V] over a triple table, reduced by the modulus: the coordinate
+    moduli, or the working precision in the uniform regime."""
+    I, J, C = table
+    D = U[..., I] * V[..., J] - U[..., J] * V[..., I]
+    return np.mod(D @ C, modulus)
+
+
+def _exact_bracket(constants, u, v):
+    """[u, v] over {(i, j): {m: c}} in exact int or Fraction arithmetic."""
+    out = [0] * len(u)
     for (i, j), row in constants.items():
-        for m, c in row.items():
-            T[i, j, m] = c
-            T[j, i, m] = -c
-    return T
+        coef = u[i] * v[j] - u[j] * v[i]
+        if coef:
+            for m, c in row.items():
+                out[m] += coef * c
+    return out
 
 
-def _jacobi_defects(rank, tensor, reduce_fn):
-    """Yield (triple, defect vector) for basis triples violating Jacobi."""
+def jacobi_defects(rank, constants, reduce=None):
+    """Yield (triple, defect) for each basis triple i < j < l whose Jacobi
+    sum [[e_i,e_j],e_l] + [[e_j,e_l],e_i] + [[e_l,e_i],e_j] is nonzero.
+
+    constants: {(i, j): {m: c}} with ints or Fractions; the sum is exact,
+    then reduced as reduce(m, value) per coordinate m when given.
+    """
+    basis = [[int(a == b) for b in range(rank)] for a in range(rank)]
     for i, j, l in itertools.combinations(range(rank), 3):
-        total = None
+        total = [0] * rank
         for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-            inner = tensor[a, b]                        # [e_a, e_b]
-            outer = inner @ tensor[:, c, :]             # [[e_a, e_b], e_c]
-            total = outer if total is None else total + outer
-        defect = reduce_fn(total)
-        if np.any(defect):
-            yield (i, j, l), defect
+            inner = _exact_bracket(constants, basis[a], basis[b])
+            outer = _exact_bracket(constants, inner, basis[c])
+            total = [x + y for x, y in zip(total, outer)]
+        if reduce is not None:
+            total = [reduce(m, x) for m, x in enumerate(total)]
+        if any(total):
+            yield (i, j, l), total
 
 
-def _lower_central_class(ring_rank, p, big, moduli, tensor, mods):
+def _lower_central_class(p, moduli, constants):
     """Nilpotence class from the lower central series, via Howell spans of the
     embedded subgroups.  Returns math.inf when the series stalls above zero."""
-    if ring_rank == 0:
+    rank = len(moduli)
+    if rank == 0:
         return 0
-    scale = np.array([p ** (max(moduli) - k) for k in moduli], dtype=np.int64)
-
-    def emb(rows):
-        return [[int(x) for x in (np.asarray(r) * scale) % big] for r in rows]
+    cap = max(moduli)
+    big = p ** cap
+    scale = [p ** (cap - k) for k in moduli]
+    basis = [[int(a == b) for b in range(rank)] for a in range(rank)]
 
     def brackets_with_basis(rows):
         out = []
         for r in rows:
-            vals = np.einsum("i,ijm->jm", np.asarray(r, dtype=np.int64), tensor)
-            for j in range(ring_rank):
-                out.append([int(x) for x in np.mod(vals[j], mods)])
+            for e in basis:
+                out.append([x * s % big for x, s in
+                            zip(_exact_bracket(constants, r, e), scale)])
         return out
 
-    basis_rows = [list(r) for r in np.eye(ring_rank, dtype=np.int64)]
-    gamma = howell_form(emb(brackets_with_basis(basis_rows)), p, big)
+    gamma = howell_form(brackets_with_basis(basis), p, big)
     cls = 1
     while gamma:
-        unembedded = [[int(x) // int(s) for x, s in zip(row, scale)]
-                      for row in gamma]
-        nxt = howell_form(emb(brackets_with_basis(unembedded)), p, big)
+        unembedded = [[x // s for x, s in zip(row, scale)] for row in gamma]
+        nxt = howell_form(brackets_with_basis(unembedded), p, big)
         if nxt and span_equal(nxt, gamma, p, big):
             return math.inf
         gamma = nxt
         cls += 1
     return cls
+
+
+def _headroom(constants, work_sizes, truncation):
+    """Terms whose sum fits in int64 at the working modulus W, checked to
+    cover the kernel and every product: all intermediates stay within
+    (W - 1)² · max(S, T), with S the largest column sum of the triple table
+    and T the Lyndon words up to the evaluation degree."""
+    top = max(work_sizes, default=1) - 1
+    column = [0] * len(work_sizes)
+    for row in constants.values():
+        for m, c in row.items():
+            column[m] += c
+    width = max(column, default=0)
+    terms = sum(lyndon_count(n) for n in range(1, truncation + 1))
+    bound = top * top * max(width, terms)
+    if bound > _INT64_MAX:
+        raise IntegerHeadroomExceeded(
+            f"working modulus {top + 1}: intermediates reach "
+            f"(W-1)^2 * max(S={width}, T={terms}) = {bound} > 2^63 - 1")
+    return _INT64_MAX // (top * top) if top else math.inf
 
 
 def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
@@ -431,15 +484,12 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
                     f"p^min(k{i},k{j}) * c[{i},{j}]^{m} = "
                     f"{c * p ** min(moduli[i], moduli[j])} != 0 mod p^{moduli[m]}")
 
-    mods = np.array(sizes, dtype=np.int64)
-    tensor = _signed_tensor(rank, sizes, constants)
-    for triple, defect in _jacobi_defects(rank, tensor,
-                                          lambda t: np.mod(t, mods)):
+    for triple, defect in jacobi_defects(rank, constants,
+                                         lambda m, x: x % sizes[m]):
         raise JacobiViolation(
-            f"basis triple {triple}: Jacobi sum {list(defect)} != 0")
+            f"basis triple {triple}: Jacobi sum {defect} != 0")
 
-    big = p ** max(moduli, default=0)
-    class_ = _lower_central_class(rank, p, big, moduli, tensor, mods)
+    class_ = _lower_central_class(p, moduli, constants)
 
     if constants:
         depth = int(min(vp(int(c), p) for row in constants.values()
@@ -456,7 +506,7 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
                 f"{need_depth}: not an admissible ring")
         uniform = True
 
-    lift_tensor = precision = None
+    working, work_sizes = constants, sizes
     shift = 0
     if uniform:
         lift_frac = {}
@@ -477,22 +527,11 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
         if depth_eval < need_depth:
             raise RegimeViolation(
                 f"lifted constants have p-valuation {depth_eval} < {need_depth}")
-        frac_tensor = [[[Fraction(0)] * rank for _ in range(rank)]
-                       for _ in range(rank)]
-        for (i, j), row in lift_frac.items():
-            for m, q in row.items():
-                frac_tensor[i][j][m] = q
-                frac_tensor[j][i][m] = -q
-        for i, j, l in itertools.combinations(range(rank), 3):
-            for m in range(rank):
-                total = Fraction(0)
-                for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-                    for t in range(rank):
-                        total += frac_tensor[a][b][t] * frac_tensor[t][c][m]
-                if total:
-                    raise RegimeViolation(
-                        f"constants do not lift to an exact Lie ring: Jacobi "
-                        f"defect {total} at triple {(i, j, l)} coordinate {m}")
+        for triple, defect in jacobi_defects(rank, lift_frac):
+            m = next(m for m, x in enumerate(defect) if x)
+            raise RegimeViolation(
+                f"constants do not lift to an exact Lie ring: Jacobi "
+                f"defect {defect[m]} at triple {triple} coordinate {m}")
         cap = max(moduli)
         gap = Fraction(depth_eval) - Fraction(1, p - 1)
         n_trunc = max(1, -(-cap // gap))        # ceil(cap / gap)
@@ -500,25 +539,23 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
             raise RegimeViolation(
                 f"uniform truncation degree {n_trunc} exceeds cap {DEGREE_CAP}")
         series = bch(int(n_trunc))
-        shift = 0
         for n in range(2, int(n_trunc) + 1):
             for c in series.component(n).terms.values():
                 shift = max(shift, -min(0, int(c.valuation(p))))
         for k in range(2, int(n_trunc)):
             shift = max(shift, int(vp(math.factorial(k), p)))
         precision = p ** (cap + shift)
-        lift_tensor = np.zeros((rank, rank, rank), dtype=np.int64)
-        for (i, j), row in lift_frac.items():
-            for m, q in row.items():
-                rep = q.numerator * pow(q.denominator, -1, precision) % precision
-                lift_tensor[i, j, m] = rep
-                lift_tensor[j, i, m] = -rep
+        working = {key: {m: q.numerator * pow(q.denominator, -1, precision)
+                         % precision for m, q in row.items()}
+                   for key, row in lift_frac.items()}
+        work_sizes = [precision] * rank
         truncation = int(n_trunc)
     else:
         truncation = max(int(class_), 1) if rank else 1
 
-    return FiniteLieRing(p, moduli, constants, tensor, class_, depth, uniform,
-                         truncation, lift_tensor, precision, shift, label)
+    capacity = _headroom(working, work_sizes, truncation)
+    return FiniteLieRing(p, moduli, constants, working, class_, depth, uniform,
+                         truncation, work_sizes, shift, capacity, label)
 
 
 def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:
@@ -553,21 +590,10 @@ def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:
         if clean:
             lift[key] = clean
 
-    frac_tensor = [[[Fraction(0)] * rank for _ in range(rank)]
-                   for _ in range(rank)]
-    for (i, j), row in lift.items():
-        for m, q in row.items():
-            frac_tensor[i][j][m] = q
-            frac_tensor[j][i][m] = -q
-    for i, j, l in itertools.combinations(range(rank), 3):
-        for m in range(rank):
-            total = Fraction(0)
-            for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
-                for t in range(rank):
-                    total += frac_tensor[a][b][t] * frac_tensor[t][c][m]
-            if total:
-                raise JacobiViolation(
-                    f"Jacobi defect {total} at triple {(i, j, l)} coordinate {m}")
+    for triple, defect in jacobi_defects(rank, lift):
+        m = next(m for m, x in enumerate(defect) if x)
+        raise JacobiViolation(
+            f"Jacobi defect {defect[m]} at triple {triple} coordinate {m}")
 
     big = p ** r
     residues = {key: {m: q.numerator * pow(q.denominator, -1, big) % big

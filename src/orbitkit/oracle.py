@@ -15,6 +15,8 @@ established by ``match_tables``.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
+
 import numpy as np
 
 from .errors import (DegenerateSpectrum, DomainMismatch, NoMatching,
@@ -168,6 +170,30 @@ def _combined_class_matrices(group, part, weights):
     return out
 
 
+def _row_order(degrees, rows):
+    """Row order of a character table: by degree, then by the values rounded
+    to 8 decimals, column by column; ties keep their order.  Each value is
+    rounded only when a comparison reaches its column."""
+    rounded = {}
+
+    def value(i, c):
+        if (i, c) not in rounded:
+            z = rows[i, c]
+            rounded[i, c] = (round(z.real, 8), round(z.imag, 8))
+        return rounded[i, c]
+
+    def compare(i, j):
+        if degrees[i] != degrees[j]:
+            return -1 if degrees[i] < degrees[j] else 1
+        for c in range(rows.shape[1]):
+            a, b = value(i, c), value(j, c)
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    return sorted(range(len(rows)), key=cmp_to_key(compare))
+
+
 def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
                     class_cap=CLASS_CAP, tol=1e-8) -> CharTable:
     """Full complex character table via the Burnside class-matrix method."""
@@ -211,9 +237,7 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
                 f"orthogonality deviation row={dev_row:.2e} "
                 f"col={dev_col:.2e} exceeds {tol}")
 
-        key = sorted(range(r), key=lambda i: (
-            rounded[i], tuple((round(z.real, 8), round(z.imag, 8))
-                              for z in rows[i])))
+        key = _row_order(rounded, rows)
         return CharTable(group, part, rows[key],
                          rounded[key].astype(np.int64), seed, attempt)
     raise DegenerateSpectrum(

@@ -20,7 +20,7 @@ from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
                      JacobiViolation, RegimeViolation, ValidationFailed)
 from .freelie import vp
 from .harmonic import DualSpace, element_table
-from .liering import LazardGroup, Subring, make_ring
+from .liering import LazardGroup, Subring, jacobi_defects, make_ring
 from .oracle import character_table, match_tables
 from .orbitmethod import coadjoint_orbits, kirillov_character, \
     p2_orbit_partition
@@ -76,18 +76,8 @@ class QpLieAlgebra:
         return tuple(out)
 
     def _check_jacobi(self):
-        n = self.dimension
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    ei, ej, ek = self.basis(i), self.basis(j), self.basis(k)
-                    total = [a + b + c for a, b, c in zip(
-                        self.bracket(self.bracket(ei, ej), ek),
-                        self.bracket(self.bracket(ej, ek), ei),
-                        self.bracket(self.bracket(ek, ei), ej))]
-                    if any(total):
-                        raise JacobiViolation(
-                            f"Jacobi fails on basis triple ({i},{j},{k})")
+        for (i, j, k), _ in jacobi_defects(self.dimension, self.constants):
+            raise JacobiViolation(f"Jacobi fails on basis triple ({i},{j},{k})")
 
     def _nilpotence_class(self) -> int:
         current = [self.basis(i) for i in range(self.dimension)]
