@@ -268,8 +268,8 @@ def solve_phi_psi(series: GradedSeries, regime: ValuationRegime,
         rhs = series.component(n + 1) - known.with_max_degree(n + 1)
         if n == 1 and regime.pin_degree_one is not None:
             phi_n, psi_n = regime.pin_degree_one
-            produced = (bracket(phi_n, generator("x", 2), 2)
-                        + bracket(psi_n, generator("y", 2), 2))
+            produced = (freelie.bracket(phi_n, generator("x", 2), 2)
+                        + freelie.bracket(psi_n, generator("y", 2), 2))
             if produced != rhs.with_max_degree(2):
                 raise LinearSystemInconsistent(
                     "pinned degree-one choice is inconsistent with H_2")
@@ -285,10 +285,6 @@ def solve_phi_psi(series: GradedSeries, regime: ValuationRegime,
     if not check_identity(series, pair, n_max):
         raise RuntimeError("solved pair fails the defining identity")  # bug guard
     return pair
-
-
-def bracket(a, b, n=None):
-    return freelie.bracket(a, b, n)
 
 
 def check_identity(series: GradedSeries, pair: PhiPsiPair, n_max: int) -> bool:

@@ -25,9 +25,8 @@ from .chsolver import (ValuationRegime, check_identity, solve_phi_psi,
 from .errors import (AssertionFailed, DegenerateSpectrum, EquivalenceFailed,
                      EvaluationNotIntegral, InputBoundViolation,
                      IntegerHeadroomExceeded, JacobiViolation, NoMatching,
-                     NonIntegralCoefficient, OutputBoundViolation,
-                     PartitionFailure, PrimeContextMismatch,
-                     PropertyFailed, RegimeViolation,
+                     OutputBoundViolation, PartitionFailure,
+                     PrimeContextMismatch, PropertyFailed, RegimeViolation,
                      StabilityCheckFailed, SubringNotClosed,
                      UnexpectedFailure, ValidationFailed,
                      WellDefinednessViolation)
@@ -53,8 +52,7 @@ _CHECK_FAILURES = (AssertionFailed, DegenerateSpectrum, EquivalenceFailed,
 # the input itself (or the requested regime) is unusable: exit 2
 _INPUT_FAILURES = (EvaluationNotIntegral, InputBoundViolation,
                    IntegerHeadroomExceeded, JacobiViolation,
-                   NonIntegralCoefficient, PrimeContextMismatch,
-                   RegimeViolation, SubringNotClosed,
+                   PrimeContextMismatch, RegimeViolation, SubringNotClosed,
                    WellDefinednessViolation)
 
 _KEY_RE = re.compile(r"^\((\d+),\s*(\d+)\)$")
@@ -349,8 +347,9 @@ def _twist_data(ring):
                            "conjugate": rep.conjugate}}
 
 
-def _idempotent_data(ring, group, tol):
-    rep = verify_idempotents(ring, group=group, tol=max(tol, 1e-8))
+def _idempotent_data(ring, group, seed, tol):
+    rep = verify_idempotents(ring, group=group, seed=seed,
+                             tol=max(tol, 1e-8))
     if not rep["passed"]:
         raise PropertyFailed(f"witness: {rep['witness']}")
     return {key: rep[key] for key in ("orbits", "fourier_indicator",
@@ -366,9 +365,10 @@ def _expstar_data(ring, group, seed, tol):
                                       "max_deviation")}
 
 
-def _p2_data(ring, seed, tol):
-    cells = p2_orbit_partition(ring, seed=seed, tol=max(tol, 1e-8))
-    conv = p2_convolution_check(ring, seed=seed)
+def _p2_data(ring, group, seed, tol):
+    cells = p2_orbit_partition(ring, group=group, seed=seed,
+                               tol=max(tol, 1e-8))
+    conv = p2_convolution_check(ring, group=group, seed=seed)
     witness = conv["expected_failure"]
     return {"cells": len(cells),
             "irreducibles": sum(len(c.irreducibles) for c in cells),
@@ -410,10 +410,10 @@ def cmd_verify(args) -> int:
               "tolerance": tol, "checks": checks}
     start = time.perf_counter()
     thunks = {
-        "idempotents": lambda: _idempotent_data(ring, group, tol),
+        "idempotents": lambda: _idempotent_data(ring, group, seed, tol),
         "expstar": lambda: _expstar_data(ring, group, seed, tol),
         "twist": lambda: _twist_data(ring),
-        "p2": lambda: _p2_data(ring, seed, tol),
+        "p2": lambda: _p2_data(ring, group, seed, tol),
     }
     for name in selected:
         _run_check(checks, name, thunks[name])
@@ -534,11 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the convolution-identity suites")
     v.add_argument("--input", required=True, help="ring spec JSON")
-    group = v.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", default=True,
-                       help="run every check applicable to the regime")
-    group.add_argument("--checks",
-                       help="comma list: idempotents,expstar,twist,p2")
+    v.add_argument("--checks",
+                   help="comma list: idempotents,expstar,twist,p2 (default: "
+                        "every check applicable to the regime)")
     v.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     common(v)
     v.set_defaults(func=cmd_verify)

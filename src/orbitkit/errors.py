@@ -41,10 +41,6 @@ class RegimeViolation(OrbitkitError):
     """Ring admits neither the class < p nor the uniform evaluation regime."""
 
 
-class NonIntegralCoefficient(OrbitkitError):
-    """A series coefficient failed to divide down at working precision."""
-
-
 class AutomorphismCheckFailed(OrbitkitError):
     """Ad(g) disagreed with conjugation or failed to preserve the bracket."""
 

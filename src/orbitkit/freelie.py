@@ -473,12 +473,6 @@ class GradedSeries:
             comps[k] = LiePoly(data, n)
         return GradedSeries(comps, n)
 
-    def scaled_by_degree(self, factor) -> "GradedSeries":
-        """Multiply component n by factor(n)."""
-        return GradedSeries(
-            {n: poly * factor(n) for n, poly in self.components.items()},
-            self.truncation)
-
     def __str__(self):
         return " + ".join(str(self.components[n]) for n in self.degrees()) or "0"
 

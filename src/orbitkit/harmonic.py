@@ -31,19 +31,6 @@ _BLOCK_CELLS = 1 << 22
 _CONV_CELLS = 1 << 18
 
 
-def _lex_table(sizes):
-    """All coordinate vectors, lexicographic with the leftmost digit slowest.
-
-    Matches the element enumeration of LazardGroup, so ring-side and
-    group-side functions index identically.
-    """
-    if not sizes:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*[np.arange(s, dtype=np.int64) for s in sizes],
-                        indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
 def _ring_of(domain) -> FiniteLieRing:
     return domain.ring if isinstance(domain, LazardGroup) else domain
 
@@ -55,10 +42,9 @@ def _same_domain(a, b) -> bool:
 
 
 def element_table(domain):
-    """Lex-ordered coordinate rows of the domain's elements."""
-    if isinstance(domain, LazardGroup):
-        return domain.elements
-    return _lex_table(domain.sizes)
+    """Lex-ordered coordinate rows of the domain's elements: the rows of the
+    ring's grid, shared by g and G."""
+    return _ring_of(domain).grid.elements
 
 
 class DualCharacter:
@@ -115,33 +101,27 @@ class DualCharacter:
 class DualSpace:
     """The full dual g* as an indexed exponent table.
 
-    Row i is the exponent vector of the i-th character in lexicographic
-    order, mirroring the element enumeration, so functions on g* are plain
-    vectors aligned with these rows.  ``weights`` carries the rows
-    pre-multiplied by p^{K-k_i}: pairing exponents are weights @ x mod p^K.
+    Row i of ``exponents`` is the exponent vector of the i-th character: the
+    ring's grid, the same rows that enumerate g and G, so functions on g*
+    are plain vectors aligned with them.  ``scale`` is p^{K-k_i} per
+    coordinate and ``weights`` the rows times it: pairing exponents are
+    weights @ x mod p^K.
     """
 
-    __slots__ = ("ring", "exponents", "weights", "_strides")
+    __slots__ = ("ring", "exponents", "scale", "weights")
 
     def __init__(self, ring: FiniteLieRing):
         self.ring = ring
-        self.exponents = _lex_table(ring.sizes)
-        scale = np.array([ring.big // s for s in ring.sizes], dtype=np.int64)
-        self.weights = self.exponents * scale
-        strides = [1] * ring.rank
-        for i in range(ring.rank - 2, -1, -1):
-            strides[i] = strides[i + 1] * ring.sizes[i + 1]
-        self._strides = np.array(strides, dtype=np.int64)
+        self.exponents = ring.grid.elements
+        self.scale = np.array([ring.big // s for s in ring.sizes],
+                              dtype=np.int64)
+        self.weights = self.exponents * self.scale
 
     def index_of(self, exponents) -> int:
-        arr = np.asarray(exponents, dtype=np.int64) % self.ring._mods
-        return int(arr @ self._strides) if self.ring.rank else 0
+        return self.ring.grid.index_of(exponents)
 
     def index_batch(self, A):
-        A = np.mod(np.asarray(A, dtype=np.int64), self.ring._mods)
-        if self.ring.rank == 0:
-            return np.zeros(A.shape[:-1], dtype=np.int64)
-        return A @ self._strides
+        return self.ring.grid.index_batch(A)
 
     def character(self, index: int) -> DualCharacter:
         return DualCharacter(self.ring, tuple(int(a) for a in
@@ -256,14 +236,10 @@ def convolve(f1: ClassFunction, f2: ClassFunction, law: str) -> ClassFunction:
     if law == GROUP and not isinstance(f1.domain, LazardGroup):
         raise DomainMismatch("GROUP law needs a LazardGroup domain")
     ring = _ring_of(f1.domain)
-    elements = element_table(f1.domain)
+    elements = ring.grid.elements
     n = len(elements)
     d = ring.rank
-    strides = [1] * d
-    for i in range(d - 2, -1, -1):
-        strides[i] = strides[i + 1] * ring.sizes[i + 1]
-    strides = np.array(strides, dtype=np.int64)
-    neg = np.mod(-elements, ring._mods) if d else elements
+    neg = np.mod(-elements, ring._mods)
 
     out = np.zeros(n, dtype=np.complex128)
     step = max(1, _CONV_CELLS // n)
@@ -280,10 +256,7 @@ def convolve(f1: ClassFunction, f2: ClassFunction, law: str) -> ClassFunction:
             args = ring.ch_batch(
                 np.broadcast_to(neg[start:stop, None, :], shape),
                 np.broadcast_to(elements[None, :, :], shape))
-        if d:
-            out += coeffs @ f2.values[args @ strides]
-        else:
-            out += coeffs * f2.values
+        out += coeffs @ f2.values[args @ ring.grid.strides]
     return ClassFunction(f1.domain, out / n,
                          tolerance=max(f1.tolerance, f2.tolerance),
                          invariant=f1.invariant and f2.invariant)

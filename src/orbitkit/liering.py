@@ -13,7 +13,9 @@ regimes where CH multiplication makes the underlying set a group:
     precision p^(K+s) and divides each term's p-denominator out exactly.
 
 Groups are the same coordinate vectors with CH as multiplication; exp and
-log are identity maps on coordinates.
+log are identity maps on coordinates.  One Grid, built per ring on first
+use, enumerates that coordinate set for G and, through the pairing
+Σ a_i x_i / p^{k_i}, for the dual g*.
 
 The constants are held once, as a triple table: the pairs i < j with a
 nonzero row, and for each pair its constants c at targets m (canonical
@@ -122,7 +124,7 @@ class FiniteLieRing:
     __slots__ = ("p", "moduli", "rank", "label", "sizes", "big", "cap",
                  "constants", "class_", "uniform_depth", "ch_truncation",
                  "uniform", "_mods", "_canon", "_work", "_table", "_shift",
-                 "_capacity", "_ch", "_exp_ad", "_plan_cache")
+                 "_capacity", "_ch", "_exp_ad", "_plan_cache", "_grid")
 
     def __init__(self, p, moduli, constants, working, class_, uniform_depth,
                  uniform, ch_truncation, work_sizes, shift, capacity, label):
@@ -148,11 +150,19 @@ class FiniteLieRing:
         self._exp_ad = [self._coefficient(Fraction(1, math.factorial(k)))
                         for k in range(1, self._exp_ad_limit() + 1)]
         self._plan_cache = {}
+        self._grid = None
 
     # -- elements ------------------------------------------------------------
 
     def order(self) -> int:
         return math.prod(self.sizes)
+
+    @property
+    def grid(self) -> "Grid":
+        """The enumeration of the coordinate set, built on first use."""
+        if self._grid is None:
+            self._grid = Grid(self.sizes)
+        return self._grid
 
     def element(self, coords):
         arr = np.asarray(coords, dtype=np.int64)
@@ -296,11 +306,6 @@ class FiniteLieRing:
             cur = _bracket(self._table, W, cur, self._work)
             out += self._scaled(cur, coefficient)
         return np.mod(out, self._canon)
-
-    def ad_matrix(self, w):
-        """Matrix of x ↦ [w, x]; row m is taken mod p^{k_m}."""
-        eye = np.eye(self.rank, dtype=np.int64)
-        return np.ascontiguousarray(self.bracket_batch(w, eye).T)
 
     def exp_ad_matrix(self, w):
         """Matrix of the truncated exponential Σ (ad w)^k / k!."""
@@ -606,35 +611,54 @@ def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:
 
 # -- the group -----------------------------------------------------------------
 
-class LazardGroup:
-    """exp(g) as coordinate vectors with CH multiplication; dense lexicographic
-    element enumeration for function storage."""
+class Grid:
+    """The coordinate set ⊕ᵢ Z/sizes_i, lexicographic with the leftmost
+    coordinate slowest.
 
-    __slots__ = ("ring", "size", "elements", "_strides")
+    exp is the identity on coordinates and the pairing Σ a_i x_i / p^{k_i}
+    identifies g* with the same vectors, so this one table enumerates both G
+    and g*: row i is the i-th group element and the exponent vector of the
+    i-th character.  The table is read-only because every holder shares it.
+    """
+
+    __slots__ = ("sizes", "elements", "strides", "_mods")
+
+    def __init__(self, sizes):
+        self.sizes = tuple(sizes)
+        self._mods = np.array(self.sizes, dtype=np.int64)
+        axes = np.meshgrid(*[np.arange(s, dtype=np.int64) for s in sizes],
+                           indexing="ij")
+        self.elements = (np.stack([a.reshape(-1) for a in axes], axis=1)
+                         if axes else np.zeros((1, 0), dtype=np.int64))
+        self.elements.flags.writeable = False
+        self.strides = np.array([math.prod(self.sizes[i + 1:])
+                                 for i in range(len(self.sizes))],
+                                dtype=np.int64)
+
+    def index_of(self, coords) -> int:
+        return int(self.index_batch(coords))
+
+    def index_batch(self, X):
+        """Row indices of (..., rank) coordinate vectors, reduced first."""
+        return np.mod(np.asarray(X, dtype=np.int64), self._mods) @ self.strides
+
+
+class LazardGroup:
+    """exp(g) as coordinate vectors with CH multiplication; its elements are
+    the rows of the ring's grid."""
+
+    __slots__ = ("ring", "size", "elements")
 
     def __init__(self, ring: FiniteLieRing):
         self.ring = ring
         self.size = ring.order()
-        if ring.rank:
-            grids = np.meshgrid(*[np.arange(s, dtype=np.int64)
-                                  for s in ring.sizes], indexing="ij")
-            self.elements = np.stack([g.reshape(-1) for g in grids], axis=1)
-        else:
-            self.elements = np.zeros((1, 0), dtype=np.int64)
-        strides = [1] * ring.rank
-        for i in range(ring.rank - 2, -1, -1):
-            strides[i] = strides[i + 1] * ring.sizes[i + 1]
-        self._strides = np.array(strides, dtype=np.int64)
+        self.elements = ring.grid.elements
 
     def index_of(self, coords) -> int:
-        arr = np.asarray(coords, dtype=np.int64) % self.ring._mods
-        return int(arr @ self._strides) if self.ring.rank else 0
+        return self.ring.grid.index_of(coords)
 
     def index_batch(self, X):
-        X = np.mod(np.asarray(X, dtype=np.int64), self.ring._mods)
-        if self.ring.rank == 0:
-            return np.zeros(X.shape[:-1], dtype=np.int64)
-        return X @ self._strides
+        return self.ring.grid.index_batch(X)
 
     def coords_of(self, index: int):
         return tuple(int(x) for x in self.elements[index])
@@ -909,6 +933,13 @@ class Subring:
         if sol is None:
             raise ValueError(f"{x} is not in the subring")
         return tuple(c % self.ring.p ** k for c, k in zip(sol, self.orders))
+
+    def ambient_indices(self):
+        """Index in the ambient ring's grid of each element of the induced
+        ring, taken in the induced ring's grid order."""
+        basis = np.array(self.basis_coords, dtype=np.int64).reshape(
+            len(self.basis_coords), self.ring.rank)
+        return self.ring.grid.index_batch(self.induced.grid.elements @ basis)
 
     def embed_coords(self, coords):
         """Subring coordinates -> ambient ring element."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DegenerateSpectrum, DomainMismatch, NoMatching,
                      StabilityCheckFailed, ValidationFailed)
-from .harmonic import ClassFunction, element_table
+from .harmonic import ClassFunction
 from .liering import LazardGroup, Subring
 
 ORDER_CAP = 10 ** 5
@@ -52,6 +52,28 @@ def permutation_orbits(n: int, perms):
             chunks.append(fresh)
             frontier = fresh
         orbits.append(np.sort(np.concatenate(chunks)))
+    return labels, orbits
+
+
+def closure_with_audit(ring, n: int, perm_for, witness: str, *, seed,
+                       audits):
+    """Orbits of {0..n-1} under the action of a group generated by e^g.
+
+    ``perm_for(g)`` is the index permutation by which e^g acts.  Orbits are
+    closed under the basis generators g = ±e_i of the ring, then a seeded
+    audit checks that ``audits`` random full elements g each map every orbit
+    to itself, guarding the assumption that the generators generate.  A
+    failed audit raises StabilityCheckFailed(witness.format(g=g)).  Returns
+    (labels, orbits) as permutation_orbits does.
+    """
+    perms = [perm_for(ring.scale(ring.basis(i), sgn))
+             for i in range(ring.rank) for sgn in (1, -1)]
+    labels, orbits = permutation_orbits(n, perms)
+    rng = np.random.default_rng(seed)
+    for _ in range(audits):
+        g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
+        if not np.array_equal(labels[perm_for(g)], labels):
+            raise StabilityCheckFailed(witness.format(g=g))
     return labels, orbits
 
 
@@ -93,19 +115,10 @@ def conjugacy_classes(group: LazardGroup, *, seed=0, audits=50,
     if n > cap:
         raise ValueError(f"|G| = {n} exceeds the cap {cap}")
     ring = group.ring
-    perms = []
-    for i in range(ring.rank):
-        for sgn in (1, -1):
-            perms.append(_conjugation_perm(group, ring.scale(ring.basis(i),
-                                                             sgn)))
-    labels, classes = permutation_orbits(n, perms)
-    rng = np.random.default_rng(seed)
-    for _ in range(audits):
-        g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
-        perm = _conjugation_perm(group, g)
-        if not np.array_equal(labels[perm], labels):
-            raise StabilityCheckFailed(
-                f"conjugation by {g} moves elements across classes")
+    labels, classes = closure_with_audit(
+        ring, n, lambda g: _conjugation_perm(group, g),
+        "conjugation by {g} moves elements across classes", seed=seed,
+        audits=audits)
     part = ConjClassPartition(group, labels, classes)
     if part.sizes[labels[group.index_of(ring.zero())]] != 1:
         raise StabilityCheckFailed("identity class is not a singleton")
@@ -322,11 +335,5 @@ def restriction_multiplicity(group: LazardGroup, sub: Subring,
               else chi_k.domain)
     if ring_k is not sub.induced:
         raise DomainMismatch("chi_k must live on the subring's induced ring")
-    coords = element_table(chi_k.domain)
-    if sub.basis_coords:
-        basis = np.array(sub.basis_coords, dtype=np.int64)
-        ambient = np.mod(coords @ basis, group.ring._mods)
-    else:
-        ambient = np.zeros((1, group.ring.rank), dtype=np.int64)
-    restricted = chi_g.values[group.index_batch(ambient)]
-    return complex(np.vdot(chi_k.values, restricted) / len(coords))
+    idx = sub.ambient_indices()
+    return complex(np.vdot(chi_k.values, chi_g.values[idx]) / len(idx))

@@ -21,11 +21,12 @@ import math
 import numpy as np
 
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
-                     StabilityCheckFailed, UnexpectedFailure)
+                     UnexpectedFailure)
 from .harmonic import (ADDITIVE, GROUP, ClassFunction, DualFunction,
-                       DualSpace, convolve, element_table, exp_star, fourier)
+                       DualSpace, convolve, exp_star, fourier)
 from .liering import FiniteLieRing, LazardGroup, Subring
-from .oracle import character_table, conjugacy_classes, permutation_orbits
+from .oracle import (_conjugation_perm, character_table, closure_with_audit,
+                     conjugacy_classes)
 
 # largest |G| for which n x n index tables are materialized
 _TABLE_LIMIT = 2048
@@ -65,19 +66,14 @@ class CoadjointOrbit:
         return f"CoadjointOrbit(size={self.size}, rep={self.representative()})"
 
 
-def _dual_scale(ring: FiniteLieRing) -> np.ndarray:
-    return np.array([ring.big // s for s in ring.sizes], dtype=np.int64)
-
-
-def _dual_permutation(ring, space: DualSpace, g) -> np.ndarray:
-    """Index permutation of g* under Ad*(e^g)."""
-    m = ring.exp_ad_matrix(ring.negate(ring.element(g)))
-    scale = _dual_scale(ring)
-    moved = (space.weights @ m) % ring.big
-    if np.any(moved % scale):
-        raise PropertyFailed(
-            f"Ad*(e^{tuple(g)}) left the character lattice")
-    return space.index_batch(moved // scale)
+def _dual_permutation(space: DualSpace, matrix, g, lattice) -> np.ndarray:
+    """Index permutation of a dual space under Ad*(e^g), given the matrix of
+    Ad(e^-g) on the coordinates of the space's ring; ``lattice`` names the
+    dual in the error when a character leaves it."""
+    moved = (space.weights @ matrix) % space.ring.big
+    if np.any(moved % space.scale):
+        raise PropertyFailed(f"Ad*(e^{tuple(g)}) left the {lattice}")
+    return space.index_batch(moved // space.scale)
 
 
 def coadjoint_orbits(ring: FiniteLieRing, *, seed=0,
@@ -89,20 +85,15 @@ def coadjoint_orbits(ring: FiniteLieRing, *, seed=0,
     assumption that the basis exponentials generate G.
     """
     space = DualSpace(ring)
-    n = len(space)
-    perms = []
-    for i in range(ring.rank):
-        for sgn in (1, -1):
-            perms.append(_dual_permutation(ring, space,
-                                           ring.scale(ring.basis(i), sgn)))
-    labels, orbit_sets = permutation_orbits(n, perms)
-    rng = np.random.default_rng(seed)
-    for _ in range(audits):
-        g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
-        perm = _dual_permutation(ring, space, g)
-        if not np.array_equal(labels[perm], labels):
-            raise StabilityCheckFailed(
-                f"Ad*(e^{g}) moves characters across orbits")
+
+    def perm_for(g):
+        m = ring.exp_ad_matrix(ring.negate(ring.element(g)))
+        return _dual_permutation(space, m, g, "character lattice")
+
+    _, orbit_sets = closure_with_audit(
+        ring, len(space), perm_for,
+        "Ad*(e^{g}) moves characters across orbits", seed=seed,
+        audits=audits)
     return [CoadjointOrbit(space, idx) for idx in orbit_sets]
 
 
@@ -148,7 +139,7 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
-        perm = group.index_batch(group.conjugate_batch(g, X))
+        perm = _conjugation_perm(group, g)
         dev = np.max(np.abs(vals[perm] - vals))
         if dev > tol:
             raise PropertyFailed(
@@ -161,35 +152,24 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
 
 # -- translation tables --------------------------------------------------------
 
-def _strides_of(ring) -> np.ndarray:
-    strides = [1] * ring.rank
-    for i in range(ring.rank - 2, -1, -1):
-        strides[i] = strides[i + 1] * ring.sizes[i + 1]
-    return np.array(strides, dtype=np.int64)
-
-
 def _group_table(group: LazardGroup) -> np.ndarray:
     """T[h, c] = index of (e^{x_h})^{-1} e^{x_c}; one row per left factor."""
     ring = group.ring
     E = group.elements
     n = len(E)
-    neg = np.mod(-E, ring._mods) if ring.rank else E
+    neg = np.mod(-E, ring._mods)
     shape = (n, n, ring.rank)
     prod = ring.ch_batch(np.broadcast_to(neg[:, None, :], shape),
                          np.broadcast_to(E[None, :, :], shape))
-    return (prod @ _strides_of(ring) if ring.rank
-            else np.zeros((n, n), dtype=np.int64))
+    return prod @ ring.grid.strides
 
 
 def _additive_table(group: LazardGroup) -> np.ndarray:
     """T[h, c] = index of x_c - x_h."""
     ring = group.ring
     E = group.elements
-    n = len(E)
-    if not ring.rank:
-        return np.zeros((n, n), dtype=np.int64)
     diff = np.mod(E[None, :, :] - E[:, None, :], ring._mods)
-    return diff @ _strides_of(ring)
+    return diff @ ring.grid.strides
 
 
 def _indicator_counts(table, labels, members, n_classes):
@@ -209,12 +189,14 @@ def _indicator_counts(table, labels, members, n_classes):
 # -- verification suites --------------------------------------------------------
 
 def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
-                       characters=None, tol=1e-8) -> dict:
+                       characters=None, seed=0, tol=1e-8) -> dict:
     """(a)-(d) idempotent package for e_Omega = |Omega|^{1/2} chi_Omega.
 
     (a) the Fourier transform of e_Omega pulled back to g is the indicator
     of Omega; (b) e_Omega is idempotent under group convolution; (c)
     distinct idempotents annihilate; (d) they sum to |G| delta_identity.
+    ``seed`` drives the orbit and character audits when those are built
+    here.
     """
     if ring.p < 3:
         raise RegimeViolation(f"p = {ring.p} < 3")
@@ -222,9 +204,9 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
     n = len(group)
     if n > _TABLE_LIMIT:
         raise ValueError(f"|G| = {n} too large for the all-pairs sweep")
-    orbits = orbits or coadjoint_orbits(ring)
+    orbits = orbits or coadjoint_orbits(ring, seed=seed)
     if characters is None:
-        characters = [kirillov_character(ring, o, group=group)
+        characters = [kirillov_character(ring, o, group=group, seed=seed)
                       for o in orbits]
     E = np.array([math.isqrt(o.size) * ch.values.values
                   for o, ch in zip(orbits, characters)])
@@ -374,17 +356,6 @@ def _restricted_action(ring, sub: Subring, g):
     return np.array(cols, dtype=np.int64).reshape(k, k).T
 
 
-def _kdual_permutation(ring, sub, kspace, g):
-    K = kspace.ring
-    R = _restricted_action(ring, sub, g)
-    scale = _dual_scale(K)
-    moved = (kspace.weights @ R) % K.big
-    if np.any(moved % scale):
-        raise PropertyFailed(
-            f"Ad*(e^{tuple(g)}) left the (2g)* character lattice")
-    return kspace.index_batch(moved // scale)
-
-
 def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
                        seed=0, audits=50, tol=1e-8) -> list[P2Cell]:
     """Partition of the irreducibles of G by coadjoint orbits in (2g)*.
@@ -403,28 +374,18 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
                          for i in range(ring.rank)], label="2g")
     K = sub.induced
     kspace = DualSpace(K)
-    nk = len(kspace)
-    perms = []
-    for i in range(ring.rank):
-        for sgn in (1, -1):
-            perms.append(_kdual_permutation(ring, sub, kspace,
-                                            ring.scale(ring.basis(i), sgn)))
-    labels_k, orbit_sets = permutation_orbits(nk, perms)
-    rng = np.random.default_rng(seed)
-    for _ in range(audits):
-        g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
-        perm = _kdual_permutation(ring, sub, kspace, g)
-        if not np.array_equal(labels_k[perm], labels_k):
-            raise StabilityCheckFailed(
-                f"Ad*(e^{g}) moves (2g)* characters across orbits")
 
-    k_elems = element_table(K)
-    if sub.basis_coords:
-        basis = np.array(sub.basis_coords, dtype=np.int64)
-        ambient = np.mod(k_elems @ basis, ring._mods)
-    else:
-        ambient = np.zeros((1, ring.rank), dtype=np.int64)
-    idx_g2 = group.index_batch(ambient)
+    def perm_for(g):
+        return _dual_permutation(kspace, _restricted_action(ring, sub, g), g,
+                                 "(2g)* character lattice")
+
+    _, orbit_sets = closure_with_audit(
+        ring, len(kspace), perm_for,
+        "Ad*(e^{g}) moves (2g)* characters across orbits", seed=seed,
+        audits=audits)
+
+    k_elems = kspace.exponents
+    idx_g2 = sub.ambient_indices()
     chi_full = table.rows[:, table.partition.labels]
     chi_g2 = chi_full[:, idx_g2]
 

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
                      JacobiViolation, RegimeViolation, ValidationFailed)
 from .freelie import vp
-from .harmonic import DualSpace, element_table
-from .liering import LazardGroup, Subring, jacobi_defects, make_ring
+from .harmonic import DualSpace
+from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
+                      make_ring)
 from .oracle import character_table, match_tables
 from .orbitmethod import coadjoint_orbits, kirillov_character, \
     p2_orbit_partition
@@ -67,13 +68,7 @@ class QpLieAlgebra:
         return tuple(e)
 
     def bracket(self, u, v):
-        out = [Fraction(0)] * self.dimension
-        for (i, j), row in self.constants.items():
-            coef = u[i] * v[j] - u[j] * v[i]
-            if coef:
-                for k, c in row.items():
-                    out[k] += coef * c
-        return tuple(out)
+        return tuple(Fraction(x) for x in _exact_bracket(self.constants, u, v))
 
     def _check_jacobi(self):
         for (i, j, k), _ in jacobi_defects(self.dimension, self.constants):
@@ -296,18 +291,12 @@ def _restricted_phase_keys(weights, basis_rows, big):
     return [tuple(Fraction(int(x), big) for x in row) for row in phases]
 
 
-def _multiplicity_matrix(group, sub, table_g, table_k, kgroup):
+def _multiplicity_matrix(sub, table_g, table_k):
     """M[rho, kappa] = <chi_rho|_K, chi_kappa> over all oracle row pairs."""
-    coords = element_table(kgroup)
-    if sub.basis_coords:
-        basis = np.array(sub.basis_coords, dtype=np.int64)
-        ambient = np.mod(coords @ basis, group.ring._mods)
-    else:
-        ambient = np.zeros((1, group.ring.rank), dtype=np.int64)
+    idx = sub.ambient_indices()
     rows_g = table_g.rows[:, table_g.partition.labels]
     rows_k = table_k.rows[:, table_k.partition.labels]
-    restricted = rows_g[:, group.index_batch(ambient)]
-    return restricted @ rows_k.conj().T / len(coords)
+    return rows_g[:, idx] @ rows_k.conj().T / len(idx)
 
 
 def restriction_harness(ring, generators, alpha=None, *, seed=0,
@@ -333,7 +322,7 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     kgroup = LazardGroup(kring)
     table_g = character_table(group, seed=seed)
     table_k = character_table(kgroup, seed=seed)
-    mult = _multiplicity_matrix(group, sub, table_g, table_k, kgroup)
+    mult = _multiplicity_matrix(sub, table_g, table_k)
     basis_rows = np.array(sub.basis_coords, dtype=np.int64).reshape(
         len(sub.basis_coords), ring.rank)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import cli
+from orbitkit import cli, orbitmethod
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 F3 = str(SPEC_DIR / "heisenberg_f3.json")
@@ -182,6 +182,40 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--input", F3, "--checks", "p2")
         assert code == 2
         assert "RegimeViolation" in err
+
+    def test_seed_reaches_the_idempotent_audits(self, capsys, monkeypatch):
+        seeds = []
+
+        def spy(name):
+            real = getattr(orbitmethod, name)
+
+            def wrapper(*args, **kwargs):
+                seeds.append((name, kwargs.get("seed")))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(orbitmethod, name, wrapper)
+        spy("coadjoint_orbits")
+        spy("kirillov_character")
+        code, _, _ = run_json(capsys, "verify", "--input", F3, "--checks",
+                              "idempotents", "--seed", "3")
+        assert code == 0
+        assert seeds[0] == ("coadjoint_orbits", 3)
+        assert set(seeds[1:]) == {("kirillov_character", 3)}
+
+    def test_p2_suite_reuses_the_group(self, capsys, monkeypatch):
+        groups = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                groups.append(kwargs.get("group"))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+        spy("p2_orbit_partition")
+        spy("p2_convolution_check")
+        code, _, _ = run_json(capsys, "verify", "--input", Z8)
+        assert code == 0
+        assert len(groups) == 2 and groups[0] is groups[1] is not None
 
     def test_unknown_check_name(self, capsys):
         code, _, err = run(capsys, "verify", "--input", F3,

@@ -217,10 +217,12 @@ class TestAgainstReference:
             assert np.array_equal(got, ref.exp_ad_matrix(w))
 
     def test_ad_matrix(self, case):
+        # ad(w) from one bracket of w against the basis batch
         ring, ref = case
+        eye = np.eye(ring.rank, dtype=np.int64)
         for w in as_tuples(samples(ring, 4, 12)):
             cols = [ref.bracket(w, ring.basis(j)) for j in range(ring.rank)]
-            assert np.array_equal(ring.ad_matrix(w),
+            assert np.array_equal(ring.bracket_batch(w, eye).T,
                                   np.array(cols, dtype=np.int64).T)
 
     def test_broadcast_inputs(self, case):

@@ -1,5 +1,6 @@
 """Finite nilpotent Lie rings, CH group law, adjoint maps, subrings, twist."""
 
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from orbitkit.chsolver import ValuationRegime, solve_phi_psi, substituted_series
 from orbitkit.errors import (JacobiViolation, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
-from orbitkit.liering import (LazardGroup, Subring, ad_action,
+from orbitkit.harmonic import DualSpace
+from orbitkit.liering import (Grid, LazardGroup, Subring, ad_action,
                               check_group_axioms, make_ring, twist_map,
                               uniform_quotient)
 
@@ -103,6 +105,52 @@ class TestGroupLaw:
         batch = z9.ch_batch(U, V)
         for u, v, w in zip(U, V, batch):
             assert z9.ch_multiply(tuple(u), tuple(v)) == tuple(w)
+
+
+class TestGrid:
+    def test_lex_order_with_mixed_moduli(self):
+        grid = Grid((4, 2, 8))
+        assert [tuple(r) for r in grid.elements.tolist()] == \
+            list(itertools.product(range(4), range(2), range(8)))
+        assert grid.strides.tolist() == [16, 8, 1]
+
+    def test_index_batch_roundtrip(self):
+        grid = Grid((9, 3, 27))
+        n = len(grid.elements)
+        assert np.array_equal(grid.index_batch(grid.elements), np.arange(n))
+        shifted = grid.elements + np.array([9, -6, 54]) * 5
+        assert np.array_equal(grid.index_batch(shifted), np.arange(n))
+        rng = np.random.default_rng(3)
+        for i in rng.integers(0, n, size=20).tolist():
+            assert grid.index_of(grid.elements[i]) == i
+        X = grid.elements[rng.integers(0, n, size=(4, 5))]
+        assert grid.index_batch(X).shape == (4, 5)
+
+    def test_rank_zero(self):
+        grid = make_ring(3, (), {}).grid
+        assert grid.elements.shape == (1, 0)
+        assert grid.strides.shape == (0,)
+        assert grid.index_of(()) == 0
+        assert grid.index_batch(np.zeros((4, 0), dtype=np.int64)).tolist() \
+            == [0, 0, 0, 0]
+
+    def test_table_is_read_only(self, h3):
+        with pytest.raises(ValueError):
+            h3.grid.elements[0, 0] = 1
+
+    def test_one_grid_per_ring_for_g_and_dual(self, z9):
+        assert z9.grid is z9.grid
+        assert DualSpace(z9).exponents is LazardGroup(z9).elements
+        assert LazardGroup(z9).elements is z9.grid.elements
+
+    @pytest.mark.parametrize("generators", [[(3, 0, 0), (0, 3, 0), (0, 0, 3)],
+                                            [(0, 0, 1)], []])
+    def test_subring_ambient_indices(self, z9, generators):
+        sub = Subring(z9, generators)
+        idx = sub.ambient_indices()
+        assert len(idx) == sub.induced.order()
+        for i, row in enumerate(sub.induced.grid.elements.tolist()):
+            assert tuple(z9.grid.elements[idx[i]]) == sub.embed_coords(row)
 
 
 class TestAdjoint:

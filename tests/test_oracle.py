@@ -5,10 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from orbitkit.errors import DomainMismatch, NoMatching
+from orbitkit import oracle, orbitmethod
+from orbitkit.errors import DomainMismatch, NoMatching, StabilityCheckFailed
 from orbitkit.harmonic import ClassFunction, DualCharacter
 from orbitkit.liering import Subring
-from orbitkit.oracle import (character_table, conjugacy_classes, match_tables,
+from orbitkit.oracle import (character_table, closure_with_audit,
+                             conjugacy_classes, match_tables,
                              permutation_orbits, restriction_multiplicity)
 
 
@@ -43,6 +45,82 @@ class TestPermutationOrbits:
         b = np.array([0, 2, 1, 3])
         labels, orbits = permutation_orbits(4, [a, b])
         assert [o.tolist() for o in orbits] == [[0, 1, 2], [3]]
+
+
+def first_audit_element(ring, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(int(rng.integers(0, s)) for s in ring.sizes)
+
+
+def failing_audit(real, generators):
+    """``real`` for the closure's generator calls, then the real permutation
+    shifted by one place, which moves index 0 (a singleton orbit: the
+    identity, or the trivial character) onto another orbit."""
+    calls = []
+
+    def fake(*args):
+        calls.append(args)
+        perm = real(*args)
+        return perm if len(calls) <= generators else np.roll(perm, 1)
+    return fake
+
+
+class TestClosureWithAudit:
+    def test_generators_then_audits_in_seeded_order(self, h3):
+        seen = []
+
+        def perm_for(g):
+            seen.append(g)
+            return np.arange(5)
+        closure_with_audit(h3, 5, perm_for, "{g}", seed=4, audits=3)
+        assert seen[:6] == [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0),
+                            (0, 0, 1), (0, 0, 2)]
+        rng = np.random.default_rng(4)
+        assert seen[6:] == [tuple(int(rng.integers(0, s)) for s in h3.sizes)
+                            for _ in range(3)]
+
+    def test_orbits_of_synthetic_generators(self, h3):
+        swap = np.array([1, 0, 2, 3, 4, 5])
+
+        def perm_for(g):
+            return swap if g in ((1, 0, 0), (2, 0, 0)) else np.arange(6)
+        labels, orbits = closure_with_audit(h3, 6, perm_for, "{g}", seed=0,
+                                            audits=10)
+        assert [o.tolist() for o in orbits] == [[0, 1], [2], [3], [4], [5]]
+        assert labels.tolist() == [0, 0, 1, 2, 3, 4]
+
+    def test_failed_audit_raises_with_witness(self, h3):
+        perm_for = failing_audit(lambda g: np.arange(3), 6)
+        with pytest.raises(StabilityCheckFailed) as info:
+            closure_with_audit(h3, 3, perm_for, "moved by {g}", seed=2,
+                               audits=5)
+        assert str(info.value) == f"moved by {first_audit_element(h3, 2)}"
+
+    def test_conjugacy_classes_witness(self, h3_group, monkeypatch):
+        monkeypatch.setattr(oracle, "_conjugation_perm", failing_audit(
+            oracle._conjugation_perm, 6))
+        with pytest.raises(StabilityCheckFailed) as info:
+            conjugacy_classes(h3_group, seed=1)
+        g = first_audit_element(h3_group.ring, 1)
+        assert str(info.value) == \
+            f"conjugation by {g} moves elements across classes"
+
+    def test_coadjoint_orbits_witness(self, h3, monkeypatch):
+        monkeypatch.setattr(orbitmethod, "_dual_permutation", failing_audit(
+            orbitmethod._dual_permutation, 6))
+        with pytest.raises(StabilityCheckFailed) as info:
+            orbitmethod.coadjoint_orbits(h3, seed=1)
+        g = first_audit_element(h3, 1)
+        assert str(info.value) == f"Ad*(e^{g}) moves characters across orbits"
+
+    def test_p2_orbit_partition_witness(self, abelian_z4sq, monkeypatch):
+        monkeypatch.setattr(orbitmethod, "_dual_permutation", failing_audit(
+            orbitmethod._dual_permutation, 4))
+        with pytest.raises(StabilityCheckFailed) as info:
+            orbitmethod.p2_orbit_partition(abelian_z4sq, seed=1)
+        g = first_audit_element(abelian_z4sq, 1)
+        assert str(info.value) == \
+            f"Ad*(e^{g}) moves (2g)* characters across orbits"
 
 
 class TestConjugacyClasses:

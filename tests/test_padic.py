@@ -28,6 +28,14 @@ class TestQpLieAlgebra:
         assert alg.bracket(alg.basis(0), alg.basis(1)) == (0, 0, 1)
         assert alg.bracket(alg.basis(1), alg.basis(0)) == (0, 0, -1)
 
+    def test_bracket_gives_fractions(self):
+        alg = QpLieAlgebra(3, 3, {(0, 1): {2: Fraction(3, 2)}})
+        for u, v in ((alg.basis(0), alg.basis(1)), ((1, 2, 0), (0, 0, 5))):
+            out = alg.bracket(u, v)
+            assert all(type(x) is Fraction for x in out)
+        assert alg.bracket(alg.basis(0), alg.basis(1)) == \
+            (0, 0, Fraction(3, 2))
+
     def test_bracket_is_bilinear(self):
         alg = QpLieAlgebra(5, 4, {(0, 1): {2: Fraction(1, 2)},
                                   (0, 2): {3: 3}})
