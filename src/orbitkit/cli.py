@@ -5,8 +5,11 @@ the usual x_1..x_N notation, and rational constants may be written "a/b".
 Reports are JSON with sorted keys so that identical seeds and inputs give
 byte-identical output; timings are added only on request because they
 would break that guarantee.  Exit codes: 0 all checks pass, 1 a
-verification check failed, 2 invalid input or regime (including a ring whose
-arithmetic could overflow int64).
+verification check failed (LinearSystemInconsistent and
+AutomorphismCheckFailed count as failed checks) or another orbitkit error,
+such as DomainMismatch, ended the command ("error: Type: msg" on stderr),
+2 invalid input or regime (including a ring whose arithmetic could
+overflow int64).
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from fractions import Fraction
 from . import __version__
 from .chsolver import (ValuationRegime, check_identity, solve_phi_psi,
                        substituted_series)
-from .errors import (AssertionFailed, DegenerateSpectrum, EquivalenceFailed,
+from .errors import (AssertionFailed, AutomorphismCheckFailed,
+                     DegenerateSpectrum, EquivalenceFailed,
                      EvaluationNotIntegral, InputBoundViolation,
-                     IntegerHeadroomExceeded, JacobiViolation, NoMatching,
+                     IntegerHeadroomExceeded, JacobiViolation,
+                     LinearSystemInconsistent, NoMatching, OrbitkitError,
                      OutputBoundViolation, PartitionFailure,
                      PrimeContextMismatch, PropertyFailed, RegimeViolation,
                      StabilityCheckFailed, SubringNotClosed,
@@ -45,10 +50,11 @@ EXIT_USAGE = 2
 DEFAULT_TOLERANCE = 1e-9
 
 # a verification predicate came out false: report FAIL and exit 1
-_CHECK_FAILURES = (AssertionFailed, DegenerateSpectrum, EquivalenceFailed,
-                   NoMatching, OutputBoundViolation, PartitionFailure,
-                   PropertyFailed, StabilityCheckFailed, UnexpectedFailure,
-                   ValidationFailed)
+_CHECK_FAILURES = (AssertionFailed, AutomorphismCheckFailed,
+                   DegenerateSpectrum, EquivalenceFailed,
+                   LinearSystemInconsistent, NoMatching, OutputBoundViolation,
+                   PartitionFailure, PropertyFailed, StabilityCheckFailed,
+                   UnexpectedFailure, ValidationFailed)
 # the input itself (or the requested regime) is unusable: exit 2
 _INPUT_FAILURES = (EvaluationNotIntegral, InputBoundViolation,
                    IntegerHeadroomExceeded, JacobiViolation,
@@ -569,7 +575,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _CHECK_FAILURES as exc:
+    except OrbitkitError as exc:
+        # a check failure raised outside a check, or any other package error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

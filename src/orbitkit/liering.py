@@ -647,12 +647,15 @@ class LazardGroup:
     """exp(g) as coordinate vectors with CH multiplication; its elements are
     the rows of the ring's grid."""
 
-    __slots__ = ("ring", "size", "elements")
+    __slots__ = ("ring", "size", "elements", "audit_perms")
 
     def __init__(self, ring: FiniteLieRing):
         self.ring = ring
         self.size = ring.order()
         self.elements = ring.grid.elements
+        # (seed, samples) -> the (g, conjugation permutation) pairs of
+        # kirillov_character's audit, filled on first use
+        self.audit_perms = {}
 
     def index_of(self, coords) -> int:
         return self.ring.grid.index_of(coords)

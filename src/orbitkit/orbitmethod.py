@@ -7,9 +7,10 @@ divides back down to an exponent vector because Ad* preserves the dual
 lattice.  Orbits are permutation closures under the basis generators
 e^{+-e_i}, audited afterwards on random full group elements.
 
-The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is
-summed in exact exponent arithmetic and only then materialized as complex
-values.  The convolution-identity suites reduce exhaustive claims about
+The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
+inverse Fourier transform of the orbit's indicator, one library FFT on the
+ring's grid; orbit membership stays exact, the values carry the FFT's
+round-off.  The convolution-identity suites reduce exhaustive claims about
 conjugation-invariant functions to class-indicator pairs (bilinearity) and
 compare integer translation counts, so those checks are exact.
 """
@@ -23,14 +24,13 @@ import numpy as np
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
 from .harmonic import (ADDITIVE, GROUP, ClassFunction, DualFunction,
-                       DualSpace, convolve, exp_star, fourier)
+                       DualSpace, convolve, exp_star, fourier, inverse_fourier)
 from .liering import FiniteLieRing, LazardGroup, Subring
 from .oracle import (_conjugation_perm, character_table, closure_with_audit,
                      conjugacy_classes)
 
 # largest |G| for which n x n index tables are materialized
 _TABLE_LIMIT = 2048
-_BLOCK_CELLS = 1 << 22
 
 
 class CoadjointOrbit:
@@ -127,19 +127,17 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
     if root * root != size:
         raise PropertyFailed(f"orbit size {size} is not a perfect square")
     group = group or LazardGroup(ring)
-    X = group.elements
-    n = len(X)
-    weights = orbit.space.weights[orbit.indices]
-    vals = np.zeros(n, dtype=np.complex128)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for start in range(0, len(weights), step):
-        E = (X @ weights[start:start + step].T) % ring.big
-        vals += np.exp(2j * np.pi * E / ring.big).sum(axis=1)
-    vals /= root
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
-        perm = _conjugation_perm(group, g)
+    vals = inverse_fourier(orbit.indicator()).values / root
+    # the rng is seeded afresh on every call, so every orbit draws the same
+    # elements g: their permutations are worked out once per group
+    key = (seed, samples)
+    if key not in group.audit_perms:
+        rng = np.random.default_rng(seed)
+        gs = [tuple(int(rng.integers(0, s)) for s in ring.sizes)
+              for _ in range(samples)]
+        group.audit_perms[key] = [(g, _conjugation_perm(group, g))
+                                  for g in gs]
+    for g, perm in group.audit_perms[key]:
         dev = np.max(np.abs(vals[perm] - vals))
         if dev > tol:
             raise PropertyFailed(
@@ -372,8 +370,7 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     table = table if table is not None else character_table(group, seed=seed)
     sub = Subring(ring, [ring.scale(ring.basis(i), 2)
                          for i in range(ring.rank)], label="2g")
-    K = sub.induced
-    kspace = DualSpace(K)
+    kspace = DualSpace(sub.induced)
 
     def perm_for(g):
         return _dual_permutation(kspace, _restricted_action(ring, sub, g), g,
@@ -384,7 +381,6 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
         "Ad*(e^{g}) moves (2g)* characters across orbits", seed=seed,
         audits=audits)
 
-    k_elems = kspace.exponents
     idx_g2 = sub.ambient_indices()
     chi_full = table.rows[:, table.partition.labels]
     chi_g2 = chi_full[:, idx_g2]
@@ -393,11 +389,10 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     assigned = np.full(len(table.rows), -1, dtype=np.int64)
     for idx in orbit_sets:
         orbit = CoadjointOrbit(kspace, idx)
-        E = (k_elems @ kspace.weights[idx].T) % K.big
-        ehat = np.exp(2j * np.pi * E / K.big).sum(axis=1)
+        ehat = inverse_fourier(orbit.indicator()).values
         evals = np.zeros(len(group), dtype=np.complex128)
         evals[idx_g2] = ehat
-        scores = np.abs(chi_g2 @ np.conj(ehat)) / len(k_elems)
+        scores = np.abs(chi_g2 @ np.conj(ehat)) / len(kspace)
         members = np.nonzero(scores > tol)[0]
         # normalize both vectors at the same entry (e_Omega's peak), else
         # float noise can move argmax and flip the comparison by a unit
@@ -456,13 +451,10 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0,
     if n <= _TABLE_LIMIT:
         t_grp = _group_table(group)
         t_add = _additive_table(group)
-        counts = {}
-        for a in range(r):
-            counts[a] = (_indicator_counts(t_grp, labels, part.classes[a], r),
-                         _indicator_counts(t_add, labels, part.classes[a], r))
 
         def mismatch_at(a, rows):
-            cg, ca = counts[a]
+            cg = _indicator_counts(t_grp, labels, part.classes[a], r)
+            ca = _indicator_counts(t_add, labels, part.classes[a], r)
             bad = cg[rows] != ca[rows]
             if not bad.any():
                 return None

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from orbitkit import cli, orbitmethod
+from orbitkit.errors import (AutomorphismCheckFailed, DomainMismatch,
+                             LinearSystemInconsistent)
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 F3 = str(SPEC_DIR / "heisenberg_f3.json")
@@ -222,6 +224,58 @@ class TestVerify:
                            "--checks", "bogus")
         assert code == 2
         assert "unknown checks" in err
+
+
+def _raiser(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+class TestErrorExitCodes:
+    """Every OrbitkitError leaves main as an exit code, never a traceback."""
+
+    def test_unsolvable_solver_step_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve_phi_psi", _raiser(
+            LinearSystemInconsistent("degree 3 step unsolvable")))
+        code, out, err = run(capsys, "solve", "--regime", "sqrtp",
+                             "--prime", "5", "--degree", "4")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: LinearSystemInconsistent: "
+                       "degree 3 step unsolvable\n")
+
+    def test_unsolvable_solver_step_is_a_failed_check(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "solve_phi_psi", _raiser(
+            LinearSystemInconsistent("degree 2 step unsolvable")))
+        code, rep, _ = run_json(capsys, "verify", "--input", F3,
+                                "--checks", "twist")
+        assert code == 1
+        assert check_named(rep, "twist") == {
+            "name": "twist", "status": "FAIL",
+            "witness": "LinearSystemInconsistent: degree 2 step unsolvable"}
+
+    def test_failed_ad_certificate_is_a_failed_check(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(cli, "twist_map", _raiser(
+            AutomorphismCheckFailed("Ad(e^(1, 0, 0)) breaks the bracket")))
+        code, rep, _ = run_json(capsys, "verify", "--input", F3,
+                                "--checks", "twist")
+        assert code == 1
+        assert check_named(rep, "twist") == {
+            "name": "twist", "status": "FAIL",
+            "witness": "AutomorphismCheckFailed: Ad(e^(1, 0, 0)) breaks "
+                       "the bracket"}
+
+    def test_domain_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "match_tables", _raiser(
+            DomainMismatch("inner product needs a shared domain")))
+        code, out, err = run(capsys, "chartable", "--input", F3)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: DomainMismatch: inner product needs a shared "
+                       "domain\n")
 
 
 class TestChain:

@@ -6,10 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from orbitkit.errors import PropertyFailed, RegimeViolation
+from orbitkit import orbitmethod
+from orbitkit.errors import PropertyFailed, RegimeViolation, UnexpectedFailure
 from orbitkit.harmonic import ClassFunction, DualSpace, inner
-from orbitkit.liering import make_ring
-from orbitkit.oracle import character_table, match_tables
+from orbitkit.liering import LazardGroup, make_ring
+from orbitkit.oracle import character_table, conjugacy_classes, match_tables
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   kirillov_character, p2_convolution_check,
                                   p2_orbit_partition, verify_exp_star,
@@ -223,3 +224,126 @@ class TestP2ConvolutionCheck:
     def test_odd_prime_rejected(self, h3):
         with pytest.raises(RegimeViolation):
             p2_convolution_check(h3)
+
+
+def dict_counts_check(ring, group, seed=0):
+    """The table branch of p2_convolution_check as it stood when both count
+    matrices of every class were built up front and kept in a dict."""
+    n = len(group)
+    part = conjugacy_classes(group, seed=seed)
+    labels, r = part.labels, len(part)
+    even = np.all(group.elements % 2 == 0, axis=1)
+    inside = [a for a in range(r) if bool(even[part.classes[a]].all())]
+    outside = [a for a in range(r) if a not in set(inside)]
+    one_sided = ring.uniform_depth >= 3
+    report = {"group_order": n, "classes": r, "supported_classes": len(inside),
+              "tolerance": 1e-10, "part_b": None,
+              "part_a": None if one_sided else "skipped",
+              "expected_failure": None, "pairs_checked": 0, "passed": True}
+    t_grp = orbitmethod._group_table(group)
+    t_add = orbitmethod._additive_table(group)
+    counts = {}
+    for a in range(r):
+        counts[a] = (
+            orbitmethod._indicator_counts(t_grp, labels, part.classes[a], r),
+            orbitmethod._indicator_counts(t_add, labels, part.classes[a], r))
+
+    def mismatch_at(a, rows):
+        cg, ca = counts[a]
+        bad = cg[rows] != ca[rows]
+        if not bad.any():
+            return None
+        b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        return (a, int(np.asarray(rows)[b]), int(c))
+
+    for a in inside:
+        hit = mismatch_at(a, inside)
+        if hit is not None:
+            report["part_b"] = hit
+            report["passed"] = False
+            raise UnexpectedFailure(
+                f"G^2-supported pair breaks exp* at (classes, element) "
+                f"= {hit}")
+    report["part_b"] = "exact"
+    report["pairs_checked"] += len(inside) ** 2
+    if one_sided:
+        all_rows = list(range(r))
+        for a in inside:
+            hit = mismatch_at(a, all_rows)
+            if hit is not None:
+                raise UnexpectedFailure(
+                    f"one-sided G^2 pair breaks exp* at {hit}")
+        for a in outside:
+            hit = mismatch_at(a, inside)
+            if hit is not None:
+                raise UnexpectedFailure(
+                    f"one-sided G^2 pair breaks exp* at {hit}")
+        report["part_a"] = "exact"
+        report["pairs_checked"] += (2 * len(inside)) * len(outside)
+    search = outside if one_sided else list(range(r))
+    for a in outside:
+        hit = mismatch_at(a, search)
+        if hit is not None:
+            report["expected_failure"] = hit
+            break
+    return report
+
+
+def _outcome(check):
+    try:
+        return "report", check()
+    except UnexpectedFailure as exc:
+        return "raised", str(exc)
+
+
+def _depth3_ring():
+    """p = 2, moduli (2, 2, 4), [x, y] = 8z: uniform depth 3, order 256."""
+    return make_ring(2, (2, 2, 4), {(0, 1): {2: 8}}, label="depth3")
+
+
+class TestP2CountsOneClassAtATime:
+    """p2_convolution_check builds each class's counts when it reaches the
+    class; its outcome must equal the dict-based version's."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_ring(2, (3,) * 3, {(0, 1): {2: 4}}), _depth3_ring],
+        ids=["rank3_z8", "depth3"])
+    def test_same_report(self, make):
+        ring = make()
+        group = LazardGroup(ring)
+        new = p2_convolution_check(ring, group=group)
+        assert new == dict_counts_check(ring, group)
+        assert new["expected_failure"] is not None
+
+    # (ring, row h of the additive table, two columns swapped in it, the
+    # start of the failure text or the moved expected-failure witness)
+    @pytest.mark.parametrize("make, h, cols, kind", [
+        (lambda: make_ring(2, (3,) * 3, {(0, 1): {2: 4}}), (2, 0, 0),
+         (0, 1), "G^2-supported pair"),
+        (lambda: make_ring(2, (3,) * 3, {(0, 1): {2: 4}}), (0, 1, 0),
+         (1, 2), (8, 45, 1)),
+        (_depth3_ring, (2, 0, 0), (0, 1), "G^2-supported pair"),
+        (_depth3_ring, (0, 0, 2), (1, 3), "one-sided"),
+        (_depth3_ring, (0, 1, 0), (0, 1), (16, 40, 0)),
+    ], ids=["z8-inside", "z8-outside", "depth3-inside", "depth3-one-sided",
+            "depth3-outside"])
+    def test_same_outcome_on_a_patched_table(self, monkeypatch, make, h, cols,
+                                             kind):
+        ring = make()
+        group = LazardGroup(ring)
+        real = orbitmethod._additive_table
+        row = group.index_of(h)
+
+        def patched(grp):
+            table = real(grp).copy()
+            table[row, list(cols)] = table[row, list(cols)[::-1]]
+            return table
+
+        monkeypatch.setattr(orbitmethod, "_additive_table", patched)
+        new = _outcome(lambda: p2_convolution_check(ring, group=group))
+        old = _outcome(lambda: dict_counts_check(ring, group))
+        assert new == old
+        if isinstance(kind, tuple):
+            assert new[1]["expected_failure"] == kind
+        else:
+            assert new[0] == "raised" and new[1].startswith(kind)
