@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import freelie
 from .errors import (InputBoundViolation, LinearSystemInconsistent,
-                     OutputBoundViolation)
+                     OutputBoundViolation, PropertyFailed)
 from .freelie import (GradedSeries, LiePoly, Scalar, bch, bracket_table,
                       exp_ad_apply, generator, lyndon_count, valuation_of)
 from .ratlin import solve_right
@@ -282,8 +282,8 @@ def solve_phi_psi(series: GradedSeries, regime: ValuationRegime,
 
     pair = PhiPsiPair(GradedSeries(phi_comps, n_max),
                       GradedSeries(psi_comps, n_max), regime, n_max)
-    if not check_identity(series, pair, n_max):
-        raise RuntimeError("solved pair fails the defining identity")  # bug guard
+    if not check_identity(series, pair, n_max):  # bug guard
+        raise PropertyFailed("solved pair fails the defining identity")
     return pair
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import PrimeContextMismatch
+from .errors import PrimeContextMismatch, PropertyFailed
 
 #: default truncation order for series work; callers may exceed it explicitly
 DEGREE_CAP = 8
@@ -346,24 +346,8 @@ class LiePoly:
     def with_max_degree(self, n: int) -> "LiePoly":
         return LiePoly(self.terms, n)
 
-    def homogeneous_part(self, n: int) -> "LiePoly":
-        return LiePoly({k: c for k, c in self.terms.items() if k[0] == n},
-                       self.max_degree)
-
     def degrees(self):
         return sorted({d for d, _ in self.terms})
-
-    def min_degree(self):
-        return min((d for d, _ in self.terms), default=None)
-
-    def prime_context(self):
-        p = None
-        for c in self.terms.values():
-            if c.prime is not None:
-                if p is not None and p != c.prime:
-                    raise PrimeContextMismatch("mixed surd primes in one element")
-                p = c.prime
-        return p
 
     def __str__(self):
         if not self.terms:
@@ -589,7 +573,7 @@ def bch(n_max: int = DEGREE_CAP) -> GradedSeries:
 
     Computed by the associative-logarithm route (rewritten into the Lyndon
     basis) and independently by Dynkin's formula; a disagreement anywhere is
-    a bug and raises RuntimeError.
+    a bug and raises PropertyFailed.
     """
     split = _assoc_log(n_max)
     comps = {}
@@ -599,7 +583,7 @@ def bch(n_max: int = DEGREE_CAP) -> GradedSeries:
     dynkin = _dynkin_bch(n_max)
     for n in range(1, n_max + 1):
         if comps[n] != dynkin[n]:
-            raise RuntimeError(f"CH routes disagree at degree {n}")
+            raise PropertyFailed(f"CH routes disagree at degree {n}")
     return GradedSeries(comps, n_max)
 
 

@@ -11,6 +11,8 @@ regimes where CH multiplication makes the underlying set a group:
   * uniform: [g, g] ⊆ p·g (⊆ 4·g when p = 2) with structure constants that
     lift to an exact Lie ring over Z_(p).  Evaluation then runs at working
     precision p^(K+s) and divides each term's p-denominator out exactly.
+    At p = 2 the half bracket CH_2 = [x, y]/2 must also be well defined on
+    the moduli: c·2^min(k_i,k_j) ≡ 0 mod 2^(k_m+1) for each constant.
 
 Groups are the same coordinate vectors with CH as multiplication; exp and
 log are identity maps on coordinates.  One Grid, built per ring on first
@@ -513,6 +515,16 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
 
     working, work_sizes = constants, sizes
     shift = 0
+    if uniform and p == 2:
+        # CH_2 = [x, y]/2 must be well defined on the moduli
+        for (i, j), row in constants.items():
+            for m, c in row.items():
+                if c * 2 ** min(moduli[i], moduli[j]) % (2 * sizes[m]):
+                    raise RegimeViolation(
+                        f"half bracket [e{i},e{j}]/2 -> e{m} is not well "
+                        f"defined: 2^min(k{i},k{j}) * {c} != 0 mod "
+                        f"2^(k{m}+1) for moduli {moduli}")
+
     if uniform:
         lift_frac = {}
         for key, row in constants.items():
@@ -679,9 +691,6 @@ class LazardGroup:
     def conjugate(self, g, x):
         gx = self.ring.ch_multiply(g, x)
         return self.ring.ch_multiply(gx, self.ring.negate(g))
-
-    def multiply_batch(self, U, V):
-        return self.ring.ch_batch(U, V)
 
     def conjugate_batch(self, g, X):
         g = np.asarray(g, dtype=np.int64)

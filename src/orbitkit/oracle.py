@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DegenerateSpectrum, DomainMismatch, NoMatching,
                      StabilityCheckFailed, ValidationFailed)
-from .harmonic import ClassFunction
+from .harmonic import GROUP, ClassFunction, translates
 from .liering import LazardGroup, Subring
 
 ORDER_CAP = 10 ** 5
@@ -157,29 +157,28 @@ class CharTable:
                 f"degrees up to {int(self.degrees.max(initial=1))})")
 
 
+def class_matrix(group, part, a):
+    """Burnside's class matrix M_a as an (r, r) integer array.
+
+    (M_a)_{b,c} counts pairs x in C_a, y in C_b with x y = z_c, the
+    representative of class c: the x in C_a with x^{-1} z_c in C_b.
+    """
+    r = len(part)
+    b = part.labels[translates(group, GROUP, part.classes[a], part.reps)]
+    flat = b * r + np.arange(r, dtype=np.int64)
+    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
+
+
 def _combined_class_matrices(group, part, weights):
     """Sum_a weights[k, a] * M_a for every retry k in one pass over classes.
 
-    (M_a)_{b,c} counts pairs x in C_a, y in C_b with x y = z_c; the vector
-    (omega(c))_c of any central character is a common right eigenvector with
-    eigenvalue omega(a).
+    The vector (omega(c))_c of any central character is a common right
+    eigenvector of the class matrices M_a, with eigenvalue omega(a).
     """
-    ring = group.ring
     r = len(part)
-    reps_coords = group.elements[np.array(part.reps)]
     out = np.zeros((len(weights), r, r))
-    c_idx = np.arange(r, dtype=np.int64)
     for a in range(r):
-        members = part.classes[a]
-        X = group.elements[members]
-        negX = np.mod(-X, ring._mods)
-        left = np.repeat(negX, r, axis=0)
-        right = np.tile(reps_coords, (len(members), 1))
-        y = ring.ch_batch(left, right)
-        b = part.labels[group.index_batch(y)]
-        flat = b * r + np.tile(c_idx, len(members))
-        counts = np.bincount(flat, minlength=r * r).reshape(r, r)
-        out += weights[:, a, None, None] * counts
+        out += weights[:, a, None, None] * class_matrix(group, part, a)
     return out
 
 

@@ -12,7 +12,10 @@ inverse Fourier transform of the orbit's indicator, one library FFT on the
 ring's grid; orbit membership stays exact, the values carry the FFT's
 round-off.  The convolution-identity suites reduce exhaustive claims about
 conjugation-invariant functions to class-indicator pairs (bilinearity) and
-compare integer translation counts, so those checks are exact.
+compare the integer counts N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
+under both laws, so those checks are exact at every group order: the group
+side is Burnside's class matrix, the additive side is counted at every
+element, and both come from ``harmonic.translates``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ import numpy as np
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
 from .harmonic import (ADDITIVE, GROUP, ClassFunction, DualFunction,
-                       DualSpace, convolve, exp_star, fourier, inverse_fourier)
+                       DualSpace, exp_star, fourier, inverse_fourier,
+                       translates)
 from .liering import FiniteLieRing, LazardGroup, Subring
-from .oracle import (_conjugation_perm, character_table, closure_with_audit,
-                     conjugacy_classes)
+from .oracle import (_conjugation_perm, character_table, class_matrix,
+                     closure_with_audit, conjugacy_classes)
 
-# largest |G| for which n x n index tables are materialized
+# largest |G| for which verify_idempotents materializes its n x n table
 _TABLE_LIMIT = 2048
 
 
@@ -148,40 +152,62 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
                                            invariant=True))
 
 
-# -- translation tables --------------------------------------------------------
+# -- class-indicator counts ------------------------------------------------------
 
-def _group_table(group: LazardGroup) -> np.ndarray:
-    """T[h, c] = index of (e^{x_h})^{-1} e^{x_c}; one row per left factor."""
-    ring = group.ring
-    E = group.elements
-    n = len(E)
-    neg = np.mod(-E, ring._mods)
-    shape = (n, n, ring.rank)
-    prod = ring.ch_batch(np.broadcast_to(neg[:, None, :], shape),
-                         np.broadcast_to(E[None, :, :], shape))
-    return prod @ ring.grid.strides
+def _count_mismatch(group, part, a, rows=None):
+    """First (a, b, c), b in ``rows`` (every class when None) and c in G in
+    row-major order, where N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
+    differs between the group and the additive law; None when they agree.
 
-
-def _additive_table(group: LazardGroup) -> np.ndarray:
-    """T[h, c] = index of x_c - x_h."""
-    ring = group.ring
-    E = group.elements
-    diff = np.mod(E[None, :, :] - E[:, None, :], ring._mods)
-    return diff @ ring.grid.strides
-
-
-def _indicator_counts(table, labels, members, n_classes):
-    """counts[b, c] = #{h in members : table[h, c] lies in class b}.
-
-    Convolving two class indicators gives counts/|G|, so integer equality of
-    these matrices across two tables is an exact all-pairs convolution test.
+    Convolving the indicators of C_a and C_b gives N_a[b, .]/|G| under each
+    law, so agreement for every a is the exact all-pairs intertwining test.
+    The additive side is counted at every c.  The group side is class a's
+    class matrix at the representatives, spread over ``part.labels``: the
+    labels are orbits of <e^{+-e_i}>, and conjugation by that group permutes
+    C_a and C_b, so the group counts are constant on each label.  Counts
+    agree when the sorted label columns do, with labels outside ``rows``
+    masked out; the count matrices are built only to read a witness.
     """
-    lab = labels[table[members]]
-    n = table.shape[1]
-    cols = np.broadcast_to(np.arange(n, dtype=np.int64), lab.shape)
-    flat = lab * n + cols
-    return np.bincount(flat.ravel(), minlength=n_classes * n).reshape(
-        n_classes, n)
+    labels, r = part.labels, len(part)
+    members = part.classes[a]
+    grp = labels[translates(group, GROUP, members, part.reps)]
+    add = labels[translates(group, ADDITIVE, members)]
+    if rows is None:
+        rows = range(r)
+        g_cols, a_cols = grp, add
+    else:
+        keep = np.zeros(r, dtype=bool)
+        keep[rows] = True
+        g_cols, a_cols = (np.where(keep[lab], lab, -1) for lab in (grp, add))
+    if np.array_equal(np.sort(g_cols, axis=0)[:, labels],
+                      np.sort(a_cols, axis=0)):
+        return None
+    n = len(labels)
+    by_sum = np.bincount((add * n + np.arange(n)).ravel(),
+                         minlength=r * n).reshape(r, n)
+    rows = np.asarray(rows)
+    bad = (class_matrix(group, part, a)[:, labels] != by_sum)[rows]
+    b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    return (a, int(rows[b]), int(c))
+
+
+def _pair_deviation(group, part, pairs) -> float:
+    """max |f1 *_G f2 - f1 *_+ f2| over the pairs of class functions, read
+    at the representatives, one class a of h at a time: the group side from
+    the class matrix, (f1 *_G f2)(c) = (1/|G|) sum_{a,b} f1(C_a) f2(C_b)
+    M_a[b, c], the additive side from the translates x_c - x_h."""
+    if not pairs:
+        return 0.0
+    diff = np.zeros((len(pairs), len(group)), dtype=np.complex128)
+    for a in range(len(part)):
+        M = class_matrix(group, part, a)
+        T = part.labels[translates(group, ADDITIVE, part.classes[a])]
+        for k, (f1, f2) in enumerate(pairs):
+            v2 = f2.values[part.reps]
+            by_group = (v2 @ M)[part.labels]
+            by_sum = v2[T].sum(axis=0)
+            diff[k] += f1.values[part.reps[a]] * (by_group - by_sum)
+    return float(np.max(np.abs(diff))) / len(group)
 
 
 # -- verification suites --------------------------------------------------------
@@ -216,7 +242,7 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
         ind[orbit.indices] = 1.0
         dev_fourier = max(dev_fourier, float(np.max(np.abs(F.values - ind))))
 
-    table = _group_table(group)
+    table = translates(group, GROUP, slice(None))
     dev_idem, dev_orth, witness = 0.0, 0.0, None
     for j in range(len(E)):
         conv = (E @ E[j][table]) / n
@@ -252,64 +278,35 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None, seed=0,
                     pairs=None, tol=1e-10) -> dict:
     """exp* intertwines group and additive convolution on Fun(G)^G.
 
-    For |G| within table range the check is additionally exhaustive and
-    exact: both laws reduce to integer translation counts over all pairs of
-    class indicators, which span the invariant functions bilinearly.
-    Random invariant pairs are checked numerically in every case, and
-    explicit ``pairs`` are validated for invariance before use.
+    The check is exhaustive and exact at every size: class indicators span
+    the invariant functions, so by bilinearity it compares the integer
+    counts N_a[b, c] of both laws for every pair of classes and every
+    element (``_count_mismatch``).  Explicit ``pairs``, validated for
+    invariance first, and ``trials`` random invariant pairs follow from the
+    same counts: their deviation is 0.0 once the counts agree, and they are
+    reported as ``pairs_checked`` and ``max_deviation``.  On a mismatch the
+    explicit pairs' deviation is worked out class by class
+    (``_pair_deviation``) and no random pair is counted.
     """
     if ring.p < 3:
         raise RegimeViolation(f"p = {ring.p} < 3")
     group = group or LazardGroup(ring)
-    n = len(group)
     part = conjugacy_classes(group, seed=seed)
-    labels = part.labels
-    r = len(part)
-    report = {"group_order": n, "classes": r, "tolerance": tol,
-              "exhaustive": False, "max_deviation": 0.0, "pairs_checked": 0,
-              "passed": True, "witness": None}
-    tabled = n <= _TABLE_LIMIT
-    if tabled:
-        t_grp = _group_table(group)
-        t_add = _additive_table(group)
-
-    def deviation(v1, v2):
-        if tabled:
-            return float(np.max(np.abs(v1 @ v2[t_grp] / n
-                                       - v1 @ v2[t_add] / n)))
-        f1 = ClassFunction(group, v1, invariant=True)
-        f2 = ClassFunction(group, v2, invariant=True)
-        g_side = convolve(f1, f2, GROUP)
-        a_side = convolve(exp_star(f1, ring), exp_star(f2, ring), ADDITIVE)
-        return float(np.max(np.abs(g_side.values - a_side.values)))
-
-    if pairs is not None:
-        for f1, f2 in pairs:
-            _assert_invariant(f1, part)
-            _assert_invariant(f2, part)
-            report["max_deviation"] = max(report["max_deviation"],
-                                          deviation(f1.values, f2.values))
-            report["pairs_checked"] += 1
-
-    if tabled:
-        for a in range(r):
-            cg = _indicator_counts(t_grp, labels, part.classes[a], r)
-            ca = _indicator_counts(t_add, labels, part.classes[a], r)
-            if not np.array_equal(cg, ca):
-                b, c = np.unravel_index(int(np.argmax(cg != ca)), cg.shape)
-                report["passed"] = False
-                report["witness"] = (a, int(b), int(c))
-                return report
-        report["exhaustive"] = True
-
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        f1 = (rng.standard_normal(r) + 1j * rng.standard_normal(r))[labels]
-        f2 = (rng.standard_normal(r) + 1j * rng.standard_normal(r))[labels]
-        report["max_deviation"] = max(report["max_deviation"],
-                                      deviation(f1, f2))
-        report["pairs_checked"] += 1
-    report["passed"] = report["max_deviation"] <= tol
+    pairs = list(pairs or [])
+    for f1, f2 in pairs:
+        _assert_invariant(f1, part)
+        _assert_invariant(f2, part)
+    report = {"group_order": len(group), "classes": len(part),
+              "tolerance": tol, "exhaustive": True, "max_deviation": 0.0,
+              "pairs_checked": len(pairs) + trials, "passed": True,
+              "witness": None}
+    for a in range(len(part)):
+        hit = _count_mismatch(group, part, a)
+        if hit is not None:
+            report.update(exhaustive=False, passed=False, witness=hit,
+                          pairs_checked=len(pairs),
+                          max_deviation=_pair_deviation(group, part, pairs))
+            break
     return report
 
 
@@ -425,19 +422,22 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
 
 
 def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0,
-                         trials=6, tol=1e-10) -> dict:
+                         tol=1e-10) -> dict:
     """exp* intertwining on G^2-supported invariant functions, p = 2.
 
     Both factors supported on G^2 must always intertwine; one-factor
-    support suffices when [g,g] lies in 8g (uniform depth >= 3).  When a
-    conjugation-invariant pair outside those hypotheses breaks the identity
-    at this size, it is recorded as the expected failure witness.
+    support suffices when [g,g] lies in 8g (uniform depth >= 3).  Each claim
+    is checked exactly at every size, by comparing the integer counts
+    N_a[b, c] of both laws for the classes a, b it covers
+    (``_count_mismatch``).  When a conjugation-invariant pair outside those
+    hypotheses breaks the identity, its first (a, b, c) is recorded as the
+    expected failure witness.
     """
     _require_p2_uniform(ring)
     group = group or LazardGroup(ring)
     n = len(group)
     part = conjugacy_classes(group, seed=seed)
-    labels, r = part.labels, len(part)
+    r = len(part)
     even = np.all(group.elements % 2 == 0, axis=1) if ring.rank \
         else np.ones(n, dtype=bool)
     inside = [a for a in range(r) if bool(even[part.classes[a]].all())]
@@ -448,85 +448,29 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0,
               "part_a": None if one_sided else "skipped",
               "expected_failure": None, "pairs_checked": 0, "passed": True}
 
-    if n <= _TABLE_LIMIT:
-        t_grp = _group_table(group)
-        t_add = _additive_table(group)
-
-        def mismatch_at(a, rows):
-            cg = _indicator_counts(t_grp, labels, part.classes[a], r)
-            ca = _indicator_counts(t_add, labels, part.classes[a], r)
-            bad = cg[rows] != ca[rows]
-            if not bad.any():
-                return None
-            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return (a, int(np.asarray(rows)[b]), int(c))
-
-        for a in inside:
-            hit = mismatch_at(a, inside)
-            if hit is not None:
-                report["part_b"] = hit
-                report["passed"] = False
-                raise UnexpectedFailure(
-                    f"G^2-supported pair breaks exp* at (classes, element) "
-                    f"= {hit}")
-        report["part_b"] = "exact"
-        report["pairs_checked"] += len(inside) ** 2
-        if one_sided:
-            all_rows = list(range(r))
-            for a in inside:
-                hit = mismatch_at(a, all_rows)
-                if hit is not None:
-                    raise UnexpectedFailure(
-                        f"one-sided G^2 pair breaks exp* at {hit}")
-            for a in outside:
-                hit = mismatch_at(a, inside)
-                if hit is not None:
-                    raise UnexpectedFailure(
-                        f"one-sided G^2 pair breaks exp* at {hit}")
-            report["part_a"] = "exact"
-            report["pairs_checked"] += (2 * len(inside)) * len(outside)
-        search = outside if one_sided else list(range(r))
-        for a in outside:
-            hit = mismatch_at(a, search)
-            if hit is not None:
-                report["expected_failure"] = hit
-                break
-    else:
-        rng = np.random.default_rng(seed)
-
-        def random_supported(class_pool):
-            coeffs = np.zeros(r, dtype=np.complex128)
-            pool = np.asarray(class_pool)
-            vals = rng.standard_normal(len(pool)) \
-                + 1j * rng.standard_normal(len(pool))
-            coeffs[pool] = vals
-            return ClassFunction(group, coeffs[labels], invariant=True)
-
-        dev_b = 0.0
-        for _ in range(trials):
-            f1, f2 = random_supported(inside), random_supported(inside)
-            g_side = convolve(f1, f2, GROUP)
-            a_side = convolve(exp_star(f1), exp_star(f2), ADDITIVE)
-            dev_b = max(dev_b, float(np.max(np.abs(
-                g_side.values - a_side.values))))
-            report["pairs_checked"] += 1
-        if dev_b > tol:
-            report["part_b"] = dev_b
+    for a in inside:
+        hit = _count_mismatch(group, part, a, inside)
+        if hit is not None:
+            report["part_b"] = hit
+            report["passed"] = False
             raise UnexpectedFailure(
-                f"G^2-supported pair breaks exp*: deviation {dev_b:.2e}")
-        report["part_b"] = dev_b
-        if one_sided:
-            dev_a = 0.0
-            for _ in range(trials):
-                f1 = random_supported(inside)
-                f2 = random_supported(list(range(r)))
-                g_side = convolve(f1, f2, GROUP)
-                a_side = convolve(exp_star(f1), exp_star(f2), ADDITIVE)
-                dev_a = max(dev_a, float(np.max(np.abs(
-                    g_side.values - a_side.values))))
-                report["pairs_checked"] += 1
-            if dev_a > tol:
+                f"G^2-supported pair breaks exp* at (classes, element) "
+                f"= {hit}")
+    report["part_b"] = "exact"
+    report["pairs_checked"] += len(inside) ** 2
+    if one_sided:
+        checks = [(a, None) for a in inside] + [(a, inside) for a in outside]
+        for a, rows in checks:
+            hit = _count_mismatch(group, part, a, rows)
+            if hit is not None:
                 raise UnexpectedFailure(
-                    f"one-sided G^2 pair breaks exp*: deviation {dev_a:.2e}")
-            report["part_a"] = dev_a
+                    f"one-sided G^2 pair breaks exp* at {hit}")
+        report["part_a"] = "exact"
+        report["pairs_checked"] += (2 * len(inside)) * len(outside)
+    search = outside if one_sided else None
+    for a in outside:
+        hit = _count_mismatch(group, part, a, search)
+        if hit is not None:
+            report["expected_failure"] = hit
+            break
     return report

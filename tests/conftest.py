@@ -1,8 +1,15 @@
 """Shared rings and groups; session-scoped because everything is immutable."""
 
 import pytest
+from hypothesis import settings
 
 from orbitkit.liering import LazardGroup, make_ring
+
+
+# property tests draw the same examples on every run and store none
+settings.register_profile("orbitkit", derandomize=True, database=None,
+                          deadline=None, max_examples=10)
+settings.load_profile("orbitkit")
 
 
 def heisenberg(p, exponent=1):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbitkit import chsolver
 from orbitkit.chsolver import (PhiPsiPair, ValuationRegime, check_identity,
                                solve_phi_psi, substituted_series)
-from orbitkit.errors import InputBoundViolation, RegimeViolation
+from orbitkit.errors import InputBoundViolation, PropertyFailed
 from orbitkit.freelie import (GradedSeries, bch, exp_ad_apply, generator,
                               valuation_of)
 
@@ -112,6 +113,16 @@ class TestSolver:
         # raw CH violates the p2 bound v_2(H_n) >= 0 from degree 2 on
         with pytest.raises(InputBoundViolation):
             solve_phi_psi(bch(4), regime, 4)
+
+
+    def test_pair_failing_the_identity_raises_property_failed(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(chsolver, "check_identity",
+                            lambda series, pair, n_max: False)
+        regime = ValuationRegime.generic(5)
+        with pytest.raises(PropertyFailed,
+                           match="solved pair fails the defining identity"):
+            solve_phi_psi(substituted_series(regime, 4), regime, 4)
 
 
 class TestBounds:

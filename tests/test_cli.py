@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import cli, orbitmethod
+from orbitkit import chsolver, cli, freelie, orbitmethod
 from orbitkit.errors import (AutomorphismCheckFailed, DomainMismatch,
                              LinearSystemInconsistent)
 
@@ -276,6 +276,37 @@ class TestErrorExitCodes:
         assert out == ""
         assert err == ("error: DomainMismatch: inner product needs a shared "
                        "domain\n")
+
+
+    def test_disagreeing_ch_routes_exit_1(self, capsys, monkeypatch):
+        real = freelie._dynkin_bch
+
+        def skewed(n_max):
+            comps = real(n_max)
+            comps[2] = comps[2] * 2
+            return comps
+
+        monkeypatch.setattr(freelie, "_dynkin_bch", skewed)
+        freelie.bch.cache_clear()
+        try:
+            code, out, err = run(capsys, "bch", "--prime", "3",
+                                 "--degree", "3")
+        finally:
+            freelie.bch.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert err == ("error: PropertyFailed: CH routes disagree at "
+                       "degree 2\n")
+
+    def test_solver_identity_guard_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(chsolver, "check_identity",
+                            lambda series, pair, n_max: False)
+        code, out, err = run(capsys, "solve", "--regime", "sqrtp",
+                             "--prime", "5", "--degree", "4")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: PropertyFailed: solved pair fails the "
+                       "defining identity\n")
 
 
 class TestChain:

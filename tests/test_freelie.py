@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbitkit.errors import PrimeContextMismatch
+from orbitkit import freelie
+from orbitkit.errors import PrimeContextMismatch, PropertyFailed
 from orbitkit.freelie import (DEGREE_CAP, INFINITY, GradedSeries, LiePoly,
                               Scalar, basis_expansion, bch, bracket,
                               bracket_table, exp_ad_apply, generator,
@@ -151,6 +152,23 @@ class TestCHSeries:
             for n in range(1, DEGREE_CAP + 1):
                 v = valuation_of(series.component(n), p)
                 assert v >= -Fraction(n - 1, p - 1)
+
+    def test_disagreeing_routes_raise_property_failed(self, monkeypatch):
+        real = freelie._dynkin_bch
+
+        def skewed(n_max):
+            comps = real(n_max)
+            comps[3] = comps[3] * 2
+            return comps
+
+        monkeypatch.setattr(freelie, "_dynkin_bch", skewed)
+        bch.cache_clear()
+        try:
+            with pytest.raises(PropertyFailed,
+                               match="CH routes disagree at degree 3"):
+                bch(4)
+        finally:
+            bch.cache_clear()
 
     def test_degree_two_valuations(self):
         half = bch(2).component(2)

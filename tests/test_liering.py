@@ -63,6 +63,53 @@ class TestMakeRing:
         assert h3.uniform_depth == 0
         assert not h3.uniform
 
+    # p = 2 rings [e1, e2] = c e3 with moduli 1..4 and order <= 6000 that
+    # the uniform regime admits without the half-bracket condition:
+    # check_group_axioms finds exactly these 24 of the 50 non-associative
+    NON_ASSOCIATIVE = {
+        ((1, 1, 3), 4), ((1, 1, 4), 8), ((1, 2, 3), 4), ((1, 2, 4), 8),
+        ((1, 3, 3), 4), ((1, 3, 4), 8), ((1, 4, 3), 4), ((1, 4, 4), 8),
+        ((2, 1, 3), 4), ((2, 1, 4), 8), ((2, 2, 4), 4), ((2, 2, 4), 12),
+        ((2, 3, 4), 4), ((2, 3, 4), 12), ((2, 4, 4), 4), ((2, 4, 4), 12),
+        ((3, 1, 3), 4), ((3, 1, 4), 8), ((3, 2, 4), 4), ((3, 2, 4), 12),
+        ((4, 1, 3), 4), ((4, 1, 4), 8), ((4, 2, 4), 4), ((4, 2, 4), 12)}
+
+    def test_half_bracket_condition_rejects_the_non_groups(self):
+        rejected, accepted = set(), set()
+        for moduli in itertools.product(range(1, 5), repeat=3):
+            if sum(moduli) > 12:
+                continue
+            for c in range(1, 2 ** moduli[2]):
+                try:
+                    make_ring(2, moduli, {(0, 1): {2: c}})
+                except RegimeViolation as exc:
+                    if str(exc).startswith("half bracket"):
+                        rejected.add((moduli, c))
+                    continue
+                except WellDefinednessViolation:
+                    continue
+                accepted.add((moduli, c))
+        assert rejected == self.NON_ASSOCIATIVE
+        assert len(accepted) == 26
+        assert ((2, 2, 4), 8) in accepted
+
+    def test_half_bracket_violation_names_pair_target_and_moduli(self):
+        # x_1 lives mod 2, so 4z = [x, y]/2 changes when x_1 moves by 2
+        with pytest.raises(RegimeViolation) as info:
+            make_ring(2, (1, 1, 4), {(0, 1): {2: 8}})
+        assert str(info.value) == (
+            "half bracket [e0,e1]/2 -> e2 is not well defined: "
+            "2^min(k0,k1) * 8 != 0 mod 2^(k2+1) for moduli (1, 1, 4)")
+
+    @pytest.mark.parametrize("moduli, c", [((2, 2, 4), 8), ((2, 3, 3), 4),
+                                           ((3, 3, 3), 4)],
+                             ids=["224-c8", "233-c4", "333-c4"])
+    def test_accepted_half_brackets_give_groups(self, moduli, c):
+        ring = make_ring(2, moduli, {(0, 1): {2: c}})
+        axioms = check_group_axioms(LazardGroup(ring))
+        assert axioms["identity"] and axioms["inverse"]
+        assert axioms["associativity"]
+
     def test_uniform_quotient_matches_make_ring(self, rank3_z8):
         ring = uniform_quotient(2, 3, {(0, 1): {2: 4}}, 3)
         assert ring.moduli == rank3_z8.moduli

@@ -1,14 +1,18 @@
 """Coadjoint orbits, Kirillov characters, intertwining suites, p = 2 cells."""
 
+import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from orbitkit import orbitmethod
+from orbitkit import harmonic, orbitmethod
 from orbitkit.errors import PropertyFailed, RegimeViolation, UnexpectedFailure
-from orbitkit.harmonic import ClassFunction, DualSpace, inner
+from orbitkit.harmonic import ADDITIVE, ClassFunction, DualSpace, inner
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.oracle import character_table, conjugacy_classes, match_tables
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
@@ -152,14 +156,15 @@ class TestVerifyExpStar:
         with pytest.raises(RegimeViolation):
             verify_exp_star(rank3_z8)
 
-    def test_sampled_fallback_above_table_limit(self):
-        # order 3^7 = 2187 exceeds the all-pairs table range
+    def test_exact_above_the_old_table_limit(self):
+        # order 3^7 = 2187 is above _TABLE_LIMIT; the check stays exact
         ring = make_ring(3, (3, 2, 2), {(0, 1): {2: 1}})
+        assert ring.order() > orbitmethod._TABLE_LIMIT
         report = verify_exp_star(ring, trials=1)
-        assert not report["exhaustive"]
+        assert report["exhaustive"]
         assert report["passed"]
         assert report["pairs_checked"] == 1
-        assert report["max_deviation"] < 1e-10
+        assert report["max_deviation"] == 0.0
 
 
 class TestP2OrbitPartition:
@@ -225,10 +230,76 @@ class TestP2ConvolutionCheck:
         with pytest.raises(RegimeViolation):
             p2_convolution_check(h3)
 
+    def test_exact_above_the_old_table_limit(self):
+        # order 2^12 = 4096 is above _TABLE_LIMIT; the check stays exact
+        ring = make_ring(2, (3,) * 4, {(0, 1): {3: 4}})
+        group = LazardGroup(ring)
+        report = p2_convolution_check(ring, group=group)
+        assert report["part_b"] == "exact"
+        assert report["pairs_checked"] == report["supported_classes"] ** 2
+        a, b, c = report["expected_failure"]
+        # the witness, counted by hand at the one element c
+        part = conjugacy_classes(group)
+        H = group.elements[part.classes[a]]
+        x_c = np.broadcast_to(group.elements[c], H.shape)
+        in_b = part.labels == b
+        by_group = in_b[group.index_batch(
+            ring.ch_batch(np.mod(-H, ring._mods), x_c))]
+        by_sum = in_b[group.index_batch(x_c - H)]
+        assert by_group.sum() != by_sum.sum()
 
-def dict_counts_check(ring, group, seed=0):
-    """The table branch of p2_convolution_check as it stood when both count
-    matrices of every class were built up front and kept in a dict."""
+
+# -- element-level reference ---------------------------------------------------
+# Full n x n translation tables and per-class counts, built without
+# harmonic.translates, for the checks to be compared against.
+
+def ref_group_table(group):
+    """T[h, c] = index of (e^{x_h})^{-1} e^{x_c}; one row per left factor."""
+    ring = group.ring
+    E = group.elements
+    n = len(E)
+    neg = np.mod(-E, ring._mods)
+    shape = (n, n, ring.rank)
+    prod = ring.ch_batch(np.broadcast_to(neg[:, None, :], shape),
+                         np.broadcast_to(E[None, :, :], shape))
+    return prod @ ring.grid.strides
+
+
+def ref_additive_table(group):
+    """T[h, c] = index of x_c - x_h."""
+    ring = group.ring
+    E = group.elements
+    diff = np.mod(E[None, :, :] - E[:, None, :], ring._mods)
+    return diff @ ring.grid.strides
+
+
+def ref_indicator_counts(table, labels, members, n_classes):
+    """counts[b, c] = #{h in members : table[h, c] lies in class b}."""
+    lab = labels[table[members]]
+    n = table.shape[1]
+    cols = np.broadcast_to(np.arange(n, dtype=np.int64), lab.shape)
+    flat = lab * n + cols
+    return np.bincount(flat.ravel(), minlength=n_classes * n).reshape(
+        n_classes, n)
+
+
+def ref_exp_star_witness(part, t_grp, t_add):
+    """First (a, b, c) where the element-level counts of the two laws
+    differ, or None."""
+    r = len(part)
+    for a in range(r):
+        cg = ref_indicator_counts(t_grp, part.labels, part.classes[a], r)
+        ca = ref_indicator_counts(t_add, part.labels, part.classes[a], r)
+        if not np.array_equal(cg, ca):
+            b, c = np.unravel_index(int(np.argmax(cg != ca)), cg.shape)
+            return (a, int(b), int(c))
+    return None
+
+
+def dict_counts_check(ring, group, seed=0, t_add=None):
+    """The table branch of p2_convolution_check on element-level tables, as
+    it stood before the class-count check; ``t_add`` replaces the additive
+    table.  Both count matrices of a class are built when it is visited."""
     n = len(group)
     part = conjugacy_classes(group, seed=seed)
     labels, r = part.labels, len(part)
@@ -240,16 +311,13 @@ def dict_counts_check(ring, group, seed=0):
               "tolerance": 1e-10, "part_b": None,
               "part_a": None if one_sided else "skipped",
               "expected_failure": None, "pairs_checked": 0, "passed": True}
-    t_grp = orbitmethod._group_table(group)
-    t_add = orbitmethod._additive_table(group)
-    counts = {}
-    for a in range(r):
-        counts[a] = (
-            orbitmethod._indicator_counts(t_grp, labels, part.classes[a], r),
-            orbitmethod._indicator_counts(t_add, labels, part.classes[a], r))
+    t_grp = ref_group_table(group)
+    if t_add is None:
+        t_add = ref_additive_table(group)
 
     def mismatch_at(a, rows):
-        cg, ca = counts[a]
+        cg = ref_indicator_counts(t_grp, labels, part.classes[a], r)
+        ca = ref_indicator_counts(t_add, labels, part.classes[a], r)
         bad = cg[rows] != ca[rows]
         if not bad.any():
             return None
@@ -289,6 +357,20 @@ def dict_counts_check(ring, group, seed=0):
     return report
 
 
+def _swapped_translates(h, cols):
+    """harmonic.translates with two columns of h's additive row swapped,
+    as if the additive table had that swap."""
+    real = harmonic.translates
+
+    def patched(domain, law, rows, cols_=None):
+        out = real(domain, law, rows, cols_)
+        if law == ADDITIVE:
+            at = np.flatnonzero(np.arange(len(domain))[rows] == h)
+            out[np.ix_(at, cols)] = out[np.ix_(at, cols[::-1])]
+        return out
+    return patched
+
+
 def _outcome(check):
     try:
         return "report", check()
@@ -302,8 +384,9 @@ def _depth3_ring():
 
 
 class TestP2CountsOneClassAtATime:
-    """p2_convolution_check builds each class's counts when it reaches the
-    class; its outcome must equal the dict-based version's."""
+    """p2_convolution_check compares one class at a time through the
+    translation kernel; its outcome must equal the dict-based version's on
+    element-level tables."""
 
     @pytest.mark.parametrize("make", [
         lambda: make_ring(2, (3,) * 3, {(0, 1): {2: 4}}), _depth3_ring],
@@ -331,19 +414,127 @@ class TestP2CountsOneClassAtATime:
                                              kind):
         ring = make()
         group = LazardGroup(ring)
-        real = orbitmethod._additive_table
         row = group.index_of(h)
-
-        def patched(grp):
-            table = real(grp).copy()
-            table[row, list(cols)] = table[row, list(cols)[::-1]]
-            return table
-
-        monkeypatch.setattr(orbitmethod, "_additive_table", patched)
+        cols = list(cols)
+        t_add = ref_additive_table(group)
+        t_add[row, cols] = t_add[row, cols[::-1]]
+        monkeypatch.setattr(orbitmethod, "translates",
+                            _swapped_translates(row, cols))
         new = _outcome(lambda: p2_convolution_check(ring, group=group))
-        old = _outcome(lambda: dict_counts_check(ring, group))
+        old = _outcome(lambda: dict_counts_check(ring, group, t_add=t_add))
         assert new == old
         if isinstance(kind, tuple):
             assert new[1]["expected_failure"] == kind
         else:
             assert new[0] == "raised" and new[1].startswith(kind)
+
+
+# -- property tests --------------------------------------------------------------
+
+# largest exponent e with p^e <= 729, the order cap of the drawn rings
+_EXPONENT_CAP = {2: 9, 3: 6, 5: 4}
+
+
+@st.composite
+def class2_blocks(draw, p, budget):
+    """(moduli, brackets) of one class-2 block within ``budget`` summed
+    exponents: ``upper`` coordinates bracketing into ``centre`` central
+    ones, a central extension (upper 2 and centre 1 is a Heisenberg ring).
+    Each constant's valuation is raised until it is well defined on the
+    moduli, and for p = 2 until [g, g] lies in 4g and the half bracket is
+    well defined, so make_ring accepts every draw."""
+    low = 2 if p == 2 else 1        # p = 2 needs uniform depth >= 2
+    mid = 3 if p == 2 else 1        # [g, g] in 4g is zero mod 4
+    upper, centre = draw(st.sampled_from(
+        [(u, c) for u in (2, 3) for c in (1, 2)
+         if u * low + c * mid <= budget]))
+    spare = budget - upper * low - centre * mid
+    moduli = []
+    for m in range(upper + centre):
+        least = low if m < upper else mid
+        moduli.append(least + draw(st.integers(0, min(1, spare))))
+        spare -= moduli[-1] - least
+    brackets = {}
+    for i, j in itertools.combinations(range(upper), 2):
+        row = {}
+        for m in range(upper, upper + centre):
+            floor = moduli[m] - min(moduli[i], moduli[j])
+            if p == 2:
+                floor = max(2, floor + 1)
+            unit = draw(st.integers(1, p ** (moduli[m] - floor) - 1)
+                        .filter(lambda x: x % p))
+            row[m] = unit * p ** floor
+        brackets[(i, j)] = row
+    return moduli, brackets
+
+
+@st.composite
+def small_rings(draw):
+    """A valid ring of order <= 729: a class-2 block, alone or in a direct
+    sum with a cyclic factor or a second block."""
+    p = draw(st.sampled_from(sorted(_EXPONENT_CAP)))
+    low = 2 if p == 2 else 1
+    budget = _EXPONENT_CAP[p]
+    moduli, brackets = draw(class2_blocks(p, budget))
+    spare = budget - sum(moduli)
+    summand = draw(st.sampled_from(
+        ["none"] + ["cyclic"] * (spare >= low)
+        + ["block"] * (spare >= 3 * low)))
+    if summand == "cyclic":
+        moduli.append(draw(st.integers(low, spare)))
+    elif summand == "block":
+        more, extra = draw(class2_blocks(p, spare))
+        shift = len(moduli)
+        for (i, j), row in extra.items():
+            brackets[(i + shift, j + shift)] = {m + shift: c
+                                                for m, c in row.items()}
+        moduli += more
+    return make_ring(p, tuple(moduli), brackets)
+
+
+@st.composite
+def swaps(draw, n):
+    """(h, [c1, c2]): two columns to swap in h's additive row."""
+    c1, c2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                           unique=True))
+    return draw(st.integers(0, n - 1)), [c1, c2]
+
+
+class TestCountCheckProperties:
+    """The class-count checks against element-level tables on drawn rings,
+    with the additive law left alone or corrupted by one swap."""
+
+    @pytest.mark.parametrize("corrupt", [False, True],
+                             ids=["valid", "one-swap"])
+    @given(data=st.data())
+    def test_checks_match_the_element_level_tables(self, corrupt, data):
+        ring = data.draw(small_rings())
+        group = LazardGroup(ring)
+        t_add = ref_additive_table(group)
+        patched = orbitmethod.translates
+        if corrupt:
+            h, cols = data.draw(swaps(len(group)))
+            t_add[h, cols] = t_add[h, cols[::-1]]
+            patched = _swapped_translates(h, cols)
+        with mock.patch.object(orbitmethod, "translates", patched):
+            if ring.p == 2:
+                new = _outcome(lambda: p2_convolution_check(ring, group=group))
+                old = _outcome(lambda: dict_counts_check(ring, group,
+                                                         t_add=t_add))
+                assert new == old
+                return
+            part = conjugacy_classes(group)
+            rng = np.random.default_rng(len(group))
+            v1, v2 = ((rng.standard_normal(len(part))
+                       + 1j * rng.standard_normal(len(part)))[part.labels]
+                      for _ in range(2))
+            pair = (ClassFunction(group, v1), ClassFunction(group, v2))
+            report = verify_exp_star(ring, trials=3, group=group,
+                                     pairs=[pair])
+        t_grp = ref_group_table(group)
+        witness = ref_exp_star_witness(part, t_grp, t_add)
+        assert report["witness"] == witness
+        assert report["passed"] == report["exhaustive"] == (witness is None)
+        assert report["pairs_checked"] == (4 if witness is None else 1)
+        deviation = np.max(np.abs(v1 @ v2[t_grp] - v1 @ v2[t_add]))
+        assert abs(report["max_deviation"] - deviation / len(group)) < 1e-12
