@@ -335,7 +335,7 @@ def cmd_chartable(args) -> int:
     return _exit_code(checks)
 
 
-def _twist_data(ring):
+def _twist_data(ring, group):
     if ring.class_ < ring.p:
         regime = ValuationRegime.generic(ring.p)
     elif ring.p == 3:
@@ -345,7 +345,7 @@ def _twist_data(ring):
             f"no solver regime covers p = {ring.p}, class {ring.class_}")
     degree = max(2, ring.class_)
     pair = solve_phi_psi(substituted_series(regime, degree), regime, degree)
-    rep = twist_map(ring, pair)
+    rep = twist_map(ring, pair, group=group)
     return {"regime": regime.tag, "mode": rep.mode,
             "pairs_checked": rep.pairs_checked,
             "properties": {"sum_identity": rep.sum_identity,
@@ -363,8 +363,8 @@ def _idempotent_data(ring, group, seed, tol):
                                       "complete")}
 
 
-def _expstar_data(ring, group, seed, tol):
-    rep = verify_exp_star(ring, group=group, seed=seed, tol=max(tol, 1e-10))
+def _expstar_data(ring, group, seed):
+    rep = verify_exp_star(ring, group=group, seed=seed)
     if not rep["passed"]:
         raise PropertyFailed(f"witness: {rep['witness']}")
     return {key: rep[key] for key in ("exhaustive", "pairs_checked",
@@ -417,8 +417,8 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     thunks = {
         "idempotents": lambda: _idempotent_data(ring, group, seed, tol),
-        "expstar": lambda: _expstar_data(ring, group, seed, tol),
-        "twist": lambda: _twist_data(ring),
+        "expstar": lambda: _expstar_data(ring, group, seed),
+        "twist": lambda: _twist_data(ring, group),
         "p2": lambda: _p2_data(ring, group, seed, tol),
     }
     for name in selected:

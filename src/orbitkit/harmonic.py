@@ -137,12 +137,6 @@ class DualSpace:
         return f"DualSpace(|g*|={len(self)}, ring={self.ring!r})"
 
 
-def enumerate_dual(ring: FiniteLieRing):
-    """All |g| characters of (g, +), lexicographic in exponents."""
-    space = DualSpace(ring)
-    return [space.character(i) for i in range(len(space))]
-
-
 class ClassFunction:
     """Dense complex function on a ring g or a Lazard group G.
 
@@ -212,16 +206,6 @@ def exp_star(f: ClassFunction, ring=None) -> ClassFunction:
     if target is not f.domain.ring:
         raise DomainMismatch("ring is not the domain group's ring")
     return ClassFunction(target, f.values, tolerance=f.tolerance,
-                         invariant=f.invariant)
-
-
-def log_star(f: ClassFunction, group: LazardGroup) -> ClassFunction:
-    """Push a ring-side function forward to the group along exp."""
-    if isinstance(f.domain, LazardGroup):
-        raise DomainMismatch("log_star expects a ring-domain function")
-    if group.ring is not f.domain:
-        raise DomainMismatch("group does not lie over the function's ring")
-    return ClassFunction(group, f.values, tolerance=f.tolerance,
                          invariant=f.invariant)
 
 
@@ -308,10 +292,3 @@ def inner(f1: ClassFunction, f2: ClassFunction) -> complex:
     if not _same_domain(f1.domain, f2.domain):
         raise DomainMismatch("inner product needs a shared domain")
     return complex(np.vdot(f2.values, f1.values) / len(f1.values))
-
-
-def dual_inner(F1: DualFunction, F2: DualFunction) -> complex:
-    """sum F1 conj(F2) with counting measure, the Parseval partner of inner."""
-    if F1.ring is not F2.ring:
-        raise DomainMismatch("dual inner product needs a shared ring")
-    return complex(np.vdot(F2.values, F1.values))

@@ -4,18 +4,19 @@ Conjugacy classes come from orbit closure under conjugation by the
 coordinate-basis exponentials e^{±e_i} (their images span G modulo the
 Frattini subgroup, so they generate), guarded by a randomized stability
 audit over full group elements.  The character table is computed with the
-Burnside class-matrix method: a seeded random linear combination of the
-class matrices is diagonalized, its eigenvectors are the central characters
-once the eigenvalues separate, and degrees follow from the first
-orthogonality relation.  Both orthogonality relations gate the result.
+Burnside class-matrix method with Dixon-Schneider splitting: a seeded
+random linear combination of the class matrices is diagonalized, and its
+eigenvectors are the central characters once the eigenvalues separate.  The
+combination grows over the classes in size order, the prefix doubling, and
+stops at the first prefix whose spectrum separates, which is usually a
+small part of the class algebra.  Degrees follow from the first
+orthogonality relation, and both orthogonality relations gate the result.
 
 Nothing here knows about coadjoint orbits; agreement with the orbit side is
 established by ``match_tables``.
 """
 
 from __future__ import annotations
-
-from functools import cmp_to_key
 
 import numpy as np
 
@@ -169,46 +170,62 @@ def class_matrix(group, part, a):
     return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
 
 
-def _combined_class_matrices(group, part, weights):
-    """Sum_a weights[k, a] * M_a for every retry k in one pass over classes.
+def _central_characters(group, part, weights, identity_class, gap):
+    """Central characters from one weighted sum of class matrices, grown
+    over a size-ordered prefix of the classes.
 
     The vector (omega(c))_c of any central character is a common right
-    eigenvector of the class matrices M_a, with eigenvalue omega(a).
+    eigenvector of the class matrices M_a, with eigenvalue omega(a), so it
+    is an eigenvector of every combination of them.  Once the eigenvalues
+    of a combination are distinct, each eigenspace is a line and its
+    eigenvectors are the central characters up to scale: the classes left
+    out of the sum would not change them.  Classes enter smallest first
+    (ties by index), the prefix doubling from 8, one ``eig`` per prefix.
+    Returns (omega, eigs): omega[c, i] = omega_i(c), or None if even the
+    full sum fails the gap or identity check, and the ``eig`` calls made.
     """
     r = len(part)
-    out = np.zeros((len(weights), r, r))
-    for a in range(r):
-        out += weights[:, a, None, None] * class_matrix(group, part, a)
-    return out
+    order = np.argsort(part.sizes, kind="stable")
+    combined = np.zeros((r, r))
+    used = eigs = 0
+    while used < r:
+        prefix = min(max(2 * used, 8), r)
+        for a in order[used:prefix]:
+            combined += weights[a] * class_matrix(group, part, a)
+        used = prefix
+        vals, vecs = np.linalg.eig(combined)
+        eigs += 1
+        dist = np.abs(vals[:, None] - vals[None, :])
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() < gap:
+            continue
+        at_identity = vecs[identity_class, :]
+        if np.min(np.abs(at_identity)) < 1e-12:
+            continue
+        return vecs / at_identity[None, :], eigs
+    return None, eigs
 
 
 def _row_order(degrees, rows):
     """Row order of a character table: by degree, then by the values rounded
-    to 8 decimals, column by column; ties keep their order.  Each value is
-    rounded only when a comparison reaches its column."""
-    rounded = {}
-
-    def value(i, c):
-        if (i, c) not in rounded:
-            z = rows[i, c]
-            rounded[i, c] = (round(z.real, 8), round(z.imag, 8))
-        return rounded[i, c]
-
-    def compare(i, j):
-        if degrees[i] != degrees[j]:
-            return -1 if degrees[i] < degrees[j] else 1
-        for c in range(rows.shape[1]):
-            a, b = value(i, c), value(j, c)
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    return sorted(range(len(rows)), key=cmp_to_key(compare))
+    to 8 decimals, column by column; ties keep their order.  Values round as
+    np.round rounds them, which is what ``round`` does to numpy scalars."""
+    parts = np.round(np.stack([rows.real, rows.imag], axis=-1), 8)
+    keys = parts.reshape(len(rows), -1).T[::-1]
+    return np.lexsort(np.vstack([keys, np.asarray(degrees)[None, :]])).tolist()
 
 
 def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
                     class_cap=CLASS_CAP, tol=1e-8) -> CharTable:
-    """Full complex character table via the Burnside class-matrix method."""
+    """Full complex character table via the Burnside class-matrix method.
+
+    The weights of the class matrices are one seeded standard normal draw
+    per retry; a retry, with the next weights, happens only when the sum
+    over all classes still has an eigenvalue gap below ``gap``.  Each
+    attempt grows its sum over a prefix of the classes until the spectrum
+    separates (``_central_characters``).  ``attempts`` on the result is the
+    number of ``eig`` decompositions run, minus one.
+    """
     part = conjugacy_classes(group, seed=seed)
     r = len(part)
     if r > class_cap:
@@ -217,19 +234,15 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
     sizes = part.sizes.astype(np.float64)
     rng = np.random.default_rng(seed)
     weights = rng.standard_normal((retries, r))
-    combined = _combined_class_matrices(group, part, weights)
     identity_class = part.class_of(group.index_of(group.ring.zero()))
 
+    eigs = 0
     for attempt in range(retries):
-        vals, vecs = np.linalg.eig(combined[attempt])
-        dist = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < gap:
+        omega, runs = _central_characters(group, part, weights[attempt],
+                                          identity_class, gap)
+        eigs += runs
+        if omega is None:
             continue
-        at_identity = vecs[identity_class, :]
-        if np.min(np.abs(at_identity)) < 1e-12:
-            continue
-        omega = vecs / at_identity[None, :]
         norms = (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0)
         degrees = np.sqrt(n / norms)
         rounded = np.rint(degrees)
@@ -251,7 +264,7 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
 
         key = _row_order(rounded, rows)
         return CharTable(group, part, rows[key],
-                         rounded[key].astype(np.int64), seed, attempt)
+                         rounded[key].astype(np.int64), seed, eigs - 1)
     raise DegenerateSpectrum(
         f"eigenvalue gap stayed below {gap} for {retries} retries")
 

@@ -275,7 +275,7 @@ def _assert_invariant(f: ClassFunction, partition):
 
 
 def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None, seed=0,
-                    pairs=None, tol=1e-10) -> dict:
+                    pairs=None) -> dict:
     """exp* intertwines group and additive convolution on Fun(G)^G.
 
     The check is exhaustive and exact at every size: class indicators span
@@ -297,7 +297,7 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None, seed=0,
         _assert_invariant(f1, part)
         _assert_invariant(f2, part)
     report = {"group_order": len(group), "classes": len(part),
-              "tolerance": tol, "exhaustive": True, "max_deviation": 0.0,
+              "exhaustive": True, "max_deviation": 0.0,
               "pairs_checked": len(pairs) + trials, "passed": True,
               "witness": None}
     for a in range(len(part)):
@@ -421,8 +421,7 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     return cells
 
 
-def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0,
-                         tol=1e-10) -> dict:
+def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0) -> dict:
     """exp* intertwining on G^2-supported invariant functions, p = 2.
 
     Both factors supported on G^2 must always intertwine; one-factor
@@ -444,7 +443,7 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0,
     outside = [a for a in range(r) if a not in set(inside)]
     one_sided = ring.uniform_depth >= 3
     report = {"group_order": n, "classes": r, "supported_classes": len(inside),
-              "tolerance": tol, "part_b": None,
+              "part_b": None,
               "part_a": None if one_sided else "skipped",
               "expected_failure": None, "pairs_checked": 0, "passed": True}
 

@@ -5,10 +5,35 @@ import pytest
 
 from orbitkit.errors import DomainMismatch
 from orbitkit.harmonic import (ADDITIVE, GROUP, ClassFunction, DualCharacter,
-                               DualFunction, DualSpace, convolve, dual_inner,
-                               element_table, enumerate_dual, exp_star,
-                               fourier, inner, inverse_fourier, log_star)
+                               DualFunction, DualSpace, convolve,
+                               element_table, exp_star, fourier, inner,
+                               inverse_fourier)
 from orbitkit.liering import LazardGroup, make_ring
+
+
+# -- references: the inverses and partners of the library functions -----------
+
+def enumerate_dual(ring):
+    """All |g| characters of (g, +), lexicographic in exponents."""
+    space = DualSpace(ring)
+    return [space.character(i) for i in range(len(space))]
+
+
+def log_star(f, group):
+    """Push a ring-side function forward to the group along exp."""
+    if isinstance(f.domain, LazardGroup):
+        raise DomainMismatch("log_star expects a ring-domain function")
+    if group.ring is not f.domain:
+        raise DomainMismatch("group does not lie over the function's ring")
+    return ClassFunction(group, f.values, tolerance=f.tolerance,
+                         invariant=f.invariant)
+
+
+def dual_inner(F1, F2):
+    """sum F1 conj(F2) with counting measure, the Parseval partner of inner."""
+    if F1.ring is not F2.ring:
+        raise DomainMismatch("dual inner product needs a shared ring")
+    return complex(np.vdot(F2.values, F1.values))
 
 
 def random_function(domain, seed, *, invariant=False):

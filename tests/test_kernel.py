@@ -415,3 +415,20 @@ def test_row_order_matches_the_eager_key(ring):
         noisy = rows[pick] + rng.choice([0.0, 1e-10, 4e-9], rows[pick].shape)
         assert _row_order(degrees[pick], noisy) == \
             old_order(degrees[pick], noisy)
+
+
+def test_row_order_rounds_half_way_values_as_the_eager_key():
+    # k/1e8 + 5e-9 lies on a rounding boundary, where Python's round on a
+    # float and round on a numpy scalar (np.round) can part; rows that tie
+    # under one rounding and not the other are then ordered by column 1
+    rng = np.random.default_rng(5)
+    x = rng.integers(-10 ** 8, 10 ** 8, 4000) / 1e8 + 5e-9
+    split = [v for v in x if round(float(v), 8) != round(v, 8)][:6]
+    first = [u for v in split for u in (v, round(float(v), 8), round(v, 8))]
+    rows = np.column_stack([first, rng.standard_normal(len(first))])
+    rows = (rows + 0j)[rng.permutation(len(first))]
+    degrees = np.ones(len(rows))
+    assert _row_order(degrees, rows) == old_order(degrees, rows)
+    float_key = sorted(range(len(rows)), key=lambda i: tuple(
+        round(float(z.real), 8) for z in rows[i]))
+    assert float_key != old_order(degrees, rows)

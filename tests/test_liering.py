@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from orbitkit.chsolver import ValuationRegime, solve_phi_psi, substituted_series
-from orbitkit.errors import (JacobiViolation, RegimeViolation,
+from orbitkit import liering
+from orbitkit.errors import (JacobiViolation, PropertyFailed, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
 from orbitkit.harmonic import DualSpace
 from orbitkit.liering import (Grid, LazardGroup, Subring, ad_action,
@@ -233,6 +234,35 @@ class TestTwist:
         pair = solve_phi_psi(substituted_series(regime, 1), regime, 1)
         with pytest.raises(ValueError):
             twist_map(h3, pair)
+
+    def test_reuses_the_given_group(self, h3, h3_group, monkeypatch):
+        def refuse(ring):
+            raise AssertionError("twist_map built its own group")
+        monkeypatch.setattr(liering, "LazardGroup", refuse)
+        report = twist_map(h3, generic_pair(3), group=h3_group)
+        assert report.all_passed()
+
+    @pytest.mark.parametrize("budget", [2_000_000, 100],
+                             ids=["exhaustive", "sampled"])
+    def test_collisions_count_duplicate_images(self, h3, h3_group, budget):
+        # a forged enumeration folds indices mod 5, so images collide; the
+        # duplicate count is checked against np.unique
+        codes = []
+
+        class Folded:
+            size = h3_group.size
+            elements = h3_group.elements
+
+            def index_batch(self, coords):
+                codes.append(h3_group.index_batch(coords) % 5)
+                return codes[-1]
+        with pytest.raises(PropertyFailed) as info:
+            twist_map(h3, generic_pair(3), group=Folded(),
+                      pair_budget=budget, sample=200)
+        joined = codes[0] * h3_group.size + codes[1]
+        duplicates = len(joined) - np.unique(joined).size
+        assert str(info.value) == \
+            f"twist map collides: {duplicates} duplicate images"
 
 
 class TestSubring:

@@ -1,17 +1,27 @@
 """Brute-force character theory: classes, Burnside tables, matching."""
 
+import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from orbitkit import oracle, orbitmethod
-from orbitkit.errors import DomainMismatch, NoMatching, StabilityCheckFailed
+from orbitkit.cli import load_ring_spec
+from orbitkit.errors import (DegenerateSpectrum, DomainMismatch, NoMatching,
+                             StabilityCheckFailed, ValidationFailed)
 from orbitkit.harmonic import ClassFunction, DualCharacter
-from orbitkit.liering import Subring
-from orbitkit.oracle import (character_table, closure_with_audit,
-                             conjugacy_classes, match_tables,
-                             permutation_orbits, restriction_multiplicity)
+from orbitkit.liering import LazardGroup, Subring
+from orbitkit.oracle import (character_table, class_matrix,
+                             closure_with_audit, conjugacy_classes,
+                             match_tables, permutation_orbits,
+                             restriction_multiplicity)
+
+from test_orbitmethod import small_rings
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def full_functions(table):
@@ -296,3 +306,138 @@ class TestRestrictionMultiplicity:
         psi = DualCharacter(h3, (0, 0, 0)).as_function()
         with pytest.raises(DomainMismatch):
             restriction_multiplicity(h3_group, sub, chi_g, psi)
+
+
+# -- the prefix split against the full sum --------------------------------------
+
+def full_sum_table(group, *, seed=0, retries=8, gap=1e-6, tol=1e-8):
+    """The character table as it stood before the prefix split: every class
+    matrix summed for every retry up front, one eig per retry, rows sorted
+    by an eager key.  Returns (rows, degrees, class sizes, attempt).  The
+    sums run as one product per block of 16 classes."""
+    part = conjugacy_classes(group, seed=seed)
+    r, n = len(part), len(group)
+    sizes = part.sizes.astype(np.float64)
+    weights = np.random.default_rng(seed).standard_normal((retries, r))
+    combined = np.zeros((retries, r * r))
+    for lo in range(0, r, 16):
+        block = np.array([class_matrix(group, part, a).ravel()
+                          for a in range(lo, min(lo + 16, r))])
+        combined += weights[:, lo:lo + 16] @ block
+    combined = combined.reshape(retries, r, r)
+    identity_class = part.class_of(group.index_of(group.ring.zero()))
+    for attempt in range(retries):
+        vals, vecs = np.linalg.eig(combined[attempt])
+        dist = np.abs(vals[:, None] - vals[None, :])
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() < gap:
+            continue
+        at_identity = vecs[identity_class, :]
+        if np.min(np.abs(at_identity)) < 1e-12:
+            continue
+        omega = vecs / at_identity[None, :]
+        norms = (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0)
+        degrees = np.sqrt(n / norms)
+        rounded = np.rint(degrees)
+        if np.max(np.abs(degrees - rounded)) > 1e-6:
+            raise ValidationFailed("degrees are not integers")
+        rows = (rounded[None, :] * omega / sizes[:, None]).T
+        row_orth = (rows * sizes[None, :]) @ rows.conj().T / n
+        col_orth = rows.T @ rows.conj()
+        target = np.diag(n / sizes)
+        if (np.max(np.abs(row_orth - np.eye(r))) > tol
+                or np.max(np.abs(col_orth - target)
+                          / np.maximum(1.0, np.abs(target))) > tol):
+            raise ValidationFailed("orthogonality")
+        key = eager_order(rounded, rows)
+        return rows[key], rounded[key].astype(np.int64), part.sizes, attempt
+    raise DegenerateSpectrum("full sum never separates")
+
+
+def eager_order(degrees, rows):
+    """By degree, then (re, im) rounded to 8 decimals column by column, as
+    ``round`` rounds numpy scalars (that is, as np.round does)."""
+    re, im = np.round(rows.real, 8).tolist(), np.round(rows.imag, 8).tolist()
+    return sorted(range(len(rows)), key=lambda i: (
+        degrees[i], tuple(zip(re[i], im[i]))))
+
+
+def assert_same_table(table, seed=0):
+    rows, degrees, sizes, _ = full_sum_table(table.group, seed=seed)
+    assert np.array_equal(table.degrees, degrees)
+    assert np.array_equal(table.class_sizes, sizes)
+    assert eager_order(table.degrees, table.rows) == list(range(len(rows)))
+    assert np.max(np.abs(table.rows - rows)) < 1e-9
+
+
+def ring_specs():
+    for path in sorted(SPECS.glob("*.json")):
+        if "moduli" not in json.loads(path.read_text()):
+            continue
+        for seed in (0, 1) if path.stem != "u4_f5" else (0,):
+            yield pytest.param(path, seed, id=f"{path.stem}-seed{seed}")
+
+
+def counting_eig(monkeypatch, forge=None):
+    """Count the oracle's eig calls; ``forge`` may replace their result."""
+    calls = []
+    real = np.linalg.eig
+
+    def eig(a):
+        calls.append(a.copy())
+        out = real(a)
+        return out if forge is None else forge(out)
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return calls
+
+
+class TestPrefixSplit:
+    @pytest.mark.parametrize("path, seed", list(ring_specs()))
+    def test_specs_match_the_full_sum(self, path, seed):
+        group = LazardGroup(load_ring_spec(path))
+        assert_same_table(character_table(group, seed=seed), seed)
+
+    @given(ring=small_rings())
+    def test_drawn_rings_match_the_full_sum(self, ring):
+        assert_same_table(character_table(LazardGroup(ring)))
+
+    def test_attempts_count_eig_calls(self, z9_group, monkeypatch):
+        calls = counting_eig(monkeypatch)
+        table = character_table(z9_group)
+        assert table.attempts + 1 == len(calls) > 1
+        # the prefix doubles from 8 classes, smallest classes first
+        part = table.partition
+        order = np.argsort(part.sizes, kind="stable")
+        weights = np.random.default_rng(0).standard_normal((8, len(part)))[0]
+        for k, combined in enumerate(calls):
+            prefix = order[:min(8 << k, len(part))]
+            expected = sum(weights[a] * class_matrix(z9_group, part, a)
+                           for a in prefix)
+            assert np.allclose(combined, expected, rtol=0, atol=1e-9)
+
+    def test_retry_only_after_the_full_sum_fails(self, h3_group, monkeypatch):
+        # a gap no spectrum reaches: every retry runs every prefix
+        calls = counting_eig(monkeypatch)
+        with pytest.raises(DegenerateSpectrum) as info:
+            character_table(h3_group, gap=1e9, retries=3)
+        assert str(info.value) == \
+            "eigenvalue gap stayed below 1000000000.0 for 3 retries"
+        assert len(calls) == 3 * 2        # prefixes of 8 and 11 classes
+
+    def test_forged_prefix_is_gated_by_orthogonality(self, h3_group,
+                                                     monkeypatch):
+        # a separated spectrum whose vectors are the central characters
+        # with an error that keeps every degree integral
+        reference = character_table(h3_group)
+        part = reference.partition
+        sizes = part.sizes.astype(np.float64)
+        omega = (reference.rows * sizes[None, :]
+                 / reference.degrees[:, None]).T
+        forged = omega.copy()
+        forged[:, 1] += 1e-5 * (omega[:, 2] - omega[:, 3])
+        r = len(part)
+        calls = counting_eig(monkeypatch, lambda out: (
+            np.arange(r, dtype=np.complex128), forged))
+        with pytest.raises(ValidationFailed, match="orthogonality deviation"):
+            character_table(h3_group)
+        assert len(calls) == 1

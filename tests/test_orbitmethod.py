@@ -308,7 +308,7 @@ def dict_counts_check(ring, group, seed=0, t_add=None):
     outside = [a for a in range(r) if a not in set(inside)]
     one_sided = ring.uniform_depth >= 3
     report = {"group_order": n, "classes": r, "supported_classes": len(inside),
-              "tolerance": 1e-10, "part_b": None,
+              "part_b": None,
               "part_a": None if one_sided else "skipped",
               "expected_failure": None, "pairs_checked": 0, "passed": True}
     t_grp = ref_group_table(group)
