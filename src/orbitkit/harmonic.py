@@ -236,12 +236,8 @@ def translates(domain, law, rows, cols=None):
         if law == ADDITIVE:
             block = grid.index_batch(C[None] - h[:, None])
         else:
-            # contiguous factors: the kernel runs faster on them than on
-            # broadcasts
-            left = np.repeat(np.mod(-h, ring._mods), len(C), axis=0)
-            right = np.tile(C, (len(h), 1))
-            block = (ring.ch_batch(left, right) @ grid.strides).reshape(
-                len(h), len(C))
+            block = ring.ch_batch(np.mod(-h, ring._mods)[:, None],
+                                  C[None]) @ grid.strides
         out[start:start + step] = block
     return out
 

@@ -19,23 +19,29 @@ log are identity maps on coordinates.  One Grid, built per ring on first
 use, enumerates that coordinate set for G and, through the pairing
 Σ a_i x_i / p^{k_i}, for the dual g*.
 
-The constants are held once, as a triple table: the pairs i < j with a
-nonzero row, and for each pair its constants c at targets m (canonical
+The constants are held once, as a pair table: the pairs i < j with a
+nonzero constant, each with its constants c at targets m (canonical
 residues, or in the uniform regime residues of the lifts mod the working
-precision).  One kernel brackets over that table,
-D = U[..., I]·V[..., J] − U[..., J]·V[..., I], then D @ C and one reduction,
-and serves every bracket, adjoint matrix and CH evaluation on elements.
-Validation (Jacobi, the lower central series) brackets the same triples in
+precision).  One kernel brackets over that table and serves every bracket,
+adjoint matrix and CH evaluation on elements.  It runs coordinate-major:
+batches of (..., rank) vectors enter as (rank, ...) views, so coordinate i
+of the whole batch is one contiguous row U[i] and a single vector against
+a batch broadcasts without copies.  Per pair it forms
+D = U[i]·V[j] − U[j]·V[i] once and adds c·D into row m; then it reduces
+the rows the table reaches, each by its own scalar modulus as
+x − x // m · m, which numpy computes far faster than np.mod.
+Validation (Jacobi, the lower central series) brackets the same pairs in
 exact integer or Fraction arithmetic.
 
 Arithmetic on elements is int64, so make_ring checks headroom instead of
 assuming it.  With W the largest working modulus, S the largest column sum
 of the table and T the number of Lyndon words up to the evaluation degree
 (the most terms a product sums), every intermediate is at most
-(W − 1)² · max(S, T): D @ C weights differences of products of two
-residues by a column of the table, and a Lie series sums at most T products
-of a residue and a multiplier, reducing once at the end.  A ring whose bound exceeds 2^63 − 1 is rejected with
-IntegerHeadroomExceeded, and so is a longer series evaluated later.
+(W − 1)² · max(S, T): row m of a bracket sums c·D over the pairs that
+reach m, and a Lie series sums at most T products of a residue and a
+multiplier, reducing once at the end.  A ring whose bound exceeds
+2^63 − 1 is rejected with IntegerHeadroomExceeded, and so is a longer
+series evaluated later.
 """
 
 from __future__ import annotations
@@ -145,7 +151,7 @@ class FiniteLieRing:
         self._mods = np.array(self.sizes, dtype=np.int64)
         self._canon = _modulus(self.sizes)
         self._work = _modulus(work_sizes)
-        self._table = _triple_table(self.rank, working)
+        self._table = _triple_table(working)
         self._shift = shift
         self._capacity = capacity
         self._ch = None
@@ -193,8 +199,9 @@ class FiniteLieRing:
 
     def bracket_batch(self, U, V):
         """[U, V] for (..., rank) arrays of canonical residues."""
-        return _bracket(self._table, np.asarray(U, dtype=np.int64),
-                        np.asarray(V, dtype=np.int64), self._canon)
+        U, V, shape, batch = _coordinate_major(U, V)
+        return _row_major(_bracket(self._table, U, V, self._canon, batch),
+                          shape)
 
     def bracket(self, u, v):
         return tuple(int(x) for x in self.bracket_batch(u, v))
@@ -212,7 +219,7 @@ class FiniteLieRing:
         if isinstance(self._work, int):
             return q, a, q.numerator * pow(den, -1, self._work) % self._work
         mult = np.array([q.numerator * pow(den, -1, m) % m
-                         for m in self._work.tolist()], dtype=np.int64)
+                         for m in self._work], dtype=np.int64)
         return q, a, mult
 
     def _term_plan(self, terms):
@@ -232,19 +239,22 @@ class FiniteLieRing:
         return plan
 
     def _scaled(self, vals, coefficient):
-        """vals·q for reduced vals.  A p-unit q gives the unreduced product,
-        which callers sum and reduce once; a p in the denominator is divided
-        out exactly and the result reduced."""
+        """vals·q for reduced coordinate-major vals, unreduced: callers sum
+        the products and reduce once.  A p in q's denominator is divided
+        out of vals exactly first, which keeps the product below (W − 1)²."""
         q, a, mult = coefficient
-        if not a:
-            return vals * mult
-        if self.uniform and a > self._shift:
-            raise EvaluationNotIntegral(
-                f"coefficient {q} needs p^{a} beyond working precision")
-        if np.any(vals % self.p ** a):
-            raise EvaluationNotIntegral(
-                f"value not divisible by p^{a} for coefficient {q}")
-        return vals // self.p ** a * mult % self._work
+        if a:
+            if self.uniform and a > self._shift:
+                raise EvaluationNotIntegral(
+                    f"coefficient {q} needs p^{a} beyond working precision")
+            quot = vals // self.p ** a
+            if not np.array_equal(quot * self.p ** a, vals):
+                raise EvaluationNotIntegral(
+                    f"value not divisible by p^{a} for coefficient {q}")
+            vals = quot
+        if not isinstance(mult, int):
+            mult = mult.reshape((-1,) + (1,) * (vals.ndim - 1))
+        return vals * mult
 
     def _eval_terms(self, plan, U, V):
         """Σ coeff · (bracketing word)(U, V) reduced to canonical coordinates.
@@ -254,16 +264,16 @@ class FiniteLieRing:
         per-coordinate residues otherwise.
         """
         steps, terms = plan
-        U = np.asarray(U, dtype=np.int64)
-        V = np.asarray(V, dtype=np.int64)
-        values = {(0,): np.mod(U, self._work), (1,): np.mod(V, self._work)}
+        U, V, shape, batch = _coordinate_major(U, V)
+        values = {(0,): _reduce(U, self._work, np.empty(U.shape, np.int64)),
+                  (1,): _reduce(V, self._work, np.empty(V.shape, np.int64))}
         for w, left, right in steps:
             values[w] = _bracket(self._table, values[left], values[right],
-                                 self._work)
-        out = np.zeros(np.broadcast_shapes(U.shape, V.shape), dtype=np.int64)
+                                 self._work, batch)
+        out = np.zeros((self.rank,) + batch, dtype=np.int64)
         for w, coefficient in terms:
             out += self._scaled(values[w], coefficient)
-        return np.mod(out, self._canon)
+        return _row_major(_reduce(out, self._canon), shape)
 
     def ch_batch(self, U, V):
         if self.rank == 0:
@@ -296,25 +306,22 @@ class FiniteLieRing:
 
     def exp_ad_batch(self, W, X):
         """e^(ad W) applied to X, both (..., rank) arrays."""
-        W = np.asarray(W, dtype=np.int64)
-        X = np.asarray(X, dtype=np.int64)
         if self.rank == 0:
-            return X.copy()
-        W = np.mod(W, self._work)
-        cur = np.mod(X, self._work)
-        out = np.zeros(np.broadcast_shapes(W.shape, X.shape), dtype=np.int64)
+            return np.array(X, dtype=np.int64)
+        W, X, shape, batch = _coordinate_major(W, X)
+        W = _reduce(W, self._work, np.empty(W.shape, np.int64))
+        cur = _reduce(X, self._work, np.empty(X.shape, np.int64))
+        out = np.zeros((self.rank,) + batch, dtype=np.int64)
         out += cur
         for coefficient in self._exp_ad:
-            cur = _bracket(self._table, W, cur, self._work)
+            cur = _bracket(self._table, W, cur, self._work, batch)
             out += self._scaled(cur, coefficient)
-        return np.mod(out, self._canon)
+        return _row_major(_reduce(out, self._canon), shape)
 
     def exp_ad_matrix(self, w):
         """Matrix of the truncated exponential Σ (ad w)^k / k!."""
-        d = self.rank
-        W = np.broadcast_to(np.asarray(w, dtype=np.int64), (d, d))
         return np.ascontiguousarray(
-            self.exp_ad_batch(W, np.eye(d, dtype=np.int64)).T)
+            self.exp_ad_batch(w, np.eye(self.rank, dtype=np.int64)).T)
 
     # -- misc ----------------------------------------------------------------
 
@@ -344,31 +351,90 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _modulus(sizes):
-    """Reduction modulus for coordinates of these sizes: a plain int when
-    they agree (numpy reduces by a scalar faster), else an int64 vector."""
+    """Reduction modulus for coordinate rows of these sizes: a plain int
+    when they agree, so one scalar division reduces a whole batch, else a
+    tuple of ints, one scalar per row (numpy divides by a scalar far faster
+    than by a vector)."""
     if len(set(sizes)) == 1:
         return int(sizes[0])
-    return np.array(sizes, dtype=np.int64)
+    return tuple(int(s) for s in sizes)
 
 
-def _triple_table(rank, constants):
-    """Kernel form of {(i, j): {m: c}}: index arrays I, J of the pairs i < j
-    with a nonzero row, and the (pairs, rank) matrix C of their constants."""
-    keys = sorted(constants)
-    C = np.zeros((len(keys), rank), dtype=np.int64)
-    for t, key in enumerate(keys):
-        for m, c in constants[key].items():
-            C[t, m] = c
-    return (np.array([i for i, _ in keys], dtype=np.intp),
-            np.array([j for _, j in keys], dtype=np.intp), C)
+def _triple_table(constants):
+    """Kernel form of {(i, j): {m: c}}: the pairs i < j with a nonzero
+    constant, in key order, as (i, j, ((m, c), ...)) with int constants."""
+    table = []
+    for (i, j), row in sorted(constants.items()):
+        targets = tuple((m, int(c)) for m, c in sorted(row.items()) if c)
+        if targets:
+            table.append((i, j, targets))
+    return tuple(table)
 
 
-def _bracket(table, U, V, modulus):
-    """[U, V] over a triple table, reduced by the modulus: the coordinate
-    moduli, or the working precision in the uniform regime."""
-    I, J, C = table
-    D = U[..., I] * V[..., J] - U[..., J] * V[..., I]
-    return np.mod(D @ C, modulus)
+def _coordinate_major(U, V):
+    """(rank, ...) views of two (..., rank) arrays, padded with leading 1s
+    to one number of axes, at least two, so every row is an array view and
+    a vector against a batch broadcasts without copies.  Also returns the
+    (..., rank) shape of their broadcast and its batch shape (no rank axis)
+    in coordinate-major form."""
+    U = np.asarray(U, dtype=np.int64)
+    V = np.asarray(V, dtype=np.int64)
+    shape = np.broadcast(U, V).shape
+    ndim = max(len(shape), 2)
+    # np.moveaxis(X, -1, 0), without its per-call axis normalisation
+    front = (ndim - 1,) + tuple(range(ndim - 1))
+    U, V = (X.reshape((1,) * (ndim - X.ndim) + X.shape).transpose(front)
+            for X in (U, V))
+    return U, V, shape, ((1,) * (ndim - len(shape)) + shape)[:-1]
+
+
+def _row_major(X, shape):
+    """The (..., rank) view of a coordinate-major result of this shape."""
+    return X.transpose(tuple(range(1, X.ndim)) + (0,)).reshape(shape)
+
+
+def _reduce(X, modulus, out=None, rows=None):
+    """X mod the modulus for a coordinate-major X, written into out (X
+    itself by default) and returned: row r by modulus[r], or every row by
+    an int modulus, over the given rows (default all).
+
+    Each reduction is x − x // m · m.  That equals np.mod(x, m) for every
+    int64 x and m > 0, even where (x // m) · m wraps: int64 arithmetic is
+    exact mod 2^64 and the true result lies in [0, m).
+    """
+    out = X if out is None else out
+    if isinstance(modulus, int) and rows is None:
+        quot = X // modulus
+        quot *= modulus
+        np.subtract(X, quot, out=out)
+        return out
+    for r in range(len(X)) if rows is None else rows:
+        m = modulus if isinstance(modulus, int) else modulus[r]
+        quot = X[r] // m
+        quot *= m
+        np.subtract(X[r], quot, out=out[r])
+    return out
+
+
+def _bracket(table, U, V, modulus, shape):
+    """[U, V] over a pair table for coordinate-major U, V whose rows
+    broadcast to the batch shape, reduced by the modulus: the coordinate
+    moduli, or the working precision in the uniform regime.
+
+    Each pair forms D = U[i]·V[j] − U[j]·V[i] once and adds c·D into
+    target row m; only the rows the table reaches are reduced, the others
+    stay 0.
+    """
+    out = np.zeros((len(U),) + shape, dtype=np.int64)
+    reached = set()
+    for i, j, targets in table:
+        D = U[i] * V[j]
+        D -= U[j] * V[i]
+        for m, c in targets:
+            row = out[m]
+            row += D if c == 1 else c * D
+            reached.add(m)
+    return _reduce(out, modulus, rows=reached)
 
 
 def _exact_bracket(constants, u, v):
@@ -436,8 +502,12 @@ def _lower_central_class(p, moduli, constants):
 def _headroom(constants, work_sizes, truncation):
     """Terms whose sum fits in int64 at the working modulus W, checked to
     cover the kernel and every product: all intermediates stay within
-    (W - 1)² · max(S, T), with S the largest column sum of the triple table
-    and T the Lyndon words up to the evaluation degree."""
+    (W - 1)² · max(S, T), with S the largest column sum of the pair table
+    and T the Lyndon words up to the evaluation degree.
+
+    The kernel adds c·D into row m pair by pair, with |D| ≤ (W - 1)², so
+    every partial sum of row m is bounded by (W - 1)² times the column sum
+    of m's constants, the same bound a product against the column gives."""
     top = max(work_sizes, default=1) - 1
     column = [0] * len(work_sizes)
     for row in constants.values():
@@ -694,9 +764,8 @@ class LazardGroup:
 
     def conjugate_batch(self, g, X):
         g = np.asarray(g, dtype=np.int64)
-        GX = self.ring.ch_batch(np.broadcast_to(g, np.shape(X)), X)
-        neg = np.mod(-g, self.ring._mods)
-        return self.ring.ch_batch(GX, np.broadcast_to(neg, GX.shape))
+        GX = self.ring.ch_batch(g, X)
+        return self.ring.ch_batch(GX, np.mod(-g, self.ring._mods))
 
     def __len__(self):
         return self.size

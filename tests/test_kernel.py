@@ -18,8 +18,8 @@ from orbitkit import cli
 from orbitkit.errors import (IntegerHeadroomExceeded, JacobiViolation,
                              RegimeViolation)
 from orbitkit.freelie import bch, lyndon_words, standard_bracketing
-from orbitkit.liering import (LazardGroup, jacobi_defects, make_ring,
-                              uniform_quotient)
+from orbitkit.liering import (LazardGroup, _reduce, jacobi_defects,
+                              make_ring, uniform_quotient)
 from orbitkit.oracle import _row_order, character_table
 from orbitkit.padic import QpLieAlgebra
 
@@ -142,6 +142,12 @@ def _rings():
     out.append(("filiform-Q3/9", quo, FILIFORM_Q))
     quo = uniform_quotient(3, 6, N4_Q, 2, label="3n4-Q3/9")
     out.append(("3n4-Q3/9", quo, N4_Q))
+    # unequal moduli: each coordinate row reduces by its own modulus
+    for label, moduli, brackets in (
+            ("mixed-3^(2,1,1)", (2, 1, 1), {(1, 2): {0: 3}}),
+            ("mixed-3^(3,2,2)", (3, 2, 2), {(0, 1): {2: 1}})):
+        ring = make_ring(3, moduli, brackets, label=label)
+        out.append((label, ring, ring.constants))
     for seed in range(4):
         ring = class2_ring(seed)
         out.append((ring.label, ring, ring.constants))
@@ -171,6 +177,7 @@ class TestAgainstReference:
     def test_regimes_are_covered(self):
         regimes = {ring.uniform for _, ring, _ in RINGS}
         assert regimes == {False, True}
+        assert any(len(set(ring.moduli)) > 1 for _, ring, _ in RINGS)
 
     def test_bracket_batch(self, case):
         ring, ref = case
@@ -237,6 +244,15 @@ class TestAgainstReference:
         assert as_tuples(ring.exp_ad_batch(G, X)) == \
             [ref.exp_ad(g, x) for x in as_tuples(X)]
 
+    def test_outer_broadcast(self, case):
+        # (h, 1, rank) against (1, c, rank): the product of every pair
+        ring, ref = case
+        H, C = samples(ring, 4, 17), samples(ring, 5, 18)
+        got = ring.ch_batch(H[:, None], C[None])
+        assert got.shape == (4, 5, ring.rank)
+        assert [as_tuples(row) for row in got] == \
+            [[ref.ch(h, c) for c in as_tuples(C)] for h in as_tuples(H)]
+
     def test_conjugate_batch(self, case):
         ring, ref = case
         group = LazardGroup(ring)
@@ -244,6 +260,42 @@ class TestAgainstReference:
         for g in as_tuples(samples(ring, 3, 16)):
             got = as_tuples(group.conjugate_batch(g, X))
             assert got == [ref.conjugate(g, x) for x in as_tuples(X)]
+
+
+class TestReduce:
+    EDGES = [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1,
+             -2 ** 62, -10, -1, 0, 1, 2 ** 62, np.iinfo(np.int64).max - 1,
+             np.iinfo(np.int64).max]
+
+    def values(self, rows, cols):
+        rng = np.random.default_rng(19)
+        X = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                         (rows, cols), dtype=np.int64, endpoint=True)
+        X[:, :len(self.EDGES)] = self.EDGES
+        X[:, len(self.EDGES):2 * len(self.EDGES)] = rng.integers(
+            -50, 50, (rows, len(self.EDGES)))
+        return X
+
+    @pytest.mark.parametrize("modulus", [1, 2, 5, 9, 3 ** 20, 2 ** 62,
+                                         np.iinfo(np.int64).max])
+    def test_int_modulus_matches_np_mod(self, modulus):
+        X = self.values(3, 200)
+        want = np.mod(X, modulus)
+        assert np.array_equal(_reduce(X.copy(), modulus), want)
+        assert np.array_equal(_reduce(X.copy(), modulus, rows=range(3)), want)
+        out = np.empty_like(X)
+        assert _reduce(X, modulus, out) is out
+        assert np.array_equal(out, want)
+
+    def test_vector_modulus_matches_np_mod(self):
+        moduli = (9, 3, 3 ** 20, 2 ** 61 + 1)
+        X = self.values(len(moduli), 200)
+        want = np.mod(X, np.array(moduli)[:, None])
+        assert np.array_equal(_reduce(X.copy(), moduli), want)
+        # only the given rows are reduced
+        part = _reduce(X.copy(), moduli, rows={0, 2})
+        assert np.array_equal(part[[0, 2]], want[[0, 2]])
+        assert np.array_equal(part[[1, 3]], X[[1, 3]])
 
 
 class TestRankZero:
