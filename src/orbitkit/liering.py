@@ -22,14 +22,25 @@ use, enumerates that coordinate set for G and, through the pairing
 The constants are held once, as a pair table: the pairs i < j with a
 nonzero constant, each with its constants c at targets m (canonical
 residues, or in the uniform regime residues of the lifts mod the working
-precision).  One kernel brackets over that table and serves every bracket,
+precision).  One kernel brackets over a pair list and serves every bracket,
 adjoint matrix and CH evaluation on elements.  It runs coordinate-major:
 batches of (..., rank) vectors enter as (rank, ...) views, so coordinate i
 of the whole batch is one contiguous row U[i] and a single vector against
 a batch broadcasts without copies.  Per pair it forms
 D = U[i]·V[j] − U[j]·V[i] once and adds c·D into row m; then it reduces
-the rows the table reaches, each by its own scalar modulus as
-x − x // m · m, which numpy computes far faster than np.mod.
+the rows it reached, each by its own scalar modulus as x − x // m · m,
+which numpy computes far faster than np.mod.
+
+CH and Lie-series plans carry static row supports.  x and y can be nonzero
+on every row; a bracketing step keeps only the table pairs (i, j) for which
+U[i]·V[j] or U[j]·V[i] can be nonzero given its operands' supports, forms
+only those products, and its support is the union of the kept pairs'
+targets.  In a nilpotent ring nested brackets reach fewer and fewer rows,
+so each bracket value is held only on its support rows, the term sum adds
+each term into its own rows of one output, and only rows some term reaches
+are reduced.  e^(ad W) runs the same way.  The pruning drops only summands
+that are exactly zero, so values, and the headroom bound below, are those
+of the full table.
 Validation (Jacobi, the lower central series) brackets the same pairs in
 exact integer or Fraction arithmetic.
 
@@ -83,7 +94,8 @@ def _std_split(word):
 
 def _plan_steps(words):
     """Bracketing steps (word, left, right) for evaluating the given Lyndon
-    words, children before parents."""
+    words, children before parents, so a step's row support can be built
+    from its children's (FiniteLieRing._term_plan)."""
     steps = []
     seen = set()
 
@@ -131,8 +143,9 @@ class FiniteLieRing:
 
     __slots__ = ("p", "moduli", "rank", "label", "sizes", "big", "cap",
                  "constants", "class_", "uniform_depth", "ch_truncation",
-                 "uniform", "_mods", "_canon", "_work", "_table", "_shift",
-                 "_capacity", "_ch", "_exp_ad", "_plan_cache", "_grid")
+                 "uniform", "_mods", "_canon", "_work", "_table", "_reach",
+                 "_shift", "_capacity", "_ch", "_exp_ad", "_plan_cache",
+                 "_grid")
 
     def __init__(self, p, moduli, constants, working, class_, uniform_depth,
                  uniform, ch_truncation, work_sizes, shift, capacity, label):
@@ -152,11 +165,12 @@ class FiniteLieRing:
         self._canon = _modulus(self.sizes)
         self._work = _modulus(work_sizes)
         self._table = _triple_table(working)
+        self._reach = tuple(sorted({m for *_, targets in self._table
+                                    for m, _ in targets}))
         self._shift = shift
         self._capacity = capacity
         self._ch = None
-        self._exp_ad = [self._coefficient(Fraction(1, math.factorial(k)))
-                        for k in range(1, self._exp_ad_limit() + 1)]
+        self._exp_ad = self._exp_ad_plan()
         self._plan_cache = {}
         self._grid = None
 
@@ -200,17 +214,19 @@ class FiniteLieRing:
     def bracket_batch(self, U, V):
         """[U, V] for (..., rank) arrays of canonical residues."""
         U, V, shape, batch = _coordinate_major(U, V)
-        return _row_major(_bracket(self._table, U, V, self._canon, batch),
-                          shape)
+        out = np.zeros((self.rank,) + batch, dtype=np.int64)
+        return _row_major(
+            _bracket(self._table, U, V, self._canon, out, self._reach), shape)
 
     def bracket(self, u, v):
         return tuple(int(x) for x in self.bracket_batch(u, v))
 
     # -- CH multiplication ---------------------------------------------------
 
-    def _coefficient(self, q: Fraction):
+    def _coefficient(self, q: Fraction, rows=None):
         """(q, a, multiplier): a is the p-adic valuation of q's denominator,
-        the multiplier is q·p^a reduced by the working modulus."""
+        the multiplier is q·p^a reduced by the working modulus of each of
+        the given rows (default all)."""
         den = q.denominator
         a = 0
         while den % self.p == 0:
@@ -218,13 +234,53 @@ class FiniteLieRing:
             a += 1
         if isinstance(self._work, int):
             return q, a, q.numerator * pow(den, -1, self._work) % self._work
-        mult = np.array([q.numerator * pow(den, -1, m) % m
-                         for m in self._work], dtype=np.int64)
+        work = self._work if rows is None else [self._work[m] for m in rows]
+        mult = np.array([q.numerator * pow(den, -1, m) % m for m in work],
+                        dtype=np.int64)
         return q, a, mult
 
+    def _step(self, left, right):
+        """(pairs, support, modulus) for [U, V] with U nonzero only on the
+        rows `left` and V only on the rows `right` (None: every row).
+
+        A table pair (i, j) is kept when U[i]·V[j] or U[j]·V[i] can be
+        nonzero; when only U[j]·V[i] can, it is kept as (j, i) with its
+        constants negated, so the kernel forms the one product.  The support
+        is the sorted union of the kept pairs' targets, each target is named
+        by its slot in the support, and the modulus is the working modulus
+        of the support rows in slot order.
+        """
+        every = range(self.rank)
+        left = set(every if left is None else left)
+        right = set(every if right is None else right)
+        kept = []
+        for i, j, _, targets in self._table:
+            forward = i in left and j in right
+            backward = j in left and i in right
+            if forward or backward:
+                kept.append((i, j, forward, backward, targets))
+        support = tuple(sorted({m for *_, targets in kept
+                                for m, _ in targets}))
+        slot = {m: k for k, m in enumerate(support)}
+        pairs = tuple(
+            (i, j, backward, tuple((slot[m], c) for m, c in targets))
+            if forward else
+            (j, i, False, tuple((slot[m], -c) for m, c in targets))
+            for i, j, forward, backward, targets in kept)
+        modulus = (self._work if isinstance(self._work, int)
+                   else _modulus([self._work[m] for m in support]))
+        return pairs, support, modulus
+
     def _term_plan(self, terms):
-        """Bracketing steps for the terms' words, and each term's word with
-        its coefficient worked out once; cached per tuple of terms."""
+        """Bracketing steps for the terms' words with their row supports,
+        and each term's word with its coefficient worked out once; cached
+        per tuple of terms.
+
+        x and y have every row; each step's pruned pairs and support come
+        from its children's supports (_step), so a word's support holds
+        every row its bracket can be nonzero on.  The plan also keeps the
+        rows some term reaches, None for all: the only rows the sum reduces.
+        """
         key = tuple(terms)
         plan = self._plan_cache.get(key)
         if plan is None:
@@ -233,8 +289,20 @@ class FiniteLieRing:
                     f"{len(key)} terms at working modulus "
                     f"{int(np.max(self._work))} exceed the {self._capacity} "
                     f"whose sum fits in int64")
-            steps = _plan_steps({w for w, _ in key if len(w) > 1})
-            plan = (steps, [(w, self._coefficient(q)) for w, q in key])
+            supports = {(0,): None, (1,): None}
+            steps = []
+            for w, left, right in _plan_steps({w for w, _ in key
+                                               if len(w) > 1}):
+                pairs, supports[w], modulus = self._step(supports[left],
+                                                         supports[right])
+                steps.append((w, left, right, pairs, supports[w], modulus))
+            terms = [(w, self._coefficient(q, supports[w]), supports[w])
+                     for w, q in key]
+            reached = set().union(*(range(self.rank) if support is None
+                                    else support for *_, support in terms))
+            reached = (None if len(reached) == self.rank
+                       else tuple(sorted(reached)))
+            plan = (steps, terms, reached)
             self._plan_cache[key] = plan
         return plan
 
@@ -252,28 +320,41 @@ class FiniteLieRing:
                 raise EvaluationNotIntegral(
                     f"value not divisible by p^{a} for coefficient {q}")
             vals = quot
-        if not isinstance(mult, int):
-            mult = mult.reshape((-1,) + (1,) * (vals.ndim - 1))
-        return vals * mult
+        if isinstance(mult, int):
+            return vals if mult == 1 else vals * mult
+        return vals * mult.reshape((-1,) + (1,) * (vals.ndim - 1))
+
+    def _add_term(self, out, vals, coefficient, support):
+        """Add vals·q into the support rows of out (every row for None)."""
+        scaled = self._scaled(vals, coefficient)
+        if support is None:
+            out += scaled
+            return
+        for m, row in zip(support, scaled):
+            out[m] += row
 
     def _eval_terms(self, plan, U, V):
         """Σ coeff · (bracketing word)(U, V) reduced to canonical coordinates.
 
         U, V: (..., rank) arrays.  Brackets run at the working modulus: the
         lift table at working precision in the uniform regime, canonical
-        per-coordinate residues otherwise.
+        per-coordinate residues otherwise.  Each bracket value is held on
+        its support rows only, as a compact array for the term sum and as
+        a dict of row views for the brackets that take it as an operand.
         """
-        steps, terms = plan
+        steps, terms, reached = plan
         U, V, shape, batch = _coordinate_major(U, V)
         values = {(0,): _reduce(U, self._work, np.empty(U.shape, np.int64)),
                   (1,): _reduce(V, self._work, np.empty(V.shape, np.int64))}
-        for w, left, right in steps:
-            values[w] = _bracket(self._table, values[left], values[right],
-                                 self._work, batch)
+        rows = dict(values)
+        for w, left, right, pairs, support, modulus in steps:
+            values[w] = _bracket(pairs, rows[left], rows[right], modulus,
+                                 np.zeros((len(support),) + batch, np.int64))
+            rows[w] = dict(zip(support, values[w]))
         out = np.zeros((self.rank,) + batch, dtype=np.int64)
-        for w, coefficient in terms:
-            out += self._scaled(values[w], coefficient)
-        return _row_major(_reduce(out, self._canon), shape)
+        for w, coefficient, support in terms:
+            self._add_term(out, values[w], coefficient, support)
+        return _row_major(_reduce(out, self._canon, rows=reached), shape)
 
     def ch_batch(self, U, V):
         if self.rank == 0:
@@ -304,6 +385,17 @@ class FiniteLieRing:
             return self.ch_truncation - 1
         return max(self.class_ - 1, 0)
 
+    def _exp_ad_plan(self):
+        """The steps (pairs, support, modulus, coefficient) of e^(ad W)X:
+        step k brackets W, on every row, with step k − 1's value, whose
+        support it narrows, and scales the result by 1/k!."""
+        steps, support = [], None
+        for k in range(1, self._exp_ad_limit() + 1):
+            pairs, support, modulus = self._step(None, support)
+            steps.append((pairs, support, modulus, self._coefficient(
+                Fraction(1, math.factorial(k)), support)))
+        return steps
+
     def exp_ad_batch(self, W, X):
         """e^(ad W) applied to X, both (..., rank) arrays."""
         if self.rank == 0:
@@ -313,9 +405,11 @@ class FiniteLieRing:
         cur = _reduce(X, self._work, np.empty(X.shape, np.int64))
         out = np.zeros((self.rank,) + batch, dtype=np.int64)
         out += cur
-        for coefficient in self._exp_ad:
-            cur = _bracket(self._table, W, cur, self._work, batch)
-            out += self._scaled(cur, coefficient)
+        for pairs, support, modulus, coefficient in self._exp_ad:
+            vals = _bracket(pairs, W, cur, modulus,
+                            np.zeros((len(support),) + batch, np.int64))
+            self._add_term(out, vals, coefficient, support)
+            cur = dict(zip(support, vals))
         return _row_major(_reduce(out, self._canon), shape)
 
     def exp_ad_matrix(self, w):
@@ -362,12 +456,13 @@ def _modulus(sizes):
 
 def _triple_table(constants):
     """Kernel form of {(i, j): {m: c}}: the pairs i < j with a nonzero
-    constant, in key order, as (i, j, ((m, c), ...)) with int constants."""
+    constant, in key order, as the full pair list (i, j, True, ((m, c), ...))
+    with int constants (see _bracket)."""
     table = []
     for (i, j), row in sorted(constants.items()):
         targets = tuple((m, int(c)) for m, c in sorted(row.items()) if c)
         if targets:
-            table.append((i, j, targets))
+            table.append((i, j, True, targets))
     return tuple(table)
 
 
@@ -416,25 +511,33 @@ def _reduce(X, modulus, out=None, rows=None):
     return out
 
 
-def _bracket(table, U, V, modulus, shape):
-    """[U, V] over a pair table for coordinate-major U, V whose rows
-    broadcast to the batch shape, reduced by the modulus: the coordinate
-    moduli, or the working precision in the uniform regime.
+def _bracket(pairs, U, V, modulus, out, rows=None):
+    """[U, V] over a pair list, added into out, a zeroed coordinate-major
+    array whose rows broadcast against U's and V's; then out's given rows
+    (default all) are reduced by the modulus, row r by modulus[r] or all by
+    an int, and out is returned.
 
-    Each pair forms D = U[i]·V[j] − U[j]·V[i] once and adds c·D into
-    target row m; only the rows the table reaches are reduced, the others
-    stay 0.
+    U and V are indexed by coordinate: arrays with every row, or dicts of
+    the rows a value can be nonzero on.  Each pair (i, j, both, targets)
+    forms D = U[i]·V[j], minus U[j]·V[i] when both, once and adds c·D into
+    out[slot] for each (slot, c) of its targets.  bracket_batch passes the
+    full table, whose slots are the target rows, with the rows it reaches;
+    a plan step passes its pruned pairs, whose slots index its support
+    (FiniteLieRing._step), and every row of out is reached.
     """
-    out = np.zeros((len(U),) + shape, dtype=np.int64)
-    reached = set()
-    for i, j, targets in table:
+    for i, j, both, targets in pairs:
         D = U[i] * V[j]
-        D -= U[j] * V[i]
-        for m, c in targets:
-            row = out[m]
-            row += D if c == 1 else c * D
-            reached.add(m)
-    return _reduce(out, modulus, rows=reached)
+        if both:
+            D -= U[j] * V[i]
+        for slot, c in targets:
+            row = out[slot]
+            if c == 1:
+                row += D
+            elif c == -1:
+                row -= D
+            else:
+                row += c * D
+    return _reduce(out, modulus, rows=rows)
 
 
 def _exact_bracket(constants, u, v):
@@ -507,7 +610,9 @@ def _headroom(constants, work_sizes, truncation):
 
     The kernel adds c·D into row m pair by pair, with |D| ≤ (W - 1)², so
     every partial sum of row m is bounded by (W - 1)² times the column sum
-    of m's constants, the same bound a product against the column gives."""
+    of m's constants, the same bound a product against the column gives.
+    Support pruning only leaves out summands that are exactly zero (and a
+    negated constant has the same size), so the bound is unchanged."""
     top = max(work_sizes, default=1) - 1
     column = [0] * len(work_sizes)
     for row in constants.values():

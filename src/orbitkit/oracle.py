@@ -32,28 +32,27 @@ CLASS_CAP = 512
 def permutation_orbits(n: int, perms):
     """Partition {0..n-1} into orbits under the given permutation arrays.
 
-    Forward closure suffices: each permutation has finite order, so the
-    semigroup the arrays generate is already a group.  Returns (labels,
-    orbits); orbit ids increase with the smallest member, and each orbit
-    comes back as a sorted index array.
+    Each index starts labelled by itself.  A round lowers every label to
+    the smallest label one step along each permutation, lab = min(lab,
+    lab[perm]), then jumps it to its label's label, lab = lab[lab]; rounds
+    repeat until nothing changes.  A label is always a member of its
+    index's orbit, and at the fixpoint it is constant along every cycle of
+    every permutation, hence on each orbit, so it is the orbit's smallest
+    member.  Returns (labels, orbits); orbit ids increase with the smallest
+    member, and each orbit comes back as a sorted index array.
     """
-    labels = np.full(n, -1, dtype=np.int64)
-    orbits = []
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        oid = len(orbits)
-        labels[start] = oid
-        chunks = [np.array([start], dtype=np.int64)]
-        frontier = chunks[0]
-        while frontier.size and perms:
-            nxt = np.unique(np.concatenate([perm[frontier] for perm in perms]))
-            fresh = nxt[labels[nxt] < 0]
-            labels[fresh] = oid
-            chunks.append(fresh)
-            frontier = fresh
-        orbits.append(np.sort(np.concatenate(chunks)))
-    return labels, orbits
+    lab = np.arange(n, dtype=np.int64)
+    while True:
+        nxt = lab
+        for perm in perms:
+            nxt = np.minimum(nxt, nxt[perm])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, lab):
+            break
+        lab = nxt
+    _, labels = np.unique(lab, return_inverse=True)
+    members = np.argsort(labels, kind="stable")
+    return labels, np.split(members, np.cumsum(np.bincount(labels))[:-1])
 
 
 def closure_with_audit(ring, n: int, perm_for, witness: str, *, seed,

@@ -14,16 +14,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given
+
 from orbitkit import cli
-from orbitkit.errors import (IntegerHeadroomExceeded, JacobiViolation,
-                             RegimeViolation)
-from orbitkit.freelie import bch, lyndon_words, standard_bracketing
-from orbitkit.liering import (LazardGroup, _reduce, jacobi_defects,
-                              make_ring, uniform_quotient)
+from orbitkit.chsolver import (ValuationRegime, solve_phi_psi,
+                               substituted_series)
+from orbitkit.errors import (EvaluationNotIntegral, IntegerHeadroomExceeded,
+                             JacobiViolation, RegimeViolation)
+from orbitkit.freelie import (GradedSeries, LiePoly, bch, lyndon_words,
+                              standard_bracketing)
+from orbitkit.liering import (LazardGroup, _coordinate_major, _plan_steps,
+                              _poly_terms, _reduce, _row_major, _series_terms,
+                              jacobi_defects, make_ring, uniform_quotient)
 from orbitkit.oracle import _row_order, character_table
 from orbitkit.padic import QpLieAlgebra
 
-from conftest import heisenberg
+from conftest import heisenberg, upper_unitriangular4
+from test_orbitmethod import small_rings
 
 
 # -- the reference ---------------------------------------------------------------
@@ -151,6 +158,8 @@ def _rings():
     for seed in range(4):
         ring = class2_ring(seed)
         out.append((ring.label, ring, ring.constants))
+    u4 = upper_unitriangular4(5)
+    out.append(("U4(F5)", u4, u4.constants))
     return out
 
 
@@ -260,6 +269,201 @@ class TestAgainstReference:
         for g in as_tuples(samples(ring, 3, 16)):
             got = as_tuples(group.conjugate_batch(g, X))
             assert got == [ref.conjugate(g, x) for x in as_tuples(X)]
+
+
+# -- the dense kernel the support-pruned plans replaced ------------------------
+
+class Dense:
+    """CH, Lie series and e^(ad W) as the kernel ran before plans carried
+    row supports: every bracket forms every pair of the ring's table into
+    every target row, and every term is scaled and added on all rows.
+
+    The values of each bracketing word (and of each e^(ad W) step) come
+    back as full coordinate-major arrays, so tests can check that they
+    vanish outside the plan's static supports.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def bracket(self, U, V, batch):
+        ring = self.ring
+        out = np.zeros((ring.rank,) + batch, dtype=np.int64)
+        reached = set()
+        for i, j, _, targets in ring._table:
+            D = U[i] * V[j] - U[j] * V[i]
+            for m, c in targets:
+                out[m] += c * D
+                reached.add(m)
+        return _reduce(out, ring._work, rows=reached)
+
+    def scaled(self, vals, coefficient):
+        ring = self.ring
+        q, a, mult = coefficient
+        if a:
+            if ring.uniform and a > ring._shift:
+                raise EvaluationNotIntegral(
+                    f"coefficient {q} needs p^{a} beyond working precision")
+            quot = vals // ring.p ** a
+            if not np.array_equal(quot * ring.p ** a, vals):
+                raise EvaluationNotIntegral(
+                    f"value not divisible by p^{a} for coefficient {q}")
+            vals = quot
+        if not isinstance(mult, int):
+            mult = mult.reshape((-1,) + (1,) * (vals.ndim - 1))
+        return vals * mult
+
+    def words(self, terms, U, V):
+        """(word values, terms' sum in canonical (..., rank) form)."""
+        ring = self.ring
+        U, V, shape, batch = _coordinate_major(U, V)
+        values = {(0,): self.entry(U), (1,): self.entry(V)}
+        for w, left, right in _plan_steps({w for w, _ in terms
+                                           if len(w) > 1}):
+            values[w] = self.bracket(values[left], values[right], batch)
+        out = np.zeros((ring.rank,) + batch, dtype=np.int64)
+        for w, q in terms:
+            out += self.scaled(values[w], ring._coefficient(q))
+        return values, _row_major(_reduce(out, ring._canon), shape)
+
+    def entry(self, X):
+        return _reduce(X, self.ring._work, np.empty(X.shape, np.int64))
+
+    def ch_terms(self):
+        series = bch(self.ring.ch_truncation)
+        return [t for n in range(1, self.ring.ch_truncation + 1)
+                for t in _poly_terms(series.component(n))]
+
+    def exp_ad(self, W, X):
+        """(the value of each e^(ad W) step, e^(ad W)X)."""
+        ring = self.ring
+        W, X, shape, batch = _coordinate_major(W, X)
+        W, cur = self.entry(W), self.entry(X)
+        out = np.zeros((ring.rank,) + batch, dtype=np.int64)
+        out += cur
+        steps = []
+        for k in range(1, len(ring._exp_ad) + 1):
+            cur = self.bracket(W, cur, batch)
+            steps.append(cur)
+            out += self.scaled(cur, ring._coefficient(
+                Fraction(1, math.factorial(k))))
+        return steps, _row_major(_reduce(out, ring._canon), shape)
+
+
+def outcome(call, *args):
+    """A call's result, or the EvaluationNotIntegral it raised, so that two
+    paths can be compared on both."""
+    try:
+        return call(*args)
+    except EvaluationNotIntegral as exc:
+        return exc
+
+
+def assert_zero_outside(ring, value, support):
+    """A coordinate-major value vanishes off its support (None: all rows)."""
+    if support is not None:
+        assert not np.any(value[[m for m in range(ring.rank)
+                                 if m not in support]]), support
+
+
+def check_terms(ring, series, U, V):
+    """evaluate_series_batch (or ch_batch for series None) against the
+    dense path, and each word's dense value against its static support."""
+    terms = (Dense(ring).ch_terms() if series is None
+             else _series_terms(series))
+    want = outcome(Dense(ring).words, terms, U, V)
+    got = (ring.ch_batch(U, V) if series is None
+           else outcome(ring.evaluate_series_batch, series, U, V))
+    if isinstance(want, EvaluationNotIntegral):
+        assert isinstance(got, EvaluationNotIntegral)
+        assert str(got) == str(want)
+        return
+    values, want = want
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    steps, _, reached = ring._term_plan(terms)
+    for w, _, _, _, support, _ in steps:
+        assert_zero_outside(ring, values[w], support)
+    assert_zero_outside(ring, np.moveaxis(want, -1, 0), reached)
+
+
+def check_exp_ad(ring, W, X):
+    steps, want = Dense(ring).exp_ad(W, X)
+    got = ring.exp_ad_batch(W, X)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    for value, (_, support, _, _) in zip(steps, ring._exp_ad):
+        assert_zero_outside(ring, value, support)
+
+
+def twist_series(ring):
+    """The twist pair's phi and psi; psi has no degree-1 term."""
+    regime = ValuationRegime.generic(max(ring.p, 3))
+    return solve_phi_psi(substituted_series(regime, 4), regime,
+                         4).back_substituted()
+
+
+def inputs(ring):
+    """(U, V) pairs: single vectors, a vector against a batch, an outer
+    broadcast and a plain batch."""
+    A, B = samples(ring, 30, 21), samples(ring, 30, 22)
+    return [(A[0], B[0]), (A[1], B), (A, B[2]), (A[:5, None], B[None, :6]),
+            (A, B)]
+
+
+class TestAgainstDense:
+    def test_ch_batch(self, case):
+        ring, _ = case
+        for U, V in inputs(ring):
+            check_terms(ring, None, U, V)
+
+    def test_evaluate_series_batch(self, case):
+        ring, _ = case
+        for series in (bch(ring.ch_truncation),) + twist_series(ring):
+            for U, V in inputs(ring):
+                check_terms(ring, series, U, V)
+
+    def test_exp_ad_batch(self, case):
+        ring, _ = case
+        for W, X in inputs(ring):
+            check_exp_ad(ring, W, X)
+
+    def test_a_twist_series_has_no_degree_one_term(self):
+        # so the sum is reduced on the rows of its brackets only
+        ring = heisenberg(3)
+        _, psi = twist_series(ring)
+        assert all(len(w) > 1 for w, _ in _series_terms(psi))
+        assert ring._term_plan(_series_terms(psi))[2] == (2,)
+
+    @given(ring=small_rings())
+    def test_drawn_rings_vanish_outside_the_supports(self, ring):
+        A, B = samples(ring, 50, 23), samples(ring, 50, 24)
+        check_terms(ring, None, A, B)
+        check_exp_ad(ring, A, B)
+
+
+class TestEvaluationNotIntegral:
+    def half_bracket(self, p, degree=2, power=1):
+        """[x, y] / p^power as a one-term series."""
+        return GradedSeries({2: LiePoly({(2, 0): Fraction(1, p ** power)},
+                                        degree)}, degree)
+
+    def test_value_not_divisible(self, z9):
+        u = np.array([[1, 0, 0]], dtype=np.int64)
+        v = np.array([[0, 1, 0]], dtype=np.int64)
+        with pytest.raises(EvaluationNotIntegral,
+                           match=r"value not divisible by p\^1"):
+            z9.evaluate_series_batch(self.half_bracket(3), u, v)
+        # divisible values pass: [3x, y] = 3z
+        assert z9.evaluate_series_batch(self.half_bracket(3), 3 * u,
+                                        v).tolist() == [[0, 0, 1]]
+
+    def test_beyond_working_precision(self, rank3_z8):
+        u = np.array([1, 0, 0], dtype=np.int64)
+        with pytest.raises(EvaluationNotIntegral,
+                           match=r"needs p\^9 beyond working precision"):
+            rank3_z8.evaluate_series_batch(self.half_bracket(2, power=9),
+                                           u, u)
 
 
 class TestReduce:

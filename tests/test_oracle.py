@@ -57,6 +57,80 @@ class TestPermutationOrbits:
         assert [o.tolist() for o in orbits] == [[0, 1, 2], [3]]
 
 
+def bfs_orbits(n, perms):
+    """The per-start breadth-first closure that the label fixpoint
+    replaced, kept as its reference."""
+    labels = np.full(n, -1, dtype=np.int64)
+    orbits = []
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        oid = len(orbits)
+        labels[start] = oid
+        chunks = [np.array([start], dtype=np.int64)]
+        frontier = chunks[0]
+        while frontier.size and perms:
+            nxt = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            fresh = nxt[labels[nxt] < 0]
+            labels[fresh] = oid
+            chunks.append(fresh)
+            frontier = fresh
+        orbits.append(np.sort(np.concatenate(chunks)))
+    return labels, orbits
+
+
+def closures_match_bfs(monkeypatch, ring):
+    """Run the class and coadjoint closures of a ring, and compare every
+    permutation_orbits call they make with the breadth-first reference."""
+    calls = []
+    real = oracle.permutation_orbits
+
+    def spy(n, perms):
+        out = real(n, perms)
+        calls.append((n, perms, out))
+        return out
+    monkeypatch.setattr(oracle, "permutation_orbits", spy)
+    conjugacy_classes(LazardGroup(ring))
+    orbitmethod.coadjoint_orbits(ring)
+    assert len(calls) == 2
+    for n, perms, (labels, orbits) in calls:
+        want_labels, want_orbits = bfs_orbits(n, perms)
+        assert labels.dtype == want_labels.dtype
+        assert np.array_equal(labels, want_labels)
+        assert len(orbits) == len(want_orbits)
+        for got, want in zip(orbits, want_orbits):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def spec_paths():
+    return [pytest.param(path, id=path.stem)
+            for path in sorted(SPECS.glob("*.json"))
+            if "moduli" in json.loads(path.read_text())]
+
+
+class TestLabelFixpoint:
+    @pytest.mark.parametrize("path", spec_paths())
+    def test_specs_match_the_bfs(self, path, monkeypatch):
+        closures_match_bfs(monkeypatch, load_ring_spec(path))
+
+    @given(ring=small_rings())
+    def test_drawn_rings_match_the_bfs(self, ring):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            closures_match_bfs(monkeypatch, ring)
+
+    def test_random_permutations_match_the_bfs(self):
+        # long cycles and many generators, beyond what rings produce
+        rng = np.random.default_rng(3)
+        for n, k in ((1, 1), (2, 0), (50, 1), (200, 3), (1000, 2)):
+            perms = [rng.permutation(n) for _ in range(k)]
+            labels, orbits = permutation_orbits(n, perms)
+            want_labels, want_orbits = bfs_orbits(n, perms)
+            assert np.array_equal(labels, want_labels)
+            assert [o.tolist() for o in orbits] == \
+                [o.tolist() for o in want_orbits]
+
+
 def first_audit_element(ring, seed):
     rng = np.random.default_rng(seed)
     return tuple(int(rng.integers(0, s)) for s in ring.sizes)
