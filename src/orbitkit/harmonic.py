@@ -223,6 +223,12 @@ def translates(domain, law, rows, cols=None):
     element); the result has shape (len(rows), len(cols)).  ``law`` picks
     the meaning of h^{-1} c: ``ADDITIVE`` is x_c - x_h on the ring,
     ``GROUP`` is the CH product CH(-x_h, x_c) and requires a group domain.
+
+    The additive law reads per-coordinate tables built once per call,
+    T_i[v, c] = ((x_{c,i} - v) mod s_i)·stride_i, and adds the rows
+    T_i[x_{h,i}] over the coordinates, one h at a time: the index of
+    x_c - x_h without forming the difference.  The group law runs the CH
+    kernel in blocks of about ``_BLOCK_CELLS`` pairs.
     """
     _check_law(domain, law)
     ring = _ring_of(domain)
@@ -230,15 +236,23 @@ def translates(domain, law, rows, cols=None):
     H = grid.elements[rows]
     C = grid.elements if cols is None else grid.elements[cols]
     out = np.empty((len(H), len(C)), dtype=np.int64)
+    if law == ADDITIVE:
+        tables = []
+        for i, (s, stride) in enumerate(zip(grid.sizes, grid.strides)):
+            # diff[v, u] = ((u - v) mod s)·stride, read at u = x_{c,i}
+            v = np.arange(s, dtype=np.int64)
+            diff = (v - v[:, None]) % s * stride
+            tables.append(np.take(diff, C[:, i], axis=1))
+        for row, h in zip(out, H):
+            row[...] = 0
+            for table, v in zip(tables, h):
+                row += table[v]
+        return out
     step = max(1, _BLOCK_CELLS // len(C))
     for start in range(0, len(H), step):
         h = H[start:start + step]
-        if law == ADDITIVE:
-            block = grid.index_batch(C[None] - h[:, None])
-        else:
-            block = ring.ch_batch(np.mod(-h, ring._mods)[:, None],
-                                  C[None]) @ grid.strides
-        out[start:start + step] = block
+        out[start:start + step] = ring.ch_batch(
+            np.mod(-h, ring._mods)[:, None], C[None]) @ grid.strides
     return out
 
 

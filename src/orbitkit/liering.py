@@ -834,7 +834,7 @@ class LazardGroup:
     """exp(g) as coordinate vectors with CH multiplication; its elements are
     the rows of the ring's grid."""
 
-    __slots__ = ("ring", "size", "elements", "audit_perms")
+    __slots__ = ("ring", "size", "elements", "audit_perms", "partitions")
 
     def __init__(self, ring: FiniteLieRing):
         self.ring = ring
@@ -843,6 +843,9 @@ class LazardGroup:
         # (seed, samples) -> the (g, conjugation permutation) pairs of
         # kirillov_character's audit, filled on first use
         self.audit_perms = {}
+        # (seed, audits) -> the oracle's audited conjugacy-class partition,
+        # filled on first use
+        self.partitions = {}
 
     def index_of(self, coords) -> int:
         return self.ring.grid.index_of(coords)
@@ -980,6 +983,11 @@ def ad_action(ring: FiniteLieRing, g_elt, rng=None) -> AdMap:
 
 # -- the twist certificate --------------------------------------------------------
 
+# (x, y) pairs per block of the exhaustive twist check: the series and
+# e^(ad W) temporaries of a block stay a few MB at any group order
+_TWIST_CELLS = 1 << 15
+
+
 class TwistReport:
     """Outcome of checking (x,y) ↦ (e^(ad φ)x, e^(ad ψ)y) over a domain."""
 
@@ -1006,50 +1014,67 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None, rng=None,
               pair_budget=2_000_000, sample=10_000) -> TwistReport:
     """Certify x̃ + ỹ = CH(x, y) with x̃ = e^(ad φ(x,y))x, ỹ = e^(ad ψ(x,y))y,
     that (x,y) ↦ (x̃,ỹ) is injective on the checked domain, and that x̃, ỹ are
-    genuine conjugates of x, y.  Exhaustive when |g|² fits the budget."""
+    genuine conjugates of x, y.  Exhaustive when |g|² fits the budget.
+
+    The exhaustive domain is evaluated in blocks of x rows of about
+    ``_TWIST_CELLS`` pairs, so no |g|² × rank array is formed.  The failure
+    reported is the one the whole domain would give: the first pair that
+    breaks the sum identity, else the first that breaks the x-twist, else
+    the y-twist; collisions are counted over the codes of every pair.
+    """
     if pair.certified_to < ring.class_:
         raise ValueError(
             f"pair certified to degree {pair.certified_to} < class {ring.class_}")
     phi, psi = pair.back_substituted()
     group = group or LazardGroup(ring)
     n = group.size
-    exhaustive = n * n <= pair_budget
-    if exhaustive:
-        ia = np.repeat(np.arange(n), n)
-        ib = np.tile(np.arange(n), n)
+    if n * n <= pair_budget:
+        rows = max(1, _TWIST_CELLS // n)
+        blocks = ((np.repeat(np.arange(lo, min(n, lo + rows)), n),
+                   np.tile(np.arange(n), min(n, lo + rows) - lo))
+                  for lo in range(0, n, rows))
         mode = "exhaustive"
     else:
         rng = rng or random.Random(0)
         seen = {(rng.randrange(n), rng.randrange(n)) for _ in range(sample)}
-        pairs = sorted(seen)
-        ia = np.array([a for a, _ in pairs])
-        ib = np.array([b for _, b in pairs])
+        pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
+        blocks = [(pairs[:, 0], pairs[:, 1])]
         mode = "sampled"
-    U, V = group.elements[ia], group.elements[ib]
 
-    phi_vals = ring.evaluate_series_batch(phi, U, V)
-    psi_vals = ring.evaluate_series_batch(psi, U, V)
-    xt = ring.exp_ad_batch(phi_vals, U)
-    yt = ring.exp_ad_batch(psi_vals, V)
+    twist_failure = {}
+    codes = []
+    for ia, ib in blocks:
+        U, V = group.elements[ia], group.elements[ib]
+        phi_vals = ring.evaluate_series_batch(phi, U, V)
+        psi_vals = ring.evaluate_series_batch(psi, U, V)
+        xt = ring.exp_ad_batch(phi_vals, U)
+        yt = ring.exp_ad_batch(psi_vals, V)
 
-    total = ring.ch_batch(U, V)
-    bad = np.nonzero(np.any(np.mod(xt + yt, ring._mods) != total, axis=-1))[0]
-    if bad.size:
-        b = int(bad[0])
-        raise PropertyFailed(
-            f"x̃ + ỹ != CH(x, y) at x={tuple(U[b])}, y={tuple(V[b])}")
-
-    for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
-        WX = ring.ch_batch(W, X)
-        conj = ring.ch_batch(WX, np.mod(-W, ring._mods))
-        bad = np.nonzero(np.any(conj != T, axis=-1))[0]
+        total = ring.ch_batch(U, V)
+        bad = np.nonzero(np.any(np.mod(xt + yt, ring._mods) != total,
+                                axis=-1))[0]
         if bad.size:
             b = int(bad[0])
             raise PropertyFailed(
-                f"{tag}-twist is not the conjugation by exp of its own series "
-                f"at x={tuple(U[b])}, y={tuple(V[b])}")
+                f"x̃ + ỹ != CH(x, y) at x={tuple(U[b])}, y={tuple(V[b])}")
 
-    codes = group.index_batch(xt) * n + group.index_batch(yt)
+        for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
+            if tag in twist_failure:
+                continue
+            WX = ring.ch_batch(W, X)
+            conj = ring.ch_batch(WX, np.mod(-W, ring._mods))
+            bad = np.nonzero(np.any(conj != T, axis=-1))[0]
+            if bad.size:
+                b = int(bad[0])
+                twist_failure[tag] = (
+                    f"{tag}-twist is not the conjugation by exp of its own "
+                    f"series at x={tuple(U[b])}, y={tuple(V[b])}")
+        codes.append(group.index_batch(xt) * n + group.index_batch(yt))
+    for tag in ("x", "y"):
+        if tag in twist_failure:
+            raise PropertyFailed(twist_failure[tag])
+
+    codes = np.concatenate(codes)
     distinct = 1 + np.count_nonzero(np.diff(np.sort(codes)))
     if distinct != len(codes):
         raise PropertyFailed(

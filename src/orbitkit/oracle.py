@@ -105,15 +105,30 @@ class ConjClassPartition:
 
 
 def _conjugation_perm(group: LazardGroup, g) -> np.ndarray:
-    return group.index_batch(group.conjugate_batch(g, group.elements))
+    """Grid indices of g x g^-1 over every x; ``conjugate_batch`` returns
+    canonical residues, so they index the grid without a reduction."""
+    return group.conjugate_batch(g, group.elements) @ group.ring.grid.strides
 
 
 def conjugacy_classes(group: LazardGroup, *, seed=0, audits=50,
                       cap=ORDER_CAP) -> ConjClassPartition:
-    """Exact conjugacy classes, with a seeded random stability audit."""
+    """Exact conjugacy classes, with a seeded random stability audit.
+
+    The partition is kept on the group under (seed, audits), so every check
+    that shares the group shares one closure and one audit.
+    """
     n = len(group)
     if n > cap:
         raise ValueError(f"|G| = {n} exceeds the cap {cap}")
+    key = (seed, audits)
+    if key not in group.partitions:
+        group.partitions[key] = _audited_classes(group, seed, audits)
+    return group.partitions[key]
+
+
+def _audited_classes(group, seed, audits):
+    """The closure, audit and sanity checks behind conjugacy_classes."""
+    n = len(group)
     ring = group.ring
     labels, classes = closure_with_audit(
         ring, n, lambda g: _conjugation_perm(group, g),

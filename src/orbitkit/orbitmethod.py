@@ -15,7 +15,11 @@ conjugation-invariant functions to class-indicator pairs (bilinearity) and
 compare the integer counts N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
 under both laws, so those checks are exact at every group order: the group
 side is Burnside's class matrix, the additive side is counted at every
-element, and both come from ``harmonic.translates``.
+element, and both come from ``harmonic.translates``.  The idempotent suite
+checks that each orbit idempotent is constant on the oracle's classes and
+multiplies the idempotents in the class algebra, again through Burnside's
+class matrices, so every suite runs at any group order without an n x n
+table.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from .liering import FiniteLieRing, LazardGroup, Subring
 from .oracle import (_conjugation_perm, character_table, class_matrix,
                      closure_with_audit, conjugacy_classes)
 
-# largest |G| for which verify_idempotents materializes its n x n table
+# The order limit of the n x n idempotent table that verify_idempotents
+# no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
+# and it goes with the next benchmark change (ROADMAP item 1).
 _TABLE_LIMIT = 2048
 
 
@@ -212,6 +218,78 @@ def _pair_deviation(group, part, pairs) -> float:
 
 # -- verification suites --------------------------------------------------------
 
+# (c, b, i) cells per block of the class-algebra products: a block of
+# classes c, each with r x k products, keeps its temporaries a few MB
+_CLASS_CELLS = 1 << 18
+
+
+def _class_algebra_deviations(group, part, at_reps):
+    """Idempotent and orthogonality deviations of class functions, worked
+    out in the class algebra.
+
+    ``at_reps`` holds the values e_i(z_a) of k class functions at the class
+    representatives z_a, one row each.  Their group convolutions there are
+
+      (e_i * e_j)(z_c) = (1/|G|) sum_a e_i(z_a) sum_b e_j(z_b) M_a[b, c]
+
+    with M_a Burnside's class matrix, and each is compared with
+    delta_ij e_i(z_c).  The triples x y = z in C_a x C_b x C_c, counted once
+    by (x, y) and once by (z, y^-1), give |C_c| M_a[b, c] = |C_a| M_c[b*, a],
+    b* the class of the inverses of C_b.  So the class matrix of c alone
+    gives every product at z_c:
+
+      (e_i * e_j)(z_c) = (1/(|G| |C_c|)) sum_{b,a} e_j(z_b*) M_c[b, a]
+                         |C_a| e_i(z_a).
+
+    Classes c go in blocks of about ``_CLASS_CELLS`` / (r k).  A block is
+    one real product of its stacked class matrices with the real and
+    imaginary parts of |C_a| e_i(z_a), then two real products of
+    [Re e_j(z_b*) | -Im e_j(z_b*)] and [Im e_j(z_b*) | Re e_j(z_b*)] with
+    those, so the r^4 work runs as real BLAS and no r x r x r array exists.
+
+    Returns (idempotent deviation, orthogonality deviation, witness).  The
+    witness (i, j, grid index of z_c) is the first largest off-diagonal
+    deviation in (c, j, i) order, and None when every one is 0.
+    """
+    n, r, k = len(group), len(part), len(at_reps)
+    inverse = part.labels[group.index_batch(-group.elements[part.reps])]
+    left = at_reps[:, inverse]
+    fold_re = np.hstack([left.real, -left.imag])
+    fold_im = np.hstack([left.imag, left.real])
+    right = at_reps * part.sizes
+    right = np.hstack([right.real.T, right.imag.T])
+    diag = np.arange(k)
+    dev_idem = dev_orth = 0.0
+    witness = None
+    step = max(1, _CLASS_CELLS // (r * k))
+    for lo in range(0, r, step):
+        cs = np.arange(lo, min(r, lo + step))
+        s = len(cs)
+        stacked = np.vstack([class_matrix(group, part, c)
+                             for c in cs]).astype(np.float64)
+        # inner[(t, b), (c, i)] = sum_a M_c[b, a] |C_a| e_i(z_a), its real
+        # part at t = 0 and its imaginary part at t = 1
+        inner = (stacked @ right).reshape(s, r, 2, k).transpose(
+            2, 1, 0, 3).reshape(2 * r, s * k)
+        scale = (1.0 / (n * part.sizes[cs]))[None, :, None]
+        conv_re = (fold_re @ inner).reshape(k, s, k)
+        conv_re *= scale
+        conv_im = (fold_im @ inner).reshape(k, s, k)
+        conv_im *= scale
+        # conv[j, c, i] = (e_i * e_j)(z_c) - delta_ij e_i(z_c)
+        conv_re[diag, :, diag] -= at_reps[:, cs].real
+        conv_im[diag, :, diag] -= at_reps[:, cs].imag
+        dev = np.hypot(conv_re, conv_im)
+        dev_idem = max(dev_idem, float(dev[diag, :, diag].max()))
+        dev[diag, :, diag] = 0.0
+        dev = dev.transpose(1, 0, 2)
+        c, j, i = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        if dev[c, j, i] > dev_orth:
+            dev_orth = float(dev[c, j, i])
+            witness = (int(i), int(j), part.reps[lo + int(c)])
+    return dev_idem, dev_orth, witness
+
+
 def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
                        characters=None, seed=0, tol=1e-8) -> dict:
     """(a)-(d) idempotent package for e_Omega = |Omega|^{1/2} chi_Omega.
@@ -219,48 +297,63 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
     (a) the Fourier transform of e_Omega pulled back to g is the indicator
     of Omega; (b) e_Omega is idempotent under group convolution; (c)
     distinct idempotents annihilate; (d) they sum to |G| delta_identity.
-    ``seed`` drives the orbit and character audits when those are built
-    here.
+    ``seed`` drives the conjugacy classes and the orbit and character
+    audits when those are built here.
+
+    (b) and (c) run in the class algebra, at every group order.  First each
+    e_i must be constant on the oracle's conjugacy classes: the deviation
+    d = max_{i,x} |e_i(x) - e_i(z_[x])|, z_[x] the representative of the
+    class of x, must be within ``tol``, else the report fails with the
+    witness (i, x).  The class-constant e~_i then convolve exactly as class
+    functions do, so (e~_i * e~_j) is read off Burnside's class matrices at
+    the representatives (``_class_algebra_deviations``), and the witness of
+    a failure is (i, j, grid index of z_c).  That is the old all-of-G check
+    up to d: with e_i = e~_i + D_i, |D_i| <= d and |(f * g)(x)| <=
+    ||f||_2 ||g||_2 (mass-1 Haar norms), at every x in G
+      |(e_i * e_j - delta_ij e_i)(x)|
+        <= max_c |(e~_i * e~_j - delta_ij e~_i)(z_c)|
+           + d (1 + d + ||e_i||_2 + ||e_j||_2),
+    and the same with the two sides swapped; ||e_Omega||_2 = |Omega|^{1/2}.
+    Characters are consumed one at a time: no n x n or k x n array is
+    formed.
     """
     if ring.p < 3:
         raise RegimeViolation(f"p = {ring.p} < 3")
     group = group or LazardGroup(ring)
     n = len(group)
-    if n > _TABLE_LIMIT:
-        raise ValueError(f"|G| = {n} too large for the all-pairs sweep")
+    part = conjugacy_classes(group, seed=seed)
     orbits = orbits or coadjoint_orbits(ring, seed=seed)
     if characters is None:
-        characters = [kirillov_character(ring, o, group=group, seed=seed)
-                      for o in orbits]
-    E = np.array([math.isqrt(o.size) * ch.values.values
-                  for o, ch in zip(orbits, characters)])
-
-    dev_fourier = 0.0
-    for orbit, row in zip(orbits, E):
+        characters = (kirillov_character(ring, o, group=group, seed=seed)
+                      for o in orbits)
+    at_reps = np.empty((len(orbits), len(part)), dtype=np.complex128)
+    total = np.zeros(n, dtype=np.complex128)
+    dev_fourier, dev_const, const_witness = 0.0, 0.0, None
+    for i, (orbit, ch) in enumerate(zip(orbits, characters)):
+        row = math.isqrt(orbit.size) * ch.values.values
         F = fourier(exp_star(ClassFunction(group, row)))
         ind = np.zeros(n)
         ind[orbit.indices] = 1.0
         dev_fourier = max(dev_fourier, float(np.max(np.abs(F.values - ind))))
+        at_reps[i] = row[part.reps]
+        spread = np.abs(row - at_reps[i][part.labels])
+        x = int(np.argmax(spread))
+        if spread[x] > dev_const:
+            dev_const, const_witness = float(spread[x]), (i, x)
+        total += row
 
-    table = translates(group, GROUP, slice(None))
-    dev_idem, dev_orth, witness = 0.0, 0.0, None
-    for j in range(len(E)):
-        conv = (E @ E[j][table]) / n
-        for i in range(len(E)):
-            target = E[i] if i == j else 0.0
-            dev = float(np.max(np.abs(conv[i] - target)))
-            if i == j:
-                dev_idem = max(dev_idem, dev)
-            elif dev > dev_orth:
-                dev_orth, witness = dev, (i, j, int(np.argmax(
-                    np.abs(conv[i]))))
+    dev_idem, dev_orth, witness = _class_algebra_deviations(group, part,
+                                                            at_reps)
 
     identity_target = np.zeros(n)
     identity_target[group.index_of(ring.zero())] = n
-    dev_complete = float(np.max(np.abs(E.sum(axis=0) - identity_target)))
+    dev_complete = float(np.max(np.abs(total - identity_target)))
 
-    passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
-    return {"orbits": len(E), "fourier_indicator": dev_fourier,
+    if dev_const > tol:
+        passed, witness = False, const_witness
+    else:
+        passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
+    return {"orbits": len(at_reps), "fourier_indicator": dev_fourier,
             "idempotent": dev_idem, "orthogonal": dev_orth,
             "complete": dev_complete, "tolerance": tol, "passed": passed,
             "witness": None if passed else witness}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import chsolver, cli, freelie, orbitmethod
+from orbitkit import chsolver, cli, freelie, oracle, orbitmethod
 from orbitkit.errors import (AutomorphismCheckFailed, DomainMismatch,
                              LinearSystemInconsistent)
 
@@ -218,6 +218,25 @@ class TestVerify:
         code, _, _ = run_json(capsys, "verify", "--input", Z8)
         assert code == 0
         assert len(groups) == 2 and groups[0] is groups[1] is not None
+
+    @pytest.mark.parametrize("spec, checks", [
+        (F3, ["idempotents", "expstar", "twist"]), (Z8, ["p2"])],
+        ids=["idempotents+expstar", "p2"])
+    def test_suites_share_one_partition(self, capsys, monkeypatch, spec,
+                                        checks):
+        keys = []
+        real = oracle._audited_classes
+
+        def spy(group, seed, audits):
+            keys.append((seed, audits))
+            return real(group, seed, audits)
+        monkeypatch.setattr(oracle, "_audited_classes", spy)
+        code, rep, _ = run_json(capsys, "verify", "--input", spec,
+                                "--seed", "4")
+        assert code == 0
+        assert [c["name"] for c in rep["checks"]
+                if c["status"] == "PASS"] == checks
+        assert keys == [(4, 50)]
 
     def test_unknown_check_name(self, capsys):
         code, _, err = run(capsys, "verify", "--input", F3,

@@ -7,7 +7,7 @@ from orbitkit.errors import DomainMismatch
 from orbitkit.harmonic import (ADDITIVE, GROUP, ClassFunction, DualCharacter,
                                DualFunction, DualSpace, convolve,
                                element_table, exp_star, fourier, inner,
-                               inverse_fourier)
+                               inverse_fourier, translates)
 from orbitkit.liering import LazardGroup, make_ring
 
 
@@ -180,6 +180,32 @@ class TestFourier:
         F2 = DualFunction(h5, np.zeros(125))
         with pytest.raises(DomainMismatch):
             dual_inner(F1, F2)
+
+
+class TestAdditiveTranslates:
+    """The per-coordinate tables give the same indices as reducing the
+    differences x_c - x_h with the grid's index_batch."""
+
+    @pytest.mark.parametrize("p, moduli, brackets", [
+        (3, (3, 2, 2), {(0, 1): {2: 1}}),
+        (3, (2, 1, 1), {(1, 2): {0: 3}}),
+        (2, (3, 1, 2), {}),
+        (5, (1, 2), {}),
+    ], ids=["3^(3,2,2)", "3^(2,1,1)", "2^(3,1,2)", "5^(1,2)"])
+    def test_equal_index_batch_on_mixed_moduli(self, p, moduli, brackets):
+        ring = make_ring(p, moduli, brackets)
+        E = ring.grid.elements
+        rng = np.random.default_rng(len(E))
+        cases = [(rng.integers(0, len(E), 40), None),
+                 (rng.integers(0, len(E), 40), rng.integers(0, len(E), 70)),
+                 (slice(None), np.arange(len(E))[::-3])]
+        for domain in (ring, LazardGroup(ring)):
+            for rows, cols in cases:
+                got = translates(domain, ADDITIVE, rows, cols)
+                C = E if cols is None else E[cols]
+                want = ring.grid.index_batch(C[None] - E[rows][:, None])
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 class TestConvolution:

@@ -26,7 +26,7 @@ from orbitkit.freelie import (GradedSeries, LiePoly, bch, lyndon_words,
 from orbitkit.liering import (LazardGroup, _coordinate_major, _plan_steps,
                               _poly_terms, _reduce, _row_major, _series_terms,
                               jacobi_defects, make_ring, uniform_quotient)
-from orbitkit.oracle import _row_order, character_table
+from orbitkit.oracle import _conjugation_perm, _row_order, character_table
 from orbitkit.padic import QpLieAlgebra
 
 from conftest import heisenberg, upper_unitriangular4
@@ -645,6 +645,23 @@ class TestHeadroom:
         err = capsys.readouterr().err
         assert code == 2
         assert "IntegerHeadroomExceeded" in err
+
+
+# -- conjugation permutations ------------------------------------------------------
+
+@pytest.mark.parametrize("ring", [r[1] for r in RINGS],
+                         ids=[r[0] for r in RINGS])
+def test_conjugation_perm_equals_index_batch(ring):
+    # conjugate_batch returns canonical residues, so the strides alone
+    # index them
+    group = LazardGroup(ring)
+    rng = np.random.default_rng(ring.order())
+    for g in [tuple(int(rng.integers(0, s)) for s in ring.sizes)
+              for _ in range(3)] + [tuple(s - 1 for s in ring.sizes)]:
+        images = group.conjugate_batch(g, group.elements)
+        assert np.all((images >= 0) & (images < ring._mods))
+        assert np.array_equal(_conjugation_perm(group, g),
+                              group.index_batch(images))
 
 
 # -- character-table row order ----------------------------------------------------

@@ -265,6 +265,87 @@ class TestTwist:
             f"twist map collides: {duplicates} duplicate images"
 
 
+def _twist_outcome(thunk):
+    try:
+        return "report", repr(thunk())
+    except PropertyFailed as exc:
+        return "raised", str(exc)
+
+
+def _shifted_twists(monkeypatch, ring, both, x_only):
+    """Patch exp_ad_batch so that x̃ moves by a central z at pairs whose x
+    is ``both`` and ỹ moves back by z there (the sum identity holds, both
+    twists break), and x̃ alone moves at pairs whose x is ``x_only`` (the
+    sum identity breaks).  twist_map asks for x̃ and then ỹ of each block."""
+    real = liering.FiniteLieRing.exp_ad_batch
+    z = np.zeros(ring.rank, dtype=np.int64)
+    z[-1] = 1
+    pending = []
+
+    def patched(self, W, X):
+        out = real(self, W, X)
+        if pending:
+            out[pending.pop()] -= z
+        else:
+            hit = np.all(X == both, axis=-1)
+            pending.append(hit)
+            out[hit | np.all(X == x_only, axis=-1)] += z
+        return np.mod(out, self._mods)
+    monkeypatch.setattr(liering.FiniteLieRing, "exp_ad_batch", patched)
+
+
+class TestTwistBlocks:
+    """The exhaustive twist check in blocks of x rows reports what one
+    evaluation over every pair reports."""
+
+    @pytest.mark.parametrize("x_only, start", [
+        (None, "x-twist is not the conjugation by exp of its own series"),
+        ((2, 0, 2), "x̃ + ỹ != CH(x, y)")],
+        ids=["twists-break", "later-sum-breaks"])
+    def test_first_failure_matches_one_block(self, h3, h3_group, monkeypatch,
+                                             x_only, start):
+        pair = generic_pair(3)
+        both = h3_group.elements[3]
+        x_only = both if x_only is None else np.array(x_only)
+        _shifted_twists(monkeypatch, h3, both, x_only)
+        whole = _twist_outcome(lambda: twist_map(h3, pair, group=h3_group))
+        # two x rows of 27 pairs per block: x = e_3 and (2, 0, 2) lie in
+        # blocks 1 and 10
+        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
+        blocked = _twist_outcome(lambda: twist_map(h3, pair,
+                                                   group=h3_group))
+        assert blocked == whole
+        assert blocked[0] == "raised" and blocked[1].startswith(start)
+        assert f"at x={tuple(x_only)}, y=" in blocked[1]
+
+    def test_valid_pair_passes_in_blocks(self, h3, h3_group, monkeypatch):
+        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
+        report = twist_map(h3, generic_pair(3), group=h3_group)
+        assert report.all_passed()
+        assert report.pairs_checked == 27 ** 2
+
+    def test_collisions_count_over_every_block(self, h3, h3_group,
+                                               monkeypatch):
+        codes = []
+
+        class Folded:
+            size = h3_group.size
+            elements = h3_group.elements
+
+            def index_batch(self, coords):
+                codes.append(h3_group.index_batch(coords) % 5)
+                return codes[-1]
+        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
+        with pytest.raises(PropertyFailed) as info:
+            twist_map(h3, generic_pair(3), group=Folded())
+        assert len(codes) == 2 * 14
+        joined = (np.concatenate(codes[0::2]) * h3_group.size
+                  + np.concatenate(codes[1::2]))
+        duplicates = len(joined) - np.unique(joined).size
+        assert str(info.value) == \
+            f"twist map collides: {duplicates} duplicate images"
+
+
 class TestSubring:
     def test_center_of_heisenberg(self, h3):
         sub = Subring(h3, [(0, 0, 1)])

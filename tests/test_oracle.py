@@ -180,12 +180,13 @@ class TestClosureWithAudit:
                                audits=5)
         assert str(info.value) == f"moved by {first_audit_element(h3, 2)}"
 
-    def test_conjugacy_classes_witness(self, h3_group, monkeypatch):
+    def test_conjugacy_classes_witness(self, h3, monkeypatch):
+        # a fresh group: a partition kept on a shared one skips the audit
         monkeypatch.setattr(oracle, "_conjugation_perm", failing_audit(
             oracle._conjugation_perm, 6))
         with pytest.raises(StabilityCheckFailed) as info:
-            conjugacy_classes(h3_group, seed=1)
-        g = first_audit_element(h3_group.ring, 1)
+            conjugacy_classes(LazardGroup(h3), seed=1)
+        g = first_audit_element(h3, 1)
         assert str(info.value) == \
             f"conjugation by {g} moves elements across classes"
 
@@ -238,6 +239,26 @@ class TestConjugacyClasses:
         part = conjugacy_classes(z9_group)
         assert len(part) == 105
         assert part.sizes.sum() == 729
+
+    def test_partition_is_kept_per_group_and_key(self, h3, monkeypatch):
+        keys = []
+        real = oracle._audited_classes
+
+        def spy(group, seed, audits):
+            keys.append((seed, audits))
+            return real(group, seed, audits)
+        monkeypatch.setattr(oracle, "_audited_classes", spy)
+        group = LazardGroup(h3)
+        part = conjugacy_classes(group)
+        assert conjugacy_classes(group) is part
+        assert character_table(group).partition is part
+        assert conjugacy_classes(group, seed=1) is not part
+        assert conjugacy_classes(group, audits=3) is not part
+        assert conjugacy_classes(LazardGroup(h3)) is not part
+        assert keys == [(0, 50), (1, 50), (0, 3), (0, 50)]
+        assert sorted(group.partitions) == [(0, 3), (0, 50), (1, 50)]
+        with pytest.raises(ValueError):
+            conjugacy_classes(group, cap=10)
 
     def test_order_cap(self, h3_group):
         with pytest.raises(ValueError):

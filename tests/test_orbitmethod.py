@@ -1,16 +1,19 @@
 """Coadjoint orbits, Kirillov characters, intertwining suites, p = 2 cells."""
 
 import itertools
+import json
 import math
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit import harmonic, orbitmethod
+from orbitkit.cli import load_ring_spec
 from orbitkit.errors import PropertyFailed, RegimeViolation, UnexpectedFailure
 from orbitkit.harmonic import ADDITIVE, ClassFunction, DualSpace, inner
 from orbitkit.liering import LazardGroup, make_ring
@@ -19,6 +22,8 @@ from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   kirillov_character, p2_convolution_check,
                                   p2_orbit_partition, verify_exp_star,
                                   verify_idempotents)
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 class TestCoadjointOrbits:
@@ -123,9 +128,18 @@ class TestVerifyIdempotents:
         with pytest.raises(RegimeViolation):
             verify_idempotents(rank3_z8)
 
-    def test_large_group_rejected(self, u4_f5):
-        with pytest.raises(ValueError):
-            verify_idempotents(u4_f5)
+    def test_passes_above_the_old_table_limit(self):
+        # order 3^7 = 2187 was refused by the n x n table
+        ring = make_ring(3, (3, 2, 2), {(0, 1): {2: 1}})
+        assert ring.order() > orbitmethod._TABLE_LIMIT
+        group = LazardGroup(ring)
+        report = verify_idempotents(ring, group=group)
+        assert report["passed"]
+        assert report["witness"] is None
+        assert report["orbits"] == len(conjugacy_classes(group))
+        for key in ("fourier_indicator", "idempotent", "orthogonal",
+                    "complete"):
+            assert report[key] < 1e-10
 
 
 class TestVerifyExpStar:
@@ -538,3 +552,135 @@ class TestCountCheckProperties:
         assert report["pairs_checked"] == (4 if witness is None else 1)
         deviation = np.max(np.abs(v1 @ v2[t_grp] - v1 @ v2[t_add]))
         assert abs(report["max_deviation"] - deviation / len(group)) < 1e-12
+
+
+# -- the n x n idempotent table as a reference ---------------------------------
+
+def idempotent_inputs(ring, group):
+    orbits = coadjoint_orbits(ring)
+    return orbits, [kirillov_character(ring, o, group=group) for o in orbits]
+
+
+def forged(characters, i, values):
+    """The characters with row i's values replaced."""
+    out = list(characters)
+    out[i] = orbitmethod.KirillovCharacter(
+        characters[i].orbit, ClassFunction(characters[i].values.domain,
+                                           values))
+    return out
+
+
+def table_idempotents(ring, group, orbits, characters, tol=1e-8):
+    """verify_idempotents as it stood with the n x n table: every product
+    e_i * e_j at every element of G, from one gathered table per j."""
+    n = len(group)
+    E = np.array([math.isqrt(o.size) * ch.values.values
+                  for o, ch in zip(orbits, characters)])
+    dev_fourier = 0.0
+    for orbit, row in zip(orbits, E):
+        F = harmonic.fourier(harmonic.exp_star(ClassFunction(group, row)))
+        ind = np.zeros(n)
+        ind[orbit.indices] = 1.0
+        dev_fourier = max(dev_fourier, float(np.max(np.abs(F.values - ind))))
+    table = ref_group_table(group)
+    dev_idem, dev_orth, witness = 0.0, 0.0, None
+    for j in range(len(E)):
+        conv = (E @ E[j][table]) / n
+        for i in range(len(E)):
+            target = E[i] if i == j else 0.0
+            dev = float(np.max(np.abs(conv[i] - target)))
+            if i == j:
+                dev_idem = max(dev_idem, dev)
+            elif dev > dev_orth:
+                dev_orth, witness = dev, (i, j, int(np.argmax(
+                    np.abs(conv[i]))))
+    identity_target = np.zeros(n)
+    identity_target[group.index_of(ring.zero())] = n
+    dev_complete = float(np.max(np.abs(E.sum(axis=0) - identity_target)))
+    passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
+    return {"orbits": len(E), "fourier_indicator": dev_fourier,
+            "idempotent": dev_idem, "orthogonal": dev_orth,
+            "complete": dev_complete, "tolerance": tol, "passed": passed,
+            "witness": None if passed else witness}
+
+
+def assert_agrees_with_the_table(ring):
+    group = LazardGroup(ring)
+    orbits, chars = idempotent_inputs(ring, group)
+    new = verify_idempotents(ring, group=group, orbits=orbits,
+                             characters=chars)
+    old = table_idempotents(ring, group, orbits, chars)
+    assert new["passed"] and old["passed"]
+    assert new["witness"] is old["witness"] is None
+    for key in ("fourier_indicator", "idempotent", "orthogonal",
+                "complete"):
+        assert abs(new[key] - old[key]) <= 1e-12, key
+    assert new.keys() == old.keys()
+
+
+def table_spec_paths():
+    out = []
+    for path in sorted(SPECS.glob("*.json")):
+        spec = json.loads(path.read_text())
+        if "moduli" in spec and spec["p"] >= 3 \
+                and spec["p"] ** sum(spec["moduli"]) <= 2048:
+            out.append(pytest.param(path, id=path.stem))
+    return out
+
+
+class TestAgainstTheTable:
+    @pytest.mark.parametrize("path", table_spec_paths())
+    def test_specs_agree(self, path):
+        assert_agrees_with_the_table(load_ring_spec(path))
+
+    # the reference costs k^2 |G|^2 complex products: 7 s on a drawn
+    # 729-element ring with 297 classes, 1.2 s at order 625, so the drawn
+    # rings stop at 625 and five draws, for the suite's time budget
+    @settings(max_examples=5)
+    @given(ring=small_rings().filter(
+        lambda ring: ring.p >= 3 and ring.order() <= 625))
+    def test_drawn_rings_agree(self, ring):
+        assert_agrees_with_the_table(ring)
+
+    def test_forged_sum_of_two_idempotents_fails(self, h5, h5_group,
+                                                 monkeypatch):
+        orbits, chars = idempotent_inputs(h5, h5_group)
+        i, k = [idx for idx, o in enumerate(orbits) if o.size == 25][:2]
+        rows = [math.isqrt(o.size) * ch.values.values
+                for o, ch in zip(orbits, chars)]
+        chars = forged(chars, i, (rows[i] + rows[k]) / 5)
+        report = verify_idempotents(h5, group=h5_group, orbits=orbits,
+                                    characters=chars)
+        # one class per block of products: the same report
+        monkeypatch.setattr(orbitmethod, "_CLASS_CELLS", 1)
+        assert verify_idempotents(h5, group=h5_group, orbits=orbits,
+                                  characters=chars) == report
+        old = table_idempotents(h5, h5_group, orbits, chars)
+        assert not report["passed"] and not old["passed"]
+        assert abs(report["orthogonal"] - old["orthogonal"]) <= 1e-12
+        # e_i + e_k convolves e_k to e_k, whose peak is |Omega_k| = 25
+        assert abs(report["orthogonal"] - 25.0) <= 1e-9
+        wi, wj, c = report["witness"]
+        assert {wi, wj} == {i, k}
+        rows[i] += rows[k]
+        table = ref_group_table(h5_group)
+        product = rows[wi] @ rows[wj][table[:, c]] / len(h5_group)
+        assert abs(abs(product) - report["orthogonal"]) <= 1e-9
+
+    def test_row_not_constant_on_a_class_fails(self, h5, h5_group):
+        orbits, chars = idempotent_inputs(h5, h5_group)
+        part = conjugacy_classes(h5_group)
+        cls = next(c for c in part.classes if len(c) > 1)
+        x = int(cls[-1])
+        i = 3
+        values = chars[i].values.values.copy()
+        values[x] += 1e-6
+        chars = forged(chars, i, values)
+        report = verify_idempotents(h5, group=h5_group, orbits=orbits,
+                                    characters=chars)
+        assert not report["passed"]
+        assert report["witness"] == (i, x)
+        # the class-algebra deviations stay below the tolerance: only the
+        # constancy check sees the change
+        for key in ("idempotent", "orthogonal"):
+            assert report[key] < 1e-8
