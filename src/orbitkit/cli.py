@@ -306,7 +306,7 @@ def cmd_chartable(args) -> int:
         if ring.p < 3:
             raise RegimeViolation(
                 "the orbit-method character formula needs p >= 3")
-        orbits = coadjoint_orbits(ring, seed=seed)
+        orbits = coadjoint_orbits(ring, group=group)
         chars = [kirillov_character(ring, orb, group=group, seed=seed)
                  for orb in orbits]
         report["kirillov"] = {
@@ -363,8 +363,8 @@ def _idempotent_data(ring, group, seed, tol):
                                       "complete")}
 
 
-def _expstar_data(ring, group, seed):
-    rep = verify_exp_star(ring, group=group, seed=seed)
+def _expstar_data(ring, group):
+    rep = verify_exp_star(ring, group=group)
     if not rep["passed"]:
         raise PropertyFailed(f"witness: {rep['witness']}")
     return {key: rep[key] for key in ("exhaustive", "pairs_checked",
@@ -374,7 +374,7 @@ def _expstar_data(ring, group, seed):
 def _p2_data(ring, group, seed, tol):
     cells = p2_orbit_partition(ring, group=group, seed=seed,
                                tol=max(tol, 1e-8))
-    conv = p2_convolution_check(ring, group=group, seed=seed)
+    conv = p2_convolution_check(ring, group=group)
     witness = conv["expected_failure"]
     return {"cells": len(cells),
             "irreducibles": sum(len(c.irreducibles) for c in cells),
@@ -417,7 +417,7 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     thunks = {
         "idempotents": lambda: _idempotent_data(ring, group, seed, tol),
-        "expstar": lambda: _expstar_data(ring, group, seed),
+        "expstar": lambda: _expstar_data(ring, group),
         "twist": lambda: _twist_data(ring, group),
         "p2": lambda: _p2_data(ring, group, seed, tol),
     }

@@ -42,7 +42,8 @@ class RegimeViolation(OrbitkitError):
 
 
 class AutomorphismCheckFailed(OrbitkitError):
-    """Ad(g) disagreed with conjugation or failed to preserve the bracket."""
+    """Conjugation by a generator is not linear, or its matrix is not
+    exp(ad) of the generator."""
 
 
 class IntegerHeadroomExceeded(OrbitkitError):
@@ -70,7 +71,8 @@ class DomainMismatch(OrbitkitError):
 # -- orbits and characters ----------------------------------------------------
 
 class StabilityCheckFailed(OrbitkitError):
-    """A randomized audit found an orbit or class not closed under the action."""
+    """The basis exponentials do not generate G, or the class partition they
+    close is not one of G."""
 
 
 class PartitionFailure(OrbitkitError):

@@ -82,14 +82,6 @@ class DualCharacter:
     def value(self, x) -> complex:
         return complex(self.values_on(x))
 
-    def as_function(self, domain=None) -> "ClassFunction":
-        """This character as a dense function on g (or, relabelled, on G)."""
-        if domain is None:
-            domain = self.ring
-        if _ring_of(domain) is not self.ring:
-            raise DomainMismatch("character and domain live on different rings")
-        return ClassFunction(domain, self.values_on(element_table(domain)))
-
     def __eq__(self, other):
         return (isinstance(other, DualCharacter) and self.ring is other.ring
                 and self.exponents == other.exponents)

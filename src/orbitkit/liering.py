@@ -64,10 +64,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (AutomorphismCheckFailed, EvaluationNotIntegral,
-                     IntegerHeadroomExceeded, JacobiViolation, PropertyFailed,
-                     RegimeViolation, SubringNotClosed,
-                     WellDefinednessViolation)
+from .errors import (EvaluationNotIntegral, IntegerHeadroomExceeded,
+                     JacobiViolation, PropertyFailed, RegimeViolation,
+                     SubringNotClosed, WellDefinednessViolation)
 from .freelie import (DEGREE_CAP, _is_lyndon, bch, lyndon_count, lyndon_words,
                       vp)
 from .modlin import cyclic_basis, howell_form, solve_mod, span_equal
@@ -834,7 +833,7 @@ class LazardGroup:
     """exp(g) as coordinate vectors with CH multiplication; its elements are
     the rows of the ring's grid."""
 
-    __slots__ = ("ring", "size", "elements", "audit_perms", "partitions")
+    __slots__ = ("ring", "size", "elements", "audit_perms", "certificate")
 
     def __init__(self, ring: FiniteLieRing):
         self.ring = ring
@@ -843,9 +842,10 @@ class LazardGroup:
         # (seed, samples) -> the (g, conjugation permutation) pairs of
         # kirillov_character's audit, filled on first use
         self.audit_perms = {}
-        # (seed, audits) -> the oracle's audited conjugacy-class partition,
-        # filled on first use
-        self.partitions = {}
+        # the oracle's conjugation certificate: the generators' matrices and
+        # the one conjugacy-class partition, built on first use
+        # (oracle.conjugation_certificate), never here
+        self.certificate = None
 
     def index_of(self, coords) -> int:
         return self.ring.grid.index_of(coords)
@@ -853,15 +853,9 @@ class LazardGroup:
     def index_batch(self, X):
         return self.ring.grid.index_batch(X)
 
-    def coords_of(self, index: int):
-        return tuple(int(x) for x in self.elements[index])
-
     @property
     def identity(self):
         return self.ring.zero()
-
-    def multiply(self, u, v):
-        return self.ring.ch_multiply(u, v)
 
     def inverse(self, u):
         return self.ring.negate(u)
@@ -913,74 +907,6 @@ def check_group_axioms(group: LazardGroup, rng=None, *, assoc_limit=130,
             "associativity": bool(ok_assoc), "mode": mode, "triples": count}
 
 
-# -- adjoint action --------------------------------------------------------------
-
-class AdMap:
-    """The additive automorphism x ↦ log(e^g · e^x · e^(-g)) as a matrix;
-    row m of the matrix is a residue mod p^{k_m}."""
-
-    __slots__ = ("ring", "element", "matrix")
-
-    def __init__(self, ring, element, matrix):
-        self.ring = ring
-        self.element = tuple(element)
-        self.matrix = matrix
-
-    def apply(self, x):
-        return tuple(int(v) for v in self.apply_batch(np.asarray(x)))
-
-    def apply_batch(self, X):
-        X = np.asarray(X, dtype=np.int64)
-        return np.mod(X @ self.matrix.T, self.ring._mods)
-
-    def __repr__(self):
-        return f"AdMap(g={self.element})"
-
-
-def ad_action(ring: FiniteLieRing, g_elt, rng=None) -> AdMap:
-    """Ad(e^g) with its certificate: the conjugation columns must agree with
-    the truncated e^(ad g), behave additively, invert against Ad(e^-g), and
-    respect the bracket on basis pairs."""
-    g = ring.element(g_elt)
-    d = ring.rank
-    neg_g = ring.negate(g)
-    cols = np.zeros((d, d), dtype=np.int64)
-    for j in range(d):
-        gx = ring.ch_multiply(g, ring.basis(j))
-        cols[:, j] = ring.ch_multiply(gx, neg_g)
-    expm = ring.exp_ad_matrix(g)
-    if not np.array_equal(cols, expm):
-        raise AutomorphismCheckFailed(
-            f"conjugation by e^{g} disagrees with exp(ad {g})")
-    inv_cols = np.zeros((d, d), dtype=np.int64)
-    for j in range(d):
-        gx = ring.ch_multiply(neg_g, ring.basis(j))
-        inv_cols[:, j] = ring.ch_multiply(gx, g)
-    prod = np.mod(cols @ inv_cols, ring._mods[:, None])
-    if not np.array_equal(prod, np.mod(np.eye(d, dtype=np.int64),
-                                       ring._mods[:, None])):
-        raise AutomorphismCheckFailed(f"Ad(e^{g}) is not inverted by Ad(e^-{g})")
-    amap = AdMap(ring, g, cols)
-    for i in range(d):
-        ei = amap.apply(ring.basis(i))
-        for j in range(i + 1, d):
-            lhs = amap.apply(ring.bracket(ring.basis(i), ring.basis(j)))
-            rhs = ring.bracket(ei, amap.apply(ring.basis(j)))
-            if lhs != rhs:
-                raise AutomorphismCheckFailed(
-                    f"Ad(e^{g}) breaks the bracket on basis pair ({i}, {j})")
-    rng = rng or random.Random(0)
-    for _ in range(10):
-        x = ring.element([rng.randrange(s) for s in ring.sizes])
-        y = ring.element([rng.randrange(s) for s in ring.sizes])
-        gx = ring.ch_multiply(g, ring.add(x, y))
-        conj = ring.ch_multiply(gx, neg_g)
-        if conj != ring.add(amap.apply(x), amap.apply(y)):
-            raise AutomorphismCheckFailed(
-                f"conjugation by e^{g} is not additive at {x}, {y}")
-    return amap
-
-
 # -- the twist certificate --------------------------------------------------------
 
 # (x, y) pairs per block of the exhaustive twist check: the series and
@@ -1000,9 +926,6 @@ class TwistReport:
         self.conjugate = conjugate
         self.pairs_checked = pairs_checked
         self.mode = mode
-
-    def all_passed(self) -> bool:
-        return self.sum_identity and self.bijective and self.conjugate
 
     def __repr__(self):
         return (f"TwistReport(sum={self.sum_identity}, bij={self.bijective}, "
@@ -1163,20 +1086,6 @@ class Subring:
         return Subring(self.ring,
                        [self.ring.scale(b, alpha) for b in self.basis_coords],
                        label=f"{alpha}*({self.label or 'subring'})")
-
-    def restrict_dual(self, exponents):
-        """Restriction of a dual character of g (given by its exponent vector)
-        to a character of the subring in its own basis."""
-        ring = self.ring
-        out = []
-        for b, kappa in zip(self.basis_coords, self.orders):
-            e_val = sum(int(a) * int(c) * ring.p ** (ring.cap - k)
-                        for a, c, k in zip(exponents, b, ring.moduli)) % ring.big
-            div = ring.p ** (ring.cap - kappa)
-            if e_val % div:
-                raise ValueError("character does not restrict: order mismatch")
-            out.append(e_val // div % ring.p ** kappa)
-        return tuple(out)
 
     def __repr__(self):
         return (f"Subring(rank={len(self.basis_coords)}, "

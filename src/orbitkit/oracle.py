@@ -1,18 +1,19 @@
 """Brute-force character theory for Lazard groups: the ground truth side.
 
-Conjugacy classes come from orbit closure under conjugation by the
-coordinate-basis exponentials e^{±e_i} (their images span G modulo the
-Frattini subgroup, so they generate), guarded by a randomized stability
-audit over full group elements.  The character table is computed with the
-Burnside class-matrix method with Dixon-Schneider splitting: a seeded
-random linear combination of the class matrices is diagonalized, and its
-eigenvectors are the central characters once the eigenvalues separate.  The
+Conjugacy classes are the orbits of conjugation by the basis exponentials
+e^{e_i}, which one exact certificate per group, built from the CH law
+alone, proves to generate G and to act as exp(ad e_i)
+(``conjugation_certificate``).  The certified matrices are kept for the
+orbit side.  The character table is computed with the Burnside
+class-matrix method with Dixon-Schneider splitting: a seeded random linear
+combination of the class matrices is diagonalized, and its eigenvectors
+are the central characters once the eigenvalues separate.  The
 combination grows over the classes in size order, the prefix doubling, and
 stops at the first prefix whose spectrum separates, which is usually a
 small part of the class algebra.  Degrees follow from the first
 orthogonality relation, and both orthogonality relations gate the result.
 
-Nothing here knows about coadjoint orbits; agreement with the orbit side is
+Nothing here computes coadjoint orbits; agreement with the orbit side is
 established by ``match_tables``.
 """
 
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateSpectrum, DomainMismatch, NoMatching,
-                     StabilityCheckFailed, ValidationFailed)
+from .errors import (AutomorphismCheckFailed, DegenerateSpectrum,
+                     DomainMismatch, NoMatching, StabilityCheckFailed,
+                     ValidationFailed)
 from .harmonic import GROUP, ClassFunction, translates
 from .liering import LazardGroup, Subring
 
@@ -55,28 +57,6 @@ def permutation_orbits(n: int, perms):
     return labels, np.split(members, np.cumsum(np.bincount(labels))[:-1])
 
 
-def closure_with_audit(ring, n: int, perm_for, witness: str, *, seed,
-                       audits):
-    """Orbits of {0..n-1} under the action of a group generated by e^g.
-
-    ``perm_for(g)`` is the index permutation by which e^g acts.  Orbits are
-    closed under the basis generators g = ±e_i of the ring, then a seeded
-    audit checks that ``audits`` random full elements g each map every orbit
-    to itself, guarding the assumption that the generators generate.  A
-    failed audit raises StabilityCheckFailed(witness.format(g=g)).  Returns
-    (labels, orbits) as permutation_orbits does.
-    """
-    perms = [perm_for(ring.scale(ring.basis(i), sgn))
-             for i in range(ring.rank) for sgn in (1, -1)]
-    labels, orbits = permutation_orbits(n, perms)
-    rng = np.random.default_rng(seed)
-    for _ in range(audits):
-        g = tuple(int(rng.integers(0, s)) for s in ring.sizes)
-        if not np.array_equal(labels[perm_for(g)], labels):
-            raise StabilityCheckFailed(witness.format(g=g))
-    return labels, orbits
-
-
 class ConjClassPartition:
     """Conjugacy classes of a Lazard group as index sets over its enumeration.
 
@@ -104,42 +84,149 @@ class ConjClassPartition:
                 f"|G|={len(self.labels)})")
 
 
+class ConjugationCertificate:
+    """The certified action of G on itself by conjugation.
+
+    ``matrices[i]`` is B_s for s = e^{e_i}: row j is the image of e_j under
+    conjugation by s, so conjugation by s is x -> x B_s mod the moduli and
+    B_s is exp(ad e_i) transposed.  ``partition`` is the conjugacy-class
+    partition these generators close.
+    """
+
+    __slots__ = ("matrices", "partition")
+
+    def __init__(self, matrices, partition):
+        self.matrices = matrices
+        self.partition = partition
+
+    def __repr__(self):
+        return (f"ConjugationCertificate({len(self.matrices)} generators, "
+                f"{len(self.partition)} classes)")
+
+
 def _conjugation_perm(group: LazardGroup, g) -> np.ndarray:
     """Grid indices of g x g^-1 over every x; ``conjugate_batch`` returns
     canonical residues, so they index the grid without a reduction."""
     return group.conjugate_batch(g, group.elements) @ group.ring.grid.strides
 
 
-def conjugacy_classes(group: LazardGroup, *, seed=0, audits=50,
-                      cap=ORDER_CAP) -> ConjClassPartition:
-    """Exact conjugacy classes, with a seeded random stability audit.
+def _right_perm(group: LazardGroup, g) -> np.ndarray:
+    """Grid indices of x g over every x, canonical as above."""
+    return (group.ring.ch_batch(group.elements, np.asarray(g, np.int64))
+            @ group.ring.grid.strides)
 
-    The partition is kept on the group under (seed, audits), so every check
-    that shares the group shares one closure and one audit.
+
+def _linear_perm(ring, B) -> np.ndarray:
+    """Grid index of x B mod the moduli for every row x of the grid.
+
+    The images are built coordinate-major, one grid coordinate at a time,
+    the leftmost slowest: the images of the rows so far plus t B[j] for
+    t < sizes[j].  A table entry t B[j, k] mod m_k starts from a product of
+    two residues, below (m - 1)^2 for the largest modulus m, and each step
+    adds two canonical residues and subtracts m_k where the sum reaches it,
+    so no intermediate exceeds (m - 1)^2 < 2^63: make_ring's headroom check
+    bounds (W - 1)^2 for a working modulus W >= m.
     """
-    n = len(group)
-    if n > cap:
-        raise ValueError(f"|G| = {n} exceeds the cap {cap}")
-    key = (seed, audits)
-    if key not in group.partitions:
-        group.partitions[key] = _audited_classes(group, seed, audits)
-    return group.partitions[key]
+    mods = ring._mods[:, None]
+    out = np.zeros((ring.rank, 1), dtype=np.int64)
+    for j, size in enumerate(ring.sizes):
+        steps = B[j][:, None] * np.arange(size, dtype=np.int64) % mods
+        out = (out[:, :, None] + steps[:, None, :]).reshape(ring.rank, -1)
+        np.subtract(out, mods, out=out, where=out >= mods)
+    return ring.grid.strides @ out
 
 
-def _audited_classes(group, seed, audits):
-    """The closure, audit and sanity checks behind conjugacy_classes."""
-    n = len(group)
-    ring = group.ring
-    labels, classes = closure_with_audit(
-        ring, n, lambda g: _conjugation_perm(group, g),
-        "conjugation by {g} moves elements across classes", seed=seed,
-        audits=audits)
+def conjugation_certificate(group: LazardGroup) -> ConjugationCertificate:
+    """The group's conjugation certificate, built on first use and kept on
+    the group, so every closure that shares the group shares one check.
+
+    The generators are s = e^{e_i}, one per basis vector, and three exact
+    checks run on the CH law alone:
+
+    * Generation.  The right multiplications x -> x s are permutations of
+      G; the orbit of the identity under them is the subgroup they
+      generate.  There must be one orbit, else StabilityCheckFailed names
+      the subgroup's order.
+    * Linearity.  Conjugation by s must be x -> x B_s mod the moduli, with
+      row j of B_s the image of e_j, at every element; else
+      AutomorphismCheckFailed names the first grid index where it is not.
+    * Adjoint.  B_s must equal exp(ad e_i) (transposed to act on rows)
+      exactly; else AutomorphismCheckFailed names the first basis vector
+      whose images differ.
+
+    Why this suffices.  Conjugation, Ad(g) x = g x g^-1, is a homomorphism
+    from G to the permutations of G, so the Ad(s) generate Ad(G) once the s
+    generate G; and the orbits of a finite set under a set of permutations
+    are its orbits under the group they generate.  So the orbits of the
+    generators' conjugation permutations are the conjugacy classes.  By
+    linearity Ad(s) acts on the coordinates as x -> x B_s, and the adjoint
+    check makes B_s exp(ad e_i), an automorphism of g (make_ring validates
+    the bracket on the moduli) and the matrix the orbit side applies.  The
+    dual maps f -> f o Ad(s) then generate the coadjoint action of G on g*
+    and, restricted to the Ad(G)-stable lattice 2g, its action on (2g)*, so
+    their orbits are the coadjoint orbits with no sampled audit.
+
+    The classes are closed in the same pass; only the rank x rank matrices
+    and the partition are kept, not the full-grid permutations.
+    """
+    if group.certificate is None:
+        group.certificate = _certify(group)
+    return group.certificate
+
+
+def _certify(group: LazardGroup) -> ConjugationCertificate:
+    """The three checks and the class closure behind
+    conjugation_certificate."""
+    ring, n = group.ring, len(group)
+    gens = [ring.basis(i) for i in range(ring.rank)]
+    identity = group.index_of(ring.zero())
+    labels, cosets = permutation_orbits(n, [_right_perm(group, s)
+                                            for s in gens])
+    if len(cosets) > 1:
+        raise StabilityCheckFailed(
+            f"the basis exponentials generate a subgroup of order "
+            f"{len(cosets[labels[identity]])}, not all {n} elements of G")
+
+    strides = ring.grid.strides
+    matrices, perms = [], []
+    for s in gens:
+        perm = _conjugation_perm(group, s)
+        # e_j sits at grid index strides[j]
+        B = group.elements[perm[strides]]
+        linear = _linear_perm(ring, B)
+        bad = np.flatnonzero(perm != linear)
+        if bad.size:
+            x = int(bad[0])
+            raise AutomorphismCheckFailed(
+                f"conjugation by e^{s} is not linear: grid index {x} goes "
+                f"to {int(perm[x])}, x B_s to {int(linear[x])}")
+        expected = ring.exp_ad_matrix(s).T
+        wrong = np.flatnonzero(np.any(B != expected, axis=1))
+        if wrong.size:
+            j = int(wrong[0])
+            raise AutomorphismCheckFailed(
+                f"conjugation by e^{s} maps e_{j} to {tuple(B[j].tolist())}, "
+                f"exp(ad {s}) to {tuple(expected[j].tolist())}")
+        matrices.append(B)
+        perms.append(perm)
+
+    labels, classes = permutation_orbits(n, perms)
     part = ConjClassPartition(group, labels, classes)
-    if part.sizes[labels[group.index_of(ring.zero())]] != 1:
+    if part.sizes[labels[identity]] != 1:
         raise StabilityCheckFailed("identity class is not a singleton")
     if any(n % s for s in part.sizes):
         raise StabilityCheckFailed("a class size does not divide |G|")
-    return part
+    return ConjugationCertificate(tuple(matrices), part)
+
+
+def conjugacy_classes(group: LazardGroup, *,
+                      cap=ORDER_CAP) -> ConjClassPartition:
+    """Exact conjugacy classes: the partition of the group's conjugation
+    certificate (``conjugation_certificate``), one per group."""
+    n = len(group)
+    if n > cap:
+        raise ValueError(f"|G| = {n} exceeds the cap {cap}")
+    return conjugation_certificate(group).partition
 
 
 class CharTable:
@@ -159,10 +246,6 @@ class CharTable:
         self.degrees = degrees
         self.seed = seed
         self.attempts = attempts
-
-    @property
-    def class_sizes(self):
-        return self.partition.sizes
 
     def __len__(self):
         return len(self.rows)
@@ -240,7 +323,7 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
     separates (``_central_characters``).  ``attempts`` on the result is the
     number of ``eig`` decompositions run, minus one.
     """
-    part = conjugacy_classes(group, seed=seed)
+    part = conjugacy_classes(group)
     r = len(part)
     if r > class_cap:
         raise ValueError(f"{r} classes exceed the cap {class_cap}")

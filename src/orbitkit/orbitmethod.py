@@ -2,10 +2,13 @@
 
 The coadjoint action is carried out exactly on exponent vectors: a
 character f with weight row w (exponents scaled onto a common modulus p^K)
-moves to w' = w @ M under x -> f(Ad(e^-g) x) with M = exp(ad(-g)), and w'
-divides back down to an exponent vector because Ad* preserves the dual
-lattice.  Orbits are permutation closures under the basis generators
-e^{+-e_i}, audited afterwards on random full group elements.
+moves to w' = w @ M under f -> f o Ad(s), M the column matrix of Ad(s),
+and w' divides back down to an exponent vector because Ad(s) is an
+automorphism of g.  The matrices are those of the group's conjugation
+certificate (``oracle.conjugation_certificate``), which proves that the
+basis exponentials s = e^{e_i} generate G and act by exp(ad e_i), so the
+orbits under their dual maps are exactly the coadjoint orbits, in g* and,
+restricted to 2g, in (2g)*; no orbit is audited by sampling.
 
 The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
 inverse Fourier transform of the orbit's indicator, one library FFT on the
@@ -35,7 +38,8 @@ from .harmonic import (ADDITIVE, GROUP, ClassFunction, DualFunction,
                        translates)
 from .liering import FiniteLieRing, LazardGroup, Subring
 from .oracle import (_conjugation_perm, character_table, class_matrix,
-                     closure_with_audit, conjugacy_classes)
+                     conjugacy_classes, conjugation_certificate,
+                     permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
@@ -77,33 +81,28 @@ class CoadjointOrbit:
 
 
 def _dual_permutation(space: DualSpace, matrix, g, lattice) -> np.ndarray:
-    """Index permutation of a dual space under Ad*(e^g), given the matrix of
-    Ad(e^-g) on the coordinates of the space's ring; ``lattice`` names the
-    dual in the error when a character leaves it."""
+    """Index permutation of a dual space under f -> f o Ad(e^g), given the
+    column matrix of Ad(e^g) on the coordinates of the space's ring;
+    ``lattice`` names the dual in the error when a character leaves it."""
     moved = (space.weights @ matrix) % space.ring.big
     if np.any(moved % space.scale):
         raise PropertyFailed(f"Ad*(e^{tuple(g)}) left the {lattice}")
     return space.index_batch(moved // space.scale)
 
 
-def coadjoint_orbits(ring: FiniteLieRing, *, seed=0,
-                     audits=50) -> list[CoadjointOrbit]:
-    """Partition of g* under the coadjoint action.
+def coadjoint_orbits(ring: FiniteLieRing, *,
+                     group=None) -> list[CoadjointOrbit]:
+    """Partition of g* into coadjoint orbits, ordered by smallest member.
 
-    Closure runs over the basis generators e^{+-e_i}; a seeded audit then
-    checks stability under Ad* of random full group elements, guarding the
-    assumption that the basis exponentials generate G.
+    g* is closed under the duals f -> f o Ad(s) of the certified matrices
+    of ``group``'s conjugation certificate (built here when ``group`` is
+    None); the module docstring says why these orbits are exact.
     """
+    group = group or LazardGroup(ring)
     space = DualSpace(ring)
-
-    def perm_for(g):
-        m = ring.exp_ad_matrix(ring.negate(ring.element(g)))
-        return _dual_permutation(space, m, g, "character lattice")
-
-    _, orbit_sets = closure_with_audit(
-        ring, len(space), perm_for,
-        "Ad*(e^{g}) moves characters across orbits", seed=seed,
-        audits=audits)
+    perms = [_dual_permutation(space, B.T, ring.basis(i), "character lattice")
+             for i, B in enumerate(conjugation_certificate(group).matrices)]
+    _, orbit_sets = permutation_orbits(len(space), perms)
     return [CoadjointOrbit(space, idx) for idx in orbit_sets]
 
 
@@ -169,10 +168,10 @@ def _count_mismatch(group, part, a, rows=None):
     law, so agreement for every a is the exact all-pairs intertwining test.
     The additive side is counted at every c.  The group side is class a's
     class matrix at the representatives, spread over ``part.labels``: the
-    labels are orbits of <e^{+-e_i}>, and conjugation by that group permutes
-    C_a and C_b, so the group counts are constant on each label.  Counts
-    agree when the sorted label columns do, with labels outside ``rows``
-    masked out; the count matrices are built only to read a witness.
+    labels are the conjugacy classes, and conjugation permutes C_a and C_b,
+    so the group counts are constant on each label.  Counts agree when the
+    sorted label columns do, with labels outside ``rows`` masked out; the
+    count matrices are built only to read a witness.
     """
     labels, r = part.labels, len(part)
     members = part.classes[a]
@@ -297,8 +296,9 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
     (a) the Fourier transform of e_Omega pulled back to g is the indicator
     of Omega; (b) e_Omega is idempotent under group convolution; (c)
     distinct idempotents annihilate; (d) they sum to |G| delta_identity.
-    ``seed`` drives the conjugacy classes and the orbit and character
-    audits when those are built here.
+    ``seed`` drives the sampled invariance test of the orbit characters
+    when those are built here; the classes and orbits come exactly from the
+    group's conjugation certificate.
 
     (b) and (c) run in the class algebra, at every group order.  First each
     e_i must be constant on the oracle's conjugacy classes: the deviation
@@ -321,8 +321,8 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
         raise RegimeViolation(f"p = {ring.p} < 3")
     group = group or LazardGroup(ring)
     n = len(group)
-    part = conjugacy_classes(group, seed=seed)
-    orbits = orbits or coadjoint_orbits(ring, seed=seed)
+    part = conjugacy_classes(group)
+    orbits = orbits or coadjoint_orbits(ring, group=group)
     if characters is None:
         characters = (kirillov_character(ring, o, group=group, seed=seed)
                       for o in orbits)
@@ -367,7 +367,7 @@ def _assert_invariant(f: ClassFunction, partition):
                              "intertwining claim only concerns Fun(G)^G")
 
 
-def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None, seed=0,
+def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None,
                     pairs=None) -> dict:
     """exp* intertwines group and additive convolution on Fun(G)^G.
 
@@ -384,7 +384,7 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None, seed=0,
     if ring.p < 3:
         raise RegimeViolation(f"p = {ring.p} < 3")
     group = group or LazardGroup(ring)
-    part = conjugacy_classes(group, seed=seed)
+    part = conjugacy_classes(group)
     pairs = list(pairs or [])
     for f1, f2 in pairs:
         _assert_invariant(f1, part)
@@ -429,23 +429,23 @@ def _require_p2_uniform(ring):
             f"uniform depth {ring.uniform_depth} < 2: [g,g] must lie in 4g")
 
 
-def _restricted_action(ring, sub: Subring, g):
-    """Matrix of Ad(e^-g) on 2g in the subring basis (column convention)."""
-    m = ring.exp_ad_matrix(ring.negate(ring.element(g)))
+def _restricted_action(ring, sub: Subring, matrix, g):
+    """The column matrix ``matrix`` of Ad(e^g) on g, restricted to 2g and
+    written in the subring basis (column convention)."""
     cols = []
     for b in sub.basis_coords:
-        moved = tuple(int(x) for x in (m @ np.array(b, dtype=np.int64))
+        moved = tuple(int(x) for x in (matrix @ np.array(b, dtype=np.int64))
                       % ring._mods)
         try:
             cols.append(sub.express(moved))
         except ValueError as exc:
-            raise PropertyFailed(f"Ad(e^-{g}) does not preserve 2g") from exc
+            raise PropertyFailed(f"Ad(e^{g}) does not preserve 2g") from exc
     k = len(sub.basis_coords)
     return np.array(cols, dtype=np.int64).reshape(k, k).T
 
 
 def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
-                       seed=0, audits=50, tol=1e-8) -> list[P2Cell]:
+                       seed=0, tol=1e-8) -> list[P2Cell]:
     """Partition of the irreducibles of G by coadjoint orbits in (2g)*.
 
     For each G-orbit Omega in the dual of 2g, e_Omega extends the inverse
@@ -454,6 +454,11 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     e_Omega> is nonzero; membership is certified by checking that
     chi_rho|_{G^2} is a scalar multiple of e_Omega (normalized-vector
     comparison), and the cells must cover every irreducible exactly once.
+
+    The orbits in (2g)* are closed under the duals of the group's
+    certified matrices restricted to 2g.  Restriction to the Ad(G)-stable
+    lattice 2g is a homomorphism of the action, so they are exact as in
+    ``coadjoint_orbits``.  ``seed`` drives the table when it is built here.
     """
     _require_p2_uniform(ring)
     group = group or LazardGroup(ring)
@@ -461,15 +466,13 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     sub = Subring(ring, [ring.scale(ring.basis(i), 2)
                          for i in range(ring.rank)], label="2g")
     kspace = DualSpace(sub.induced)
-
-    def perm_for(g):
-        return _dual_permutation(kspace, _restricted_action(ring, sub, g), g,
-                                 "(2g)* character lattice")
-
-    _, orbit_sets = closure_with_audit(
-        ring, len(kspace), perm_for,
-        "Ad*(e^{g}) moves (2g)* characters across orbits", seed=seed,
-        audits=audits)
+    perms = []
+    for i, B in enumerate(conjugation_certificate(group).matrices):
+        g = ring.basis(i)
+        perms.append(_dual_permutation(
+            kspace, _restricted_action(ring, sub, B.T, g), g,
+            "(2g)* character lattice"))
+    _, orbit_sets = permutation_orbits(len(kspace), perms)
 
     idx_g2 = sub.ambient_indices()
     chi_full = table.rows[:, table.partition.labels]
@@ -514,7 +517,7 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     return cells
 
 
-def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0) -> dict:
+def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
     """exp* intertwining on G^2-supported invariant functions, p = 2.
 
     Both factors supported on G^2 must always intertwine; one-factor
@@ -528,7 +531,7 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None, seed=0) -> dict:
     _require_p2_uniform(ring)
     group = group or LazardGroup(ring)
     n = len(group)
-    part = conjugacy_classes(group, seed=seed)
+    part = conjugacy_classes(group)
     r = len(part)
     even = np.all(group.elements % 2 == 0, axis=1) if ring.rank \
         else np.ones(n, dtype=bool)

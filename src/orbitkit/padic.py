@@ -327,8 +327,8 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
         len(sub.basis_coords), ring.rank)
 
     if p >= 3:
-        orbs_g = coadjoint_orbits(ring, seed=seed)
-        orbs_k = coadjoint_orbits(kring, seed=seed)
+        orbs_g = coadjoint_orbits(ring, group=group)
+        orbs_k = coadjoint_orbits(kring, group=kgroup)
         chars_g = [kirillov_character(ring, o, group=group, seed=seed)
                    for o in orbs_g]
         chars_k = [kirillov_character(kring, o, group=kgroup, seed=seed)

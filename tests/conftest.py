@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import settings
 
+from orbitkit.harmonic import ClassFunction
 from orbitkit.liering import LazardGroup, make_ring
 
 
@@ -16,6 +17,11 @@ def heisenberg(p, exponent=1):
     """Rank-3 ring over Z/p^exponent with [x, y] = z."""
     return make_ring(p, (exponent,) * 3, {(0, 1): {2: 1}},
                      label=f"heis(p={p},e={exponent})")
+
+
+def as_function(chi):
+    """A dual character as a dense function on its ring."""
+    return ClassFunction(chi.ring, chi.values_on(chi.ring.grid.elements))
 
 
 def upper_unitriangular4(q):

@@ -1,5 +1,6 @@
 """End-to-end command-line driver: reports, determinism, exit codes."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -26,6 +27,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def spy_certify(monkeypatch):
+    """Record the group of every conjugation certificate built."""
+    groups = []
+    real = oracle._certify
+
+    def spy(group):
+        groups.append(group)
+        return real(group)
+    monkeypatch.setattr(oracle, "_certify", spy)
+    return groups
 
 
 def check_named(report, name):
@@ -121,6 +134,28 @@ class TestChartable:
         assert match["matched"] == 11
         assert match["max_deviation"] < 1e-8
 
+    def test_both_methods_certify_the_group_once(self, capsys, monkeypatch):
+        groups = spy_certify(monkeypatch)
+        code, _, _ = run_json(capsys, "chartable", "--input", F3,
+                              "--method", "both")
+        assert code == 0
+        assert len(groups) == 1
+
+    def test_broken_certificate_exits_1(self, capsys, monkeypatch):
+        real = oracle._conjugation_perm
+
+        def forged(group, g):
+            perm = real(group, g)
+            perm[[5, 7]] = perm[[7, 5]]
+            return perm
+        monkeypatch.setattr(oracle, "_conjugation_perm", forged)
+        code, out, err = run(capsys, "chartable", "--input", F3,
+                             "--method", "oracle")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: AutomorphismCheckFailed: conjugation "
+                              "by e^(1, 0, 0) is not linear: grid index 5 ")
+
     def test_kirillov_refused_at_p2(self, capsys):
         code, _, err = run(capsys, "chartable", "--input", Z8,
                            "--method", "kirillov")
@@ -186,13 +221,15 @@ class TestVerify:
         assert "RegimeViolation" in err
 
     def test_seed_reaches_the_idempotent_audits(self, capsys, monkeypatch):
-        seeds = []
+        # the seed reaches the characters' sampled test; the orbits take
+        # the command's group and its certificate instead
+        calls = []
 
         def spy(name):
             real = getattr(orbitmethod, name)
 
             def wrapper(*args, **kwargs):
-                seeds.append((name, kwargs.get("seed")))
+                calls.append((name, kwargs.get("seed"), kwargs.get("group")))
                 return real(*args, **kwargs)
             monkeypatch.setattr(orbitmethod, name, wrapper)
         spy("coadjoint_orbits")
@@ -200,8 +237,11 @@ class TestVerify:
         code, _, _ = run_json(capsys, "verify", "--input", F3, "--checks",
                               "idempotents", "--seed", "3")
         assert code == 0
-        assert seeds[0] == ("coadjoint_orbits", 3)
-        assert set(seeds[1:]) == {("kirillov_character", 3)}
+        name, seed, group = calls[0]
+        assert (name, seed) == ("coadjoint_orbits", None)
+        assert group is not None
+        assert {call[:2] for call in calls[1:]} == {("kirillov_character", 3)}
+        assert all(call[2] is group for call in calls[1:])
 
     def test_p2_suite_reuses_the_group(self, capsys, monkeypatch):
         groups = []
@@ -224,19 +264,13 @@ class TestVerify:
         ids=["idempotents+expstar", "p2"])
     def test_suites_share_one_partition(self, capsys, monkeypatch, spec,
                                         checks):
-        keys = []
-        real = oracle._audited_classes
-
-        def spy(group, seed, audits):
-            keys.append((seed, audits))
-            return real(group, seed, audits)
-        monkeypatch.setattr(oracle, "_audited_classes", spy)
+        groups = spy_certify(monkeypatch)
         code, rep, _ = run_json(capsys, "verify", "--input", spec,
                                 "--seed", "4")
         assert code == 0
         assert [c["name"] for c in rep["checks"]
                 if c["status"] == "PASS"] == checks
-        assert keys == [(4, 50)]
+        assert len(groups) == 1
 
     def test_unknown_check_name(self, capsys):
         code, _, err = run(capsys, "verify", "--input", F3,
@@ -407,3 +441,33 @@ class TestInputHandling:
             cli.main(["--version"])
         assert info.value.code == 0
         assert "orbitkit" in capsys.readouterr().out
+
+
+# sha256 of whole reports at seed 0, recorded with numpy 2.4.6 on Python
+# 3.11: reports must stay byte-identical across refactors.  The float fields
+# (max_deviation, the idempotent deviations) carry round-off, so another
+# numpy or BLAS build may need them recorded afresh.
+REPORT_DIGESTS = {
+    ("chartable", "heisenberg_f3"):
+        "ff8d7505c0fb84d1e29c5de7d361781bb82e6ca65f943acbd4f81194be3ddca2",
+    ("chartable", "heisenberg_z9"):
+        "ccc699cd3646bd77d8e5aff9071586096095c788968a11a16c344773aab2a9a8",
+    ("verify", "heisenberg_f5"):
+        "6dcdbbcd934deb8efdcfa32ec280a5f37bfc2112f682b58553b3890f85229e3b",
+    ("verify", "rank3_z8_p2"):
+        "a97012abcd0abe0db88b246dde0ae27228e27c03bbc664243435de7ec77089c4",
+}
+
+
+@pytest.mark.parametrize("command, spec", sorted(REPORT_DIGESTS),
+                         ids=[f"{c}-{s}" for c, s in sorted(REPORT_DIGESTS)])
+def test_reports_are_byte_identical(command, spec, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = [command, "--input", str(SPEC_DIR / f"{spec}.json"), "--seed",
+            "0", "--output", str(out)]
+    if command == "chartable":
+        argv += ["--method", "both"]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPORT_DIGESTS[command, spec], \
+        "report differs from the one recorded with numpy 2.4.6"

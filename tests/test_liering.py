@@ -10,15 +10,19 @@ from orbitkit.chsolver import ValuationRegime, solve_phi_psi, substituted_series
 from orbitkit import liering
 from orbitkit.errors import (JacobiViolation, PropertyFailed, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
-from orbitkit.harmonic import DualSpace
-from orbitkit.liering import (Grid, LazardGroup, Subring, ad_action,
-                              check_group_axioms, make_ring, twist_map,
-                              uniform_quotient)
+from orbitkit.harmonic import DualCharacter, DualSpace
+from orbitkit.liering import (Grid, LazardGroup, Subring, check_group_axioms,
+                              make_ring, twist_map, uniform_quotient)
+from orbitkit.oracle import conjugation_certificate
 
 
 def generic_pair(p, degree=4):
     regime = ValuationRegime.generic(p)
     return solve_phi_psi(substituted_series(regime, degree), regime, degree)
+
+
+def all_passed(report):
+    return report.sum_identity and report.bijective and report.conjugate
 
 
 class TestMakeRing:
@@ -144,7 +148,7 @@ class TestGroupLaw:
         rng = random.Random(0)
         for _ in range(20):
             x = tuple(rng.randrange(5) for _ in range(3))
-            assert group.coords_of(group.index_of(x)) == x
+            assert tuple(group.elements[group.index_of(x)].tolist()) == x
 
     def test_batch_matches_scalar(self, z9):
         rng = np.random.default_rng(0)
@@ -202,14 +206,35 @@ class TestGrid:
 
 
 class TestAdjoint:
+    """The conjugation certificate against scalar CH products, and
+    Ad(e^g) = exp(ad g) off the basis through the homomorphism Ad."""
+
     def test_certified_on_random_elements(self, z9):
+        # B_s from the certificate conjugates like two scalar CH products
+        cert = conjugation_certificate(LazardGroup(z9))
         rng = random.Random(0)
+        for i, B in enumerate(cert.matrices):
+            s = z9.basis(i)
+            assert np.array_equal(B, z9.exp_ad_matrix(s).T)
+            for _ in range(10):
+                x = tuple(rng.randrange(9) for _ in range(3))
+                conj = z9.ch_multiply(z9.ch_multiply(s, x), z9.negate(s))
+                assert tuple((np.array(x) @ B % 9).tolist()) == conj
+
+    def test_products_of_generators_give_exp_ad(self, z9):
+        # Ad is a homomorphism, so the certified B_s multiply out to
+        # exp(ad g) at any g = log(s_1 ... s_k), not only at the basis
+        cert = conjugation_certificate(LazardGroup(z9))
+        rng = random.Random(2)
         for _ in range(10):
-            g = tuple(rng.randrange(9) for _ in range(3))
-            amap = ad_action(z9, g)
-            x = tuple(rng.randrange(9) for _ in range(3))
-            conj = z9.ch_multiply(z9.ch_multiply(g, x), z9.negate(g))
-            assert amap.apply(x) == conj
+            word = [rng.randrange(3) for _ in range(5)]
+            g, B = z9.zero(), np.eye(3, dtype=np.int64)
+            for i in word:
+                g = z9.ch_multiply(g, z9.basis(i))
+            # x -> x B_{s_k} ... B_{s_1} conjugates by s_1 ... s_k
+            for i in reversed(word):
+                B = B @ cert.matrices[i] % 9
+            assert np.array_equal(B, z9.exp_ad_matrix(g).T)
 
     def test_exp_ad_is_group_inverse_consistent(self, rank3_z8):
         rng = random.Random(1)
@@ -225,7 +250,7 @@ class TestAdjoint:
 class TestTwist:
     def test_exhaustive_on_heisenberg(self, h3):
         report = twist_map(h3, generic_pair(3))
-        assert report.all_passed()
+        assert all_passed(report)
         assert report.mode == "exhaustive"
         assert report.pairs_checked == 27 ** 2
 
@@ -240,7 +265,7 @@ class TestTwist:
             raise AssertionError("twist_map built its own group")
         monkeypatch.setattr(liering, "LazardGroup", refuse)
         report = twist_map(h3, generic_pair(3), group=h3_group)
-        assert report.all_passed()
+        assert all_passed(report)
 
     @pytest.mark.parametrize("budget", [2_000_000, 100],
                              ids=["exhaustive", "sampled"])
@@ -321,7 +346,7 @@ class TestTwistBlocks:
     def test_valid_pair_passes_in_blocks(self, h3, h3_group, monkeypatch):
         monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
         report = twist_map(h3, generic_pair(3), group=h3_group)
-        assert report.all_passed()
+        assert all_passed(report)
         assert report.pairs_checked == 27 ** 2
 
     def test_collisions_count_over_every_block(self, h3, h3_group,
@@ -381,6 +406,28 @@ class TestSubring:
         assert sub.induced.order() == 4
 
     def test_restrict_dual(self, h3):
+        # a character of g restricts to the subring's character whose
+        # exponents come from pairing with the subring basis
         sub = Subring(h3, [(0, 0, 1)])
-        assert sub.restrict_dual((0, 0, 2)) == (2,)
-        assert sub.restrict_dual((1, 2, 0)) == (0,)
+        assert restrict_dual(sub, (0, 0, 2)) == (2,)
+        assert restrict_dual(sub, (1, 2, 0)) == (0,)
+        idx = sub.ambient_indices()
+        for exponents in ((0, 0, 2), (1, 2, 1), (2, 0, 0)):
+            ambient = DualCharacter(h3, exponents).values_on(h3.grid.elements)
+            restricted = DualCharacter(sub.induced, restrict_dual(
+                sub, exponents)).values_on(sub.induced.grid.elements)
+            assert np.allclose(ambient[idx], restricted, atol=1e-12)
+
+
+def restrict_dual(sub, exponents):
+    """Restriction of a dual character of g (given by its exponent vector)
+    to a character of the subring in its own basis."""
+    ring = sub.ring
+    out = []
+    for b, kappa in zip(sub.basis_coords, sub.orders):
+        e_val = sum(int(a) * int(c) * ring.p ** (ring.cap - k)
+                    for a, c, k in zip(exponents, b, ring.moduli)) % ring.big
+        div = ring.p ** (ring.cap - kappa)
+        assert e_val % div == 0, "character does not restrict"
+        out.append(e_val // div % ring.p ** kappa)
+    return tuple(out)

@@ -10,15 +10,17 @@ from hypothesis import given
 
 from orbitkit import oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
-from orbitkit.errors import (DegenerateSpectrum, DomainMismatch, NoMatching,
-                             StabilityCheckFailed, ValidationFailed)
+from orbitkit.errors import (AutomorphismCheckFailed, DegenerateSpectrum,
+                             DomainMismatch, NoMatching, StabilityCheckFailed,
+                             ValidationFailed)
 from orbitkit.harmonic import ClassFunction, DualCharacter
-from orbitkit.liering import LazardGroup, Subring
+from orbitkit.liering import FiniteLieRing, LazardGroup, Subring
 from orbitkit.oracle import (character_table, class_matrix,
-                             closure_with_audit, conjugacy_classes,
+                             conjugacy_classes, conjugation_certificate,
                              match_tables, permutation_orbits,
                              restriction_multiplicity)
 
+from conftest import as_function
 from test_orbitmethod import small_rings
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -80,8 +82,9 @@ def bfs_orbits(n, perms):
 
 
 def closures_match_bfs(monkeypatch, ring):
-    """Run the class and coadjoint closures of a ring, and compare every
-    permutation_orbits call they make with the breadth-first reference."""
+    """Run the class and coadjoint closures of a ring on one group, compare
+    every permutation_orbits call they make (generation, classes, g*) with
+    the breadth-first reference, and check the certificate they share."""
     calls = []
     real = oracle.permutation_orbits
 
@@ -90,9 +93,11 @@ def closures_match_bfs(monkeypatch, ring):
         calls.append((n, perms, out))
         return out
     monkeypatch.setattr(oracle, "permutation_orbits", spy)
-    conjugacy_classes(LazardGroup(ring))
-    orbitmethod.coadjoint_orbits(ring)
-    assert len(calls) == 2
+    monkeypatch.setattr(orbitmethod, "permutation_orbits", spy)
+    group = LazardGroup(ring)
+    conjugacy_classes(group)
+    orbitmethod.coadjoint_orbits(ring, group=group)
+    assert len(calls) == 3
     for n, perms, (labels, orbits) in calls:
         want_labels, want_orbits = bfs_orbits(n, perms)
         assert labels.dtype == want_labels.dtype
@@ -101,6 +106,24 @@ def closures_match_bfs(monkeypatch, ring):
         for got, want in zip(orbits, want_orbits):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+    assert_certificate(group)
+
+
+def assert_certificate(group):
+    """The group's certificate against direct references: a breadth-first
+    walk from the identity under right multiplication by the generators
+    reaches all of G, conjugation by each generator is x @ B_s mod the
+    moduli in one integer product, and B_s is exp(ad e_i) transposed."""
+    ring, E = group.ring, group.elements
+    cert = conjugation_certificate(group)
+    gens = [ring.basis(i) for i in range(ring.rank)]
+    right = [group.index_batch(ring.ch_batch(E, np.array(s))) for s in gens]
+    assert len(bfs_orbits(len(group), right)[1]) == 1
+    assert len(cert.matrices) == ring.rank
+    for s, B in zip(gens, cert.matrices):
+        assert np.array_equal(B, ring.exp_ad_matrix(s).T)
+        assert np.array_equal(group.conjugate_batch(s, E),
+                              E @ B % ring._mods)
 
 
 def spec_paths():
@@ -131,81 +154,81 @@ class TestLabelFixpoint:
                 [o.tolist() for o in want_orbits]
 
 
-def first_audit_element(ring, seed):
-    rng = np.random.default_rng(seed)
-    return tuple(int(rng.integers(0, s)) for s in ring.sizes)
-
-
-def failing_audit(real, generators):
-    """``real`` for the closure's generator calls, then the real permutation
-    shifted by one place, which moves index 0 (a singleton orbit: the
-    identity, or the trivial character) onto another orbit."""
-    calls = []
-
-    def fake(*args):
-        calls.append(args)
-        perm = real(*args)
-        return perm if len(calls) <= generators else np.roll(perm, 1)
-    return fake
-
-
-class TestClosureWithAudit:
-    def test_generators_then_audits_in_seeded_order(self, h3):
+class TestConjugationCertificate:
+    def test_generators_are_the_basis_exponentials(self, h3, monkeypatch):
         seen = []
 
-        def perm_for(g):
-            seen.append(g)
-            return np.arange(5)
-        closure_with_audit(h3, 5, perm_for, "{g}", seed=4, audits=3)
-        assert seen[:6] == [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 2, 0),
-                            (0, 0, 1), (0, 0, 2)]
-        rng = np.random.default_rng(4)
-        assert seen[6:] == [tuple(int(rng.integers(0, s)) for s in h3.sizes)
-                            for _ in range(3)]
+        def spy(name):
+            real = getattr(oracle, name)
 
-    def test_orbits_of_synthetic_generators(self, h3):
-        swap = np.array([1, 0, 2, 3, 4, 5])
+            def wrapper(group, g):
+                seen.append((name, tuple(g)))
+                return real(group, g)
+            monkeypatch.setattr(oracle, name, wrapper)
+        spy("_right_perm")
+        spy("_conjugation_perm")
+        group = LazardGroup(h3)
+        assert group.certificate is None
+        cert = conjugation_certificate(group)
+        basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert seen == [("_right_perm", g) for g in basis] + \
+            [("_conjugation_perm", g) for g in basis]
+        assert group.certificate is cert
+        assert conjugation_certificate(group) is cert
+        assert orbitmethod.coadjoint_orbits(h3, group=group)
+        assert len(seen) == 6
+        # [x, y] = z: conjugation by e^x adds y's coefficient to z's
+        assert cert.matrices[0].tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
 
-        def perm_for(g):
-            return swap if g in ((1, 0, 0), (2, 0, 0)) else np.arange(6)
-        labels, orbits = closure_with_audit(h3, 6, perm_for, "{g}", seed=0,
-                                            audits=10)
-        assert [o.tolist() for o in orbits] == [[0, 1], [2], [3], [4], [5]]
-        assert labels.tolist() == [0, 0, 1, 2, 3, 4]
+    def test_non_generating_basis_witness(self, h3, monkeypatch):
+        # right multiplication by e^x forged to the identity: e^y and e^z
+        # generate {e^(b y + c z)}, of order 9
+        real = oracle._right_perm
 
-    def test_failed_audit_raises_with_witness(self, h3):
-        perm_for = failing_audit(lambda g: np.arange(3), 6)
+        def forged(group, g):
+            if tuple(g) == (1, 0, 0):
+                return np.arange(len(group))
+            return real(group, g)
+        monkeypatch.setattr(oracle, "_right_perm", forged)
         with pytest.raises(StabilityCheckFailed) as info:
-            closure_with_audit(h3, 3, perm_for, "moved by {g}", seed=2,
-                               audits=5)
-        assert str(info.value) == f"moved by {first_audit_element(h3, 2)}"
+            conjugacy_classes(LazardGroup(h3))
+        assert str(info.value) == ("the basis exponentials generate a "
+                                   "subgroup of order 9, not all 27 "
+                                   "elements of G")
 
-    def test_conjugacy_classes_witness(self, h3, monkeypatch):
-        # a fresh group: a partition kept on a shared one skips the audit
-        monkeypatch.setattr(oracle, "_conjugation_perm", failing_audit(
-            oracle._conjugation_perm, 6))
-        with pytest.raises(StabilityCheckFailed) as info:
-            conjugacy_classes(LazardGroup(h3), seed=1)
-        g = first_audit_element(h3, 1)
-        assert str(info.value) == \
-            f"conjugation by {g} moves elements across classes"
+    def test_non_linear_conjugation_witness(self, h3, monkeypatch):
+        # conjugation by e^y forged to swap the images of grid indices 5
+        # and 7, neither of them a basis vector (indices 9, 3 and 1)
+        real = oracle._conjugation_perm
 
-    def test_coadjoint_orbits_witness(self, h3, monkeypatch):
-        monkeypatch.setattr(orbitmethod, "_dual_permutation", failing_audit(
-            orbitmethod._dual_permutation, 6))
-        with pytest.raises(StabilityCheckFailed) as info:
-            orbitmethod.coadjoint_orbits(h3, seed=1)
-        g = first_audit_element(h3, 1)
-        assert str(info.value) == f"Ad*(e^{g}) moves characters across orbits"
+        def forged(group, g):
+            perm = real(group, g)
+            if tuple(g) == (0, 1, 0):
+                perm[[5, 7]] = perm[[7, 5]]
+            return perm
+        monkeypatch.setattr(oracle, "_conjugation_perm", forged)
+        want = real(LazardGroup(h3), (0, 1, 0))
+        with pytest.raises(AutomorphismCheckFailed) as info:
+            orbitmethod.coadjoint_orbits(h3)
+        assert str(info.value) == (
+            f"conjugation by e^(0, 1, 0) is not linear: grid index 5 goes "
+            f"to {want[7]}, x B_s to {want[5]}")
 
-    def test_p2_orbit_partition_witness(self, abelian_z4sq, monkeypatch):
-        monkeypatch.setattr(orbitmethod, "_dual_permutation", failing_audit(
-            orbitmethod._dual_permutation, 4))
-        with pytest.raises(StabilityCheckFailed) as info:
-            orbitmethod.p2_orbit_partition(abelian_z4sq, seed=1)
-        g = first_audit_element(abelian_z4sq, 1)
-        assert str(info.value) == \
-            f"Ad*(e^{g}) moves (2g)* characters across orbits"
+    def test_adjoint_mismatch_witness(self, abelian_z4sq, monkeypatch):
+        # exp(ad e_0) forged to move e_1 to e_0 + e_1; conjugation in the
+        # abelian group fixes e_1
+        real = FiniteLieRing.exp_ad_matrix
+
+        def forged(ring, w):
+            m = real(ring, w)
+            if ring is abelian_z4sq and tuple(w) == (1, 0):
+                m[0, 1] += 1
+            return m
+        monkeypatch.setattr(FiniteLieRing, "exp_ad_matrix", forged)
+        with pytest.raises(AutomorphismCheckFailed) as info:
+            orbitmethod.p2_orbit_partition(abelian_z4sq)
+        assert str(info.value) == ("conjugation by e^(1, 0) maps e_1 to "
+                                   "(0, 1), exp(ad (1, 0)) to (1, 1)")
 
 
 class TestConjugacyClasses:
@@ -240,23 +263,22 @@ class TestConjugacyClasses:
         assert len(part) == 105
         assert part.sizes.sum() == 729
 
-    def test_partition_is_kept_per_group_and_key(self, h3, monkeypatch):
-        keys = []
-        real = oracle._audited_classes
+    def test_partition_is_kept_per_group(self, h3, monkeypatch):
+        groups = []
+        real = oracle._certify
 
-        def spy(group, seed, audits):
-            keys.append((seed, audits))
-            return real(group, seed, audits)
-        monkeypatch.setattr(oracle, "_audited_classes", spy)
+        def spy(group):
+            groups.append(group)
+            return real(group)
+        monkeypatch.setattr(oracle, "_certify", spy)
         group = LazardGroup(h3)
         part = conjugacy_classes(group)
         assert conjugacy_classes(group) is part
         assert character_table(group).partition is part
-        assert conjugacy_classes(group, seed=1) is not part
-        assert conjugacy_classes(group, audits=3) is not part
+        assert group.certificate.partition is part
+        orbitmethod.coadjoint_orbits(h3, group=group)
         assert conjugacy_classes(LazardGroup(h3)) is not part
-        assert keys == [(0, 50), (1, 50), (0, 3), (0, 50)]
-        assert sorted(group.partitions) == [(0, 3), (0, 50), (1, 50)]
+        assert len(groups) == 2 and groups[0] is group
         with pytest.raises(ValueError):
             conjugacy_classes(group, cap=10)
 
@@ -288,13 +310,13 @@ class TestCharacterTable:
 
     def test_row_orthogonality(self, h3_group):
         table = character_table(h3_group)
-        sizes = table.class_sizes.astype(np.float64)
+        sizes = table.partition.sizes.astype(np.float64)
         gram = (table.rows * sizes[None, :]) @ table.rows.conj().T / 27
         assert np.max(np.abs(gram - np.eye(len(table)))) < 1e-9
 
     def test_column_orthogonality(self, h3_group):
         table = character_table(h3_group)
-        sizes = table.class_sizes.astype(np.float64)
+        sizes = table.partition.sizes.astype(np.float64)
         gram = table.rows.T @ table.rows.conj()
         assert np.max(np.abs(gram - np.diag(27 / sizes))) < 1e-8
 
@@ -354,7 +376,7 @@ class TestRestrictionMultiplicity:
         table = character_table(h3_group)
         funcs = full_functions(table)
         sub = Subring(h3, [(0, 0, 1)])
-        central = [DualCharacter(sub.induced, (j,)).as_function()
+        central = [as_function(DualCharacter(sub.induced, (j,)))
                    for j in range(3)]
         i = int(np.argmax(table.degrees))
         assert table.degrees[i] == 3
@@ -369,7 +391,7 @@ class TestRestrictionMultiplicity:
         table = character_table(h3_group)
         funcs = full_functions(table)
         sub = Subring(h3, [(0, 0, 1)])
-        trivial = DualCharacter(sub.induced, (0,)).as_function()
+        trivial = as_function(DualCharacter(sub.induced, (0,)))
         for i in range(len(table)):
             if table.degrees[i] != 1:
                 continue
@@ -380,7 +402,7 @@ class TestRestrictionMultiplicity:
         table = character_table(h3_group)
         funcs = full_functions(table)
         sub = Subring(h3, [(0, 0, 1)])
-        central = [DualCharacter(sub.induced, (j,)).as_function()
+        central = [as_function(DualCharacter(sub.induced, (j,)))
                    for j in range(3)]
         for i in (0, int(np.argmax(table.degrees))):
             total = sum(restriction_multiplicity(h3_group, sub, funcs[i],
@@ -391,14 +413,14 @@ class TestRestrictionMultiplicity:
     def test_ring_domain_ambient_character_rejected(self, h3, h3_group):
         sub = Subring(h3, [(0, 0, 1)])
         chi_g = ClassFunction(h3, np.ones(27))
-        psi = DualCharacter(sub.induced, (0,)).as_function()
+        psi = as_function(DualCharacter(sub.induced, (0,)))
         with pytest.raises(DomainMismatch):
             restriction_multiplicity(h3_group, sub, chi_g, psi)
 
     def test_foreign_subring_character_rejected(self, h3, h3_group):
         sub = Subring(h3, [(0, 0, 1)])
         chi_g = ClassFunction(h3_group, np.ones(27))
-        psi = DualCharacter(h3, (0, 0, 0)).as_function()
+        psi = as_function(DualCharacter(h3, (0, 0, 0)))
         with pytest.raises(DomainMismatch):
             restriction_multiplicity(h3_group, sub, chi_g, psi)
 
@@ -410,7 +432,7 @@ def full_sum_table(group, *, seed=0, retries=8, gap=1e-6, tol=1e-8):
     matrix summed for every retry up front, one eig per retry, rows sorted
     by an eager key.  Returns (rows, degrees, class sizes, attempt).  The
     sums run as one product per block of 16 classes."""
-    part = conjugacy_classes(group, seed=seed)
+    part = conjugacy_classes(group)
     r, n = len(part), len(group)
     sizes = part.sizes.astype(np.float64)
     weights = np.random.default_rng(seed).standard_normal((retries, r))
@@ -460,7 +482,7 @@ def eager_order(degrees, rows):
 def assert_same_table(table, seed=0):
     rows, degrees, sizes, _ = full_sum_table(table.group, seed=seed)
     assert np.array_equal(table.degrees, degrees)
-    assert np.array_equal(table.class_sizes, sizes)
+    assert np.array_equal(table.partition.sizes, sizes)
     assert eager_order(table.degrees, table.rows) == list(range(len(rows)))
     assert np.max(np.abs(table.rows - rows)) < 1e-9
 

@@ -310,12 +310,12 @@ def ref_exp_star_witness(part, t_grp, t_add):
     return None
 
 
-def dict_counts_check(ring, group, seed=0, t_add=None):
+def dict_counts_check(ring, group, t_add=None):
     """The table branch of p2_convolution_check on element-level tables, as
     it stood before the class-count check; ``t_add`` replaces the additive
     table.  Both count matrices of a class are built when it is visited."""
     n = len(group)
-    part = conjugacy_classes(group, seed=seed)
+    part = conjugacy_classes(group)
     labels, r = part.labels, len(part)
     even = np.all(group.elements % 2 == 0, axis=1)
     inside = [a for a in range(r) if bool(even[part.classes[a]].all())]
