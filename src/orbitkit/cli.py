@@ -307,7 +307,7 @@ def cmd_chartable(args) -> int:
             raise RegimeViolation(
                 "the orbit-method character formula needs p >= 3")
         orbits = coadjoint_orbits(ring, group=group)
-        chars = [kirillov_character(ring, orb, group=group, seed=seed)
+        chars = [kirillov_character(ring, orb, group=group)
                  for orb in orbits]
         report["kirillov"] = {
             "orbits": len(orbits),
@@ -353,9 +353,8 @@ def _twist_data(ring, group):
                            "conjugate": rep.conjugate}}
 
 
-def _idempotent_data(ring, group, seed, tol):
-    rep = verify_idempotents(ring, group=group, seed=seed,
-                             tol=max(tol, 1e-8))
+def _idempotent_data(ring, group, tol):
+    rep = verify_idempotents(ring, group=group, tol=max(tol, 1e-8))
     if not rep["passed"]:
         raise PropertyFailed(f"witness: {rep['witness']}")
     return {key: rep[key] for key in ("orbits", "fourier_indicator",
@@ -416,7 +415,7 @@ def cmd_verify(args) -> int:
               "tolerance": tol, "checks": checks}
     start = time.perf_counter()
     thunks = {
-        "idempotents": lambda: _idempotent_data(ring, group, seed, tol),
+        "idempotents": lambda: _idempotent_data(ring, group, tol),
         "expstar": lambda: _expstar_data(ring, group),
         "twist": lambda: _twist_data(ring, group),
         "p2": lambda: _p2_data(ring, group, seed, tol),

@@ -44,12 +44,6 @@ def _same_domain(a, b) -> bool:
     return _ring_of(a) is _ring_of(b)
 
 
-def element_table(domain):
-    """Lex-ordered coordinate rows of the domain's elements: the rows of the
-    ring's grid, shared by g and G."""
-    return _ring_of(domain).grid.elements
-
-
 class DualCharacter:
     """A character of (g, +), held as its exact exponent vector.
 

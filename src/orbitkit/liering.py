@@ -833,15 +833,12 @@ class LazardGroup:
     """exp(g) as coordinate vectors with CH multiplication; its elements are
     the rows of the ring's grid."""
 
-    __slots__ = ("ring", "size", "elements", "audit_perms", "certificate")
+    __slots__ = ("ring", "size", "elements", "certificate")
 
     def __init__(self, ring: FiniteLieRing):
         self.ring = ring
         self.size = ring.order()
         self.elements = ring.grid.elements
-        # (seed, samples) -> the (g, conjugation permutation) pairs of
-        # kirillov_character's audit, filled on first use
-        self.audit_perms = {}
         # the oracle's conjugation certificate: the generators' matrices and
         # the one conjugacy-class partition, built on first use
         # (oracle.conjugation_certificate), never here
@@ -852,17 +849,6 @@ class LazardGroup:
 
     def index_batch(self, X):
         return self.ring.grid.index_batch(X)
-
-    @property
-    def identity(self):
-        return self.ring.zero()
-
-    def inverse(self, u):
-        return self.ring.negate(u)
-
-    def conjugate(self, g, x):
-        gx = self.ring.ch_multiply(g, x)
-        return self.ring.ch_multiply(gx, self.ring.negate(g))
 
     def conjugate_batch(self, g, X):
         g = np.asarray(g, dtype=np.int64)

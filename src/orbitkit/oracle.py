@@ -255,14 +255,16 @@ class CharTable:
                 f"degrees up to {int(self.degrees.max(initial=1))})")
 
 
-def class_matrix(group, part, a):
+def class_matrix(group, part, a, law=GROUP):
     """Burnside's class matrix M_a as an (r, r) integer array.
 
     (M_a)_{b,c} counts pairs x in C_a, y in C_b with x y = z_c, the
     representative of class c: the x in C_a with x^{-1} z_c in C_b.
+    ``law`` picks the meaning of x^{-1} z_c as in ``harmonic.translates``;
+    ``ADDITIVE`` counts the x in C_a with z_c - x in C_b instead.
     """
     r = len(part)
-    b = part.labels[translates(group, GROUP, part.classes[a], part.reps)]
+    b = part.labels[translates(group, law, part.classes[a], part.reps)]
     flat = b * r + np.arange(r, dtype=np.int64)
     return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
 

@@ -12,17 +12,19 @@ restricted to 2g, in (2g)*; no orbit is audited by sampling.
 
 The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
 inverse Fourier transform of the orbit's indicator, one library FFT on the
-ring's grid; orbit membership stays exact, the values carry the FFT's
-round-off.  The convolution-identity suites reduce exhaustive claims about
-conjugation-invariant functions to class-indicator pairs (bilinearity) and
-compare the integer counts N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
-under both laws, so those checks are exact at every group order: the group
-side is Burnside's class matrix, the additive side is counted at every
-element, and both come from ``harmonic.translates``.  The idempotent suite
-checks that each orbit idempotent is constant on the oracle's classes and
-multiplies the idempotents in the class algebra, again through Burnside's
-class matrices, so every suite runs at any group order without an n x n
-table.
+ring's grid, checked constant on every conjugacy class; orbit membership
+stays exact, the values carry the FFT's round-off.  The convolution-identity
+suites reduce exhaustive claims about conjugation-invariant functions to
+class-indicator pairs (bilinearity) and compare the integer counts
+N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b} under both laws, so those
+checks are exact at every group order.  The certified generators act
+additively, so the additive counts are constant on classes as the group
+counts are, and both laws are counted at the class representatives only,
+as r x r matrices (``oracle.class_matrix`` under either law).  The
+idempotent suite checks that each orbit idempotent is constant on the
+oracle's classes and multiplies the idempotents in the class algebra,
+again through Burnside's class matrices, so every suite runs at any group
+order without an n x n table.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ import numpy as np
 
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
-from .harmonic import (ADDITIVE, GROUP, ClassFunction, DualFunction,
-                       DualSpace, exp_star, fourier, inverse_fourier,
-                       translates)
+from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
+                       exp_star, fourier, inverse_fourier, translates)
 from .liering import FiniteLieRing, LazardGroup, Subring
-from .oracle import (_conjugation_perm, character_table, class_matrix,
-                     conjugacy_classes, conjugation_certificate,
-                     permutation_orbits)
+from .oracle import (character_table, class_matrix, conjugacy_classes,
+                     conjugation_certificate, permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
@@ -124,34 +124,30 @@ class KirillovCharacter:
 
 
 def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
-                       group=None, seed=0, samples=5,
-                       tol=1e-9) -> KirillovCharacter:
+                       group=None, tol=1e-9) -> KirillovCharacter:
     """Orbit character on G via the identity coordinate map exp.
 
     The orbit size must be a perfect square (its root is the degree), and
-    the result is checked for conjugation-invariance on sampled elements.
+    the character must be constant on every conjugacy class, exactly as
+    the group's conjugation certificate closes them (the classes behind
+    ``coadjoint_orbits``, with no order cap): max_x |chi(x) - chi(z_[x])|
+    <= ``tol``, z_[x] the representative of the class of x, else
+    PropertyFailed names the deviation and the first grid index where it
+    is largest.
     """
     size = orbit.size
     root = math.isqrt(size)
     if root * root != size:
         raise PropertyFailed(f"orbit size {size} is not a perfect square")
     group = group or LazardGroup(ring)
+    part = conjugation_certificate(group).partition
     vals = inverse_fourier(orbit.indicator()).values / root
-    # the rng is seeded afresh on every call, so every orbit draws the same
-    # elements g: their permutations are worked out once per group
-    key = (seed, samples)
-    if key not in group.audit_perms:
-        rng = np.random.default_rng(seed)
-        gs = [tuple(int(rng.integers(0, s)) for s in ring.sizes)
-              for _ in range(samples)]
-        group.audit_perms[key] = [(g, _conjugation_perm(group, g))
-                                  for g in gs]
-    for g, perm in group.audit_perms[key]:
-        dev = np.max(np.abs(vals[perm] - vals))
-        if dev > tol:
-            raise PropertyFailed(
-                f"orbit character varies on a conjugacy class: "
-                f"deviation {dev:.2e} under conjugation by e^{g}")
+    spread = np.abs(vals - vals[part.reps][part.labels])
+    x = int(np.argmax(spread))
+    if spread[x] > tol:
+        raise PropertyFailed(
+            f"orbit character varies on a conjugacy class: deviation "
+            f"{spread[x]:.2e} at grid index {x}")
     return KirillovCharacter(orbit,
                              ClassFunction(group, vals, tolerance=tol,
                                            invariant=True))
@@ -166,52 +162,57 @@ def _count_mismatch(group, part, a, rows=None):
 
     Convolving the indicators of C_a and C_b gives N_a[b, .]/|G| under each
     law, so agreement for every a is the exact all-pairs intertwining test.
-    The additive side is counted at every c.  The group side is class a's
-    class matrix at the representatives, spread over ``part.labels``: the
-    labels are the conjugacy classes, and conjugation permutes C_a and C_b,
-    so the group counts are constant on each label.  Counts agree when the
-    sorted label columns do, with labels outside ``rows`` masked out; the
-    count matrices are built only to read a witness.
+    The two laws are compared as r x r count matrices at the class
+    representatives, ``class_matrix`` under each law, and that suffices:
+
+    * The group counts are constant on classes: conjugation by g permutes
+      C_a and C_b and maps h^{-1} x_c to (g h g^-1)^{-1} (g x_c g^-1).
+    * So are the additive counts N+_a.  Each generator s of the group's
+      conjugation certificate acts as x -> x B_s, a map that is additive
+      and permutes C_a and C_b, so x_c B_s - x_h B_s = (x_c - x_h) B_s
+      gives N+_a[b, c B_s] = N+_a[b, c].  The generators generate G, so
+      N+_a is constant on every class.
+    * So a mismatch at any c also shows at the representative of its
+      class, and the first failing a is the one a count at every element
+      finds.
+
+    Only on a mismatch is class a recounted at every c, to read the first
+    witness in row-major order.
     """
-    labels, r = part.labels, len(part)
-    members = part.classes[a]
-    grp = labels[translates(group, GROUP, members, part.reps)]
-    add = labels[translates(group, ADDITIVE, members)]
-    if rows is None:
-        rows = range(r)
-        g_cols, a_cols = grp, add
-    else:
-        keep = np.zeros(r, dtype=bool)
-        keep[rows] = True
-        g_cols, a_cols = (np.where(keep[lab], lab, -1) for lab in (grp, add))
-    if np.array_equal(np.sort(g_cols, axis=0)[:, labels],
-                      np.sort(a_cols, axis=0)):
+    keep = slice(None) if rows is None else rows
+    M = class_matrix(group, part, a)
+    if np.array_equal(M[keep], class_matrix(group, part, a, ADDITIVE)[keep]):
         return None
-    n = len(labels)
+    labels, r, n = part.labels, len(part), len(group)
+    rows = np.arange(r) if rows is None else np.asarray(rows)
+    add = labels[translates(group, ADDITIVE, part.classes[a])]
     by_sum = np.bincount((add * n + np.arange(n)).ravel(),
                          minlength=r * n).reshape(r, n)
-    rows = np.asarray(rows)
-    bad = (class_matrix(group, part, a)[:, labels] != by_sum)[rows]
+    bad = (M[:, labels] != by_sum)[rows]
     b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
     return (a, int(rows[b]), int(c))
 
 
 def _pair_deviation(group, part, pairs) -> float:
-    """max |f1 *_G f2 - f1 *_+ f2| over the pairs of class functions, read
-    at the representatives, one class a of h at a time: the group side from
-    the class matrix, (f1 *_G f2)(c) = (1/|G|) sum_{a,b} f1(C_a) f2(C_b)
-    M_a[b, c], the additive side from the translates x_c - x_h."""
+    """max |f1 *_G f2 - f1 *_+ f2| over the pairs of class functions.
+
+    Both convolutions of class functions are constant on classes
+    (``_count_mismatch``), so they are read at the representatives z_c
+    from the count matrices of each class a of h under both laws:
+
+      (f1 *_G f2 - f1 *_+ f2)(z_c)
+        = (1/|G|) sum_a f1(z_a) (v2 @ (M_a - N+_a))[c],
+
+    with v2 the values of f2 at the representatives.
+    """
     if not pairs:
         return 0.0
-    diff = np.zeros((len(pairs), len(group)), dtype=np.complex128)
+    diff = np.zeros((len(pairs), len(part)), dtype=np.complex128)
     for a in range(len(part)):
-        M = class_matrix(group, part, a)
-        T = part.labels[translates(group, ADDITIVE, part.classes[a])]
+        D = class_matrix(group, part, a) - class_matrix(group, part, a,
+                                                        ADDITIVE)
         for k, (f1, f2) in enumerate(pairs):
-            v2 = f2.values[part.reps]
-            by_group = (v2 @ M)[part.labels]
-            by_sum = v2[T].sum(axis=0)
-            diff[k] += f1.values[part.reps[a]] * (by_group - by_sum)
+            diff[k] += f1.values[part.reps[a]] * (f2.values[part.reps] @ D)
     return float(np.max(np.abs(diff))) / len(group)
 
 
@@ -290,15 +291,14 @@ def _class_algebra_deviations(group, part, at_reps):
 
 
 def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
-                       characters=None, seed=0, tol=1e-8) -> dict:
+                       characters=None, tol=1e-8) -> dict:
     """(a)-(d) idempotent package for e_Omega = |Omega|^{1/2} chi_Omega.
 
     (a) the Fourier transform of e_Omega pulled back to g is the indicator
     of Omega; (b) e_Omega is idempotent under group convolution; (c)
     distinct idempotents annihilate; (d) they sum to |G| delta_identity.
-    ``seed`` drives the sampled invariance test of the orbit characters
-    when those are built here; the classes and orbits come exactly from the
-    group's conjugation certificate.
+    The classes and orbits come exactly from the group's conjugation
+    certificate.
 
     (b) and (c) run in the class algebra, at every group order.  First each
     e_i must be constant on the oracle's conjugacy classes: the deviation
@@ -324,7 +324,7 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
     part = conjugacy_classes(group)
     orbits = orbits or coadjoint_orbits(ring, group=group)
     if characters is None:
-        characters = (kirillov_character(ring, o, group=group, seed=seed)
+        characters = (kirillov_character(ring, o, group=group)
                       for o in orbits)
     at_reps = np.empty((len(orbits), len(part)), dtype=np.complex128)
     total = np.zeros(n, dtype=np.complex128)
@@ -374,7 +374,8 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None,
     The check is exhaustive and exact at every size: class indicators span
     the invariant functions, so by bilinearity it compares the integer
     counts N_a[b, c] of both laws for every pair of classes and every
-    element (``_count_mismatch``).  Explicit ``pairs``, validated for
+    element, read at the class representatives (``_count_mismatch`` says
+    why that covers every element).  Explicit ``pairs``, validated for
     invariance first, and ``trials`` random invariant pairs follow from the
     same counts: their deviation is 0.0 once the counts agree, and they are
     reported as ``pairs_checked`` and ``max_deviation``.  On a mismatch the
@@ -523,10 +524,11 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
     Both factors supported on G^2 must always intertwine; one-factor
     support suffices when [g,g] lies in 8g (uniform depth >= 3).  Each claim
     is checked exactly at every size, by comparing the integer counts
-    N_a[b, c] of both laws for the classes a, b it covers
-    (``_count_mismatch``).  When a conjugation-invariant pair outside those
-    hypotheses breaks the identity, its first (a, b, c) is recorded as the
-    expected failure witness.
+    N_a[b, c] of both laws for the classes a, b it covers, read at the
+    class representatives (``_count_mismatch`` with the rows b).  When a
+    conjugation-invariant pair outside those hypotheses breaks the
+    identity, its first (a, b, c) is recorded as the expected failure
+    witness.
     """
     _require_p2_uniform(ring)
     group = group or LazardGroup(ring)

@@ -329,9 +329,8 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     if p >= 3:
         orbs_g = coadjoint_orbits(ring, group=group)
         orbs_k = coadjoint_orbits(kring, group=kgroup)
-        chars_g = [kirillov_character(ring, o, group=group, seed=seed)
-                   for o in orbs_g]
-        chars_k = [kirillov_character(kring, o, group=kgroup, seed=seed)
+        chars_g = [kirillov_character(ring, o, group=group) for o in orbs_g]
+        chars_k = [kirillov_character(kring, o, group=kgroup)
                    for o in orbs_k]
         row_of_g = match_tables([c.values for c in chars_g], table_g).assignment
         row_of_k = match_tables([c.values for c in chars_k], table_k).assignment

@@ -220,16 +220,16 @@ class TestVerify:
         assert code == 2
         assert "RegimeViolation" in err
 
-    def test_seed_reaches_the_idempotent_audits(self, capsys, monkeypatch):
-        # the seed reaches the characters' sampled test; the orbits take
-        # the command's group and its certificate instead
+    def test_idempotent_suite_shares_the_group(self, capsys, monkeypatch):
+        # the orbits and the characters take the command's group and its
+        # certificate; the seed reaches neither, since both are exact
         calls = []
 
         def spy(name):
             real = getattr(orbitmethod, name)
 
             def wrapper(*args, **kwargs):
-                calls.append((name, kwargs.get("seed"), kwargs.get("group")))
+                calls.append((name, kwargs.get("group"), "seed" in kwargs))
                 return real(*args, **kwargs)
             monkeypatch.setattr(orbitmethod, name, wrapper)
         spy("coadjoint_orbits")
@@ -237,11 +237,12 @@ class TestVerify:
         code, _, _ = run_json(capsys, "verify", "--input", F3, "--checks",
                               "idempotents", "--seed", "3")
         assert code == 0
-        name, seed, group = calls[0]
-        assert (name, seed) == ("coadjoint_orbits", None)
+        assert calls[0][0] == "coadjoint_orbits"
+        assert {call[0] for call in calls[1:]} == {"kirillov_character"}
+        group = calls[0][1]
         assert group is not None
-        assert {call[:2] for call in calls[1:]} == {("kirillov_character", 3)}
-        assert all(call[2] is group for call in calls[1:])
+        assert all(call[1] is group for call in calls)
+        assert not any(call[2] for call in calls)
 
     def test_p2_suite_reuses_the_group(self, capsys, monkeypatch):
         groups = []
@@ -454,6 +455,8 @@ REPORT_DIGESTS = {
         "ccc699cd3646bd77d8e5aff9071586096095c788968a11a16c344773aab2a9a8",
     ("verify", "heisenberg_f5"):
         "6dcdbbcd934deb8efdcfa32ec280a5f37bfc2112f682b58553b3890f85229e3b",
+    ("verify", "heisenberg_z9"):
+        "f7d557fee0b26564556afacbb1b2544963b084d394907b174a03df7bdba4dfed",
     ("verify", "rank3_z8_p2"):
         "a97012abcd0abe0db88b246dde0ae27228e27c03bbc664243435de7ec77089c4",
 }

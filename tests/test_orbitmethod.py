@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit import harmonic, orbitmethod
+from orbitkit import harmonic, oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import PropertyFailed, RegimeViolation, UnexpectedFailure
 from orbitkit.harmonic import ADDITIVE, ClassFunction, DualSpace, inner
@@ -372,17 +373,30 @@ def dict_counts_check(ring, group, t_add=None):
 
 
 def _swapped_translates(h, cols):
-    """harmonic.translates with two columns of h's additive row swapped,
-    as if the additive table had that swap."""
+    """harmonic.translates with grid columns ``cols`` swapped in h's
+    additive row, as if the additive table had that swap.  A call may ask
+    for a subset of the grid's columns, such as the class representatives,
+    so the swapped row is read at the requested columns."""
     real = harmonic.translates
 
     def patched(domain, law, rows, cols_=None):
         out = real(domain, law, rows, cols_)
-        if law == ADDITIVE:
-            at = np.flatnonzero(np.arange(len(domain))[rows] == h)
-            out[np.ix_(at, cols)] = out[np.ix_(at, cols[::-1])]
+        at = np.flatnonzero(np.arange(len(domain))[rows] == h)
+        if law == ADDITIVE and at.size:
+            row = real(domain, law, [h])[0]
+            row[cols] = row[cols[::-1]]
+            out[at] = row if cols_ is None else row[cols_]
         return out
     return patched
+
+
+def _patching_translates(patched):
+    """Both callers of harmonic.translates in the count checks, the class
+    matrices and the witness recount, routed through ``patched``."""
+    stack = ExitStack()
+    for module in (oracle, orbitmethod):
+        stack.enter_context(mock.patch.object(module, "translates", patched))
+    return stack
 
 
 def _outcome(check):
@@ -424,17 +438,15 @@ class TestP2CountsOneClassAtATime:
         (_depth3_ring, (0, 1, 0), (0, 1), (16, 40, 0)),
     ], ids=["z8-inside", "z8-outside", "depth3-inside", "depth3-one-sided",
             "depth3-outside"])
-    def test_same_outcome_on_a_patched_table(self, monkeypatch, make, h, cols,
-                                             kind):
+    def test_same_outcome_on_a_patched_table(self, make, h, cols, kind):
         ring = make()
         group = LazardGroup(ring)
         row = group.index_of(h)
         cols = list(cols)
         t_add = ref_additive_table(group)
         t_add[row, cols] = t_add[row, cols[::-1]]
-        monkeypatch.setattr(orbitmethod, "translates",
-                            _swapped_translates(row, cols))
-        new = _outcome(lambda: p2_convolution_check(ring, group=group))
+        with _patching_translates(_swapped_translates(row, cols)):
+            new = _outcome(lambda: p2_convolution_check(ring, group=group))
         old = _outcome(lambda: dict_counts_check(ring, group, t_add=t_add))
         assert new == old
         if isinstance(kind, tuple):
@@ -507,9 +519,12 @@ def small_rings(draw):
 
 
 @st.composite
-def swaps(draw, n):
-    """(h, [c1, c2]): two columns to swap in h's additive row."""
-    c1, c2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+def swaps(draw, n, reps):
+    """(h, [c1, c2]): two class-representative columns to swap in h's
+    additive row.  The count checks read the additive counts only at the
+    representatives, which is exact while the counts are constant on
+    classes; a swap elsewhere breaks that premise, not the law."""
+    c1, c2 = draw(st.lists(st.sampled_from(reps), min_size=2, max_size=2,
                            unique=True))
     return draw(st.integers(0, n - 1)), [c1, c2]
 
@@ -518,6 +533,20 @@ class TestCountCheckProperties:
     """The class-count checks against element-level tables on drawn rings,
     with the additive law left alone or corrupted by one swap."""
 
+    @given(ring=small_rings())
+    def test_additive_counts_are_constant_on_classes(self, ring):
+        # the premise of counting at the representatives only: the
+        # element-level additive counts of every class a are constant on
+        # each class of c
+        group = LazardGroup(ring)
+        part = conjugacy_classes(group)
+        t_add = ref_additive_table(group)
+        for members in part.classes:
+            counts = ref_indicator_counts(t_add, part.labels, members,
+                                          len(part))
+            assert np.array_equal(counts,
+                                  counts[:, part.reps][:, part.labels])
+
     @pytest.mark.parametrize("corrupt", [False, True],
                              ids=["valid", "one-swap"])
     @given(data=st.data())
@@ -525,12 +554,13 @@ class TestCountCheckProperties:
         ring = data.draw(small_rings())
         group = LazardGroup(ring)
         t_add = ref_additive_table(group)
-        patched = orbitmethod.translates
+        patched = harmonic.translates
         if corrupt:
-            h, cols = data.draw(swaps(len(group)))
+            h, cols = data.draw(swaps(len(group),
+                                      conjugacy_classes(group).reps))
             t_add[h, cols] = t_add[h, cols[::-1]]
             patched = _swapped_translates(h, cols)
-        with mock.patch.object(orbitmethod, "translates", patched):
+        with _patching_translates(patched):
             if ring.p == 2:
                 new = _outcome(lambda: p2_convolution_check(ring, group=group))
                 old = _outcome(lambda: dict_counts_check(ring, group,
