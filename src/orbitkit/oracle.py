@@ -7,11 +7,16 @@ alone, proves to generate G and to act as exp(ad e_i)
 orbit side.  The character table is computed with the Burnside
 class-matrix method with Dixon-Schneider splitting: a seeded random linear
 combination of the class matrices is diagonalized, and its eigenvectors
-are the central characters once the eigenvalues separate.  The
-combination grows over the classes in size order, the prefix doubling, and
-stops at the first prefix whose spectrum separates, which is usually a
-small part of the class algebra.  Degrees follow from the first
-orthogonality relation, and both orthogonality relations gate the result.
+are the central characters once the eigenvalues separate.  Rescaled by
+the square roots of the class sizes, the combination is a normal matrix
+whose transpose is the combination over the inverse classes, so one real
+symmetric ``eigh`` of its symmetric part and small blocks for the complex
+conjugate pairs diagonalize it, and one class of each inverse pair gives
+the counts of both.  The combination grows over the classes in size
+order, the prefix doubling, and stops at the first prefix whose spectrum
+separates, which is usually a small part of the class algebra.  Degrees
+follow from the first orthogonality relation, and both orthogonality
+relations gate the result.
 
 Nothing here computes coadjoint orbits; agreement with the orbit side is
 established by ``match_tables``.
@@ -19,12 +24,14 @@ established by ``match_tables``.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                      DomainMismatch, NoMatching, StabilityCheckFailed,
                      ValidationFailed)
-from .harmonic import GROUP, ClassFunction, translates
+from .harmonic import _BLOCK_CELLS, GROUP, ClassFunction, translates
 from .liering import LazardGroup, Subring
 
 ORDER_CAP = 10 ** 5
@@ -104,16 +111,27 @@ class ConjugationCertificate:
                 f"{len(self.partition)} classes)")
 
 
-def _conjugation_perm(group: LazardGroup, g) -> np.ndarray:
-    """Grid indices of g x g^-1 over every x; ``conjugate_batch`` returns
-    canonical residues, so they index the grid without a reduction."""
-    return group.conjugate_batch(g, group.elements) @ group.ring.grid.strides
-
-
 def _right_perm(group: LazardGroup, g) -> np.ndarray:
-    """Grid indices of x g over every x, canonical as above."""
+    """Grid indices of x g over every x; ``ch_batch`` returns canonical
+    residues, so they index the grid without a reduction."""
     return (group.ring.ch_batch(group.elements, np.asarray(g, np.int64))
             @ group.ring.grid.strides)
+
+
+def _left_perm(group: LazardGroup, g) -> np.ndarray:
+    """Grid indices of g x over every x, canonical as above."""
+    return (group.ring.ch_batch(np.asarray(g, np.int64), group.elements)
+            @ group.ring.grid.strides)
+
+
+def _conjugation_perm(group: LazardGroup, g) -> np.ndarray:
+    """Grid indices of g x g^-1 over every x, read as (g x) g^-1: the left
+    product moved back through the inverse of the right permutation.  The
+    certificate builds it only to name a witness."""
+    right = _right_perm(group, g)
+    inverse = np.empty_like(right)
+    inverse[right] = np.arange(len(right))
+    return inverse[_left_perm(group, g)]
 
 
 def _linear_perm(ring, B) -> np.ndarray:
@@ -150,6 +168,9 @@ def conjugation_certificate(group: LazardGroup) -> ConjugationCertificate:
     * Linearity.  Conjugation by s must be x -> x B_s mod the moduli, with
       row j of B_s the image of e_j, at every element; else
       AutomorphismCheckFailed names the first grid index where it is not.
+      It is checked with one product per element: s x s^-1 = x B_s exactly
+      when s x = (x B_s) s, and the right multiplications by s are the
+      permutations of the generation check.
     * Adjoint.  B_s must equal exp(ad e_i) (transposed to act on rows)
       exactly; else AutomorphismCheckFailed names the first basis vector
       whose images differ.
@@ -180,22 +201,21 @@ def _certify(group: LazardGroup) -> ConjugationCertificate:
     ring, n = group.ring, len(group)
     gens = [ring.basis(i) for i in range(ring.rank)]
     identity = group.index_of(ring.zero())
-    labels, cosets = permutation_orbits(n, [_right_perm(group, s)
-                                            for s in gens])
+    rights = [_right_perm(group, s) for s in gens]
+    labels, cosets = permutation_orbits(n, rights)
     if len(cosets) > 1:
         raise StabilityCheckFailed(
             f"the basis exponentials generate a subgroup of order "
             f"{len(cosets[labels[identity]])}, not all {n} elements of G")
 
-    strides = ring.grid.strides
+    basis = np.eye(ring.rank, dtype=np.int64)
     matrices, perms = [], []
-    for s in gens:
-        perm = _conjugation_perm(group, s)
-        # e_j sits at grid index strides[j]
-        B = group.elements[perm[strides]]
+    for s, right in zip(gens, rights):
+        B = group.conjugate_batch(s, basis)
         linear = _linear_perm(ring, B)
-        bad = np.flatnonzero(perm != linear)
+        bad = np.flatnonzero(_left_perm(group, s) != right[linear])
         if bad.size:
+            perm = _conjugation_perm(group, s)
             x = int(bad[0])
             raise AutomorphismCheckFailed(
                 f"conjugation by e^{s} is not linear: grid index {x} goes "
@@ -208,7 +228,7 @@ def _certify(group: LazardGroup) -> ConjugationCertificate:
                 f"conjugation by e^{s} maps e_{j} to {tuple(B[j].tolist())}, "
                 f"exp(ad {s}) to {tuple(expected[j].tolist())}")
         matrices.append(B)
-        perms.append(perm)
+        perms.append(linear)
 
     labels, classes = permutation_orbits(n, perms)
     part = ConjClassPartition(group, labels, classes)
@@ -269,40 +289,116 @@ def class_matrix(group, part, a, law=GROUP):
     return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
 
 
+def _inverse_classes(group, part) -> np.ndarray:
+    """a* for every class a: the class of -z_a, the inverse of z_a."""
+    ring = group.ring
+    inverse = np.mod(-group.elements[part.reps], ring._mods)
+    return part.labels[inverse @ ring.grid.strides]
+
+
+def _split(N, gap):
+    """Unit eigenvectors of a normal matrix N as columns, or None if two of
+    its eigenvalues lie less than ``gap`` apart.
+
+    N + N^T has the eigenvalues 2 Re(lambda_i) on N's eigenvectors, so one
+    real symmetric ``eigh`` of it splits the spectrum wherever consecutive
+    eigenvalues differ by at least 2·gap: eigenvalues on either side of a
+    cut are at least ``gap`` apart.  Each cluster of d > 1 eigenvalues
+    spans an N-invariant subspace with an orthonormal basis Q, and the
+    eigenvectors y of Q^T N Q give those of N as Q y; one stacked ``eig``
+    per cluster size decomposes them, and within a cluster the eigenvalues
+    must be pairwise ``gap`` apart.  Together this is the test that every
+    two eigenvalues of N are at least ``gap`` apart.
+    """
+    r = len(N)
+    vals, vecs = np.linalg.eigh(N + N.T)
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) >= 2 * gap)
+    lengths = np.diff(starts, append=r)
+    u = vecs.astype(np.complex128)
+    for d in sorted(set(lengths.tolist()) - {1}):
+        cols = starts[lengths == d][:, None] + np.arange(d)
+        Q = vecs[:, cols].transpose(1, 0, 2)
+        lam, y = np.linalg.eig(Q.transpose(0, 2, 1) @ N @ Q)
+        dist = np.abs(lam[:, :, None] - lam[:, None, :])
+        dist[:, np.arange(d), np.arange(d)] = np.inf
+        if dist.min() < gap:
+            return None
+        u[:, cols] = (Q @ y).transpose(1, 0, 2)
+    return u
+
+
 def _central_characters(group, part, weights, identity_class, gap):
-    """Central characters from one weighted sum of class matrices, grown
-    over a size-ordered prefix of the classes.
+    """Central characters from one weighted sum of class matrices in
+    symmetric form, grown over a size-ordered prefix of the classes.
 
     The vector (omega(c))_c of any central character is a common right
     eigenvector of the class matrices M_a, with eigenvalue omega(a), so it
     is an eigenvector of every combination of them.  Once the eigenvalues
     of a combination are distinct, each eigenspace is a line and its
     eigenvectors are the central characters up to scale: the classes left
-    out of the sum would not change them.  Classes enter smallest first
-    (ties by index), the prefix doubling from 8, one ``eig`` per prefix.
-    Returns (omega, eigs): omega[c, i] = omega_i(c), or None if even the
-    full sum fails the gap or identity check, and the ``eig`` calls made.
+    out of the sum would not change them.
+
+    Symmetric form.  Counting the triples x y = w with x in C_a, y in C_b,
+    w in C_c two ways gives Burnside's relation |C_c| M_a[b, c] =
+    |C_b| M_{a*}[c, b], where a* is the class of the inverses of C_a:
+    M_{a*} = S M_a^T S^-1 with S = diag(|C_c|).  With D = diag(sqrt|C_c|)
+    and N_a = D^-1 M_a D this reads N_{a*} = N_a^T.  The N_a commute and
+    share the eigenvectors u_i = D^-1 omega_i, which are orthogonal, since
+    sum_c omega_i(c) conj(omega_j(c)) / |C_c| = 0 for i != j (the first
+    orthogonality relation).  So N = sum_a w_a N_a with real weights is
+    normal, N + N^T has the eigenvalues 2 Re(lambda_i), and ``_split``
+    diagonalizes N with a real ``eigh`` and small blocks.  The weights of
+    a and a* are independent: were they equal, N would be symmetric and a
+    character and its complex conjugate would share an eigenvalue.
+
+    Prefix.  One class of each inverse pair, a <= a*, enters the sum, the
+    smallest first (ties by index), the prefix doubling from 8: only the
+    members of C_a are translated, and their labels give both w_a M_a and
+    w_{a*} M_{a*}, one weighted bincount per block of about
+    ``_BLOCK_CELLS`` cells.  Returns (omega, tests): omega[c, i] =
+    omega_i(c), or None if even the full sum fails the gap or identity
+    check, and the number of prefixes tested.
     """
     r = len(part)
-    order = np.argsort(part.sizes, kind="stable")
-    combined = np.zeros((r, r))
-    used = eigs = 0
-    while used < r:
-        prefix = min(max(2 * used, 8), r)
-        for a in order[used:prefix]:
-            combined += weights[a] * class_matrix(group, part, a)
+    root = np.sqrt(part.sizes.astype(np.float64))
+    star = _inverse_classes(group, part)
+    order = [a for a in np.argsort(part.sizes, kind="stable").tolist()
+             if a <= star[a]]
+    # w_a and w_{a*} for each class a; a real class's counts enter once
+    pair_weights = np.stack(
+        [weights, np.where(star != np.arange(r), weights[star], 0.0)])
+    step = max(1, _BLOCK_CELLS // r)
+    cells = np.arange(r, dtype=np.int64)
+    # sum_a w_a M_a and sum_a w_{a*} M_a over the prefix, stacked flat
+    sums = np.zeros(2 * r * r)
+    used = tests = 0
+    while used < len(order):
+        prefix = min(max(2 * used, 8), len(order))
+        added = order[used:prefix]
+        rows = np.concatenate([part.classes[a] for a in added])
+        row_weights = np.repeat(pair_weights[:, added], part.sizes[added],
+                                axis=1)
+        for lo in range(0, len(rows), step):
+            block = slice(lo, lo + step)
+            b = part.labels[translates(group, GROUP, rows[block], part.reps)]
+            flat = (b * r + cells).ravel()
+            sums += np.bincount(
+                np.concatenate([flat, flat + r * r]),
+                np.repeat(row_weights[:, block], r, axis=1).ravel(),
+                minlength=2 * r * r)
         used = prefix
-        vals, vecs = np.linalg.eig(combined)
-        eigs += 1
-        dist = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() < gap:
+        # D^-1 X D for both sums; the second enters transposed, as N_{a*}
+        A, B = sums.reshape(2, r, r) * root / root[:, None]
+        u = _split(A + B.T, gap)
+        tests += 1
+        if u is None:
             continue
-        at_identity = vecs[identity_class, :]
+        omega = root[:, None] * u
+        at_identity = omega[identity_class, :]
         if np.min(np.abs(at_identity)) < 1e-12:
             continue
-        return vecs / at_identity[None, :], eigs
-    return None, eigs
+        return omega / at_identity[None, :], tests
+    return None, tests
 
 
 def _row_order(degrees, rows):
@@ -318,12 +414,13 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
                     class_cap=CLASS_CAP, tol=1e-8) -> CharTable:
     """Full complex character table via the Burnside class-matrix method.
 
-    The weights of the class matrices are one seeded standard normal draw
-    per retry; a retry, with the next weights, happens only when the sum
-    over all classes still has an eigenvalue gap below ``gap``.  Each
-    attempt grows its sum over a prefix of the classes until the spectrum
-    separates (``_central_characters``).  ``attempts`` on the result is the
-    number of ``eig`` decompositions run, minus one.
+    Each attempt draws one standard normal weight per class from
+    ``random.Random(seed)``, the next attempt continuing the same stream;
+    a retry happens only when the sum over all classes still has two
+    eigenvalues closer than ``gap``.  Each attempt grows its sum over a
+    prefix of the classes until the spectrum separates
+    (``_central_characters``).  ``attempts`` on the result is the number
+    of prefixes tested, over all attempts, minus one.
     """
     part = conjugacy_classes(group)
     r = len(part)
@@ -331,15 +428,15 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
         raise ValueError(f"{r} classes exceed the cap {class_cap}")
     n = len(group)
     sizes = part.sizes.astype(np.float64)
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((retries, r))
+    rng = random.Random(seed)
     identity_class = part.class_of(group.index_of(group.ring.zero()))
 
-    eigs = 0
-    for attempt in range(retries):
-        omega, runs = _central_characters(group, part, weights[attempt],
+    tests = 0
+    for _ in range(retries):
+        weights = np.array([rng.gauss(0.0, 1.0) for _ in range(r)])
+        omega, runs = _central_characters(group, part, weights,
                                           identity_class, gap)
-        eigs += runs
+        tests += runs
         if omega is None:
             continue
         norms = (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0)
@@ -363,7 +460,7 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
 
         key = _row_order(rounded, rows)
         return CharTable(group, part, rows[key],
-                         rounded[key].astype(np.int64), seed, eigs - 1)
+                         rounded[key].astype(np.int64), seed, tests - 1)
     raise DegenerateSpectrum(
         f"eigenvalue gap stayed below {gap} for {retries} retries")
 

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,13 +145,15 @@ class TestChartable:
         assert len(groups) == 1
 
     def test_broken_certificate_exits_1(self, capsys, monkeypatch):
-        real = oracle._conjugation_perm
+        # left multiplication forged to swap the products of grid indices 5
+        # and 7, so conjugation is not linear there
+        real = oracle._left_perm
 
         def forged(group, g):
             perm = real(group, g)
             perm[[5, 7]] = perm[[7, 5]]
             return perm
-        monkeypatch.setattr(oracle, "_conjugation_perm", forged)
+        monkeypatch.setattr(oracle, "_left_perm", forged)
         code, out, err = run(capsys, "chartable", "--input", F3,
                              "--method", "oracle")
         assert code == 1
@@ -450,9 +455,9 @@ class TestInputHandling:
 # numpy or BLAS build may need them recorded afresh.
 REPORT_DIGESTS = {
     ("chartable", "heisenberg_f3"):
-        "ff8d7505c0fb84d1e29c5de7d361781bb82e6ca65f943acbd4f81194be3ddca2",
+        "d0af7b7ebeda0c3d41b44ac30fb55edf977b0833f8e9e2b700c1403ed9f1bc50",
     ("chartable", "heisenberg_z9"):
-        "ccc699cd3646bd77d8e5aff9071586096095c788968a11a16c344773aab2a9a8",
+        "f97ac4e0343aab317e1ae8f1c7c4ec0a75dc7131211be7350890b0a9ec7c0b01",
     ("verify", "heisenberg_f5"):
         "6dcdbbcd934deb8efdcfa32ec280a5f37bfc2112f682b58553b3890f85229e3b",
     ("verify", "heisenberg_z9"):
@@ -474,3 +479,22 @@ def test_reports_are_byte_identical(command, spec, tmp_path, capsys):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[command, spec], \
         "report differs from the one recorded with numpy 2.4.6"
+
+
+def test_chartable_imports_neither_numpy_random_nor_ma(tmp_path):
+    # importing numpy.random costs about 14 ms and numpy.ma about 28 ms, and
+    # a chartable job needs neither: the weights come from random.Random
+    script = (
+        "import sys\n"
+        "from orbitkit import cli\n"
+        f"code = cli.main(['chartable', '--input', {F3!r}, '--method', "
+        f"'both', '--output', {str(tmp_path / 'report.json')!r}])\n"
+        "print(code, [m for m in ('numpy.random', 'numpy.ma') "
+        "if m in sys.modules])\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert done.stdout == "0 []\n"

@@ -1,6 +1,7 @@
 """Brute-force character theory: classes, Burnside tables, matching."""
 
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -166,13 +167,16 @@ class TestConjugationCertificate:
                 return real(group, g)
             monkeypatch.setattr(oracle, name, wrapper)
         spy("_right_perm")
+        spy("_left_perm")
         spy("_conjugation_perm")
         group = LazardGroup(h3)
         assert group.certificate is None
         cert = conjugation_certificate(group)
         basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        # one left product per generator; the conjugation permutation is
+        # built only for a witness
         assert seen == [("_right_perm", g) for g in basis] + \
-            [("_conjugation_perm", g) for g in basis]
+            [("_left_perm", g) for g in basis]
         assert group.certificate is cert
         assert conjugation_certificate(group) is cert
         assert orbitmethod.coadjoint_orbits(h3, group=group)
@@ -197,17 +201,18 @@ class TestConjugationCertificate:
                                    "elements of G")
 
     def test_non_linear_conjugation_witness(self, h3, monkeypatch):
-        # conjugation by e^y forged to swap the images of grid indices 5
-        # and 7, neither of them a basis vector (indices 9, 3 and 1)
-        real = oracle._conjugation_perm
+        # left multiplication by e^y forged to swap the products of grid
+        # indices 5 and 7, so conjugation by e^y swaps their images;
+        # neither is a basis vector (indices 9, 3 and 1)
+        want = oracle._conjugation_perm(LazardGroup(h3), (0, 1, 0))
+        real = oracle._left_perm
 
         def forged(group, g):
             perm = real(group, g)
             if tuple(g) == (0, 1, 0):
                 perm[[5, 7]] = perm[[7, 5]]
             return perm
-        monkeypatch.setattr(oracle, "_conjugation_perm", forged)
-        want = real(LazardGroup(h3), (0, 1, 0))
+        monkeypatch.setattr(oracle, "_left_perm", forged)
         with pytest.raises(AutomorphismCheckFailed) as info:
             orbitmethod.coadjoint_orbits(h3)
         assert str(info.value) == (
@@ -491,21 +496,41 @@ def ring_specs():
     for path in sorted(SPECS.glob("*.json")):
         if "moduli" not in json.loads(path.read_text()):
             continue
-        for seed in (0, 1) if path.stem != "u4_f5" else (0,):
+        for seed in (0, 1):
             yield pytest.param(path, seed, id=f"{path.stem}-seed{seed}")
 
 
-def counting_eig(monkeypatch, forge=None):
-    """Count the oracle's eig calls; ``forge`` may replace their result."""
-    calls = []
-    real = np.linalg.eig
+def counting(monkeypatch, name, log=None, forge=None):
+    """Record the oracle's calls of ``np.linalg.<name>`` as (name, copy of
+    the argument) in ``log``; ``forge`` may replace their result."""
+    log = [] if log is None else log
+    real = getattr(np.linalg, name)
 
-    def eig(a):
-        calls.append(a.copy())
+    def spy(a):
+        log.append((name, a.copy()))
         out = real(a)
         return out if forge is None else forge(out)
-    monkeypatch.setattr(np.linalg, "eig", eig)
-    return calls
+    monkeypatch.setattr(np.linalg, name, spy)
+    return log
+
+
+def inverse_classes(group, part):
+    """a* for every class a, through the group's own index of -z_a."""
+    return [part.class_of(group.index_of(tuple(-x for x in
+                                               group.elements[z])))
+            for z in part.reps]
+
+
+def assert_burnside_relation(group):
+    """|C_c| M_a[b, c] = |C_b| M_{a*}[c, b] in integers, for every a."""
+    part = conjugacy_classes(group)
+    star = inverse_classes(group, part)
+    assert np.array_equal(oracle._inverse_classes(group, part), star)
+    sizes = part.sizes
+    matrices = [class_matrix(group, part, a) for a in range(len(part))]
+    for a, M in enumerate(matrices):
+        assert np.array_equal(M * sizes[None, :],
+                              matrices[star[a]].T * sizes[:, None])
 
 
 class TestPrefixSplit:
@@ -518,28 +543,47 @@ class TestPrefixSplit:
     def test_drawn_rings_match_the_full_sum(self, ring):
         assert_same_table(character_table(LazardGroup(ring)))
 
-    def test_attempts_count_eig_calls(self, z9_group, monkeypatch):
-        calls = counting_eig(monkeypatch)
+    @pytest.mark.parametrize("path", spec_paths())
+    def test_burnside_relation_on_the_specs(self, path):
+        assert_burnside_relation(LazardGroup(load_ring_spec(path)))
+
+    @given(ring=small_rings())
+    def test_burnside_relation_on_drawn_rings(self, ring):
+        assert_burnside_relation(LazardGroup(ring))
+
+    def test_attempts_count_eigh_calls(self, z9_group, monkeypatch):
+        calls = counting(monkeypatch, "eigh")
         table = character_table(z9_group)
         assert table.attempts + 1 == len(calls) > 1
-        # the prefix doubles from 8 classes, smallest classes first
+        # the prefix doubles from 8 classes, smallest first, one of each
+        # inverse pair; the pair's other class enters with its own weight
         part = table.partition
-        order = np.argsort(part.sizes, kind="stable")
-        weights = np.random.default_rng(0).standard_normal((8, len(part)))[0]
-        for k, combined in enumerate(calls):
-            prefix = order[:min(8 << k, len(part))]
-            expected = sum(weights[a] * class_matrix(z9_group, part, a)
-                           for a in prefix)
-            assert np.allclose(combined, expected, rtol=0, atol=1e-9)
+        r = len(part)
+        star = inverse_classes(z9_group, part)
+        order = [a for a in np.argsort(part.sizes, kind="stable")
+                 if a <= star[a]]
+        rng = random.Random(0)
+        weights = [rng.gauss(0.0, 1.0) for _ in range(r)]
+        root = np.sqrt(part.sizes)
+        for k, (_, symmetric) in enumerate(calls):
+            M = np.zeros((r, r))
+            for a in order[:min(8 << k, len(order))]:
+                M += weights[a] * class_matrix(z9_group, part, a)
+                if star[a] != a:
+                    M += weights[star[a]] * class_matrix(z9_group, part,
+                                                         star[a])
+            N = M * root[None, :] / root[:, None]
+            assert np.allclose(symmetric, N + N.T, rtol=0, atol=1e-9)
 
-    def test_retry_only_after_the_full_sum_fails(self, h3_group, monkeypatch):
+    def test_retry_only_after_the_full_sum_fails(self, h5_group, monkeypatch):
         # a gap no spectrum reaches: every retry runs every prefix
-        calls = counting_eig(monkeypatch)
+        calls = counting(monkeypatch, "eigh")
         with pytest.raises(DegenerateSpectrum) as info:
-            character_table(h3_group, gap=1e9, retries=3)
+            character_table(h5_group, gap=1e9, retries=3)
         assert str(info.value) == \
             "eigenvalue gap stayed below 1000000000.0 for 3 retries"
-        assert len(calls) == 3 * 2        # prefixes of 8 and 11 classes
+        # 29 classes, 15 of them one per inverse pair: prefixes of 8 and 15
+        assert len(calls) == 3 * 2
 
     def test_forged_prefix_is_gated_by_orthogonality(self, h3_group,
                                                      monkeypatch):
@@ -553,8 +597,75 @@ class TestPrefixSplit:
         forged = omega.copy()
         forged[:, 1] += 1e-5 * (omega[:, 2] - omega[:, 3])
         r = len(part)
-        calls = counting_eig(monkeypatch, lambda out: (
-            np.arange(r, dtype=np.complex128), forged))
+        calls = counting(monkeypatch, "eigh", forge=lambda out: (
+            np.arange(r, dtype=np.float64), forged / np.sqrt(sizes)[:, None]))
         with pytest.raises(ValidationFailed, match="orthogonality deviation"):
             character_table(h3_group)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("reals, pairs, separated", [
+        ([0.0, 0.9], [], False),
+        ([0.0, 1.1], [], True),
+        ([0.0, 1.9, 4.0], [], True),
+        ([5.0], [(0.0, 0.4)], False),
+        ([5.0], [(0.0, 0.6)], True),
+        ([0.9], [(0.0, 0.6)], True),
+        ([0.9], [(0.0, 0.3)], False),
+        ([], [(0.0, 0.6), (0.7, 1.5)], True),
+        ([], [(0.0, 0.6), (0.7, 0.2)], False),
+    ])
+    def test_split_is_the_pairwise_gap_test(self, reals, pairs, separated):
+        # a normal matrix with the given real eigenvalues and pairs
+        # a +- ib, in units of the gap, rotated by an orthogonal matrix
+        gap = 1e-3
+        r = len(reals) + 2 * len(pairs)
+        D = np.zeros((r, r))
+        D[range(len(reals)), range(len(reals))] = reals
+        for k, (a, b) in enumerate(pairs):
+            i = len(reals) + 2 * k
+            D[i:i + 2, i:i + 2] = [[a, b], [-b, a]]
+        O = np.linalg.qr(np.random.default_rng(r).standard_normal((r, r)))[0]
+        N = O @ (gap * D) @ O.T
+        u = oracle._split(N, gap)
+        assert (u is not None) == separated
+        if separated:
+            lam = np.diag(u.conj().T @ N @ u)
+            assert np.allclose(N @ u, u * lam, rtol=0, atol=1e-12)
+            assert np.allclose(u.conj().T @ u, np.eye(r), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["h5_group", "z9_group"])
+    def test_odd_order_splits_every_conjugate_pair(self, name, request,
+                                                   monkeypatch):
+        # at odd order only the trivial character is real, so each other
+        # character shares 2 Re(lambda) with its conjugate and is split
+        # from it in a 2 x 2 block
+        group = request.getfixturevalue(name)
+        log = counting(monkeypatch, "eigh")
+        counting(monkeypatch, "eig", log)
+        table = character_table(group)
+        r = len(table)
+        last = max(i for i, (call, _) in enumerate(log) if call == "eigh")
+        assert [(call, a.shape) for call, a in log[last + 1:]] == \
+            [("eig", ((r - 1) // 2, 2, 2))]
+        real = np.max(np.abs(table.rows.imag), axis=1) < 1e-9
+        trivial = np.max(np.abs(table.rows - 1), axis=1) < 1e-9
+        assert np.array_equal(real, trivial) and trivial.sum() == 1
+        conjugate = [int(np.argmin(np.abs(table.rows - row.conj()).max(1)))
+                     for row in table.rows]
+        assert sorted(conjugate) == list(range(r))
+        assert [conjugate[i] == i for i in range(r)] == trivial.tolist()
+
+    @pytest.mark.parametrize("name", ["abelian_z4sq", "rank3_z8"])
+    def test_p2_real_classes(self, name, request):
+        # Brauer's permutation lemma: as many real characters as classes
+        # with z ~ -z, which count their weight once
+        ring = request.getfixturevalue(name)
+        group = LazardGroup(ring)
+        table = character_table(group)
+        part = table.partition
+        star = np.array(inverse_classes(group, part))
+        real_classes = int(np.sum(star == np.arange(len(part))))
+        assert 1 < real_classes < len(part)
+        real = np.max(np.abs(table.rows.imag), axis=1) < 1e-9
+        assert int(real.sum()) == real_classes
+        assert_same_table(table)
