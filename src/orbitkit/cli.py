@@ -173,7 +173,11 @@ def _fmt_val(v) -> str:
     return "inf" if v == INFINITY else str(v)
 
 
-def _emit(report, args) -> None:
+def _emit(report, args, start) -> None:
+    """Write the report; with --timings it first gets the wall time since
+    ``start``."""
+    if args.timings:
+        report["timings"] = {"total_s": round(time.perf_counter() - start, 3)}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -285,9 +289,7 @@ def cmd_solve(args) -> int:
                lambda: _bound_data(pair, regime, args.degree))
     _run_check(checks, "back_substitution",
                lambda: _back_substitution_data(pair))
-    if args.timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - start, 3)}
-    _emit(report, args)
+    _emit(report, args, start)
     return _exit_code(checks)
 
 
@@ -329,9 +331,7 @@ def cmd_chartable(args) -> int:
                     "assignment": list(rep.assignment),
                     "max_deviation": rep.max_deviation}
         _run_check(checks, "match", matched)
-    if args.timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - start, 3)}
-    _emit(report, args)
+    _emit(report, args, start)
     return _exit_code(checks)
 
 
@@ -425,9 +425,7 @@ def cmd_verify(args) -> int:
     for name in skipped:
         checks.append({"name": name, "status": "SKIPPED",
                        "witness": f"not applicable at p = {ring.p}"})
-    if args.timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - start, 3)}
-    _emit(report, args)
+    _emit(report, args, start)
     return _exit_code(checks)
 
 
@@ -459,9 +457,7 @@ def cmd_chain(args) -> int:
             for letter, title in properties:
                 checks.append({"name": f"k_{j} ({letter}) {title}",
                                "status": "PASS"})
-    if args.timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - start, 3)}
-    _emit(report, args)
+    _emit(report, args, start)
     return _exit_code(checks)
 
 
@@ -486,9 +482,7 @@ def cmd_restrict(args) -> int:
                 "contained": rep.contained,
                 "finite_shadow": rep.finite_shadow}
     _run_check(checks, "equivalence", run)
-    if args.timings:
-        report["timings"] = {"total_s": round(time.perf_counter() - start, 3)}
-    _emit(report, args)
+    _emit(report, args, start)
     return _exit_code(checks)
 
 

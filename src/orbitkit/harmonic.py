@@ -3,10 +3,10 @@
 The additive group of g = prod_i Z/p^{k_i} is self-dual: a character is an
 exponent vector a with a_i in Z/p^{k_i}, pairing with x in g as
 zeta^{sum_i a_i x_i p^{K-k_i}} where K = max k_i and zeta = exp(2 pi i/p^K).
-A DualCharacter's pairing exponents are computed exactly in Z/p^K; complex
-values appear only at the boundary (values, transforms, inner products) in
-double precision, where desk-scale group orders keep rounding far below
-tolerance.
+``DualSpace`` holds every character as a row of its exponent table, and its
+``weights`` turn pairings into exact integer phases in Z/p^K; complex values
+appear only in the functions on g, G and g* and their transforms, in double
+precision, where desk-scale group orders keep rounding far below tolerance.
 
 Haar measure is normalized to total mass 1 on every domain.  Two
 convolutions share that normalization: the additive law on g replaces
@@ -44,49 +44,6 @@ def _same_domain(a, b) -> bool:
     return _ring_of(a) is _ring_of(b)
 
 
-class DualCharacter:
-    """A character of (g, +), held as its exact exponent vector.
-
-    The pairing with x is zeta^{sum_i a_i x_i p^{K-k_i}}; the exponent is
-    reduced in Z/p^K before any complex value is formed, so products and
-    equality of characters are exact.
-    """
-
-    __slots__ = ("ring", "exponents", "_weights")
-
-    def __init__(self, ring: FiniteLieRing, exponents):
-        exps = tuple(int(a) for a in exponents)
-        if len(exps) != ring.rank:
-            raise ValueError(f"expected {ring.rank} exponents")
-        self.ring = ring
-        self.exponents = tuple(a % s for a, s in zip(exps, ring.sizes))
-        self._weights = np.array(
-            [a * (ring.big // s) for a, s in zip(self.exponents, ring.sizes)],
-            dtype=np.int64)
-
-    def phase_on(self, X):
-        """Pairing exponent(s) in Z/p^K for coordinate vector(s) X."""
-        X = np.asarray(X, dtype=np.int64)
-        return (X @ self._weights) % self.ring.big
-
-    def values_on(self, X):
-        phase = self.phase_on(X)
-        return np.exp(2j * np.pi * phase / self.ring.big)
-
-    def value(self, x) -> complex:
-        return complex(self.values_on(x))
-
-    def __eq__(self, other):
-        return (isinstance(other, DualCharacter) and self.ring is other.ring
-                and self.exponents == other.exponents)
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self):
-        return f"DualCharacter{self.exponents}"
-
-
 class DualSpace:
     """The full dual g* as an indexed exponent table.
 
@@ -112,10 +69,6 @@ class DualSpace:
     def index_batch(self, A):
         return self.ring.grid.index_batch(A)
 
-    def character(self, index: int) -> DualCharacter:
-        return DualCharacter(self.ring, tuple(int(a) for a in
-                                              self.exponents[index]))
-
     def __len__(self):
         return len(self.exponents)
 
@@ -127,15 +80,14 @@ class ClassFunction:
     """Dense complex function on a ring g or a Lazard group G.
 
     Values are indexed by the shared lexicographic element enumeration.
-    ``invariant`` is the caller's promise that the function is constant on
-    Ad-orbits (ring domain) or conjugacy classes (group domain) to within
-    ``tolerance``; consumers that need central functions check the flag.
+    ``tolerance`` is how far the values may spread over a conjugacy class
+    for the function to count as a class function where that is checked:
+    ``orbitmethod.verify_exp_star`` checks each explicit pair with it.
     """
 
-    __slots__ = ("domain", "values", "tolerance", "invariant")
+    __slots__ = ("domain", "values", "tolerance")
 
-    def __init__(self, domain, values, *, tolerance=DEFAULT_TOLERANCE,
-                 invariant=False):
+    def __init__(self, domain, values, *, tolerance=DEFAULT_TOLERANCE):
         vals = np.asarray(values, dtype=np.complex128)
         n = _ring_of(domain).order()
         if vals.shape != (n,):
@@ -143,34 +95,26 @@ class ClassFunction:
         self.domain = domain
         self.values = vals
         self.tolerance = float(tolerance)
-        self.invariant = bool(invariant)
 
     def __len__(self):
         return len(self.values)
 
     def __repr__(self):
         kind = "G" if isinstance(self.domain, LazardGroup) else "g"
-        return (f"ClassFunction(|{kind}|={len(self)}, "
-                f"invariant={self.invariant})")
+        return f"ClassFunction(|{kind}|={len(self)})"
 
 
 class DualFunction:
     """Dense complex function on g*, indexed in DualSpace order."""
 
-    __slots__ = ("ring", "values", "tolerance")
+    __slots__ = ("ring", "values")
 
-    def __init__(self, ring: FiniteLieRing, values, *,
-                 tolerance=DEFAULT_TOLERANCE):
+    def __init__(self, ring: FiniteLieRing, values):
         vals = np.asarray(values, dtype=np.complex128)
         if vals.shape != (ring.order(),):
             raise ValueError(f"expected {ring.order()} values")
         self.ring = ring
         self.values = vals
-        self.tolerance = float(tolerance)
-
-    def support(self):
-        """Indices where the value is nonzero beyond tolerance."""
-        return np.nonzero(np.abs(self.values) > self.tolerance)[0]
 
     def __len__(self):
         return len(self.values)
@@ -191,8 +135,7 @@ def exp_star(f: ClassFunction, ring=None) -> ClassFunction:
     target = f.domain.ring if ring is None else ring
     if target is not f.domain.ring:
         raise DomainMismatch("ring is not the domain group's ring")
-    return ClassFunction(target, f.values, tolerance=f.tolerance,
-                         invariant=f.invariant)
+    return ClassFunction(target, f.values, tolerance=f.tolerance)
 
 
 def _check_law(domain, law) -> None:
@@ -262,8 +205,7 @@ def convolve(f1: ClassFunction, f2: ClassFunction, law: str) -> ClassFunction:
         if np.any(coeffs):
             out += coeffs @ f2.values[translates(f1.domain, law, block)]
     return ClassFunction(f1.domain, out / n,
-                         tolerance=max(f1.tolerance, f2.tolerance),
-                         invariant=f1.invariant and f2.invariant)
+                         tolerance=max(f1.tolerance, f2.tolerance))
 
 
 def fourier(f: ClassFunction) -> DualFunction:
@@ -273,18 +215,12 @@ def fourier(f: ClassFunction) -> DualFunction:
                              "pull back with exp_star first")
     ring = f.domain
     out = np.fft.fftn(f.values.reshape(ring.sizes)).ravel() / len(f.values)
-    return DualFunction(ring, out, tolerance=f.tolerance)
+    return DualFunction(ring, out)
 
 
 def inverse_fourier(F: DualFunction) -> ClassFunction:
     """f(x) = sum_phi (F f)(phi) phi(x); counting measure on g*."""
     ring = F.ring
     out = len(F.values) * np.fft.ifftn(F.values.reshape(ring.sizes)).ravel()
-    return ClassFunction(ring, out, tolerance=F.tolerance)
+    return ClassFunction(ring, out)
 
-
-def inner(f1: ClassFunction, f2: ClassFunction) -> complex:
-    """(1/n) sum f1 conj(f2) over the shared domain."""
-    if not _same_domain(f1.domain, f2.domain):
-        raise DomainMismatch("inner product needs a shared domain")
-    return complex(np.vdot(f2.values, f1.values) / len(f1.values))

@@ -199,9 +199,6 @@ class FiniteLieRing:
         e[i] = 1
         return tuple(e)
 
-    def negate(self, u):
-        return self.element([-x for x in u])
-
     def add(self, u, v):
         return self.element([a + b for a, b in zip(u, v)])
 
@@ -366,10 +363,6 @@ class FiniteLieRing:
                 terms.extend(_poly_terms(series.component(n)))
             self._ch = self._term_plan(terms)
         return self._eval_terms(self._ch, U, V)
-
-    def ch_multiply(self, u, v):
-        """Group product exp(u)·exp(v) in coordinates, Σ_n CH_n(u, v)."""
-        return tuple(int(x) for x in self.ch_batch(u, v))
 
     def evaluate_series_batch(self, series, U, V):
         if self.rank == 0:
@@ -862,42 +855,15 @@ class LazardGroup:
         return f"LazardGroup(|G|={self.size}, ring={self.ring!r})"
 
 
-def check_group_axioms(group: LazardGroup, rng=None, *, assoc_limit=130,
-                       trials=10_000) -> dict:
-    """Identity and inverses on every element; associativity on all triples
-    up to assoc_limit elements, on seeded random triples above."""
-    ring = group.ring
-    E = group.elements
-    n = group.size
-    zero = np.zeros_like(E)
-    ok_identity = (np.array_equal(ring.ch_batch(E, zero), E)
-                   and np.array_equal(ring.ch_batch(zero, E), E))
-    neg = np.mod(-E, ring._mods) if ring.rank else E
-    ok_inverse = (not ring.rank) or (
-        not np.any(ring.ch_batch(E, neg)) and not np.any(ring.ch_batch(neg, E)))
-    if n <= assoc_limit:
-        idx = np.arange(n)
-        ia, ib, ic = np.meshgrid(idx, idx, idx, indexing="ij")
-        A, B, C = E[ia.ravel()], E[ib.ravel()], E[ic.ravel()]
-        mode, count = "exhaustive", n ** 3
-    else:
-        rng = rng or random.Random(0)
-        pick = np.array([[rng.randrange(n) for _ in range(3)]
-                         for _ in range(trials)])
-        A, B, C = E[pick[:, 0]], E[pick[:, 1]], E[pick[:, 2]]
-        mode, count = "sampled", trials
-    left = ring.ch_batch(ring.ch_batch(A, B), C)
-    right = ring.ch_batch(A, ring.ch_batch(B, C))
-    ok_assoc = np.array_equal(left, right)
-    return {"identity": bool(ok_identity), "inverse": bool(ok_inverse),
-            "associativity": bool(ok_assoc), "mode": mode, "triples": count}
-
-
 # -- the twist certificate --------------------------------------------------------
 
 # (x, y) pairs per block of the exhaustive twist check: the series and
 # e^(ad W) temporaries of a block stay a few MB at any group order
 _TWIST_CELLS = 1 << 15
+# twist_map checks every pair when |g|^2 is at most the budget, else this
+# many pairs drawn from random.Random(0)
+TWIST_PAIR_BUDGET = 2_000_000
+TWIST_SAMPLE = 10_000
 
 
 class TwistReport:
@@ -919,11 +885,11 @@ class TwistReport:
                 f"{self.mode})")
 
 
-def twist_map(ring: FiniteLieRing, pair, *, group=None, rng=None,
-              pair_budget=2_000_000, sample=10_000) -> TwistReport:
+def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
     """Certify x̃ + ỹ = CH(x, y) with x̃ = e^(ad φ(x,y))x, ỹ = e^(ad ψ(x,y))y,
     that (x,y) ↦ (x̃,ỹ) is injective on the checked domain, and that x̃, ỹ are
-    genuine conjugates of x, y.  Exhaustive when |g|² fits the budget.
+    genuine conjugates of x, y.  Exhaustive when |g|² fits
+    ``TWIST_PAIR_BUDGET``, else on ``TWIST_SAMPLE`` seeded draws.
 
     The exhaustive domain is evaluated in blocks of x rows of about
     ``_TWIST_CELLS`` pairs, so no |g|² × rank array is formed.  The failure
@@ -937,15 +903,16 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None, rng=None,
     phi, psi = pair.back_substituted()
     group = group or LazardGroup(ring)
     n = group.size
-    if n * n <= pair_budget:
+    if n * n <= TWIST_PAIR_BUDGET:
         rows = max(1, _TWIST_CELLS // n)
         blocks = ((np.repeat(np.arange(lo, min(n, lo + rows)), n),
                    np.tile(np.arange(n), min(n, lo + rows) - lo))
                   for lo in range(0, n, rows))
         mode = "exhaustive"
     else:
-        rng = rng or random.Random(0)
-        seen = {(rng.randrange(n), rng.randrange(n)) for _ in range(sample)}
+        rng = random.Random(0)
+        seen = {(rng.randrange(n), rng.randrange(n))
+                for _ in range(TWIST_SAMPLE)}
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
         blocks = [(pairs[:, 0], pairs[:, 1])]
         mode = "sampled"

@@ -36,6 +36,12 @@ from .liering import LazardGroup, Subring
 
 ORDER_CAP = 10 ** 5
 CLASS_CAP = 512
+# character_table: weight draws before DegenerateSpectrum, the least
+# distance between eigenvalues that counts as separated, and the bound on
+# both orthogonality deviations
+RETRIES = 8
+GAP = 1e-6
+ORTHOGONALITY_TOL = 1e-8
 
 
 def permutation_orbits(n: int, perms):
@@ -239,13 +245,13 @@ def _certify(group: LazardGroup) -> ConjugationCertificate:
     return ConjugationCertificate(tuple(matrices), part)
 
 
-def conjugacy_classes(group: LazardGroup, *,
-                      cap=ORDER_CAP) -> ConjClassPartition:
+def conjugacy_classes(group: LazardGroup) -> ConjClassPartition:
     """Exact conjugacy classes: the partition of the group's conjugation
-    certificate (``conjugation_certificate``), one per group."""
+    certificate (``conjugation_certificate``), one per group, for groups of
+    order up to ``ORDER_CAP``."""
     n = len(group)
-    if n > cap:
-        raise ValueError(f"|G| = {n} exceeds the cap {cap}")
+    if n > ORDER_CAP:
+        raise ValueError(f"|G| = {n} exceeds the cap {ORDER_CAP}")
     return conjugation_certificate(group).partition
 
 
@@ -410,32 +416,34 @@ def _row_order(degrees, rows):
     return np.lexsort(np.vstack([keys, np.asarray(degrees)[None, :]])).tolist()
 
 
-def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
-                    class_cap=CLASS_CAP, tol=1e-8) -> CharTable:
+def character_table(group: LazardGroup, *, seed=0) -> CharTable:
     """Full complex character table via the Burnside class-matrix method.
 
     Each attempt draws one standard normal weight per class from
     ``random.Random(seed)``, the next attempt continuing the same stream;
     a retry happens only when the sum over all classes still has two
-    eigenvalues closer than ``gap``.  Each attempt grows its sum over a
-    prefix of the classes until the spectrum separates
-    (``_central_characters``).  ``attempts`` on the result is the number
-    of prefixes tested, over all attempts, minus one.
+    eigenvalues closer than ``GAP``, and after ``RETRIES`` attempts the
+    table fails with DegenerateSpectrum.  Each attempt grows its sum over
+    a prefix of the classes until the spectrum separates
+    (``_central_characters``).  Both orthogonality relations must hold to
+    ``ORTHOGONALITY_TOL``.  ``attempts`` on the result is the number of
+    prefixes tested, over all attempts, minus one.  Groups with more than
+    ``CLASS_CAP`` classes are refused.
     """
     part = conjugacy_classes(group)
     r = len(part)
-    if r > class_cap:
-        raise ValueError(f"{r} classes exceed the cap {class_cap}")
+    if r > CLASS_CAP:
+        raise ValueError(f"{r} classes exceed the cap {CLASS_CAP}")
     n = len(group)
     sizes = part.sizes.astype(np.float64)
     rng = random.Random(seed)
     identity_class = part.class_of(group.index_of(group.ring.zero()))
 
     tests = 0
-    for _ in range(retries):
+    for _ in range(RETRIES):
         weights = np.array([rng.gauss(0.0, 1.0) for _ in range(r)])
         omega, runs = _central_characters(group, part, weights,
-                                          identity_class, gap)
+                                          identity_class, GAP)
         tests += runs
         if omega is None:
             continue
@@ -453,16 +461,16 @@ def character_table(group: LazardGroup, *, seed=0, retries=8, gap=1e-6,
         target = np.diag(n / sizes)
         dev_col = np.max(np.abs(col_orth - target)
                          / np.maximum(1.0, np.abs(target)))
-        if dev_row > tol or dev_col > tol:
+        if dev_row > ORTHOGONALITY_TOL or dev_col > ORTHOGONALITY_TOL:
             raise ValidationFailed(
                 f"orthogonality deviation row={dev_row:.2e} "
-                f"col={dev_col:.2e} exceeds {tol}")
+                f"col={dev_col:.2e} exceeds {ORTHOGONALITY_TOL}")
 
         key = _row_order(rounded, rows)
         return CharTable(group, part, rows[key],
                          rounded[key].astype(np.int64), seed, tests - 1)
     raise DegenerateSpectrum(
-        f"eigenvalue gap stayed below {gap} for {retries} retries")
+        f"eigenvalue gap stayed below {GAP} for {RETRIES} retries")
 
 
 class MatchReport:
@@ -496,10 +504,27 @@ def _values_on_group(character) -> np.ndarray:
 def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
     """Perfect matching of candidate characters against oracle table rows.
 
-    Candidates are compared entrywise at the class representatives; an edge
-    is allowed when the max deviation is below tol, and a Kuhn augmenting
-    search then finds the bijection or proves there is none.
+    Candidates are compared entrywise at the class representatives; row j
+    is allowed for candidate i when the max deviation is below ``tol``,
+    which must be below 0.7.  Then each candidate has at most one allowed
+    row.  The table passed its row-orthogonality gate, so for any two
+    rows |<chi_i, chi_j> - delta_ij| <= ``ORTHOGONALITY_TOL`` = 1e-8, and
+    for distinct rows
+
+      sum_c |C_c|/|G| |chi_i(z_c) - chi_j(z_c)|^2
+        = <chi_i, chi_i> + <chi_j, chi_j> - 2 Re <chi_i, chi_j>
+        >= 2 - 4e-8.
+
+    The weights |C_c|/|G| sum to 1, so the two rows differ by more than
+    1.414 at some class, and a candidate within tol < 0.7 of both would
+    put them within 1.4 of each other there.  The matching is therefore
+    the unique assignment of each candidate to its allowed row, and the
+    largest matching has as many edges as there are distinct allowed rows.
+    It is perfect, else NoMatching, when every candidate has its own
+    allowed row and there are as many candidates as rows.
     """
+    if not tol < 0.7:
+        raise ValueError(f"match tolerance {tol} is not below 0.7")
     reps = np.array(table.partition.reps)
     cand = np.array([_values_on_group(c)[reps] for c in characters])
     k = len(cand)
@@ -508,27 +533,15 @@ def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
     for i in range(k):
         dev[i] = np.max(np.abs(cand[i][None, :] - table.rows), axis=1)
     allowed = dev < tol
-
-    match_row = [-1] * r
-
-    def augment(i, seen):
-        for j in range(r):
-            if allowed[i, j] and not seen[j]:
-                seen[j] = True
-                if match_row[j] < 0 or augment(match_row[j], seen):
-                    match_row[j] = i
-                    return True
-        return False
-
-    matched = sum(augment(i, [False] * r) for i in range(k))
+    # the first allowed row, the only one; row 0 when there is none
+    assignment = np.argmax(allowed, axis=1)
+    found = allowed[np.arange(k), assignment]
+    matched = len(set(assignment[found].tolist()))
     if matched != k or k != r:
         raise NoMatching(
             f"matched {matched} of {k} candidates against {r} rows")
-    assignment = [0] * k
-    for j, i in enumerate(match_row):
-        assignment[i] = j
-    deviations = [float(dev[i, assignment[i]]) for i in range(k)]
-    return MatchReport(assignment, deviations, tol)
+    deviations = [float(dev[i, j]) for i, j in enumerate(assignment)]
+    return MatchReport(assignment.tolist(), deviations, tol)
 
 
 def restriction_multiplicity(group: LazardGroup, sub: Subring,

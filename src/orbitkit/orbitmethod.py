@@ -38,38 +38,38 @@ from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
 from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
                        exp_star, fourier, inverse_fourier, translates)
 from .liering import FiniteLieRing, LazardGroup, Subring
-from .oracle import (character_table, class_matrix, conjugacy_classes,
-                     conjugation_certificate, permutation_orbits)
+from .oracle import (_inverse_classes, character_table, class_matrix,
+                     conjugacy_classes, conjugation_certificate,
+                     permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
 # and it goes with the next benchmark change (ROADMAP item 1).
 _TABLE_LIMIT = 2048
 
+# How far an orbit character may vary on a conjugacy class
+# (kirillov_character); its values carry the FFT's round-off.
+CONSTANCY_TOL = 1e-9
+
 
 class CoadjointOrbit:
-    """A G-orbit in the dual, held as sorted indices into a DualSpace."""
+    """A G-orbit in the dual, held as sorted indices into a DualSpace.
 
-    __slots__ = ("space", "indices", "_members")
+    The indices are rows of the space's exponent table, so the orbit's
+    characters are ``space.exponents[indices]``; the first is its smallest
+    member, which the repr prints.  The orbit enters the character formula
+    through its indicator function on g*.
+    """
+
+    __slots__ = ("space", "indices")
 
     def __init__(self, space: DualSpace, indices):
         self.space = space
         self.indices = np.asarray(indices, dtype=np.int64)
-        self._members = None
 
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    @property
-    def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(self.space.character(int(i))
-                                      for i in self.indices)
-        return self._members
-
-    def representative(self):
-        return self.space.character(int(self.indices[0]))
 
     def indicator(self) -> DualFunction:
         vals = np.zeros(len(self.space))
@@ -77,7 +77,8 @@ class CoadjointOrbit:
         return DualFunction(self.space.ring, vals)
 
     def __repr__(self):
-        return f"CoadjointOrbit(size={self.size}, rep={self.representative()})"
+        first = tuple(self.space.exponents[self.indices[0]].tolist())
+        return f"CoadjointOrbit(size={self.size}, rep={first})"
 
 
 def _dual_permutation(space: DualSpace, matrix, g, lattice) -> np.ndarray:
@@ -124,14 +125,14 @@ class KirillovCharacter:
 
 
 def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
-                       group=None, tol=1e-9) -> KirillovCharacter:
+                       group=None) -> KirillovCharacter:
     """Orbit character on G via the identity coordinate map exp.
 
     The orbit size must be a perfect square (its root is the degree), and
     the character must be constant on every conjugacy class, exactly as
     the group's conjugation certificate closes them (the classes behind
     ``coadjoint_orbits``, with no order cap): max_x |chi(x) - chi(z_[x])|
-    <= ``tol``, z_[x] the representative of the class of x, else
+    <= ``CONSTANCY_TOL``, z_[x] the representative of the class of x, else
     PropertyFailed names the deviation and the first grid index where it
     is largest.
     """
@@ -144,13 +145,12 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
     vals = inverse_fourier(orbit.indicator()).values / root
     spread = np.abs(vals - vals[part.reps][part.labels])
     x = int(np.argmax(spread))
-    if spread[x] > tol:
+    if spread[x] > CONSTANCY_TOL:
         raise PropertyFailed(
             f"orbit character varies on a conjugacy class: deviation "
             f"{spread[x]:.2e} at grid index {x}")
-    return KirillovCharacter(orbit,
-                             ClassFunction(group, vals, tolerance=tol,
-                                           invariant=True))
+    return KirillovCharacter(orbit, ClassFunction(group, vals,
+                                                  tolerance=CONSTANCY_TOL))
 
 
 # -- class-indicator counts ------------------------------------------------------
@@ -235,8 +235,8 @@ def _class_algebra_deviations(group, part, at_reps):
     with M_a Burnside's class matrix, and each is compared with
     delta_ij e_i(z_c).  The triples x y = z in C_a x C_b x C_c, counted once
     by (x, y) and once by (z, y^-1), give |C_c| M_a[b, c] = |C_a| M_c[b*, a],
-    b* the class of the inverses of C_b.  So the class matrix of c alone
-    gives every product at z_c:
+    b* the class of the inverses of C_b (``oracle._inverse_classes``).  So
+    the class matrix of c alone gives every product at z_c:
 
       (e_i * e_j)(z_c) = (1/(|G| |C_c|)) sum_{b,a} e_j(z_b*) M_c[b, a]
                          |C_a| e_i(z_a).
@@ -252,8 +252,7 @@ def _class_algebra_deviations(group, part, at_reps):
     deviation in (c, j, i) order, and None when every one is 0.
     """
     n, r, k = len(group), len(part), len(at_reps)
-    inverse = part.labels[group.index_batch(-group.elements[part.reps])]
-    left = at_reps[:, inverse]
+    left = at_reps[:, _inverse_classes(group, part)]
     fold_re = np.hstack([left.real, -left.imag])
     fold_im = np.hstack([left.imag, left.real])
     right = at_reps * part.sizes
@@ -376,11 +375,12 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None,
     counts N_a[b, c] of both laws for every pair of classes and every
     element, read at the class representatives (``_count_mismatch`` says
     why that covers every element).  Explicit ``pairs``, validated for
-    invariance first, and ``trials`` random invariant pairs follow from the
-    same counts: their deviation is 0.0 once the counts agree, and they are
-    reported as ``pairs_checked`` and ``max_deviation``.  On a mismatch the
-    explicit pairs' deviation is worked out class by class
-    (``_pair_deviation``) and no random pair is counted.
+    invariance first, follow from the same counts: their deviation is 0.0
+    once the counts agree, and they are reported as ``pairs_checked`` and
+    ``max_deviation``.  ``trials`` only adds to ``pairs_checked``: no pair
+    is drawn, since every invariant pair follows from the exact counts.
+    On a mismatch the explicit pairs' deviation is worked out class by
+    class (``_pair_deviation``) and ``trials`` is not counted.
     """
     if ring.p < 3:
         raise RegimeViolation(f"p = {ring.p} < 3")
@@ -507,9 +507,7 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
                 raise PartitionFailure(
                     f"chi_{int(rho)} restricted to G^2 is not proportional "
                     f"to e_Omega: normalized deviation {dev:.2e}")
-        cells.append(P2Cell(orbit,
-                            ClassFunction(group, evals, tolerance=tol,
-                                          invariant=True),
+        cells.append(P2Cell(orbit, ClassFunction(group, evals, tolerance=tol),
                             members))
     missing = np.nonzero(assigned < 0)[0]
     if missing.size:

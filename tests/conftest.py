@@ -1,9 +1,12 @@
 """Shared rings and groups; session-scoped because everything is immutable."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from orbitkit.harmonic import ClassFunction
+from orbitkit.harmonic import ClassFunction, DualSpace
 from orbitkit.liering import LazardGroup, make_ring
 
 
@@ -19,9 +22,63 @@ def heisenberg(p, exponent=1):
                      label=f"heis(p={p},e={exponent})")
 
 
-def as_function(chi):
-    """A dual character as a dense function on its ring."""
-    return ClassFunction(chi.ring, chi.values_on(chi.ring.grid.elements))
+def phases(space, exponents, X):
+    """Pairing exponents in Z/p^K of the character with these exponents
+    (reduced mod the moduli) at the coordinate rows X, from the space's
+    weights."""
+    weights = space.weights[space.index_of(exponents)]
+    return (np.asarray(X, dtype=np.int64) @ weights) % space.ring.big
+
+
+def character_values(space, exponents, X):
+    """The character's complex values at the rows X."""
+    return np.exp(2j * np.pi * phases(space, exponents, X) / space.ring.big)
+
+
+def as_function(ring, exponents):
+    """A dual character of the ring as a dense function on it."""
+    return ClassFunction(ring, character_values(DualSpace(ring), exponents,
+                                                ring.grid.elements))
+
+
+def inner(f1, f2):
+    """(1/n) sum f1 conj(f2) over a shared domain, mass-1 Haar."""
+    return complex(np.vdot(f2.values, f1.values) / len(f1.values))
+
+
+def ch(ring, u, v):
+    """The group product exp(u) exp(v) of two elements, as a tuple."""
+    return tuple(ring.ch_batch(u, v).tolist())
+
+
+def check_group_axioms(group, rng=None, *, assoc_limit=130, trials=10_000):
+    """Identity and inverses on every element; associativity on all triples
+    up to assoc_limit elements, on seeded random triples above."""
+    ring = group.ring
+    E = group.elements
+    n = group.size
+    zero = np.zeros_like(E)
+    ok_identity = (np.array_equal(ring.ch_batch(E, zero), E)
+                   and np.array_equal(ring.ch_batch(zero, E), E))
+    neg = np.mod(-E, ring._mods) if ring.rank else E
+    ok_inverse = (not ring.rank) or (
+        not np.any(ring.ch_batch(E, neg)) and not np.any(ring.ch_batch(neg, E)))
+    if n <= assoc_limit:
+        idx = np.arange(n)
+        ia, ib, ic = np.meshgrid(idx, idx, idx, indexing="ij")
+        A, B, C = E[ia.ravel()], E[ib.ravel()], E[ic.ravel()]
+        mode, count = "exhaustive", n ** 3
+    else:
+        rng = rng or random.Random(0)
+        pick = np.array([[rng.randrange(n) for _ in range(3)]
+                         for _ in range(trials)])
+        A, B, C = E[pick[:, 0]], E[pick[:, 1]], E[pick[:, 2]]
+        mode, count = "sampled", trials
+    left = ring.ch_batch(ring.ch_batch(A, B), C)
+    right = ring.ch_batch(A, ring.ch_batch(B, C))
+    ok_assoc = np.array_equal(left, right)
+    return {"identity": bool(ok_identity), "inverse": bool(ok_inverse),
+            "associativity": bool(ok_assoc), "mode": mode, "triples": count}
 
 
 def upper_unitriangular4(q):

@@ -182,6 +182,15 @@ class TestChartable:
         assert match["status"] == "FAIL"
         assert "NoMatching" in match["witness"]
 
+    def test_tolerance_at_the_row_gap_exits_2(self, capsys):
+        # above 0.7 a candidate could lie near two table rows
+        code, out, err = run(capsys, "chartable", "--input", F3,
+                             "--tolerance", "0.7")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: ValueError: match tolerance 0.7 is not "
+                       "below 0.7\n")
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "chartable", "--input",
                            str(tmp_path / "nope.json"))

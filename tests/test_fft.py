@@ -1,9 +1,10 @@
 """The FFT-based transforms against exact-phase references.
 
-Each reference takes its pairing exponents from DualCharacter.phase_on
-(exact in Z/p^K) and sums in Python complex arithmetic, so it shares no
-code with numpy.fft.  The tolerance 1e-12 is fixed from double precision:
-a sum of at most 729 unit-size terms rounds to about 1e-13.
+Each reference takes its pairing exponents from the DualSpace weights
+(conftest ``phases``, exact in Z/p^K) and sums in Python complex
+arithmetic, so it shares no code with numpy.fft.  The tolerance 1e-12 is
+fixed from double precision: a sum of at most 729 unit-size terms rounds
+to about 1e-13.
 """
 
 import cmath
@@ -13,14 +14,14 @@ import numpy as np
 import pytest
 
 from orbitkit.errors import PropertyFailed
-from orbitkit.harmonic import (ClassFunction, DualCharacter, DualFunction,
-                               DualSpace, fourier, inverse_fourier)
+from orbitkit.harmonic import (ClassFunction, DualFunction, DualSpace,
+                               fourier, inverse_fourier)
 from orbitkit.liering import LazardGroup, Subring, make_ring
 from orbitkit.oracle import conjugacy_classes
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   kirillov_character, p2_orbit_partition)
 
-from conftest import heisenberg
+from conftest import character_values, heisenberg, phases
 
 TOL = 1e-12
 
@@ -47,8 +48,8 @@ def phase_matrix(ring):
     """P[a][x] = exact pairing exponent of character a at element x."""
     X = ring.grid.elements
     space = DualSpace(ring)
-    return [[int(e) for e in space.character(a).phase_on(X)]
-            for a in range(len(space))]
+    return [[int(e) for e in phases(space, exponents, X)]
+            for exponents in space.exponents]
 
 
 def reference_fourier(ring, values):
@@ -99,7 +100,7 @@ def direct_orbit_sum(ring, space, indices):
     X = ring.grid.elements
     total = np.zeros(len(X), dtype=np.complex128)
     for i in indices:
-        total += DualCharacter(ring, space.exponents[int(i)]).values_on(X)
+        total += character_values(space, space.exponents[int(i)], X)
     return total
 
 

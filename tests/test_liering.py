@@ -10,10 +10,12 @@ from orbitkit.chsolver import ValuationRegime, solve_phi_psi, substituted_series
 from orbitkit import liering
 from orbitkit.errors import (JacobiViolation, PropertyFailed, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
-from orbitkit.harmonic import DualCharacter, DualSpace
-from orbitkit.liering import (Grid, LazardGroup, Subring, check_group_axioms,
-                              make_ring, twist_map, uniform_quotient)
+from orbitkit.harmonic import DualSpace
+from orbitkit.liering import (Grid, LazardGroup, Subring, make_ring, twist_map,
+                              uniform_quotient)
 from orbitkit.oracle import conjugation_certificate
+
+from conftest import ch, character_values, check_group_axioms
 
 
 def generic_pair(p, degree=4):
@@ -124,7 +126,7 @@ class TestMakeRing:
 class TestGroupLaw:
     def test_heisenberg_product(self, h3):
         # CH(e1, e2) = e1 + e2 + (1/2)[e1, e2]; 1/2 = 2 mod 3
-        assert h3.ch_multiply((1, 0, 0), (0, 1, 0)) == (1, 1, 2)
+        assert ch(h3, (1, 0, 0), (0, 1, 0)) == (1, 1, 2)
 
     def test_axioms_exhaustive(self, h3_group):
         report = check_group_axioms(h3_group)
@@ -156,7 +158,7 @@ class TestGroupLaw:
         V = rng.integers(0, 9, size=(30, 3))
         batch = z9.ch_batch(U, V)
         for u, v, w in zip(U, V, batch):
-            assert z9.ch_multiply(tuple(u), tuple(v)) == tuple(w)
+            assert ch(z9, tuple(u), tuple(v)) == tuple(w)
 
 
 class TestGrid:
@@ -218,7 +220,7 @@ class TestAdjoint:
             assert np.array_equal(B, z9.exp_ad_matrix(s).T)
             for _ in range(10):
                 x = tuple(rng.randrange(9) for _ in range(3))
-                conj = z9.ch_multiply(z9.ch_multiply(s, x), z9.negate(s))
+                conj = ch(z9, ch(z9, s, x), z9.scale(s, -1))
                 assert tuple((np.array(x) @ B % 9).tolist()) == conj
 
     def test_products_of_generators_give_exp_ad(self, z9):
@@ -230,7 +232,7 @@ class TestAdjoint:
             word = [rng.randrange(3) for _ in range(5)]
             g, B = z9.zero(), np.eye(3, dtype=np.int64)
             for i in word:
-                g = z9.ch_multiply(g, z9.basis(i))
+                g = ch(z9, g, z9.basis(i))
             # x -> x B_{s_k} ... B_{s_1} conjugates by s_1 ... s_k
             for i in reversed(word):
                 B = B @ cert.matrices[i] % 9
@@ -241,7 +243,7 @@ class TestAdjoint:
         for _ in range(10):
             g = tuple(rng.randrange(8) for _ in range(3))
             m_fwd = rank3_z8.exp_ad_matrix(g)
-            m_bwd = rank3_z8.exp_ad_matrix(rank3_z8.negate(g))
+            m_bwd = rank3_z8.exp_ad_matrix(rank3_z8.scale(g, -1))
             prod = np.mod(m_fwd @ m_bwd, rank3_z8._mods[:, None])
             eye = np.mod(np.eye(3, dtype=np.int64), rank3_z8._mods[:, None])
             assert np.array_equal(prod, eye)
@@ -269,7 +271,8 @@ class TestTwist:
 
     @pytest.mark.parametrize("budget", [2_000_000, 100],
                              ids=["exhaustive", "sampled"])
-    def test_collisions_count_duplicate_images(self, h3, h3_group, budget):
+    def test_collisions_count_duplicate_images(self, h3, h3_group, budget,
+                                               monkeypatch):
         # a forged enumeration folds indices mod 5, so images collide; the
         # duplicate count is checked against np.unique
         codes = []
@@ -281,9 +284,10 @@ class TestTwist:
             def index_batch(self, coords):
                 codes.append(h3_group.index_batch(coords) % 5)
                 return codes[-1]
+        monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", budget)
+        monkeypatch.setattr(liering, "TWIST_SAMPLE", 200)
         with pytest.raises(PropertyFailed) as info:
-            twist_map(h3, generic_pair(3), group=Folded(),
-                      pair_budget=budget, sample=200)
+            twist_map(h3, generic_pair(3), group=Folded())
         joined = codes[0] * h3_group.size + codes[1]
         duplicates = len(joined) - np.unique(joined).size
         assert str(info.value) == \
@@ -413,9 +417,11 @@ class TestSubring:
         assert restrict_dual(sub, (1, 2, 0)) == (0,)
         idx = sub.ambient_indices()
         for exponents in ((0, 0, 2), (1, 2, 1), (2, 0, 0)):
-            ambient = DualCharacter(h3, exponents).values_on(h3.grid.elements)
-            restricted = DualCharacter(sub.induced, restrict_dual(
-                sub, exponents)).values_on(sub.induced.grid.elements)
+            ambient = character_values(DualSpace(h3), exponents,
+                                       h3.grid.elements)
+            restricted = character_values(
+                DualSpace(sub.induced), restrict_dual(sub, exponents),
+                sub.induced.grid.elements)
             assert np.allclose(ambient[idx], restricted, atol=1e-12)
 
 

@@ -7,19 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from orbitkit import oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                              DomainMismatch, NoMatching, StabilityCheckFailed,
                              ValidationFailed)
-from orbitkit.harmonic import ClassFunction, DualCharacter
+from orbitkit.harmonic import ClassFunction
 from orbitkit.liering import FiniteLieRing, LazardGroup, Subring
 from orbitkit.oracle import (character_table, class_matrix,
                              conjugacy_classes, conjugation_certificate,
                              match_tables, permutation_orbits,
                              restriction_multiplicity)
+from orbitkit.orbitmethod import coadjoint_orbits, kirillov_character
 
 from conftest import as_function
 from test_orbitmethod import small_rings
@@ -30,7 +31,7 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 def full_functions(table):
     """Expand table rows from class representatives to all group elements."""
     dense = table.rows[:, table.partition.labels]
-    return [ClassFunction(table.group, row, invariant=True) for row in dense]
+    return [ClassFunction(table.group, row) for row in dense]
 
 
 class TestPermutationOrbits:
@@ -284,12 +285,14 @@ class TestConjugacyClasses:
         orbitmethod.coadjoint_orbits(h3, group=group)
         assert conjugacy_classes(LazardGroup(h3)) is not part
         assert len(groups) == 2 and groups[0] is group
+        monkeypatch.setattr(oracle, "ORDER_CAP", 10)
         with pytest.raises(ValueError):
-            conjugacy_classes(group, cap=10)
+            conjugacy_classes(group)
 
-    def test_order_cap(self, h3_group):
+    def test_order_cap(self, h3_group, monkeypatch):
+        monkeypatch.setattr(oracle, "ORDER_CAP", 10)
         with pytest.raises(ValueError):
-            conjugacy_classes(h3_group, cap=10)
+            conjugacy_classes(h3_group)
 
 
 class TestCharacterTable:
@@ -375,13 +378,117 @@ class TestMatchTables:
             match_tables([object()] * len(table), table)
 
 
+def kuhn_match(characters, table, tol=1e-8):
+    """The reference matching, which assumes nothing about the table:
+    every allowed edge, then a Kuhn augmenting search.  Returns
+    (assignment, deviations), or raises NoMatching."""
+    reps = np.array(table.partition.reps)
+    cand = np.array([c.values[reps] for c in characters])
+    k, r = len(cand), len(table.rows)
+    dev = np.zeros((k, r))
+    for i in range(k):
+        dev[i] = np.max(np.abs(cand[i][None, :] - table.rows), axis=1)
+    allowed = dev < tol
+    match_row = [-1] * r
+
+    def augment(i, seen):
+        for j in range(r):
+            if allowed[i, j] and not seen[j]:
+                seen[j] = True
+                if match_row[j] < 0 or augment(match_row[j], seen):
+                    match_row[j] = i
+                    return True
+        return False
+
+    matched = sum(augment(i, [False] * r) for i in range(k))
+    if matched != k or k != r:
+        raise NoMatching(
+            f"matched {matched} of {k} candidates against {r} rows")
+    assignment = [0] * k
+    for j, i in enumerate(match_row):
+        assignment[i] = j
+    return (tuple(assignment),
+            [float(dev[i, assignment[i]]) for i in range(k)])
+
+
+def assert_same_matching(candidates, table, tol=1e-8):
+    """match_tables and the Kuhn search give the same assignment and
+    deviations, or the same NoMatching message; returns which."""
+    try:
+        assignment, deviations = kuhn_match(candidates, table, tol)
+    except NoMatching as exc:
+        with pytest.raises(NoMatching) as info:
+            match_tables(candidates, table, tol)
+        assert str(info.value) == str(exc)
+        return "refused"
+    report = match_tables(candidates, table, tol)
+    assert report.assignment == assignment
+    assert report.deviations == deviations
+    return "matched"
+
+
+def candidate_lists(table, funcs):
+    """Shuffled, truncated, corrupted and duplicated variants of a
+    candidate list that matches the table, with the expected outcome."""
+    group = table.group
+    r = len(funcs)
+    order = np.random.default_rng(r).permutation(r).tolist()
+    shuffled = [funcs[i] for i in order]
+    noisy = [ClassFunction(group, f.values + 1e-10) for f in shuffled]
+    doubled = list(shuffled)
+    doubled[3] = ClassFunction(group, funcs[order[1]].values * 2.0)
+    moved = list(shuffled)
+    moved[-1] = ClassFunction(group, moved[-1].values + 0.5)
+    return [
+        (funcs, "matched"), (shuffled, "matched"), (noisy, "matched"),
+        (shuffled[:-1], "refused"), (shuffled[:2] + shuffled[3:], "refused"),
+        (doubled, "refused"), (moved, "refused"),
+        (shuffled[:2] + [shuffled[0]] + shuffled[3:], "refused"),
+        (shuffled + [shuffled[5]], "refused"),
+        (shuffled[:-1] + [shuffled[0]], "refused")]
+
+
+class TestMatchAgainstKuhn:
+    """The unique-row assignment against the Kuhn augmenting search."""
+
+    @pytest.mark.parametrize("name", ["h3", "z9"])
+    def test_orbit_characters_and_variants(self, name, request):
+        group = request.getfixturevalue(f"{name}_group")
+        ring = group.ring
+        table = character_table(group)
+        chars = [kirillov_character(ring, o, group=group).values
+                 for o in coadjoint_orbits(ring, group=group)]
+        assert assert_same_matching(chars, table) == "matched"
+        for tol in (1e-300, 1e-14, 0.69):
+            assert_same_matching(chars, table, tol)
+        for candidates, outcome in candidate_lists(table, chars):
+            assert assert_same_matching(candidates, table) == outcome
+
+    @settings(max_examples=1)
+    @given(ring=small_rings())
+    def test_drawn_ring(self, ring):
+        table = character_table(LazardGroup(ring))
+        for candidates, outcome in candidate_lists(table,
+                                                   full_functions(table)):
+            assert assert_same_matching(candidates, table) == outcome
+
+    def test_tolerance_must_stay_below_the_row_gap(self, h3_group):
+        table = character_table(h3_group)
+        funcs = full_functions(table)
+        assert match_tables(funcs, table, tol=0.69).assignment \
+            == tuple(range(len(table)))
+        for tol in (0.7, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="is not below 0.7"):
+                match_tables(funcs, table, tol=tol)
+
+
 class TestRestrictionMultiplicity:
     def test_degree_three_character_restricts_to_one_line(self, h3, h3_group):
         # chi|_Z = 3 * (a single central character) for the faithful chi
         table = character_table(h3_group)
         funcs = full_functions(table)
         sub = Subring(h3, [(0, 0, 1)])
-        central = [as_function(DualCharacter(sub.induced, (j,)))
+        central = [as_function(sub.induced, (j,))
                    for j in range(3)]
         i = int(np.argmax(table.degrees))
         assert table.degrees[i] == 3
@@ -396,7 +503,7 @@ class TestRestrictionMultiplicity:
         table = character_table(h3_group)
         funcs = full_functions(table)
         sub = Subring(h3, [(0, 0, 1)])
-        trivial = as_function(DualCharacter(sub.induced, (0,)))
+        trivial = as_function(sub.induced, (0,))
         for i in range(len(table)):
             if table.degrees[i] != 1:
                 continue
@@ -407,7 +514,7 @@ class TestRestrictionMultiplicity:
         table = character_table(h3_group)
         funcs = full_functions(table)
         sub = Subring(h3, [(0, 0, 1)])
-        central = [as_function(DualCharacter(sub.induced, (j,)))
+        central = [as_function(sub.induced, (j,))
                    for j in range(3)]
         for i in (0, int(np.argmax(table.degrees))):
             total = sum(restriction_multiplicity(h3_group, sub, funcs[i],
@@ -418,14 +525,14 @@ class TestRestrictionMultiplicity:
     def test_ring_domain_ambient_character_rejected(self, h3, h3_group):
         sub = Subring(h3, [(0, 0, 1)])
         chi_g = ClassFunction(h3, np.ones(27))
-        psi = as_function(DualCharacter(sub.induced, (0,)))
+        psi = as_function(sub.induced, (0,))
         with pytest.raises(DomainMismatch):
             restriction_multiplicity(h3_group, sub, chi_g, psi)
 
     def test_foreign_subring_character_rejected(self, h3, h3_group):
         sub = Subring(h3, [(0, 0, 1)])
         chi_g = ClassFunction(h3_group, np.ones(27))
-        psi = as_function(DualCharacter(h3, (0, 0, 0)))
+        psi = as_function(h3, (0, 0, 0))
         with pytest.raises(DomainMismatch):
             restriction_multiplicity(h3_group, sub, chi_g, psi)
 
@@ -578,8 +685,10 @@ class TestPrefixSplit:
     def test_retry_only_after_the_full_sum_fails(self, h5_group, monkeypatch):
         # a gap no spectrum reaches: every retry runs every prefix
         calls = counting(monkeypatch, "eigh")
+        monkeypatch.setattr(oracle, "GAP", 1e9)
+        monkeypatch.setattr(oracle, "RETRIES", 3)
         with pytest.raises(DegenerateSpectrum) as info:
-            character_table(h5_group, gap=1e9, retries=3)
+            character_table(h5_group)
         assert str(info.value) == \
             "eigenvalue gap stayed below 1000000000.0 for 3 retries"
         # 29 classes, 15 of them one per inverse pair: prefixes of 8 and 15
