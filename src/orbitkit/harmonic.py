@@ -27,8 +27,6 @@ from .liering import FiniteLieRing, LazardGroup
 ADDITIVE = "additive"
 GROUP = "group"
 
-DEFAULT_TOLERANCE = 1e-9
-
 # (h, c) pairs per block of translates: the CH kernel's temporaries then
 # stay in cache, and freed blocks are reused instead of faulted in afresh
 _BLOCK_CELLS = 1 << 14
@@ -80,21 +78,19 @@ class ClassFunction:
     """Dense complex function on a ring g or a Lazard group G.
 
     Values are indexed by the shared lexicographic element enumeration.
-    ``tolerance`` is how far the values may spread over a conjugacy class
-    for the function to count as a class function where that is checked:
-    ``orbitmethod.verify_exp_star`` checks each explicit pair with it.
+    Constancy on conjugacy classes is not enforced here; the suites that
+    rely on it check it (``kirillov_character``, ``verify_idempotents``).
     """
 
-    __slots__ = ("domain", "values", "tolerance")
+    __slots__ = ("domain", "values")
 
-    def __init__(self, domain, values, *, tolerance=DEFAULT_TOLERANCE):
+    def __init__(self, domain, values):
         vals = np.asarray(values, dtype=np.complex128)
         n = _ring_of(domain).order()
         if vals.shape != (n,):
             raise ValueError(f"expected {n} values, got shape {vals.shape}")
         self.domain = domain
         self.values = vals
-        self.tolerance = float(tolerance)
 
     def __len__(self):
         return len(self.values)
@@ -135,7 +131,7 @@ def exp_star(f: ClassFunction, ring=None) -> ClassFunction:
     target = f.domain.ring if ring is None else ring
     if target is not f.domain.ring:
         raise DomainMismatch("ring is not the domain group's ring")
-    return ClassFunction(target, f.values, tolerance=f.tolerance)
+    return ClassFunction(target, f.values)
 
 
 def _check_law(domain, law) -> None:
@@ -204,8 +200,7 @@ def convolve(f1: ClassFunction, f2: ClassFunction, law: str) -> ClassFunction:
         coeffs = f1.values[block]
         if np.any(coeffs):
             out += coeffs @ f2.values[translates(f1.domain, law, block)]
-    return ClassFunction(f1.domain, out / n,
-                         tolerance=max(f1.tolerance, f2.tolerance))
+    return ClassFunction(f1.domain, out / n)
 
 
 def fourier(f: ClassFunction) -> DualFunction:

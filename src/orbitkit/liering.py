@@ -1035,11 +1035,6 @@ class Subring:
             out = self.ring.add(out, self.ring.scale(b, int(c)))
         return out
 
-    def scaled(self, alpha: int) -> "Subring":
-        return Subring(self.ring,
-                       [self.ring.scale(b, alpha) for b in self.basis_coords],
-                       label=f"{alpha}*({self.label or 'subring'})")
-
     def __repr__(self):
         return (f"Subring(rank={len(self.basis_coords)}, "
                 f"orders={self.orders}, of={self.ring!r})")

@@ -98,89 +98,79 @@ def span_equal(rows_a, rows_b, p: int, big: int) -> bool:
             and all(member(r, ha, p, big) for r in hb))
 
 
-def cyclic_basis(rows, p: int, big: int) -> list[list[int]]:
-    """Basis rows realizing the cyclic decomposition of the span of ``rows``.
+def _eliminate(work, ncols: int, p: int, big: int):
+    """Smith-style elimination of the rows ``work`` over Z/big, in place.
 
-    Every pivot is chosen with globally minimal valuation over the rows not
-    yet used, so each basis row consists entirely of entries with valuation
-    >= its pivot's valuation v: its additive order is exactly p^(K-v), its
-    p^(K-v)-fold multiple vanishes identically (no annihilator rows arise),
-    and the span is the internal direct sum of the cyclic groups the rows
-    generate.  Howell pivots do not give this (the span of (2,1) in (Z/4)^2
-    is Z/4, not Z/2 x Z/2).  Rows come back sorted by pivot column.
+    Each step pivots on an entry of least valuation v over the unused rows
+    and the unused columns among the first ``ncols``, the first such entry
+    scanning rows, then columns.  The pivot row is scaled so that the pivot
+    becomes p^v, and the pivot column is cleared from the other unused
+    rows, which the least valuation makes exact.  Returns the pivots
+    (row, col, v) in the order taken.
     """
     cap = _val(big, p, 10 ** 9)
-    work = [[x % big for x in r] for r in rows]
-    n = len(work[0]) if work else 0
-    free = set(range(len(work)))
-    used_cols: set[int] = set()
-    basis: list[tuple[int, list[int]]] = []   # (pivot col, row)
+    free_rows = list(range(len(work)))
+    free_cols = list(range(ncols))
+    pivots: list[tuple[int, int, int]] = []
     while True:
         best = None
-        for i in sorted(free):
-            for c in range(n):
-                if c not in used_cols and work[i][c]:
+        for i in free_rows:
+            for c in free_cols:
+                if work[i][c]:
                     v = _val(work[i][c], p, cap)
                     if best is None or v < best[0]:
                         best = (v, i, c)
         if best is None:
-            break
+            return pivots
         v, i, c = best
         inv = pow(work[i][c] // p ** v, -1, big)
         work[i] = [(x * inv) % big for x in work[i]]    # pivot becomes p^v
-        for i2 in free:
-            if i2 != i and work[i2][c]:
+        free_rows.remove(i)
+        free_cols.remove(c)
+        for i2 in free_rows:
+            if work[i2][c]:
                 f = work[i2][c] // p ** v               # valuation >= v
                 work[i2] = [(a - f * b) % big
                             for a, b in zip(work[i2], work[i])]
-        free.remove(i)
-        used_cols.add(c)
-        basis.append((c, work[i]))
-    return [row for _, row in sorted(basis, key=lambda t: t[0])]
+        pivots.append((i, c, v))
+
+
+def cyclic_basis(rows, p: int, big: int) -> list[list[int]]:
+    """Basis rows realizing the cyclic decomposition of the span of ``rows``.
+
+    Every pivot is chosen with globally minimal valuation over the rows not
+    yet used (``_eliminate``), so each basis row consists entirely of
+    entries with valuation >= its pivot's valuation v: its additive order
+    is exactly p^(K-v), its p^(K-v)-fold multiple vanishes identically (no
+    annihilator rows arise), and the span is the internal direct sum of the
+    cyclic groups the rows generate.  Howell pivots do not give this (the
+    span of (2,1) in (Z/4)^2 is Z/4, not Z/2 x Z/2).  Rows come back sorted
+    by pivot column.
+    """
+    work = [[x % big for x in r] for r in rows]
+    pivots = _eliminate(work, len(work[0]) if work else 0, p, big)
+    return [work[i] for i, _, _ in sorted(pivots, key=lambda t: t[1])]
 
 
 def solve_mod(columns, target, p: int, big: int):
     """One solution c of sum_j c_j * columns[j] = target over Z/big, or None.
 
     Pivots are chosen globally by minimal valuation over the remaining
-    submatrix (Smith style), after which back-substitution with free
-    variables at zero is complete: whenever the system is solvable at all,
-    every divisibility it needs goes through.  The result is verified by
-    substitution before being returned.
+    submatrix (Smith style, ``_eliminate``), after which back-substitution
+    with free variables at zero is complete: whenever the system is
+    solvable at all, every divisibility it needs goes through.  The result
+    is verified by substitution before being returned.
     """
     n = len(target)
     m = len(columns)
     if m == 0:
         return [] if not any(x % big for x in target) else None
-    cap = _val(big, p, 10 ** 9)
     aug = [[columns[j][i] % big for j in range(m)] + [target[i] % big]
            for i in range(n)]
-    free_rows = set(range(n))
-    free_cols = set(range(m))
-    pivots: list[tuple[int, int, int]] = []   # (row, col, valuation), in order
-    while True:
-        best = None
-        for i in sorted(free_rows):
-            for c in sorted(free_cols):
-                if aug[i][c]:
-                    v = _val(aug[i][c], p, cap)
-                    if best is None or v < best[0]:
-                        best = (v, i, c)
-        if best is None:
-            break
-        v, i, c = best
-        inv = pow(aug[i][c] // p ** v, -1, big)
-        aug[i] = [(x * inv) % big for x in aug[i]]      # pivot becomes p^v
-        for i2 in free_rows:
-            if i2 != i and aug[i2][c]:
-                f = aug[i2][c] // p ** v                # valuation >= v
-                aug[i2] = [(a - f * b) % big for a, b in zip(aug[i2], aug[i])]
-        free_rows.remove(i)
-        free_cols.remove(c)
-        pivots.append((i, c, v))
-    for i in free_rows:
-        if aug[i][m] % big:
-            return None
+    pivots = _eliminate(aug, m, p, big)
+    used = {i for i, _, _ in pivots}
+    if any(aug[i][m] % big for i in range(n) if i not in used):
+        return None
     sol = [0] * m
     for i, c, v in reversed(pivots):
         acc = aug[i][m] - sum(aug[i][c2] * sol[c2] for c2 in range(m) if c2 != c)

@@ -495,9 +495,6 @@ class MatchReport:
 def _values_on_group(character) -> np.ndarray:
     if isinstance(character, ClassFunction):
         return character.values
-    inner = getattr(character, "values", None)
-    if isinstance(inner, ClassFunction):
-        return inner.values
     raise TypeError(f"cannot read character values from {character!r}")
 
 

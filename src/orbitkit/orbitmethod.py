@@ -36,7 +36,7 @@ import numpy as np
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
 from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
-                       exp_star, fourier, inverse_fourier, translates)
+                       exp_star, fourier, inverse_fourier)
 from .liering import FiniteLieRing, LazardGroup, Subring
 from .oracle import (_inverse_classes, character_table, class_matrix,
                      conjugacy_classes, conjugation_certificate,
@@ -149,8 +149,7 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
         raise PropertyFailed(
             f"orbit character varies on a conjugacy class: deviation "
             f"{spread[x]:.2e} at grid index {x}")
-    return KirillovCharacter(orbit, ClassFunction(group, vals,
-                                                  tolerance=CONSTANCY_TOL))
+    return KirillovCharacter(orbit, ClassFunction(group, vals))
 
 
 # -- class-indicator counts ------------------------------------------------------
@@ -176,44 +175,21 @@ def _count_mismatch(group, part, a, rows=None):
       class, and the first failing a is the one a count at every element
       finds.
 
-    Only on a mismatch is class a recounted at every c, to read the first
-    witness in row-major order.
+    The witness is read off the same matrices.  Row b of the element-level
+    difference is constant on each class, so its first nonzero element is
+    the smallest member of the first class where it is nonzero.  The
+    representatives are the smallest members and the classes are ordered
+    by them, so that element is z_c for the first class c at which row b of
+    the two matrices differs, and the first such b in ``rows`` order is the
+    first row at which any element differs.
     """
     keep = slice(None) if rows is None else rows
-    M = class_matrix(group, part, a)
-    if np.array_equal(M[keep], class_matrix(group, part, a, ADDITIVE)[keep]):
+    bad = (class_matrix(group, part, a)[keep]
+           != class_matrix(group, part, a, ADDITIVE)[keep])
+    if not bad.any():
         return None
-    labels, r, n = part.labels, len(part), len(group)
-    rows = np.arange(r) if rows is None else np.asarray(rows)
-    add = labels[translates(group, ADDITIVE, part.classes[a])]
-    by_sum = np.bincount((add * n + np.arange(n)).ravel(),
-                         minlength=r * n).reshape(r, n)
-    bad = (M[:, labels] != by_sum)[rows]
     b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return (a, int(rows[b]), int(c))
-
-
-def _pair_deviation(group, part, pairs) -> float:
-    """max |f1 *_G f2 - f1 *_+ f2| over the pairs of class functions.
-
-    Both convolutions of class functions are constant on classes
-    (``_count_mismatch``), so they are read at the representatives z_c
-    from the count matrices of each class a of h under both laws:
-
-      (f1 *_G f2 - f1 *_+ f2)(z_c)
-        = (1/|G|) sum_a f1(z_a) (v2 @ (M_a - N+_a))[c],
-
-    with v2 the values of f2 at the representatives.
-    """
-    if not pairs:
-        return 0.0
-    diff = np.zeros((len(pairs), len(part)), dtype=np.complex128)
-    for a in range(len(part)):
-        D = class_matrix(group, part, a) - class_matrix(group, part, a,
-                                                        ADDITIVE)
-        for k, (f1, f2) in enumerate(pairs):
-            diff[k] += f1.values[part.reps[a]] * (f2.values[part.reps] @ D)
-    return float(np.max(np.abs(diff))) / len(group)
+    return (a, int(b if rows is None else rows[b]), part.reps[c])
 
 
 # -- verification suites --------------------------------------------------------
@@ -358,48 +334,31 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
             "witness": None if passed else witness}
 
 
-def _assert_invariant(f: ClassFunction, partition):
-    for cls in partition.classes:
-        seg = f.values[cls]
-        if np.max(np.abs(seg - seg[0])) > f.tolerance:
-            raise ValueError("input is not conjugation-invariant; the "
-                             "intertwining claim only concerns Fun(G)^G")
-
-
-def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None,
-                    pairs=None) -> dict:
+def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None) -> dict:
     """exp* intertwines group and additive convolution on Fun(G)^G.
 
     The check is exhaustive and exact at every size: class indicators span
     the invariant functions, so by bilinearity it compares the integer
     counts N_a[b, c] of both laws for every pair of classes and every
     element, read at the class representatives (``_count_mismatch`` says
-    why that covers every element).  Explicit ``pairs``, validated for
-    invariance first, follow from the same counts: their deviation is 0.0
-    once the counts agree, and they are reported as ``pairs_checked`` and
-    ``max_deviation``.  ``trials`` only adds to ``pairs_checked``: no pair
-    is drawn, since every invariant pair follows from the exact counts.
-    On a mismatch the explicit pairs' deviation is worked out class by
-    class (``_pair_deviation``) and ``trials`` is not counted.
+    why that covers every element).  No pair of functions is drawn or
+    convolved: every invariant pair follows from the exact counts, so
+    ``max_deviation`` is 0.0.  ``pairs_checked`` is ``trials`` on a pass
+    and 0 on a mismatch; ``trials`` only feeds that field, and stays
+    because dropping it would change the report.
     """
     if ring.p < 3:
         raise RegimeViolation(f"p = {ring.p} < 3")
     group = group or LazardGroup(ring)
     part = conjugacy_classes(group)
-    pairs = list(pairs or [])
-    for f1, f2 in pairs:
-        _assert_invariant(f1, part)
-        _assert_invariant(f2, part)
     report = {"group_order": len(group), "classes": len(part),
               "exhaustive": True, "max_deviation": 0.0,
-              "pairs_checked": len(pairs) + trials, "passed": True,
-              "witness": None}
+              "pairs_checked": trials, "passed": True, "witness": None}
     for a in range(len(part)):
         hit = _count_mismatch(group, part, a)
         if hit is not None:
             report.update(exhaustive=False, passed=False, witness=hit,
-                          pairs_checked=len(pairs),
-                          max_deviation=_pair_deviation(group, part, pairs))
+                          pairs_checked=0)
             break
     return report
 
@@ -507,8 +466,7 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
                 raise PartitionFailure(
                     f"chi_{int(rho)} restricted to G^2 is not proportional "
                     f"to e_Omega: normalized deviation {dev:.2e}")
-        cells.append(P2Cell(orbit, ClassFunction(group, evals, tolerance=tol),
-                            members))
+        cells.append(P2Cell(orbit, ClassFunction(group, evals), members))
     missing = np.nonzero(assigned < 0)[0]
     if missing.size:
         raise PartitionFailure(

@@ -21,7 +21,7 @@ from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
 from .freelie import vp
 from .harmonic import DualSpace
 from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
-                      make_ring)
+                      uniform_quotient)
 from .oracle import character_table, match_tables
 from .orbitmethod import coadjoint_orbits, kirillov_character, \
     p2_orbit_partition
@@ -223,8 +223,10 @@ def quotient_to_finite(lattice: PLattice, algebra: QpLieAlgebra, r: int, *,
                        label=None):
     """The finite Lie ring k/p^r*k over Z/p^r in the lattice basis.
 
-    The lattice must be uniform ([k,k] ⊆ p*k, ⊆ 4*k when p = 2); the exact
-    rational structure constants become both the residues and the p-adic
+    The lattice must be uniform ([k,k] ⊆ p*k, ⊆ 4*k when p = 2), checked
+    on the coordinates of the basis brackets, else RegimeViolation.  The
+    exact rational coordinates then go to ``liering.uniform_quotient`` as
+    the structure constants: they become both the residues and the p-adic
     lifts of the finite ring, so the uniform CH series is available at any
     class.
     """
@@ -245,16 +247,8 @@ def quotient_to_finite(lattice: PLattice, algebra: QpLieAlgebra, r: int, *,
             row = {k: c for k, c in enumerate(coords) if c}
             if row:
                 lift[(i, j)] = row
-    big = p ** r
-    residues = {key: {k: c.numerator * pow(c.denominator, -1, big) % big
-                      for k, c in row.items()}
-                for key, row in lift.items()}
-    ring = make_ring(p, (r,) * n, residues, lifts=lift,
-                     label=label or f"{algebra.label or 'k'}/p^{r}")
-    if ring.constants and ring.uniform_depth < need:
-        raise RegimeViolation(
-            f"quotient depth {ring.uniform_depth} < {need}")
-    return ring
+    return uniform_quotient(p, n, lift, r,
+                            label=label or f"{algebra.label or 'k'}/p^{r}")
 
 
 # -- restriction ----------------------------------------------------------------

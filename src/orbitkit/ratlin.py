@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freelie import vp, INFINITY
+from .freelie import vp
 
 
 def solve_right(matrix, rhs, p: int | None = None):

@@ -20,7 +20,7 @@ def log_star(f, group):
         raise DomainMismatch("log_star expects a ring-domain function")
     if group.ring is not f.domain:
         raise DomainMismatch("group does not lie over the function's ring")
-    return ClassFunction(group, f.values, tolerance=f.tolerance)
+    return ClassFunction(group, f.values)
 
 
 def dual_inner(F1, F2):

@@ -396,8 +396,7 @@ class TestSubring:
             assert sub.express(x) == coords
 
     def test_scaled_subring(self, z9):
-        full = Subring(z9, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        sub = full.scaled(3)
+        sub = Subring(z9, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
         assert sub.orders == (1, 1, 1)
         # [3x, 3y] = 9z = 0 in Z/9: the induced ring is abelian
         assert sub.induced.class_ <= 1

@@ -86,6 +86,12 @@ class TestCyclicBasis:
             for row in basis:
                 assert row in (list(v) for v in span)
 
+    def test_pivot_order_is_rows_then_columns(self):
+        # the least valuation ties between (row 0, col 1) and (row 1, col 0);
+        # scanning rows first takes the former, which fixes the basis rows
+        # that Subring bases and restrict reports are built from
+        assert cyclic_basis([[0, 2], [1, 1]], 3, 9) == [[1, 0], [0, 1]]
+
     def test_rows_generate_the_span(self):
         rng = random.Random(3)
         for _ in range(10):
@@ -113,6 +119,11 @@ class TestSolveMod:
             for i in range(n):
                 acc = sum(sol[j] * columns[j][i] for j in range(m))
                 assert acc % big == target[i]
+
+    def test_pivot_order_fixes_the_solution(self):
+        # 3 c_1 = 6 and 6 c_0 + 6 c_1 = 0 mod 9 has several solutions; the
+        # rows-then-columns pivot order picks this one
+        assert solve_mod([[0, 6], [3, 6]], [6, 0], 3, 9) == [1, 2]
 
     def test_unsolvable_returns_none(self):
         # 2x = 1 has no solution mod 4

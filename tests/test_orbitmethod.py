@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
@@ -151,21 +150,6 @@ class TestVerifyExpStar:
         assert report["classes"] == 11
         assert report["max_deviation"] < 1e-10
         assert report["pairs_checked"] == 20
-
-    def test_explicit_invariant_pair(self, h3, h3_group):
-        orbit = max(coadjoint_orbits(h3), key=lambda o: o.size)
-        chi = kirillov_character(h3, orbit, group=h3_group).values
-        report = verify_exp_star(h3, trials=0, group=h3_group,
-                                 pairs=[(chi, chi)])
-        assert report["passed"]
-        assert report["pairs_checked"] == 1
-
-    def test_non_invariant_pair_rejected(self, h3, h3_group):
-        vals = np.zeros(27)
-        vals[h3_group.index_of((1, 0, 0))] = 1.0
-        f = ClassFunction(h3_group, vals)
-        with pytest.raises(ValueError):
-            verify_exp_star(h3, pairs=[(f, f)])
 
     def test_p2_rejected(self, rank3_z8):
         with pytest.raises(RegimeViolation):
@@ -391,12 +375,9 @@ def _swapped_translates(h, cols):
 
 
 def _patching_translates(patched):
-    """Both callers of harmonic.translates in the count checks, the class
-    matrices and the witness recount, routed through ``patched``."""
-    stack = ExitStack()
-    for module in (oracle, orbitmethod):
-        stack.enter_context(mock.patch.object(module, "translates", patched))
-    return stack
+    """The one caller of harmonic.translates in the count checks, the class
+    matrices, routed through ``patched``."""
+    return mock.patch.object(oracle, "translates", patched)
 
 
 def _outcome(check):
@@ -567,21 +548,13 @@ class TestCountCheckProperties:
                                                          t_add=t_add))
                 assert new == old
                 return
-            part = conjugacy_classes(group)
-            rng = np.random.default_rng(len(group))
-            v1, v2 = ((rng.standard_normal(len(part))
-                       + 1j * rng.standard_normal(len(part)))[part.labels]
-                      for _ in range(2))
-            pair = (ClassFunction(group, v1), ClassFunction(group, v2))
-            report = verify_exp_star(ring, trials=3, group=group,
-                                     pairs=[pair])
-        t_grp = ref_group_table(group)
-        witness = ref_exp_star_witness(part, t_grp, t_add)
+            report = verify_exp_star(ring, trials=3, group=group)
+        witness = ref_exp_star_witness(conjugacy_classes(group),
+                                       ref_group_table(group), t_add)
         assert report["witness"] == witness
         assert report["passed"] == report["exhaustive"] == (witness is None)
-        assert report["pairs_checked"] == (4 if witness is None else 1)
-        deviation = np.max(np.abs(v1 @ v2[t_grp] - v1 @ v2[t_add]))
-        assert abs(report["max_deviation"] - deviation / len(group)) < 1e-12
+        assert report["pairs_checked"] == (3 if witness is None else 0)
+        assert report["max_deviation"] == 0.0
 
 
 # -- the n x n idempotent table as a reference ---------------------------------
