@@ -11,7 +11,12 @@ plus lexicographically larger words, so a Lie element written in the word
 basis rewrites into the Lyndon basis by repeatedly stripping its smallest
 word.  The Campbell-Hausdorff series log(exp x exp y) is computed twice, by
 the associative-logarithm route and by Dynkin's bracketing formula, and the
-two expansions must agree coefficient for coefficient.
+two expansions must agree coefficient for coefficient.  Both routes run over
+Python integers with one denominator per degree (|w|!*L for a word w of the
+logarithm, n*n!*L for a Dynkin coefficient of degree n, L = lcm(1..N) at
+truncation order N) and divide only when a component becomes a LiePoly.
+Every number here is a Python int or a Fraction, so there is no fixed-width
+headroom to check.
 """
 
 from __future__ import annotations
@@ -56,8 +61,11 @@ class Scalar:
     __slots__ = ("rat", "surd", "prime")
 
     def __init__(self, rat=0, surd=0, prime=None):
-        rat = Fraction(rat)
-        surd = Fraction(surd)
+        # a Fraction is immutable, so one is kept rather than rebuilt
+        if type(rat) is not Fraction:
+            rat = Fraction(rat)
+        if type(surd) is not Fraction:
+            surd = Fraction(surd)
         if surd == 0:
             prime = None
         elif prime is None:
@@ -465,105 +473,112 @@ class GradedSeries:
 
 # -- the Campbell-Hausdorff series -------------------------------------------
 
-def _word_mul(a: dict, b: dict, cap: int) -> dict:
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            if len(w1) + len(w2) > cap:
-                continue
-            w = w1 + w2
-            nc = out.get(w, 0) + c1 * c2
-            if nc:
-                out[w] = nc
-            else:
-                out.pop(w, None)
-    return out
+def _log_words(n_max: int, lcm: int) -> list:
+    """log(exp x exp y) in the free associative algebra, split by degree.
 
-
-def _assoc_log(n_max: int):
-    """Degree components of log(exp x exp y) in the free associative algebra."""
-    prod_ = {}
-    for a in range(n_max + 1):
-        for b in range(n_max - a + 1):
-            if a + b == 0:
-                continue
-            prod_[(0,) * a + (1,) * b] = Fraction(
-                1, math.factorial(a) * math.factorial(b))
-    acc: dict = {}
-    zpow = {(): Fraction(1)}
+    Entry n maps each word w of length n to n!*lcm times its coefficient,
+    an integer when lcm is a multiple of lcm(1..n_max).  Scaled by |w|!,
+    the block x^a y^b of Z = exp x exp y - 1 weighs C(a+b, a),
+    concatenating words of lengths l1 and l2 multiplies by C(l1+l2, l1),
+    and the term (-1)^(m+1) Z^m/m of the logarithm enters as +-(lcm/m) Z^m.
+    """
+    blocks = [{(0,) * a + (1,) * (k - a): math.comb(k, a)
+               for a in range(k + 1)} for k in range(n_max + 1)]
+    power = [{(): 1}] + [{} for _ in range(n_max)]    # Z^0, by length
+    log = [{} for _ in range(n_max + 1)]
     for m in range(1, n_max + 1):
-        zpow = _word_mul(zpow, prod_, n_max)
-        sign = Fraction((-1) ** (m + 1), m)
-        for w, c in zpow.items():
-            nc = acc.get(w, 0) + sign * c
-            if nc:
-                acc[w] = nc
-            else:
-                acc.pop(w, None)
-    split = [dict() for _ in range(n_max + 1)]
-    for w, c in acc.items():
-        split[len(w)][w] = c
-    return split
+        nxt = [{} for _ in range(n_max + 1)]
+        for l1, words in enumerate(power):
+            for l2 in range(1, n_max - l1 + 1):
+                out = nxt[l1 + l2]
+                scale = math.comb(l1 + l2, l1)
+                for w1, c1 in words.items():
+                    c1 *= scale
+                    for w2, c2 in blocks[l2].items():
+                        w = w1 + w2
+                        out[w] = out.get(w, 0) + c1 * c2
+        power = nxt
+        sign = lcm // m if m % 2 else -(lcm // m)
+        for acc, words in zip(log, power):
+            for w, c in words.items():
+                acc[w] = acc.get(w, 0) + sign * c
+    return [{w: c for w, c in acc.items() if c} for acc in log]
+
+
+def _dynkin_word(word, lcm: int) -> int:
+    """n*n!*lcm times the coefficient of word's Dynkin bracketing in CH_n.
+
+    The coefficient sums (-1)^(t-1)/(t n prod a_i! b_i!) over the splittings
+    of the word into t consecutive blocks x^a y^b, a + b >= 1; lcm must be a
+    multiple of lcm(1..n).  table[i][t] is i! times the inner sum over the
+    splittings of the first i letters into t blocks, so appending the block
+    word[j:i] = x^a y^b multiplies by i!/(j! a! b!) = C(i, j) C(i-j, a).
+    """
+    n = len(word)
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    table[0][0] = 1
+    for j in range(n):
+        row = table[j]
+        a = 0                                   # leading x's of word[j:i]
+        for i in range(j + 1, n + 1):
+            if word[i - 1] == 0:
+                if a < i - 1 - j:               # an x after a y
+                    break
+                a += 1
+            weight = math.comb(i, j) * math.comb(i - j, a)
+            out = table[i]
+            for t in range(j + 1):              # j letters make <= j blocks
+                if row[t]:
+                    out[t + 1] += row[t] * weight
+    return sum((lcm // t if t % 2 else -(lcm // t)) * table[n][t]
+               for t in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
-def _right_normed(word) -> LiePoly:
-    """Dynkin bracketing [w1,[w2,[...,wn]]] of a word, as a Lyndon-basis element."""
-    n = len(word)
-    if n == 1:
-        return generator("xy"[word[0]], 1)
-    inner = _right_normed(word[1:]).with_max_degree(n)
-    return bracket(generator("xy"[word[0]], n), inner, n)
+def _dynkin_bracket(word) -> tuple:
+    """Dynkin bracketing [w1,[w2,[...,wn]]] of a word in the Lyndon basis.
 
-
-def _dynkin_coeff(word) -> Fraction:
-    """Coefficient of the Dynkin bracketing of a word in the CH series.
-
-    Sums (-1)^(t-1)/(t n prod a_i! b_i!) over the splittings of the word into
-    t consecutive blocks of the shape x^a y^b, a + b >= 1.
+    A tuple of (basis index, integer coefficient), built with the integral
+    structure constants of bracket_table(1, n - 1).
     """
     n = len(word)
-    seg = {}
-    for j in range(n):
-        for i in range(j + 1, n + 1):
-            block = word[j:i]
-            k = 0
-            while k < len(block) and block[k] == 0:
-                k += 1
-            if any(c == 0 for c in block[k:]):
-                continue
-            a, b = k, len(block) - k
-            seg[(j, i)] = Fraction(1, math.factorial(a) * math.factorial(b))
-    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    table[0][0] = Fraction(1)
-    for i in range(1, n + 1):
-        for t in range(1, i + 1):
-            s = Fraction(0)
-            for j in range(i):
-                w = seg.get((j, i))
-                if w is not None and table[j][t - 1]:
-                    s += table[j][t - 1] * w
-            table[i][t] = s
-    total = Fraction(0)
-    for t in range(1, n + 1):
-        if table[n][t]:
-            total += Fraction((-1) ** (t - 1), t * n) * table[n][t]
-    return total
+    if n == 1:
+        return ((word[0], 1),)
+    table = bracket_table(1, n - 1)
+    out: dict = {}
+    for k, c in _dynkin_bracket(word[1:]):
+        for k2, c2 in table.get((word[0], k), ()):
+            out[k2] = out.get(k2, 0) + c * c2
+    return tuple((k, c) for k, c in out.items() if c)
+
+
+def _component(n: int, coeffs: dict, den: int, n_max: int) -> LiePoly:
+    """The degree-n LiePoly with coefficients coeffs[k]/den."""
+    return LiePoly({(n, k): Fraction(c, den) for k, c in coeffs.items()},
+                   n_max)
+
+
+def _assoc_bch(n_max: int) -> dict:
+    """{n: CH_n} by the associative logarithm, rewritten into the Lyndon basis."""
+    lcm = math.lcm(*range(1, n_max + 1))
+    split = _log_words(n_max, lcm)
+    return {n: _component(n, words_to_lyndon(split[n], n),
+                          math.factorial(n) * lcm, n_max)
+            for n in range(1, n_max + 1)}
 
 
 def _dynkin_bch(n_max: int) -> dict:
+    """{n: CH_n} by Dynkin's formula."""
+    lcm = math.lcm(*range(1, n_max + 1))
     comps = {}
     for n in range(1, n_max + 1):
         acc: dict = {}
         for word in product((0, 1), repeat=n):
-            c = _dynkin_coeff(word)
-            if not c:
-                continue
-            for key, s in _right_normed(word).terms.items():
-                cur = acc.get(key)
-                add = s * c
-                acc[key] = add if cur is None else cur + add
-        comps[n] = LiePoly(acc, n_max)
+            c = _dynkin_word(word, lcm)
+            if c:
+                for k, s in _dynkin_bracket(word):
+                    acc[k] = acc.get(k, 0) + c * s
+        comps[n] = _component(n, acc, n * math.factorial(n) * lcm, n_max)
     return comps
 
 
@@ -575,11 +590,7 @@ def bch(n_max: int = DEGREE_CAP) -> GradedSeries:
     basis) and independently by Dynkin's formula; a disagreement anywhere is
     a bug and raises PropertyFailed.
     """
-    split = _assoc_log(n_max)
-    comps = {}
-    for n in range(1, n_max + 1):
-        coeffs = words_to_lyndon(split[n], n)
-        comps[n] = LiePoly({(n, k): c for k, c in coeffs.items()}, n_max)
+    comps = _assoc_bch(n_max)
     dynkin = _dynkin_bch(n_max)
     for n in range(1, n_max + 1):
         if comps[n] != dynkin[n]:

@@ -366,6 +366,27 @@ class TestErrorExitCodes:
         assert err == ("error: PropertyFailed: CH routes disagree at "
                        "degree 2\n")
 
+    def test_skewed_associative_ch_route_exits_1(self, capsys,
+                                                 monkeypatch):
+        real = freelie._assoc_bch
+
+        def skewed(n_max):
+            comps = real(n_max)
+            comps[2] = comps[2] * 2
+            return comps
+
+        monkeypatch.setattr(freelie, "_assoc_bch", skewed)
+        freelie.bch.cache_clear()
+        try:
+            code, out, err = run(capsys, "bch", "--prime", "3",
+                                 "--degree", "3")
+        finally:
+            freelie.bch.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert err == ("error: PropertyFailed: CH routes disagree at "
+                       "degree 2\n")
+
     def test_solver_identity_guard_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(chsolver, "check_identity",
                             lambda series, pair, n_max: False)

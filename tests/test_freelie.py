@@ -1,7 +1,10 @@
 """Free Lie algebra on two generators: Lyndon basis, CH series, valuations."""
 
+import hashlib
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,7 +15,8 @@ from orbitkit.freelie import (DEGREE_CAP, INFINITY, GradedSeries, LiePoly,
                               bracket_table, exp_ad_apply, generator,
                               lyndon_count, lyndon_words,
                               standard_bracketing, valuation_of, vp,
-                              words_to_lyndon, _dynkin_bch)
+                              words_to_lyndon, _assoc_bch, _dynkin_bch,
+                              _dynkin_bracket, _dynkin_word, _log_words)
 
 
 def random_poly(rng, degree, span=3):
@@ -45,6 +49,12 @@ class TestScalars:
     def test_surd_inverse(self):
         s = Scalar(Fraction(1, 2), Fraction(3), 7)
         assert s * s.inverse() == 1
+
+    def test_fraction_arguments_are_kept(self):
+        q, r = Fraction(3, 4), Fraction(-1, 6)
+        s = Scalar(q, r, 7)
+        assert s.rat is q and s.surd is r
+        assert type(Scalar(3).rat) is Fraction and Scalar(3) == Fraction(3)
 
     def test_mixed_primes_are_rejected(self):
         with pytest.raises(PrimeContextMismatch):
@@ -170,11 +180,131 @@ class TestCHSeries:
         finally:
             bch.cache_clear()
 
+    def test_skewed_associative_route_raises_property_failed(self,
+                                                             monkeypatch):
+        # the counterpart: the comparison reads the route bch returns too
+        real = freelie._assoc_bch
+
+        def skewed(n_max):
+            comps = real(n_max)
+            comps[3] = comps[3] * 2
+            return comps
+
+        monkeypatch.setattr(freelie, "_assoc_bch", skewed)
+        bch.cache_clear()
+        try:
+            with pytest.raises(PropertyFailed,
+                               match="CH routes disagree at degree 3"):
+                bch(3)
+        finally:
+            bch.cache_clear()
+
     def test_degree_two_valuations(self):
         half = bch(2).component(2)
         assert valuation_of(half, 2) == -1
         assert valuation_of(half, 3) == 0
         assert valuation_of(LiePoly.zero(), 3) == INFINITY
+
+
+# -- Fraction references for the integer CH routes ---------------------------
+
+def ref_word_mul(a, b, cap):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            if len(w1) + len(w2) <= cap:
+                out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return out
+
+
+def ref_assoc_log(n_max):
+    """log(exp x exp y) by degree: sum_m (-1)^(m+1) Z^m / m over Fractions."""
+    z = {(0,) * a + (1,) * b: Fraction(1, math.factorial(a) * math.factorial(b))
+         for a in range(n_max + 1) for b in range(n_max - a + 1) if a + b}
+    acc = {}
+    zpow = {(): Fraction(1)}
+    for m in range(1, n_max + 1):
+        zpow = ref_word_mul(zpow, z, n_max)
+        for w, c in zpow.items():
+            acc[w] = acc.get(w, 0) + Fraction((-1) ** (m + 1), m) * c
+    split = [{} for _ in range(n_max + 1)]
+    for w, c in acc.items():
+        if c:
+            split[len(w)][w] = c
+    return split
+
+
+def ref_dynkin_coeff(word):
+    """sum of (-1)^(t-1)/(t n prod a_i! b_i!) over the splittings of the
+    word into t blocks x^a y^b, a + b >= 1, by dynamic programming."""
+    n = len(word)
+    seg = {}
+    for j in range(n):
+        for i in range(j + 1, n + 1):
+            block = word[j:i]
+            a = 0
+            while a < len(block) and block[a] == 0:
+                a += 1
+            if 0 not in block[a:]:
+                seg[(j, i)] = Fraction(1, math.factorial(a)
+                                       * math.factorial(len(block) - a))
+    table = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    table[0][0] = Fraction(1)
+    for i in range(1, n + 1):
+        for t in range(1, i + 1):
+            table[i][t] = sum((table[j][t - 1] * seg[(j, i)]
+                               for j in range(i) if (j, i) in seg),
+                              Fraction(0))
+    return sum((Fraction((-1) ** (t - 1), t * n) * table[n][t]
+                for t in range(1, n + 1)), Fraction(0))
+
+
+def ref_right_normed(word):
+    n = len(word)
+    out = generator("xy"[word[-1]], n)
+    for letter in reversed(word[:-1]):
+        out = bracket(generator("xy"[letter], n), out, n)
+    return out
+
+
+class TestIntegerCHRoutes:
+    """Term by term, the scaled integers equal the Fraction references."""
+
+    def test_log_words_match_fraction_logarithm(self):
+        n_max = 6
+        lcm = math.lcm(*range(1, n_max + 1))
+        ref = ref_assoc_log(n_max)
+        scaled = _log_words(n_max, lcm)
+        for n in range(1, n_max + 1):
+            den = math.factorial(n) * lcm
+            assert {w: Fraction(c, den) for w, c in scaled[n].items()} \
+                == ref[n]
+
+    def test_dynkin_word_matches_fraction_coefficient(self):
+        lcm = math.lcm(*range(1, 8))
+        for n in range(1, 8):
+            den = n * math.factorial(n) * lcm
+            for word in product((0, 1), repeat=n):
+                assert Fraction(_dynkin_word(word, lcm), den) == \
+                    ref_dynkin_coeff(word)
+
+    def test_dynkin_bracket_matches_nested_brackets(self):
+        for n in range(1, 7):
+            for word in product((0, 1), repeat=n):
+                terms = {(n, k): c for k, c in _dynkin_bracket(word)}
+                assert LiePoly(terms, n) == ref_right_normed(word)
+
+    def test_series_is_pinned(self):
+        # independent of both routes: counts and digest of the exact series
+        series = bch(8)
+        assert [len(series.component(n).terms) for n in range(1, 9)] == \
+            [2, 1, 2, 1, 6, 5, 18, 17]
+        lines = [f"{d} {k} {c}"
+                 for n in series.degrees()
+                 for (d, k), c in sorted(series.component(n).terms.items())]
+        assert len(lines) == 52
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "6044daf67aa99e8e057c0ed070b6a1d5bce2150b4cbe2a60b6bc05dd4d9b736e"
 
 
 class TestExpAd:
