@@ -15,6 +15,7 @@ overflow int64).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -559,8 +560,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code.
+
+    The last step, on every path, is ``gc.freeze()``: a command is the
+    whole life of its process, and at exit the interpreter's shutdown
+    collections would otherwise traverse every tracked object, most of
+    them numpy's and the standard library's from import time: about 30 ms
+    from ``main`` returning to the process ending, against about 10 ms
+    frozen, on a 2-vCPU VM (README, "Command line").  Refcount teardown,
+    ``atexit`` and the flushing of stdout and stderr still run.  A caller
+    that keeps running after ``main`` returns may call ``gc.unfreeze()``.
+    There is no ``gc.collect()`` before the freeze, since it would pay for
+    the traversal being skipped, and no ``os._exit``, since it would skip
+    ``atexit`` and the buffered writes of an in-process caller.
+    """
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _INPUT_FAILURES as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -572,6 +587,8 @@ def main(argv=None) -> int:
         # a check failure raised outside a check, or any other package error
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

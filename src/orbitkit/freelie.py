@@ -106,6 +106,9 @@ class Scalar:
 
     def __mul__(self, other):
         other = _scalar(other)
+        if not (self.surd or other.surd):
+            # both rational, so no prime to join: the one nonzero product
+            return Scalar(self.rat * other.rat)
         p = self._join(other)
         rat = self.rat * other.rat
         surd = self.rat * other.surd + self.surd * other.rat

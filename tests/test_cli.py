@@ -1,5 +1,6 @@
 """End-to-end command-line driver: reports, determinism, exit codes."""
 
+import gc
 import hashlib
 import json
 import os
@@ -521,10 +522,70 @@ def test_chartable_imports_neither_numpy_random_nor_ma(tmp_path):
         f"'both', '--output', {str(tmp_path / 'report.json')!r}])\n"
         "print(code, [m for m in ('numpy.random', 'numpy.ma') "
         "if m in sys.modules])\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120,
                           check=True)
     assert done.stdout == "0 []\n"
+
+
+def _child_env():
+    """This process's environment, with the tested sources on the path, no
+    seed override, and stdout block-buffered as a pipe is by default, so
+    that an exit which skips the final flush loses output."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for name in ("ORBITKIT_SEED", "PYTHONUNBUFFERED"):
+        env.pop(name, None)
+    return env
+
+
+def _exit_path(name, tmp_path):
+    """The expected exit code and the arguments of one exit path."""
+    if name == "malformed":
+        spec = tmp_path / "bad.json"
+        spec.write_text("[1, 2, 3]")
+        return 2, ["chartable", "--input", str(spec)]
+    both = ["chartable", "--input", F3, "--method", "both"]
+    # with no tolerance at all the match check FAILs on float round-off
+    return (1, both + ["--tolerance", "0"]) if name == "fail" else (0, both)
+
+
+class TestExitPaths:
+    """main ends with gc.freeze(); no exit path may lose output to it."""
+
+    @pytest.mark.parametrize("name", ("pass", "fail", "malformed"))
+    def test_subprocess_matches_in_process(self, name, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+        expected, argv = _exit_path(name, tmp_path)
+        done = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv],
+                              env=_child_env(), capture_output=True,
+                              text=True, timeout=120)
+        code, out, err = run(capsys, *argv)
+        assert code == expected
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+    def test_output_file_is_complete(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+        _, argv = _exit_path("pass", tmp_path)
+        child, here = tmp_path / "child.json", tmp_path / "here.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "orbitkit.cli", *argv, "--output",
+             str(child)], env=_child_env(), capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+        assert cli.main(argv + ["--output", str(here)]) == 0
+        assert child.read_bytes() == here.read_bytes()
+        assert json.loads(child.read_text())["command"] == "chartable"
+
+    @pytest.mark.parametrize("name", ("pass", "malformed"))
+    def test_main_leaves_the_collector_enabled_and_frozen(
+            self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+        expected, argv = _exit_path(name, tmp_path)
+        gc.unfreeze()
+        assert gc.get_freeze_count() == 0
+        first = run(capsys, *argv)
+        assert first[0] == expected
+        assert gc.isenabled() and gc.get_freeze_count() > 0
+        assert run(capsys, *argv) == first

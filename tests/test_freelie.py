@@ -60,7 +60,39 @@ class TestScalars:
         with pytest.raises(PrimeContextMismatch):
             Scalar.sqrt(5) * Scalar.sqrt(7)
         with pytest.raises(PrimeContextMismatch):
+            Scalar(Fraction(1, 3), 2, 5) * Scalar(0, Fraction(-1, 2), 7)
+        with pytest.raises(PrimeContextMismatch):
             Scalar.sqrt(5).valuation(3)
+
+    @pytest.mark.parametrize("left, right", [
+        ("rational", "rational"), ("rational", "surd"),
+        ("surd", "rational"), ("surd", "surd")])
+    def test_product_matches_the_four_product_formula(self, left, right):
+        # (a + b s)(c + d s) = (ac + bd p) + (ad + bc) s, all four products
+        def ref_mul(x, y):
+            p = x.prime if x.prime is not None else y.prime
+            rat = x.rat * y.rat + x.surd * y.surd * (p or 0)
+            return rat, x.rat * y.surd + x.surd * y.rat, p
+
+        rng = random.Random(f"{left}-{right}")
+
+        def draw(kind):
+            rat = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if kind == "rational":
+                return Scalar(rat)
+            return Scalar(rat, Fraction(rng.choice([-3, -1, 1, 2]),
+                                        rng.randint(1, 9)), 5)
+
+        for _ in range(40):
+            x, y = draw(left), draw(right)
+            rat, surd, p = ref_mul(x, y)
+            got = x * y
+            assert (got.rat, got.surd) == (rat, surd)
+            assert got.prime == (p if surd else None)
+            assert type(got.rat) is Fraction and type(got.surd) is Fraction
+            if left == "rational":
+                # a plain Fraction on either side goes through _scalar
+                assert x.rat * y == got and y * x.rat == got
 
 
 class TestLyndonBasis:
