@@ -7,9 +7,7 @@ unknowns enter linearly through [phi_n, x] + [psi_n, y]; everything already
 determined feeds a known remainder, and the resulting integer linear system
 is solved exactly with a fixed column order (phi block before psi block,
 bases in Lyndon order) and free variables pinned to zero.  The output bound
-is then asserted, not assumed; if the zero-free-variable point misses it,
-the same system is re-solved with p-minimal-valuation pivoting, which finds
-a p-integral-combination solution whenever one exists.
+is then asserted, not assumed.
 
 Five regimes are supported:
 
@@ -180,32 +178,27 @@ def _solve_step(n: int, rhs: LiePoly, regime: ValuationRegime):
             raise LinearSystemInconsistent(
                 f"degree {n}: parity-forbidden component is nonzero")
 
-    def attempt(pivot_prime):
-        parts = []
-        for vec in (rat_vec, surd_vec):
-            if any(vec):
-                sol = solve_right(matrix, vec, p=pivot_prime)
-                if sol is None:
-                    raise LinearSystemInconsistent(f"degree {n} step unsolvable")
-                parts.append(sol)
-            else:
-                parts.append([Fraction(0)] * (2 * m_in))
-        rat_sol, surd_sol = parts
-        def make(offset):
-            terms = {}
-            for j in range(m_in):
-                r, s = rat_sol[offset + j], surd_sol[offset + j]
-                if r or s:
-                    terms[(n, j)] = Scalar(r, s, p if s else None)
-            return LiePoly(terms, n)
-        return make(0), make(m_in)
+    parts = []
+    for vec in (rat_vec, surd_vec):
+        if any(vec):
+            sol = solve_right(matrix, vec)
+            if sol is None:
+                raise LinearSystemInconsistent(f"degree {n} step unsolvable")
+            parts.append(sol)
+        else:
+            parts.append([Fraction(0)] * (2 * m_in))
+    rat_sol, surd_sol = parts
 
-    phi_n, psi_n = attempt(None)
+    def make(offset):
+        terms = {}
+        for j in range(m_in):
+            r, s = rat_sol[offset + j], surd_sol[offset + j]
+            if r or s:
+                terms[(n, j)] = Scalar(r, s, p if s else None)
+        return LiePoly(terms, n)
+
+    phi_n, psi_n = make(0), make(m_in)
     bound = regime.output_bound(n)
-    if min(valuation_of(phi_n, p), valuation_of(psi_n, p)) < bound:
-        # fall back to p-minimal-valuation pivoting; the step map is
-        # surjective over Z, so a p-integral-combination solution exists
-        phi_n, psi_n = attempt(p)
     v = min(valuation_of(phi_n, p), valuation_of(psi_n, p))
     if v < bound:
         raise OutputBoundViolation(

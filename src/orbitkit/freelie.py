@@ -33,6 +33,9 @@ DEGREE_CAP = 8
 
 INFINITY = math.inf
 
+# the surd part of every rational Scalar: one shared immutable Fraction
+_ZERO = Fraction(0)
+
 
 def _vp_int(n: int, p: int) -> int:
     v = 0
@@ -60,7 +63,7 @@ class Scalar:
 
     __slots__ = ("rat", "surd", "prime")
 
-    def __init__(self, rat=0, surd=0, prime=None):
+    def __init__(self, rat=0, surd=_ZERO, prime=None):
         # a Fraction is immutable, so one is kept rather than rebuilt
         if type(rat) is not Fraction:
             rat = Fraction(rat)
@@ -208,27 +211,32 @@ def lyndon_count(degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def standard_bracketing(word):
-    """Nested-tuple bracketing of a Lyndon word via its standard factorization.
+def standard_factorization(word):
+    """(left, right) for a Lyndon word of length >= 2: the right factor is
+    its longest proper Lyndon suffix.
 
-    The right factor is the longest proper Lyndon suffix; leaves are the
-    letters 0 and 1.
+    The one rule by which both the series basis (standard_bracketing) and
+    the ring kernel's plans (liering._plan_steps) bracket a word.
     """
-    if len(word) == 1:
-        return word[0]
     for i in range(1, len(word)):
         if _is_lyndon(word[i:]):
-            return (standard_bracketing(word[:i]), standard_bracketing(word[i:]))
+            return word[:i], word[i:]
     raise ValueError(f"{word} is not a Lyndon word")
 
 
 @lru_cache(maxsize=None)
-def _tree_expansion(tree):
-    """Expansion of a bracketing tree in the free associative algebra (int coeffs)."""
-    if isinstance(tree, int):
-        return {(tree,): 1}
-    left = _tree_expansion(tree[0])
-    right = _tree_expansion(tree[1])
+def standard_bracketing(word):
+    """Nested-tuple bracketing of a Lyndon word via its standard
+    factorization; leaves are the letters 0 and 1."""
+    if len(word) == 1:
+        return word[0]
+    left, right = standard_factorization(word)
+    return (standard_bracketing(left), standard_bracketing(right))
+
+
+def _commutator(left: dict, right: dict) -> dict:
+    """ab - ba for two elements of the free associative algebra, each a
+    {word: coefficient} dict; zero coefficients are dropped."""
     out: dict = {}
     for w1, c1 in left.items():
         for w2, c2 in right.items():
@@ -236,6 +244,14 @@ def _tree_expansion(tree):
             out[w1 + w2] = out.get(w1 + w2, 0) + c
             out[w2 + w1] = out.get(w2 + w1, 0) - c
     return {w: c for w, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _tree_expansion(tree):
+    """Expansion of a bracketing tree in the free associative algebra (int coeffs)."""
+    if isinstance(tree, int):
+        return {(tree,): 1}
+    return _commutator(_tree_expansion(tree[0]), _tree_expansion(tree[1]))
 
 
 @lru_cache(maxsize=None)
@@ -284,14 +300,8 @@ def bracket_table(d1: int, d2: int):
         for j in range(lyndon_count(d2)):
             if d1 == d2 and i == j:
                 continue
-            ej = basis_expansion(d2, j)
-            prod_: dict = {}
-            for w1, c1 in ei.items():
-                for w2, c2 in ej.items():
-                    c = c1 * c2
-                    prod_[w1 + w2] = prod_.get(w1 + w2, 0) + c
-                    prod_[w2 + w1] = prod_.get(w2 + w1, 0) - c
-            res = words_to_lyndon(prod_, d1 + d2)
+            res = words_to_lyndon(_commutator(ei, basis_expansion(d2, j)),
+                                  d1 + d2)
             entry = tuple(sorted((k, c) for k, c in res.items() if c))
             if entry:
                 table[(i, j)] = entry
@@ -356,9 +366,6 @@ class LiePoly:
 
     def with_max_degree(self, n: int) -> "LiePoly":
         return LiePoly(self.terms, n)
-
-    def degrees(self):
-        return sorted({d for d, _ in self.terms})
 
     def __str__(self):
         if not self.terms:

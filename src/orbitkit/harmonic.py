@@ -61,9 +61,6 @@ class DualSpace:
                               dtype=np.int64)
         self.weights = self.exponents * self.scale
 
-    def index_of(self, exponents) -> int:
-        return self.ring.grid.index_of(exponents)
-
     def index_batch(self, A):
         return self.ring.grid.index_batch(A)
 

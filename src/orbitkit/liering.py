@@ -38,9 +38,11 @@ only those products, and its support is the union of the kept pairs'
 targets.  In a nilpotent ring nested brackets reach fewer and fewer rows,
 so each bracket value is held only on its support rows, the term sum adds
 each term into its own rows of one output, and only rows some term reaches
-are reduced.  e^(ad W) runs the same way.  The pruning drops only summands
-that are exactly zero, so values, and the headroom bound below, are those
-of the full table.
+are reduced.  e^(ad W) is one more such series: e^(ad W)X is the series
+Σ x^k y / k! at x = W, y = X, over k < class (k < CH truncation in the
+uniform regime), since the standard bracketing of the Lyndon word x^k y
+is (ad x)^k y.  The pruning drops only summands that are exactly zero,
+so values, and the headroom bound below, are those of the full table.
 Validation (Jacobi, the lower central series) brackets the same pairs in
 exact integer or Fraction arithmetic.
 
@@ -67,8 +69,8 @@ import numpy as np
 from .errors import (EvaluationNotIntegral, IntegerHeadroomExceeded,
                      JacobiViolation, PropertyFailed, RegimeViolation,
                      SubringNotClosed, WellDefinednessViolation)
-from .freelie import (DEGREE_CAP, _is_lyndon, bch, lyndon_count, lyndon_words,
-                      vp)
+from .freelie import (DEGREE_CAP, bch, lyndon_count, lyndon_words,
+                      standard_factorization, vp)
 from .modlin import cyclic_basis, howell_form, solve_mod, span_equal
 
 
@@ -83,14 +85,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _std_split(word):
-    """Standard factorization of a Lyndon word of length >= 2."""
-    for i in range(1, len(word)):
-        if _is_lyndon(word[i:]):
-            return word[:i], word[i:]
-    raise ValueError(f"{word} is not a Lyndon word")
-
-
 def _plan_steps(words):
     """Bracketing steps (word, left, right) for evaluating the given Lyndon
     words, children before parents, so a step's row support can be built
@@ -102,7 +96,7 @@ def _plan_steps(words):
         if len(w) == 1 or w in seen:
             return
         seen.add(w)
-        left, right = _std_split(w)
+        left, right = standard_factorization(w)
         visit(left)
         visit(right)
         steps.append((w, left, right))
@@ -169,8 +163,11 @@ class FiniteLieRing:
         self._shift = shift
         self._capacity = capacity
         self._ch = None
-        self._exp_ad = self._exp_ad_plan()
         self._plan_cache = {}
+        # e^(ad W)X is the series Σ x^k y / k! at x = W, y = X
+        self._exp_ad = self._term_plan(
+            [((0,) * k + (1,), Fraction(1, math.factorial(k)))
+             for k in range(self._exp_ad_limit() + 1)])
         self._grid = None
 
     # -- elements ------------------------------------------------------------
@@ -377,32 +374,11 @@ class FiniteLieRing:
             return self.ch_truncation - 1
         return max(self.class_ - 1, 0)
 
-    def _exp_ad_plan(self):
-        """The steps (pairs, support, modulus, coefficient) of e^(ad W)X:
-        step k brackets W, on every row, with step k − 1's value, whose
-        support it narrows, and scales the result by 1/k!."""
-        steps, support = [], None
-        for k in range(1, self._exp_ad_limit() + 1):
-            pairs, support, modulus = self._step(None, support)
-            steps.append((pairs, support, modulus, self._coefficient(
-                Fraction(1, math.factorial(k)), support)))
-        return steps
-
     def exp_ad_batch(self, W, X):
         """e^(ad W) applied to X, both (..., rank) arrays."""
         if self.rank == 0:
             return np.array(X, dtype=np.int64)
-        W, X, shape, batch = _coordinate_major(W, X)
-        W = _reduce(W, self._work, np.empty(W.shape, np.int64))
-        cur = _reduce(X, self._work, np.empty(X.shape, np.int64))
-        out = np.zeros((self.rank,) + batch, dtype=np.int64)
-        out += cur
-        for pairs, support, modulus, coefficient in self._exp_ad:
-            vals = _bracket(pairs, W, cur, modulus,
-                            np.zeros((len(support),) + batch, np.int64))
-            self._add_term(out, vals, coefficient, support)
-            cur = dict(zip(support, vals))
-        return _row_major(_reduce(out, self._canon), shape)
+        return self._eval_terms(self._exp_ad, W, X)
 
     def exp_ad_matrix(self, w):
         """Matrix of the truncated exponential Σ (ad w)^k / k!."""
@@ -937,8 +913,7 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
         for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
             if tag in twist_failure:
                 continue
-            WX = ring.ch_batch(W, X)
-            conj = ring.ch_batch(WX, np.mod(-W, ring._mods))
+            conj = group.conjugate_batch(W, X)
             bad = np.nonzero(np.any(conj != T, axis=-1))[0]
             if bad.size:
                 b = int(bad[0])
@@ -1002,12 +977,6 @@ class Subring:
                     consts[(i, j)] = row
         self.induced = make_ring(p, self.orders, consts,
                                  label=f"{label or 'subring'}[induced]")
-
-    def contains(self, x) -> bool:
-        if not self._rows:
-            return not any(self.ring.element(x))
-        return solve_mod(self._rows, self.ring.embed(self.ring.element(x)),
-                         self.ring.p, self.ring.big) is not None
 
     def express(self, x):
         """Coordinates of x in the subring basis (canonical mod the orders)."""

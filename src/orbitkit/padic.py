@@ -116,7 +116,7 @@ class PLattice:
         """Exact rational coordinates of the vector in the canonical basis."""
         matrix = [[self.basis[j][i] for j in range(self.dimension)]
                   for i in range(self.dimension)]
-        sol = solve_right(matrix, list(vector), p=self.p)
+        sol = solve_right(matrix, list(vector))
         if sol is None:
             raise ValidationFailed("full-rank solve failed")
         return tuple(sol)

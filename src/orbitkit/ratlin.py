@@ -13,14 +13,17 @@ from fractions import Fraction
 from .freelie import vp
 
 
-def solve_right(matrix, rhs, p: int | None = None):
-    """Solve M s = rhs exactly, consuming columns left to right.
+def solve_right(matrix, rhs):
+    """Solve M s = rhs exactly by Gauss-Jordan elimination, consuming
+    columns left to right; returns None when inconsistent.
 
-    Free variables are set to zero.  The pivot row for a column is the first
-    unused row with a nonzero entry; with a prime p it is instead the unused
-    row whose entry has minimal p-adic valuation (ties to the earliest row),
-    which keeps the solution p-integral whenever the matrix is surjective
-    over Z_(p) and the right side is.  Returns None when inconsistent.
+    The pivot row for a column is the first unused row with a nonzero
+    entry, and free variables are set to zero.  The choice of pivot rows
+    cannot change the result: with every earlier pivot column cleared from
+    all rows, column j has a nonzero entry in an unused row exactly when it
+    is independent of the columns before it.  So the pivot columns are the
+    same under any pivot-row rule, and the solution returned is the unique
+    one supported on them.
     """
     m = len(matrix)
     cols = len(matrix[0]) if m else 0
@@ -31,13 +34,10 @@ def solve_right(matrix, rhs, p: int | None = None):
     pivot_of_col: dict[int, int] = {}
     used: set[int] = set()
     for j in range(cols):
-        candidates = [i for i in range(m) if i not in used and rows[i][j]]
-        if not candidates:
+        pivot = next((i for i in range(m) if i not in used and rows[i][j]),
+                     None)
+        if pivot is None:
             continue
-        if p is None:
-            pivot = candidates[0]
-        else:
-            pivot = min(candidates, key=lambda i: (vp(rows[i][j], p), i))
         used.add(pivot)
         pivot_of_col[j] = pivot
         inv = 1 / rows[pivot][j]
@@ -146,7 +146,7 @@ def in_p_lattice(vector, basis_columns, p: int) -> bool:
         return not any(vector)
     matrix = [[basis_columns[j][i] for j in range(len(basis_columns))]
               for i in range(len(vector))]
-    sol = solve_right(matrix, list(vector), p=p)
+    sol = solve_right(matrix, list(vector))
     if sol is None:
         return False
     # solve_right eliminates fully, so the combination is exact iff the

@@ -26,7 +26,7 @@ def phases(space, exponents, X):
     """Pairing exponents in Z/p^K of the character with these exponents
     (reduced mod the moduli) at the coordinate rows X, from the space's
     weights."""
-    weights = space.weights[space.index_of(exponents)]
+    weights = space.weights[space.index_batch(exponents)]
     return (np.asarray(X, dtype=np.int64) @ weights) % space.ring.big
 
 

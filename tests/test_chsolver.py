@@ -7,9 +7,11 @@ import pytest
 from orbitkit import chsolver
 from orbitkit.chsolver import (PhiPsiPair, ValuationRegime, check_identity,
                                solve_phi_psi, substituted_series)
-from orbitkit.errors import InputBoundViolation, PropertyFailed
+from orbitkit.errors import (InputBoundViolation, OutputBoundViolation,
+                             PropertyFailed)
 from orbitkit.freelie import (GradedSeries, bch, exp_ad_apply, generator,
                               valuation_of)
+from orbitkit.ratlin import solve_right
 
 REGIMES = [ValuationRegime.generic(3), ValuationRegime.generic(5),
            ValuationRegime.p3_uniform(), ValuationRegime.sqrtp(5),
@@ -123,6 +125,25 @@ class TestSolver:
         with pytest.raises(PropertyFailed,
                            match="solved pair fails the defining identity"):
             solve_phi_psi(substituted_series(regime, 4), regime, 4)
+
+    def test_missed_output_bound_raises_after_one_solve(self, monkeypatch):
+        # degree 3 reaches valuation 3/2; demanding 2 there must fail with
+        # one solve per step, each step having one nonzero right side
+        solves = []
+
+        def counting(matrix, rhs):
+            solves.append(any(rhs))
+            return solve_right(matrix, rhs)
+        monkeypatch.setattr(chsolver, "solve_right", counting)
+        regime = ValuationRegime.sqrtp(5)
+        series = substituted_series(regime, 5)
+        guaranteed = regime.output_bound
+        regime.output_bound = (
+            lambda n: Fraction(2) if n == 3 else guaranteed(n))
+        with pytest.raises(OutputBoundViolation) as info:
+            solve_phi_psi(series, regime, 5)
+        assert str(info.value) == "degree 3: valuation 3/2 below guaranteed 2"
+        assert solves == [True, True, True]
 
 
 class TestBounds:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitkit import chsolver, cli, freelie, oracle, orbitmethod
+from orbitkit import chsolver, cli, errors, freelie, oracle, orbitmethod
 from orbitkit.errors import (AutomorphismCheckFailed, DomainMismatch,
                              LinearSystemInconsistent)
 
@@ -100,6 +100,23 @@ class TestSolve:
                                 "--prime", "5", "--degree", "4")
         assert code == 0
         assert check_named(rep, "back_substitution")["rescaled"] is True
+
+    def test_identity_is_checked_once(self, capsys, monkeypatch):
+        # the solver checks the identity; the report does not check again
+        calls = []
+        real = chsolver.check_identity
+
+        def counting(series, pair, n_max):
+            calls.append(n_max)
+            return real(series, pair, n_max)
+        monkeypatch.setattr(chsolver, "check_identity", counting)
+        monkeypatch.setattr(cli, "check_identity", counting, raising=False)
+        code, rep, _ = run_json(capsys, "solve", "--regime", "sqrtp",
+                                "--prime", "5", "--degree", "4")
+        assert code == 0
+        assert calls == [4]
+        assert check_named(rep, "identity") == {"name": "identity",
+                                                "status": "PASS"}
 
     def test_deterministic_output_bytes(self, capsys, tmp_path):
         one, two = tmp_path / "a.json", tmp_path / "b.json"
@@ -387,6 +404,36 @@ class TestErrorExitCodes:
         assert out == ""
         assert err == ("error: PropertyFailed: CH routes disagree at "
                        "degree 2\n")
+
+    def test_each_error_class_has_one_exit_code(self, capsys, monkeypatch):
+        # each error derives from exactly one of the two bases, or is
+        # DomainMismatch: a CheckFailure is a FAIL entry inside a check and
+        # exit 1 outside one, an InputRejected exits 2, DomainMismatch 1
+        bases = (errors.CheckFailure, errors.InputRejected)
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and c.__module__ == errors.__name__
+                   and c not in bases + (errors.OrbitkitError,)]
+        assert len(classes) == 21
+        for cls in classes:
+            under = [b for b in bases if issubclass(cls, b)]
+            assert len(under) == 1 or (
+                cls is errors.DomainMismatch and not under), cls
+            exit_code = 2 if under == [errors.InputRejected] else 1
+            message = f"error: {cls.__name__}: boom\n"
+            monkeypatch.setattr(cli, "solve_phi_psi", _raiser(cls("boom")))
+            assert run(capsys, "solve", "--regime", "generic", "--prime",
+                       "3", "--degree", "3") == (exit_code, "", message)
+            monkeypatch.undo()
+            monkeypatch.setattr(cli, "twist_map", _raiser(cls("boom")))
+            code, out, err = run(capsys, "verify", "--input", F3,
+                                 "--checks", "twist")
+            monkeypatch.undo()
+            if under == [errors.CheckFailure]:
+                assert (code, err) == (1, "")
+                assert check_named(json.loads(out), "twist")["witness"] \
+                    == f"{cls.__name__}: boom"
+            else:
+                assert (code, out, err) == (exit_code, "", message)
 
     def test_solver_identity_guard_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(chsolver, "check_identity",

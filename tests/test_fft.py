@@ -142,7 +142,7 @@ class TestKirillovClassCheck:
         space = DualSpace(ring)
         # nine characters (a, 0, c): a square count, not a union of orbits
         forged = CoadjointOrbit(space, sorted(
-            space.index_of((a, 0, c)) for a in range(3) for c in range(3)))
+            ring.grid.index_of((a, 0, c)) for a in range(3) for c in range(3)))
         part = conjugacy_classes(group)
         reps = [c[0] for c in part.classes]
 

@@ -342,7 +342,7 @@ class Dense:
         out = np.zeros((ring.rank,) + batch, dtype=np.int64)
         out += cur
         steps = []
-        for k in range(1, len(ring._exp_ad) + 1):
+        for k in range(1, ring._exp_ad_limit() + 1):
             cur = self.bracket(W, cur, batch)
             steps.append(cur)
             out += self.scaled(cur, ring._coefficient(
@@ -392,7 +392,9 @@ def check_exp_ad(ring, W, X):
     got = ring.exp_ad_batch(W, X)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    for value, (_, support, _, _) in zip(steps, ring._exp_ad):
+    plan_steps = ring._exp_ad[0]
+    assert len(plan_steps) == len(steps)
+    for value, (_, _, _, _, support, _) in zip(steps, plan_steps):
         assert_zero_outside(ring, value, support)
 
 

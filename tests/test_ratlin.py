@@ -12,6 +12,45 @@ def random_fraction(rng, scale=6):
     return Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
 
 
+def p_rich_fraction(rng):
+    """A small rational whose numerator and denominator often carry 2, 3
+    or 5, so the p-adic valuations of entries differ."""
+    num = rng.choice((0, 1, -1, 2, 3, -3, 5, 6, 9, -10, 25, 27))
+    return Fraction(num, rng.choice((1, 2, 3, 4, 5, 9, 25)))
+
+
+def p_minimal_solve(matrix, rhs, p):
+    """solve_right with the pivot row of each column taken as the unused row
+    of minimal p-adic valuation there (ties to the earliest row).  Returns
+    (solution or None, whether some pivot row differs from the first
+    nonzero one)."""
+    m = len(matrix)
+    cols = len(matrix[0]) if m else 0
+    rows = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
+            for i, row in enumerate(matrix)]
+    pivot_of_col, used, differs = {}, set(), False
+    for j in range(cols):
+        candidates = [i for i in range(m) if i not in used and rows[i][j]]
+        if not candidates:
+            continue
+        pivot = min(candidates, key=lambda i: (vp(rows[i][j], p), i))
+        differs |= pivot != candidates[0]
+        used.add(pivot)
+        pivot_of_col[j] = pivot
+        inv = 1 / rows[pivot][j]
+        rows[pivot] = [v * inv for v in rows[pivot]]
+        for i in range(m):
+            if i != pivot and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot])]
+    if any(rows[i][cols] for i in range(m) if i not in used):
+        return None, differs
+    sol = [Fraction(0)] * cols
+    for j, i in pivot_of_col.items():
+        sol[j] = rows[i][cols]
+    return sol, differs
+
+
 class TestSolveRight:
     def test_recovers_a_planted_solution(self):
         rng = random.Random(0)
@@ -36,11 +75,45 @@ class TestSolveRight:
         assert sol == [5, 0]
 
     def test_p_pivoting_keeps_solutions_p_integral(self):
-        # both columns solve the system; the p-minimal pivot must pick the
-        # combination with nonnegative 3-adic valuations
+        # the system's one solution is 3-integral although a column is not
         matrix = [[Fraction(1, 3), 1], [0, 1]]
-        sol = solve_right(matrix, [1, 1], p=3)
+        sol = solve_right(matrix, [1, 1])
+        assert sol == [0, 1]
         assert all(vp(c, 3) >= 0 for c in sol)
+
+    def test_pivot_rows_do_not_change_the_solution(self):
+        # the p-minimal pivot row rule gives the same solution, or None
+        rng = random.Random(4)
+        systems = []
+        for rows, cols in ((3, 3), (2, 4), (4, 2), (3, 5), (5, 3)):
+            for _ in range(8):
+                dense = [[p_rich_fraction(rng) for _ in range(cols)]
+                         for _ in range(rows)]
+                rank = rng.randint(1, min(rows, cols) - 1)
+                left = [[p_rich_fraction(rng) for _ in range(rank)]
+                        for _ in range(rows)]
+                right = [[p_rich_fraction(rng) for _ in range(cols)]
+                         for _ in range(rank)]
+                deficient = [[sum(left[i][k] * right[k][j]
+                                  for k in range(rank))
+                              for j in range(cols)] for i in range(rows)]
+                planted = [p_rich_fraction(rng) for _ in range(cols)]
+                reachable = [sum(a * b for a, b in zip(row, planted))
+                             for row in deficient]
+                generic = [p_rich_fraction(rng) for _ in range(rows)]
+                systems += [(dense, generic), (deficient, reachable),
+                            (deficient, generic)]
+        outcomes, moved = set(), 0
+        for matrix, rhs in systems:
+            want = solve_right(matrix, rhs)
+            outcomes.add(want is None)
+            for p in (2, 3, 5):
+                got, differs = p_minimal_solve(matrix, rhs, p)
+                assert got == want
+                moved += differs
+        # consistent and inconsistent systems, and pivot rows that move
+        assert outcomes == {True, False}
+        assert moved
 
 
 class TestRationalSpanBasis:

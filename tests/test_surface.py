@@ -5,7 +5,9 @@ counts as used when some module of the package loads its name, as a
 ``Name`` or as an ``Attribute`` in Load context; a non-dunder method only
 as an ``Attribute``, since a method is reached through an object, so a
 local variable of the same name does not count for it.  The test is
-coarse: a name loaded anywhere counts for every definition of it.
+coarse: a name loaded anywhere counts for every definition of it, so the
+method names that more than one class defines are listed, each definition
+with a src call that reaches it (SHARED_METHODS).
 """
 
 import ast
@@ -21,6 +23,42 @@ ALLOWED = {
     "quotient_to_finite":
         "the benchmark's padic.quotient_to_finite span wraps it",
     "in_p_lattice": "the benchmark's ratlin.busy span wraps it",
+}
+
+# Method names defined by more than one class.  The scan cannot tell their
+# definitions apart, so each is listed with a src call that reaches it:
+# (module, the call's text).  A definition added or removed under one of
+# these names, or a new shared name, fails the test until listed here.
+SHARED_METHODS = {
+    "basis": {
+        "liering.FiniteLieRing.basis": ("oracle", "ring.basis(i)"),
+        "padic.QpLieAlgebra.basis": ("padic", "algebra.basis(i)"),
+    },
+    "bracket": {
+        "liering.FiniteLieRing.bracket": (
+            "liering", "ring.bracket(self.basis_coords[i]"),
+        "padic.QpLieAlgebra.bracket": ("padic", "algebra.bracket(g, col)"),
+    },
+    "index_batch": {
+        "harmonic.DualSpace.index_batch": (
+            "orbitmethod", "space.index_batch(moved // space.scale)"),
+        "liering.Grid.index_batch": ("harmonic", "ring.grid.index_batch(A)"),
+        "liering.LazardGroup.index_batch": (
+            "liering", "group.index_batch(xt)"),
+    },
+    "index_of": {
+        "liering.Grid.index_of": ("liering", "ring.grid.index_of(coords)"),
+        "liering.LazardGroup.index_of": (
+            "oracle", "group.index_of(ring.zero())"),
+    },
+    "scale": {
+        "liering.FiniteLieRing.scale": ("orbitmethod", "ring.scale("),
+        "padic.PLattice.scale": ("padic", "lat.scale(factor)"),
+    },
+    "zero": {
+        "freelie.LiePoly.zero": ("chsolver", "LiePoly.zero(1)"),
+        "liering.FiniteLieRing.zero": ("liering", "self.ring.zero()"),
+    },
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -80,3 +118,19 @@ def test_allowlist_names_unused_definitions_only():
     # an entry whose name gained a caller, or lost its definition, goes
     unused = {name for _, _, name in unused_definitions(modules())}
     assert sorted(set(ALLOWED) - unused) == []
+
+
+def test_shared_method_names_list_a_reaching_call_per_definition():
+    trees = modules()
+    owners = {}
+    for module, qualified, name, method in definitions(trees):
+        if method:
+            owners.setdefault(name, set()).add(f"{module}.{qualified}")
+    shared = {name: found for name, found in owners.items() if len(found) > 1}
+    assert shared == {name: set(calls)
+                      for name, calls in SHARED_METHODS.items()}
+    source = {path.stem: path.read_text(encoding="utf-8")
+              for path in SRC.glob("*.py")}
+    for calls in SHARED_METHODS.values():
+        for module, text in calls.values():
+            assert text in source[module], (module, text)
