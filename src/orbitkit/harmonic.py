@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainMismatch
-from .liering import FiniteLieRing, LazardGroup
+from .liering import FiniteLieRing, LazardGroup, negate
 
 ADDITIVE = "additive"
 GROUP = "group"
@@ -174,7 +174,7 @@ def translates(domain, law, rows, cols=None):
     for start in range(0, len(H), step):
         h = H[start:start + step]
         out[start:start + step] = ring.ch_batch(
-            np.mod(-h, ring._mods)[:, None], C[None]) @ grid.strides
+            negate(h, ring._mods)[:, None], C[None]) @ grid.strides
     return out
 
 

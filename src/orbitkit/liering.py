@@ -29,7 +29,14 @@ of the whole batch is one contiguous row U[i] and a single vector against
 a batch broadcasts without copies.  Per pair it forms
 D = U[i]·V[j] − U[j]·V[i] once and adds c·D into row m; then it reduces
 the rows it reached, each by its own scalar modulus as x − x // m · m,
-which numpy computes far faster than np.mod.
+which numpy computes far faster than np.mod.  An operand enters the kernel
+as it is when every entry already lies in [0, working modulus) of its row,
+as grid elements and the kernel's own outputs do; only an operand with some
+entry outside is reduced, into a new array.  For an operand in range the
+reduction is the identity, so the outputs are bit-identical either way, and
+the test costs one min and one max per operand (per row for mixed moduli)
+instead of a division over every entry.  Operands are never written to:
+grid elements are read-only.
 
 CH and Lie-series plans carry static row supports.  x and y can be nonzero
 on every row; a bracketing step keeps only the table pairs (i, j) for which
@@ -329,16 +336,17 @@ class FiniteLieRing:
     def _eval_terms(self, plan, U, V):
         """Σ coeff · (bracketing word)(U, V) reduced to canonical coordinates.
 
-        U, V: (..., rank) arrays.  Brackets run at the working modulus: the
-        lift table at working precision in the uniform regime, canonical
-        per-coordinate residues otherwise.  Each bracket value is held on
+        U, V: (..., rank) arrays, each reduced by the working modulus only
+        when some entry lies outside its range (_canonical).  Brackets run
+        at the working modulus: the lift table at working precision in the
+        uniform regime, canonical per-coordinate residues otherwise.  Each bracket value is held on
         its support rows only, as a compact array for the term sum and as
         a dict of row views for the brackets that take it as an operand.
         """
         steps, terms, reached = plan
         U, V, shape, batch = _coordinate_major(U, V)
-        values = {(0,): _reduce(U, self._work, np.empty(U.shape, np.int64)),
-                  (1,): _reduce(V, self._work, np.empty(V.shape, np.int64))}
+        values = {(0,): _canonical(U, self._work),
+                  (1,): _canonical(V, self._work)}
         rows = dict(values)
         for w, left, right, pairs, support, modulus in steps:
             values[w] = _bracket(pairs, rows[left], rows[right], modulus,
@@ -477,6 +485,35 @@ def _reduce(X, modulus, out=None, rows=None):
         quot *= m
         np.subtract(X[r], quot, out=out[r])
     return out
+
+
+def _in_range(X, modulus):
+    """Whether every entry of the coordinate-major X lies in [0, m) for
+    its row's modulus m: modulus[r] for row r, or an int for every row.
+    Reads X's extremes only: no division and no copy."""
+    if not X.size:
+        return True
+    if X.min() < 0:
+        return False
+    if isinstance(modulus, int):
+        return X.max() < modulus
+    return bool(np.all(X.max(axis=tuple(range(1, X.ndim))) < modulus))
+
+
+def _canonical(X, modulus):
+    """X itself when it is already reduced by the modulus (_in_range), else
+    X mod the modulus in a new array; X is never written to."""
+    if _in_range(X, modulus):
+        return X
+    return _reduce(X, modulus, np.empty(X.shape, np.int64))
+
+
+def negate(X, mods):
+    """−X for canonical (..., rank) residues X: m − x with the coordinate's
+    modulus m, and 0 kept at 0, so the result is canonical too."""
+    neg = mods - X
+    neg[neg == mods] = 0
+    return neg
 
 
 def _bracket(pairs, U, V, modulus, out, rows=None):
@@ -794,8 +831,12 @@ class Grid:
         return int(self.index_batch(coords))
 
     def index_batch(self, X):
-        """Row indices of (..., rank) coordinate vectors, reduced first."""
-        return np.mod(np.asarray(X, dtype=np.int64), self._mods) @ self.strides
+        """Row indices of (..., rank) coordinate vectors, reduced first when
+        some coordinate lies outside its range."""
+        X = np.asarray(X, dtype=np.int64)
+        if not _in_range(X.T, self.sizes):
+            X = np.mod(X, self._mods)
+        return X @ self.strides
 
 
 class LazardGroup:
@@ -822,7 +863,7 @@ class LazardGroup:
     def conjugate_batch(self, g, X):
         g = np.asarray(g, dtype=np.int64)
         GX = self.ring.ch_batch(g, X)
-        return self.ring.ch_batch(GX, np.mod(-g, self.ring._mods))
+        return self.ring.ch_batch(GX, negate(g, self.ring._mods))
 
     def __len__(self):
         return self.size
@@ -867,60 +908,76 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
     genuine conjugates of x, y.  Exhaustive when |g|² fits
     ``TWIST_PAIR_BUDGET``, else on ``TWIST_SAMPLE`` seeded draws.
 
-    The exhaustive domain is evaluated in blocks of x rows of about
-    ``_TWIST_CELLS`` pairs, so no |g|² × rank array is formed.  The failure
-    reported is the one the whole domain would give: the first pair that
-    breaks the sum identity, else the first that breaks the x-twist, else
-    the y-twist; collisions are counted over the codes of every pair.
+    The exhaustive domain is the product grid, in blocks of about
+    ``_TWIST_CELLS`` pairs: a block is x rows (rows, 1, rank) against every
+    y (1, n, rank), and each value is broadcast from them, so no |g|² × rank
+    array is formed.  A series reads x only when one of its words contains
+    the letter x (every Lyndon word of length two or more contains both),
+    and likewise y; an operand a series does not read enters it as a
+    (1, 1, rank) zero, so φ and ψ and what is built on them keep the narrow
+    shape where they can (at class 2, φ = −y/2 and ψ = 0 are values on the
+    y axis alone).  The sampled mode runs the same loop on one block of
+    (k, rank) pairs.  Each failure mask and code array is broadcast to the
+    block's pairs before it is read, so the failure reported is the one
+    the whole domain would give, in row-major (x, y) order: the first pair
+    that breaks the sum identity, else the first that breaks the x-twist,
+    else the y-twist; collisions are counted over the codes of every pair.
     """
     if pair.certified_to < ring.class_:
         raise ValueError(
             f"pair certified to degree {pair.certified_to} < class {ring.class_}")
-    phi, psi = pair.back_substituted()
+    series = pair.back_substituted()
+    # (reads x, reads y) of φ and of ψ
+    reads = [[any(letter in w for w, _ in _series_terms(s))
+              for letter in (0, 1)] for s in series]
     group = group or LazardGroup(ring)
     n = group.size
+    E = group.elements
     if n * n <= TWIST_PAIR_BUDGET:
         rows = max(1, _TWIST_CELLS // n)
-        blocks = ((np.repeat(np.arange(lo, min(n, lo + rows)), n),
-                   np.tile(np.arange(n), min(n, lo + rows) - lo))
-                  for lo in range(0, n, rows))
+        blocks = ((E[lo:lo + rows, None], E[None]) for lo in range(0, n, rows))
         mode = "exhaustive"
     else:
         rng = random.Random(0)
         seen = {(rng.randrange(n), rng.randrange(n))
                 for _ in range(TWIST_SAMPLE)}
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-        blocks = [(pairs[:, 0], pairs[:, 1])]
+        blocks = [(E[pairs[:, 0]], E[pairs[:, 1]])]
         mode = "sampled"
 
     twist_failure = {}
     codes = []
-    for ia, ib in blocks:
-        U, V = group.elements[ia], group.elements[ib]
-        phi_vals = ring.evaluate_series_batch(phi, U, V)
-        psi_vals = ring.evaluate_series_batch(psi, U, V)
+    for U, V in blocks:
+        shape = np.broadcast_shapes(U.shape, V.shape)[:-1]
+        zero = np.zeros((1,) * len(shape) + (ring.rank,), dtype=np.int64)
+        phi_vals, psi_vals = (
+            ring.evaluate_series_batch(s, U if read_x else zero,
+                                       V if read_y else zero)
+            for s, (read_x, read_y) in zip(series, reads))
         xt = ring.exp_ad_batch(phi_vals, U)
         yt = ring.exp_ad_batch(psi_vals, V)
 
-        total = ring.ch_batch(U, V)
-        bad = np.nonzero(np.any(np.mod(xt + yt, ring._mods) != total,
-                                axis=-1))[0]
-        if bad.size:
-            b = int(bad[0])
+        # x̃ and ỹ are canonical, so one subtraction reduces their sum
+        twisted = xt + yt
+        np.subtract(twisted, ring._mods, out=twisted,
+                    where=twisted >= ring._mods)
+        bad = _first_pair(np.any(twisted != ring.ch_batch(U, V), axis=-1),
+                          shape, U, V)
+        if bad:
             raise PropertyFailed(
-                f"x̃ + ỹ != CH(x, y) at x={tuple(U[b])}, y={tuple(V[b])}")
+                f"x̃ + ỹ != CH(x, y) at x={bad[0]}, y={bad[1]}")
 
         for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
             if tag in twist_failure:
                 continue
             conj = group.conjugate_batch(W, X)
-            bad = np.nonzero(np.any(conj != T, axis=-1))[0]
-            if bad.size:
-                b = int(bad[0])
+            bad = _first_pair(np.any(conj != T, axis=-1), shape, U, V)
+            if bad:
                 twist_failure[tag] = (
                     f"{tag}-twist is not the conjugation by exp of its own "
-                    f"series at x={tuple(U[b])}, y={tuple(V[b])}")
-        codes.append(group.index_batch(xt) * n + group.index_batch(yt))
+                    f"series at x={bad[0]}, y={bad[1]}")
+        codes.append(np.broadcast_to(
+            group.index_batch(xt) * n + group.index_batch(yt), shape).ravel())
     for tag in ("x", "y"):
         if tag in twist_failure:
             raise PropertyFailed(twist_failure[tag])
@@ -932,6 +989,17 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
             f"twist map collides: {len(codes) - distinct} duplicate images")
 
     return TwistReport(True, True, True, len(codes), mode)
+
+
+def _first_pair(mask, shape, U, V):
+    """(x, y) as tuples at the first pair, in row-major order, where the
+    mask broadcast to the pair shape holds; None when it holds nowhere."""
+    hits = np.flatnonzero(np.broadcast_to(mask, shape))
+    if not hits.size:
+        return None
+    at = np.unravel_index(hits[0], shape)
+    return tuple(tuple(np.broadcast_to(X, shape + X.shape[-1:])[at])
+                 for X in (U, V))
 
 
 # -- subrings ---------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                      DomainMismatch, NoMatching, StabilityCheckFailed,
                      ValidationFailed)
 from .harmonic import _BLOCK_CELLS, GROUP, ClassFunction, translates
-from .liering import LazardGroup, Subring
+from .liering import LazardGroup, Subring, negate
 
 ORDER_CAP = 10 ** 5
 CLASS_CAP = 512
@@ -298,7 +298,7 @@ def class_matrix(group, part, a, law=GROUP):
 def _inverse_classes(group, part) -> np.ndarray:
     """a* for every class a: the class of -z_a, the inverse of z_a."""
     ring = group.ring
-    inverse = np.mod(-group.elements[part.reps], ring._mods)
+    inverse = negate(group.elements[part.reps], ring._mods)
     return part.labels[inverse @ ring.grid.strides]
 
 

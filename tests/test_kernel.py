@@ -218,6 +218,71 @@ class TestAgainstReference:
         assert np.array_equal(ring.ch_batch(U - shift, V + 3 * shift),
                               ring.ch_batch(U, V))
 
+    def test_unreduced_inputs_at_every_entry(self, case):
+        # an operand is reduced only when some entry lies outside its range:
+        # every way out of range, on either operand, gives the reduced value
+        ring, _ = case
+        U, V = samples(ring, 20, 7), samples(ring, 20, 8)
+        shift = np.array(ring.sizes, dtype=np.int64)
+        phi = twist_series(ring)[0]
+        entries = {
+            "ch": ring.ch_batch,
+            "exp_ad": ring.exp_ad_batch,
+            "series": lambda A, B: ring.evaluate_series_batch(phi, A, B)}
+        for r, size in enumerate(ring.sizes):
+            canon = U.copy()
+            canon[3, r] = 0
+            at_modulus = canon.copy()
+            at_modulus[3, r] = size
+            negative = U.copy()
+            negative[5, r] -= size
+            for name, entry in entries.items():
+                want = outcome(entry, canon, V)
+                assert same(outcome(entry, at_modulus, V), want), name
+                assert same(outcome(entry, V, at_modulus),
+                            outcome(entry, V, canon)), name
+                assert same(outcome(entry, negative, V),
+                            outcome(entry, U, V)), name
+        for name, entry in entries.items():
+            assert same(outcome(entry, U[0] - shift, V),
+                        outcome(entry, U[0], V)), name
+            assert same(outcome(entry, U, V[0] + 2 * shift),
+                        outcome(entry, U, V[0])), name
+            # products of unreduced entries this large wrap in int64 (unequal
+            # multiples per coordinate, so they do not cancel in U[i]·V[j] −
+            # U[j]·V[i]); the caller's array is reduced into a copy, never
+            # in place
+            lift = (1 << 31) * shift * np.arange(1, ring.rank + 1)
+            large = U + lift
+            assert same(outcome(entry, large, V + (1 << 31) * shift),
+                        outcome(entry, U, V)), name
+            assert np.array_equal(large, U + lift)
+            # an operand already in range is read, never written
+            frozen = U.copy()
+            frozen.flags.writeable = False
+            assert same(outcome(entry, frozen, V - shift),
+                        outcome(entry, U, V)), name
+            assert np.array_equal(frozen, U)
+
+    def test_grid_index_batch_reduces_only_out_of_range(self, case):
+        ring, _ = case
+        grid = ring.grid
+        X = samples(ring, 20, 7)
+        want = grid.index_batch(X)
+        for r, size in enumerate(ring.sizes):
+            moved = X.copy()
+            moved[3, r] += size
+            moved[5, r] -= size
+            assert np.array_equal(grid.index_batch(moved), want)
+            edge = X.copy()
+            edge[4, r] = size
+            expect = want.copy()
+            expect[4] -= int(X[4, r]) * int(grid.strides[r])
+            assert np.array_equal(grid.index_batch(edge), expect)
+        assert grid.index_batch(X[2] - np.array(ring.sizes)) == want[2]
+        assert np.array_equal(grid.index_batch(grid.elements),
+                              np.arange(len(grid.elements)))
+
     def test_exp_ad_batch(self, case):
         ring, ref = case
         W, X = samples(ring, 30, 9), samples(ring, 30, 10)
@@ -357,6 +422,14 @@ def outcome(call, *args):
         return call(*args)
     except EvaluationNotIntegral as exc:
         return exc
+
+
+def same(got, want):
+    """Two outcomes agree: equal arrays of one shape, or errors of one text."""
+    if isinstance(want, EvaluationNotIntegral):
+        return isinstance(got, EvaluationNotIntegral) and str(got) == str(want)
+    return (not isinstance(got, EvaluationNotIntegral)
+            and got.shape == want.shape and np.array_equal(got, want))
 
 
 def assert_zero_outside(ring, value, support):

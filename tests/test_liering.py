@@ -1,21 +1,32 @@
 """Finite nilpotent Lie rings, CH group law, adjoint maps, subrings, twist."""
 
 import itertools
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orbitkit.chsolver import ValuationRegime, solve_phi_psi, substituted_series
 from orbitkit import liering
+from orbitkit.cli import load_ring_spec
 from orbitkit.errors import (JacobiViolation, PropertyFailed, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
+from orbitkit.freelie import GradedSeries, LiePoly
 from orbitkit.harmonic import DualSpace
-from orbitkit.liering import (Grid, LazardGroup, Subring, make_ring, twist_map,
-                              uniform_quotient)
+from orbitkit.liering import (Grid, LazardGroup, Subring, _series_terms,
+                              make_ring, twist_map, uniform_quotient)
 from orbitkit.oracle import conjugation_certificate
 
 from conftest import ch, character_values, check_group_axioms
+
+
+RING_SPECS = [
+    path for path in sorted(
+        (Path(__file__).resolve().parent.parent / "specs").glob("*.json"))
+    if "moduli" in json.loads(path.read_text())]
 
 
 def generic_pair(p, degree=4):
@@ -291,7 +302,8 @@ class TestTwist:
         monkeypatch.setattr(liering, "TWIST_SAMPLE", 200)
         with pytest.raises(PropertyFailed) as info:
             twist_map(h3, generic_pair(3), group=Folded())
-        joined = codes[0] * h3_group.size + codes[1]
+        # exhaustive codes of ỹ may lie on the y axis alone: broadcast them
+        joined = (codes[0] * h3_group.size + codes[1]).ravel()
         duplicates = len(joined) - np.unique(joined).size
         assert str(info.value) == \
             f"twist map collides: {duplicates} duplicate images"
@@ -308,7 +320,9 @@ def _shifted_twists(monkeypatch, ring, both, x_only):
     """Patch exp_ad_batch so that x̃ moves by a central z at pairs whose x
     is ``both`` and ỹ moves back by z there (the sum identity holds, both
     twists break), and x̃ alone moves at pairs whose x is ``x_only`` (the
-    sum identity breaks).  twist_map asks for x̃ and then ỹ of each block."""
+    sum identity breaks).  twist_map asks for x̃ and then ỹ of each block.
+    The shifts are added as broadcasts of the x masks, so a ỹ that lies on
+    the y axis alone comes back with x̃'s pair shape."""
     real = liering.FiniteLieRing.exp_ad_batch
     z = np.zeros(ring.rank, dtype=np.int64)
     z[-1] = 1
@@ -317,11 +331,11 @@ def _shifted_twists(monkeypatch, ring, both, x_only):
     def patched(self, W, X):
         out = real(self, W, X)
         if pending:
-            out[pending.pop()] -= z
+            out = out - z * pending.pop()[..., None]
         else:
             hit = np.all(X == both, axis=-1)
             pending.append(hit)
-            out[hit | np.all(X == x_only, axis=-1)] += z
+            out = out + z * (hit | np.all(X == x_only, axis=-1))[..., None]
         return np.mod(out, self._mods)
     monkeypatch.setattr(liering.FiniteLieRing, "exp_ad_batch", patched)
 
@@ -374,11 +388,126 @@ class TestTwistBlocks:
         with pytest.raises(PropertyFailed) as info:
             twist_map(h3, generic_pair(3), group=Folded())
         assert len(codes) == 2 * 14
-        joined = (np.concatenate(codes[0::2]) * h3_group.size
-                  + np.concatenate(codes[1::2]))
+        joined = np.concatenate([(x * h3_group.size + y).ravel()
+                                 for x, y in zip(codes[0::2], codes[1::2])])
         duplicates = len(joined) - np.unique(joined).size
         assert str(info.value) == \
             f"twist map collides: {duplicates} duplicate images"
+
+
+def reference_twist(ring, pair, group):
+    """The twist check as one evaluation: every pair (the seeded sample
+    above ``TWIST_PAIR_BUDGET``) in one (k, rank) batch, φ and ψ on both
+    operands, both twists through ``conjugate_batch``, and failures in the
+    order sum identity, x-twist, y-twist, collisions."""
+    phi, psi = pair.back_substituted()
+    n = group.size
+    if n * n <= liering.TWIST_PAIR_BUDGET:
+        ia, ib = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        mode = "exhaustive"
+    else:
+        rng = random.Random(0)
+        seen = {(rng.randrange(n), rng.randrange(n))
+                for _ in range(liering.TWIST_SAMPLE)}
+        ia, ib = np.array(sorted(seen), dtype=np.int64).T
+        mode = "sampled"
+    U, V = group.elements[ia], group.elements[ib]
+    phi_vals = ring.evaluate_series_batch(phi, U, V)
+    psi_vals = ring.evaluate_series_batch(psi, U, V)
+    xt = ring.exp_ad_batch(phi_vals, U)
+    yt = ring.exp_ad_batch(psi_vals, V)
+    bad = np.flatnonzero(np.any(np.mod(xt + yt, ring._mods)
+                                != ring.ch_batch(U, V), axis=-1))
+    if bad.size:
+        raise PropertyFailed(f"x̃ + ỹ != CH(x, y) at x={tuple(U[bad[0]])}, "
+                             f"y={tuple(V[bad[0]])}")
+    for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
+        bad = np.flatnonzero(np.any(group.conjugate_batch(W, X) != T,
+                                    axis=-1))
+        if bad.size:
+            raise PropertyFailed(
+                f"{tag}-twist is not the conjugation by exp of its own "
+                f"series at x={tuple(U[bad[0]])}, y={tuple(V[bad[0]])}")
+    codes = group.index_batch(xt) * n + group.index_batch(yt)
+    duplicates = len(codes) - np.unique(codes).size
+    if duplicates:
+        raise PropertyFailed(
+            f"twist map collides: {duplicates} duplicate images")
+    return liering.TwistReport(True, True, True, len(codes), mode)
+
+
+class ForgedPair:
+    """A (φ, ψ) pair given outright, certified to the given degree."""
+
+    def __init__(self, phi, psi, certified_to):
+        self.phi, self.psi, self.certified_to = phi, psi, certified_to
+
+    def back_substituted(self):
+        return self.phi, self.psi
+
+
+class TestTwistReference:
+    """twist_map on the product grid gives the report or the failure text
+    of one evaluation over every pair (reference_twist)."""
+
+    @staticmethod
+    def both(ring, pair, group):
+        return (_twist_outcome(lambda: twist_map(ring, pair, group=group)),
+                _twist_outcome(lambda: reference_twist(ring, pair, group)))
+
+    @pytest.mark.parametrize("x_only", [None, (2, 0, 2)],
+                             ids=["twists-break", "later-sum-breaks"])
+    @pytest.mark.parametrize("cells", [None, 54], ids=["one-block", "blocks"])
+    def test_forged_twists_on_heisenberg(self, h3, h3_group, monkeypatch,
+                                         x_only, cells):
+        both = h3_group.elements[3]
+        _shifted_twists(monkeypatch, h3, both,
+                        both if x_only is None else np.array(x_only))
+        if cells:
+            monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
+        got, want = self.both(h3, generic_pair(3), h3_group)
+        assert got == want
+        assert got[0] == "raised"
+
+    def test_class_three_reads_both_operands(self):
+        ring = make_ring(5, (1,) * 4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
+                         label="filiform4_f5")
+        assert ring.class_ == 3
+        regime = ValuationRegime.generic(5)
+        pair = solve_phi_psi(substituted_series(regime, 3), regime, 3)
+        phi, psi = pair.back_substituted()
+        assert all(any(len(w) > 1 for w, _ in _series_terms(s))
+                   for s in (phi, psi))
+        got, want = self.both(ring, pair, LazardGroup(ring))
+        assert got == want
+        assert got[1].endswith("exhaustive)")
+
+    def test_sampled(self, h5, h5_group, monkeypatch):
+        monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", 100)
+        got, want = self.both(h5, generic_pair(5), h5_group)
+        assert got == want
+        assert got[1].endswith("sampled)")
+
+    @pytest.mark.parametrize("q, verdict", [
+        (Fraction(1, 2), "report"), (1, "raised")],
+        ids=["conjugates", "sum-breaks"])
+    def test_psi_reads_only_x(self, h3, h3_group, q, verdict):
+        # φ = 0, ψ = q·x: ỹ = y + q[x, y], so x̃ + ỹ = CH(x, y) exactly
+        # at q = 1/2, and e^(ad ψ)y is the conjugate of y by e^ψ at class 2
+        psi = GradedSeries({1: LiePoly({(1, 0): Fraction(q)}, 2)}, 2)
+        pair = ForgedPair(GradedSeries({}, 2), psi, 2)
+        got, want = self.both(h3, pair, h3_group)
+        assert got == want
+        assert got[0] == verdict
+
+
+class TestNegate:
+    @pytest.mark.parametrize("path", RING_SPECS, ids=lambda path: path.stem)
+    def test_matches_np_mod_on_every_element(self, path):
+        ring = load_ring_spec(path)
+        E = ring.grid.elements
+        assert np.array_equal(liering.negate(E, ring._mods),
+                              np.mod(-E, ring._mods))
 
 
 class TestSubring:
