@@ -917,11 +917,13 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
     (1, 1, rank) zero, so φ and ψ and what is built on them keep the narrow
     shape where they can (at class 2, φ = −y/2 and ψ = 0 are values on the
     y axis alone).  The sampled mode runs the same loop on one block of
-    (k, rank) pairs.  Each failure mask and code array is broadcast to the
-    block's pairs before it is read, so the failure reported is the one
-    the whole domain would give, in row-major (x, y) order: the first pair
-    that breaks the sum identity, else the first that breaks the x-twist,
-    else the y-twist; collisions are counted over the codes of every pair.
+    (k, rank) pairs.  Every block pairs its x rows with the same y operand,
+    so a series that reads no x is evaluated once, before the blocks.
+    Each failure mask and code array is broadcast to the block's pairs
+    before it is read, so the failure reported is the one the whole domain
+    would give, in row-major (x, y) order: the first pair that breaks the
+    sum identity, else the first that breaks the x-twist, else the
+    y-twist; collisions are counted over the codes of every pair.
     """
     if pair.certified_to < ring.class_:
         raise ValueError(
@@ -935,25 +937,30 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
     E = group.elements
     if n * n <= TWIST_PAIR_BUDGET:
         rows = max(1, _TWIST_CELLS // n)
-        blocks = ((E[lo:lo + rows, None], E[None]) for lo in range(0, n, rows))
+        xs = (E[lo:lo + rows, None] for lo in range(0, n, rows))
+        V = E[None]
         mode = "exhaustive"
     else:
         rng = random.Random(0)
         seen = {(rng.randrange(n), rng.randrange(n))
                 for _ in range(TWIST_SAMPLE)}
         pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-        blocks = [(E[pairs[:, 0]], E[pairs[:, 1]])]
+        xs, V = [E[pairs[:, 0]]], E[pairs[:, 1]]
         mode = "sampled"
 
+    # a series that reads no x has one value for every block
+    zero = np.zeros((1,) * (V.ndim - 1) + (ring.rank,), dtype=np.int64)
+    fixed = [None if read_x else
+             ring.evaluate_series_batch(s, zero, V if read_y else zero)
+             for s, (read_x, read_y) in zip(series, reads)]
     twist_failure = {}
     codes = []
-    for U, V in blocks:
+    for U in xs:
         shape = np.broadcast_shapes(U.shape, V.shape)[:-1]
-        zero = np.zeros((1,) * len(shape) + (ring.rank,), dtype=np.int64)
         phi_vals, psi_vals = (
-            ring.evaluate_series_batch(s, U if read_x else zero,
-                                       V if read_y else zero)
-            for s, (read_x, read_y) in zip(series, reads))
+            ring.evaluate_series_batch(s, U, V if read_y else zero)
+            if value is None else value
+            for s, (_, read_y), value in zip(series, reads, fixed))
         xt = ring.exp_ad_batch(phi_vals, U)
         yt = ring.exp_ad_batch(psi_vals, V)
 

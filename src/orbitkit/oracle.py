@@ -14,9 +14,11 @@ symmetric ``eigh`` of its symmetric part and small blocks for the complex
 conjugate pairs diagonalize it, and one class of each inverse pair gives
 the counts of both.  The combination grows over the classes in size
 order, the prefix doubling, and stops at the first prefix whose spectrum
-separates, which is usually a small part of the class algebra.  Degrees
-follow from the first orthogonality relation, and both orthogonality
-relations gate the result.
+separates, which is usually a small part of the class algebra.  A prefix
+whose classes lie in a proper subgroup cannot separate, and one F_p rank
+on the Frattini quotient detects that, so such a prefix is summed but not
+tested.  Degrees follow from the first orthogonality relation, and both
+orthogonality relations gate the result.
 
 Nothing here computes coadjoint orbits; agreement with the orbit side is
 established by ``match_tables``.
@@ -33,6 +35,7 @@ from .errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                      ValidationFailed)
 from .harmonic import _BLOCK_CELLS, GROUP, ClassFunction, translates
 from .liering import LazardGroup, Subring, negate
+from .modlin import cyclic_basis
 
 ORDER_CAP = 10 ** 5
 CLASS_CAP = 512
@@ -333,7 +336,69 @@ def _split(N, gap):
     return u
 
 
-def _central_characters(group, part, weights, identity_class, gap):
+def _stages(count):
+    """(used, prefix) of each stage of the size-ordered sum over ``count``
+    classes: the prefix doubles from 8 and ends at ``count``."""
+    used = 0
+    while used < count:
+        prefix = min(max(2 * used, 8), count)
+        yield used, prefix
+        used = prefix
+
+
+def _prefix_plan(group, part):
+    """(star, order, first): the inverse class a* of every class a; the
+    classes a <= a* in the order they enter the sum, smallest first (ties
+    by index); and the prefix of the first stage that is tested.
+
+    The Frattini certificate.  Every CH term of degree d >= 2 lies in
+    pL + [L, L], with L the ring; ``make_ring`` admits only rings where
+    this holds.  A term is q times a bracket of degree d, and q's
+    denominator has p-adic valuation a.  In the class < p regime the
+    series stops below degree p, so a = 0 and the term lies in [L, L].
+    In the uniform regime the constants lift with valuation t >= 1, or
+    t >= 2 at p = 2, so the bracket lies in p^(t(d-1)) L; the truncation
+    degree rests on a <= (d - 1)/(p - 1), so a < t(d - 1) and the term
+    lies in pL.  Hence x -> x + (pL + [L, L]) is a homomorphism from the
+    group G onto the elementary abelian group V = L / (pL + [L, L]).
+
+    Say the representatives of a prefix, with pL + [L, L], do not span L
+    over F_p.  Then some nonzero linear f: V -> F_p vanishes on all of
+    them, and lambda = zeta_p^f is a linear character of G other than 1.
+    It is trivial on every prefix class, since f is constant on classes
+    (V is abelian), and on its inverse class.  So its central character
+    omega_lambda(a) = |C_a| lambda(z_a) equals omega_1(a) = |C_a| at
+    every class of the sum, the sum has one eigenvalue on the trivial
+    character and on lambda, and the stage cannot separate: ``_split``
+    can see only round-off between the two, far below ``GAP``.  Such a
+    stage is summed but not tested.  Its sum still grows through the same
+    stages and blocks, so the first tested stage, its sums and the table
+    are those of testing every stage.
+
+    The weights do not enter, so one plan serves every retry.  The span
+    is one ``cyclic_basis`` over F_p per stage, of the last stage's basis
+    and the stage's new representatives; the first stage also takes the
+    brackets [e_i, e_j], which span the image of [L, L].  The
+    representatives of all classes span, as every element is conjugate
+    to one, so the last stage is always tested.
+    """
+    star = _inverse_classes(group, part)
+    order = [a for a in np.argsort(part.sizes, kind="stable").tolist()
+             if a <= star[a]]
+    ring = group.ring
+    p = ring.p
+    basis = [[row.get(m, 0) % p for m in range(ring.rank)]
+             for row in ring.constants.values()]
+    reps = group.elements[part.reps] % p
+    for used, prefix in _stages(len(order)):
+        added = dict.fromkeys(map(tuple, reps[order[used:prefix]].tolist()))
+        basis = cyclic_basis(basis + list(added), p, p)
+        if len(basis) == ring.rank:
+            break
+    return star, order, prefix
+
+
+def _central_characters(group, part, plan, weights, identity_class, gap):
     """Central characters from one weighted sum of class matrices in
     symmetric form, grown over a size-ordered prefix of the classes.
 
@@ -357,19 +422,18 @@ def _central_characters(group, part, weights, identity_class, gap):
     a and a* are independent: were they equal, N would be symmetric and a
     character and its complex conjugate would share an eigenvalue.
 
-    Prefix.  One class of each inverse pair, a <= a*, enters the sum, the
-    smallest first (ties by index), the prefix doubling from 8: only the
-    members of C_a are translated, and their labels give both w_a M_a and
-    w_{a*} M_{a*}, one weighted bincount per block of about
-    ``_BLOCK_CELLS`` cells.  Returns (omega, tests): omega[c, i] =
+    Prefix.  One class of each inverse pair, a <= a*, enters the sum in
+    the order of ``plan`` (``_prefix_plan``), the prefix doubling from 8:
+    only the members of C_a are translated, and their labels give both
+    w_a M_a and w_{a*} M_{a*}, one weighted bincount per block of about
+    ``_BLOCK_CELLS`` cells.  A stage before the plan's first tested prefix
+    is summed and not tested.  Returns (omega, tests): omega[c, i] =
     omega_i(c), or None if even the full sum fails the gap or identity
     check, and the number of prefixes tested.
     """
     r = len(part)
     root = np.sqrt(part.sizes.astype(np.float64))
-    star = _inverse_classes(group, part)
-    order = [a for a in np.argsort(part.sizes, kind="stable").tolist()
-             if a <= star[a]]
+    star, order, first = plan
     # w_a and w_{a*} for each class a; a real class's counts enter once
     pair_weights = np.stack(
         [weights, np.where(star != np.arange(r), weights[star], 0.0)])
@@ -377,9 +441,8 @@ def _central_characters(group, part, weights, identity_class, gap):
     cells = np.arange(r, dtype=np.int64)
     # sum_a w_a M_a and sum_a w_{a*} M_a over the prefix, stacked flat
     sums = np.zeros(2 * r * r)
-    used = tests = 0
-    while used < len(order):
-        prefix = min(max(2 * used, 8), len(order))
+    tests = 0
+    for used, prefix in _stages(len(order)):
         added = order[used:prefix]
         rows = np.concatenate([part.classes[a] for a in added])
         row_weights = np.repeat(pair_weights[:, added], part.sizes[added],
@@ -392,7 +455,8 @@ def _central_characters(group, part, weights, identity_class, gap):
                 np.concatenate([flat, flat + r * r]),
                 np.repeat(row_weights[:, block], r, axis=1).ravel(),
                 minlength=2 * r * r)
-        used = prefix
+        if prefix < first:
+            continue
         # D^-1 X D for both sums; the second enters transposed, as N_{a*}
         A, B = sums.reshape(2, r, r) * root / root[:, None]
         u = _split(A + B.T, gap)
@@ -425,10 +489,13 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
     eigenvalues closer than ``GAP``, and after ``RETRIES`` attempts the
     table fails with DegenerateSpectrum.  Each attempt grows its sum over
     a prefix of the classes until the spectrum separates
-    (``_central_characters``).  Both orthogonality relations must hold to
+    (``_central_characters``); a prefix whose classes lie in a proper
+    subgroup is summed but not tested (``_prefix_plan``, worked out once
+    for every attempt).  Both orthogonality relations must hold to
     ``ORTHOGONALITY_TOL``.  ``attempts`` on the result is the number of
-    prefixes tested, over all attempts, minus one.  Groups with more than
-    ``CLASS_CAP`` classes are refused.
+    prefixes tested, over all attempts, minus one; a skipped prefix does
+    not count, so it reads 0 on every ring in ``specs/``.  Groups with
+    more than ``CLASS_CAP`` classes are refused.
     """
     part = conjugacy_classes(group)
     r = len(part)
@@ -438,11 +505,12 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
     sizes = part.sizes.astype(np.float64)
     rng = random.Random(seed)
     identity_class = part.class_of(group.index_of(group.ring.zero()))
+    plan = _prefix_plan(group, part)
 
     tests = 0
     for _ in range(RETRIES):
         weights = np.array([rng.gauss(0.0, 1.0) for _ in range(r)])
-        omega, runs = _central_characters(group, part, weights,
+        omega, runs = _central_characters(group, part, plan, weights,
                                           identity_class, GAP)
         tests += runs
         if omega is None:

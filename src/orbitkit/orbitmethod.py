@@ -237,11 +237,15 @@ def _class_algebra_deviations(group, part, at_reps):
     dev_idem = dev_orth = 0.0
     witness = None
     step = max(1, _CLASS_CELLS // (r * k))
+    # the class matrices of a block, written in place as float64 (exact:
+    # every count is at most |G| < 2^53)
+    matrices = np.empty((min(step, r) * r, r))
     for lo in range(0, r, step):
         cs = np.arange(lo, min(r, lo + step))
         s = len(cs)
-        stacked = np.vstack([class_matrix(group, part, c)
-                             for c in cs]).astype(np.float64)
+        stacked = matrices[:s * r]
+        for t, c in enumerate(cs):
+            stacked[t * r:(t + 1) * r] = class_matrix(group, part, c)
         # inner[(t, b), (c, i)] = sum_a M_c[b, a] |C_a| e_i(z_a), its real
         # part at t = 0 and its imaginary part at t = 1
         inner = (stacked @ right).reshape(s, r, 2, k).transpose(
@@ -251,17 +255,21 @@ def _class_algebra_deviations(group, part, at_reps):
         conv_re *= scale
         conv_im = (fold_im @ inner).reshape(k, s, k)
         conv_im *= scale
+        del inner
         # conv[j, c, i] = (e_i * e_j)(z_c) - delta_ij e_i(z_c)
         conv_re[diag, :, diag] -= at_reps[:, cs].real
         conv_im[diag, :, diag] -= at_reps[:, cs].imag
-        dev = np.hypot(conv_re, conv_im)
+        dev = np.hypot(conv_re, conv_im, out=conv_re)
+        del conv_im
         dev_idem = max(dev_idem, float(dev[diag, :, diag].max()))
         dev[diag, :, diag] = 0.0
-        dev = dev.transpose(1, 0, 2)
-        c, j, i = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        if dev[c, j, i] > dev_orth:
-            dev_orth = float(dev[c, j, i])
-            witness = (int(i), int(j), part.reps[lo + int(c)])
+        # the first largest in (c, j, i) order: the first class c holding
+        # the block's maximum, then the first (j, i) at c
+        c = int(np.argmax(dev.max(axis=(0, 2))))
+        j, i = np.unravel_index(int(np.argmax(dev[:, c, :])), (k, k))
+        if dev[j, c, i] > dev_orth:
+            dev_orth = float(dev[j, c, i])
+            witness = (int(i), int(j), part.reps[lo + c])
     return dev_idem, dev_orth, witness
 
 

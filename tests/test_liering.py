@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -446,6 +447,30 @@ class ForgedPair:
         return self.phi, self.psi
 
 
+class ForgedGroup:
+    """The group with its conjugation moved by a central z at the elements
+    equal to ``at``, on every call or only where g vanishes everywhere (the
+    y-twist of a pair with ψ = 0), and its indices folded mod ``fold``."""
+
+    def __init__(self, group, at, *, psi_only=False, fold=None):
+        self.group, self.at, self.psi_only, self.fold = (group, at, psi_only,
+                                                         fold)
+        self.size, self.elements = group.size, group.elements
+        self.z = np.zeros(group.ring.rank, dtype=np.int64)
+        self.z[-1] = 1
+
+    def index_batch(self, coords):
+        codes = self.group.index_batch(coords)
+        return codes if self.fold is None else codes % self.fold
+
+    def conjugate_batch(self, g, X):
+        out = self.group.conjugate_batch(g, X)
+        if self.at is None or (self.psi_only and np.any(g)):
+            return out
+        hit = np.all(X == self.at, axis=-1)
+        return np.mod(out + self.z * hit[..., None], self.group.ring._mods)
+
+
 class TestTwistReference:
     """twist_map on the product grid gives the report or the failure text
     of one evaluation over every pair (reference_twist)."""
@@ -499,6 +524,81 @@ class TestTwistReference:
         got, want = self.both(h3, pair, h3_group)
         assert got == want
         assert got[0] == verdict
+
+    # the hoisted path: at degree 2 on a class-2 ring φ = −y/2 and ψ = 0
+    # read no x, so each is evaluated once for all blocks
+
+    @staticmethod
+    def degree_two(p):
+        return generic_pair(p, degree=2)
+
+    def test_series_read_no_x(self):
+        phi, psi = self.degree_two(3).back_substituted()
+        assert [w for w, _ in _series_terms(phi)] == [(1,)]
+        assert [w for w, _ in _series_terms(psi)] == []
+
+    def test_x_free_series_once_for_all_blocks(self, h3, h3_group,
+                                               monkeypatch):
+        calls = Counter()
+        for name in ("evaluate_series_batch", "exp_ad_batch"):
+            real = getattr(liering.FiniteLieRing, name)
+
+            def spy(self, *args, real=real, name=name):
+                calls[name] += 1
+                return real(self, *args)
+            monkeypatch.setattr(liering.FiniteLieRing, name, spy)
+        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
+        codes = []
+        spied = ForgedGroup(h3_group, None)
+        monkeypatch.setattr(spied, "index_batch",
+                            lambda X: codes.append(X.shape)
+                            or h3_group.index_batch(X))
+        got = repr(twist_map(h3, self.degree_two(3), group=spied))
+        # 14 blocks of up to two x rows: φ and ψ once, x̃ and ỹ and their
+        # codes in each
+        assert calls == {"evaluate_series_batch": 2, "exp_ad_batch": 2 * 14}
+        assert codes == [(2, 27, 3), (1, 27, 3)] * 13 + [(1, 27, 3)] * 2
+        assert got == repr(reference_twist(h3, self.degree_two(3), h3_group))
+
+    @pytest.mark.parametrize("scenario, start", [
+        ("y-twist", "y-twist"), ("both-twists", "x-twist"),
+        ("later-sum", "x̃ + ỹ != CH(x, y)"),
+        ("collisions", "twist map collides")])
+    @pytest.mark.parametrize("cells", [None, 54], ids=["one-block", "blocks"])
+    def test_degree_two_failures(self, h3, h3_group, monkeypatch, scenario,
+                                 start, cells):
+        at = h3_group.elements[3]
+        group = ForgedGroup(h3_group, None if scenario == "collisions" else at,
+                            psi_only=scenario == "y-twist",
+                            fold=5 if scenario == "collisions" else None)
+        if scenario == "later-sum":
+            # x̃ moves at x = (2, 0, 2), past the twist failures at x = e_3
+            real = liering.FiniteLieRing.exp_ad_batch
+            x_only = np.array((2, 0, 2))
+
+            def moved(self, W, X):
+                out = real(self, W, X)
+                if not np.any(W):
+                    return out
+                hit = np.all(X == x_only, axis=-1)
+                return np.mod(out + group.z * hit[..., None], self._mods)
+            monkeypatch.setattr(liering.FiniteLieRing, "exp_ad_batch", moved)
+        if cells:
+            monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
+        got, want = self.both(h3, self.degree_two(3), group)
+        assert got == want
+        assert got[0] == "raised" and got[1].startswith(start)
+        if scenario == "later-sum":
+            assert f"at x={tuple(x_only)}, y=" in got[1]
+
+    @pytest.mark.parametrize("at", [None, 7], ids=["valid", "y-twist"])
+    def test_sampled_at_degree_two(self, h5, h5_group, monkeypatch, at):
+        monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", 100)
+        group = ForgedGroup(h5_group, None if at is None
+                            else h5_group.elements[at], psi_only=True)
+        got, want = self.both(h5, self.degree_two(5), group)
+        assert got == want
+        assert got[0] == ("report" if at is None else "raised")
 
 
 class TestNegate:

@@ -4,18 +4,20 @@ import json
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from orbitkit import oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                              DomainMismatch, NoMatching, StabilityCheckFailed,
                              ValidationFailed)
+from orbitkit.freelie import bch, vp
 from orbitkit.harmonic import ClassFunction
-from orbitkit.liering import FiniteLieRing, LazardGroup, Subring
+from orbitkit.liering import FiniteLieRing, LazardGroup, Subring, _poly_terms
 from orbitkit.oracle import (character_table, class_matrix,
                              conjugacy_classes, conjugation_certificate,
                              match_tables, permutation_orbits,
@@ -640,6 +642,180 @@ def assert_burnside_relation(group):
                               matrices[star[a]].T * sizes[:, None])
 
 
+def every_prefix(group, part, plan, weights, identity_class, gap, log):
+    """The central-character loop as it stood before the Frattini
+    certificate: the sum grows over the same stages and blocks, and
+    ``_split`` runs at every stage.  ``log`` gets (prefix, separated,
+    the symmetric matrix ``_split`` diagonalizes) per tested stage."""
+    r = len(part)
+    root = np.sqrt(part.sizes.astype(np.float64))
+    star = oracle._inverse_classes(group, part)
+    order = [a for a in np.argsort(part.sizes, kind="stable").tolist()
+             if a <= star[a]]
+    pair_weights = np.stack(
+        [weights, np.where(star != np.arange(r), weights[star], 0.0)])
+    step = max(1, oracle._BLOCK_CELLS // r)
+    cells = np.arange(r, dtype=np.int64)
+    sums = np.zeros(2 * r * r)
+    used = tests = 0
+    while used < len(order):
+        prefix = min(max(2 * used, 8), len(order))
+        added = order[used:prefix]
+        rows = np.concatenate([part.classes[a] for a in added])
+        row_weights = np.repeat(pair_weights[:, added], part.sizes[added],
+                                axis=1)
+        for lo in range(0, len(rows), step):
+            block = slice(lo, lo + step)
+            b = part.labels[oracle.translates(group, oracle.GROUP,
+                                              rows[block], part.reps)]
+            flat = (b * r + cells).ravel()
+            sums += np.bincount(
+                np.concatenate([flat, flat + r * r]),
+                np.repeat(row_weights[:, block], r, axis=1).ravel(),
+                minlength=2 * r * r)
+        used = prefix
+        A, B = sums.reshape(2, r, r) * root / root[:, None]
+        N = A + B.T
+        u = oracle._split(N, gap)
+        log.append((prefix, u is not None, N + N.T))
+        tests += 1
+        if u is None:
+            continue
+        omega = root[:, None] * u
+        at_identity = omega[identity_class, :]
+        if np.min(np.abs(at_identity)) < 1e-12:
+            continue
+        return omega / at_identity[None, :], tests
+    return None, tests
+
+
+def every_prefix_table(group, seed=0, log=None):
+    """character_table with every prefix tested (``every_prefix``)."""
+    log = [] if log is None else log
+
+    def loop(group, part, plan, weights, identity_class, gap):
+        return every_prefix(group, part, plan, weights, identity_class, gap,
+                            log)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_central_characters", loop)
+        return character_table(group, seed=seed)
+
+
+def assert_bitwise_table(table, reference):
+    assert table.rows.tobytes() == reference.rows.tobytes()
+    assert table.degrees.tobytes() == reference.degrees.tobytes()
+    assert np.array_equal(table.partition.sizes, reference.partition.sizes)
+
+
+def generated_subgroup_is_g(group, elements):
+    """Does the subgroup the given grid indices generate fill G?  It is the
+    orbit of the identity under right multiplication by them."""
+    E = group.elements
+    right = group.index_batch(group.ring.ch_batch(
+        E[:, None], E[np.asarray(elements)][None])).T
+    labels, _ = permutation_orbits(len(group), list(right))
+    identity = group.index_of(group.ring.zero())
+    return bool(np.all(labels == labels[identity]))
+
+
+def assert_ch_terms_in_frattini(ring):
+    """The certificate's hypothesis (``oracle._prefix_plan``): every CH term
+    of degree d >= 2 up to the truncation is q times a bracket, and the
+    p-adic valuation a of q's denominator is 0 below class p, and less
+    than t(d - 1) in the uniform regime, t = 1, or 2 at p = 2, the least
+    valuation ``make_ring`` admits for the lifted constants."""
+    series = bch(ring.ch_truncation)
+    t = 1 if ring.p >= 3 else 2
+    for d in range(2, ring.ch_truncation + 1):
+        for _, q in _poly_terms(series.component(d)):
+            a = max(0, -vp(q, ring.p))
+            assert a < t * (d - 1) if ring.uniform else a == 0
+
+
+class TestFrattiniCertificate:
+    """A stage whose classes lie in a proper subgroup is summed, not tested;
+    the table is the one testing every stage gives, bit for bit."""
+
+    @staticmethod
+    def check_criterion(group):
+        assert_ch_terms_in_frattini(group.ring)
+        part = conjugacy_classes(group)
+        star, order, first = oracle._prefix_plan(group, part)
+        log = []
+        table = character_table(group)
+        assert_bitwise_table(table, every_prefix_table(group, 0, log))
+        stages = [prefix for _, prefix in oracle._stages(len(order))]
+        assert first in stages
+        for prefix in stages:
+            members = np.concatenate([part.classes[a] for a in order[:prefix]])
+            assert generated_subgroup_is_g(group, members) == (prefix >= first)
+        # every skipped stage failed the split in the reference
+        assert all(not separated for prefix, separated, _ in log
+                   if prefix < first)
+        skipped = sum(prefix < first for prefix, _, _ in log)
+        assert table.attempts == len(log) - 1 - skipped
+        return skipped
+
+    @staticmethod
+    def drawn(ring):
+        group = LazardGroup(ring)
+        assume(len(conjugacy_classes(group)) <= oracle.CLASS_CAP)
+        return group
+
+    @settings(max_examples=20)
+    @given(ring=small_rings())
+    def test_criterion_on_drawn_rings(self, ring):
+        self.check_criterion(self.drawn(ring))
+
+    @settings(max_examples=10)
+    @given(ring=small_rings().filter(lambda ring: ring.p == 2))
+    def test_criterion_on_drawn_p2_rings(self, ring):
+        assert ring.uniform
+        self.check_criterion(self.drawn(ring))
+
+    @pytest.mark.parametrize("name, skipped", [
+        ("h3_group", 0), ("z9_group", 2), ("rank3_z8_group", 4)])
+    def test_criterion_on_fixtures(self, name, skipped, request):
+        group = request.getfixturevalue(name)
+        assert self.check_criterion(group) == skipped
+
+    @pytest.mark.parametrize("name", ["h5_group", "z9_group", "rank3_z8_group"])
+    def test_criterion_with_the_largest_classes_first(self, name, request):
+        # the proof does not use the size order; largest first, the first
+        # stages hold noncentral classes whose smallest members miss
+        # [L, L], so the stage spans only with the brackets' rows
+        group = request.getfixturevalue(name)
+        part = conjugacy_classes(group)
+        reversed_sizes = SimpleNamespace(
+            labels=part.labels, reps=part.reps, classes=part.classes,
+            sizes=part.sizes.max() + 1 - part.sizes)
+        _, order, first = oracle._prefix_plan(group, reversed_sizes)
+        for _, prefix in oracle._stages(len(order)):
+            members = np.concatenate([part.classes[a] for a in order[:prefix]])
+            assert generated_subgroup_is_g(group, members) == (prefix >= first)
+        assert 0 < first < len(order)
+
+    @pytest.mark.parametrize("path", spec_paths())
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_specs_match_every_prefix(self, path, seed):
+        group = LazardGroup(load_ring_spec(path))
+        table = character_table(group, seed=seed)
+        assert_bitwise_table(table, every_prefix_table(group, seed))
+        assert table.attempts == 0
+
+    @pytest.mark.parametrize("name", ["u4_f5", "rank3_z8_p2",
+                                      "heisenberg_z9"])
+    def test_one_eigh_per_table(self, name, monkeypatch):
+        group = LazardGroup(load_ring_spec(SPECS / f"{name}.json"))
+        calls = counting(monkeypatch, "eigh")
+        assert character_table(group).attempts == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("path", spec_paths())
+    def test_ch_terms_lie_in_the_frattini_subgroup(self, path):
+        assert_ch_terms_in_frattini(load_ring_spec(path))
+
+
 class TestPrefixSplit:
     @pytest.mark.parametrize("path, seed", list(ring_specs()))
     def test_specs_match_the_full_sum(self, path, seed):
@@ -659,11 +835,19 @@ class TestPrefixSplit:
         assert_burnside_relation(LazardGroup(ring))
 
     def test_attempts_count_eigh_calls(self, z9_group, monkeypatch):
+        # the prefix doubles from 8 classes, smallest first, one of each
+        # inverse pair; the classes of the prefixes 8 and 16 lie in a
+        # proper subgroup, so the one eigh comes at 32, on the matrix the
+        # every-prefix reference tests there
+        reference = []
+        every_prefix_table(z9_group, 0, reference)
+        assert [(prefix, split) for prefix, split, _ in reference] == \
+            [(8, False), (16, False), (32, True)]
         calls = counting(monkeypatch, "eigh")
         table = character_table(z9_group)
-        assert table.attempts + 1 == len(calls) > 1
-        # the prefix doubles from 8 classes, smallest first, one of each
-        # inverse pair; the pair's other class enters with its own weight
+        assert table.attempts + 1 == len(calls) == 1
+        assert np.array_equal(calls[0][1], reference[-1][2])
+        # the pair's other class enters with its own weight
         part = table.partition
         r = len(part)
         star = inverse_classes(z9_group, part)
@@ -672,15 +856,13 @@ class TestPrefixSplit:
         rng = random.Random(0)
         weights = [rng.gauss(0.0, 1.0) for _ in range(r)]
         root = np.sqrt(part.sizes)
-        for k, (_, symmetric) in enumerate(calls):
-            M = np.zeros((r, r))
-            for a in order[:min(8 << k, len(order))]:
-                M += weights[a] * class_matrix(z9_group, part, a)
-                if star[a] != a:
-                    M += weights[star[a]] * class_matrix(z9_group, part,
-                                                         star[a])
-            N = M * root[None, :] / root[:, None]
-            assert np.allclose(symmetric, N + N.T, rtol=0, atol=1e-9)
+        M = np.zeros((r, r))
+        for a in order[:32]:
+            M += weights[a] * class_matrix(z9_group, part, a)
+            if star[a] != a:
+                M += weights[star[a]] * class_matrix(z9_group, part, star[a])
+        N = M * root[None, :] / root[:, None]
+        assert np.allclose(calls[0][1], N + N.T, rtol=0, atol=1e-9)
 
     def test_retry_only_after_the_full_sum_fails(self, h5_group, monkeypatch):
         # a gap no spectrum reaches: every retry runs every prefix

@@ -687,3 +687,122 @@ class TestAgainstTheTable:
         # constancy check sees the change
         for key in ("idempotent", "orthogonal"):
             assert report[key] < 1e-8
+
+
+# -- the class-algebra kernel against its first form ----------------------------
+
+def listed_deviations(group, part, at_reps):
+    """_class_algebra_deviations as it stood with a list of class matrices
+    per block, stacked and cast to float64, and the witness found by
+    argmax over the (c, j, i) transpose of the deviations."""
+    n, r, k = len(group), len(part), len(at_reps)
+    left = at_reps[:, oracle._inverse_classes(group, part)]
+    fold_re = np.hstack([left.real, -left.imag])
+    fold_im = np.hstack([left.imag, left.real])
+    right = at_reps * part.sizes
+    right = np.hstack([right.real.T, right.imag.T])
+    diag = np.arange(k)
+    dev_idem = dev_orth = 0.0
+    witness = None
+    step = max(1, orbitmethod._CLASS_CELLS // (r * k))
+    for lo in range(0, r, step):
+        cs = np.arange(lo, min(r, lo + step))
+        s = len(cs)
+        stacked = np.vstack([oracle.class_matrix(group, part, c)
+                             for c in cs]).astype(np.float64)
+        inner = (stacked @ right).reshape(s, r, 2, k).transpose(
+            2, 1, 0, 3).reshape(2 * r, s * k)
+        scale = (1.0 / (n * part.sizes[cs]))[None, :, None]
+        conv_re = (fold_re @ inner).reshape(k, s, k)
+        conv_re *= scale
+        conv_im = (fold_im @ inner).reshape(k, s, k)
+        conv_im *= scale
+        conv_re[diag, :, diag] -= at_reps[:, cs].real
+        conv_im[diag, :, diag] -= at_reps[:, cs].imag
+        dev = np.hypot(conv_re, conv_im)
+        dev_idem = max(dev_idem, float(dev[diag, :, diag].max()))
+        dev[diag, :, diag] = 0.0
+        dev = dev.transpose(1, 0, 2)
+        c, j, i = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        if dev[c, j, i] > dev_orth:
+            dev_orth = float(dev[c, j, i])
+            witness = (int(i), int(j), part.reps[lo + int(c)])
+    return dev_idem, dev_orth, witness
+
+
+def assert_same_deviations(group, at_reps, monkeypatch, cells=(None, 1)):
+    """Both kernels give the same deviations, bit for bit, and the same
+    witness, at the default block size and with one class per block."""
+    part = conjugacy_classes(group)
+    for size in cells:
+        if size is not None:
+            monkeypatch.setattr(orbitmethod, "_CLASS_CELLS", size)
+        got = orbitmethod._class_algebra_deviations(group, part, at_reps)
+        want = listed_deviations(group, part, at_reps)
+        assert [float(x).hex() for x in got[:2]] == \
+            [float(x).hex() for x in want[:2]]
+        assert got[2] == want[2]
+    return got
+
+
+def characters_at_reps(ring, group):
+    part = conjugacy_classes(group)
+    orbits, chars = idempotent_inputs(ring, group)
+    return np.array([math.isqrt(o.size) * ch.values.values[part.reps]
+                     for o, ch in zip(orbits, chars)])
+
+
+class TestClassAlgebraKernel:
+    """The class-algebra products written into one buffer per block, with
+    the witness read per class, against the listed first form."""
+
+    @pytest.mark.parametrize("path", table_spec_paths())
+    def test_specs(self, path, monkeypatch):
+        ring = load_ring_spec(path)
+        group = LazardGroup(ring)
+        _, dev_orth, witness = assert_same_deviations(
+            group, characters_at_reps(ring, group), monkeypatch, (None,))
+        assert dev_orth < 1e-8
+
+    @settings(max_examples=6)
+    @given(ring=small_rings().filter(
+        lambda ring: ring.p >= 3 and ring.order() <= 243),
+        seed=st.integers(0, 2 ** 16))
+    def test_drawn_rings_and_values(self, ring, seed):
+        # seeded complex values at the representatives: the products are
+        # far from idempotent, so every deviation and witness is exercised
+        group = LazardGroup(ring)
+        r = len(conjugacy_classes(group))
+        values = np.random.default_rng(seed).standard_normal((2, 4, r))
+        with pytest.MonkeyPatch.context() as patch:
+            assert_same_deviations(group, values[0] + 1j * values[1], patch)
+
+    @pytest.mark.parametrize("kind", ["constant", "repeated-row"])
+    def test_forged_ties(self, h5, h5_group, monkeypatch, kind):
+        # small integer values keep every product exact, so equal
+        # deviations are equal bit for bit and the witness is the first
+        # largest in (c, j, i) order
+        r = len(conjugacy_classes(h5_group))
+        if kind == "constant":
+            at_reps = np.ones((3, r), dtype=np.complex128)
+        else:
+            rng = np.random.default_rng(5)
+            at_reps = (rng.integers(-1, 2, (4, r))
+                       + 1j * rng.integers(-1, 2, (4, r))).astype(
+                           np.complex128)
+            at_reps[2] = at_reps[0]
+        dev_idem, dev_orth, witness = assert_same_deviations(
+            h5_group, at_reps, monkeypatch)
+        assert dev_orth > 0 and witness is not None
+        if kind == "constant":
+            # every off-diagonal product is 1: the first class, j = 0, i = 1
+            assert (dev_orth, witness) == (1.0, (1, 0, 0))
+
+    def test_forged_sum_of_two_idempotents(self, h5, h5_group, monkeypatch):
+        at_reps = characters_at_reps(h5, h5_group)
+        orbits = coadjoint_orbits(h5)
+        i, k = [idx for idx, o in enumerate(orbits) if o.size == 25][:2]
+        at_reps[i] = (at_reps[i] + at_reps[k]) / 5
+        _, dev_orth, witness = assert_same_deviations(h5_group, at_reps,
+                                                      monkeypatch)
+        assert dev_orth > 1 and {witness[0], witness[1]} == {i, k}
