@@ -849,9 +849,9 @@ class LazardGroup:
         self.ring = ring
         self.size = ring.order()
         self.elements = ring.grid.elements
-        # the oracle's conjugation certificate: the generators' matrices and
-        # the one conjugacy-class partition, built on first use
-        # (oracle.conjugation_certificate), never here
+        # the oracle's conjugation certificate, the one ConjClassPartition:
+        # the generators' matrices, the classes and their inverse classes,
+        # built on first use (oracle.conjugation_certificate), never here
         self.certificate = None
 
     def index_of(self, coords) -> int:
@@ -1014,15 +1014,15 @@ def _first_pair(mask, shape, U, V):
 class Subring:
     """Bracket-closed additive subgroup with its induced FiniteLieRing.
 
-    The additive span of the generators is kept as a Howell basis of the
-    embedded copy inside (Z/p^cap)^rank; each basis row contributes a cyclic
-    factor whose order is read off the pivot."""
+    The additive span of the generators is kept as a cyclic basis
+    (``modlin.cyclic_basis``) of the embedded copy inside (Z/p^cap)^rank;
+    each basis row contributes a cyclic factor whose order is read off the
+    row's least valuation.  ``label`` names the induced ring."""
 
-    __slots__ = ("ring", "basis_coords", "orders", "induced", "_rows", "label")
+    __slots__ = ("ring", "basis_coords", "orders", "induced", "_rows")
 
     def __init__(self, ring: FiniteLieRing, generators, *, label=None):
         self.ring = ring
-        self.label = label
         p, big = ring.p, ring.big
         rows = [ring.embed(ring.element(gen)) for gen in generators]
         # basis realizing the cyclic decomposition: coordinates mod the row

@@ -3,8 +3,10 @@
 Conjugacy classes are the orbits of conjugation by the basis exponentials
 e^{e_i}, which one exact certificate per group, built from the CH law
 alone, proves to generate G and to act as exp(ad e_i)
-(``conjugation_certificate``).  The certified matrices are kept for the
-orbit side.  The character table is computed with the Burnside
+(``conjugation_certificate``).  That certificate is the group's one
+class-algebra object, a ``ConjClassPartition`` holding the certified
+matrices, the classes and their inverse classes, and the orbit side reads
+it too.  The character table is computed with the Burnside
 class-matrix method with Dixon-Schneider splitting: a seeded random linear
 combination of the class matrices is diagonalized, and its eigenvectors
 are the central characters once the eigenvalues separate.  Rescaled by
@@ -74,23 +76,30 @@ def permutation_orbits(n: int, perms):
 
 
 class ConjClassPartition:
-    """Conjugacy classes of a Lazard group as index sets over its enumeration.
+    """The class algebra of a Lazard group: its certified conjugation
+    generators and its conjugacy classes as index sets over its enumeration.
 
-    Classes are ordered by their smallest member, so the identity class is
-    class 0; representatives are the smallest member of each class.
+    ``matrices[i]`` is B_s for s = e^{e_i}: row j is the image of e_j under
+    conjugation by s, so conjugation by s is x -> x B_s mod the moduli and
+    B_s is exp(ad e_i) transposed.  Classes are ordered by their smallest
+    member, and the representatives are those members.  Grid index 0 is the
+    identity, so the identity class is class 0.  ``inverse[a]`` is a*, the
+    class of -z_a, the inverse of the representative z_a.
     """
 
-    __slots__ = ("group", "labels", "classes", "reps", "sizes")
+    __slots__ = ("group", "matrices", "labels", "classes", "reps", "sizes",
+                 "inverse")
 
-    def __init__(self, group: LazardGroup, labels, classes):
+    def __init__(self, group: LazardGroup, matrices, labels, classes):
         self.group = group
+        self.matrices = matrices
         self.labels = labels
         self.classes = classes
         self.reps = [int(c[0]) for c in classes]
         self.sizes = np.array([len(c) for c in classes], dtype=np.int64)
-
-    def class_of(self, index: int) -> int:
-        return int(self.labels[index])
+        ring = group.ring
+        self.inverse = labels[negate(group.elements[self.reps], ring._mods)
+                              @ ring.grid.strides]
 
     def __len__(self):
         return len(self.classes)
@@ -98,26 +107,6 @@ class ConjClassPartition:
     def __repr__(self):
         return (f"ConjClassPartition({len(self)} classes, "
                 f"|G|={len(self.labels)})")
-
-
-class ConjugationCertificate:
-    """The certified action of G on itself by conjugation.
-
-    ``matrices[i]`` is B_s for s = e^{e_i}: row j is the image of e_j under
-    conjugation by s, so conjugation by s is x -> x B_s mod the moduli and
-    B_s is exp(ad e_i) transposed.  ``partition`` is the conjugacy-class
-    partition these generators close.
-    """
-
-    __slots__ = ("matrices", "partition")
-
-    def __init__(self, matrices, partition):
-        self.matrices = matrices
-        self.partition = partition
-
-    def __repr__(self):
-        return (f"ConjugationCertificate({len(self.matrices)} generators, "
-                f"{len(self.partition)} classes)")
 
 
 def _right_perm(group: LazardGroup, g) -> np.ndarray:
@@ -163,7 +152,7 @@ def _linear_perm(ring, B) -> np.ndarray:
     return ring.grid.strides @ out
 
 
-def conjugation_certificate(group: LazardGroup) -> ConjugationCertificate:
+def conjugation_certificate(group: LazardGroup) -> ConjClassPartition:
     """The group's conjugation certificate, built on first use and kept on
     the group, so every closure that shares the group shares one check.
 
@@ -196,26 +185,26 @@ def conjugation_certificate(group: LazardGroup) -> ConjugationCertificate:
     and, restricted to the Ad(G)-stable lattice 2g, its action on (2g)*, so
     their orbits are the coadjoint orbits with no sampled audit.
 
-    The classes are closed in the same pass; only the rank x rank matrices
-    and the partition are kept, not the full-grid permutations.
+    The classes are closed in the same pass.  The certificate is the
+    class partition, which keeps the rank x rank matrices but not the
+    full-grid permutations.
     """
     if group.certificate is None:
         group.certificate = _certify(group)
     return group.certificate
 
 
-def _certify(group: LazardGroup) -> ConjugationCertificate:
+def _certify(group: LazardGroup) -> ConjClassPartition:
     """The three checks and the class closure behind
     conjugation_certificate."""
     ring, n = group.ring, len(group)
     gens = [ring.basis(i) for i in range(ring.rank)]
-    identity = group.index_of(ring.zero())
     rights = [_right_perm(group, s) for s in gens]
-    labels, cosets = permutation_orbits(n, rights)
+    _, cosets = permutation_orbits(n, rights)
     if len(cosets) > 1:
         raise StabilityCheckFailed(
             f"the basis exponentials generate a subgroup of order "
-            f"{len(cosets[labels[identity]])}, not all {n} elements of G")
+            f"{len(cosets[0])}, not all {n} elements of G")
 
     basis = np.eye(ring.rank, dtype=np.int64)
     matrices, perms = [], []
@@ -240,22 +229,22 @@ def _certify(group: LazardGroup) -> ConjugationCertificate:
         perms.append(linear)
 
     labels, classes = permutation_orbits(n, perms)
-    part = ConjClassPartition(group, labels, classes)
-    if part.sizes[labels[identity]] != 1:
+    part = ConjClassPartition(group, tuple(matrices), labels, classes)
+    if part.sizes[0] != 1:
         raise StabilityCheckFailed("identity class is not a singleton")
     if any(n % s for s in part.sizes):
         raise StabilityCheckFailed("a class size does not divide |G|")
-    return ConjugationCertificate(tuple(matrices), part)
+    return part
 
 
 def conjugacy_classes(group: LazardGroup) -> ConjClassPartition:
-    """Exact conjugacy classes: the partition of the group's conjugation
-    certificate (``conjugation_certificate``), one per group, for groups of
-    order up to ``ORDER_CAP``."""
+    """Exact conjugacy classes: the group's conjugation certificate
+    (``conjugation_certificate``), one per group, for groups of order up to
+    ``ORDER_CAP``."""
     n = len(group)
     if n > ORDER_CAP:
         raise ValueError(f"|G| = {n} exceeds the cap {ORDER_CAP}")
-    return conjugation_certificate(group).partition
+    return conjugation_certificate(group)
 
 
 class CharTable:
@@ -266,14 +255,12 @@ class CharTable:
     deterministic for a fixed seed.
     """
 
-    __slots__ = ("group", "partition", "rows", "degrees", "seed", "attempts")
+    __slots__ = ("partition", "rows", "degrees", "attempts")
 
-    def __init__(self, group, partition, rows, degrees, seed, attempts):
-        self.group = group
+    def __init__(self, partition, rows, degrees, attempts):
         self.partition = partition
         self.rows = rows
         self.degrees = degrees
-        self.seed = seed
         self.attempts = attempts
 
     def __len__(self):
@@ -284,7 +271,7 @@ class CharTable:
                 f"degrees up to {int(self.degrees.max(initial=1))})")
 
 
-def class_matrix(group, part, a, law=GROUP):
+def class_matrix(part, a, law=GROUP):
     """Burnside's class matrix M_a as an (r, r) integer array.
 
     (M_a)_{b,c} counts pairs x in C_a, y in C_b with x y = z_c, the
@@ -293,16 +280,10 @@ def class_matrix(group, part, a, law=GROUP):
     ``ADDITIVE`` counts the x in C_a with z_c - x in C_b instead.
     """
     r = len(part)
-    b = part.labels[translates(group, law, part.classes[a], part.reps)]
+    b = part.labels[translates(part.group, law, part.classes[a],
+                               part.reps)]
     flat = b * r + np.arange(r, dtype=np.int64)
     return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
-
-
-def _inverse_classes(group, part) -> np.ndarray:
-    """a* for every class a: the class of -z_a, the inverse of z_a."""
-    ring = group.ring
-    inverse = negate(group.elements[part.reps], ring._mods)
-    return part.labels[inverse @ ring.grid.strides]
 
 
 def _split(N, gap):
@@ -346,10 +327,10 @@ def _stages(count):
         used = prefix
 
 
-def _prefix_plan(group, part):
-    """(star, order, first): the inverse class a* of every class a; the
-    classes a <= a* in the order they enter the sum, smallest first (ties
-    by index); and the prefix of the first stage that is tested.
+def _prefix_plan(part):
+    """(order, first): the classes a <= a* in the order they enter the sum,
+    smallest first (ties by index), and the prefix of the first stage that
+    is tested.
 
     The Frattini certificate.  Every CH term of degree d >= 2 lies in
     pL + [L, L], with L the ring; ``make_ring`` admits only rings where
@@ -382,23 +363,22 @@ def _prefix_plan(group, part):
     representatives of all classes span, as every element is conjugate
     to one, so the last stage is always tested.
     """
-    star = _inverse_classes(group, part)
     order = [a for a in np.argsort(part.sizes, kind="stable").tolist()
-             if a <= star[a]]
-    ring = group.ring
+             if a <= part.inverse[a]]
+    ring = part.group.ring
     p = ring.p
     basis = [[row.get(m, 0) % p for m in range(ring.rank)]
              for row in ring.constants.values()]
-    reps = group.elements[part.reps] % p
+    reps = part.group.elements[part.reps] % p
     for used, prefix in _stages(len(order)):
         added = dict.fromkeys(map(tuple, reps[order[used:prefix]].tolist()))
         basis = cyclic_basis(basis + list(added), p, p)
         if len(basis) == ring.rank:
             break
-    return star, order, prefix
+    return order, prefix
 
 
-def _central_characters(group, part, plan, weights, identity_class, gap):
+def _central_characters(part, plan, weights, gap):
     """Central characters from one weighted sum of class matrices in
     symmetric form, grown over a size-ordered prefix of the classes.
 
@@ -433,7 +413,8 @@ def _central_characters(group, part, plan, weights, identity_class, gap):
     """
     r = len(part)
     root = np.sqrt(part.sizes.astype(np.float64))
-    star, order, first = plan
+    star = part.inverse
+    order, first = plan
     # w_a and w_{a*} for each class a; a real class's counts enter once
     pair_weights = np.stack(
         [weights, np.where(star != np.arange(r), weights[star], 0.0)])
@@ -449,7 +430,8 @@ def _central_characters(group, part, plan, weights, identity_class, gap):
                                 axis=1)
         for lo in range(0, len(rows), step):
             block = slice(lo, lo + step)
-            b = part.labels[translates(group, GROUP, rows[block], part.reps)]
+            b = part.labels[translates(part.group, GROUP, rows[block],
+                                       part.reps)]
             flat = (b * r + cells).ravel()
             sums += np.bincount(
                 np.concatenate([flat, flat + r * r]),
@@ -464,7 +446,8 @@ def _central_characters(group, part, plan, weights, identity_class, gap):
         if u is None:
             continue
         omega = root[:, None] * u
-        at_identity = omega[identity_class, :]
+        # the identity's class is class 0
+        at_identity = omega[0, :]
         if np.min(np.abs(at_identity)) < 1e-12:
             continue
         return omega / at_identity[None, :], tests
@@ -504,14 +487,12 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
     n = len(group)
     sizes = part.sizes.astype(np.float64)
     rng = random.Random(seed)
-    identity_class = part.class_of(group.index_of(group.ring.zero()))
-    plan = _prefix_plan(group, part)
+    plan = _prefix_plan(part)
 
     tests = 0
     for _ in range(RETRIES):
         weights = np.array([rng.gauss(0.0, 1.0) for _ in range(r)])
-        omega, runs = _central_characters(group, part, plan, weights,
-                                          identity_class, GAP)
+        omega, runs = _central_characters(part, plan, weights, GAP)
         tests += runs
         if omega is None:
             continue
@@ -535,8 +516,8 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
                 f"col={dev_col:.2e} exceeds {ORTHOGONALITY_TOL}")
 
         key = _row_order(rounded, rows)
-        return CharTable(group, part, rows[key],
-                         rounded[key].astype(np.int64), seed, tests - 1)
+        return CharTable(part, rows[key], rounded[key].astype(np.int64),
+                         tests - 1)
     raise DegenerateSpectrum(
         f"eigenvalue gap stayed below {GAP} for {RETRIES} retries")
 
@@ -544,12 +525,11 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
 class MatchReport:
     """A certified bijection between candidate characters and table rows."""
 
-    __slots__ = ("assignment", "deviations", "tol")
+    __slots__ = ("assignment", "deviations")
 
-    def __init__(self, assignment, deviations, tol):
+    def __init__(self, assignment, deviations):
         self.assignment = tuple(assignment)
         self.deviations = deviations
-        self.tol = tol
 
     @property
     def max_deviation(self) -> float:
@@ -606,7 +586,7 @@ def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
         raise NoMatching(
             f"matched {matched} of {k} candidates against {r} rows")
     deviations = [float(dev[i, j]) for i, j in enumerate(assignment)]
-    return MatchReport(assignment.tolist(), deviations, tol)
+    return MatchReport(assignment.tolist(), deviations)
 
 
 def restriction_multiplicity(group: LazardGroup, sub: Subring,

@@ -5,10 +5,11 @@ character f with weight row w (exponents scaled onto a common modulus p^K)
 moves to w' = w @ M under f -> f o Ad(s), M the column matrix of Ad(s),
 and w' divides back down to an exponent vector because Ad(s) is an
 automorphism of g.  The matrices are those of the group's conjugation
-certificate (``oracle.conjugation_certificate``), which proves that the
-basis exponentials s = e^{e_i} generate G and act by exp(ad e_i), so the
-orbits under their dual maps are exactly the coadjoint orbits, in g* and,
-restricted to 2g, in (2g)*; no orbit is audited by sampling.
+certificate (``oracle.conjugation_certificate``), the one class partition
+per group that the class-algebra checks below read too.  It proves that
+the basis exponentials s = e^{e_i} generate G and act by exp(ad e_i), so
+the orbits under their dual maps are exactly the coadjoint orbits, in g*
+and, restricted to 2g, in (2g)*; no orbit is audited by sampling.
 
 The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
 inverse Fourier transform of the orbit's indicator, one library FFT on the
@@ -38,9 +39,8 @@ from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
 from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
                        exp_star, fourier, inverse_fourier)
 from .liering import FiniteLieRing, LazardGroup, Subring
-from .oracle import (_inverse_classes, character_table, class_matrix,
-                     conjugacy_classes, conjugation_certificate,
-                     permutation_orbits)
+from .oracle import (character_table, class_matrix, conjugacy_classes,
+                     conjugation_certificate, permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
@@ -141,7 +141,7 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
     if root * root != size:
         raise PropertyFailed(f"orbit size {size} is not a perfect square")
     group = group or LazardGroup(ring)
-    part = conjugation_certificate(group).partition
+    part = conjugation_certificate(group)
     vals = inverse_fourier(orbit.indicator()).values / root
     spread = np.abs(vals - vals[part.reps][part.labels])
     x = int(np.argmax(spread))
@@ -154,7 +154,7 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
 
 # -- class-indicator counts ------------------------------------------------------
 
-def _count_mismatch(group, part, a, rows=None):
+def _count_mismatch(part, a, rows=None):
     """First (a, b, c), b in ``rows`` (every class when None) and c in G in
     row-major order, where N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
     differs between the group and the additive law; None when they agree.
@@ -184,8 +184,8 @@ def _count_mismatch(group, part, a, rows=None):
     first row at which any element differs.
     """
     keep = slice(None) if rows is None else rows
-    bad = (class_matrix(group, part, a)[keep]
-           != class_matrix(group, part, a, ADDITIVE)[keep])
+    bad = (class_matrix(part, a)[keep]
+           != class_matrix(part, a, ADDITIVE)[keep])
     if not bad.any():
         return None
     b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -199,7 +199,7 @@ def _count_mismatch(group, part, a, rows=None):
 _CLASS_CELLS = 1 << 18
 
 
-def _class_algebra_deviations(group, part, at_reps):
+def _class_algebra_deviations(part, at_reps):
     """Idempotent and orthogonality deviations of class functions, worked
     out in the class algebra.
 
@@ -211,7 +211,7 @@ def _class_algebra_deviations(group, part, at_reps):
     with M_a Burnside's class matrix, and each is compared with
     delta_ij e_i(z_c).  The triples x y = z in C_a x C_b x C_c, counted once
     by (x, y) and once by (z, y^-1), give |C_c| M_a[b, c] = |C_a| M_c[b*, a],
-    b* the class of the inverses of C_b (``oracle._inverse_classes``).  So
+    b* the class of the inverses of C_b (``part.inverse``).  So
     the class matrix of c alone gives every product at z_c:
 
       (e_i * e_j)(z_c) = (1/(|G| |C_c|)) sum_{b,a} e_j(z_b*) M_c[b, a]
@@ -227,8 +227,8 @@ def _class_algebra_deviations(group, part, at_reps):
     witness (i, j, grid index of z_c) is the first largest off-diagonal
     deviation in (c, j, i) order, and None when every one is 0.
     """
-    n, r, k = len(group), len(part), len(at_reps)
-    left = at_reps[:, _inverse_classes(group, part)]
+    n, r, k = len(part.group), len(part), len(at_reps)
+    left = at_reps[:, part.inverse]
     fold_re = np.hstack([left.real, -left.imag])
     fold_im = np.hstack([left.imag, left.real])
     right = at_reps * part.sizes
@@ -245,7 +245,7 @@ def _class_algebra_deviations(group, part, at_reps):
         s = len(cs)
         stacked = matrices[:s * r]
         for t, c in enumerate(cs):
-            stacked[t * r:(t + 1) * r] = class_matrix(group, part, c)
+            stacked[t * r:(t + 1) * r] = class_matrix(part, c)
         # inner[(t, b), (c, i)] = sum_a M_c[b, a] |C_a| e_i(z_a), its real
         # part at t = 0 and its imaginary part at t = 1
         inner = (stacked @ right).reshape(s, r, 2, k).transpose(
@@ -325,8 +325,7 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
             dev_const, const_witness = float(spread[x]), (i, x)
         total += row
 
-    dev_idem, dev_orth, witness = _class_algebra_deviations(group, part,
-                                                            at_reps)
+    dev_idem, dev_orth, witness = _class_algebra_deviations(part, at_reps)
 
     identity_target = np.zeros(n)
     identity_target[group.index_of(ring.zero())] = n
@@ -363,7 +362,7 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None) -> dict:
               "exhaustive": True, "max_deviation": 0.0,
               "pairs_checked": trials, "passed": True, "witness": None}
     for a in range(len(part)):
-        hit = _count_mismatch(group, part, a)
+        hit = _count_mismatch(part, a)
         if hit is not None:
             report.update(exhaustive=False, passed=False, witness=hit,
                           pairs_checked=0)
@@ -510,7 +509,7 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
               "expected_failure": None, "pairs_checked": 0, "passed": True}
 
     for a in inside:
-        hit = _count_mismatch(group, part, a, inside)
+        hit = _count_mismatch(part, a, inside)
         if hit is not None:
             report["part_b"] = hit
             report["passed"] = False
@@ -522,7 +521,7 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
     if one_sided:
         checks = [(a, None) for a in inside] + [(a, inside) for a in outside]
         for a, rows in checks:
-            hit = _count_mismatch(group, part, a, rows)
+            hit = _count_mismatch(part, a, rows)
             if hit is not None:
                 raise UnexpectedFailure(
                     f"one-sided G^2 pair breaks exp* at {hit}")
@@ -530,7 +529,7 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
         report["pairs_checked"] += (2 * len(inside)) * len(outside)
     search = outside if one_sided else None
     for a in outside:
-        hit = _count_mismatch(group, part, a, search)
+        hit = _count_mismatch(part, a, search)
         if hit is not None:
             report["expected_failure"] = hit
             break

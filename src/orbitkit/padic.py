@@ -156,8 +156,7 @@ def _chain_scale(p: int) -> int:
     return 4 if p == 2 else p
 
 
-def uniform_chain(algebra: QpLieAlgebra, j_max: int, *,
-                  basis_choice=None) -> list[PLattice]:
+def uniform_chain(algebra: QpLieAlgebra, j_max: int) -> list[PLattice]:
     """Uniform lattices k_1 ⊆ ... ⊆ k_{j_max} exhausting the algebra.
 
     k'_j is the Z_(p)-span of all iterated right-normed brackets of the
@@ -168,18 +167,13 @@ def uniform_chain(algebra: QpLieAlgebra, j_max: int, *,
     if j_max < 1:
         raise InputBoundViolation(f"j_max = {j_max} < 1")
     p, n = algebra.p, algebra.dimension
-    if basis_choice is None:
-        basis_choice = [algebra.basis(i) for i in range(n)]
-    else:
-        basis_choice = [tuple(Fraction(x) for x in b) for b in basis_choice]
-        if len(rational_span_basis(basis_choice)) != n:
-            raise ValueError("basis_choice is not a Q_p-basis")
+    basis = [algebra.basis(i) for i in range(n)]
     factor = _chain_scale(p)
 
     chain = []
     for j in range(1, j_max + 1):
         shift = Fraction(1, p ** j)
-        gens = [tuple(shift * x for x in b) for b in basis_choice]
+        gens = [tuple(shift * x for x in b) for b in basis]
         lat = PLattice(p, gens)
         while True:
             new = [v for g in gens for col in lat.basis
@@ -212,7 +206,7 @@ def uniform_chain(algebra: QpLieAlgebra, j_max: int, *,
         # times a generator of k'_j, so it must land in k_j = factor*k'_j
         # (p^{1-j} when p >= 3, 2^{2-j} when p = 2)
         lead = Fraction(factor, p ** j)
-        for m, x in enumerate(basis_choice):
+        for m, x in enumerate(basis):
             if not kj.contains(tuple(lead * c for c in x)):
                 raise AssertionFailed(
                     f"(e) {lead}*x_{m} is not in k_{j}")

@@ -33,7 +33,7 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 def full_functions(table):
     """Expand table rows from class representatives to all group elements."""
     dense = table.rows[:, table.partition.labels]
-    return [ClassFunction(table.group, row) for row in dense]
+    return [ClassFunction(table.partition.group, row) for row in dense]
 
 
 class TestPermutationOrbits:
@@ -249,15 +249,15 @@ class TestConjugacyClasses:
     def test_identity_class_is_first_singleton(self, h3_group):
         part = conjugacy_classes(h3_group)
         zero = h3_group.index_of((0, 0, 0))
-        assert part.class_of(zero) == 0
+        assert part.labels[zero] == 0
         assert part.reps[0] == zero
         assert part.sizes[0] == 1
 
     def test_center_gives_singletons(self, h3_group):
         part = conjugacy_classes(h3_group)
         for c in range(3):
-            assert part.class_of(h3_group.index_of((0, 0, c))) >= 0
-            assert part.sizes[part.class_of(h3_group.index_of((0, 0, c)))] \
+            assert part.labels[h3_group.index_of((0, 0, c))] >= 0
+            assert part.sizes[part.labels[h3_group.index_of((0, 0, c))]] \
                 == 1
 
     def test_labels_match_classes(self, h5_group):
@@ -283,7 +283,7 @@ class TestConjugacyClasses:
         part = conjugacy_classes(group)
         assert conjugacy_classes(group) is part
         assert character_table(group).partition is part
-        assert group.certificate.partition is part
+        assert group.certificate is part
         orbitmethod.coadjoint_orbits(h3, group=group)
         assert conjugacy_classes(LazardGroup(h3)) is not part
         assert len(groups) == 2 and groups[0] is group
@@ -432,7 +432,7 @@ def assert_same_matching(candidates, table, tol=1e-8):
 def candidate_lists(table, funcs):
     """Shuffled, truncated, corrupted and duplicated variants of a
     candidate list that matches the table, with the expected outcome."""
-    group = table.group
+    group = table.partition.group
     r = len(funcs)
     order = np.random.default_rng(r).permutation(r).tolist()
     shuffled = [funcs[i] for i in order]
@@ -552,11 +552,11 @@ def full_sum_table(group, *, seed=0, retries=8, gap=1e-6, tol=1e-8):
     weights = np.random.default_rng(seed).standard_normal((retries, r))
     combined = np.zeros((retries, r * r))
     for lo in range(0, r, 16):
-        block = np.array([class_matrix(group, part, a).ravel()
+        block = np.array([class_matrix(part, a).ravel()
                           for a in range(lo, min(lo + 16, r))])
         combined += weights[:, lo:lo + 16] @ block
     combined = combined.reshape(retries, r, r)
-    identity_class = part.class_of(group.index_of(group.ring.zero()))
+    identity_class = part.labels[group.index_of(group.ring.zero())]
     for attempt in range(retries):
         vals, vecs = np.linalg.eig(combined[attempt])
         dist = np.abs(vals[:, None] - vals[None, :])
@@ -594,7 +594,8 @@ def eager_order(degrees, rows):
 
 
 def assert_same_table(table, seed=0):
-    rows, degrees, sizes, _ = full_sum_table(table.group, seed=seed)
+    rows, degrees, sizes, _ = full_sum_table(table.partition.group,
+                                             seed=seed)
     assert np.array_equal(table.degrees, degrees)
     assert np.array_equal(table.partition.sizes, sizes)
     assert eager_order(table.degrees, table.rows) == list(range(len(rows)))
@@ -625,31 +626,38 @@ def counting(monkeypatch, name, log=None, forge=None):
 
 def inverse_classes(group, part):
     """a* for every class a, through the group's own index of -z_a."""
-    return [part.class_of(group.index_of(tuple(-x for x in
-                                               group.elements[z])))
+    return [int(part.labels[group.index_of(tuple(-x for x in
+                                                 group.elements[z]))])
             for z in part.reps]
 
 
 def assert_burnside_relation(group):
-    """|C_c| M_a[b, c] = |C_b| M_{a*}[c, b] in integers, for every a."""
+    """|C_c| M_a[b, c] = |C_b| M_{a*}[c, b] in integers, for every a, on
+    the group's one class partition: the certificate itself, with the
+    identity alone in class 0 and a -> a* a size-keeping involution."""
     part = conjugacy_classes(group)
+    assert conjugation_certificate(group) is part is group.certificate
+    assert part.labels[group.index_of(group.ring.zero())] == 0
+    assert part.sizes[0] == 1
     star = inverse_classes(group, part)
-    assert np.array_equal(oracle._inverse_classes(group, part), star)
+    assert np.array_equal(part.inverse, star)
+    assert np.array_equal(part.inverse[part.inverse], np.arange(len(part)))
+    assert np.array_equal(part.sizes[part.inverse], part.sizes)
     sizes = part.sizes
-    matrices = [class_matrix(group, part, a) for a in range(len(part))]
+    matrices = [class_matrix(part, a) for a in range(len(part))]
     for a, M in enumerate(matrices):
         assert np.array_equal(M * sizes[None, :],
                               matrices[star[a]].T * sizes[:, None])
 
 
-def every_prefix(group, part, plan, weights, identity_class, gap, log):
+def every_prefix(part, plan, weights, gap, log):
     """The central-character loop as it stood before the Frattini
     certificate: the sum grows over the same stages and blocks, and
     ``_split`` runs at every stage.  ``log`` gets (prefix, separated,
     the symmetric matrix ``_split`` diagonalizes) per tested stage."""
     r = len(part)
     root = np.sqrt(part.sizes.astype(np.float64))
-    star = oracle._inverse_classes(group, part)
+    star = part.inverse
     order = [a for a in np.argsort(part.sizes, kind="stable").tolist()
              if a <= star[a]]
     pair_weights = np.stack(
@@ -666,7 +674,7 @@ def every_prefix(group, part, plan, weights, identity_class, gap, log):
                                 axis=1)
         for lo in range(0, len(rows), step):
             block = slice(lo, lo + step)
-            b = part.labels[oracle.translates(group, oracle.GROUP,
+            b = part.labels[oracle.translates(part.group, oracle.GROUP,
                                               rows[block], part.reps)]
             flat = (b * r + cells).ravel()
             sums += np.bincount(
@@ -682,7 +690,7 @@ def every_prefix(group, part, plan, weights, identity_class, gap, log):
         if u is None:
             continue
         omega = root[:, None] * u
-        at_identity = omega[identity_class, :]
+        at_identity = omega[0, :]
         if np.min(np.abs(at_identity)) < 1e-12:
             continue
         return omega / at_identity[None, :], tests
@@ -693,9 +701,8 @@ def every_prefix_table(group, seed=0, log=None):
     """character_table with every prefix tested (``every_prefix``)."""
     log = [] if log is None else log
 
-    def loop(group, part, plan, weights, identity_class, gap):
-        return every_prefix(group, part, plan, weights, identity_class, gap,
-                            log)
+    def loop(part, plan, weights, gap):
+        return every_prefix(part, plan, weights, gap, log)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_central_characters", loop)
         return character_table(group, seed=seed)
@@ -740,7 +747,7 @@ class TestFrattiniCertificate:
     def check_criterion(group):
         assert_ch_terms_in_frattini(group.ring)
         part = conjugacy_classes(group)
-        star, order, first = oracle._prefix_plan(group, part)
+        order, first = oracle._prefix_plan(part)
         log = []
         table = character_table(group)
         assert_bitwise_table(table, every_prefix_table(group, 0, log))
@@ -787,9 +794,10 @@ class TestFrattiniCertificate:
         group = request.getfixturevalue(name)
         part = conjugacy_classes(group)
         reversed_sizes = SimpleNamespace(
-            labels=part.labels, reps=part.reps, classes=part.classes,
+            group=group, inverse=part.inverse, labels=part.labels,
+            reps=part.reps, classes=part.classes,
             sizes=part.sizes.max() + 1 - part.sizes)
-        _, order, first = oracle._prefix_plan(group, reversed_sizes)
+        order, first = oracle._prefix_plan(reversed_sizes)
         for _, prefix in oracle._stages(len(order)):
             members = np.concatenate([part.classes[a] for a in order[:prefix]])
             assert generated_subgroup_is_g(group, members) == (prefix >= first)
@@ -858,9 +866,9 @@ class TestPrefixSplit:
         root = np.sqrt(part.sizes)
         M = np.zeros((r, r))
         for a in order[:32]:
-            M += weights[a] * class_matrix(z9_group, part, a)
+            M += weights[a] * class_matrix(part, a)
             if star[a] != a:
-                M += weights[star[a]] * class_matrix(z9_group, part, star[a])
+                M += weights[star[a]] * class_matrix(part, star[a])
         N = M * root[None, :] / root[:, None]
         assert np.allclose(calls[0][1], N + N.T, rtol=0, atol=1e-9)
 

@@ -691,12 +691,12 @@ class TestAgainstTheTable:
 
 # -- the class-algebra kernel against its first form ----------------------------
 
-def listed_deviations(group, part, at_reps):
+def listed_deviations(part, at_reps):
     """_class_algebra_deviations as it stood with a list of class matrices
     per block, stacked and cast to float64, and the witness found by
     argmax over the (c, j, i) transpose of the deviations."""
-    n, r, k = len(group), len(part), len(at_reps)
-    left = at_reps[:, oracle._inverse_classes(group, part)]
+    n, r, k = len(part.group), len(part), len(at_reps)
+    left = at_reps[:, part.inverse]
     fold_re = np.hstack([left.real, -left.imag])
     fold_im = np.hstack([left.imag, left.real])
     right = at_reps * part.sizes
@@ -708,7 +708,7 @@ def listed_deviations(group, part, at_reps):
     for lo in range(0, r, step):
         cs = np.arange(lo, min(r, lo + step))
         s = len(cs)
-        stacked = np.vstack([oracle.class_matrix(group, part, c)
+        stacked = np.vstack([oracle.class_matrix(part, c)
                              for c in cs]).astype(np.float64)
         inner = (stacked @ right).reshape(s, r, 2, k).transpose(
             2, 1, 0, 3).reshape(2 * r, s * k)
@@ -737,8 +737,8 @@ def assert_same_deviations(group, at_reps, monkeypatch, cells=(None, 1)):
     for size in cells:
         if size is not None:
             monkeypatch.setattr(orbitmethod, "_CLASS_CELLS", size)
-        got = orbitmethod._class_algebra_deviations(group, part, at_reps)
-        want = listed_deviations(group, part, at_reps)
+        got = orbitmethod._class_algebra_deviations(part, at_reps)
+        want = listed_deviations(part, at_reps)
         assert [float(x).hex() for x in got[:2]] == \
             [float(x).hex() for x in want[:2]]
         assert got[2] == want[2]

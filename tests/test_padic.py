@@ -140,18 +140,6 @@ class TestUniformChain:
             w = heis_qp(3).bracket(lat.basis[0], lat.basis[1])
             assert scaled.contains(w)
 
-    def test_alternate_basis_choice(self):
-        alg = heis_qp(3)
-        chain = uniform_chain(alg, 2, basis_choice=[(1, 1, 0), (0, 1, 0),
-                                                    (0, 0, 1)])
-        assert len(chain) == 2
-        assert chain[0].contains((0, 0, Fraction(1, 3)))
-
-    def test_degenerate_basis_choice_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_chain(heis_qp(3), 2, basis_choice=[(1, 0, 0), (1, 0, 0),
-                                                       (0, 1, 0)])
-
     def test_bad_depth_rejected(self):
         with pytest.raises(InputBoundViolation):
             uniform_chain(heis_qp(3), 0)

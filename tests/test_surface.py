@@ -49,7 +49,7 @@ SHARED_METHODS = {
     "index_of": {
         "liering.Grid.index_of": ("liering", "ring.grid.index_of(coords)"),
         "liering.LazardGroup.index_of": (
-            "oracle", "group.index_of(ring.zero())"),
+            "orbitmethod", "group.index_of(ring.zero())"),
     },
     "scale": {
         "liering.FiniteLieRing.scale": ("orbitmethod", "ring.scale("),
