@@ -61,9 +61,6 @@ class DualSpace:
                               dtype=np.int64)
         self.weights = self.exponents * self.scale
 
-    def index_batch(self, A):
-        return self.ring.grid.index_batch(A)
-
     def __len__(self):
         return len(self.exponents)
 
@@ -116,8 +113,8 @@ class DualFunction:
         return f"DualFunction(|g*|={len(self)})"
 
 
-def exp_star(f: ClassFunction, ring=None) -> ClassFunction:
-    """Pull a group-side function back to the ring along exp.
+def exp_star(f: ClassFunction) -> ClassFunction:
+    """Pull a group-side function back to the group's ring along exp.
 
     exp is the identity on coordinates, so this is a domain relabel; it is
     the operator that intertwines the two convolutions on invariant
@@ -125,10 +122,7 @@ def exp_star(f: ClassFunction, ring=None) -> ClassFunction:
     """
     if not isinstance(f.domain, LazardGroup):
         raise DomainMismatch("exp_star expects a group-domain function")
-    target = f.domain.ring if ring is None else ring
-    if target is not f.domain.ring:
-        raise DomainMismatch("ring is not the domain group's ring")
-    return ClassFunction(target, f.values)
+    return ClassFunction(f.domain.ring, f.values)
 
 
 def _check_law(domain, law) -> None:

@@ -827,9 +827,6 @@ class Grid:
                                  for i in range(len(self.sizes))],
                                 dtype=np.int64)
 
-    def index_of(self, coords) -> int:
-        return int(self.index_batch(coords))
-
     def index_batch(self, X):
         """Row indices of (..., rank) coordinate vectors, reduced first when
         some coordinate lies outside its range."""
@@ -854,12 +851,6 @@ class LazardGroup:
         # built on first use (oracle.conjugation_certificate), never here
         self.certificate = None
 
-    def index_of(self, coords) -> int:
-        return self.ring.grid.index_of(coords)
-
-    def index_batch(self, X):
-        return self.ring.grid.index_batch(X)
-
     def conjugate_batch(self, g, X):
         g = np.asarray(g, dtype=np.int64)
         GX = self.ring.ch_batch(g, X)
@@ -883,30 +874,13 @@ TWIST_PAIR_BUDGET = 2_000_000
 TWIST_SAMPLE = 10_000
 
 
-class TwistReport:
-    """Outcome of checking (x,y) ↦ (e^(ad φ)x, e^(ad ψ)y) over a domain."""
-
-    __slots__ = ("sum_identity", "bijective", "conjugate", "pairs_checked",
-                 "mode")
-
-    def __init__(self, sum_identity, bijective, conjugate, pairs_checked, mode):
-        self.sum_identity = sum_identity
-        self.bijective = bijective
-        self.conjugate = conjugate
-        self.pairs_checked = pairs_checked
-        self.mode = mode
-
-    def __repr__(self):
-        return (f"TwistReport(sum={self.sum_identity}, bij={self.bijective}, "
-                f"conj={self.conjugate}, pairs={self.pairs_checked}, "
-                f"{self.mode})")
-
-
-def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
+def twist_map(group: LazardGroup, pair) -> tuple[int, str]:
     """Certify x̃ + ỹ = CH(x, y) with x̃ = e^(ad φ(x,y))x, ỹ = e^(ad ψ(x,y))y,
     that (x,y) ↦ (x̃,ỹ) is injective on the checked domain, and that x̃, ỹ are
     genuine conjugates of x, y.  Exhaustive when |g|² fits
-    ``TWIST_PAIR_BUDGET``, else on ``TWIST_SAMPLE`` seeded draws.
+    ``TWIST_PAIR_BUDGET``, else on ``TWIST_SAMPLE`` seeded draws.  Returns
+    (pairs checked, "exhaustive" or "sampled"); every failure raises
+    PropertyFailed.
 
     The exhaustive domain is the product grid, in blocks of about
     ``_TWIST_CELLS`` pairs: a block is x rows (rows, 1, rank) against every
@@ -925,6 +899,7 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
     sum identity, else the first that breaks the x-twist, else the
     y-twist; collisions are counted over the codes of every pair.
     """
+    ring = group.ring
     if pair.certified_to < ring.class_:
         raise ValueError(
             f"pair certified to degree {pair.certified_to} < class {ring.class_}")
@@ -932,7 +907,6 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
     # (reads x, reads y) of φ and of ψ
     reads = [[any(letter in w for w, _ in _series_terms(s))
               for letter in (0, 1)] for s in series]
-    group = group or LazardGroup(ring)
     n = group.size
     E = group.elements
     if n * n <= TWIST_PAIR_BUDGET:
@@ -984,7 +958,8 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
                     f"{tag}-twist is not the conjugation by exp of its own "
                     f"series at x={bad[0]}, y={bad[1]}")
         codes.append(np.broadcast_to(
-            group.index_batch(xt) * n + group.index_batch(yt), shape).ravel())
+            ring.grid.index_batch(xt) * n + ring.grid.index_batch(yt),
+            shape).ravel())
     for tag in ("x", "y"):
         if tag in twist_failure:
             raise PropertyFailed(twist_failure[tag])
@@ -995,7 +970,7 @@ def twist_map(ring: FiniteLieRing, pair, *, group=None) -> TwistReport:
         raise PropertyFailed(
             f"twist map collides: {len(codes) - distinct} duplicate images")
 
-    return TwistReport(True, True, True, len(codes), mode)
+    return len(codes), mode
 
 
 def _first_pair(mask, shape, U, V):

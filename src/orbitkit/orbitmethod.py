@@ -1,5 +1,8 @@
 """Coadjoint orbits, orbit characters, and the verification suites.
 
+Each function takes the group G = exp(g) (the p = 2 cells its oracle
+table, which holds G) and reads G's one certificate; none builds a group.
+
 The coadjoint action is carried out exactly on exponent vectors: a
 character f with weight row w (exponents scaled onto a common modulus p^K)
 moves to w' = w @ M under f -> f o Ad(s), M the column matrix of Ad(s),
@@ -38,9 +41,9 @@ from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
 from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
                        exp_star, fourier, inverse_fourier)
-from .liering import FiniteLieRing, LazardGroup, Subring
-from .oracle import (character_table, class_matrix, conjugacy_classes,
-                     conjugation_certificate, permutation_orbits)
+from .liering import LazardGroup, Subring
+from .oracle import (class_matrix, conjugacy_classes, conjugation_certificate,
+                     permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
@@ -50,6 +53,10 @@ _TABLE_LIMIT = 2048
 # How far an orbit character may vary on a conjugacy class
 # (kirillov_character); its values carry the FFT's round-off.
 CONSTANCY_TOL = 1e-9
+
+# verify_exp_star's ``pairs_checked`` on a pass: the count of the seeded
+# pairs the check once convolved, kept so that its reports do not change
+EXP_STAR_PAIRS = 20
 
 
 class CoadjointOrbit:
@@ -88,18 +95,17 @@ def _dual_permutation(space: DualSpace, matrix, g, lattice) -> np.ndarray:
     moved = (space.weights @ matrix) % space.ring.big
     if np.any(moved % space.scale):
         raise PropertyFailed(f"Ad*(e^{tuple(g)}) left the {lattice}")
-    return space.index_batch(moved // space.scale)
+    return space.ring.grid.index_batch(moved // space.scale)
 
 
-def coadjoint_orbits(ring: FiniteLieRing, *,
-                     group=None) -> list[CoadjointOrbit]:
+def coadjoint_orbits(group: LazardGroup) -> list[CoadjointOrbit]:
     """Partition of g* into coadjoint orbits, ordered by smallest member.
 
     g* is closed under the duals f -> f o Ad(s) of the certified matrices
-    of ``group``'s conjugation certificate (built here when ``group`` is
-    None); the module docstring says why these orbits are exact.
+    of ``group``'s conjugation certificate; the module docstring says why
+    these orbits are exact.
     """
-    group = group or LazardGroup(ring)
+    ring = group.ring
     space = DualSpace(ring)
     perms = [_dual_permutation(space, B.T, ring.basis(i), "character lattice")
              for i, B in enumerate(conjugation_certificate(group).matrices)]
@@ -124,8 +130,8 @@ class KirillovCharacter:
         return f"KirillovCharacter(degree={self.degree}, |Omega|={self.orbit.size})"
 
 
-def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
-                       group=None) -> KirillovCharacter:
+def kirillov_character(group: LazardGroup,
+                       orbit: CoadjointOrbit) -> KirillovCharacter:
     """Orbit character on G via the identity coordinate map exp.
 
     The orbit size must be a perfect square (its root is the degree), and
@@ -140,7 +146,6 @@ def kirillov_character(ring: FiniteLieRing, orbit: CoadjointOrbit, *,
     root = math.isqrt(size)
     if root * root != size:
         raise PropertyFailed(f"orbit size {size} is not a perfect square")
-    group = group or LazardGroup(ring)
     part = conjugation_certificate(group)
     vals = inverse_fourier(orbit.indicator()).values / root
     spread = np.abs(vals - vals[part.reps][part.labels])
@@ -273,8 +278,7 @@ def _class_algebra_deviations(part, at_reps):
     return dev_idem, dev_orth, witness
 
 
-def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
-                       characters=None, tol=1e-8) -> dict:
+def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     """(a)-(d) idempotent package for e_Omega = |Omega|^{1/2} chi_Omega.
 
     (a) the Fourier transform of e_Omega pulled back to g is the indicator
@@ -300,19 +304,16 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
     Characters are consumed one at a time: no n x n or k x n array is
     formed.
     """
-    if ring.p < 3:
-        raise RegimeViolation(f"p = {ring.p} < 3")
-    group = group or LazardGroup(ring)
+    if group.ring.p < 3:
+        raise RegimeViolation(f"p = {group.ring.p} < 3")
     n = len(group)
     part = conjugacy_classes(group)
-    orbits = orbits or coadjoint_orbits(ring, group=group)
-    if characters is None:
-        characters = (kirillov_character(ring, o, group=group)
-                      for o in orbits)
+    orbits = coadjoint_orbits(group)
     at_reps = np.empty((len(orbits), len(part)), dtype=np.complex128)
     total = np.zeros(n, dtype=np.complex128)
     dev_fourier, dev_const, const_witness = 0.0, 0.0, None
-    for i, (orbit, ch) in enumerate(zip(orbits, characters)):
+    for i, orbit in enumerate(orbits):
+        ch = kirillov_character(group, orbit)
         row = math.isqrt(orbit.size) * ch.values.values
         F = fourier(exp_star(ClassFunction(group, row)))
         ind = np.zeros(n)
@@ -327,8 +328,9 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
 
     dev_idem, dev_orth, witness = _class_algebra_deviations(part, at_reps)
 
+    # the identity is grid index 0
     identity_target = np.zeros(n)
-    identity_target[group.index_of(ring.zero())] = n
+    identity_target[0] = n
     dev_complete = float(np.max(np.abs(total - identity_target)))
 
     if dev_const > tol:
@@ -341,7 +343,7 @@ def verify_idempotents(ring: FiniteLieRing, *, group=None, orbits=None,
             "witness": None if passed else witness}
 
 
-def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None) -> dict:
+def verify_exp_star(group: LazardGroup) -> dict:
     """exp* intertwines group and additive convolution on Fun(G)^G.
 
     The check is exhaustive and exact at every size: class indicators span
@@ -350,17 +352,16 @@ def verify_exp_star(ring: FiniteLieRing, trials=20, *, group=None) -> dict:
     element, read at the class representatives (``_count_mismatch`` says
     why that covers every element).  No pair of functions is drawn or
     convolved: every invariant pair follows from the exact counts, so
-    ``max_deviation`` is 0.0.  ``pairs_checked`` is ``trials`` on a pass
-    and 0 on a mismatch; ``trials`` only feeds that field, and stays
-    because dropping it would change the report.
+    ``max_deviation`` is 0.0.  ``pairs_checked`` is ``EXP_STAR_PAIRS`` on a
+    pass and 0 on a mismatch.
     """
-    if ring.p < 3:
-        raise RegimeViolation(f"p = {ring.p} < 3")
-    group = group or LazardGroup(ring)
+    if group.ring.p < 3:
+        raise RegimeViolation(f"p = {group.ring.p} < 3")
     part = conjugacy_classes(group)
     report = {"group_order": len(group), "classes": len(part),
               "exhaustive": True, "max_deviation": 0.0,
-              "pairs_checked": trials, "passed": True, "witness": None}
+              "pairs_checked": EXP_STAR_PAIRS, "passed": True,
+              "witness": None}
     for a in range(len(part)):
         hit = _count_mismatch(part, a)
         if hit is not None:
@@ -411,9 +412,12 @@ def _restricted_action(ring, sub: Subring, matrix, g):
     return np.array(cols, dtype=np.int64).reshape(k, k).T
 
 
-def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
-                       seed=0, tol=1e-8) -> list[P2Cell]:
+def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
     """Partition of the irreducibles of G by coadjoint orbits in (2g)*.
+
+    G is the group of the oracle's character ``table``
+    (``table.partition.group``).  Returns the subring 2g, whose induced
+    ring is the one every cell's orbit lives in the dual of, and the cells.
 
     For each G-orbit Omega in the dual of 2g, e_Omega extends the inverse
     Fourier transform of the orbit indicator by zero from G^2 = exp(2g) to
@@ -425,11 +429,11 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     The orbits in (2g)* are closed under the duals of the group's
     certified matrices restricted to 2g.  Restriction to the Ad(G)-stable
     lattice 2g is a homomorphism of the action, so they are exact as in
-    ``coadjoint_orbits``.  ``seed`` drives the table when it is built here.
+    ``coadjoint_orbits``.
     """
+    group = table.partition.group
+    ring = group.ring
     _require_p2_uniform(ring)
-    group = group or LazardGroup(ring)
-    table = table if table is not None else character_table(group, seed=seed)
     sub = Subring(ring, [ring.scale(ring.basis(i), 2)
                          for i in range(ring.rank)], label="2g")
     kspace = DualSpace(sub.induced)
@@ -478,10 +482,10 @@ def p2_orbit_partition(ring: FiniteLieRing, *, group=None, table=None,
     if missing.size:
         raise PartitionFailure(
             f"irreducibles {missing.tolist()} lie in no cell")
-    return cells
+    return sub, cells
 
 
-def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
+def p2_convolution_check(group: LazardGroup) -> dict:
     """exp* intertwining on G^2-supported invariant functions, p = 2.
 
     Both factors supported on G^2 must always intertwine; one-factor
@@ -493,8 +497,8 @@ def p2_convolution_check(ring: FiniteLieRing, *, group=None) -> dict:
     identity, its first (a, b, c) is recorded as the expected failure
     witness.
     """
+    ring = group.ring
     _require_p2_uniform(ring)
-    group = group or LazardGroup(ring)
     n = len(group)
     part = conjugacy_classes(group)
     r = len(part)

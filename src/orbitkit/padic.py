@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
                      JacobiViolation, RegimeViolation, ValidationFailed)
 from .freelie import vp
-from .harmonic import DualSpace
 from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
                       uniform_quotient)
 from .oracle import character_table, match_tables
@@ -315,30 +314,25 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
         len(sub.basis_coords), ring.rank)
 
     if p >= 3:
-        orbs_g = coadjoint_orbits(ring, group=group)
-        orbs_k = coadjoint_orbits(kring, group=kgroup)
-        chars_g = [kirillov_character(ring, o, group=group) for o in orbs_g]
-        chars_k = [kirillov_character(kring, o, group=kgroup)
-                   for o in orbs_k]
+        orbs_g = coadjoint_orbits(group)
+        orbs_k = coadjoint_orbits(kgroup)
+        chars_g = [kirillov_character(group, o) for o in orbs_g]
+        chars_k = [kirillov_character(kgroup, o) for o in orbs_k]
         row_of_g = match_tables([c.values for c in chars_g], table_g).assignment
         row_of_k = match_tables([c.values for c in chars_k], table_k).assignment
-        space_g, space_k = DualSpace(ring), DualSpace(kring)
-        res_keys = [set(_restricted_phase_keys(space_g.weights[o.indices],
+        res_keys = [set(_restricted_phase_keys(o.space.weights[o.indices],
                                                basis_rows, ring.big))
                     for o in orbs_g]
         sub_keys = [_restricted_phase_keys(
-            np.mod(space_k.weights[o.indices], kring.big),
+            np.mod(o.space.weights[o.indices], kring.big),
             np.eye(kring.rank, dtype=np.int64), kring.big) for o in orbs_k]
         cells_g = [(res_keys[a], (row_of_g[a],)) for a in range(len(orbs_g))]
         cells_k = [(set(sub_keys[b]), (row_of_k[b],))
                    for b in range(len(orbs_k))]
     else:
-        pg = p2_orbit_partition(ring, group=group, table=table_g, seed=seed)
-        pk = p2_orbit_partition(kring, group=kgroup, table=table_k, seed=seed)
-        g2 = Subring(ring, [ring.scale(ring.basis(i), 2)
-                            for i in range(ring.rank)])
-        k2 = Subring(kring, [kring.scale(kring.basis(m), 2)
-                             for m in range(kring.rank)])
+        # the subrings 2g and 2(alpha*k) the cells' orbits live in the duals of
+        g2, pg = p2_orbit_partition(table_g)
+        k2, pk = p2_orbit_partition(table_k)
         # basis of 2*(alpha*k) written in coordinates of the ring of 2g
         common = np.array([g2.express(sub.embed_coords(b))
                            for b in k2.basis_coords],

@@ -26,7 +26,7 @@ def phases(space, exponents, X):
     """Pairing exponents in Z/p^K of the character with these exponents
     (reduced mod the moduli) at the coordinate rows X, from the space's
     weights."""
-    weights = space.weights[space.index_batch(exponents)]
+    weights = space.weights[space.ring.grid.index_batch(exponents)]
     return (np.asarray(X, dtype=np.int64) @ weights) % space.ring.big
 
 
@@ -146,3 +146,8 @@ def z9_group(z9):
 @pytest.fixture(scope="session")
 def rank3_z8_group(rank3_z8):
     return LazardGroup(rank3_z8)
+
+
+@pytest.fixture(scope="session")
+def abelian_z4sq_group(abelian_z4sq):
+    return LazardGroup(abelian_z4sq)

@@ -78,13 +78,12 @@ def group_of(name):
 
 @functools.lru_cache(maxsize=None)
 def orbits_of(name):
-    return tuple(coadjoint_orbits(ring_of(name)))
+    return tuple(coadjoint_orbits(group_of(name)))
 
 
 @functools.lru_cache(maxsize=None)
 def chars_of(name):
-    ring, group = ring_of(name), group_of(name)
-    return tuple(kirillov_character(ring, orb, group=group)
+    return tuple(kirillov_character(group_of(name), orb)
                  for orb in orbits_of(name))
 
 
@@ -165,17 +164,17 @@ def test_unitriangular_census():
 @criterion("exp* intertwines the two convolutions; twist map certified")
 def test_exp_star_and_twist():
     for name in ("heisenberg_f3", "heisenberg_f5"):
-        report = verify_exp_star(ring_of(name), group=group_of(name))
+        report = verify_exp_star(group_of(name))
         assert report["exhaustive"], name
         assert report["passed"], name
         assert report["max_deviation"] < 1e-10, name
     for name, p in (("heisenberg_f3", 3), ("heisenberg_f5", 5)):
         regime = ValuationRegime.generic(p)
         pair = solve_phi_psi(substituted_series(regime, 4), regime, 4)
-        report = twist_map(ring_of(name), pair)
-        assert report.mode == "exhaustive", name
-        assert report.pairs_checked == ring_of(name).order() ** 2
-        assert report.sum_identity and report.bijective and report.conjugate
+        # a failed property raises, so a return is a pass
+        pairs_checked, mode = twist_map(group_of(name), pair)
+        assert mode == "exhaustive", name
+        assert pairs_checked == ring_of(name).order() ** 2
 
 
 @criterion("p=2 dual partition covers the irreducibles exactly once")
@@ -184,7 +183,7 @@ def test_p2_partition():
     ring = make_ring(2, (3, 3, 3), {(0, 1): {2: 4}}, label="rank3_z8")
     group = LazardGroup(ring)
     table = character_table(group)
-    cells = p2_orbit_partition(ring, group=group, table=table, tol=1e-8)
+    _, cells = p2_orbit_partition(table, tol=1e-8)
 
     seen = sorted(i for c in cells for i in c.irreducibles)
     assert seen == list(range(len(table.rows)))

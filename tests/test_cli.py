@@ -260,9 +260,9 @@ class TestVerify:
         def spy(name):
             real = getattr(orbitmethod, name)
 
-            def wrapper(*args, **kwargs):
-                calls.append((name, kwargs.get("group"), "seed" in kwargs))
-                return real(*args, **kwargs)
+            def wrapper(group, *args, **kwargs):
+                calls.append((name, group, "seed" in kwargs))
+                return real(group, *args, **kwargs)
             monkeypatch.setattr(orbitmethod, name, wrapper)
         spy("coadjoint_orbits")
         spy("kirillov_character")
@@ -277,17 +277,18 @@ class TestVerify:
         assert not any(call[2] for call in calls)
 
     def test_p2_suite_reuses_the_group(self, capsys, monkeypatch):
+        # the partition reads the group off the oracle's table
         groups = []
 
-        def spy(name):
+        def spy(name, group_of):
             real = getattr(cli, name)
 
-            def wrapper(*args, **kwargs):
-                groups.append(kwargs.get("group"))
-                return real(*args, **kwargs)
+            def wrapper(arg, **kwargs):
+                groups.append(group_of(arg))
+                return real(arg, **kwargs)
             monkeypatch.setattr(cli, name, wrapper)
-        spy("p2_orbit_partition")
-        spy("p2_convolution_check")
+        spy("p2_orbit_partition", lambda table: table.partition.group)
+        spy("p2_convolution_check", lambda group: group)
         code, _, _ = run_json(capsys, "verify", "--input", Z8)
         assert code == 0
         assert len(groups) == 2 and groups[0] is groups[1] is not None
@@ -310,6 +311,22 @@ class TestVerify:
                            "--checks", "bogus")
         assert code == 2
         assert "unknown checks" in err
+
+
+@pytest.mark.parametrize("argv, certificates", [
+    (["chartable", "--input", F5, "--method", "both"], 1),
+    (["verify", "--input", str(SPEC_DIR / "heisenberg_z9.json")], 1),
+    (["restrict", "--input", F3, "--subring", CENTER], 2),
+    (["verify", "--input", Z8], 1)],
+    ids=["chartable-both-f5", "verify-z9", "restrict-f3-center", "verify-z8"])
+def test_one_certificate_per_group(capsys, monkeypatch, argv, certificates):
+    # every orbit-side function takes the command's group, so each group
+    # (G, and K for restrict) is certified once
+    groups = spy_certify(monkeypatch)
+    code, _, _ = run_json(capsys, *argv)
+    assert code == 0
+    assert len(groups) == certificates
+    assert len({id(group) for group in groups}) == certificates
 
 
 def _raiser(exc):

@@ -16,8 +16,8 @@ import pytest
 from orbitkit.errors import PropertyFailed
 from orbitkit.harmonic import (ClassFunction, DualFunction, DualSpace,
                                fourier, inverse_fourier)
-from orbitkit.liering import LazardGroup, Subring, make_ring
-from orbitkit.oracle import conjugacy_classes
+from orbitkit.liering import LazardGroup, make_ring
+from orbitkit.oracle import character_table, conjugacy_classes
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   kirillov_character, p2_orbit_partition)
 
@@ -110,8 +110,8 @@ class TestKirillovAgainstDirectSums:
     def test_orbit_characters(self, make):
         ring = make()
         group = LazardGroup(ring)
-        for orbit in coadjoint_orbits(ring):
-            chi = kirillov_character(ring, orbit, group=group)
+        for orbit in coadjoint_orbits(group):
+            chi = kirillov_character(group, orbit)
             direct = direct_orbit_sum(ring, orbit.space, orbit.indices)
             direct /= math.isqrt(orbit.size)
             assert np.max(np.abs(chi.values.values - direct)) <= TOL
@@ -121,9 +121,7 @@ class TestP2IdempotentsAgainstDirectSums:
     def test_rank3_z8_cells(self):
         ring = rank3_z8_ring()
         group = LazardGroup(ring)
-        cells = p2_orbit_partition(ring, group=group)
-        sub = Subring(ring, [ring.scale(ring.basis(i), 2)
-                             for i in range(ring.rank)], label="2g")
+        sub, cells = p2_orbit_partition(character_table(group))
         idx_g2 = sub.ambient_indices()
         outside = np.ones(len(group), dtype=bool)
         outside[idx_g2] = False
@@ -142,7 +140,8 @@ class TestKirillovClassCheck:
         space = DualSpace(ring)
         # nine characters (a, 0, c): a square count, not a union of orbits
         forged = CoadjointOrbit(space, sorted(
-            ring.grid.index_of((a, 0, c)) for a in range(3) for c in range(3)))
+            ring.grid.index_batch((a, 0, c))
+            for a in range(3) for c in range(3)))
         part = conjugacy_classes(group)
         reps = [c[0] for c in part.classes]
 
@@ -159,7 +158,7 @@ class TestKirillovClassCheck:
         assert abs(direct[x] - direct.max()) <= TOL
         assert abs(fft[x] - direct[x]) <= TOL
         with pytest.raises(PropertyFailed) as info:
-            kirillov_character(ring, forged, group=group)
+            kirillov_character(group, forged)
         assert str(info.value) == (
             f"orbit character varies on a conjugacy class: deviation "
             f"{fft[x]:.2e} at grid index {x}")

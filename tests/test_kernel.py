@@ -736,7 +736,7 @@ def test_conjugation_perm_equals_index_batch(ring):
         images = group.conjugate_batch(g, group.elements)
         assert np.all((images >= 0) & (images < ring._mods))
         assert np.array_equal(_conjugation_perm(group, g),
-                              group.index_batch(images))
+                              group.ring.grid.index_batch(images))
 
 
 # -- character-table row order ----------------------------------------------------

@@ -35,8 +35,21 @@ def generic_pair(p, degree=4):
     return solve_phi_psi(substituted_series(regime, degree), regime, degree)
 
 
-def all_passed(report):
-    return report.sum_identity and report.bijective and report.conjugate
+def spy_codes(monkeypatch, fold=None):
+    """Record (shape, codes) of every grid-index batch read while the test
+    runs, the codes folded mod ``fold`` when it is given, so that twist
+    images collide."""
+    real = liering.Grid.index_batch
+    calls = []
+
+    def spy(self, X):
+        codes = real(self, X)
+        if fold is not None:
+            codes = codes % fold
+        calls.append((np.shape(X), codes))
+        return codes
+    monkeypatch.setattr(liering.Grid, "index_batch", spy)
+    return calls
 
 
 class TestMakeRing:
@@ -157,12 +170,12 @@ class TestGroupLaw:
         assert report["identity"] and report["inverse"]
         assert report["associativity"]
 
-    def test_index_roundtrip(self, h5):
-        group = LazardGroup(h5)
+    def test_index_roundtrip(self, h5_group):
         rng = random.Random(0)
         for _ in range(20):
             x = tuple(rng.randrange(5) for _ in range(3))
-            assert tuple(group.elements[group.index_of(x)].tolist()) == x
+            index = h5_group.ring.grid.index_batch(x)
+            assert tuple(h5_group.elements[index].tolist()) == x
 
     def test_batch_matches_scalar(self, z9):
         rng = np.random.default_rng(0)
@@ -188,7 +201,7 @@ class TestGrid:
         assert np.array_equal(grid.index_batch(shifted), np.arange(n))
         rng = np.random.default_rng(3)
         for i in rng.integers(0, n, size=20).tolist():
-            assert grid.index_of(grid.elements[i]) == i
+            assert grid.index_batch(grid.elements[i]) == i
         X = grid.elements[rng.integers(0, n, size=(4, 5))]
         assert grid.index_batch(X).shape == (4, 5)
 
@@ -196,7 +209,7 @@ class TestGrid:
         grid = make_ring(3, (), {}).grid
         assert grid.elements.shape == (1, 0)
         assert grid.strides.shape == (0,)
-        assert grid.index_of(()) == 0
+        assert grid.index_batch(()) == 0
         assert grid.index_batch(np.zeros((4, 0), dtype=np.int64)).tolist() \
             == [0, 0, 0, 0]
 
@@ -262,47 +275,31 @@ class TestAdjoint:
 
 
 class TestTwist:
-    def test_exhaustive_on_heisenberg(self, h3):
-        report = twist_map(h3, generic_pair(3))
-        assert all_passed(report)
-        assert report.mode == "exhaustive"
-        assert report.pairs_checked == 27 ** 2
+    def test_exhaustive_on_heisenberg(self, h3_group):
+        # a failed property raises, so a return is a pass
+        pairs_checked, mode = twist_map(h3_group, generic_pair(3))
+        assert mode == "exhaustive"
+        assert pairs_checked == 27 ** 2
 
-    def test_undercertified_pair_is_rejected(self, h3):
+    def test_undercertified_pair_is_rejected(self, h3_group):
         regime = ValuationRegime.generic(3)
         pair = solve_phi_psi(substituted_series(regime, 1), regime, 1)
         with pytest.raises(ValueError):
-            twist_map(h3, pair)
-
-    def test_reuses_the_given_group(self, h3, h3_group, monkeypatch):
-        def refuse(ring):
-            raise AssertionError("twist_map built its own group")
-        monkeypatch.setattr(liering, "LazardGroup", refuse)
-        report = twist_map(h3, generic_pair(3), group=h3_group)
-        assert all_passed(report)
+            twist_map(h3_group, pair)
 
     @pytest.mark.parametrize("budget", [2_000_000, 100],
                              ids=["exhaustive", "sampled"])
-    def test_collisions_count_duplicate_images(self, h3, h3_group, budget,
+    def test_collisions_count_duplicate_images(self, h3_group, budget,
                                                monkeypatch):
         # a forged enumeration folds indices mod 5, so images collide; the
         # duplicate count is checked against np.unique
-        codes = []
-
-        class Folded:
-            size = h3_group.size
-            elements = h3_group.elements
-
-            def index_batch(self, coords):
-                codes.append(h3_group.index_batch(coords) % 5)
-                return codes[-1]
-
-            def conjugate_batch(self, g, X):
-                return h3_group.conjugate_batch(g, X)
         monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", budget)
         monkeypatch.setattr(liering, "TWIST_SAMPLE", 200)
+        pair = generic_pair(3)
+        calls = spy_codes(monkeypatch, fold=5)
         with pytest.raises(PropertyFailed) as info:
-            twist_map(h3, generic_pair(3), group=Folded())
+            twist_map(h3_group, pair)
+        codes = [c for _, c in calls]
         # exhaustive codes of ỹ may lie on the y axis alone: broadcast them
         joined = (codes[0] * h3_group.size + codes[1]).ravel()
         duplicates = len(joined) - np.unique(joined).size
@@ -312,7 +309,7 @@ class TestTwist:
 
 def _twist_outcome(thunk):
     try:
-        return "report", repr(thunk())
+        return "report", thunk()
     except PropertyFailed as exc:
         return "raised", str(exc)
 
@@ -355,39 +352,27 @@ class TestTwistBlocks:
         both = h3_group.elements[3]
         x_only = both if x_only is None else np.array(x_only)
         _shifted_twists(monkeypatch, h3, both, x_only)
-        whole = _twist_outcome(lambda: twist_map(h3, pair, group=h3_group))
+        whole = _twist_outcome(lambda: twist_map(h3_group, pair))
         # two x rows of 27 pairs per block: x = e_3 and (2, 0, 2) lie in
         # blocks 1 and 10
         monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
-        blocked = _twist_outcome(lambda: twist_map(h3, pair,
-                                                   group=h3_group))
+        blocked = _twist_outcome(lambda: twist_map(h3_group, pair))
         assert blocked == whole
         assert blocked[0] == "raised" and blocked[1].startswith(start)
         assert f"at x={tuple(x_only)}, y=" in blocked[1]
 
-    def test_valid_pair_passes_in_blocks(self, h3, h3_group, monkeypatch):
+    def test_valid_pair_passes_in_blocks(self, h3_group, monkeypatch):
         monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
-        report = twist_map(h3, generic_pair(3), group=h3_group)
-        assert all_passed(report)
-        assert report.pairs_checked == 27 ** 2
+        pairs_checked, _ = twist_map(h3_group, generic_pair(3))
+        assert pairs_checked == 27 ** 2
 
-    def test_collisions_count_over_every_block(self, h3, h3_group,
-                                               monkeypatch):
-        codes = []
-
-        class Folded:
-            size = h3_group.size
-            elements = h3_group.elements
-
-            def index_batch(self, coords):
-                codes.append(h3_group.index_batch(coords) % 5)
-                return codes[-1]
-
-            def conjugate_batch(self, g, X):
-                return h3_group.conjugate_batch(g, X)
+    def test_collisions_count_over_every_block(self, h3_group, monkeypatch):
         monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
+        pair = generic_pair(3)
+        calls = spy_codes(monkeypatch, fold=5)
         with pytest.raises(PropertyFailed) as info:
-            twist_map(h3, generic_pair(3), group=Folded())
+            twist_map(h3_group, pair)
+        codes = [c for _, c in calls]
         assert len(codes) == 2 * 14
         joined = np.concatenate([(x * h3_group.size + y).ravel()
                                  for x, y in zip(codes[0::2], codes[1::2])])
@@ -396,11 +381,12 @@ class TestTwistBlocks:
             f"twist map collides: {duplicates} duplicate images"
 
 
-def reference_twist(ring, pair, group):
+def reference_twist(group, pair):
     """The twist check as one evaluation: every pair (the seeded sample
     above ``TWIST_PAIR_BUDGET``) in one (k, rank) batch, φ and ψ on both
     operands, both twists through ``conjugate_batch``, and failures in the
     order sum identity, x-twist, y-twist, collisions."""
+    ring = group.ring
     phi, psi = pair.back_substituted()
     n = group.size
     if n * n <= liering.TWIST_PAIR_BUDGET:
@@ -429,12 +415,12 @@ def reference_twist(ring, pair, group):
             raise PropertyFailed(
                 f"{tag}-twist is not the conjugation by exp of its own "
                 f"series at x={tuple(U[bad[0]])}, y={tuple(V[bad[0]])}")
-    codes = group.index_batch(xt) * n + group.index_batch(yt)
+    codes = ring.grid.index_batch(xt) * n + ring.grid.index_batch(yt)
     duplicates = len(codes) - np.unique(codes).size
     if duplicates:
         raise PropertyFailed(
             f"twist map collides: {duplicates} duplicate images")
-    return liering.TwistReport(True, True, True, len(codes), mode)
+    return len(codes), mode
 
 
 class ForgedPair:
@@ -450,18 +436,14 @@ class ForgedPair:
 class ForgedGroup:
     """The group with its conjugation moved by a central z at the elements
     equal to ``at``, on every call or only where g vanishes everywhere (the
-    y-twist of a pair with ψ = 0), and its indices folded mod ``fold``."""
+    y-twist of a pair with ψ = 0)."""
 
-    def __init__(self, group, at, *, psi_only=False, fold=None):
-        self.group, self.at, self.psi_only, self.fold = (group, at, psi_only,
-                                                         fold)
-        self.size, self.elements = group.size, group.elements
+    def __init__(self, group, at, *, psi_only=False):
+        self.group, self.at, self.psi_only = group, at, psi_only
+        self.ring, self.size, self.elements = (group.ring, group.size,
+                                               group.elements)
         self.z = np.zeros(group.ring.rank, dtype=np.int64)
         self.z[-1] = 1
-
-    def index_batch(self, coords):
-        codes = self.group.index_batch(coords)
-        return codes if self.fold is None else codes % self.fold
 
     def conjugate_batch(self, g, X):
         out = self.group.conjugate_batch(g, X)
@@ -476,9 +458,9 @@ class TestTwistReference:
     of one evaluation over every pair (reference_twist)."""
 
     @staticmethod
-    def both(ring, pair, group):
-        return (_twist_outcome(lambda: twist_map(ring, pair, group=group)),
-                _twist_outcome(lambda: reference_twist(ring, pair, group)))
+    def both(group, pair):
+        return (_twist_outcome(lambda: twist_map(group, pair)),
+                _twist_outcome(lambda: reference_twist(group, pair)))
 
     @pytest.mark.parametrize("x_only", [None, (2, 0, 2)],
                              ids=["twists-break", "later-sum-breaks"])
@@ -490,7 +472,7 @@ class TestTwistReference:
                         both if x_only is None else np.array(x_only))
         if cells:
             monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
-        got, want = self.both(h3, generic_pair(3), h3_group)
+        got, want = self.both(h3_group, generic_pair(3))
         assert got == want
         assert got[0] == "raised"
 
@@ -503,25 +485,25 @@ class TestTwistReference:
         phi, psi = pair.back_substituted()
         assert all(any(len(w) > 1 for w, _ in _series_terms(s))
                    for s in (phi, psi))
-        got, want = self.both(ring, pair, LazardGroup(ring))
+        got, want = self.both(LazardGroup(ring), pair)
         assert got == want
-        assert got[1].endswith("exhaustive)")
+        assert got[1][1] == "exhaustive"
 
     def test_sampled(self, h5, h5_group, monkeypatch):
         monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", 100)
-        got, want = self.both(h5, generic_pair(5), h5_group)
+        got, want = self.both(h5_group, generic_pair(5))
         assert got == want
-        assert got[1].endswith("sampled)")
+        assert got[1][1] == "sampled"
 
     @pytest.mark.parametrize("q, verdict", [
         (Fraction(1, 2), "report"), (1, "raised")],
         ids=["conjugates", "sum-breaks"])
-    def test_psi_reads_only_x(self, h3, h3_group, q, verdict):
+    def test_psi_reads_only_x(self, h3_group, q, verdict):
         # φ = 0, ψ = q·x: ỹ = y + q[x, y], so x̃ + ỹ = CH(x, y) exactly
         # at q = 1/2, and e^(ad ψ)y is the conjugate of y by e^ψ at class 2
         psi = GradedSeries({1: LiePoly({(1, 0): Fraction(q)}, 2)}, 2)
         pair = ForgedPair(GradedSeries({}, 2), psi, 2)
-        got, want = self.both(h3, pair, h3_group)
+        got, want = self.both(h3_group, pair)
         assert got == want
         assert got[0] == verdict
 
@@ -537,8 +519,7 @@ class TestTwistReference:
         assert [w for w, _ in _series_terms(phi)] == [(1,)]
         assert [w for w, _ in _series_terms(psi)] == []
 
-    def test_x_free_series_once_for_all_blocks(self, h3, h3_group,
-                                               monkeypatch):
+    def test_x_free_series_once_for_all_blocks(self, h3_group, monkeypatch):
         calls = Counter()
         for name in ("evaluate_series_batch", "exp_ad_batch"):
             real = getattr(liering.FiniteLieRing, name)
@@ -548,29 +529,28 @@ class TestTwistReference:
                 return real(self, *args)
             monkeypatch.setattr(liering.FiniteLieRing, name, spy)
         monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
-        codes = []
-        spied = ForgedGroup(h3_group, None)
-        monkeypatch.setattr(spied, "index_batch",
-                            lambda X: codes.append(X.shape)
-                            or h3_group.index_batch(X))
-        got = repr(twist_map(h3, self.degree_two(3), group=spied))
+        pair = self.degree_two(3)
+        codes = spy_codes(monkeypatch)
+        got = twist_map(h3_group, pair)
         # 14 blocks of up to two x rows: φ and ψ once, x̃ and ỹ and their
         # codes in each
         assert calls == {"evaluate_series_batch": 2, "exp_ad_batch": 2 * 14}
-        assert codes == [(2, 27, 3), (1, 27, 3)] * 13 + [(1, 27, 3)] * 2
-        assert got == repr(reference_twist(h3, self.degree_two(3), h3_group))
+        assert [shape for shape, _ in codes] == \
+            [(2, 27, 3), (1, 27, 3)] * 13 + [(1, 27, 3)] * 2
+        assert got == reference_twist(h3_group, pair)
 
     @pytest.mark.parametrize("scenario, start", [
         ("y-twist", "y-twist"), ("both-twists", "x-twist"),
         ("later-sum", "x̃ + ỹ != CH(x, y)"),
         ("collisions", "twist map collides")])
     @pytest.mark.parametrize("cells", [None, 54], ids=["one-block", "blocks"])
-    def test_degree_two_failures(self, h3, h3_group, monkeypatch, scenario,
+    def test_degree_two_failures(self, h3_group, monkeypatch, scenario,
                                  start, cells):
         at = h3_group.elements[3]
         group = ForgedGroup(h3_group, None if scenario == "collisions" else at,
-                            psi_only=scenario == "y-twist",
-                            fold=5 if scenario == "collisions" else None)
+                            psi_only=scenario == "y-twist")
+        if scenario == "collisions":
+            spy_codes(monkeypatch, fold=5)
         if scenario == "later-sum":
             # x̃ moves at x = (2, 0, 2), past the twist failures at x = e_3
             real = liering.FiniteLieRing.exp_ad_batch
@@ -585,18 +565,18 @@ class TestTwistReference:
             monkeypatch.setattr(liering.FiniteLieRing, "exp_ad_batch", moved)
         if cells:
             monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
-        got, want = self.both(h3, self.degree_two(3), group)
+        got, want = self.both(group, self.degree_two(3))
         assert got == want
         assert got[0] == "raised" and got[1].startswith(start)
         if scenario == "later-sum":
             assert f"at x={tuple(x_only)}, y=" in got[1]
 
     @pytest.mark.parametrize("at", [None, 7], ids=["valid", "y-twist"])
-    def test_sampled_at_degree_two(self, h5, h5_group, monkeypatch, at):
+    def test_sampled_at_degree_two(self, h5_group, monkeypatch, at):
         monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", 100)
         group = ForgedGroup(h5_group, None if at is None
                             else h5_group.elements[at], psi_only=True)
-        got, want = self.both(h5, self.degree_two(5), group)
+        got, want = self.both(group, self.degree_two(5))
         assert got == want
         assert got[0] == ("report" if at is None else "raised")
 

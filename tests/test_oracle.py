@@ -100,7 +100,7 @@ def closures_match_bfs(monkeypatch, ring):
     monkeypatch.setattr(orbitmethod, "permutation_orbits", spy)
     group = LazardGroup(ring)
     conjugacy_classes(group)
-    orbitmethod.coadjoint_orbits(ring, group=group)
+    orbitmethod.coadjoint_orbits(group)
     assert len(calls) == 3
     for n, perms, (labels, orbits) in calls:
         want_labels, want_orbits = bfs_orbits(n, perms)
@@ -121,7 +121,8 @@ def assert_certificate(group):
     ring, E = group.ring, group.elements
     cert = conjugation_certificate(group)
     gens = [ring.basis(i) for i in range(ring.rank)]
-    right = [group.index_batch(ring.ch_batch(E, np.array(s))) for s in gens]
+    right = [ring.grid.index_batch(ring.ch_batch(E, np.array(s)))
+             for s in gens]
     assert len(bfs_orbits(len(group), right)[1]) == 1
     assert len(cert.matrices) == ring.rank
     for s, B in zip(gens, cert.matrices):
@@ -182,7 +183,7 @@ class TestConjugationCertificate:
             [("_left_perm", g) for g in basis]
         assert group.certificate is cert
         assert conjugation_certificate(group) is cert
-        assert orbitmethod.coadjoint_orbits(h3, group=group)
+        assert orbitmethod.coadjoint_orbits(group)
         assert len(seen) == 6
         # [x, y] = z: conjugation by e^x adds y's coefficient to z's
         assert cert.matrices[0].tolist() == [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
@@ -217,7 +218,7 @@ class TestConjugationCertificate:
             return perm
         monkeypatch.setattr(oracle, "_left_perm", forged)
         with pytest.raises(AutomorphismCheckFailed) as info:
-            orbitmethod.coadjoint_orbits(h3)
+            orbitmethod.coadjoint_orbits(LazardGroup(h3))
         assert str(info.value) == (
             f"conjugation by e^(0, 1, 0) is not linear: grid index 5 goes "
             f"to {want[7]}, x B_s to {want[5]}")
@@ -234,7 +235,7 @@ class TestConjugationCertificate:
             return m
         monkeypatch.setattr(FiniteLieRing, "exp_ad_matrix", forged)
         with pytest.raises(AutomorphismCheckFailed) as info:
-            orbitmethod.p2_orbit_partition(abelian_z4sq)
+            orbitmethod.p2_convolution_check(LazardGroup(abelian_z4sq))
         assert str(info.value) == ("conjugation by e^(1, 0) maps e_1 to "
                                    "(0, 1), exp(ad (1, 0)) to (1, 1)")
 
@@ -248,7 +249,7 @@ class TestConjugacyClasses:
 
     def test_identity_class_is_first_singleton(self, h3_group):
         part = conjugacy_classes(h3_group)
-        zero = h3_group.index_of((0, 0, 0))
+        zero = h3_group.ring.grid.index_batch((0, 0, 0))
         assert part.labels[zero] == 0
         assert part.reps[0] == zero
         assert part.sizes[0] == 1
@@ -256,9 +257,9 @@ class TestConjugacyClasses:
     def test_center_gives_singletons(self, h3_group):
         part = conjugacy_classes(h3_group)
         for c in range(3):
-            assert part.labels[h3_group.index_of((0, 0, c))] >= 0
-            assert part.sizes[part.labels[h3_group.index_of((0, 0, c))]] \
-                == 1
+            z = h3_group.ring.grid.index_batch((0, 0, c))
+            assert part.labels[z] >= 0
+            assert part.sizes[part.labels[z]] == 1
 
     def test_labels_match_classes(self, h5_group):
         part = conjugacy_classes(h5_group)
@@ -284,7 +285,7 @@ class TestConjugacyClasses:
         assert conjugacy_classes(group) is part
         assert character_table(group).partition is part
         assert group.certificate is part
-        orbitmethod.coadjoint_orbits(h3, group=group)
+        orbitmethod.coadjoint_orbits(group)
         assert conjugacy_classes(LazardGroup(h3)) is not part
         assert len(groups) == 2 and groups[0] is group
         monkeypatch.setattr(oracle, "ORDER_CAP", 10)
@@ -456,10 +457,9 @@ class TestMatchAgainstKuhn:
     @pytest.mark.parametrize("name", ["h3", "z9"])
     def test_orbit_characters_and_variants(self, name, request):
         group = request.getfixturevalue(f"{name}_group")
-        ring = group.ring
         table = character_table(group)
-        chars = [kirillov_character(ring, o, group=group).values
-                 for o in coadjoint_orbits(ring, group=group)]
+        chars = [kirillov_character(group, o).values
+                 for o in coadjoint_orbits(group)]
         assert assert_same_matching(chars, table) == "matched"
         for tol in (1e-300, 1e-14, 0.69):
             assert_same_matching(chars, table, tol)
@@ -556,7 +556,8 @@ def full_sum_table(group, *, seed=0, retries=8, gap=1e-6, tol=1e-8):
                           for a in range(lo, min(lo + 16, r))])
         combined += weights[:, lo:lo + 16] @ block
     combined = combined.reshape(retries, r, r)
-    identity_class = part.labels[group.index_of(group.ring.zero())]
+    identity_class = part.labels[
+        group.ring.grid.index_batch(group.ring.zero())]
     for attempt in range(retries):
         vals, vecs = np.linalg.eig(combined[attempt])
         dist = np.abs(vals[:, None] - vals[None, :])
@@ -626,8 +627,8 @@ def counting(monkeypatch, name, log=None, forge=None):
 
 def inverse_classes(group, part):
     """a* for every class a, through the group's own index of -z_a."""
-    return [int(part.labels[group.index_of(tuple(-x for x in
-                                                 group.elements[z]))])
+    return [int(part.labels[group.ring.grid.index_batch(
+                tuple(-x for x in group.elements[z]))])
             for z in part.reps]
 
 
@@ -637,7 +638,7 @@ def assert_burnside_relation(group):
     identity alone in class 0 and a -> a* a size-keeping involution."""
     part = conjugacy_classes(group)
     assert conjugation_certificate(group) is part is group.certificate
-    assert part.labels[group.index_of(group.ring.zero())] == 0
+    assert part.labels[group.ring.grid.index_batch(group.ring.zero())] == 0
     assert part.sizes[0] == 1
     star = inverse_classes(group, part)
     assert np.array_equal(part.inverse, star)
@@ -718,10 +719,10 @@ def generated_subgroup_is_g(group, elements):
     """Does the subgroup the given grid indices generate fill G?  It is the
     orbit of the identity under right multiplication by them."""
     E = group.elements
-    right = group.index_batch(group.ring.ch_batch(
+    right = group.ring.grid.index_batch(group.ring.ch_batch(
         E[:, None], E[np.asarray(elements)][None])).T
     labels, _ = permutation_orbits(len(group), list(right))
-    identity = group.index_of(group.ring.zero())
+    identity = group.ring.grid.index_batch(group.ring.zero())
     return bool(np.all(labels == labels[identity]))
 
 

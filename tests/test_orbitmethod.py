@@ -29,33 +29,33 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 class TestCoadjointOrbits:
-    def test_heisenberg_f3_sizes(self, h3):
-        orbits = coadjoint_orbits(h3)
+    def test_heisenberg_f3_sizes(self, h3_group):
+        orbits = coadjoint_orbits(h3_group)
         assert Counter(o.size for o in orbits) == {1: 9, 9: 2}
         assert sum(o.size for o in orbits) == 27
 
-    def test_heisenberg_f5_sizes(self, h5):
-        orbits = coadjoint_orbits(h5)
+    def test_heisenberg_f5_sizes(self, h5_group):
+        orbits = coadjoint_orbits(h5_group)
         assert Counter(o.size for o in orbits) == {1: 25, 25: 4}
 
-    def test_heisenberg_z9_sizes(self, z9):
-        orbits = coadjoint_orbits(z9)
+    def test_heisenberg_z9_sizes(self, z9_group):
+        orbits = coadjoint_orbits(z9_group)
         assert Counter(o.size for o in orbits) == {1: 81, 9: 18, 81: 6}
         assert all(math.isqrt(o.size) ** 2 == o.size for o in orbits)
 
     def test_abelian_orbits_are_singletons(self):
         ring = make_ring(3, (1, 1), {})
-        orbits = coadjoint_orbits(ring)
+        orbits = coadjoint_orbits(LazardGroup(ring))
         assert len(orbits) == 9
         assert all(o.size == 1 for o in orbits)
 
-    def test_orbits_partition_the_dual(self, h3):
-        orbits = coadjoint_orbits(h3)
+    def test_orbits_partition_the_dual(self, h3_group):
+        orbits = coadjoint_orbits(h3_group)
         seen = np.concatenate([o.indices for o in orbits])
         assert sorted(seen.tolist()) == list(range(27))
 
-    def test_representative_and_indicator(self, h3):
-        orbit = max(coadjoint_orbits(h3), key=lambda o: o.size)
+    def test_representative_and_indicator(self, h3_group):
+        orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
         first = tuple(orbit.space.exponents[orbit.indices.min()].tolist())
         assert repr(orbit) == f"CoadjointOrbit(size=9, rep={first})"
         assert np.flatnonzero(orbit.indicator().values).tolist() \
@@ -63,16 +63,16 @@ class TestCoadjointOrbits:
 
 
 class TestKirillovCharacter:
-    def test_degrees_on_heisenberg(self, h3, h3_group):
-        chars = [kirillov_character(h3, o, group=h3_group)
-                 for o in coadjoint_orbits(h3)]
+    def test_degrees_on_heisenberg(self, h3_group):
+        chars = [kirillov_character(h3_group, o)
+                 for o in coadjoint_orbits(h3_group)]
         assert Counter(c.degree for c in chars) == {1: 9, 3: 2}
         assert sum(c.degree ** 2 for c in chars) == 27
 
-    def test_degree_three_character_is_central(self, h3, h3_group):
+    def test_degree_three_character_is_central(self, h3_group):
         # chi vanishes off Z(G) and has |chi| = 3 on it
-        orbit = max(coadjoint_orbits(h3), key=lambda o: o.size)
-        chi = kirillov_character(h3, orbit, group=h3_group)
+        orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
+        chi = kirillov_character(h3_group, orbit)
         E = h3_group.elements
         vals = chi.values.values
         central = (E[:, 0] == 0) & (E[:, 1] == 0)
@@ -80,35 +80,35 @@ class TestKirillovCharacter:
         assert np.allclose(np.abs(vals[central]), 3.0)
 
     def test_value_at_identity_is_degree(self, h5, h5_group):
-        for orbit in coadjoint_orbits(h5):
-            chi = kirillov_character(h5, orbit, group=h5_group)
-            idx = h5_group.index_of((0, 0, 0))
+        for orbit in coadjoint_orbits(h5_group):
+            chi = kirillov_character(h5_group, orbit)
+            idx = h5.grid.index_batch((0, 0, 0))
             assert abs(chi.values.values[idx] - chi.degree) < 1e-12
 
-    def test_orthonormal_family(self, h3, h3_group):
-        chars = [kirillov_character(h3, o, group=h3_group)
-                 for o in coadjoint_orbits(h3)]
+    def test_orthonormal_family(self, h3_group):
+        chars = [kirillov_character(h3_group, o)
+                 for o in coadjoint_orbits(h3_group)]
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
                 target = 1.0 if i == j else 0.0
                 assert abs(inner(ci.values, cj.values) - target) < 1e-9
 
-    def test_matches_oracle_table(self, h3, h3_group):
-        chars = [kirillov_character(h3, o, group=h3_group)
-                 for o in coadjoint_orbits(h3)]
+    def test_matches_oracle_table(self, h3_group):
+        chars = [kirillov_character(h3_group, o)
+                 for o in coadjoint_orbits(h3_group)]
         report = match_tables([c.values for c in chars],
                               character_table(h3_group))
         assert report.max_deviation < 1e-8
 
-    def test_non_square_orbit_rejected(self, h3):
+    def test_non_square_orbit_rejected(self, h3, h3_group):
         fake = CoadjointOrbit(DualSpace(h3), [0, 1])
         with pytest.raises(PropertyFailed):
-            kirillov_character(h3, fake)
+            kirillov_character(h3_group, fake)
 
 
 class TestVerifyIdempotents:
-    def test_heisenberg_f3_passes(self, h3):
-        report = verify_idempotents(h3)
+    def test_heisenberg_f3_passes(self, h3_group):
+        report = verify_idempotents(h3_group)
         assert report["passed"]
         assert report["orbits"] == 11
         assert report["witness"] is None
@@ -116,24 +116,21 @@ class TestVerifyIdempotents:
                     "complete"):
             assert report[key] < 1e-8
 
-    def test_reuses_supplied_orbits_and_characters(self, h5, h5_group):
-        orbits = coadjoint_orbits(h5)
-        chars = [kirillov_character(h5, o, group=h5_group) for o in orbits]
-        report = verify_idempotents(h5, group=h5_group, orbits=orbits,
-                                    characters=chars)
+    def test_heisenberg_f5_passes(self, h5_group):
+        report = verify_idempotents(h5_group)
         assert report["passed"]
         assert report["orbits"] == 29
 
-    def test_p2_rejected(self, rank3_z8):
+    def test_p2_rejected(self, rank3_z8_group):
         with pytest.raises(RegimeViolation):
-            verify_idempotents(rank3_z8)
+            verify_idempotents(rank3_z8_group)
 
     def test_passes_above_the_old_table_limit(self):
         # order 3^7 = 2187 was refused by the n x n table
         ring = make_ring(3, (3, 2, 2), {(0, 1): {2: 1}})
         assert ring.order() > orbitmethod._TABLE_LIMIT
         group = LazardGroup(ring)
-        report = verify_idempotents(ring, group=group)
+        report = verify_idempotents(group)
         assert report["passed"]
         assert report["witness"] is None
         assert report["orbits"] == len(conjugacy_classes(group))
@@ -143,68 +140,74 @@ class TestVerifyIdempotents:
 
 
 class TestVerifyExpStar:
-    def test_heisenberg_f3_exhaustive(self, h3):
-        report = verify_exp_star(h3)
+    def test_heisenberg_f3_exhaustive(self, h3_group):
+        report = verify_exp_star(h3_group)
         assert report["passed"]
         assert report["exhaustive"]
         assert report["classes"] == 11
         assert report["max_deviation"] < 1e-10
         assert report["pairs_checked"] == 20
 
-    def test_p2_rejected(self, rank3_z8):
+    def test_p2_rejected(self, rank3_z8_group):
         with pytest.raises(RegimeViolation):
-            verify_exp_star(rank3_z8)
+            verify_exp_star(rank3_z8_group)
 
     def test_exact_above_the_old_table_limit(self):
         # order 3^7 = 2187 is above _TABLE_LIMIT; the check stays exact
         ring = make_ring(3, (3, 2, 2), {(0, 1): {2: 1}})
         assert ring.order() > orbitmethod._TABLE_LIMIT
-        report = verify_exp_star(ring, trials=1)
+        report = verify_exp_star(LazardGroup(ring))
         assert report["exhaustive"]
         assert report["passed"]
-        assert report["pairs_checked"] == 1
+        assert report["pairs_checked"] == 20
         assert report["max_deviation"] == 0.0
 
 
+@pytest.fixture(scope="module")
+def rank3_z8_table(rank3_z8_group):
+    return character_table(rank3_z8_group)
+
+
 class TestP2OrbitPartition:
-    def test_rank3_z8_cells(self, rank3_z8):
-        cells = p2_orbit_partition(rank3_z8)
+    def test_rank3_z8_cells(self, rank3_z8_table):
+        _, cells = p2_orbit_partition(rank3_z8_table)
         assert len(cells) == 64
         assert Counter(len(c.irreducibles) for c in cells) \
             == {8: 32, 2: 32}
         assert sum(c.orbit.size for c in cells) == 64
 
-    def test_cells_cover_irreducibles_once(self, rank3_z8):
-        cells = p2_orbit_partition(rank3_z8)
+    def test_cells_cover_irreducibles_once(self, rank3_z8_table):
+        _, cells = p2_orbit_partition(rank3_z8_table)
         seen = sorted(i for c in cells for i in c.irreducibles)
         assert seen == list(range(320))
 
-    def test_idempotents_supported_on_even_coordinates(self, rank3_z8):
-        cells = p2_orbit_partition(rank3_z8)
+    def test_idempotents_supported_on_even_coordinates(self,
+                                                       rank3_z8_table):
+        _, cells = p2_orbit_partition(rank3_z8_table)
         group = cells[0].idempotent.domain
         odd = np.any(group.elements % 2, axis=1)
         for cell in cells[:8]:
             assert np.max(np.abs(cell.idempotent.values[odd])) == 0.0
 
-    def test_abelian_cells(self, abelian_z4sq):
-        cells = p2_orbit_partition(abelian_z4sq)
+    def test_abelian_cells(self, abelian_z4sq_group):
+        _, cells = p2_orbit_partition(character_table(abelian_z4sq_group))
         assert len(cells) == 4
         assert Counter(len(c.irreducibles) for c in cells) == {4: 4}
 
-    def test_odd_prime_rejected(self, h3):
+    def test_odd_prime_rejected(self, h3_group):
         with pytest.raises(RegimeViolation):
-            p2_orbit_partition(h3)
+            p2_orbit_partition(character_table(h3_group))
 
     def test_shallow_uniform_depth_rejected(self):
         # (Z/2)^2 is abelian but 4g = 0 has no room below the moduli
         ring = make_ring(2, (1, 1), {})
         with pytest.raises(RegimeViolation):
-            p2_orbit_partition(ring)
+            p2_orbit_partition(character_table(LazardGroup(ring)))
 
 
 class TestP2ConvolutionCheck:
-    def test_rank3_z8_report(self, rank3_z8):
-        report = p2_convolution_check(rank3_z8)
+    def test_rank3_z8_report(self, rank3_z8_group):
+        report = p2_convolution_check(rank3_z8_group)
         assert report["passed"]
         assert report["part_b"] == "exact"
         assert report["part_a"] == "skipped"
@@ -212,8 +215,8 @@ class TestP2ConvolutionCheck:
         assert report["supported_classes"] == 64
         assert report["pairs_checked"] == 64 ** 2
 
-    def test_abelian_never_fails(self, abelian_z4sq):
-        report = p2_convolution_check(abelian_z4sq)
+    def test_abelian_never_fails(self, abelian_z4sq_group):
+        report = p2_convolution_check(abelian_z4sq_group)
         assert report["passed"]
         assert report["part_b"] == "exact"
         assert report["expected_failure"] is None
@@ -221,19 +224,19 @@ class TestP2ConvolutionCheck:
     def test_one_sided_at_depth_three(self):
         # abelian (Z/8)^2: depth 3 turns on the one-factor claim
         ring = make_ring(2, (3, 3), {})
-        report = p2_convolution_check(ring)
+        report = p2_convolution_check(LazardGroup(ring))
         assert report["part_a"] == "exact"
         assert report["expected_failure"] is None
 
-    def test_odd_prime_rejected(self, h3):
+    def test_odd_prime_rejected(self, h3_group):
         with pytest.raises(RegimeViolation):
-            p2_convolution_check(h3)
+            p2_convolution_check(h3_group)
 
     def test_exact_above_the_old_table_limit(self):
         # order 2^12 = 4096 is above _TABLE_LIMIT; the check stays exact
         ring = make_ring(2, (3,) * 4, {(0, 1): {3: 4}})
         group = LazardGroup(ring)
-        report = p2_convolution_check(ring, group=group)
+        report = p2_convolution_check(group)
         assert report["part_b"] == "exact"
         assert report["pairs_checked"] == report["supported_classes"] ** 2
         a, b, c = report["expected_failure"]
@@ -242,9 +245,9 @@ class TestP2ConvolutionCheck:
         H = group.elements[part.classes[a]]
         x_c = np.broadcast_to(group.elements[c], H.shape)
         in_b = part.labels == b
-        by_group = in_b[group.index_batch(
+        by_group = in_b[ring.grid.index_batch(
             ring.ch_batch(np.mod(-H, ring._mods), x_c))]
-        by_sum = in_b[group.index_batch(x_c - H)]
+        by_sum = in_b[ring.grid.index_batch(x_c - H)]
         assert by_group.sum() != by_sum.sum()
 
 
@@ -403,7 +406,7 @@ class TestP2CountsOneClassAtATime:
     def test_same_report(self, make):
         ring = make()
         group = LazardGroup(ring)
-        new = p2_convolution_check(ring, group=group)
+        new = p2_convolution_check(group)
         assert new == dict_counts_check(ring, group)
         assert new["expected_failure"] is not None
 
@@ -422,12 +425,12 @@ class TestP2CountsOneClassAtATime:
     def test_same_outcome_on_a_patched_table(self, make, h, cols, kind):
         ring = make()
         group = LazardGroup(ring)
-        row = group.index_of(h)
+        row = ring.grid.index_batch(h)
         cols = list(cols)
         t_add = ref_additive_table(group)
         t_add[row, cols] = t_add[row, cols[::-1]]
         with _patching_translates(_swapped_translates(row, cols)):
-            new = _outcome(lambda: p2_convolution_check(ring, group=group))
+            new = _outcome(lambda: p2_convolution_check(group))
         old = _outcome(lambda: dict_counts_check(ring, group, t_add=t_add))
         assert new == old
         if isinstance(kind, tuple):
@@ -543,25 +546,25 @@ class TestCountCheckProperties:
             patched = _swapped_translates(h, cols)
         with _patching_translates(patched):
             if ring.p == 2:
-                new = _outcome(lambda: p2_convolution_check(ring, group=group))
+                new = _outcome(lambda: p2_convolution_check(group))
                 old = _outcome(lambda: dict_counts_check(ring, group,
                                                          t_add=t_add))
                 assert new == old
                 return
-            report = verify_exp_star(ring, trials=3, group=group)
+            report = verify_exp_star(group)
         witness = ref_exp_star_witness(conjugacy_classes(group),
                                        ref_group_table(group), t_add)
         assert report["witness"] == witness
         assert report["passed"] == report["exhaustive"] == (witness is None)
-        assert report["pairs_checked"] == (3 if witness is None else 0)
+        assert report["pairs_checked"] == (20 if witness is None else 0)
         assert report["max_deviation"] == 0.0
 
 
 # -- the n x n idempotent table as a reference ---------------------------------
 
-def idempotent_inputs(ring, group):
-    orbits = coadjoint_orbits(ring)
-    return orbits, [kirillov_character(ring, o, group=group) for o in orbits]
+def idempotent_inputs(group):
+    orbits = coadjoint_orbits(group)
+    return orbits, [kirillov_character(group, o) for o in orbits]
 
 
 def forged(characters, i, values):
@@ -571,6 +574,15 @@ def forged(characters, i, values):
         characters[i].orbit, ClassFunction(characters[i].values.domain,
                                            values))
     return out
+
+
+def forging(monkeypatch, characters):
+    """Patch orbitmethod.kirillov_character, which verify_idempotents calls
+    once per orbit, to return the given character of each orbit, looked up
+    by the orbit's smallest member."""
+    by_rep = {int(ch.orbit.indices[0]): ch for ch in characters}
+    monkeypatch.setattr(orbitmethod, "kirillov_character",
+                        lambda group, orbit: by_rep[int(orbit.indices[0])])
 
 
 def table_idempotents(ring, group, orbits, characters, tol=1e-8):
@@ -598,7 +610,7 @@ def table_idempotents(ring, group, orbits, characters, tol=1e-8):
                 dev_orth, witness = dev, (i, j, int(np.argmax(
                     np.abs(conv[i]))))
     identity_target = np.zeros(n)
-    identity_target[group.index_of(ring.zero())] = n
+    identity_target[ring.grid.index_batch(ring.zero())] = n
     dev_complete = float(np.max(np.abs(E.sum(axis=0) - identity_target)))
     passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
     return {"orbits": len(E), "fourier_indicator": dev_fourier,
@@ -609,9 +621,8 @@ def table_idempotents(ring, group, orbits, characters, tol=1e-8):
 
 def assert_agrees_with_the_table(ring):
     group = LazardGroup(ring)
-    orbits, chars = idempotent_inputs(ring, group)
-    new = verify_idempotents(ring, group=group, orbits=orbits,
-                             characters=chars)
+    orbits, chars = idempotent_inputs(group)
+    new = verify_idempotents(group)
     old = table_idempotents(ring, group, orbits, chars)
     assert new["passed"] and old["passed"]
     assert new["witness"] is old["witness"] is None
@@ -647,17 +658,16 @@ class TestAgainstTheTable:
 
     def test_forged_sum_of_two_idempotents_fails(self, h5, h5_group,
                                                  monkeypatch):
-        orbits, chars = idempotent_inputs(h5, h5_group)
+        orbits, chars = idempotent_inputs(h5_group)
         i, k = [idx for idx, o in enumerate(orbits) if o.size == 25][:2]
         rows = [math.isqrt(o.size) * ch.values.values
                 for o, ch in zip(orbits, chars)]
         chars = forged(chars, i, (rows[i] + rows[k]) / 5)
-        report = verify_idempotents(h5, group=h5_group, orbits=orbits,
-                                    characters=chars)
+        forging(monkeypatch, chars)
+        report = verify_idempotents(h5_group)
         # one class per block of products: the same report
         monkeypatch.setattr(orbitmethod, "_CLASS_CELLS", 1)
-        assert verify_idempotents(h5, group=h5_group, orbits=orbits,
-                                  characters=chars) == report
+        assert verify_idempotents(h5_group) == report
         old = table_idempotents(h5, h5_group, orbits, chars)
         assert not report["passed"] and not old["passed"]
         assert abs(report["orthogonal"] - old["orthogonal"]) <= 1e-12
@@ -670,17 +680,16 @@ class TestAgainstTheTable:
         product = rows[wi] @ rows[wj][table[:, c]] / len(h5_group)
         assert abs(abs(product) - report["orthogonal"]) <= 1e-9
 
-    def test_row_not_constant_on_a_class_fails(self, h5, h5_group):
-        orbits, chars = idempotent_inputs(h5, h5_group)
+    def test_row_not_constant_on_a_class_fails(self, h5_group, monkeypatch):
+        orbits, chars = idempotent_inputs(h5_group)
         part = conjugacy_classes(h5_group)
         cls = next(c for c in part.classes if len(c) > 1)
         x = int(cls[-1])
         i = 3
         values = chars[i].values.values.copy()
         values[x] += 1e-6
-        chars = forged(chars, i, values)
-        report = verify_idempotents(h5, group=h5_group, orbits=orbits,
-                                    characters=chars)
+        forging(monkeypatch, forged(chars, i, values))
+        report = verify_idempotents(h5_group)
         assert not report["passed"]
         assert report["witness"] == (i, x)
         # the class-algebra deviations stay below the tolerance: only the
@@ -745,9 +754,9 @@ def assert_same_deviations(group, at_reps, monkeypatch, cells=(None, 1)):
     return got
 
 
-def characters_at_reps(ring, group):
+def characters_at_reps(group):
     part = conjugacy_classes(group)
-    orbits, chars = idempotent_inputs(ring, group)
+    orbits, chars = idempotent_inputs(group)
     return np.array([math.isqrt(o.size) * ch.values.values[part.reps]
                      for o, ch in zip(orbits, chars)])
 
@@ -761,7 +770,7 @@ class TestClassAlgebraKernel:
         ring = load_ring_spec(path)
         group = LazardGroup(ring)
         _, dev_orth, witness = assert_same_deviations(
-            group, characters_at_reps(ring, group), monkeypatch, (None,))
+            group, characters_at_reps(group), monkeypatch, (None,))
         assert dev_orth < 1e-8
 
     @settings(max_examples=6)
@@ -798,9 +807,9 @@ class TestClassAlgebraKernel:
             # every off-diagonal product is 1: the first class, j = 0, i = 1
             assert (dev_orth, witness) == (1.0, (1, 0, 0))
 
-    def test_forged_sum_of_two_idempotents(self, h5, h5_group, monkeypatch):
-        at_reps = characters_at_reps(h5, h5_group)
-        orbits = coadjoint_orbits(h5)
+    def test_forged_sum_of_two_idempotents(self, h5_group, monkeypatch):
+        at_reps = characters_at_reps(h5_group)
+        orbits = coadjoint_orbits(h5_group)
         i, k = [idx for idx, o in enumerate(orbits) if o.size == 25][:2]
         at_reps[i] = (at_reps[i] + at_reps[k]) / 5
         _, dev_orth, witness = assert_same_deviations(h5_group, at_reps,

@@ -1,4 +1,5 @@
-"""No unused API: every definition in src/orbitkit is used by src/orbitkit.
+"""No unused API: every definition in src/orbitkit is used by src/orbitkit,
+and every keyword-only parameter is passed by some src/orbitkit call.
 
 The scan parses each module with ``ast``.  A top-level function or class
 counts as used when some module of the package loads its name, as a
@@ -7,7 +8,9 @@ as an ``Attribute``, since a method is reached through an object, so a
 local variable of the same name does not count for it.  The test is
 coarse: a name loaded anywhere counts for every definition of it, so the
 method names that more than one class defines are listed, each definition
-with a src call that reaches it (SHARED_METHODS).
+with a src call that reaches it (SHARED_METHODS).  A keyword-only
+parameter counts as passed when some call by the function's name (the
+class's, for ``__init__``) passes it by name.
 """
 
 import ast
@@ -39,18 +42,6 @@ SHARED_METHODS = {
             "liering", "ring.bracket(self.basis_coords[i]"),
         "padic.QpLieAlgebra.bracket": ("padic", "algebra.bracket(g, col)"),
     },
-    "index_batch": {
-        "harmonic.DualSpace.index_batch": (
-            "orbitmethod", "space.index_batch(moved // space.scale)"),
-        "liering.Grid.index_batch": ("harmonic", "ring.grid.index_batch(A)"),
-        "liering.LazardGroup.index_batch": (
-            "liering", "group.index_batch(xt)"),
-    },
-    "index_of": {
-        "liering.Grid.index_of": ("liering", "ring.grid.index_of(coords)"),
-        "liering.LazardGroup.index_of": (
-            "orbitmethod", "group.index_of(ring.zero())"),
-    },
     "scale": {
         "liering.FiniteLieRing.scale": ("orbitmethod", "ring.scale("),
         "padic.PLattice.scale": ("padic", "lat.scale(factor)"),
@@ -61,7 +52,8 @@ SHARED_METHODS = {
     },
 }
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
 
 
 def modules():
@@ -107,6 +99,41 @@ def unused_definitions(trees):
             yield module, qualified, name
 
 
+def keyword_only_parameters(trees):
+    """(module, name a call reaches it by, parameter) of each keyword-only
+    parameter of a top-level function or a method."""
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                funcs = [(item, node.name if item.name == "__init__"
+                          else item.name) for item in node.body
+                         if isinstance(item, _FUNCS)]
+            elif isinstance(node, _FUNCS):
+                funcs = [(node, node.name)]
+            else:
+                continue
+            for func, callee in funcs:
+                for arg in func.args.kwonlyargs:
+                    yield module, callee, arg.arg
+
+
+def keywords_passed(trees):
+    """(called name, keyword) of each keyword argument of a src call; a
+    call of ``cls`` in a class calls that class."""
+    passed = set()
+    for _, tree in trees:
+        for top in tree.body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id",
+                                     getattr(node.func, "attr", None))
+                    if called == "cls":
+                        called = owner
+                    passed.update((called, kw.arg) for kw in node.keywords)
+    return passed
+
+
 def test_every_definition_is_used_in_src():
     unused = sorted(f"{module}.{qualified}"
                     for module, qualified, name in unused_definitions(modules())
@@ -134,3 +161,15 @@ def test_shared_method_names_list_a_reaching_call_per_definition():
     for calls in SHARED_METHODS.values():
         for module, text in calls.values():
             assert text in source[module], (module, text)
+
+
+def test_every_keyword_only_parameter_is_passed_in_src():
+    # a keyword only tests pass is a second path src never takes; the
+    # definitions ALLOWED to go uncalled are exempt
+    trees = modules()
+    passed = keywords_passed(trees)
+    unpassed = sorted(
+        f"{module}.{callee}({name}=)"
+        for module, callee, name in keyword_only_parameters(trees)
+        if callee not in ALLOWED and (callee, name) not in passed)
+    assert unpassed == []
