@@ -540,20 +540,15 @@ class MatchReport:
                 f"max deviation {self.max_deviation:.2e})")
 
 
-def _values_on_group(character) -> np.ndarray:
-    if isinstance(character, ClassFunction):
-        return character.values
-    raise TypeError(f"cannot read character values from {character!r}")
-
-
 def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
     """Perfect matching of candidate characters against oracle table rows.
 
-    Candidates are compared entrywise at the class representatives; row j
-    is allowed for candidate i when the max deviation is below ``tol``,
-    which must be below 0.7.  Then each candidate has at most one allowed
-    row.  The table passed its row-orthogonality gate, so for any two
-    rows |<chi_i, chi_j> - delta_ij| <= ``ORTHOGONALITY_TOL`` = 1e-8, and
+    The candidates, ClassFunctions on G, are compared entrywise at the
+    class representatives; row j is allowed for candidate i when the max
+    deviation is below ``tol``, which must be below 0.7.  Then each
+    candidate has at most one allowed row.  The table passed its
+    row-orthogonality gate, so for any two rows
+    |<chi_i, chi_j> - delta_ij| <= ``ORTHOGONALITY_TOL`` = 1e-8, and
     for distinct rows
 
       sum_c |C_c|/|G| |chi_i(z_c) - chi_j(z_c)|^2
@@ -571,7 +566,7 @@ def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
     if not tol < 0.7:
         raise ValueError(f"match tolerance {tol} is not below 0.7")
     reps = np.array(table.partition.reps)
-    cand = np.array([_values_on_group(c)[reps] for c in characters])
+    cand = np.array([c.values[reps] for c in characters])
     k = len(cand)
     r = len(table.rows)
     dev = np.zeros((k, r))

@@ -29,6 +29,12 @@ idempotent suite checks that each orbit idempotent is constant on the
 oracle's classes and multiplies the idempotents in the class algebra,
 again through Burnside's class matrices, so every suite runs at any group
 order without an n x n table.
+
+``kirillov_character`` returns the character's values on G.  The exact
+suites (exp* here and the p = 2 counts, like ``liering``'s twist check)
+raise their failure with its witness and return only what a pass leaves to
+report; the idempotent suite returns its measured deviations, with
+``passed`` and the witness, since a near-miss is read off those.
 """
 
 from __future__ import annotations
@@ -53,10 +59,6 @@ _TABLE_LIMIT = 2048
 # How far an orbit character may vary on a conjugacy class
 # (kirillov_character); its values carry the FFT's round-off.
 CONSTANCY_TOL = 1e-9
-
-# verify_exp_star's ``pairs_checked`` on a pass: the count of the seeded
-# pairs the check once convolved, kept so that its reports do not change
-EXP_STAR_PAIRS = 20
 
 
 class CoadjointOrbit:
@@ -113,26 +115,10 @@ def coadjoint_orbits(group: LazardGroup) -> list[CoadjointOrbit]:
     return [CoadjointOrbit(space, idx) for idx in orbit_sets]
 
 
-class KirillovCharacter:
-    """chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) as a ClassFunction."""
-
-    __slots__ = ("orbit", "values")
-
-    def __init__(self, orbit: CoadjointOrbit, values: ClassFunction):
-        self.orbit = orbit
-        self.values = values
-
-    @property
-    def degree(self) -> int:
-        return math.isqrt(self.orbit.size)
-
-    def __repr__(self):
-        return f"KirillovCharacter(degree={self.degree}, |Omega|={self.orbit.size})"
-
-
 def kirillov_character(group: LazardGroup,
-                       orbit: CoadjointOrbit) -> KirillovCharacter:
-    """Orbit character on G via the identity coordinate map exp.
+                       orbit: CoadjointOrbit) -> ClassFunction:
+    """The orbit character chi_Omega on G, via the identity coordinate map
+    exp, as its values on G.
 
     The orbit size must be a perfect square (its root is the degree), and
     the character must be constant on every conjugacy class, exactly as
@@ -154,7 +140,7 @@ def kirillov_character(group: LazardGroup,
         raise PropertyFailed(
             f"orbit character varies on a conjugacy class: deviation "
             f"{spread[x]:.2e} at grid index {x}")
-    return KirillovCharacter(orbit, ClassFunction(group, vals))
+    return ClassFunction(group, vals)
 
 
 # -- class-indicator counts ------------------------------------------------------
@@ -313,8 +299,7 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     total = np.zeros(n, dtype=np.complex128)
     dev_fourier, dev_const, const_witness = 0.0, 0.0, None
     for i, orbit in enumerate(orbits):
-        ch = kirillov_character(group, orbit)
-        row = math.isqrt(orbit.size) * ch.values.values
+        row = math.isqrt(orbit.size) * kirillov_character(group, orbit).values
         F = fourier(exp_star(ClassFunction(group, row)))
         ind = np.zeros(n)
         ind[orbit.indices] = 1.0
@@ -339,11 +324,11 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
         passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
     return {"orbits": len(at_reps), "fourier_indicator": dev_fourier,
             "idempotent": dev_idem, "orthogonal": dev_orth,
-            "complete": dev_complete, "tolerance": tol, "passed": passed,
+            "complete": dev_complete, "passed": passed,
             "witness": None if passed else witness}
 
 
-def verify_exp_star(group: LazardGroup) -> dict:
+def verify_exp_star(group: LazardGroup) -> None:
     """exp* intertwines group and additive convolution on Fun(G)^G.
 
     The check is exhaustive and exact at every size: class indicators span
@@ -351,37 +336,28 @@ def verify_exp_star(group: LazardGroup) -> dict:
     counts N_a[b, c] of both laws for every pair of classes and every
     element, read at the class representatives (``_count_mismatch`` says
     why that covers every element).  No pair of functions is drawn or
-    convolved: every invariant pair follows from the exact counts, so
-    ``max_deviation`` is 0.0.  ``pairs_checked`` is ``EXP_STAR_PAIRS`` on a
-    pass and 0 on a mismatch.
+    convolved: every invariant pair follows from the exact counts.  The
+    first mismatch raises PropertyFailed with its (a, b, c) as the witness.
     """
     if group.ring.p < 3:
         raise RegimeViolation(f"p = {group.ring.p} < 3")
     part = conjugacy_classes(group)
-    report = {"group_order": len(group), "classes": len(part),
-              "exhaustive": True, "max_deviation": 0.0,
-              "pairs_checked": EXP_STAR_PAIRS, "passed": True,
-              "witness": None}
     for a in range(len(part)):
         hit = _count_mismatch(part, a)
         if hit is not None:
-            report.update(exhaustive=False, passed=False, witness=hit,
-                          pairs_checked=0)
-            break
-    return report
+            raise PropertyFailed(f"witness: {hit}")
 
 
 # -- p = 2 ----------------------------------------------------------------------
 
 class P2Cell:
-    """One orbit Omega in (2g)*, its idempotent e_Omega on G, and the
-    irreducibles (table row indices) supported on it."""
+    """One orbit Omega in (2g)* and the irreducibles (table row indices)
+    supported on it."""
 
-    __slots__ = ("orbit", "idempotent", "irreducibles")
+    __slots__ = ("orbit", "irreducibles")
 
-    def __init__(self, orbit, idempotent, irreducibles):
+    def __init__(self, orbit, irreducibles):
         self.orbit = orbit
-        self.idempotent = idempotent
         self.irreducibles = tuple(int(i) for i in irreducibles)
 
     def __repr__(self):
@@ -454,8 +430,6 @@ def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
     for idx in orbit_sets:
         orbit = CoadjointOrbit(kspace, idx)
         ehat = inverse_fourier(orbit.indicator()).values
-        evals = np.zeros(len(group), dtype=np.complex128)
-        evals[idx_g2] = ehat
         scores = np.abs(chi_g2 @ np.conj(ehat)) / len(kspace)
         members = np.nonzero(scores > tol)[0]
         # normalize both vectors at the same entry (e_Omega's peak), else
@@ -477,7 +451,7 @@ def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
                 raise PartitionFailure(
                     f"chi_{int(rho)} restricted to G^2 is not proportional "
                     f"to e_Omega: normalized deviation {dev:.2e}")
-        cells.append(P2Cell(orbit, ClassFunction(group, evals), members))
+        cells.append(P2Cell(orbit, members))
     missing = np.nonzero(assigned < 0)[0]
     if missing.size:
         raise PartitionFailure(
@@ -492,36 +466,28 @@ def p2_convolution_check(group: LazardGroup) -> dict:
     support suffices when [g,g] lies in 8g (uniform depth >= 3).  Each claim
     is checked exactly at every size, by comparing the integer counts
     N_a[b, c] of both laws for the classes a, b it covers, read at the
-    class representatives (``_count_mismatch`` with the rows b).  When a
-    conjugation-invariant pair outside those hypotheses breaks the
-    identity, its first (a, b, c) is recorded as the expected failure
-    witness.
+    class representatives (``_count_mismatch`` with the rows b).  A claim
+    that fails raises UnexpectedFailure.  Returns ``part_b`` ("exact"),
+    ``part_a`` ("exact", or "skipped" below uniform depth 3) and
+    ``expected_failure``: the first (a, b, c) of a conjugation-invariant
+    pair outside those hypotheses that breaks the identity, or None.
     """
     ring = group.ring
     _require_p2_uniform(ring)
-    n = len(group)
     part = conjugacy_classes(group)
     r = len(part)
     even = np.all(group.elements % 2 == 0, axis=1) if ring.rank \
-        else np.ones(n, dtype=bool)
+        else np.ones(len(group), dtype=bool)
     inside = [a for a in range(r) if bool(even[part.classes[a]].all())]
     outside = [a for a in range(r) if a not in set(inside)]
     one_sided = ring.uniform_depth >= 3
-    report = {"group_order": n, "classes": r, "supported_classes": len(inside),
-              "part_b": None,
-              "part_a": None if one_sided else "skipped",
-              "expected_failure": None, "pairs_checked": 0, "passed": True}
 
     for a in inside:
         hit = _count_mismatch(part, a, inside)
         if hit is not None:
-            report["part_b"] = hit
-            report["passed"] = False
             raise UnexpectedFailure(
                 f"G^2-supported pair breaks exp* at (classes, element) "
                 f"= {hit}")
-    report["part_b"] = "exact"
-    report["pairs_checked"] += len(inside) ** 2
     if one_sided:
         checks = [(a, None) for a in inside] + [(a, inside) for a in outside]
         for a, rows in checks:
@@ -529,12 +495,11 @@ def p2_convolution_check(group: LazardGroup) -> dict:
             if hit is not None:
                 raise UnexpectedFailure(
                     f"one-sided G^2 pair breaks exp* at {hit}")
-        report["part_a"] = "exact"
-        report["pairs_checked"] += (2 * len(inside)) * len(outside)
     search = outside if one_sided else None
+    expected = None
     for a in outside:
-        hit = _count_mismatch(part, a, search)
-        if hit is not None:
-            report["expected_failure"] = hit
+        expected = _count_mismatch(part, a, search)
+        if expected is not None:
             break
-    return report
+    return {"part_b": "exact", "part_a": "exact" if one_sided else "skipped",
+            "expected_failure": expected}

@@ -246,36 +246,15 @@ def quotient_to_finite(lattice: PLattice, algebra: QpLieAlgebra, r: int, *,
 
 # -- restriction ----------------------------------------------------------------
 
-class RestrictionReport:
-    """Outcome of the orbit-containment vs restriction-support comparison.
-
-    ``finite_shadow`` records that Fell-topology supports are replaced by
-    restriction multiplicities of finite quotients.
-    """
-
-    __slots__ = ("alpha", "orbits_g", "orbits_k", "pairs", "contained",
-                 "finite_shadow")
-
-    def __init__(self, alpha, orbits_g, orbits_k, pairs, contained):
-        self.alpha = alpha
-        self.orbits_g = orbits_g
-        self.orbits_k = orbits_k
-        self.pairs = pairs
-        self.contained = contained
-        self.finite_shadow = True
-
-    def __repr__(self):
-        return (f"RestrictionReport(alpha={self.alpha}, pairs={self.pairs}, "
-                f"contained={self.contained})")
-
-
-def _restricted_phase_keys(weights, basis_rows, big):
-    """One hashable key per dual row: its phases on the listed elements."""
-    if basis_rows.size:
-        phases = np.mod(weights @ basis_rows.T, big)
-    else:
-        phases = np.zeros((len(weights), 0), dtype=np.int64)
-    return [tuple(Fraction(int(x), big) for x in row) for row in phases]
+def _phase_keys(orbit, basis=None) -> set:
+    """The characters of ``orbit`` as exact phases, one tuple per character:
+    its values on the rows of ``basis`` (elements of the orbit's ring), or
+    with no ``basis`` its own weights, which already lie in [0, big)."""
+    big = orbit.space.ring.big
+    weights = orbit.space.weights[orbit.indices]
+    if basis is not None:
+        weights = np.mod(weights @ basis.T, big)
+    return {tuple(Fraction(int(w), big) for w in row) for row in weights}
 
 
 def _multiplicity_matrix(sub, table_g, table_k):
@@ -287,7 +266,7 @@ def _multiplicity_matrix(sub, table_g, table_k):
 
 
 def restriction_harness(ring, generators, alpha=None, *, seed=0,
-                        tol=1e-8) -> RestrictionReport:
+                        tol=1e-8) -> dict:
     """Orbit containment iff restriction support, over all orbit pairs.
 
     For every G-orbit Om in g* and K-orbit Om0 in the dual of alpha*k, the
@@ -296,6 +275,11 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     sides are matched to oracle rows, so the multiplicities are the brute
     force ones.  For p = 2 both sides run through the orbit partitions of
     the duals of the doubled rings, with alpha = 2.
+
+    Returns alpha, the orbit counts of both sides, the pairs compared and
+    how many are contained; ``finite_shadow`` records that Fell-topology
+    supports are replaced by restriction multiplicities of finite
+    quotients.
     """
     p = ring.p
     if alpha is None:
@@ -305,47 +289,35 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     group = LazardGroup(ring)
     gens = [ring.scale(ring.element(g), alpha) for g in generators]
     sub = Subring(ring, gens, label=f"{alpha}*k")
-    kring = sub.induced
-    kgroup = LazardGroup(kring)
+    kgroup = LazardGroup(sub.induced)
     table_g = character_table(group, seed=seed)
     table_k = character_table(kgroup, seed=seed)
     mult = _multiplicity_matrix(sub, table_g, table_k)
-    basis_rows = np.array(sub.basis_coords, dtype=np.int64).reshape(
-        len(sub.basis_coords), ring.rank)
 
+    # each side's orbits, the table rows of each orbit's irreducibles, and
+    # the basis of the K side's ring in the coordinates of the G side's
     if p >= 3:
         orbs_g = coadjoint_orbits(group)
         orbs_k = coadjoint_orbits(kgroup)
-        chars_g = [kirillov_character(group, o) for o in orbs_g]
-        chars_k = [kirillov_character(kgroup, o) for o in orbs_k]
-        row_of_g = match_tables([c.values for c in chars_g], table_g).assignment
-        row_of_k = match_tables([c.values for c in chars_k], table_k).assignment
-        res_keys = [set(_restricted_phase_keys(o.space.weights[o.indices],
-                                               basis_rows, ring.big))
-                    for o in orbs_g]
-        sub_keys = [_restricted_phase_keys(
-            np.mod(o.space.weights[o.indices], kring.big),
-            np.eye(kring.rank, dtype=np.int64), kring.big) for o in orbs_k]
-        cells_g = [(res_keys[a], (row_of_g[a],)) for a in range(len(orbs_g))]
-        cells_k = [(set(sub_keys[b]), (row_of_k[b],))
-                   for b in range(len(orbs_k))]
+        rows_g = [(row,) for row in match_tables(
+            [kirillov_character(group, o) for o in orbs_g],
+            table_g).assignment]
+        rows_k = [(row,) for row in match_tables(
+            [kirillov_character(kgroup, o) for o in orbs_k],
+            table_k).assignment]
+        basis = sub.basis_coords
     else:
         # the subrings 2g and 2(alpha*k) the cells' orbits live in the duals of
         g2, pg = p2_orbit_partition(table_g)
         k2, pk = p2_orbit_partition(table_k)
-        # basis of 2*(alpha*k) written in coordinates of the ring of 2g
-        common = np.array([g2.express(sub.embed_coords(b))
-                           for b in k2.basis_coords],
-                          dtype=np.int64).reshape(len(k2.basis_coords),
-                                                  len(g2.basis_coords))
-        big2 = g2.induced.big
-        cells_g = [(set(_restricted_phase_keys(
-            c.orbit.space.weights[c.orbit.indices], common, big2)),
-            c.irreducibles) for c in pg]
-        cells_k = [(set(_restricted_phase_keys(
-            np.mod(c.orbit.space.weights[c.orbit.indices], k2.induced.big),
-            np.eye(k2.induced.rank, dtype=np.int64), k2.induced.big)),
-            c.irreducibles) for c in pk]
+        orbs_g, rows_g = [c.orbit for c in pg], [c.irreducibles for c in pg]
+        orbs_k, rows_k = [c.orbit for c in pk], [c.irreducibles for c in pk]
+        basis = [g2.express(sub.embed_coords(b)) for b in k2.basis_coords]
+    basis = np.array(basis, dtype=np.int64).reshape(
+        len(basis), orbs_g[0].space.ring.rank)
+    cells_g = [(_phase_keys(o, basis), rows)
+               for o, rows in zip(orbs_g, rows_g)]
+    cells_k = [(_phase_keys(o), rows) for o, rows in zip(orbs_k, rows_k)]
 
     pairs = contained = 0
     for a, (res_a, rows_a) in enumerate(cells_g):
@@ -359,5 +331,6 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
                     f"containment={inside}, restriction support={supported}")
             pairs += 1
             contained += inside
-    return RestrictionReport(alpha, len(cells_g), len(cells_k), pairs,
-                             contained)
+    return {"alpha": alpha, "orbits_g": len(cells_g),
+            "orbits_k": len(cells_k), "pairs": pairs, "contained": contained,
+            "finite_shadow": True}

@@ -19,6 +19,7 @@ import pytest
 from orbitkit.chsolver import (ValuationRegime, check_identity,
                                solve_phi_psi, substituted_series)
 from orbitkit.freelie import _dynkin_bch, bch, valuation_of
+from orbitkit.harmonic import inverse_fourier
 from orbitkit.liering import LazardGroup, make_ring, twist_map
 from orbitkit.oracle import character_table, match_tables
 from orbitkit.orbitmethod import (coadjoint_orbits, kirillov_character,
@@ -139,7 +140,7 @@ def test_heisenberg_tables_match():
         assert sizes == {1: p * p, p * p: p - 1}, name
     for name in (*HEISENBERG_FP, "heisenberg_z9"):
         table = table_of(name)
-        report = match_tables([c.values for c in chars_of(name)], table)
+        report = match_tables(chars_of(name), table)
         assert len(report.assignment) == len(table.rows), name
         assert report.max_deviation < 1e-8, name
     assert time.perf_counter() - start < 60.0
@@ -164,10 +165,8 @@ def test_unitriangular_census():
 @criterion("exp* intertwines the two convolutions; twist map certified")
 def test_exp_star_and_twist():
     for name in ("heisenberg_f3", "heisenberg_f5"):
-        report = verify_exp_star(group_of(name))
-        assert report["exhaustive"], name
-        assert report["passed"], name
-        assert report["max_deviation"] < 1e-10, name
+        # a mismatch raises PropertyFailed
+        assert verify_exp_star(group_of(name)) is None, name
     for name, p in (("heisenberg_f3", 3), ("heisenberg_f5", 5)):
         regime = ValuationRegime.generic(p)
         pair = solve_phi_psi(substituted_series(regime, 4), regime, 4)
@@ -183,23 +182,26 @@ def test_p2_partition():
     ring = make_ring(2, (3, 3, 3), {(0, 1): {2: 4}}, label="rank3_z8")
     group = LazardGroup(ring)
     table = character_table(group)
-    _, cells = p2_orbit_partition(table, tol=1e-8)
+    sub, cells = p2_orbit_partition(table, tol=1e-8)
 
     seen = sorted(i for c in cells for i in c.irreducibles)
     assert seen == list(range(len(table.rows)))
     assert sum(c.orbit.size for c in cells) == 4 ** 3
 
-    # independent scalar-multiple check on G^2 = exp(2g)
-    chi_full = table.rows[:, table.partition.labels]
+    # independent scalar-multiple check on G^2 = exp(2g), the even
+    # coordinates, against e_Omega from the cell's orbit in (2g)*
+    g2 = sub.ambient_indices()
     even = np.all(group.elements % 2 == 0, axis=1)
+    assert sorted(g2.tolist()) == np.flatnonzero(even).tolist()
+    chi_g2 = table.rows[:, table.partition.labels][:, g2]
     for cell in cells:
-        e = cell.idempotent.values
+        e = inverse_fourier(cell.orbit.indicator()).values
         peak = int(np.argmax(np.abs(e)))
-        vhat = e[even] / e[peak]
+        vhat = e / e[peak]
         for rho in cell.irreducibles:
-            chi = chi_full[rho]
+            chi = chi_g2[rho]
             assert abs(chi[peak]) > 1e-8
-            assert np.max(np.abs(chi[even] / chi[peak] - vhat)) <= 1e-8
+            assert np.max(np.abs(chi / chi[peak] - vhat)) <= 1e-8
     assert time.perf_counter() - start < 60.0
 
 
@@ -231,11 +233,11 @@ def test_uniform_chains():
 @criterion("orbit containment iff restriction support, all pairs")
 def test_restriction_equivalence():
     report = restriction_harness(ring_of("heisenberg_f3"), [(0, 0, 1)])
-    assert (report.pairs, report.contained) == (33, 11)
-    assert report.finite_shadow
+    assert (report["pairs"], report["contained"]) == (33, 11)
+    assert report["finite_shadow"]
     report = restriction_harness(ring_of("heisenberg_z9"),
                                  [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
-    assert (report.pairs, report.contained) == (2835, 153)
+    assert (report["pairs"], report["contained"]) == (2835, 153)
 
 
 @criterion("orbit characters are orthonormal on every test group")
@@ -243,7 +245,7 @@ def test_orthonormality():
     for name in ALL_ODD_GROUPS:
         chars = chars_of(name)
         n = ring_of(name).order()
-        C = np.array([c.values.values for c in chars])
+        C = np.array([c.values for c in chars])
         gram = C @ C.conj().T / n
         dev = float(np.max(np.abs(gram - np.eye(len(chars)))))
         assert dev < 1e-9, (name, dev)

@@ -241,6 +241,18 @@ class TestVerify:
         assert p2["convolution"] == {"part_b": "exact", "part_a": "skipped",
                                      "expected_failure": [8, 48, 72]}
 
+    def test_p2_suite_at_uniform_depth_three(self, capsys, tmp_path):
+        # [g, g] in 8g turns on the one-factor claim
+        spec = tmp_path / "depth3.json"
+        spec.write_text(json.dumps({"p": 2, "moduli": [2, 2, 4],
+                                    "brackets": {"(1,2)": {"3": 8}}}))
+        code, rep, _ = run_json(capsys, "verify", "--input", str(spec))
+        assert code == 0
+        p2 = check_named(rep, "p2")
+        assert (p2["cells"], p2["irreducibles"]) == (32, 160)
+        assert p2["convolution"] == {"part_b": "exact", "part_a": "exact",
+                                     "expected_failure": [16, 48, 80]}
+
     def test_subset_of_checks(self, capsys):
         code, rep, _ = run_json(capsys, "verify", "--input", F3,
                                 "--checks", "expstar,twist")
@@ -358,6 +370,35 @@ class TestErrorExitCodes:
         assert check_named(rep, "twist") == {
             "name": "twist", "status": "FAIL",
             "witness": "LinearSystemInconsistent: degree 2 step unsolvable"}
+
+    def test_exp_star_mismatch_is_a_failed_check(self, capsys, monkeypatch):
+        # counts forged to differ first at class 2 name the witness
+        real = orbitmethod._count_mismatch
+
+        def forged(part, a, rows=None):
+            return (a, 1, 4) if a == 2 else real(part, a, rows)
+        monkeypatch.setattr(orbitmethod, "_count_mismatch", forged)
+        code, rep, _ = run_json(capsys, "verify", "--input", F3,
+                                "--checks", "expstar")
+        assert code == 1
+        assert rep["checks"] == [{
+            "name": "expstar", "status": "FAIL",
+            "witness": "PropertyFailed: witness: (2, 1, 4)"}]
+
+    def test_shallow_p2_ring_is_refused_before_any_table(self, capsys,
+                                                         monkeypatch,
+                                                         tmp_path):
+        # (Z/2)^2 has uniform depth 1: the regime check refuses it before
+        # the p = 2 suite builds a character table
+        spec = tmp_path / "z2sq.json"
+        spec.write_text(json.dumps({"p": 2, "moduli": [1, 1]}))
+        monkeypatch.setattr(cli, "character_table", _raiser(
+            AssertionError("the character table was built")))
+        code, out, err = run(capsys, "verify", "--input", str(spec))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: RegimeViolation: uniform depth 1 < 2: "
+                       "[g,g] must lie in 4g\n")
 
     def test_failed_ad_certificate_is_a_failed_check(self, capsys,
                                                      monkeypatch):
@@ -559,7 +600,24 @@ REPORT_DIGESTS = {
         "f7d557fee0b26564556afacbb1b2544963b084d394907b174a03df7bdba4dfed",
     ("verify", "rank3_z8_p2"):
         "a97012abcd0abe0db88b246dde0ae27228e27c03bbc664243435de7ec77089c4",
+    ("restrict", "heisenberg_f3"):
+        "ec60b247497d291bf0fe286b6849bfd26a4833c233630e2c621086d786522ad8",
+    ("restrict", "heisenberg_z9"):
+        "c963850038d25cfbcd5196b55bdf8f1f7d6f478cd3352d74ae21b322be23bee5",
+    ("restrict", "rank3_z8_p2"):
+        "88810a9a18d615f8eb1a96047079af3141dd7b5b8427c332f96b6a6ace6024ad",
 }
+
+
+def subring_spec(spec, tmp_path):
+    """The subring of the restrict report on ``spec``: 3g on H(Z/9), the
+    centre on the others (the p = 2 branch on the ring over Z/8)."""
+    if spec != "heisenberg_z9":
+        return CENTER
+    path = tmp_path / "3g.json"
+    path.write_text(json.dumps({"generators": [[3, 0, 0], [0, 3, 0],
+                                               [0, 0, 3]], "label": "3g"}))
+    return str(path)
 
 
 @pytest.mark.parametrize("command, spec", sorted(REPORT_DIGESTS),
@@ -570,6 +628,8 @@ def test_reports_are_byte_identical(command, spec, tmp_path, capsys):
             "0", "--output", str(out)]
     if command == "chartable":
         argv += ["--method", "both"]
+    elif command == "restrict":
+        argv += ["--subring", subring_spec(spec, tmp_path)]
     assert cli.main(argv) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == REPORT_DIGESTS[command, spec], \

@@ -375,11 +375,6 @@ class TestMatchTables:
         with pytest.raises(NoMatching):
             match_tables(full_functions(table)[:-1], table)
 
-    def test_unreadable_candidate_rejected(self, h3_group):
-        table = character_table(h3_group)
-        with pytest.raises(TypeError):
-            match_tables([object()] * len(table), table)
-
 
 def kuhn_match(characters, table, tol=1e-8):
     """The reference matching, which assumes nothing about the table:
@@ -458,7 +453,7 @@ class TestMatchAgainstKuhn:
     def test_orbit_characters_and_variants(self, name, request):
         group = request.getfixturevalue(f"{name}_group")
         table = character_table(group)
-        chars = [kirillov_character(group, o).values
+        chars = [kirillov_character(group, o)
                  for o in coadjoint_orbits(group)]
         assert assert_same_matching(chars, table) == "matched"
         for tol in (1e-300, 1e-14, 0.69):

@@ -64,17 +64,19 @@ class TestCoadjointOrbits:
 
 class TestKirillovCharacter:
     def test_degrees_on_heisenberg(self, h3_group):
+        # the degree is the value at the identity, grid index 0
         chars = [kirillov_character(h3_group, o)
                  for o in coadjoint_orbits(h3_group)]
-        assert Counter(c.degree for c in chars) == {1: 9, 3: 2}
-        assert sum(c.degree ** 2 for c in chars) == 27
+        degrees = [round(c.values[0].real) for c in chars]
+        assert Counter(degrees) == {1: 9, 3: 2}
+        assert sum(d ** 2 for d in degrees) == 27
 
     def test_degree_three_character_is_central(self, h3_group):
         # chi vanishes off Z(G) and has |chi| = 3 on it
         orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
         chi = kirillov_character(h3_group, orbit)
         E = h3_group.elements
-        vals = chi.values.values
+        vals = chi.values
         central = (E[:, 0] == 0) & (E[:, 1] == 0)
         assert np.max(np.abs(vals[~central])) < 1e-12
         assert np.allclose(np.abs(vals[central]), 3.0)
@@ -83,7 +85,7 @@ class TestKirillovCharacter:
         for orbit in coadjoint_orbits(h5_group):
             chi = kirillov_character(h5_group, orbit)
             idx = h5.grid.index_batch((0, 0, 0))
-            assert abs(chi.values.values[idx] - chi.degree) < 1e-12
+            assert abs(chi.values[idx] - math.isqrt(orbit.size)) < 1e-12
 
     def test_orthonormal_family(self, h3_group):
         chars = [kirillov_character(h3_group, o)
@@ -91,13 +93,12 @@ class TestKirillovCharacter:
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
                 target = 1.0 if i == j else 0.0
-                assert abs(inner(ci.values, cj.values) - target) < 1e-9
+                assert abs(inner(ci, cj) - target) < 1e-9
 
     def test_matches_oracle_table(self, h3_group):
         chars = [kirillov_character(h3_group, o)
                  for o in coadjoint_orbits(h3_group)]
-        report = match_tables([c.values for c in chars],
-                              character_table(h3_group))
+        report = match_tables(chars, character_table(h3_group))
         assert report.max_deviation < 1e-8
 
     def test_non_square_orbit_rejected(self, h3, h3_group):
@@ -141,12 +142,8 @@ class TestVerifyIdempotents:
 
 class TestVerifyExpStar:
     def test_heisenberg_f3_exhaustive(self, h3_group):
-        report = verify_exp_star(h3_group)
-        assert report["passed"]
-        assert report["exhaustive"]
-        assert report["classes"] == 11
-        assert report["max_deviation"] < 1e-10
-        assert report["pairs_checked"] == 20
+        # a mismatch raises PropertyFailed
+        assert verify_exp_star(h3_group) is None
 
     def test_p2_rejected(self, rank3_z8_group):
         with pytest.raises(RegimeViolation):
@@ -156,11 +153,7 @@ class TestVerifyExpStar:
         # order 3^7 = 2187 is above _TABLE_LIMIT; the check stays exact
         ring = make_ring(3, (3, 2, 2), {(0, 1): {2: 1}})
         assert ring.order() > orbitmethod._TABLE_LIMIT
-        report = verify_exp_star(LazardGroup(ring))
-        assert report["exhaustive"]
-        assert report["passed"]
-        assert report["pairs_checked"] == 20
-        assert report["max_deviation"] == 0.0
+        assert verify_exp_star(LazardGroup(ring)) is None
 
 
 @pytest.fixture(scope="module")
@@ -183,11 +176,13 @@ class TestP2OrbitPartition:
 
     def test_idempotents_supported_on_even_coordinates(self,
                                                        rank3_z8_table):
-        _, cells = p2_orbit_partition(rank3_z8_table)
-        group = cells[0].idempotent.domain
-        odd = np.any(group.elements % 2, axis=1)
-        for cell in cells[:8]:
-            assert np.max(np.abs(cell.idempotent.values[odd])) == 0.0
+        # each e_Omega lives on G^2 = exp(2g), the ring of every cell's
+        # orbit, and that is the even coordinates of G
+        sub, cells = p2_orbit_partition(rank3_z8_table)
+        assert all(c.orbit.space.ring is sub.induced for c in cells)
+        group = rank3_z8_table.partition.group
+        even = np.flatnonzero(~np.any(group.elements % 2, axis=1))
+        assert sorted(sub.ambient_indices().tolist()) == even.tolist()
 
     def test_abelian_cells(self, abelian_z4sq_group):
         _, cells = p2_orbit_partition(character_table(abelian_z4sq_group))
@@ -208,16 +203,11 @@ class TestP2OrbitPartition:
 class TestP2ConvolutionCheck:
     def test_rank3_z8_report(self, rank3_z8_group):
         report = p2_convolution_check(rank3_z8_group)
-        assert report["passed"]
-        assert report["part_b"] == "exact"
-        assert report["part_a"] == "skipped"
-        assert report["expected_failure"] == (8, 48, 72)
-        assert report["supported_classes"] == 64
-        assert report["pairs_checked"] == 64 ** 2
+        assert report == {"part_b": "exact", "part_a": "skipped",
+                          "expected_failure": (8, 48, 72)}
 
     def test_abelian_never_fails(self, abelian_z4sq_group):
         report = p2_convolution_check(abelian_z4sq_group)
-        assert report["passed"]
         assert report["part_b"] == "exact"
         assert report["expected_failure"] is None
 
@@ -238,7 +228,6 @@ class TestP2ConvolutionCheck:
         group = LazardGroup(ring)
         report = p2_convolution_check(group)
         assert report["part_b"] == "exact"
-        assert report["pairs_checked"] == report["supported_classes"] ** 2
         a, b, c = report["expected_failure"]
         # the witness, counted by hand at the one element c
         part = conjugacy_classes(group)
@@ -302,17 +291,14 @@ def dict_counts_check(ring, group, t_add=None):
     """The table branch of p2_convolution_check on element-level tables, as
     it stood before the class-count check; ``t_add`` replaces the additive
     table.  Both count matrices of a class are built when it is visited."""
-    n = len(group)
     part = conjugacy_classes(group)
     labels, r = part.labels, len(part)
     even = np.all(group.elements % 2 == 0, axis=1)
     inside = [a for a in range(r) if bool(even[part.classes[a]].all())]
     outside = [a for a in range(r) if a not in set(inside)]
     one_sided = ring.uniform_depth >= 3
-    report = {"group_order": n, "classes": r, "supported_classes": len(inside),
-              "part_b": None,
-              "part_a": None if one_sided else "skipped",
-              "expected_failure": None, "pairs_checked": 0, "passed": True}
+    report = {"part_b": None, "part_a": None if one_sided else "skipped",
+              "expected_failure": None}
     t_grp = ref_group_table(group)
     if t_add is None:
         t_add = ref_additive_table(group)
@@ -329,13 +315,10 @@ def dict_counts_check(ring, group, t_add=None):
     for a in inside:
         hit = mismatch_at(a, inside)
         if hit is not None:
-            report["part_b"] = hit
-            report["passed"] = False
             raise UnexpectedFailure(
                 f"G^2-supported pair breaks exp* at (classes, element) "
                 f"= {hit}")
     report["part_b"] = "exact"
-    report["pairs_checked"] += len(inside) ** 2
     if one_sided:
         all_rows = list(range(r))
         for a in inside:
@@ -349,7 +332,6 @@ def dict_counts_check(ring, group, t_add=None):
                 raise UnexpectedFailure(
                     f"one-sided G^2 pair breaks exp* at {hit}")
         report["part_a"] = "exact"
-        report["pairs_checked"] += (2 * len(inside)) * len(outside)
     search = outside if one_sided else list(range(r))
     for a in outside:
         hit = mismatch_at(a, search)
@@ -386,7 +368,7 @@ def _patching_translates(patched):
 def _outcome(check):
     try:
         return "report", check()
-    except UnexpectedFailure as exc:
+    except (PropertyFailed, UnexpectedFailure) as exc:
         return "raised", str(exc)
 
 
@@ -551,13 +533,11 @@ class TestCountCheckProperties:
                                                          t_add=t_add))
                 assert new == old
                 return
-            report = verify_exp_star(group)
+            new = _outcome(lambda: verify_exp_star(group))
         witness = ref_exp_star_witness(conjugacy_classes(group),
                                        ref_group_table(group), t_add)
-        assert report["witness"] == witness
-        assert report["passed"] == report["exhaustive"] == (witness is None)
-        assert report["pairs_checked"] == (20 if witness is None else 0)
-        assert report["max_deviation"] == 0.0
+        assert new == (("report", None) if witness is None
+                       else ("raised", f"witness: {witness}"))
 
 
 # -- the n x n idempotent table as a reference ---------------------------------
@@ -570,17 +550,15 @@ def idempotent_inputs(group):
 def forged(characters, i, values):
     """The characters with row i's values replaced."""
     out = list(characters)
-    out[i] = orbitmethod.KirillovCharacter(
-        characters[i].orbit, ClassFunction(characters[i].values.domain,
-                                           values))
+    out[i] = ClassFunction(characters[i].domain, values)
     return out
 
 
-def forging(monkeypatch, characters):
+def forging(monkeypatch, orbits, characters):
     """Patch orbitmethod.kirillov_character, which verify_idempotents calls
     once per orbit, to return the given character of each orbit, looked up
     by the orbit's smallest member."""
-    by_rep = {int(ch.orbit.indices[0]): ch for ch in characters}
+    by_rep = {int(o.indices[0]): ch for o, ch in zip(orbits, characters)}
     monkeypatch.setattr(orbitmethod, "kirillov_character",
                         lambda group, orbit: by_rep[int(orbit.indices[0])])
 
@@ -589,7 +567,7 @@ def table_idempotents(ring, group, orbits, characters, tol=1e-8):
     """verify_idempotents as it stood with the n x n table: every product
     e_i * e_j at every element of G, from one gathered table per j."""
     n = len(group)
-    E = np.array([math.isqrt(o.size) * ch.values.values
+    E = np.array([math.isqrt(o.size) * ch.values
                   for o, ch in zip(orbits, characters)])
     dev_fourier = 0.0
     for orbit, row in zip(orbits, E):
@@ -615,7 +593,7 @@ def table_idempotents(ring, group, orbits, characters, tol=1e-8):
     passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
     return {"orbits": len(E), "fourier_indicator": dev_fourier,
             "idempotent": dev_idem, "orthogonal": dev_orth,
-            "complete": dev_complete, "tolerance": tol, "passed": passed,
+            "complete": dev_complete, "passed": passed,
             "witness": None if passed else witness}
 
 
@@ -660,10 +638,10 @@ class TestAgainstTheTable:
                                                  monkeypatch):
         orbits, chars = idempotent_inputs(h5_group)
         i, k = [idx for idx, o in enumerate(orbits) if o.size == 25][:2]
-        rows = [math.isqrt(o.size) * ch.values.values
+        rows = [math.isqrt(o.size) * ch.values
                 for o, ch in zip(orbits, chars)]
         chars = forged(chars, i, (rows[i] + rows[k]) / 5)
-        forging(monkeypatch, chars)
+        forging(monkeypatch, orbits, chars)
         report = verify_idempotents(h5_group)
         # one class per block of products: the same report
         monkeypatch.setattr(orbitmethod, "_CLASS_CELLS", 1)
@@ -686,9 +664,9 @@ class TestAgainstTheTable:
         cls = next(c for c in part.classes if len(c) > 1)
         x = int(cls[-1])
         i = 3
-        values = chars[i].values.values.copy()
+        values = chars[i].values.copy()
         values[x] += 1e-6
-        forging(monkeypatch, forged(chars, i, values))
+        forging(monkeypatch, orbits, forged(chars, i, values))
         report = verify_idempotents(h5_group)
         assert not report["passed"]
         assert report["witness"] == (i, x)
@@ -757,7 +735,7 @@ def assert_same_deviations(group, at_reps, monkeypatch, cells=(None, 1)):
 def characters_at_reps(group):
     part = conjugacy_classes(group)
     orbits, chars = idempotent_inputs(group)
-    return np.array([math.isqrt(o.size) * ch.values.values[part.reps]
+    return np.array([math.isqrt(o.size) * ch.values[part.reps]
                      for o, ch in zip(orbits, chars)])
 
 

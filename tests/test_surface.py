@@ -1,5 +1,6 @@
 """No unused API: every definition in src/orbitkit is used by src/orbitkit,
-and every keyword-only parameter is passed by some src/orbitkit call.
+every keyword-only parameter is passed by some src/orbitkit call, and every
+``__slots__`` attribute is read by some src/orbitkit code.
 
 The scan parses each module with ``ast``.  A top-level function or class
 counts as used when some module of the package loads its name, as a
@@ -10,7 +11,9 @@ coarse: a name loaded anywhere counts for every definition of it, so the
 method names that more than one class defines are listed, each definition
 with a src call that reaches it (SHARED_METHODS).  A keyword-only
 parameter counts as passed when some call by the function's name (the
-class's, for ``__init__``) passes it by name.
+class's, for ``__init__``) passes it by name.  A slot counts as read when
+some module loads its name as an ``Attribute``, as coarse as the rest: a
+field that only tests read is a second report nothing prints.
 """
 
 import ast
@@ -26,6 +29,12 @@ ALLOWED = {
     "quotient_to_finite":
         "the benchmark's padic.quotient_to_finite span wraps it",
     "in_p_lattice": "the benchmark's ratlin.busy span wraps it",
+}
+
+# slots no src code reads, each with the reason it stays
+UNREAD_SLOTS = {
+    "oracle.CharTable.attempts":
+        "the benchmark's oracle.eig_attempts counter reads it",
 }
 
 # Method names defined by more than one class.  The scan cannot tell their
@@ -89,6 +98,27 @@ def loaded_names(trees):
                   and isinstance(node.ctx, ast.Load)):
                 attributes.add(node.attr)
     return names, attributes
+
+
+def slot_attributes(trees):
+    """(module.Class.attribute, attribute) of each name in the
+    ``__slots__`` of a top-level class."""
+    for module, tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                        getattr(t, "id", None) == "__slots__"
+                        for t in item.targets):
+                    for name in ast.literal_eval(item.value):
+                        yield f"{module}.{node.name}.{name}", name
+
+
+def unread_slots(trees):
+    _, attributes = loaded_names(trees)
+    return sorted(qualified for qualified, name in slot_attributes(trees)
+                  if name not in attributes)
 
 
 def unused_definitions(trees):
@@ -173,3 +203,14 @@ def test_every_keyword_only_parameter_is_passed_in_src():
         for module, callee, name in keyword_only_parameters(trees)
         if callee not in ALLOWED and (callee, name) not in passed)
     assert unpassed == []
+
+
+def test_every_slot_is_read_in_src():
+    # a stored field no src code reads costs its memory on every object
+    assert [slot for slot in unread_slots(modules())
+            if slot not in UNREAD_SLOTS] == []
+
+
+def test_unread_slot_allowlist_is_current():
+    # an entry whose slot gained a reader, or went, goes
+    assert sorted(set(UNREAD_SLOTS) - set(unread_slots(modules()))) == []
