@@ -24,19 +24,19 @@ nonzero constant, each with its constants c at targets m (canonical
 residues, or in the uniform regime residues of the lifts mod the working
 precision).  One kernel brackets over a pair list and serves every bracket,
 adjoint matrix and CH evaluation on elements.  It runs coordinate-major:
-batches of (..., rank) vectors enter as (rank, ...) views, so coordinate i
-of the whole batch is one contiguous row U[i] and a single vector against
-a batch broadcasts without copies.  Per pair it forms
-D = U[i]·V[j] − U[j]·V[i] once and adds c·D into row m; then it reduces
-the rows it reached, each by its own scalar modulus as x − x // m · m,
-which numpy computes far faster than np.mod.  An operand enters the kernel
-as it is when every entry already lies in [0, working modulus) of its row,
-as grid elements and the kernel's own outputs do; only an operand with some
-entry outside is reduced, into a new array.  For an operand in range the
-reduction is the identity, so the outputs are bit-identical either way, and
-the test costs one min and one max per operand (per row for mixed moduli)
-instead of a division over every entry.  Operands are never written to:
-grid elements are read-only.
+batches of (..., rank) vectors enter as C-contiguous (rank, ...) arrays of
+the plan's type (below), so coordinate i of the whole batch is one
+contiguous row U[i] and a single vector against a batch broadcasts without
+copies.  Per pair it forms D = U[i]·V[j] − U[j]·V[i] once and adds c·D
+into row m; then it reduces the rows it reached, each by its own scalar
+modulus as x − x // m · m, which numpy computes far faster than np.mod.
+An operand is reduced, in int64 and into a new array, only when some entry
+lies outside [0, working modulus) of its row; grid elements and the
+kernel's own outputs lie inside.  For an operand in range the reduction is
+the identity, so the outputs are bit-identical either way, and the test
+costs one min and one max per operand (per row for mixed moduli) instead
+of a division over every entry.  Operands are never written to: grid
+elements are read-only.
 
 CH and Lie-series plans carry static row supports.  x and y can be nonzero
 on every row; a bracketing step keeps only the table pairs (i, j) for which
@@ -53,15 +53,20 @@ so values, and the headroom bound below, are those of the full table.
 Validation (Jacobi, the lower central series) brackets the same pairs in
 exact integer or Fraction arithmetic.
 
-Arithmetic on elements is int64, so make_ring checks headroom instead of
-assuming it.  With W the largest working modulus, S the largest column sum
-of the table and T the number of Lyndon words up to the evaluation degree
-(the most terms a product sums), every intermediate is at most
-(W − 1)² · max(S, T): row m of a bracket sums c·D over the pairs that
-reach m, and a Lie series sums at most T products of a residue and a
+Arithmetic on elements runs in the plan's type, so make_ring checks
+headroom instead of assuming it.  With W the largest working modulus, S
+the largest column sum of the table and T the number of terms a plan sums
+(at most the Lyndon words up to the evaluation degree), every intermediate
+is at most (W − 1)² · max(S, T): row m of a bracket sums c·D over the pairs
+that reach m, and a Lie series sums T products of a residue and a
 multiplier, reducing once at the end.  A ring whose bound exceeds
 2^63 − 1 is rejected with IntegerHeadroomExceeded, and so is a longer
-series evaluated later.
+series evaluated later.  The plan's type is the narrowest of int16, int32
+and int64 whose maximum covers the plan's own bound, (W − 1)² · S for
+bracket_batch, and also W and every p^a a coefficient divides out, so
+every constant, multiplier and modulus fits it.  Operands are reduced in
+int64 first (_canonical) and only then narrowed, so the cast never wraps;
+results are widened back to int64, so callers see int64 only.
 """
 
 from __future__ import annotations
@@ -144,11 +149,11 @@ class FiniteLieRing:
     __slots__ = ("p", "moduli", "rank", "label", "sizes", "big", "cap",
                  "constants", "class_", "uniform_depth", "ch_truncation",
                  "uniform", "_mods", "_canon", "_work", "_table", "_reach",
-                 "_shift", "_capacity", "_ch", "_exp_ad", "_plan_cache",
-                 "_grid")
+                 "_shift", "_square", "_width", "_capacity", "_bracket_type",
+                 "_ch", "_exp_ad", "_plan_cache", "_grid")
 
     def __init__(self, p, moduli, constants, working, class_, uniform_depth,
-                 uniform, ch_truncation, work_sizes, shift, capacity, label):
+                 uniform, ch_truncation, work_sizes, shift, headroom, label):
         self.p = p
         self.moduli = tuple(moduli)
         self.rank = len(self.moduli)
@@ -168,7 +173,9 @@ class FiniteLieRing:
         self._reach = tuple(sorted({m for *_, targets in self._table
                                     for m, _ in targets}))
         self._shift = shift
-        self._capacity = capacity
+        # (W − 1)², S and the terms whose sum fits in int64 (_headroom)
+        self._square, self._width, self._capacity = headroom
+        self._bracket_type = self._kernel_type(self._width)
         self._ch = None
         self._plan_cache = {}
         # e^(ad W)X is the series Σ x^k y / k! at x = W, y = X
@@ -211,22 +218,34 @@ class FiniteLieRing:
 
     # -- bracket -------------------------------------------------------------
 
+    def _kernel_type(self, width, powers=()):
+        """The narrowest integer type whose maximum covers (W − 1)² · width,
+        the working modulus W and the given powers of p: the type of a plan
+        summing at most `width` multiples of a bracket or product."""
+        bound = max(self._square * width,
+                    int(np.max(self._work, initial=1)), *powers)
+        return next((t for t in _KERNEL_TYPES if bound <= np.iinfo(t).max),
+                    np.int64)
+
     def bracket_batch(self, U, V):
-        """[U, V] for (..., rank) arrays of canonical residues."""
+        """[U, V] for (..., rank) arrays, each reduced by the canonical
+        moduli only when some entry lies outside its range."""
         U, V, shape, batch = _coordinate_major(U, V)
-        out = np.zeros((self.rank,) + batch, dtype=np.int64)
-        return _row_major(
-            _bracket(self._table, U, V, self._canon, out, self._reach), shape)
+        dtype = self._bracket_type
+        U, V = (_canonical(X, self._canon, dtype) for X in (U, V))
+        out = np.zeros((self.rank,) + batch, dtype=dtype)
+        out = _bracket(self._table, U, V, self._canon, out, self._reach)
+        return _row_major(out.astype(np.int64, copy=False), shape)
 
     def bracket(self, u, v):
         return tuple(int(x) for x in self.bracket_batch(u, v))
 
     # -- CH multiplication ---------------------------------------------------
 
-    def _coefficient(self, q: Fraction, rows=None):
+    def _coefficient(self, q: Fraction, rows=None, dtype=np.int64):
         """(q, a, multiplier): a is the p-adic valuation of q's denominator,
         the multiplier is q·p^a reduced by the working modulus of each of
-        the given rows (default all)."""
+        the given rows (default all), an int or an array of the given type."""
         den = q.denominator
         a = 0
         while den % self.p == 0:
@@ -236,7 +255,7 @@ class FiniteLieRing:
             return q, a, q.numerator * pow(den, -1, self._work) % self._work
         work = self._work if rows is None else [self._work[m] for m in rows]
         mult = np.array([q.numerator * pow(den, -1, m) % m for m in work],
-                        dtype=np.int64)
+                        dtype=dtype)
         return q, a, mult
 
     def _step(self, left, right):
@@ -279,7 +298,9 @@ class FiniteLieRing:
         x and y have every row; each step's pruned pairs and support come
         from its children's supports (_step), so a word's support holds
         every row its bracket can be nonzero on.  The plan also keeps the
-        rows some term reaches, None for all: the only rows the sum reduces.
+        rows some term reaches, None for all: the only rows the sum reduces;
+        and the plan's type (_kernel_type over the terms and the powers of
+        p their coefficients divide out), in which its multipliers are held.
         """
         key = tuple(terms)
         plan = self._plan_cache.get(key)
@@ -296,13 +317,15 @@ class FiniteLieRing:
                 pairs, supports[w], modulus = self._step(supports[left],
                                                          supports[right])
                 steps.append((w, left, right, pairs, supports[w], modulus))
-            terms = [(w, self._coefficient(q, supports[w]), supports[w])
+            powers = [self.p ** self._coefficient(q)[1] for _, q in key]
+            dtype = self._kernel_type(max(self._width, len(key)), powers)
+            terms = [(w, self._coefficient(q, supports[w], dtype), supports[w])
                      for w, q in key]
             reached = set().union(*(range(self.rank) if support is None
                                     else support for *_, support in terms))
             reached = (None if len(reached) == self.rank
                        else tuple(sorted(reached)))
-            plan = (steps, terms, reached)
+            plan = (steps, terms, reached, dtype)
             self._plan_cache[key] = plan
         return plan
 
@@ -337,25 +360,28 @@ class FiniteLieRing:
         """Σ coeff · (bracketing word)(U, V) reduced to canonical coordinates.
 
         U, V: (..., rank) arrays, each reduced by the working modulus only
-        when some entry lies outside its range (_canonical).  Brackets run
-        at the working modulus: the lift table at working precision in the
-        uniform regime, canonical per-coordinate residues otherwise.  Each bracket value is held on
+        when some entry lies outside its range (_canonical), then cast to
+        the plan's type.  Brackets run at the working modulus: the lift
+        table at working precision in the uniform regime, canonical
+        per-coordinate residues otherwise.  Each bracket value is held on
         its support rows only, as a compact array for the term sum and as
         a dict of row views for the brackets that take it as an operand.
+        The sum is widened to int64 on return.
         """
-        steps, terms, reached = plan
+        steps, terms, reached, dtype = plan
         U, V, shape, batch = _coordinate_major(U, V)
-        values = {(0,): _canonical(U, self._work),
-                  (1,): _canonical(V, self._work)}
+        values = {(0,): _canonical(U, self._work, dtype),
+                  (1,): _canonical(V, self._work, dtype)}
         rows = dict(values)
         for w, left, right, pairs, support, modulus in steps:
             values[w] = _bracket(pairs, rows[left], rows[right], modulus,
-                                 np.zeros((len(support),) + batch, np.int64))
+                                 np.zeros((len(support),) + batch, dtype))
             rows[w] = dict(zip(support, values[w]))
-        out = np.zeros((self.rank,) + batch, dtype=np.int64)
+        out = np.zeros((self.rank,) + batch, dtype=dtype)
         for w, coefficient, support in terms:
             self._add_term(out, values[w], coefficient, support)
-        return _row_major(_reduce(out, self._canon, rows=reached), shape)
+        out = _reduce(out, self._canon, rows=reached)
+        return _row_major(out.astype(np.int64, copy=False), shape)
 
     def ch_batch(self, U, V):
         if self.rank == 0:
@@ -418,6 +444,8 @@ class FiniteLieRing:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# the kernel's integer types, narrowest first (FiniteLieRing._kernel_type)
+_KERNEL_TYPES = (np.int16, np.int32, np.int64)
 
 
 def _modulus(sizes):
@@ -469,9 +497,11 @@ def _reduce(X, modulus, out=None, rows=None):
     itself by default) and returned: row r by modulus[r], or every row by
     an int modulus, over the given rows (default all).
 
-    Each reduction is x − x // m · m.  That equals np.mod(x, m) for every
-    int64 x and m > 0, even where (x // m) · m wraps: int64 arithmetic is
-    exact mod 2^64 and the true result lies in [0, m).
+    Each reduction is x − x // m · m, in X's own type.  That equals
+    np.mod(x, m) for every x of a signed integer type of width b and every
+    m > 0 the type holds, even where (x // m) · m wraps: x // m is exact,
+    b-bit arithmetic is exact mod 2^b and the true result lies in [0, m),
+    which the type holds.
     """
     out = X if out is None else out
     if isinstance(modulus, int) and rows is None:
@@ -500,12 +530,15 @@ def _in_range(X, modulus):
     return bool(np.all(X.max(axis=tuple(range(1, X.ndim))) < modulus))
 
 
-def _canonical(X, modulus):
-    """X itself when it is already reduced by the modulus (_in_range), else
-    X mod the modulus in a new array; X is never written to."""
-    if _in_range(X, modulus):
-        return X
-    return _reduce(X, modulus, np.empty(X.shape, np.int64))
+def _canonical(X, modulus, dtype):
+    """X mod the modulus as a C-contiguous array of the given type: X
+    itself when it already is one and is reduced by the modulus
+    (_in_range), else a new array.  An entry outside the range is reduced
+    in int64 before the cast, so a cast to a narrower type never wraps;
+    X is never written to."""
+    if not _in_range(X, modulus):
+        X = _reduce(X, modulus, np.empty(X.shape, np.int64))
+    return np.asarray(X, dtype=dtype, order="C")
 
 
 def negate(X, mods):
@@ -608,16 +641,20 @@ def _lower_central_class(p, moduli, constants):
 
 
 def _headroom(constants, work_sizes, truncation):
-    """Terms whose sum fits in int64 at the working modulus W, checked to
-    cover the kernel and every product: all intermediates stay within
-    (W - 1)² · max(S, T), with S the largest column sum of the pair table
-    and T the Lyndon words up to the evaluation degree.
+    """((W - 1)², S, terms whose sum fits in int64) at the working modulus
+    W, checked to cover the kernel and every product: all intermediates
+    stay within (W - 1)² · max(S, T), with S the largest column sum of the
+    pair table and T the Lyndon words up to the evaluation degree.
 
     The kernel adds c·D into row m pair by pair, with |D| ≤ (W - 1)², so
     every partial sum of row m is bounded by (W - 1)² times the column sum
     of m's constants, the same bound a product against the column gives.
     Support pruning only leaves out summands that are exactly zero (and a
-    negated constant has the same size), so the bound is unchanged."""
+    negated constant has the same size), so the bound is unchanged.  A
+    plan whose own bound, (W - 1)² · max(S, its terms), fits a narrower
+    type runs in that type (FiniteLieRing._kernel_type): every true
+    intermediate lies within the bound, so none wraps, and the reduction
+    is exact in any width (_reduce)."""
     top = max(work_sizes, default=1) - 1
     column = [0] * len(work_sizes)
     for row in constants.values():
@@ -630,7 +667,7 @@ def _headroom(constants, work_sizes, truncation):
         raise IntegerHeadroomExceeded(
             f"working modulus {top + 1}: intermediates reach "
             f"(W-1)^2 * max(S={width}, T={terms}) = {bound} > 2^63 - 1")
-    return _INT64_MAX // (top * top) if top else math.inf
+    return top * top, width, _INT64_MAX // (top * top) if top else math.inf
 
 
 def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
@@ -750,9 +787,9 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
     else:
         truncation = max(int(class_), 1) if rank else 1
 
-    capacity = _headroom(working, work_sizes, truncation)
+    headroom = _headroom(working, work_sizes, truncation)
     return FiniteLieRing(p, moduli, constants, working, class_, depth, uniform,
-                         truncation, work_sizes, shift, capacity, label)
+                         truncation, work_sizes, shift, headroom, label)
 
 
 def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:

@@ -457,10 +457,25 @@ def _central_characters(part, plan, weights, gap):
 def _row_order(degrees, rows):
     """Row order of a character table: by degree, then by the values rounded
     to 8 decimals, column by column; ties keep their order.  Values round as
-    np.round rounds them, which is what ``round`` does to numpy scalars."""
-    parts = np.round(np.stack([rows.real, rows.imag], axis=-1), 8)
-    keys = parts.reshape(len(rows), -1).T[::-1]
-    return np.lexsort(np.vstack([keys, np.asarray(degrees)[None, :]])).tolist()
+    np.round rounds them, which is what ``round`` does to numpy scalars.
+
+    The sort reads a prefix of the columns, doubling from 8, and stops at
+    the first prefix whose keys (degree, then the prefix's values) are
+    pairwise distinct: every two rows then differ within the prefix, so
+    the columns after it could not change the order.  Only the last
+    prefix, all columns, may leave ties."""
+    degrees = np.asarray(degrees)
+    cols = rows.shape[1]
+    prefix = min(8, cols)
+    while True:
+        part = rows[:, :prefix]
+        keys = np.round(np.stack([part.real, part.imag], axis=-1), 8)
+        keys = np.column_stack([degrees, keys.reshape(len(rows), -1)])
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        if prefix == cols or np.all(np.any(ranked[1:] != ranked[:-1], axis=1)):
+            return order.tolist()
+        prefix = min(2 * prefix, cols)
 
 
 def character_table(group: LazardGroup, *, seed=0) -> CharTable:
@@ -504,12 +519,19 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
                 f"degrees {degrees} are not integers to 1e-6")
         rows = (rounded[None, :] * omega / sizes[:, None]).T
 
-        row_orth = (rows * sizes[None, :]) @ rows.conj().T / n
-        dev_row = np.max(np.abs(row_orth - np.eye(r)))
+        # each gate subtracts its diagonal target in place, through a
+        # strided view of the diagonal; off the diagonal the target is 0
+        row_orth = (rows * sizes[None, :]) @ rows.conj().T
+        row_orth /= n
+        row_orth.reshape(-1)[::r + 1] -= 1.0
+        dev_row = np.max(np.abs(row_orth))
         col_orth = rows.T @ rows.conj()
-        target = np.diag(n / sizes)
-        dev_col = np.max(np.abs(col_orth - target)
-                         / np.maximum(1.0, np.abs(target)))
+        target = n / sizes
+        col_orth.reshape(-1)[::r + 1] -= target
+        dev = np.abs(col_orth)
+        # relative on the diagonal, where the target n / |C_c| is >= 1
+        dev.reshape(-1)[::r + 1] /= target
+        dev_col = np.max(dev)
         if dev_row > ORTHOGONALITY_TOL or dev_col > ORTHOGONALITY_TOL:
             raise ValidationFailed(
                 f"orthogonality deviation row={dev_row:.2e} "

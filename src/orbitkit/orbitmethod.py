@@ -422,8 +422,7 @@ def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
     _, orbit_sets = permutation_orbits(len(kspace), perms)
 
     idx_g2 = sub.ambient_indices()
-    chi_full = table.rows[:, table.partition.labels]
-    chi_g2 = chi_full[:, idx_g2]
+    chi_g2 = table.rows[:, table.partition.labels[idx_g2]]
 
     cells = []
     assigned = np.full(len(table.rows), -1, dtype=np.int64)

@@ -260,9 +260,9 @@ def _phase_keys(orbit, basis=None) -> set:
 def _multiplicity_matrix(sub, table_g, table_k):
     """M[rho, kappa] = <chi_rho|_K, chi_kappa> over all oracle row pairs."""
     idx = sub.ambient_indices()
-    rows_g = table_g.rows[:, table_g.partition.labels]
+    rows_g = table_g.rows[:, table_g.partition.labels[idx]]
     rows_k = table_k.rows[:, table_k.partition.labels]
-    return rows_g[:, idx] @ rows_k.conj().T / len(idx)
+    return rows_g @ rows_k.conj().T / len(idx)
 
 
 def restriction_harness(ring, generators, alpha=None, *, seed=0,

@@ -16,7 +16,7 @@ import pytest
 
 from hypothesis import given
 
-from orbitkit import cli
+from orbitkit import cli, liering
 from orbitkit.chsolver import (ValuationRegime, solve_phi_psi,
                                substituted_series)
 from orbitkit.errors import (EvaluationNotIntegral, IntegerHeadroomExceeded,
@@ -226,6 +226,7 @@ class TestAgainstReference:
         shift = np.array(ring.sizes, dtype=np.int64)
         phi = twist_series(ring)[0]
         entries = {
+            "bracket": ring.bracket_batch,
             "ch": ring.ch_batch,
             "exp_ad": ring.exp_ad_batch,
             "series": lambda A, B: ring.evaluate_series_batch(phi, A, B)}
@@ -454,7 +455,7 @@ def check_terms(ring, series, U, V):
     values, want = want
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    steps, _, reached = ring._term_plan(terms)
+    steps, _, reached, _ = ring._term_plan(terms)
     for w, _, _, _, support, _ in steps:
         assert_zero_outside(ring, values[w], support)
     assert_zero_outside(ring, np.moveaxis(want, -1, 0), reached)
@@ -722,6 +723,136 @@ class TestHeadroom:
         assert "IntegerHeadroomExceeded" in err
 
 
+# -- the plan's integer type -------------------------------------------------------
+
+def ch_plan(ring):
+    ring.ch_batch(np.zeros(ring.rank, np.int64), np.zeros(ring.rank, np.int64))
+    return ring._ch
+
+
+def heisenberg_c(p, c, k):
+    """H over Z/p^k with [e0, e1] = c·e2: S = c, and CH sums T = 3 terms."""
+    return make_ring(p, (k,) * 3, {(0, 1): {2: c}})
+
+
+def unreduced(ring, U, seed):
+    """U moved off its residues by multiples of the moduli: some entries
+    negative, some at least the working modulus, some beyond int16 or
+    int32.  A cast made before the reduction would wrap those by a
+    multiple of 2^16 or 2^32, which moves the residue mod an odd modulus."""
+    rng = np.random.default_rng(seed)
+    mods = np.array(ring.sizes, dtype=np.int64)
+    return U + mods * rng.choice([-3, -1, 0, 1, 5, 4099, -70001,
+                                  (1 << 35) + 7], U.shape)
+
+
+def check_twin(ring, U, V, lifts=None):
+    """Every kernel entry agrees with the ring's int64 twin, the same ring
+    built and evaluated with int64 as the only kernel type (the kernel as
+    it ran before plans picked narrower types), and returns int64.  A
+    plan keeps the type it was built with, so the twin builds every plan
+    under the patch."""
+    entries = [lambda r, A, B: r.bracket_batch(A, B),
+               lambda r, A, B: r.ch_batch(A, B),
+               lambda r, A, B: r.exp_ad_batch(A, B)]
+    for series in (bch(ring.ch_truncation),) + twist_series(ring):
+        entries.append(lambda r, A, B, s=series:
+                       r.evaluate_series_batch(s, A, B))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liering, "_KERNEL_TYPES", (np.int64,))
+        twin = make_ring(ring.p, ring.moduli, ring.constants,
+                         lifts=lifts if ring.uniform else None)
+        wants = [outcome(entry, twin, U, V) for entry in entries]
+    assert twin._bracket_type is np.int64
+    assert {plan[3] for plan in twin._plan_cache.values()} == {np.int64}
+    for k, (entry, want) in enumerate(zip(entries, wants)):
+        got = outcome(entry, ring, U, V)
+        assert same(got, want), k
+        if not isinstance(got, EvaluationNotIntegral):
+            assert got.dtype == np.int64, k
+
+
+class TestPlanType:
+    def test_narrow_rings_match_their_int64_twins(self, case):
+        ring, ref = case
+        for U, V in inputs(ring):
+            check_twin(ring, U, V, ref.exact)
+            check_twin(ring, unreduced(ring, U, 1), unreduced(ring, V, 2),
+                       ref.exact)
+
+    @given(ring=small_rings())
+    def test_drawn_rings_match_their_int64_twins(self, ring):
+        A, B = samples(ring, 40, 25), samples(ring, 40, 26)
+        check_twin(ring, A, B)
+        check_twin(ring, unreduced(ring, A, 3), B)
+
+    def test_every_ring_here_runs_narrow(self):
+        # the uniform regime and mixed moduli included
+        for _, ring, _ in RINGS:
+            assert ring._bracket_type is np.int16, ring.label
+            assert ch_plan(ring)[3] is np.int16, ring.label
+            assert ring._exp_ad[3] is np.int16, ring.label
+
+    @pytest.mark.parametrize("p, k, kind", [
+        (103, 1, np.int16),         # 102² · 3 = 31212 <= 2^15 - 1
+        (107, 1, np.int32),         # 106² · 3 = 33708 > 2^15 - 1
+        (3, 10, np.int64),          # (3^10 - 1)² · 3 > 2^31 - 1
+    ])
+    def test_the_bound_picks_the_type(self, p, k, kind):
+        ring = heisenberg_c(p, 3, k)
+        bound = (p ** k - 1) ** 2 * 3
+        narrower = liering._KERNEL_TYPES[:liering._KERNEL_TYPES.index(kind)]
+        assert all(bound > np.iinfo(t).max for t in narrower)
+        assert bound <= np.iinfo(kind).max
+        assert ring._bracket_type is kind
+        assert ch_plan(ring)[3] is kind
+        assert len(ring._ch[1]) == 3
+        # values at the top of the range, in and out of it
+        top = np.full((30, 3), p ** k - 1) - samples(ring, 30, 27) % 3
+        check_twin(ring, top, samples(ring, 30, 28))
+        check_twin(ring, unreduced(ring, top, 4),
+                   unreduced(ring, top[::-1], 5))
+
+    def test_bracket_width_only_counts_for_bracket_batch(self):
+        # 178² = 31684: one bracket fits int16, a 3-term CH sum does not
+        ring = heisenberg_c(179, 1, 1)
+        assert ring._bracket_type is np.int16
+        assert ch_plan(ring)[3] is np.int32
+        assert ring._exp_ad[3] is np.int32
+
+    def test_a_coefficient_power_widens_the_plan(self):
+        # [x, y] / 3^10 on H(F3): 3^10 > 2^15 - 1 must fit the plan's type
+        # so the divisibility check runs exactly as in int64
+        ring = heisenberg(3)
+        series = GradedSeries(
+            {2: LiePoly({(2, 0): Fraction(1, 3 ** 10)}, 2)}, 2)
+        assert ring._term_plan(_series_terms(series))[3] is np.int32
+        u = np.array([[1, 0, 0]], dtype=np.int64)
+        v = np.array([[0, 1, 0]], dtype=np.int64)
+        with pytest.raises(EvaluationNotIntegral,
+                           match=r"value not divisible by p\^10"):
+            ring.evaluate_series_batch(series, u, v)
+
+    def test_u4_ch_plan_runs_every_step_in_int16(self, monkeypatch):
+        ring = upper_unitriangular4(5)
+        seen = []
+        real = liering._bracket
+
+        def spy(pairs, U, V, modulus, out, rows=None):
+            operands = [X for Y in (U, V)
+                        for X in (Y.values() if isinstance(Y, dict) else Y)]
+            seen.append({out.dtype, *(X.dtype for X in operands)})
+            return real(pairs, U, V, modulus, out, rows)
+
+        monkeypatch.setattr(liering, "_bracket", spy)
+        E = LazardGroup(ring).elements
+        got = ring.ch_batch(E[:, None][:50], E[None, :40])
+        steps = ring._ch[0]
+        assert len(seen) == len(steps) > 0
+        assert all(kinds == {np.dtype(np.int16)} for kinds in seen)
+        assert got.dtype == np.int64
+
+
 # -- conjugation permutations ------------------------------------------------------
 
 @pytest.mark.parametrize("ring", [r[1] for r in RINGS],
@@ -780,3 +911,21 @@ def test_row_order_rounds_half_way_values_as_the_eager_key():
     float_key = sorted(range(len(rows)), key=lambda i: tuple(
         round(float(z.real), 8) for z in rows[i]))
     assert float_key != old_order(degrees, rows)
+
+
+def test_row_order_reads_past_the_first_prefix():
+    # rows that agree on their first 20 columns, so the prefix doubles
+    # past 8 and 16; repeated rows agree on all 50, so it reaches every
+    # column and the ties keep their order
+    rng = np.random.default_rng(7)
+    base = (rng.integers(-2, 3, (10, 50))
+            + 1j * rng.integers(-2, 3, (10, 50))) / 3
+    base[:, :20] = base[0, :20]
+    pick = rng.integers(0, 10, 16)
+    rows, degrees = base[pick], np.ones(16)
+    assert _row_order(degrees, rows) == old_order(degrees, rows)
+    assert len(set(pick.tolist())) < 16
+    unique = base[:, :40]
+    assert _row_order(np.ones(10), unique) == old_order(np.ones(10), unique)
+    degrees = rng.integers(1, 3, 16).astype(np.float64)
+    assert _row_order(degrees, rows) == old_order(degrees, rows)
