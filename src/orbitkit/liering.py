@@ -22,14 +22,17 @@ use, enumerates that coordinate set for G and, through the pairing
 The constants are held once, as a pair table: the pairs i < j with a
 nonzero constant, each with its constants c at targets m (canonical
 residues, or in the uniform regime residues of the lifts mod the working
-precision).  One kernel brackets over a pair list and serves every bracket,
-adjoint matrix and CH evaluation on elements.  It runs coordinate-major:
-batches of (..., rank) vectors enter as C-contiguous (rank, ...) arrays of
-the plan's type (below), so coordinate i of the whole batch is one
-contiguous row U[i] and a single vector against a batch broadcasts without
-copies.  Per pair it forms D = U[i]·V[j] − U[j]·V[i] once and adds c·D
-into row m; then it reduces the rows it reached, each by its own scalar
-modulus as x − x // m · m, which numpy computes far faster than np.mod.
+precision).  One kernel evaluates Lie series over that table, and every
+product on elements is such a series: bracket_batch the one-term series
+[x, y], ch_batch CH, exp_ad_batch e^(ad W)X = Σ x^k y / k! at x = W, y = X
+(k < class, or < the CH truncation in the uniform regime; the standard
+bracketing of the Lyndon word x^k y is (ad x)^k y).  It runs
+coordinate-major: batches of (..., rank) vectors enter as C-contiguous
+(rank, ...) arrays of the plan's type (below), so coordinate i of the
+whole batch is one contiguous row U[i] and a single vector against a batch
+broadcasts without copies.  Per pair it forms D = U[i]·V[j] − U[j]·V[i]
+once and adds c·D into row m; rows are reduced, each by its own scalar
+modulus, as x − x // m · m, which numpy computes far faster than np.mod.
 An operand is reduced, in int64 and into a new array, only when some entry
 lies outside [0, working modulus) of its row; grid elements and the
 kernel's own outputs lie inside.  For an operand in range the reduction is
@@ -38,20 +41,17 @@ costs one min and one max per operand (per row for mixed moduli) instead
 of a division over every entry.  Operands are never written to: grid
 elements are read-only.
 
-CH and Lie-series plans carry static row supports.  x and y can be nonzero
-on every row; a bracketing step keeps only the table pairs (i, j) for which
-U[i]·V[j] or U[j]·V[i] can be nonzero given its operands' supports, forms
-only those products, and its support is the union of the kept pairs'
-targets.  In a nilpotent ring nested brackets reach fewer and fewer rows,
-so each bracket value is held only on its support rows, the term sum adds
-each term into its own rows of one output, and only rows some term reaches
-are reduced.  e^(ad W) is one more such series: e^(ad W)X is the series
-Σ x^k y / k! at x = W, y = X, over k < class (k < CH truncation in the
-uniform regime), since the standard bracketing of the Lyndon word x^k y
-is (ad x)^k y.  The pruning drops only summands that are exactly zero,
-so values, and the headroom bound below, are those of the full table.
-Validation (Jacobi, the lower central series) brackets the same pairs in
-exact integer or Fraction arithmetic.
+Plans carry static row supports.  x and y can be nonzero on every row; a
+bracketing step keeps only the table pairs (i, j) for which U[i]·V[j] or
+U[j]·V[i] can be nonzero given its operands' supports, forms only those
+products, and its support is the union of the kept pairs' targets.  In a
+nilpotent ring nested brackets reach fewer and fewer rows, so each bracket
+value is held only on its support rows, the term sum adds each term into
+its own rows of one output, and only rows some term reaches are reduced.
+The pruning drops only summands that are exactly zero, so values, and the
+headroom bound below, are those of the full table.  Validation (Jacobi,
+the lower central series) brackets the same pairs in exact integer or
+Fraction arithmetic.
 
 Arithmetic on elements runs in the plan's type, so make_ring checks
 headroom instead of assuming it.  With W the largest working modulus, S
@@ -62,11 +62,15 @@ that reach m, and a Lie series sums T products of a residue and a
 multiplier, reducing once at the end.  A ring whose bound exceeds
 2^63 − 1 is rejected with IntegerHeadroomExceeded, and so is a longer
 series evaluated later.  The plan's type is the narrowest of int16, int32
-and int64 whose maximum covers the plan's own bound, (W − 1)² · S for
-bracket_batch, and also W and every p^a a coefficient divides out, so
-every constant, multiplier and modulus fits it.  Operands are reduced in
-int64 first (_canonical) and only then narrowed, so the cast never wraps;
-results are widened back to int64, so callers see int64 only.
+and int64 whose maximum covers the plan's own bound, (W − 1)² · max(S, T),
+and also W and every p^a a coefficient divides out, so every constant,
+multiplier and modulus fits it.  Operands are reduced in int64 first
+(_canonical) and only then narrowed, so the cast never wraps; results are
+widened back to int64, so callers see int64 only.
+
+twist_map certifies the twist (x, y) ↦ (x̃, ỹ) of the character formula:
+at class c < p on the degree-c simplex, whose points prove it at every
+pair, and otherwise on index pairs whose images' collisions it counts.
 """
 
 from __future__ import annotations
@@ -148,9 +152,9 @@ class FiniteLieRing:
 
     __slots__ = ("p", "moduli", "rank", "label", "sizes", "big", "cap",
                  "constants", "class_", "uniform_depth", "ch_truncation",
-                 "uniform", "_mods", "_canon", "_work", "_table", "_reach",
-                 "_shift", "_square", "_width", "_capacity", "_bracket_type",
-                 "_ch", "_exp_ad", "_plan_cache", "_grid")
+                 "uniform", "_mods", "_canon", "_work", "_table", "_shift",
+                 "_square", "_width", "_capacity", "_ch", "_exp_ad",
+                 "_plan_cache", "_grid")
 
     def __init__(self, p, moduli, constants, working, class_, uniform_depth,
                  uniform, ch_truncation, work_sizes, shift, headroom, label):
@@ -170,12 +174,9 @@ class FiniteLieRing:
         self._canon = _modulus(self.sizes)
         self._work = _modulus(work_sizes)
         self._table = _triple_table(working)
-        self._reach = tuple(sorted({m for *_, targets in self._table
-                                    for m, _ in targets}))
         self._shift = shift
         # (W − 1)², S and the terms whose sum fits in int64 (_headroom)
         self._square, self._width, self._capacity = headroom
-        self._bracket_type = self._kernel_type(self._width)
         self._ch = None
         self._plan_cache = {}
         # e^(ad W)X is the series Σ x^k y / k! at x = W, y = X
@@ -228,14 +229,8 @@ class FiniteLieRing:
                     np.int64)
 
     def bracket_batch(self, U, V):
-        """[U, V] for (..., rank) arrays, each reduced by the canonical
-        moduli only when some entry lies outside its range."""
-        U, V, shape, batch = _coordinate_major(U, V)
-        dtype = self._bracket_type
-        U, V = (_canonical(X, self._canon, dtype) for X in (U, V))
-        out = np.zeros((self.rank,) + batch, dtype=dtype)
-        out = _bracket(self._table, U, V, self._canon, out, self._reach)
-        return _row_major(out.astype(np.int64, copy=False), shape)
+        """[U, V] for (..., rank) arrays: the one-term plan [x, y]."""
+        return self._eval_terms(self._term_plan(_BRACKET), U, V)
 
     def bracket(self, u, v):
         return tuple(int(x) for x in self.bracket_batch(u, v))
@@ -273,7 +268,7 @@ class FiniteLieRing:
         left = set(every if left is None else left)
         right = set(every if right is None else right)
         kept = []
-        for i, j, _, targets in self._table:
+        for i, j, targets in self._table:
             forward = i in left and j in right
             backward = j in left and i in right
             if forward or backward:
@@ -384,21 +379,11 @@ class FiniteLieRing:
         return _row_major(out.astype(np.int64, copy=False), shape)
 
     def ch_batch(self, U, V):
-        if self.rank == 0:
-            return np.zeros(np.broadcast(np.asarray(U), np.asarray(V)).shape,
-                            dtype=np.int64)
         if self._ch is None:
-            series = bch(self.ch_truncation)
-            terms = []
-            for n in range(1, self.ch_truncation + 1):
-                terms.extend(_poly_terms(series.component(n)))
-            self._ch = self._term_plan(terms)
+            self._ch = self._term_plan(_series_terms(bch(self.ch_truncation)))
         return self._eval_terms(self._ch, U, V)
 
     def evaluate_series_batch(self, series, U, V):
-        if self.rank == 0:
-            return np.zeros(np.broadcast(np.asarray(U), np.asarray(V)).shape,
-                            dtype=np.int64)
         return self._eval_terms(self._term_plan(_series_terms(series)), U, V)
 
     # -- adjoint machinery ---------------------------------------------------
@@ -410,8 +395,6 @@ class FiniteLieRing:
 
     def exp_ad_batch(self, W, X):
         """e^(ad W) applied to X, both (..., rank) arrays."""
-        if self.rank == 0:
-            return np.array(X, dtype=np.int64)
         return self._eval_terms(self._exp_ad, W, X)
 
     def exp_ad_matrix(self, w):
@@ -444,6 +427,8 @@ class FiniteLieRing:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# the one term of FiniteLieRing.bracket_batch: [x, y] with coefficient 1
+_BRACKET = (((0, 1), Fraction(1)),)
 # the kernel's integer types, narrowest first (FiniteLieRing._kernel_type)
 _KERNEL_TYPES = (np.int16, np.int32, np.int64)
 
@@ -460,13 +445,13 @@ def _modulus(sizes):
 
 def _triple_table(constants):
     """Kernel form of {(i, j): {m: c}}: the pairs i < j with a nonzero
-    constant, in key order, as the full pair list (i, j, True, ((m, c), ...))
-    with int constants (see _bracket)."""
+    constant, in key order, as (i, j, ((m, c), ...)) with int constants,
+    which FiniteLieRing._step prunes into a step's pair list."""
     table = []
     for (i, j), row in sorted(constants.items()):
         targets = tuple((m, int(c)) for m, c in sorted(row.items()) if c)
         if targets:
-            table.append((i, j, True, targets))
+            table.append((i, j, targets))
     return tuple(table)
 
 
@@ -549,19 +534,18 @@ def negate(X, mods):
     return neg
 
 
-def _bracket(pairs, U, V, modulus, out, rows=None):
+def _bracket(pairs, U, V, modulus, out):
     """[U, V] over a pair list, added into out, a zeroed coordinate-major
-    array whose rows broadcast against U's and V's; then out's given rows
-    (default all) are reduced by the modulus, row r by modulus[r] or all by
-    an int, and out is returned.
+    array whose rows broadcast against U's and V's; then every row of out
+    is reduced by the modulus, row r by modulus[r] or all by an int, and
+    out is returned.
 
     U and V are indexed by coordinate: arrays with every row, or dicts of
     the rows a value can be nonzero on.  Each pair (i, j, both, targets)
     forms D = U[i]·V[j], minus U[j]·V[i] when both, once and adds c·D into
-    out[slot] for each (slot, c) of its targets.  bracket_batch passes the
-    full table, whose slots are the target rows, with the rows it reaches;
-    a plan step passes its pruned pairs, whose slots index its support
-    (FiniteLieRing._step), and every row of out is reached.
+    out[slot] for each (slot, c) of its targets.  The pairs are a plan
+    step's pruned pairs, whose slots index the step's support
+    (FiniteLieRing._step), so every row of out is some pair's target.
     """
     for i, j, both, targets in pairs:
         D = U[i] * V[j]
@@ -575,7 +559,7 @@ def _bracket(pairs, U, V, modulus, out, rows=None):
                 row -= D
             else:
                 row += c * D
-    return _reduce(out, modulus, rows=rows)
+    return _reduce(out, modulus)
 
 
 def _exact_bracket(constants, u, v):
@@ -902,76 +886,102 @@ class LazardGroup:
 
 # -- the twist certificate --------------------------------------------------------
 
-# (x, y) pairs per block of the exhaustive twist check: the series and
+# pairs per block of the pairs twist_map checks one by one: the series and
 # e^(ad W) temporaries of a block stay a few MB at any group order
 _TWIST_CELLS = 1 << 15
-# twist_map checks every pair when |g|^2 is at most the budget, else this
-# many pairs drawn from random.Random(0)
+# twist_map covers every pair when |g|^2 is at most the budget, else it
+# checks this many pairs drawn from random.Random(0)
 TWIST_PAIR_BUDGET = 2_000_000
 TWIST_SAMPLE = 10_000
 
 
 def twist_map(group: LazardGroup, pair) -> tuple[int, str]:
     """Certify x̃ + ỹ = CH(x, y) with x̃ = e^(ad φ(x,y))x, ỹ = e^(ad ψ(x,y))y,
-    that (x,y) ↦ (x̃,ỹ) is injective on the checked domain, and that x̃, ỹ are
-    genuine conjugates of x, y.  Exhaustive when |g|² fits
-    ``TWIST_PAIR_BUDGET``, else on ``TWIST_SAMPLE`` seeded draws.  Returns
-    (pairs checked, "exhaustive" or "sampled"); every failure raises
-    PropertyFailed.
+    that x̃, ỹ are genuine conjugates of x, y, and that (x,y) ↦ (x̃,ỹ) is
+    injective.  Returns (pairs covered, "exhaustive" or "sampled"); every
+    failure raises PropertyFailed.
 
-    The exhaustive domain is the product grid, in blocks of about
-    ``_TWIST_CELLS`` pairs: a block is x rows (rows, 1, rank) against every
-    y (1, n, rank), and each value is broadcast from them, so no |g|² × rank
-    array is formed.  A series reads x only when one of its words contains
-    the letter x (every Lyndon word of length two or more contains both),
-    and likewise y; an operand a series does not read enters it as a
-    (1, 1, rank) zero, so φ and ψ and what is built on them keep the narrow
-    shape where they can (at class 2, φ = −y/2 and ψ = 0 are values on the
-    y axis alone).  The sampled mode runs the same loop on one block of
-    (k, rank) pairs.  Every block pairs its x rows with the same y operand,
-    so a series that reads no x is evaluated once, before the blocks.
-    Each failure mask and code array is broadcast to the block's pairs
-    before it is read, so the failure reported is the one the whole domain
-    would give, in row-major (x, y) order: the first pair that breaks the
-    sum identity, else the first that breaks the x-twist, else the
-    y-twist; collisions are counted over the codes of every pair.
+    Within ``TWIST_PAIR_BUDGET`` pairs every pair is covered.  At class
+    c < p the identities are checked on the simplex {j ∈ N^(2·rank) :
+    |j| ≤ c} in lexicographic order, each point split into x and y, which
+    proves them at every pair; injectivity is proved, not counted (below).
+    A uniform ring has all |g|² pairs checked.  Above the budget, the
+    ``TWIST_SAMPLE`` seeded pairs are checked in either regime.  Pairs
+    checked one by one run in blocks of ``_TWIST_CELLS`` in row-major
+    (x, y) order, and collisions among their images are counted.  The
+    failure reported is the first checked pair that breaks the sum
+    identity, else the x-twist, else the y-twist.
+
+    Polynomial lemma.  At class c < p every checked quantity (x̃ + ỹ −
+    CH(x, y), and x̃ minus the conjugate of x by exp φ, likewise for y) is
+    a Lie polynomial in x, y with p-unit denominators, and brackets longer
+    than c vanish on the ring.  So each coordinate, mod its modulus p^k, is
+    a polynomial P of degree ≤ c in the 2·rank coordinates with Z_(p)
+    coefficients, and Newton's expansion P(x) = Σ_{|k|≤c} Δ^k P(0)·C(x, k)
+    holds, C(x, k) = Π C(x_i, k_i).  Each Δ^k P(0) is an integer combination
+    of values of P on the simplex, and each C(x, k) an integer, so
+    P ≡ 0 mod p^k on the simplex makes P ≡ 0 mod p^k everywhere.  The
+    simplex points are canonical residues, since c < p.
+
+    Injectivity.  φ and ψ have no constant term, so x̃ − x and ỹ − y are
+    Lie words of length ≥ 2 with p-unit coefficients.  If (x, y) and
+    (x′, y′) have one image and agree modulo γ_j, the j-th term of the
+    lower central series, each such word moves by an element of
+    [γ_j, g] ⊆ γ_(j+1), so x − x′ = (x̃′ − x′) − (x̃ − x) and y − y′ lie in
+    γ_(j+1).  From γ_1 = g to γ_(c+1) = 0 this gives x = x′ and y = y′.
     """
     ring = group.ring
     if pair.certified_to < ring.class_:
         raise ValueError(
             f"pair certified to degree {pair.certified_to} < class {ring.class_}")
-    series = pair.back_substituted()
-    # (reads x, reads y) of φ and of ψ
-    reads = [[any(letter in w for w, _ in _series_terms(s))
-              for letter in (0, 1)] for s in series]
+    phi, psi = pair.back_substituted()
     n = group.size
-    E = group.elements
-    if n * n <= TWIST_PAIR_BUDGET:
-        rows = max(1, _TWIST_CELLS // n)
-        xs = (E[lo:lo + rows, None] for lo in range(0, n, rows))
-        V = E[None]
-        mode = "exhaustive"
-    else:
+    if n * n > TWIST_PAIR_BUDGET:
         rng = random.Random(0)
-        seen = {(rng.randrange(n), rng.randrange(n))
-                for _ in range(TWIST_SAMPLE)}
-        pairs = np.array(sorted(seen), dtype=np.int64).reshape(-1, 2)
-        xs, V = [E[pairs[:, 0]]], E[pairs[:, 1]]
+        index = np.array(sorted({rng.randrange(n) * n + rng.randrange(n)
+                                 for _ in range(TWIST_SAMPLE)}))
         mode = "sampled"
+    elif ring.uniform:
+        index, mode = np.arange(n * n), "exhaustive"
+    else:
+        points = np.array(_simplex(2 * ring.rank, ring.class_), np.int64)
+        for _ in _twist_images(group, phi, psi,
+                               [np.split(points, 2, axis=1)]):
+            pass        # injective by proof: no image is counted
+        return n * n, "exhaustive"
 
-    # a series that reads no x has one value for every block
-    zero = np.zeros((1,) * (V.ndim - 1) + (ring.rank,), dtype=np.int64)
-    fixed = [None if read_x else
-             ring.evaluate_series_batch(s, zero, V if read_y else zero)
-             for s, (read_x, read_y) in zip(series, reads)]
-    twist_failure = {}
-    codes = []
-    for U in xs:
-        shape = np.broadcast_shapes(U.shape, V.shape)[:-1]
-        phi_vals, psi_vals = (
-            ring.evaluate_series_batch(s, U, V if read_y else zero)
-            if value is None else value
-            for s, (_, read_y), value in zip(series, reads, fixed))
+    E = group.elements
+    index_of = ring.grid.index_batch
+    blocks = (np.divmod(index[lo:lo + _TWIST_CELLS], n)
+              for lo in range(0, len(index), _TWIST_CELLS))
+    codes = np.concatenate([
+        index_of(xt) * n + index_of(yt) for xt, yt in _twist_images(
+            group, phi, psi, ((E[x], E[y]) for x, y in blocks))])
+    distinct = 1 + np.count_nonzero(np.diff(np.sort(codes)))
+    if distinct != len(codes):
+        raise PropertyFailed(
+            f"twist map collides: {len(codes) - distinct} duplicate images")
+    return len(codes), mode
+
+
+def _simplex(m, d):
+    """The C(m + d, d) points j of N^m with |j| ≤ d, as tuples in
+    lexicographic order."""
+    if m == 0:
+        return [()]
+    return [(a,) + rest for a in range(d + 1) for rest in _simplex(m - 1, d - a)]
+
+
+def _twist_images(group, phi, psi, blocks):
+    """Check the twist on each block (U, V) of (k, rank) pair arrays and
+    yield its images (x̃, ỹ).  A sum identity failure raises at once; the
+    first x-twist failure, else the first y-twist failure, raises after
+    the last block."""
+    ring = group.ring
+    failures = {}
+    for U, V in blocks:
+        phi_vals = ring.evaluate_series_batch(phi, U, V)
+        psi_vals = ring.evaluate_series_batch(psi, U, V)
         xt = ring.exp_ad_batch(phi_vals, U)
         yt = ring.exp_ad_batch(psi_vals, V)
 
@@ -979,46 +989,30 @@ def twist_map(group: LazardGroup, pair) -> tuple[int, str]:
         twisted = xt + yt
         np.subtract(twisted, ring._mods, out=twisted,
                     where=twisted >= ring._mods)
-        bad = _first_pair(np.any(twisted != ring.ch_batch(U, V), axis=-1),
-                          shape, U, V)
+        bad = _witness(twisted != ring.ch_batch(U, V), U, V)
         if bad:
-            raise PropertyFailed(
-                f"x̃ + ỹ != CH(x, y) at x={bad[0]}, y={bad[1]}")
+            raise PropertyFailed(f"x̃ + ỹ != CH(x, y) at {bad}")
 
         for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
-            if tag in twist_failure:
-                continue
-            conj = group.conjugate_batch(W, X)
-            bad = _first_pair(np.any(conj != T, axis=-1), shape, U, V)
-            if bad:
-                twist_failure[tag] = (
-                    f"{tag}-twist is not the conjugation by exp of its own "
-                    f"series at x={bad[0]}, y={bad[1]}")
-        codes.append(np.broadcast_to(
-            ring.grid.index_batch(xt) * n + ring.grid.index_batch(yt),
-            shape).ravel())
+            if tag not in failures:
+                bad = _witness(group.conjugate_batch(W, X) != T, U, V)
+                if bad:
+                    failures[tag] = (
+                        f"{tag}-twist is not the conjugation by exp of its "
+                        f"own series at {bad}")
+        yield xt, yt
     for tag in ("x", "y"):
-        if tag in twist_failure:
-            raise PropertyFailed(twist_failure[tag])
-
-    codes = np.concatenate(codes)
-    distinct = 1 + np.count_nonzero(np.diff(np.sort(codes)))
-    if distinct != len(codes):
-        raise PropertyFailed(
-            f"twist map collides: {len(codes) - distinct} duplicate images")
-
-    return len(codes), mode
+        if tag in failures:
+            raise PropertyFailed(failures[tag])
 
 
-def _first_pair(mask, shape, U, V):
-    """(x, y) as tuples at the first pair, in row-major order, where the
-    mask broadcast to the pair shape holds; None when it holds nowhere."""
-    hits = np.flatnonzero(np.broadcast_to(mask, shape))
-    if not hits.size:
+def _witness(differs, U, V):
+    """"x=(...), y=(...)" in plain ints at the first pair whose row of the
+    (k, rank) mask holds anywhere; None when no row does."""
+    bad = np.flatnonzero(np.any(differs, axis=-1))
+    if not bad.size:
         return None
-    at = np.unravel_index(hits[0], shape)
-    return tuple(tuple(np.broadcast_to(X, shape + X.shape[-1:])[at])
-                 for X in (U, V))
+    return f"x={tuple(U[bad[0]].tolist())}, y={tuple(V[bad[0]].tolist())}"
 
 
 # -- subrings ---------------------------------------------------------------------

@@ -318,6 +318,23 @@ class TestVerify:
                 if c["status"] == "PASS"] == checks
         assert len(groups) == 1
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the p3-uniform pair is solved to degree max(2, class) = 3, but CH "
+        "runs to its truncation 6; at degree 6 the evaluation is not "
+        "integral at the working precision"))
+    def test_twist_on_a_depth_one_uniform_ring(self, capsys, tmp_path):
+        # uniform_quotient(3, 2, {(0, 1): {1: 3}}, 3): order 729, class 3,
+        # uniform depth 1; integer constants are their own lifts.  The
+        # idempotent and exp* checks pass on it; twist fails at
+        # x = (0, 1), y = (1, 0)
+        spec = tmp_path / "uniform_z27.json"
+        spec.write_text(json.dumps({"p": 3, "moduli": [3, 3],
+                                    "brackets": {"(1,2)": {"2": 3}}}))
+        code, rep, _ = run_json(capsys, "verify", "--input", str(spec),
+                                "--checks", "twist")
+        assert check_named(rep, "twist")["status"] == "PASS"
+        assert code == 0
+
     def test_unknown_check_name(self, capsys):
         code, _, err = run(capsys, "verify", "--input", F3,
                            "--checks", "bogus")

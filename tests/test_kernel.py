@@ -356,7 +356,7 @@ class Dense:
         ring = self.ring
         out = np.zeros((ring.rank,) + batch, dtype=np.int64)
         reached = set()
-        for i, j, _, targets in ring._table:
+        for i, j, targets in ring._table:
             D = U[i] * V[j] - U[j] * V[i]
             for m, c in targets:
                 out[m] += c * D
@@ -730,6 +730,11 @@ def ch_plan(ring):
     return ring._ch
 
 
+def bracket_plan(ring):
+    """bracket_batch's plan: the one-term series [x, y]."""
+    return ring._term_plan(liering._BRACKET)
+
+
 def heisenberg_c(p, c, k):
     """H over Z/p^k with [e0, e1] = c·e2: S = c, and CH sums T = 3 terms."""
     return make_ring(p, (k,) * 3, {(0, 1): {2: c}})
@@ -763,7 +768,7 @@ def check_twin(ring, U, V, lifts=None):
         twin = make_ring(ring.p, ring.moduli, ring.constants,
                          lifts=lifts if ring.uniform else None)
         wants = [outcome(entry, twin, U, V) for entry in entries]
-    assert twin._bracket_type is np.int64
+    assert bracket_plan(twin)[3] is np.int64
     assert {plan[3] for plan in twin._plan_cache.values()} == {np.int64}
     for k, (entry, want) in enumerate(zip(entries, wants)):
         got = outcome(entry, ring, U, V)
@@ -789,7 +794,7 @@ class TestPlanType:
     def test_every_ring_here_runs_narrow(self):
         # the uniform regime and mixed moduli included
         for _, ring, _ in RINGS:
-            assert ring._bracket_type is np.int16, ring.label
+            assert bracket_plan(ring)[3] is np.int16, ring.label
             assert ch_plan(ring)[3] is np.int16, ring.label
             assert ring._exp_ad[3] is np.int16, ring.label
 
@@ -804,7 +809,7 @@ class TestPlanType:
         narrower = liering._KERNEL_TYPES[:liering._KERNEL_TYPES.index(kind)]
         assert all(bound > np.iinfo(t).max for t in narrower)
         assert bound <= np.iinfo(kind).max
-        assert ring._bracket_type is kind
+        assert bracket_plan(ring)[3] is kind
         assert ch_plan(ring)[3] is kind
         assert len(ring._ch[1]) == 3
         # values at the top of the range, in and out of it
@@ -816,7 +821,7 @@ class TestPlanType:
     def test_bracket_width_only_counts_for_bracket_batch(self):
         # 178² = 31684: one bracket fits int16, a 3-term CH sum does not
         ring = heisenberg_c(179, 1, 1)
-        assert ring._bracket_type is np.int16
+        assert bracket_plan(ring)[3] is np.int16
         assert ch_plan(ring)[3] is np.int32
         assert ring._exp_ad[3] is np.int32
 
@@ -838,11 +843,11 @@ class TestPlanType:
         seen = []
         real = liering._bracket
 
-        def spy(pairs, U, V, modulus, out, rows=None):
+        def spy(pairs, U, V, modulus, out):
             operands = [X for Y in (U, V)
                         for X in (Y.values() if isinstance(Y, dict) else Y)]
             seen.append({out.dtype, *(X.dtype for X in operands)})
-            return real(pairs, U, V, modulus, out, rows)
+            return real(pairs, U, V, modulus, out)
 
         monkeypatch.setattr(liering, "_bracket", spy)
         E = LazardGroup(ring).elements

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from orbitkit.liering import (Grid, LazardGroup, Subring, _series_terms,
 from orbitkit.oracle import conjugation_certificate
 
 from conftest import ch, character_values, check_group_axioms
+from test_kernel import RINGS as KERNEL_RINGS, class2_ring
 
 
 RING_SPECS = [
@@ -287,24 +289,45 @@ class TestTwist:
         with pytest.raises(ValueError):
             twist_map(h3_group, pair)
 
-    @pytest.mark.parametrize("budget", [2_000_000, 100],
-                             ids=["exhaustive", "sampled"])
-    def test_collisions_count_duplicate_images(self, h3_group, budget,
-                                               monkeypatch):
+    def test_collisions_count_duplicate_images(self, h3_group, monkeypatch):
         # a forged enumeration folds indices mod 5, so images collide; the
         # duplicate count is checked against np.unique
-        monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", budget)
-        monkeypatch.setattr(liering, "TWIST_SAMPLE", 200)
+        sampled(monkeypatch)
         pair = generic_pair(3)
         calls = spy_codes(monkeypatch, fold=5)
         with pytest.raises(PropertyFailed) as info:
             twist_map(h3_group, pair)
         codes = [c for _, c in calls]
-        # exhaustive codes of ỹ may lie on the y axis alone: broadcast them
-        joined = (codes[0] * h3_group.size + codes[1]).ravel()
+        joined = codes[0] * h3_group.size + codes[1]
         duplicates = len(joined) - np.unique(joined).size
         assert str(info.value) == \
             f"twist map collides: {duplicates} duplicate images"
+
+    def test_simplex_counts_no_images(self, h3_group, monkeypatch):
+        # class 2 < p = 3 within the budget: φ and ψ are evaluated once, on
+        # the C(2·3 + 2, 2) = 28 simplex points, and the map is injective
+        # by proof, so folded image codes cannot fail it: none is read
+        shapes = []
+        real = liering.FiniteLieRing.evaluate_series_batch
+
+        def spy(self, series, U, V):
+            shapes.append((np.shape(U), np.shape(V)))
+            return real(self, series, U, V)
+        monkeypatch.setattr(liering.FiniteLieRing, "evaluate_series_batch",
+                            spy)
+        calls = spy_codes(monkeypatch, fold=5)
+        assert twist_map(h3_group, generic_pair(3)) == (27 ** 2, "exhaustive")
+        assert shapes == [((28, 3), (28, 3))] * 2
+        assert calls == []
+
+
+def sampled(monkeypatch, cells=None):
+    """Make twist_map check 200 seeded pairs one by one (a budget of 100
+    pairs), in blocks of ``cells`` pairs when given."""
+    monkeypatch.setattr(liering, "TWIST_PAIR_BUDGET", 100)
+    monkeypatch.setattr(liering, "TWIST_SAMPLE", 200)
+    if cells:
+        monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
 
 
 def _twist_outcome(thunk):
@@ -319,8 +342,8 @@ def _shifted_twists(monkeypatch, ring, both, x_only):
     is ``both`` and ỹ moves back by z there (the sum identity holds, both
     twists break), and x̃ alone moves at pairs whose x is ``x_only`` (the
     sum identity breaks).  twist_map asks for x̃ and then ỹ of each block.
-    The shifts are added as broadcasts of the x masks, so a ỹ that lies on
-    the y axis alone comes back with x̃'s pair shape."""
+    The shifts are not polynomial, so only the index-pair checks (sampled
+    or uniform) can see them."""
     real = liering.FiniteLieRing.exp_ad_batch
     z = np.zeros(ring.rank, dtype=np.int64)
     z[-1] = 1
@@ -339,8 +362,8 @@ def _shifted_twists(monkeypatch, ring, both, x_only):
 
 
 class TestTwistBlocks:
-    """The exhaustive twist check in blocks of x rows reports what one
-    evaluation over every pair reports."""
+    """The sampled twist check in blocks of pairs reports what one
+    evaluation over every sampled pair reports."""
 
     @pytest.mark.parametrize("x_only, start", [
         (None, "x-twist is not the conjugation by exp of its own series"),
@@ -352,44 +375,68 @@ class TestTwistBlocks:
         both = h3_group.elements[3]
         x_only = both if x_only is None else np.array(x_only)
         _shifted_twists(monkeypatch, h3, both, x_only)
+        sampled(monkeypatch)
         whole = _twist_outcome(lambda: twist_map(h3_group, pair))
-        # two x rows of 27 pairs per block: x = e_3 and (2, 0, 2) lie in
-        # blocks 1 and 10
+        # 175 sampled pairs, 54 per block: x = e_3 and (2, 0, 2) lie in
+        # the first and the third block
         monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
         blocked = _twist_outcome(lambda: twist_map(h3_group, pair))
         assert blocked == whole
         assert blocked[0] == "raised" and blocked[1].startswith(start)
-        assert f"at x={tuple(x_only)}, y=" in blocked[1]
+        assert f"at x={tuple(x_only.tolist())}, y=" in blocked[1]
 
     def test_valid_pair_passes_in_blocks(self, h3_group, monkeypatch):
-        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
-        pairs_checked, _ = twist_map(h3_group, generic_pair(3))
-        assert pairs_checked == 27 ** 2
+        sampled(monkeypatch, 54)
+        pair = generic_pair(3)
+        assert twist_map(h3_group, pair) == reference_twist(h3_group, pair)
 
     def test_collisions_count_over_every_block(self, h3_group, monkeypatch):
-        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
+        sampled(monkeypatch, 54)
         pair = generic_pair(3)
+        pairs, _ = reference_twist(h3_group, pair)
         calls = spy_codes(monkeypatch, fold=5)
         with pytest.raises(PropertyFailed) as info:
             twist_map(h3_group, pair)
         codes = [c for _, c in calls]
-        assert len(codes) == 2 * 14
-        joined = np.concatenate([(x * h3_group.size + y).ravel()
+        assert len(codes) == 2 * -(-pairs // 54)
+        joined = np.concatenate([x * h3_group.size + y
                                  for x, y in zip(codes[0::2], codes[1::2])])
         duplicates = len(joined) - np.unique(joined).size
         assert str(info.value) == \
             f"twist map collides: {duplicates} duplicate images"
 
+    @pytest.mark.parametrize("degree, want", [
+        (3, ("raised", "x̃ + ỹ != CH(x, y) at x=(0, 1), y=(1, 0)")),
+        (5, ("report", (243 ** 2, "exhaustive")))],
+        ids=["cli-degree-fails", "degree-5-passes"])
+    def test_uniform_ring_matches_the_reference(self, monkeypatch, degree,
+                                                want):
+        # every pair of a uniform ring within the budget, in blocks of 1000.
+        # The p3-uniform pair of verify's degree, max(2, class) = 3, fails
+        # the sum identity here (see test_cli's xfail); solved to degree 5
+        # it passes, so the collision count runs too
+        ring = make_ring(3, (3, 2), {(0, 1): {0: 12}}, label="uniform-243")
+        assert ring.uniform and ring.class_ == 3
+        group = LazardGroup(ring)
+        regime = ValuationRegime.p3_uniform()
+        pair = solve_phi_psi(substituted_series(regime, degree), regime,
+                             degree)
+        monkeypatch.setattr(liering, "_TWIST_CELLS", 1000)
+        got = _twist_outcome(lambda: twist_map(group, pair))
+        assert got == _twist_outcome(lambda: reference_twist(group, pair))
+        assert got == want
 
-def reference_twist(group, pair):
+
+def reference_twist(group, pair, budget=None):
     """The twist check as one evaluation: every pair (the seeded sample
-    above ``TWIST_PAIR_BUDGET``) in one (k, rank) batch, φ and ψ on both
-    operands, both twists through ``conjugate_batch``, and failures in the
-    order sum identity, x-twist, y-twist, collisions."""
+    above the budget, ``TWIST_PAIR_BUDGET`` by default) in one (k, rank)
+    batch, φ and ψ on both operands, both twists through
+    ``conjugate_batch``, and failures in the order sum identity, x-twist,
+    y-twist, collisions."""
     ring = group.ring
     phi, psi = pair.back_substituted()
     n = group.size
-    if n * n <= liering.TWIST_PAIR_BUDGET:
+    if n * n <= (liering.TWIST_PAIR_BUDGET if budget is None else budget):
         ia, ib = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
         mode = "exhaustive"
     else:
@@ -403,18 +450,20 @@ def reference_twist(group, pair):
     psi_vals = ring.evaluate_series_batch(psi, U, V)
     xt = ring.exp_ad_batch(phi_vals, U)
     yt = ring.exp_ad_batch(psi_vals, V)
+
+    def at(k):
+        return f"x={tuple(U[k].tolist())}, y={tuple(V[k].tolist())}"
     bad = np.flatnonzero(np.any(np.mod(xt + yt, ring._mods)
                                 != ring.ch_batch(U, V), axis=-1))
     if bad.size:
-        raise PropertyFailed(f"x̃ + ỹ != CH(x, y) at x={tuple(U[bad[0]])}, "
-                             f"y={tuple(V[bad[0]])}")
+        raise PropertyFailed(f"x̃ + ỹ != CH(x, y) at {at(bad[0])}")
     for W, X, T, tag in ((phi_vals, U, xt, "x"), (psi_vals, V, yt, "y")):
         bad = np.flatnonzero(np.any(group.conjugate_batch(W, X) != T,
                                     axis=-1))
         if bad.size:
             raise PropertyFailed(
                 f"{tag}-twist is not the conjugation by exp of its own "
-                f"series at x={tuple(U[bad[0]])}, y={tuple(V[bad[0]])}")
+                f"series at {at(bad[0])}")
     codes = ring.grid.index_batch(xt) * n + ring.grid.index_batch(yt)
     duplicates = len(codes) - np.unique(codes).size
     if duplicates:
@@ -436,7 +485,8 @@ class ForgedPair:
 class ForgedGroup:
     """The group with its conjugation moved by a central z at the elements
     equal to ``at``, on every call or only where g vanishes everywhere (the
-    y-twist of a pair with ψ = 0)."""
+    y-twist of a pair with ψ = 0).  Not polynomial: only the index-pair
+    checks can see it."""
 
     def __init__(self, group, at, *, psi_only=False):
         self.group, self.at, self.psi_only = group, at, psi_only
@@ -454,8 +504,8 @@ class ForgedGroup:
 
 
 class TestTwistReference:
-    """twist_map on the product grid gives the report or the failure text
-    of one evaluation over every pair (reference_twist)."""
+    """twist_map gives the report or the failure text of one evaluation
+    over every pair, or over every sampled pair (reference_twist)."""
 
     @staticmethod
     def both(group, pair):
@@ -470,13 +520,13 @@ class TestTwistReference:
         both = h3_group.elements[3]
         _shifted_twists(monkeypatch, h3, both,
                         both if x_only is None else np.array(x_only))
-        if cells:
-            monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
+        sampled(monkeypatch, cells)
         got, want = self.both(h3_group, generic_pair(3))
         assert got == want
         assert got[0] == "raised"
 
     def test_class_three_reads_both_operands(self):
+        # the simplex (C(8 + 3, 3) = 165 points) against all 390,625 pairs
         ring = make_ring(5, (1,) * 4, {(0, 1): {2: 1}, (0, 2): {3: 1}},
                          label="filiform4_f5")
         assert ring.class_ == 3
@@ -507,8 +557,8 @@ class TestTwistReference:
         assert got == want
         assert got[0] == verdict
 
-    # the hoisted path: at degree 2 on a class-2 ring φ = −y/2 and ψ = 0
-    # read no x, so each is evaluated once for all blocks
+    # at degree 2 on a class-2 ring φ = −y/2 and ψ = 0, so ỹ = y and a
+    # ForgedGroup can break the y-twist alone
 
     @staticmethod
     def degree_two(p):
@@ -518,26 +568,6 @@ class TestTwistReference:
         phi, psi = self.degree_two(3).back_substituted()
         assert [w for w, _ in _series_terms(phi)] == [(1,)]
         assert [w for w, _ in _series_terms(psi)] == []
-
-    def test_x_free_series_once_for_all_blocks(self, h3_group, monkeypatch):
-        calls = Counter()
-        for name in ("evaluate_series_batch", "exp_ad_batch"):
-            real = getattr(liering.FiniteLieRing, name)
-
-            def spy(self, *args, real=real, name=name):
-                calls[name] += 1
-                return real(self, *args)
-            monkeypatch.setattr(liering.FiniteLieRing, name, spy)
-        monkeypatch.setattr(liering, "_TWIST_CELLS", 54)
-        pair = self.degree_two(3)
-        codes = spy_codes(monkeypatch)
-        got = twist_map(h3_group, pair)
-        # 14 blocks of up to two x rows: φ and ψ once, x̃ and ỹ and their
-        # codes in each
-        assert calls == {"evaluate_series_batch": 2, "exp_ad_batch": 2 * 14}
-        assert [shape for shape, _ in codes] == \
-            [(2, 27, 3), (1, 27, 3)] * 13 + [(1, 27, 3)] * 2
-        assert got == reference_twist(h3_group, pair)
 
     @pytest.mark.parametrize("scenario, start", [
         ("y-twist", "y-twist"), ("both-twists", "x-twist"),
@@ -563,13 +593,12 @@ class TestTwistReference:
                 hit = np.all(X == x_only, axis=-1)
                 return np.mod(out + group.z * hit[..., None], self._mods)
             monkeypatch.setattr(liering.FiniteLieRing, "exp_ad_batch", moved)
-        if cells:
-            monkeypatch.setattr(liering, "_TWIST_CELLS", cells)
+        sampled(monkeypatch, cells)
         got, want = self.both(group, self.degree_two(3))
         assert got == want
         assert got[0] == "raised" and got[1].startswith(start)
         if scenario == "later-sum":
-            assert f"at x={tuple(x_only)}, y=" in got[1]
+            assert f"at x={tuple(x_only.tolist())}, y=" in got[1]
 
     @pytest.mark.parametrize("at", [None, 7], ids=["valid", "y-twist"])
     def test_sampled_at_degree_two(self, h5_group, monkeypatch, at):
@@ -579,6 +608,101 @@ class TestTwistReference:
         got, want = self.both(group, self.degree_two(5))
         assert got == want
         assert got[0] == ("report" if at is None else "raised")
+
+
+# -- the simplex certificate --------------------------------------------------------
+
+def _simplex_rings():
+    """The class < p rings (p >= 3) within the twist budget among the ring
+    specs, the kernel tests' rings and drawn class-2 rings, one per law."""
+    rings = ([load_ring_spec(path) for path in RING_SPECS]
+             + [ring for _, ring, _ in KERNEL_RINGS]
+             + [class2_ring(seed) for seed in range(4, 12)])
+    out = {}
+    for ring in rings:
+        if (ring.p >= 3 and not ring.uniform
+                and ring.order() ** 2 <= liering.TWIST_PAIR_BUDGET):
+            key = (ring.p, ring.moduli, repr(sorted(ring.constants.items())))
+            out.setdefault(key, ring)
+    return list(out.values())
+
+
+SIMPLEX_RINGS = _simplex_rings()
+# the all-pairs reference runs up to this order, one on 2,000 seeded pairs
+# above it: a broken identity of degree c < p fails at a share 1 - c/p of
+# the pairs or more (Schwartz-Zippel), at least a third on these rings
+ALL_PAIRS_ORDER = 125
+
+
+def forged_pairs(ring, pair):
+    """(name, pair) for φ or ψ plus k·w, w in x, y, [x, y], [x, [x, y]] up to
+    the class and k in 1, 2, p: each a Lie series, so a polynomial check
+    sees it."""
+    phi, psi = pair.back_substituted()
+    top = phi.truncation
+    for (degree, index), word in (((1, 0), "x"), ((1, 1), "y"),
+                                  ((2, 0), "[x,y]"), ((3, 0), "[x,[x,y]]")):
+        if degree > ring.class_:
+            continue
+        for k in (1, 2, ring.p):
+            w = GradedSeries(
+                {degree: LiePoly({(degree, index): Fraction(k)}, top)}, top)
+            yield (f"phi+{k}{word}",
+                   ForgedPair(phi + w, psi, pair.certified_to))
+            yield (f"psi+{k}{word}",
+                   ForgedPair(phi, psi + w, pair.certified_to))
+
+
+def verdict(outcome):
+    """"report", or the failed property: the text before its witness."""
+    kind, value = outcome
+    return kind if kind == "report" else value.split(" at ")[0].split(":")[0]
+
+
+class TestSimplexCertificate:
+    @pytest.mark.parametrize("m, d", [(0, 0), (0, 3), (1, 4), (3, 2),
+                                      (6, 2), (4, 3)])
+    def test_simplex_points(self, m, d):
+        points = liering._simplex(m, d)
+        assert len(points) == math.comb(m + d, d)
+        # itertools.product is lexicographic
+        assert points == [j for j in itertools.product(range(d + 1), repeat=m)
+                          if sum(j) <= d]
+
+    def test_rings_cover_the_regime(self):
+        assert {ring.class_ for ring in SIMPLEX_RINGS} == {2, 3}
+        assert any(len(set(ring.moduli)) > 1 for ring in SIMPLEX_RINGS)
+        assert any(ring.order() > ALL_PAIRS_ORDER for ring in SIMPLEX_RINGS)
+
+    @pytest.mark.parametrize("ring", SIMPLEX_RINGS,
+                             ids=lambda ring: ring.label)
+    def test_forged_series_match_the_reference(self, ring, monkeypatch):
+        monkeypatch.setattr(liering, "TWIST_SAMPLE", 2000)
+        group = LazardGroup(ring)
+        pair = generic_pair(ring.p, max(2, ring.class_))
+        budget = None if ring.order() <= ALL_PAIRS_ORDER else 0
+        verdicts = Counter()
+        for name, forged in [("genuine", pair)] + list(forged_pairs(ring,
+                                                                    pair)):
+            got = verdict(_twist_outcome(lambda: twist_map(group, forged)))
+            assert got == verdict(_twist_outcome(
+                lambda: reference_twist(group, forged, budget))), name
+            verdicts[got] += 1
+        assert verdicts["report"] < sum(verdicts.values())
+
+    @pytest.mark.parametrize("ring", SIMPLEX_RINGS,
+                             ids=lambda ring: ring.label)
+    def test_no_collision_at_any_pair(self, ring):
+        # injectivity is proved, not counted, in twist_map: count it here
+        E = ring.grid.elements
+        n = len(E)
+        phi, psi = generic_pair(ring.p,
+                                max(2, ring.class_)).back_substituted()
+        U, V = E[:, None], E[None, :]
+        xt = ring.exp_ad_batch(ring.evaluate_series_batch(phi, U, V), U)
+        yt = ring.exp_ad_batch(ring.evaluate_series_batch(psi, U, V), V)
+        codes = ring.grid.index_batch(xt) * n + ring.grid.index_batch(yt)
+        assert np.unique(codes).size == n * n
 
 
 class TestNegate:

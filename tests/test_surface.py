@@ -1,6 +1,7 @@
 """No unused API: every definition in src/orbitkit is used by src/orbitkit,
 every keyword-only parameter is passed by some src/orbitkit call, and every
-``__slots__`` attribute is read by some src/orbitkit code.
+``__slots__`` attribute and every module-level name is read by some
+src/orbitkit code.
 
 The scan parses each module with ``ast``.  A top-level function or class
 counts as used when some module of the package loads its name, as a
@@ -13,7 +14,9 @@ with a src call that reaches it (SHARED_METHODS).  A keyword-only
 parameter counts as passed when some call by the function's name (the
 class's, for ``__init__``) passes it by name.  A slot counts as read when
 some module loads its name as an ``Attribute``, as coarse as the rest: a
-field that only tests read is a second report nothing prints.
+field that only tests read is a second report nothing prints.  A name bound
+at module level (a constant) counts as read when some module loads it, as
+a ``Name`` or as an ``Attribute``.
 """
 
 import ast
@@ -35,6 +38,12 @@ ALLOWED = {
 UNREAD_SLOTS = {
     "oracle.CharTable.attempts":
         "the benchmark's oracle.eig_attempts counter reads it",
+}
+
+# module-level names no src code reads, each with the reason it stays
+UNREAD_NAMES = {
+    "orbitmethod._TABLE_LIMIT":
+        "the benchmark's tests bound their rings' order by it",
 }
 
 # Method names defined by more than one class.  The scan cannot tell their
@@ -119,6 +128,28 @@ def unread_slots(trees):
     _, attributes = loaded_names(trees)
     return sorted(qualified for qualified, name in slot_attributes(trees)
                   if name not in attributes)
+
+
+def module_names(trees):
+    """(module.name, name) of each name a module-level assignment binds."""
+    for module, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        yield f"{module}.{leaf.id}", leaf.id
+
+
+def unread_module_names(trees):
+    names, attributes = loaded_names(trees)
+    return sorted(qualified for qualified, name in module_names(trees)
+                  if name not in names and name not in attributes)
 
 
 def unused_definitions(trees):
@@ -214,3 +245,16 @@ def test_every_slot_is_read_in_src():
 def test_unread_slot_allowlist_is_current():
     # an entry whose slot gained a reader, or went, goes
     assert sorted(set(UNREAD_SLOTS) - set(unread_slots(modules()))) == []
+
+
+def test_every_module_level_name_is_read_in_src():
+    # a constant nothing reads, such as a tuning knob its code outlived,
+    # only misleads the reader
+    assert [name for name in unread_module_names(modules())
+            if name not in UNREAD_NAMES] == []
+
+
+def test_unread_name_allowlist_is_current():
+    # an entry whose name gained a reader, or went, goes
+    assert sorted(set(UNREAD_NAMES) - set(unread_module_names(modules()))) \
+        == []
