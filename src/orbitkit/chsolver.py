@@ -1,13 +1,13 @@
 """Degree-by-degree decomposition H = exp(ad phi)(x) + exp(ad psi)(y).
 
-Given a graded series H with H_1 = x + y whose coefficients satisfy a
-regime-specific p-adic valuation floor, the solver produces graded phi and
-psi whose components satisfy a guaranteed output floor.  At each degree the
-unknowns enter linearly through [phi_n, x] + [psi_n, y]; everything already
-determined feeds a known remainder, and the resulting integer linear system
-is solved exactly with a fixed column order (phi block before psi block,
-bases in Lyndon order) and free variables pinned to zero.  The output bound
-is then asserted, not assumed.
+Given a truncated Lie series H with H_1 = x + y whose coefficients satisfy
+a regime-specific p-adic valuation floor, the solver produces truncated Lie
+series phi and psi whose degree-n terms satisfy a guaranteed output floor.
+At each degree the unknowns enter linearly through [phi_n, x] + [psi_n, y];
+everything already determined feeds a known remainder, and the resulting
+integer linear system is solved exactly with a fixed column order (phi
+block before psi block, bases in Lyndon order) and free variables pinned to
+zero.  The output bound is then asserted, not assumed.
 
 Five regimes are supported:
 
@@ -33,8 +33,8 @@ from fractions import Fraction
 from . import freelie
 from .errors import (InputBoundViolation, LinearSystemInconsistent,
                      OutputBoundViolation, PropertyFailed)
-from .freelie import (GradedSeries, LiePoly, Scalar, bch, bracket_table,
-                      exp_ad_apply, generator, lyndon_count, valuation_of)
+from .freelie import (LiePoly, Scalar, bch, bracket_table, exp_ad_apply,
+                      generator, lyndon_count, valuation_of)
 from .ratlin import solve_right
 
 
@@ -115,20 +115,18 @@ class ValuationRegime:
         return f"ValuationRegime({self.tag})"
 
 
-def substituted_series(regime: ValuationRegime, n_max: int) -> GradedSeries:
+def substituted_series(regime: ValuationRegime, n_max: int) -> LiePoly:
     """The regime's input series H through degree n_max, bounds asserted."""
-    base = bch(n_max)
-    comps = {}
-    for n in range(1, n_max + 1):
-        if regime.discard_from is not None and n >= regime.discard_from:
-            continue
-        comps[n] = base.component(n) * regime.scale_power(n)
-    series = GradedSeries(comps, n_max)
+    powers = {n: regime.scale_power(n) for n in range(1, n_max + 1)
+              if regime.discard_from is None or n < regime.discard_from}
+    series = LiePoly({(n, k): c * powers[n]
+                      for (n, k), c in bch(n_max).terms.items()
+                      if n in powers}, n_max)
     _check_input_bound(series, regime, n_max)
     return series
 
 
-def _check_input_bound(series: GradedSeries, regime: ValuationRegime, n_max: int):
+def _check_input_bound(series: LiePoly, regime: ValuationRegime, n_max: int):
     for n in range(2, n_max + 1):
         v = valuation_of(series.component(n), regime.p)
         if v < regime.input_bound(n):
@@ -207,9 +205,10 @@ def _solve_step(n: int, rhs: LiePoly, regime: ValuationRegime):
 
 
 class PhiPsiPair:
-    """A solved pair of graded series with its regime and certification degree."""
+    """A solved pair of truncated Lie series with its regime and
+    certification degree."""
 
-    def __init__(self, phi: GradedSeries, psi: GradedSeries,
+    def __init__(self, phi: LiePoly, psi: LiePoly,
                  regime: ValuationRegime, certified_to: int):
         self.phi = phi
         self.psi = psi
@@ -228,37 +227,35 @@ class PhiPsiPair:
             return self.phi, self.psi
         out = []
         for series in (self.phi, self.psi):
-            comps = {}
-            for n, poly in series.components.items():
-                scaled = poly * self.regime.back_scale(n)
-                for c in scaled.terms.values():
-                    if c.surd:
-                        raise ValueError(
-                            f"degree {n}: coefficient {c} left Q after back-substitution")
-                comps[n] = scaled
-            out.append(GradedSeries(comps, series.truncation))
+            scales = [self.regime.back_scale(n)
+                      for n in range(series.max_degree + 1)]
+            terms = {}
+            for (n, k), c in series.terms.items():
+                c = c * scales[n]
+                if c.surd:
+                    raise ValueError(
+                        f"degree {n}: coefficient {c} left Q after back-substitution")
+                terms[(n, k)] = c
+            out.append(LiePoly(terms, series.max_degree))
         return tuple(out)
 
     def __repr__(self):
         return (f"PhiPsiPair({self.regime.tag}, certified_to={self.certified_to})")
 
 
-def solve_phi_psi(series: GradedSeries, regime: ValuationRegime,
+def solve_phi_psi(series: LiePoly, regime: ValuationRegime,
                   n_max: int) -> PhiPsiPair:
     """Solve H = exp(ad phi)(x) + exp(ad psi)(y) through degree n_max."""
     x_plus_y = generator("x", n_max) + generator("y", n_max)
     if series.component(1) != x_plus_y:
         raise ValueError("H_1 must equal x + y")
-    _check_input_bound(series, regime, min(n_max, series.truncation))
+    _check_input_bound(series, regime, min(n_max, series.max_degree))
 
-    phi_comps: dict[int, LiePoly] = {}
-    psi_comps: dict[int, LiePoly] = {}
+    phi = psi = LiePoly.zero(n_max)
     for n in range(1, n_max):
-        partial_phi = GradedSeries(dict(phi_comps), n_max)
-        partial_psi = GradedSeries(dict(psi_comps), n_max)
-        known = (exp_ad_apply(partial_phi, "x", n + 1)
-                 + exp_ad_apply(partial_psi, "y", n + 1)).component(n + 1)
-        rhs = series.component(n + 1) - known.with_max_degree(n + 1)
+        known = (exp_ad_apply(phi, "x", n + 1)
+                 + exp_ad_apply(psi, "y", n + 1)).component(n + 1)
+        rhs = series.component(n + 1) - known
         if n == 1 and regime.pin_degree_one is not None:
             phi_n, psi_n = regime.pin_degree_one
             produced = (freelie.bracket(phi_n, generator("x", 2), 2)
@@ -268,19 +265,16 @@ def solve_phi_psi(series: GradedSeries, regime: ValuationRegime,
                     "pinned degree-one choice is inconsistent with H_2")
         else:
             phi_n, psi_n = _solve_step(n, rhs, regime)
-        if phi_n:
-            phi_comps[n] = phi_n
-        if psi_n:
-            psi_comps[n] = psi_n
+        phi += phi_n.with_max_degree(n_max)
+        psi += psi_n.with_max_degree(n_max)
 
-    pair = PhiPsiPair(GradedSeries(phi_comps, n_max),
-                      GradedSeries(psi_comps, n_max), regime, n_max)
+    pair = PhiPsiPair(phi, psi, regime, n_max)
     if not check_identity(series, pair, n_max):  # bug guard
         raise PropertyFailed("solved pair fails the defining identity")
     return pair
 
 
-def check_identity(series: GradedSeries, pair: PhiPsiPair, n_max: int) -> bool:
+def check_identity(series: LiePoly, pair: PhiPsiPair, n_max: int) -> bool:
     """Does exp(ad phi)(x) + exp(ad psi)(y) equal H exactly through degree n_max?"""
     lhs = exp_ad_apply(pair.phi, "x", n_max) + exp_ad_apply(pair.psi, "y", n_max)
     return all(lhs.component(n) == series.component(n)

@@ -315,8 +315,9 @@ class LiePoly:
 
     ``terms`` maps (degree, basis index) to a nonzero Scalar; anything of
     degree above ``max_degree`` is dropped at construction time, which is how
-    truncation order propagates through arithmetic.  Equality compares the
-    coefficient maps only.
+    truncation order propagates through arithmetic.  So a LiePoly is also a
+    truncated Lie series (CH, phi, psi), read degree by degree through
+    ``component``.  Equality compares the coefficient maps only.
     """
 
     __slots__ = ("terms", "max_degree")
@@ -366,6 +367,11 @@ class LiePoly:
 
     def with_max_degree(self, n: int) -> "LiePoly":
         return LiePoly(self.terms, n)
+
+    def component(self, n: int) -> "LiePoly":
+        """The degree-n terms, truncated at the same order."""
+        return LiePoly({key: c for key, c in self.terms.items()
+                        if key[0] == n}, self.max_degree)
 
     def __str__(self):
         if not self.terms:
@@ -425,60 +431,6 @@ def bracket(a: LiePoly, b: LiePoly, max_degree: int | None = None) -> LiePoly:
 def valuation_of(h: LiePoly, p: int):
     """Minimum p-adic valuation over the coefficients of h; math.inf for 0."""
     return min((c.valuation(p) for c in h.terms.values()), default=INFINITY)
-
-
-# -- graded series ------------------------------------------------------------
-
-class GradedSeries:
-    """Graded components of a Lie series; component n is homogeneous of degree n."""
-
-    __slots__ = ("components", "truncation")
-
-    def __init__(self, components: dict, truncation: int):
-        comps = {}
-        for n, poly in components.items():
-            if n > truncation or not poly:
-                continue
-            if any(d != n for d, _ in poly.terms):
-                raise ValueError(f"component {n} is not homogeneous")
-            comps[n] = poly
-        self.components = comps
-        self.truncation = truncation
-
-    def component(self, n: int) -> LiePoly:
-        return self.components.get(n, LiePoly.zero(self.truncation))
-
-    def degrees(self):
-        return sorted(self.components)
-
-    def total(self) -> LiePoly:
-        data = {}
-        for poly in self.components.values():
-            data.update(poly.terms)
-        return LiePoly(data, self.truncation)
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedSeries):
-            return NotImplemented
-        return self.components == other.components
-
-    def __add__(self, other):
-        n = min(self.truncation, other.truncation)
-        comps = {}
-        for k in set(self.components) | set(other.components):
-            if k > n:
-                continue
-            data = dict(self.component(k).terms)
-            for key, c in other.component(k).terms.items():
-                s = data.get(key)
-                data[key] = c if s is None else s + c
-            comps[k] = LiePoly(data, n)
-        return GradedSeries(comps, n)
-
-    def __str__(self):
-        return " + ".join(str(self.components[n]) for n in self.degrees()) or "0"
-
-    __repr__ = __str__
 
 
 # -- the Campbell-Hausdorff series -------------------------------------------
@@ -593,39 +545,35 @@ def _dynkin_bch(n_max: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def bch(n_max: int = DEGREE_CAP) -> GradedSeries:
-    """Graded components CH_1..CH_N of log(exp x exp y), exactly.
+def bch(n_max: int = DEGREE_CAP) -> LiePoly:
+    """log(exp x exp y) through degree N, exactly: the sum CH_1 + ... + CH_N.
 
-    Computed by the associative-logarithm route (rewritten into the Lyndon
-    basis) and independently by Dynkin's formula; a disagreement anywhere is
-    a bug and raises PropertyFailed.
+    Each component is computed by the associative-logarithm route (rewritten
+    into the Lyndon basis) and independently by Dynkin's formula; a
+    disagreement anywhere is a bug and raises PropertyFailed.
     """
     comps = _assoc_bch(n_max)
     dynkin = _dynkin_bch(n_max)
     for n in range(1, n_max + 1):
         if comps[n] != dynkin[n]:
             raise PropertyFailed(f"CH routes disagree at degree {n}")
-    return GradedSeries(comps, n_max)
+    return sum(comps.values(), LiePoly.zero(n_max))
 
 
-def exp_ad_apply(phi: GradedSeries, target: str, n_max: int) -> GradedSeries:
+def exp_ad_apply(phi: LiePoly, target: str, n_max: int) -> LiePoly:
     """Truncated exp(ad phi) applied to a generator: sum_k (ad phi)^k(target)/k!.
 
-    Valid through degree n_max provided phi's components are known through
+    Valid through degree n_max provided phi's terms are known through
     degree n_max - 1.
     """
     t = generator(target, n_max)
-    phi_total = phi.total().with_max_degree(n_max)
+    phi = phi.with_max_degree(n_max)
     acc = t
     cur = t
     k = 0
     while cur and k < n_max:
         k += 1
-        cur = bracket(phi_total, cur, n_max)
+        cur = bracket(phi, cur, n_max)
         if cur:
             acc = acc + cur * Fraction(1, math.factorial(k))
-    comps = {}
-    for key, c in acc.terms.items():
-        comps.setdefault(key[0], {})[key] = c
-    return GradedSeries(
-        {n: LiePoly(data, n_max) for n, data in comps.items()}, n_max)
+    return acc

@@ -7,7 +7,7 @@ identity on basis triples, nilpotence, and membership in one of the two
 regimes where CH multiplication makes the underlying set a group:
 
   * class < p: every CH coefficient that survives truncation has a p-unit
-    denominator, so evaluation stays in canonical residues;
+    denominator, so evaluation needs no extra precision;
   * uniform: [g, g] ⊆ p·g (⊆ 4·g when p = 2) with structure constants that
     lift to an exact Lie ring over Z_(p).  Evaluation then runs at working
     precision p^(K+s) and divides each term's p-denominator out exactly.
@@ -19,27 +19,30 @@ log are identity maps on coordinates.  One Grid, built per ring on first
 use, enumerates that coordinate set for G and, through the pairing
 Σ a_i x_i / p^{k_i}, for the dual g*.
 
-The constants are held once, as a pair table: the pairs i < j with a
-nonzero constant, each with its constants c at targets m (canonical
-residues, or in the uniform regime residues of the lifts mod the working
-precision).  One kernel evaluates Lie series over that table, and every
-product on elements is such a series: bracket_batch the one-term series
-[x, y], ch_batch CH, exp_ad_batch e^(ad W)X = Σ x^k y / k! at x = W, y = X
-(k < class, or < the CH truncation in the uniform regime; the standard
-bracketing of the Lyndon word x^k y is (ad x)^k y).  It runs
+Each ring has one working modulus W = p^(K+s), with K the largest modulus
+exponent and s the uniform shift (0 at class < p).  The kernel reduces
+every intermediate by W and only its output by the canonical moduli; at
+class < p the constants are well defined on the moduli, so the output does
+not depend on the representatives mod W.  The constants are held once, as
+a pair table: the pairs i < j with a nonzero constant, each with its
+constants c at targets m (canonical residues, or in the uniform regime
+residues of the lifts mod W).  One kernel evaluates Lie series over that
+table, and every product on elements is such a series: bracket_batch the
+one-term series [x, y], ch_batch CH, exp_ad_batch e^(ad W)X = Σ x^k y / k!
+at x = W, y = X (k < class, or < the CH truncation in the uniform regime;
+the standard bracketing of the Lyndon word x^k y is (ad x)^k y).  It runs
 coordinate-major: batches of (..., rank) vectors enter as C-contiguous
 (rank, ...) arrays of the plan's type (below), so coordinate i of the
 whole batch is one contiguous row U[i] and a single vector against a batch
 broadcasts without copies.  Per pair it forms D = U[i]·V[j] − U[j]·V[i]
-once and adds c·D into row m; rows are reduced, each by its own scalar
-modulus, as x − x // m · m, which numpy computes far faster than np.mod.
-An operand is reduced, in int64 and into a new array, only when some entry
-lies outside [0, working modulus) of its row; grid elements and the
-kernel's own outputs lie inside.  For an operand in range the reduction is
-the identity, so the outputs are bit-identical either way, and the test
-costs one min and one max per operand (per row for mixed moduli) instead
-of a division over every entry.  Operands are never written to: grid
-elements are read-only.
+once and adds c·D into row m; rows are reduced by the scalar W as
+x − x // W · W, which numpy computes far faster than np.mod.  An operand
+is reduced, in int64 and into a new array, only when some entry lies
+outside [0, W); grid elements and the kernel's own outputs lie inside.
+For an operand in range the reduction is the identity, so the outputs are
+bit-identical either way, and the test costs one min and one max per
+operand instead of a division over every entry.  Operands are never
+written to: grid elements are read-only.
 
 Plans carry static row supports.  x and y can be nonzero on every row; a
 bracketing step keeps only the table pairs (i, j) for which U[i]·V[j] or
@@ -54,8 +57,8 @@ the lower central series) brackets the same pairs in exact integer or
 Fraction arithmetic.
 
 Arithmetic on elements runs in the plan's type, so make_ring checks
-headroom instead of assuming it.  With W the largest working modulus, S
-the largest column sum of the table and T the number of terms a plan sums
+headroom instead of assuming it.  With W the working modulus, S the
+largest column sum of the table and T the number of terms a plan sums
 (at most the Lyndon words up to the evaluation degree), every intermediate
 is at most (W − 1)² · max(S, T): row m of a bracket sums c·D over the pairs
 that reach m, and a Lie series sums T products of a residue and a
@@ -132,13 +135,6 @@ def _poly_terms(poly):
     return out
 
 
-def _series_terms(series):
-    out = []
-    for n in sorted(series.components):
-        out.extend(_poly_terms(series.components[n]))
-    return out
-
-
 def _fraction_constant(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -157,7 +153,7 @@ class FiniteLieRing:
                  "_plan_cache", "_grid")
 
     def __init__(self, p, moduli, constants, working, class_, uniform_depth,
-                 uniform, ch_truncation, work_sizes, shift, headroom, label):
+                 uniform, ch_truncation, work, shift, headroom, label):
         self.p = p
         self.moduli = tuple(moduli)
         self.rank = len(self.moduli)
@@ -172,7 +168,7 @@ class FiniteLieRing:
         self.ch_truncation = ch_truncation
         self._mods = np.array(self.sizes, dtype=np.int64)
         self._canon = _modulus(self.sizes)
-        self._work = _modulus(work_sizes)
+        self._work = work
         self._table = _triple_table(working)
         self._shift = shift
         # (W − 1)², S and the terms whose sum fits in int64 (_headroom)
@@ -223,8 +219,7 @@ class FiniteLieRing:
         """The narrowest integer type whose maximum covers (W − 1)² · width,
         the working modulus W and the given powers of p: the type of a plan
         summing at most `width` multiples of a bracket or product."""
-        bound = max(self._square * width,
-                    int(np.max(self._work, initial=1)), *powers)
+        bound = max(self._square * width, self._work, *powers)
         return next((t for t in _KERNEL_TYPES if bound <= np.iinfo(t).max),
                     np.int64)
 
@@ -237,32 +232,25 @@ class FiniteLieRing:
 
     # -- CH multiplication ---------------------------------------------------
 
-    def _coefficient(self, q: Fraction, rows=None, dtype=np.int64):
+    def _coefficient(self, q: Fraction):
         """(q, a, multiplier): a is the p-adic valuation of q's denominator,
-        the multiplier is q·p^a reduced by the working modulus of each of
-        the given rows (default all), an int or an array of the given type."""
+        the multiplier is q·p^a reduced by the working modulus."""
         den = q.denominator
         a = 0
         while den % self.p == 0:
             den //= self.p
             a += 1
-        if isinstance(self._work, int):
-            return q, a, q.numerator * pow(den, -1, self._work) % self._work
-        work = self._work if rows is None else [self._work[m] for m in rows]
-        mult = np.array([q.numerator * pow(den, -1, m) % m for m in work],
-                        dtype=dtype)
-        return q, a, mult
+        return q, a, q.numerator * pow(den, -1, self._work) % self._work
 
     def _step(self, left, right):
-        """(pairs, support, modulus) for [U, V] with U nonzero only on the
-        rows `left` and V only on the rows `right` (None: every row).
+        """(pairs, support) for [U, V] with U nonzero only on the rows
+        `left` and V only on the rows `right` (None: every row).
 
         A table pair (i, j) is kept when U[i]·V[j] or U[j]·V[i] can be
         nonzero; when only U[j]·V[i] can, it is kept as (j, i) with its
         constants negated, so the kernel forms the one product.  The support
-        is the sorted union of the kept pairs' targets, each target is named
-        by its slot in the support, and the modulus is the working modulus
-        of the support rows in slot order.
+        is the sorted union of the kept pairs' targets, and each target is
+        named by its slot in the support.
         """
         every = range(self.rank)
         left = set(every if left is None else left)
@@ -281,9 +269,7 @@ class FiniteLieRing:
             if forward else
             (j, i, False, tuple((slot[m], -c) for m, c in targets))
             for i, j, forward, backward, targets in kept)
-        modulus = (self._work if isinstance(self._work, int)
-                   else _modulus([self._work[m] for m in support]))
-        return pairs, support, modulus
+        return pairs, support
 
     def _term_plan(self, terms):
         """Bracketing steps for the terms' words with their row supports,
@@ -302,20 +288,18 @@ class FiniteLieRing:
         if plan is None:
             if len(key) > self._capacity:
                 raise IntegerHeadroomExceeded(
-                    f"{len(key)} terms at working modulus "
-                    f"{int(np.max(self._work))} exceed the {self._capacity} "
-                    f"whose sum fits in int64")
+                    f"{len(key)} terms at working modulus {self._work} "
+                    f"exceed the {self._capacity} whose sum fits in int64")
             supports = {(0,): None, (1,): None}
             steps = []
             for w, left, right in _plan_steps({w for w, _ in key
                                                if len(w) > 1}):
-                pairs, supports[w], modulus = self._step(supports[left],
-                                                         supports[right])
-                steps.append((w, left, right, pairs, supports[w], modulus))
-            powers = [self.p ** self._coefficient(q)[1] for _, q in key]
+                pairs, supports[w] = self._step(supports[left],
+                                                supports[right])
+                steps.append((w, left, right, pairs, supports[w]))
+            terms = [(w, self._coefficient(q), supports[w]) for w, q in key]
+            powers = [self.p ** a for _, (_, a, _), _ in terms]
             dtype = self._kernel_type(max(self._width, len(key)), powers)
-            terms = [(w, self._coefficient(q, supports[w], dtype), supports[w])
-                     for w, q in key]
             reached = set().union(*(range(self.rank) if support is None
                                     else support for *_, support in terms))
             reached = (None if len(reached) == self.rank
@@ -338,9 +322,7 @@ class FiniteLieRing:
                 raise EvaluationNotIntegral(
                     f"value not divisible by p^{a} for coefficient {q}")
             vals = quot
-        if isinstance(mult, int):
-            return vals if mult == 1 else vals * mult
-        return vals * mult.reshape((-1,) + (1,) * (vals.ndim - 1))
+        return vals if mult == 1 else vals * mult
 
     def _add_term(self, out, vals, coefficient, support):
         """Add vals·q into the support rows of out (every row for None)."""
@@ -357,19 +339,18 @@ class FiniteLieRing:
         U, V: (..., rank) arrays, each reduced by the working modulus only
         when some entry lies outside its range (_canonical), then cast to
         the plan's type.  Brackets run at the working modulus: the lift
-        table at working precision in the uniform regime, canonical
-        per-coordinate residues otherwise.  Each bracket value is held on
-        its support rows only, as a compact array for the term sum and as
-        a dict of row views for the brackets that take it as an operand.
-        The sum is widened to int64 on return.
+        table in the uniform regime, the canonical constants otherwise.
+        Each bracket value is held on its support rows only, as a compact
+        array for the term sum and as a dict of row views for the brackets
+        that take it as an operand.  The sum is widened to int64 on return.
         """
         steps, terms, reached, dtype = plan
         U, V, shape, batch = _coordinate_major(U, V)
         values = {(0,): _canonical(U, self._work, dtype),
                   (1,): _canonical(V, self._work, dtype)}
         rows = dict(values)
-        for w, left, right, pairs, support, modulus in steps:
-            values[w] = _bracket(pairs, rows[left], rows[right], modulus,
+        for w, left, right, pairs, support in steps:
+            values[w] = _bracket(pairs, rows[left], rows[right], self._work,
                                  np.zeros((len(support),) + batch, dtype))
             rows[w] = dict(zip(support, values[w]))
         out = np.zeros((self.rank,) + batch, dtype=dtype)
@@ -380,11 +361,11 @@ class FiniteLieRing:
 
     def ch_batch(self, U, V):
         if self._ch is None:
-            self._ch = self._term_plan(_series_terms(bch(self.ch_truncation)))
+            self._ch = self._term_plan(_poly_terms(bch(self.ch_truncation)))
         return self._eval_terms(self._ch, U, V)
 
     def evaluate_series_batch(self, series, U, V):
-        return self._eval_terms(self._term_plan(_series_terms(series)), U, V)
+        return self._eval_terms(self._term_plan(_poly_terms(series)), U, V)
 
     # -- adjoint machinery ---------------------------------------------------
 
@@ -536,9 +517,8 @@ def negate(X, mods):
 
 def _bracket(pairs, U, V, modulus, out):
     """[U, V] over a pair list, added into out, a zeroed coordinate-major
-    array whose rows broadcast against U's and V's; then every row of out
-    is reduced by the modulus, row r by modulus[r] or all by an int, and
-    out is returned.
+    array whose rows broadcast against U's and V's; then out is reduced by
+    the int modulus and returned.
 
     U and V are indexed by coordinate: arrays with every row, or dicts of
     the rows a value can be nonzero on.  Each pair (i, j, both, targets)
@@ -624,7 +604,7 @@ def _lower_central_class(p, moduli, constants):
     return cls
 
 
-def _headroom(constants, work_sizes, truncation):
+def _headroom(constants, rank, work, truncation):
     """((W - 1)², S, terms whose sum fits in int64) at the working modulus
     W, checked to cover the kernel and every product: all intermediates
     stay within (W - 1)² · max(S, T), with S the largest column sum of the
@@ -639,8 +619,8 @@ def _headroom(constants, work_sizes, truncation):
     type runs in that type (FiniteLieRing._kernel_type): every true
     intermediate lies within the bound, so none wraps, and the reduction
     is exact in any width (_reduce)."""
-    top = max(work_sizes, default=1) - 1
-    column = [0] * len(work_sizes)
+    top = work - 1
+    column = [0] * rank
     for row in constants.values():
         for m, c in row.items():
             column[m] += c
@@ -652,6 +632,12 @@ def _headroom(constants, work_sizes, truncation):
             f"working modulus {top + 1}: intermediates reach "
             f"(W-1)^2 * max(S={width}, T={terms}) = {bound} > 2^63 - 1")
     return top * top, width, _INT64_MAX // (top * top) if top else math.inf
+
+
+def min_uniform_depth(p: int) -> int:
+    """The least p-valuation of a uniform ring's constants: [g, g] ⊆ p·g,
+    or ⊆ 4·g at p = 2."""
+    return 2 if p == 2 else 1
 
 
 def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
@@ -705,7 +691,7 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
     else:
         depth = max(moduli, default=0)
 
-    need_depth = 1 if p >= 3 else 2
+    need_depth = min_uniform_depth(p)
     uniform = False
     if not class_ < p:
         if depth < need_depth:
@@ -714,7 +700,7 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
                 f"{need_depth}: not an admissible ring")
         uniform = True
 
-    working, work_sizes = constants, sizes
+    working, work = constants, p ** max(moduli, default=0)
     shift = 0
     if uniform and p == 2:
         # CH_2 = [x, y]/2 must be well defined on the moduli
@@ -756,24 +742,21 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
         if n_trunc > DEGREE_CAP:
             raise RegimeViolation(
                 f"uniform truncation degree {n_trunc} exceeds cap {DEGREE_CAP}")
-        series = bch(int(n_trunc))
-        for n in range(2, int(n_trunc) + 1):
-            for c in series.component(n).terms.values():
-                shift = max(shift, -min(0, int(c.valuation(p))))
+        for c in bch(int(n_trunc)).terms.values():
+            shift = max(shift, -min(0, int(c.valuation(p))))
         for k in range(2, int(n_trunc)):
             shift = max(shift, int(vp(math.factorial(k), p)))
-        precision = p ** (cap + shift)
-        working = {key: {m: q.numerator * pow(q.denominator, -1, precision)
-                         % precision for m, q in row.items()}
+        work = p ** (cap + shift)
+        working = {key: {m: q.numerator * pow(q.denominator, -1, work) % work
+                         for m, q in row.items()}
                    for key, row in lift_frac.items()}
-        work_sizes = [precision] * rank
         truncation = int(n_trunc)
     else:
         truncation = max(int(class_), 1) if rank else 1
 
-    headroom = _headroom(working, work_sizes, truncation)
+    headroom = _headroom(working, rank, work, truncation)
     return FiniteLieRing(p, moduli, constants, working, class_, depth, uniform,
-                         truncation, work_sizes, shift, headroom, label)
+                         truncation, work, shift, headroom, label)
 
 
 def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:
@@ -787,7 +770,7 @@ def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:
         raise ValueError(f"p = {p} is not prime")
     if r < 1:
         raise ValueError("r must be >= 1")
-    need = 1 if p >= 3 else 2
+    need = min_uniform_depth(p)
     lift = {}
     for key, row in constants.items():
         i, j = key

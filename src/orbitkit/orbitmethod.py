@@ -47,7 +47,7 @@ from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
 from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
                        exp_star, fourier, inverse_fourier)
-from .liering import LazardGroup, Subring
+from .liering import LazardGroup, Subring, min_uniform_depth
 from .oracle import (class_matrix, conjugacy_classes, conjugation_certificate,
                      permutation_orbits)
 
@@ -368,9 +368,11 @@ class P2Cell:
 def _require_p2_uniform(ring):
     if ring.p != 2:
         raise RegimeViolation(f"p = {ring.p}, the 2-adic machinery needs p = 2")
-    if ring.rank and ring.uniform_depth < 2:
+    need = min_uniform_depth(ring.p)
+    if ring.rank and ring.uniform_depth < need:
         raise RegimeViolation(
-            f"uniform depth {ring.uniform_depth} < 2: [g,g] must lie in 4g")
+            f"uniform depth {ring.uniform_depth} < {need}: [g,g] must lie "
+            f"in 4g")
 
 
 def _restricted_action(ring, sub: Subring, matrix, g):

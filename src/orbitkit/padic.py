@@ -20,7 +20,7 @@ from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
                      JacobiViolation, RegimeViolation, ValidationFailed)
 from .freelie import vp
 from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
-                      uniform_quotient)
+                      min_uniform_depth, uniform_quotient)
 from .oracle import character_table, match_tables
 from .orbitmethod import coadjoint_orbits, kirillov_character, \
     p2_orbit_partition
@@ -151,10 +151,6 @@ class PLattice:
         return f"PLattice(p={self.p}, diag=[{', '.join(diag)}])"
 
 
-def _chain_scale(p: int) -> int:
-    return 4 if p == 2 else p
-
-
 def uniform_chain(algebra: QpLieAlgebra, j_max: int) -> list[PLattice]:
     """Uniform lattices k_1 ⊆ ... ⊆ k_{j_max} exhausting the algebra.
 
@@ -167,7 +163,7 @@ def uniform_chain(algebra: QpLieAlgebra, j_max: int) -> list[PLattice]:
         raise InputBoundViolation(f"j_max = {j_max} < 1")
     p, n = algebra.p, algebra.dimension
     basis = [algebra.basis(i) for i in range(n)]
-    factor = _chain_scale(p)
+    factor = p ** min_uniform_depth(p)
 
     chain = []
     for j in range(1, j_max + 1):
@@ -226,7 +222,7 @@ def quotient_to_finite(lattice: PLattice, algebra: QpLieAlgebra, r: int, *,
     if r < 1:
         raise InputBoundViolation(f"r = {r} < 1")
     p, n = lattice.p, lattice.dimension
-    need = 2 if p == 2 else 1
+    need = min_uniform_depth(p)
     lift = {}
     for i in range(n):
         for j in range(i + 1, n):

@@ -9,8 +9,7 @@ from orbitkit.chsolver import (PhiPsiPair, ValuationRegime, check_identity,
                                solve_phi_psi, substituted_series)
 from orbitkit.errors import (InputBoundViolation, OutputBoundViolation,
                              PropertyFailed)
-from orbitkit.freelie import (GradedSeries, bch, exp_ad_apply, generator,
-                              valuation_of)
+from orbitkit.freelie import bch, exp_ad_apply, generator, valuation_of
 from orbitkit.ratlin import solve_right
 
 REGIMES = [ValuationRegime.generic(3), ValuationRegime.generic(5),
@@ -86,15 +85,13 @@ class TestSolver:
         regime = ValuationRegime.sqrtp(5)
         pair = solve_phi_psi(substituted_series(regime, 6), regime, 6)
         for series in pair.back_substituted():
-            for poly in series.components.values():
-                assert all(c.surd == 0 for c in poly.terms.values())
+            assert all(c.surd == 0 for c in series.terms.values())
 
     def test_sqrtp_solution_needs_the_surd(self):
         regime = ValuationRegime.sqrtp(5)
         pair = solve_phi_psi(substituted_series(regime, 4), regime, 4)
         surds = [c.surd for s in (pair.phi, pair.psi)
-                 for poly in s.components.values()
-                 for c in poly.terms.values()]
+                 for c in s.terms.values()]
         assert any(surds)
 
     def test_p2_half_pins_degree_one(self):
@@ -108,7 +105,7 @@ class TestSolver:
         regime = ValuationRegime.generic(3)
         x = generator("x", 3)
         with pytest.raises(ValueError):
-            solve_phi_psi(GradedSeries({1: x}, 3), regime, 3)
+            solve_phi_psi(x, regime, 3)
 
     def test_series_violating_the_input_bound_is_rejected(self):
         regime = ValuationRegime.p2_half()

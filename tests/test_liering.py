@@ -16,9 +16,9 @@ from orbitkit import liering
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import (JacobiViolation, PropertyFailed, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
-from orbitkit.freelie import GradedSeries, LiePoly
+from orbitkit.freelie import LiePoly
 from orbitkit.harmonic import DualSpace
-from orbitkit.liering import (Grid, LazardGroup, Subring, _series_terms,
+from orbitkit.liering import (Grid, LazardGroup, Subring, _poly_terms,
                               make_ring, twist_map, uniform_quotient)
 from orbitkit.oracle import conjugation_certificate
 
@@ -533,7 +533,7 @@ class TestTwistReference:
         regime = ValuationRegime.generic(5)
         pair = solve_phi_psi(substituted_series(regime, 3), regime, 3)
         phi, psi = pair.back_substituted()
-        assert all(any(len(w) > 1 for w, _ in _series_terms(s))
+        assert all(any(len(w) > 1 for w, _ in _poly_terms(s))
                    for s in (phi, psi))
         got, want = self.both(LazardGroup(ring), pair)
         assert got == want
@@ -551,8 +551,8 @@ class TestTwistReference:
     def test_psi_reads_only_x(self, h3_group, q, verdict):
         # φ = 0, ψ = q·x: ỹ = y + q[x, y], so x̃ + ỹ = CH(x, y) exactly
         # at q = 1/2, and e^(ad ψ)y is the conjugate of y by e^ψ at class 2
-        psi = GradedSeries({1: LiePoly({(1, 0): Fraction(q)}, 2)}, 2)
-        pair = ForgedPair(GradedSeries({}, 2), psi, 2)
+        psi = LiePoly({(1, 0): Fraction(q)}, 2)
+        pair = ForgedPair(LiePoly.zero(2), psi, 2)
         got, want = self.both(h3_group, pair)
         assert got == want
         assert got[0] == verdict
@@ -566,8 +566,8 @@ class TestTwistReference:
 
     def test_series_read_no_x(self):
         phi, psi = self.degree_two(3).back_substituted()
-        assert [w for w, _ in _series_terms(phi)] == [(1,)]
-        assert [w for w, _ in _series_terms(psi)] == []
+        assert [w for w, _ in _poly_terms(phi)] == [(1,)]
+        assert [w for w, _ in _poly_terms(psi)] == []
 
     @pytest.mark.parametrize("scenario, start", [
         ("y-twist", "y-twist"), ("both-twists", "x-twist"),
@@ -639,14 +639,13 @@ def forged_pairs(ring, pair):
     the class and k in 1, 2, p: each a Lie series, so a polynomial check
     sees it."""
     phi, psi = pair.back_substituted()
-    top = phi.truncation
+    top = phi.max_degree
     for (degree, index), word in (((1, 0), "x"), ((1, 1), "y"),
                                   ((2, 0), "[x,y]"), ((3, 0), "[x,[x,y]]")):
         if degree > ring.class_:
             continue
         for k in (1, 2, ring.p):
-            w = GradedSeries(
-                {degree: LiePoly({(degree, index): Fraction(k)}, top)}, top)
+            w = LiePoly({(degree, index): Fraction(k)}, top)
             yield (f"phi+{k}{word}",
                    ForgedPair(phi + w, psi, pair.certified_to))
             yield (f"psi+{k}{word}",

@@ -17,9 +17,14 @@ some module loads its name as an ``Attribute``, as coarse as the rest: a
 field that only tests read is a second report nothing prints.  A name bound
 at module level (a constant) counts as read when some module loads it, as
 a ``Name`` or as an ``Attribute``.
+
+Every name an annotation reads must also be bound in its module: under
+``from __future__ import annotations`` no annotation is evaluated, so one
+that names a deleted type would otherwise pass unnoticed.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbitkit"
@@ -258,3 +263,59 @@ def test_unread_name_allowlist_is_current():
     # an entry whose name gained a reader, or went, goes
     assert sorted(set(UNREAD_NAMES) - set(unread_module_names(modules()))) \
         == []
+
+
+def bound_names(tree):
+    """The names a module binds: its imports, wherever they are, and its
+    top-level definitions and assignments."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            bound.update(leaf.id for target in targets
+                         for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return bound
+
+
+def annotation_names(note):
+    """The names an annotation reads, a string annotation (or a string
+    inside one) parsed as the expression it holds."""
+    for node in ast.walk(note):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from annotation_names(ast.parse(node.value, mode="eval"))
+
+
+def annotations(tree):
+    """Each parameter, return and variable annotation of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, _FUNCS):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      args.vararg, args.kwarg]
+            notes = [arg.annotation for arg in params if arg is not None]
+            notes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            notes = [node.annotation]
+        else:
+            continue
+        yield from (note for note in notes if note is not None)
+
+
+def test_every_annotation_name_is_bound_in_its_module():
+    known = set(dir(builtins))
+    unbound = sorted(
+        f"{module}:{note.lineno} {name}" for module, tree in modules()
+        for note in annotations(tree)
+        for name in annotation_names(note)
+        if name not in known and name not in bound_names(tree))
+    assert unbound == []
