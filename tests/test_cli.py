@@ -624,8 +624,9 @@ REPORT_DIGESTS = {
     ("restrict", "rank3_z8_p2"):
         "88810a9a18d615f8eb1a96047079af3141dd7b5b8427c332f96b6a6ace6024ad",
     # the series commands at degree 8: bch's printout, keyed by its --prime
-    # or --regime, and solve's report, keyed by its regime (at p = 5 where
-    # the regime takes a prime)
+    # or its regime, and solve's report, keyed by its regime; a regime that
+    # takes a prime is written "regime:p", and a bare "generic" or "sqrtp"
+    # runs at p = 5
     ("bch", "2"):
         "b206c5af93c7737a2dd34d6d027572949cbc9afa4b50bb006e7369bffaf3299a",
     ("bch", "3"):
@@ -636,12 +637,24 @@ REPORT_DIGESTS = {
         "f0487d0ee25d6599e3d0d01a8c9925bfff6138fad8ddd35526362d0f81a9a025",
     ("bch", "p3-uniform"):
         "9cc164e9ccdc27114a9eff52f60aea6a48f8f6607865e5255657092d344c3b25",
+    ("bch", "sqrtp:5"):
+        "7e6c6a6a03e3e7361ed8147ac566c8164c2e8f759584e84df4aa519ccaf29f57",
+    ("bch", "sqrtp:7"):
+        "8c52cbecb3690b3d7587a33a6a160c0fcd8c4cab1245f937cca9da1ecafe5e63",
+    ("bch", "p2-half"):
+        "b9c26d9fae04f46c30efe6b858ede9df56dbe16acf09e37a97ba8848f9d24c52",
+    ("bch", "p2-quarter"):
+        "b9c26d9fae04f46c30efe6b858ede9df56dbe16acf09e37a97ba8848f9d24c52",
+    ("bch", "generic:5"):
+        "2ccd67703c4ead45738f0baeb5c4c82567fb25b1323def4090bd8fdb5f2a7c41",
     ("solve", "generic"):
         "d775602dacb3007db9acd04fcc87f69ce6b54737e8ac3c0f02edea176ca5ece9",
     ("solve", "p3-uniform"):
         "733aa7fbc5bbeb41c5c61edd986b6b462c96cfe8b9aba5e7c53a04bf9cea666b",
     ("solve", "sqrtp"):
         "10f36fd06e4c47a7684cd28fb1012bb8ce15804962f2e78079dcf8c77c65e225",
+    ("solve", "sqrtp:7"):
+        "be40836cac9efe06a531f21350913880d049390778fd9a82c7dad8dc24ffafff",
     ("solve", "p2-half"):
         "4ce935208597256a485b2601288eb18c8ba17dc3ac9e6202117a8b32006d9964",
     ("solve", "p2-quarter"):
@@ -663,13 +676,18 @@ def subring_spec(spec, tmp_path):
 def report_argv(command, case, out, tmp_path):
     """The arguments of the report REPORT_DIGESTS pins for (command, case):
     written to out, but for bch, which only prints."""
+    if command == "bch" and case.isdigit():
+        return ["bch", "--degree", "8", "--prime", case]
+    regime, _, prime = case.partition(":")
+    if not prime and regime in ("generic", "sqrtp"):
+        prime = "5"
+    series = ["--degree", "8", "--regime", regime,
+              *(["--prime", prime] if prime else [])]
     if command == "bch":
-        flag = "--prime" if case.isdigit() else "--regime"
-        return ["bch", "--degree", "8", flag, case]
+        return ["bch", *series]
     report = ["--seed", "0", "--output", str(out)]
     if command == "solve":
-        prime = ["--prime", "5"] if case in ("generic", "sqrtp") else []
-        return ["solve", "--regime", case, "--degree", "8", *prime, *report]
+        return ["solve", *series, *report]
     argv = [command, "--input", str(SPEC_DIR / f"{case}.json"), *report]
     if command == "chartable":
         argv += ["--method", "both"]
