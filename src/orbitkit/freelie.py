@@ -1,9 +1,9 @@
 """Exact arithmetic in the free Lie algebra on two generators.
 
 Elements live in the Lyndon basis: the standard bracketings of Lyndon words
-on {x, y}.  Coefficients are rationals or elements of a real quadratic field
-Q(sqrt p), kept exact throughout, so p-adic valuations of coefficients act as
-certificates rather than floating-point estimates (v(sqrt p) = 1/2).
+on {x, y}.  Coefficients are Fractions, kept exact throughout, so p-adic
+valuations of coefficients act as certificates rather than floating-point
+estimates.
 
 Brackets are normalized by embedding into the truncated free associative
 algebra: the expansion of the standard bracketing of a Lyndon word w is w
@@ -26,15 +26,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .errors import PrimeContextMismatch, PropertyFailed
+from .errors import PropertyFailed
 
 #: default truncation order for series work; callers may exceed it explicitly
 DEGREE_CAP = 8
 
 INFINITY = math.inf
-
-# the surd part of every rational Scalar: one shared immutable Fraction
-_ZERO = Fraction(0)
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -51,140 +48,6 @@ def vp(q, p: int):
     if q == 0:
         return INFINITY
     return Fraction(_vp_int(q.numerator, p) - _vp_int(q.denominator, p))
-
-
-class Scalar:
-    """An exact number a + b*sqrt(p) with rational a, b.
-
-    ``prime`` is None for plain rationals, in which case the surd part is
-    zero.  Mixing scalars with two different primes raises
-    PrimeContextMismatch; a plain rational is compatible with any prime.
-    """
-
-    __slots__ = ("rat", "surd", "prime")
-
-    def __init__(self, rat=0, surd=_ZERO, prime=None):
-        # a Fraction is immutable, so one is kept rather than rebuilt
-        if type(rat) is not Fraction:
-            rat = Fraction(rat)
-        if type(surd) is not Fraction:
-            surd = Fraction(surd)
-        if surd == 0:
-            prime = None
-        elif prime is None:
-            raise ValueError("surd part requires a prime context")
-        object.__setattr__(self, "rat", rat)
-        object.__setattr__(self, "surd", surd)
-        object.__setattr__(self, "prime", prime)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    @staticmethod
-    def sqrt(p: int) -> "Scalar":
-        return Scalar(0, 1, p)
-
-    def _join(self, other: "Scalar"):
-        if self.prime is None:
-            return other.prime
-        if other.prime is None or other.prime == self.prime:
-            return self.prime
-        raise PrimeContextMismatch(f"sqrt({self.prime}) vs sqrt({other.prime})")
-
-    def __add__(self, other):
-        other = _scalar(other)
-        p = self._join(other)
-        return Scalar(self.rat + other.rat, self.surd + other.surd, p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_scalar(other))
-
-    def __rsub__(self, other):
-        return _scalar(other) + (-self)
-
-    def __neg__(self):
-        return Scalar(-self.rat, -self.surd, self.prime)
-
-    def __mul__(self, other):
-        other = _scalar(other)
-        if not (self.surd or other.surd):
-            # both rational, so no prime to join: the one nonzero product
-            return Scalar(self.rat * other.rat)
-        p = self._join(other)
-        rat = self.rat * other.rat
-        surd = self.rat * other.surd + self.surd * other.rat
-        if self.surd and other.surd:
-            rat += self.surd * other.surd * p
-        return Scalar(rat, surd, p)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if not self:
-            raise ZeroDivisionError("scalar is zero")
-        if self.surd == 0:
-            return Scalar(1 / self.rat)
-        # 1/(a + b s) = (a - b s)/(a^2 - p b^2); the norm is nonzero since
-        # sqrt(p) is irrational
-        norm = self.rat * self.rat - self.prime * self.surd * self.surd
-        return Scalar(self.rat / norm, -self.surd / norm, self.prime)
-
-    def __truediv__(self, other):
-        return self * _scalar(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _scalar(other) * self.inverse()
-
-    def __bool__(self):
-        return bool(self.rat or self.surd)
-
-    def __eq__(self, other):
-        try:
-            other = _scalar(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        if self.rat != other.rat or self.surd != other.surd:
-            return False
-        return self.surd == 0 or self.prime == other.prime
-
-    def __hash__(self):
-        return hash((self.rat, self.surd, self.prime))
-
-    def valuation(self, p: int):
-        """p-adic valuation extended to Q(sqrt p); half-integral on surds."""
-        if self.surd and self.prime != p:
-            raise PrimeContextMismatch(
-                f"valuation at {p} undefined for sqrt({self.prime}) scalar")
-        if not self:
-            return INFINITY
-        vals = []
-        if self.rat:
-            vals.append(vp(self.rat, p))
-        if self.surd:
-            vals.append(vp(self.surd, p) + Fraction(1, 2))
-        return min(vals)
-
-    def __repr__(self):
-        return f"Scalar({self})"
-
-    def __str__(self):
-        if self.surd == 0:
-            return str(self.rat)
-        s = f"sqrt({self.prime})" if self.surd == 1 else (
-            f"-sqrt({self.prime})" if self.surd == -1 else f"{self.surd}*sqrt({self.prime})")
-        if self.rat == 0:
-            return s
-        return f"{self.rat}{'+' if self.surd > 0 else ''}{s}"
-
-
-def _scalar(c) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Scalar(c)
-    raise TypeError(f"cannot interpret {c!r} as a scalar")
 
 
 # -- Lyndon words and their bracketings --------------------------------------
@@ -313,7 +176,7 @@ def bracket_table(d1: int, d2: int):
 class LiePoly:
     """A Lie element with coefficients on Lyndon bracketings.
 
-    ``terms`` maps (degree, basis index) to a nonzero Scalar; anything of
+    ``terms`` maps (degree, basis index) to a nonzero Fraction; anything of
     degree above ``max_degree`` is dropped at construction time, which is how
     truncation order propagates through arithmetic.  So a LiePoly is also a
     truncated Lie series (CH, phi, psi), read degree by degree through
@@ -325,7 +188,9 @@ class LiePoly:
     def __init__(self, terms=None, max_degree: int = DEGREE_CAP):
         data = {}
         for key, c in (terms or {}).items():
-            c = _scalar(c)
+            # a Fraction is immutable, so one is kept rather than rebuilt
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if key[0] <= max_degree and c:
                 data[key] = c
         self.terms = data
@@ -360,7 +225,6 @@ class LiePoly:
         return LiePoly({k: -c for k, c in self.terms.items()}, self.max_degree)
 
     def __mul__(self, c):
-        c = _scalar(c)
         return LiePoly({k: s * c for k, s in self.terms.items()}, self.max_degree)
 
     __rmul__ = __mul__
@@ -430,7 +294,7 @@ def bracket(a: LiePoly, b: LiePoly, max_degree: int | None = None) -> LiePoly:
 
 def valuation_of(h: LiePoly, p: int):
     """Minimum p-adic valuation over the coefficients of h; math.inf for 0."""
-    return min((c.valuation(p) for c in h.terms.values()), default=INFINITY)
+    return min((vp(c, p) for c in h.terms.values()), default=INFINITY)
 
 
 # -- the Campbell-Hausdorff series -------------------------------------------

@@ -10,7 +10,8 @@ regimes where CH multiplication makes the underlying set a group:
     denominator, so evaluation needs no extra precision;
   * uniform: [g, g] ⊆ p·g (⊆ 4·g when p = 2) with structure constants that
     lift to an exact Lie ring over Z_(p).  Evaluation then runs at working
-    precision p^(K+s) and divides each term's p-denominator out exactly.
+    precision p^(K+s) and divides each term's p-denominator out exactly;
+    a series whose denominators need more than p^s is refused.
     At p = 2 the half bracket CH_2 = [x, y]/2 must also be well defined on
     the moduli: c·2^min(k_i,k_j) ≡ 0 mod 2^(k_m+1) for each constant.
 
@@ -29,7 +30,7 @@ constants c at targets m (canonical residues, or in the uniform regime
 residues of the lifts mod W).  One kernel evaluates Lie series over that
 table, and every product on elements is such a series: bracket_batch the
 one-term series [x, y], ch_batch CH, exp_ad_batch e^(ad W)X = Σ x^k y / k!
-at x = W, y = X (k < class, or < the CH truncation in the uniform regime;
+at x = W, y = X (k < the CH truncation, which is the class at class < p;
 the standard bracketing of the Lyndon word x^k y is (ad x)^k y).  It runs
 coordinate-major: batches of (..., rank) vectors enter as C-contiguous
 (rank, ...) arrays of the plan's type (below), so coordinate i of the
@@ -66,8 +67,8 @@ multiplier, reducing once at the end.  A ring whose bound exceeds
 2^63 − 1 is rejected with IntegerHeadroomExceeded, and so is a longer
 series evaluated later.  The plan's type is the narrowest of int16, int32
 and int64 whose maximum covers the plan's own bound, (W − 1)² · max(S, T),
-and also W and every p^a a coefficient divides out, so every constant,
-multiplier and modulus fits it.  Operands are reduced in int64 first
+and also W, which bounds every p^a a coefficient may divide out, so every
+constant, multiplier and modulus fits it.  Operands are reduced in int64 first
 (_canonical) and only then narrowed, so the cast never wraps; results are
 widened back to int64, so callers see int64 only.
 
@@ -127,12 +128,8 @@ def _plan_steps(words):
 
 def _poly_terms(poly):
     """LiePoly -> list of (lyndon word, Fraction coefficient)."""
-    out = []
-    for (degree, index), c in sorted(poly.terms.items()):
-        if c.surd:
-            raise ValueError("coefficient off Q(1): surd part in ring evaluation")
-        out.append((lyndon_words(degree)[index], c.rat))
-    return out
+    return [(lyndon_words(degree)[index], c)
+            for (degree, index), c in sorted(poly.terms.items())]
 
 
 def _fraction_constant(c) -> Fraction:
@@ -178,7 +175,7 @@ class FiniteLieRing:
         # e^(ad W)X is the series Σ x^k y / k! at x = W, y = X
         self._exp_ad = self._term_plan(
             [((0,) * k + (1,), Fraction(1, math.factorial(k)))
-             for k in range(self._exp_ad_limit() + 1)])
+             for k in range(ch_truncation)])
         self._grid = None
 
     # -- elements ------------------------------------------------------------
@@ -215,11 +212,11 @@ class FiniteLieRing:
 
     # -- bracket -------------------------------------------------------------
 
-    def _kernel_type(self, width, powers=()):
-        """The narrowest integer type whose maximum covers (W − 1)² · width,
-        the working modulus W and the given powers of p: the type of a plan
-        summing at most `width` multiples of a bracket or product."""
-        bound = max(self._square * width, self._work, *powers)
+    def _kernel_type(self, width):
+        """The narrowest integer type whose maximum covers (W − 1)² · width
+        and the working modulus W: the type of a plan summing at most
+        `width` multiples of a bracket or product."""
+        bound = max(self._square * width, self._work)
         return next((t for t in _KERNEL_TYPES if bound <= np.iinfo(t).max),
                     np.int64)
 
@@ -280,8 +277,12 @@ class FiniteLieRing:
         from its children's supports (_step), so a word's support holds
         every row its bracket can be nonzero on.  The plan also keeps the
         rows some term reaches, None for all: the only rows the sum reduces;
-        and the plan's type (_kernel_type over the terms and the powers of
-        p their coefficients divide out), in which its multipliers are held.
+        and the plan's type (_kernel_type over the terms), in which its
+        multipliers are held.
+
+        A coefficient may divide out p^a only for a <= the ring's shift s
+        (s = 0 at class < p), so p^a <= p^s <= W and the type covers it;
+        a larger a raises EvaluationNotIntegral here, before any value.
         """
         key = tuple(terms)
         plan = self._plan_cache.get(key)
@@ -298,8 +299,11 @@ class FiniteLieRing:
                                                 supports[right])
                 steps.append((w, left, right, pairs, supports[w]))
             terms = [(w, self._coefficient(q), supports[w]) for w, q in key]
-            powers = [self.p ** a for _, (_, a, _), _ in terms]
-            dtype = self._kernel_type(max(self._width, len(key)), powers)
+            for _, (q, a, _), _ in terms:
+                if a > self._shift:
+                    raise EvaluationNotIntegral(
+                        f"coefficient {q} needs p^{a} beyond working precision")
+            dtype = self._kernel_type(max(self._width, len(key)))
             reached = set().union(*(range(self.rank) if support is None
                                     else support for *_, support in terms))
             reached = (None if len(reached) == self.rank
@@ -314,9 +318,6 @@ class FiniteLieRing:
         out of vals exactly first, which keeps the product below (W − 1)²."""
         q, a, mult = coefficient
         if a:
-            if self.uniform and a > self._shift:
-                raise EvaluationNotIntegral(
-                    f"coefficient {q} needs p^{a} beyond working precision")
             quot = vals // self.p ** a
             if not np.array_equal(quot * self.p ** a, vals):
                 raise EvaluationNotIntegral(
@@ -368,11 +369,6 @@ class FiniteLieRing:
         return self._eval_terms(self._term_plan(_poly_terms(series)), U, V)
 
     # -- adjoint machinery ---------------------------------------------------
-
-    def _exp_ad_limit(self) -> int:
-        if self.uniform:
-            return self.ch_truncation - 1
-        return max(self.class_ - 1, 0)
 
     def exp_ad_batch(self, W, X):
         """e^(ad W) applied to X, both (..., rank) arrays."""
@@ -743,7 +739,7 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
             raise RegimeViolation(
                 f"uniform truncation degree {n_trunc} exceeds cap {DEGREE_CAP}")
         for c in bch(int(n_trunc)).terms.values():
-            shift = max(shift, -min(0, int(c.valuation(p))))
+            shift = max(shift, -min(0, int(vp(c, p))))
         for k in range(2, int(n_trunc)):
             shift = max(shift, int(vp(math.factorial(k), p)))
         work = p ** (cap + shift)
@@ -917,7 +913,11 @@ def twist_map(group: LazardGroup, pair) -> tuple[int, str]:
     if pair.certified_to < ring.class_:
         raise ValueError(
             f"pair certified to degree {pair.certified_to} < class {ring.class_}")
-    phi, psi = pair.back_substituted()
+    phi, psi = pair.phi, pair.psi
+    if not ring.uniform:
+        # the words longer than the class vanish on the ring; the kernel
+        # refuses a p in the denominators of the others only
+        phi, psi = (s.with_max_degree(ring.class_) for s in (phi, psi))
     n = group.size
     if n * n > TWIST_PAIR_BUDGET:
         rng = random.Random(0)

@@ -9,7 +9,7 @@ from orbitkit.chsolver import (PhiPsiPair, ValuationRegime, check_identity,
                                solve_phi_psi, substituted_series)
 from orbitkit.errors import (InputBoundViolation, OutputBoundViolation,
                              PropertyFailed)
-from orbitkit.freelie import bch, exp_ad_apply, generator, valuation_of
+from orbitkit.freelie import LiePoly, bch, exp_ad_apply, generator, vp
 from orbitkit.ratlin import solve_right
 
 REGIMES = [ValuationRegime.generic(3), ValuationRegime.generic(5),
@@ -40,18 +40,22 @@ class TestSubstitutedSeries:
         # degree 1 is exempt: H_1 = x + y by construction
         series = substituted_series(regime, 6)
         for n in range(2, 7):
-            v = valuation_of(series.component(n), regime.p)
+            v = regime.valuation(series.component(n), n - 1)
             assert v >= regime.input_bound(n)
 
     def test_scaled_series_rescales_ch(self, regime):
-        if regime.scale is None:
+        if regime.scale_square == 1:
             pytest.skip("unscaled regime")
-        series = substituted_series(regime, 4)
-        raw = bch(4)
-        for n in range(1, 5):
-            # scale_power(n) is s^(n-1)
-            expected = raw.component(n) * regime.scale_power(n)
-            assert series.component(n) == expected
+        # a rescaling regime solves CH in full, and reads H_n = s^(n-1) CH_n
+        # through valuations; twice v_p(H_n) is the least v_p of c^2 s^(2n-2)
+        # over the coefficients c of CH_n, and that needs no sqrt(p)
+        series = substituted_series(regime, 6)
+        assert series == bch(6)
+        for n in range(1, 7):
+            coefficients = series.component(n).terms.values()
+            assert 2 * regime.valuation(series.component(n), n - 1) == min(
+                vp(c * c * regime.scale_square ** (n - 1), regime.p)
+                for c in coefficients)
 
 
 class TestSolver:
@@ -62,18 +66,20 @@ class TestSolver:
         assert check_identity(series, pair, 6)
 
     def test_output_bounds_hold(self, regime):
+        # on the pair that solves H: s^n phi_n and s^n psi_n
         series = substituted_series(regime, 6)
         pair = solve_phi_psi(series, regime, 6)
         for n in range(1, 7):
             for s in (pair.phi, pair.psi):
-                assert valuation_of(s.component(n), regime.p) \
+                assert regime.valuation(s.component(n), n) \
                     >= regime.output_bound(n)
 
     def test_back_substitution_solves_raw_ch(self, regime):
+        # the pair is solved in the unscaled variables, so it solves CH as
+        # it is, less the degrees the regime discards
         series = substituted_series(regime, 5)
         pair = solve_phi_psi(series, regime, 5)
-        phi, psi = pair.back_substituted()
-        lhs = exp_ad_apply(phi, "x", 5) + exp_ad_apply(psi, "y", 5)
+        lhs = exp_ad_apply(pair.phi, "x", 5) + exp_ad_apply(pair.psi, "y", 5)
         raw = bch(5)
         for n in range(1, 6):
             if regime.discard_from is not None and n >= regime.discard_from:
@@ -84,20 +90,35 @@ class TestSolver:
     def test_sqrtp_back_substitution_is_rational(self):
         regime = ValuationRegime.sqrtp(5)
         pair = solve_phi_psi(substituted_series(regime, 6), regime, 6)
-        for series in pair.back_substituted():
-            assert all(c.surd == 0 for c in series.terms.values())
+        for series in (pair.phi, pair.psi):
+            assert all(type(c) is Fraction for c in series.terms.values())
 
     def test_sqrtp_solution_needs_the_surd(self):
+        # the pair that solves H holds s^n phi_n: an odd power of sqrt(p),
+        # so a half-integral valuation, at some odd degree
         regime = ValuationRegime.sqrtp(5)
         pair = solve_phi_psi(substituted_series(regime, 4), regime, 4)
-        surds = [c.surd for s in (pair.phi, pair.psi)
-                 for c in s.terms.values()]
-        assert any(surds)
+        views = [regime.valuation(s.component(n), n)
+                 for s in (pair.phi, pair.psi) for n in (1, 3)
+                 if s.component(n)]
+        assert any(v.denominator == 2 for v in views)
+
+    def test_rescaled_regimes_solve_one_rational_pair(self):
+        # unpinned and discarding nothing, they solve the same series
+        pairs = []
+        for regime in (ValuationRegime.p3_uniform(), ValuationRegime.sqrtp(5),
+                       ValuationRegime.sqrtp(7), ValuationRegime.p2_quarter()):
+            pair = solve_phi_psi(substituted_series(regime, 8), regime, 8)
+            pairs.append((pair.phi, pair.psi))
+        assert all(pair == pairs[0] for pair in pairs[1:])
 
     def test_p2_half_pins_degree_one(self):
         regime = ValuationRegime.p2_half()
         pair = solve_phi_psi(substituted_series(regime, 4), regime, 4)
         pinned_phi, pinned_psi = regime.pin_degree_one
+        # psi_1 = x for H, so x/2 in the unscaled variables
+        assert not pinned_phi
+        assert pinned_psi == generator("x", 1) * Fraction(1, 2)
         assert pair.phi.component(1) == pinned_phi
         assert pair.psi.component(1) == pinned_psi
 
@@ -107,12 +128,24 @@ class TestSolver:
         with pytest.raises(ValueError):
             solve_phi_psi(x, regime, 3)
 
+    @staticmethod
+    def x_plus_y_plus(q, n_max=4):
+        """x + y + q [x, y] through degree n_max."""
+        return (generator("x", n_max) + generator("y", n_max)
+                + LiePoly({(2, 0): q}, n_max))
+
     def test_series_violating_the_input_bound_is_rejected(self):
         regime = ValuationRegime.p2_half()
-        # raw CH violates the p2 bound v_2(H_n) >= 0 from degree 2 on
-        with pytest.raises(InputBoundViolation):
-            solve_phi_psi(bch(4), regime, 4)
+        # on the H view [x, y]/4 has v_2 = -2 + 1 < 0; raw CH, with
+        # [x, y]/2, meets the bound
+        with pytest.raises(InputBoundViolation, match=r"v_2\(H_2\) = -1 < 0"):
+            solve_phi_psi(self.x_plus_y_plus(Fraction(1, 4)), regime, 4)
 
+    def test_series_below_the_generic_floor_is_rejected(self):
+        # v_3([x, y]/9) = -2 < 0, the floor at degree 2; s = 1 here
+        regime = ValuationRegime.generic(3)
+        with pytest.raises(InputBoundViolation, match=r"v_3\(H_2\) = -2 < 0"):
+            solve_phi_psi(self.x_plus_y_plus(Fraction(1, 9)), regime, 4)
 
     def test_pair_failing_the_identity_raises_property_failed(self,
                                                               monkeypatch):

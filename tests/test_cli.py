@@ -488,7 +488,7 @@ class TestErrorExitCodes:
         classes = [c for c in vars(errors).values()
                    if isinstance(c, type) and c.__module__ == errors.__name__
                    and c not in bases + (errors.OrbitkitError,)]
-        assert len(classes) == 21
+        assert len(classes) == 20
         for cls in classes:
             under = [b for b in bases if issubclass(cls, b)]
             assert len(under) == 1 or (

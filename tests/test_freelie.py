@@ -9,12 +9,13 @@ from itertools import product
 import pytest
 
 from orbitkit import freelie
-from orbitkit.errors import PrimeContextMismatch, PropertyFailed
-from orbitkit.freelie import (DEGREE_CAP, INFINITY, LiePoly, Scalar,
-                              basis_expansion, bch, bracket, bracket_table,
-                              exp_ad_apply, generator, lyndon_count,
-                              lyndon_words, standard_bracketing, valuation_of,
-                              vp, words_to_lyndon, _assoc_bch, _dynkin_bch,
+from orbitkit.chsolver import ValuationRegime
+from orbitkit.errors import PropertyFailed
+from orbitkit.freelie import (DEGREE_CAP, INFINITY, LiePoly, basis_expansion,
+                              bch, bracket, bracket_table, exp_ad_apply,
+                              generator, lyndon_count, lyndon_words,
+                              standard_bracketing, valuation_of, vp,
+                              words_to_lyndon, _assoc_bch, _dynkin_bch,
                               _dynkin_bracket, _dynkin_word, _log_words)
 
 
@@ -35,63 +36,19 @@ class TestScalars:
         assert vp(Fraction(0), 5) == INFINITY
 
     def test_sqrt_p_has_half_integer_valuation(self):
-        s = Scalar.sqrt(5)
-        assert s.valuation(5) == Fraction(1, 2)
-        assert (s * s).valuation(5) == 1
-
-    def test_surd_square_collapses_to_a_rational(self):
-        s = Scalar.sqrt(5)
-        t = s * Fraction(1, 5) * s
-        assert t.surd == 0
-        assert t == 1
-
-    def test_surd_inverse(self):
-        s = Scalar(Fraction(1, 2), Fraction(3), 7)
-        assert s * s.inverse() == 1
+        # the sqrt(p) regime holds s^2 = p and reads v_p(s) = 1/2
+        regime = ValuationRegime.sqrtp(5)
+        x = generator("x", 2)
+        assert regime.valuation(x, 1) == Fraction(1, 2)
+        assert regime.valuation(x, 2) == 1
 
     def test_fraction_arguments_are_kept(self):
-        q, r = Fraction(3, 4), Fraction(-1, 6)
-        s = Scalar(q, r, 7)
-        assert s.rat is q and s.surd is r
-        assert type(Scalar(3).rat) is Fraction and Scalar(3) == Fraction(3)
-
-    def test_mixed_primes_are_rejected(self):
-        with pytest.raises(PrimeContextMismatch):
-            Scalar.sqrt(5) * Scalar.sqrt(7)
-        with pytest.raises(PrimeContextMismatch):
-            Scalar(Fraction(1, 3), 2, 5) * Scalar(0, Fraction(-1, 2), 7)
-        with pytest.raises(PrimeContextMismatch):
-            Scalar.sqrt(5).valuation(3)
-
-    @pytest.mark.parametrize("left, right", [
-        ("rational", "rational"), ("rational", "surd"),
-        ("surd", "rational"), ("surd", "surd")])
-    def test_product_matches_the_four_product_formula(self, left, right):
-        # (a + b s)(c + d s) = (ac + bd p) + (ad + bc) s, all four products
-        def ref_mul(x, y):
-            p = x.prime if x.prime is not None else y.prime
-            rat = x.rat * y.rat + x.surd * y.surd * (p or 0)
-            return rat, x.rat * y.surd + x.surd * y.rat, p
-
-        rng = random.Random(f"{left}-{right}")
-
-        def draw(kind):
-            rat = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            if kind == "rational":
-                return Scalar(rat)
-            return Scalar(rat, Fraction(rng.choice([-3, -1, 1, 2]),
-                                        rng.randint(1, 9)), 5)
-
-        for _ in range(40):
-            x, y = draw(left), draw(right)
-            rat, surd, p = ref_mul(x, y)
-            got = x * y
-            assert (got.rat, got.surd) == (rat, surd)
-            assert got.prime == (p if surd else None)
-            assert type(got.rat) is Fraction and type(got.surd) is Fraction
-            if left == "rational":
-                # a plain Fraction on either side goes through _scalar
-                assert x.rat * y == got and y * x.rat == got
+        # a Fraction coefficient is held as it is; anything else becomes one
+        q = Fraction(3, 4)
+        poly = LiePoly({(1, 0): q, (1, 1): 3})
+        assert poly.terms[(1, 0)] is q
+        assert type(poly.terms[(1, 1)]) is Fraction
+        assert poly.terms[(1, 1)] == 3
 
 
 class TestLyndonBasis:

@@ -71,7 +71,7 @@ class Reference:
         for n in range(1, ring.ch_truncation + 1):
             for (degree, index), c in series.component(n).terms.items():
                 word = lyndon_words(degree)[index]
-                self.ch_terms.append((standard_bracketing(word), c.rat))
+                self.ch_terms.append((standard_bracketing(word), c))
         self.ad_limit = (ring.ch_truncation - 1 if ring.uniform
                          else max(ring.class_ - 1, 0))
 
@@ -372,9 +372,6 @@ class Dense:
         ring = self.ring
         q, a, mult = coefficient
         if a:
-            if ring.uniform and a > ring._shift:
-                raise EvaluationNotIntegral(
-                    f"coefficient {q} needs p^{a} beyond working precision")
             quot = vals // ring.p ** a
             if not np.array_equal(quot * ring.p ** a, vals):
                 raise EvaluationNotIntegral(
@@ -385,6 +382,13 @@ class Dense:
     def words(self, terms, U, V):
         """(word values, terms' sum in canonical (..., rank) form)."""
         ring = self.ring
+        # a p-power beyond the shift (0 at class < p) is refused before
+        # any value is formed
+        for _, q in terms:
+            a = ring._coefficient(q)[1]
+            if a > ring._shift:
+                raise EvaluationNotIntegral(
+                    f"coefficient {q} needs p^{a} beyond working precision")
         U, V, shape, batch = _coordinate_major(U, V)
         values = {(0,): self.entry(U), (1,): self.entry(V)}
         for w, left, right in _plan_steps({w for w, _ in terms
@@ -411,7 +415,7 @@ class Dense:
         out = np.zeros((ring.rank,) + batch, dtype=np.int64)
         out += cur
         steps = []
-        for k in range(1, ring._exp_ad_limit() + 1):
+        for k in range(1, ring.ch_truncation):
             cur = self.bracket(W, cur, batch)
             steps.append(cur)
             out += self.scaled(cur, ring._coefficient(
@@ -476,10 +480,13 @@ def check_exp_ad(ring, W, X):
 
 
 def twist_series(ring):
-    """The twist pair's phi and psi; psi has no degree-1 term."""
+    """The twist pair's phi and psi; psi has no degree-1 term.  At class
+    c < p they stop at degree c: the terms above it vanish on the ring, and
+    such a ring refuses a p in any denominator."""
     regime = ValuationRegime.generic(max(ring.p, 3))
-    return solve_phi_psi(substituted_series(regime, 4), regime,
-                         4).back_substituted()
+    pair = solve_phi_psi(substituted_series(regime, 4), regime, 4)
+    top = 4 if ring.uniform else ring.class_
+    return pair.phi.with_max_degree(top), pair.psi.with_max_degree(top)
 
 
 def inputs(ring):
@@ -526,15 +533,25 @@ class TestEvaluationNotIntegral:
         """[x, y] / p^power as a one-term series."""
         return LiePoly({(2, 0): Fraction(1, p ** power)}, degree)
 
-    def test_value_not_divisible(self, z9):
+    def test_value_not_divisible(self, rank3_z8):
+        # x/4 on the uniform ring over Z/8, whose shift is 2
+        quarter_x = LiePoly({(1, 0): Fraction(1, 4)}, 2)
         u = np.array([[1, 0, 0]], dtype=np.int64)
-        v = np.array([[0, 1, 0]], dtype=np.int64)
+        assert rank3_z8._shift == 2
         with pytest.raises(EvaluationNotIntegral,
-                           match=r"value not divisible by p\^1"):
-            z9.evaluate_series_batch(self.half_bracket(3), u, v)
-        # divisible values pass: [3x, y] = 3z
-        assert z9.evaluate_series_batch(self.half_bracket(3), 3 * u,
-                                        v).tolist() == [[0, 0, 1]]
+                           match=r"value not divisible by p\^2"):
+            rank3_z8.evaluate_series_batch(quarter_x, u, u)
+        # divisible values pass: 4x/4 = x
+        assert rank3_z8.evaluate_series_batch(quarter_x, 4 * u,
+                                              u).tolist() == [[1, 0, 0]]
+
+    def test_class_below_p_refuses_a_p_denominator(self, z9):
+        # the shift is 0, so [x, y]/3 is refused when its plan is built,
+        # before any value: even where the value is divisible, [3x, y] = 3z
+        assert z9._shift == 0
+        with pytest.raises(EvaluationNotIntegral,
+                           match=r"needs p\^1 beyond working precision"):
+            z9._term_plan(_poly_terms(self.half_bracket(3)))
 
     def test_beyond_working_precision(self, rank3_z8):
         u = np.array([1, 0, 0], dtype=np.int64)
@@ -827,17 +844,21 @@ class TestPlanType:
         assert ch_plan(ring)[3] is np.int32
         assert ring._exp_ad[3] is np.int32
 
-    def test_a_coefficient_power_widens_the_plan(self):
-        # [x, y] / 3^10 on H(F3): 3^10 > 2^15 - 1 must fit the plan's type
-        # so the divisibility check runs exactly as in int64
-        ring = heisenberg(3)
-        series = LiePoly({(2, 0): Fraction(1, 3 ** 10)}, 2)
-        assert ring._term_plan(_poly_terms(series))[3] is np.int32
-        u = np.array([[1, 0, 0]], dtype=np.int64)
-        v = np.array([[0, 1, 0]], dtype=np.int64)
+    @pytest.mark.parametrize("ring", [
+        make_ring(2, (3,) * 3, {(0, 1): {2: 4}}),
+        uniform_quotient(3, 2, {(0, 1): {1: 3}}, 3)],
+        ids=["rank3_z8", "Q3-class3/27"])
+    def test_a_coefficient_power_is_admitted_up_to_the_shift(self, ring):
+        # p^a <= p^s <= W, and the plan's type covers W, so the
+        # divisibility check runs exactly as in int64
+        a = ring._shift
+        assert ring.uniform and a == 2
+        word_over = LiePoly({(2, 0): Fraction(1, ring.p ** a)}, 2)
+        plan = ring._term_plan(_poly_terms(word_over))
+        assert ring.p ** a <= ring._work <= np.iinfo(plan[3]).max
         with pytest.raises(EvaluationNotIntegral,
-                           match=r"value not divisible by p\^10"):
-            ring.evaluate_series_batch(series, u, v)
+                           match=rf"needs p\^{a + 1} beyond working precision"):
+            ring._term_plan(_poly_terms(word_over * Fraction(1, ring.p)))
 
     def test_u4_ch_plan_runs_every_step_in_int16(self, monkeypatch):
         ring = upper_unitriangular4(5)

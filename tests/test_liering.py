@@ -432,9 +432,12 @@ def reference_twist(group, pair, budget=None):
     above the budget, ``TWIST_PAIR_BUDGET`` by default) in one (k, rank)
     batch, φ and ψ on both operands, both twists through
     ``conjugate_batch``, and failures in the order sum identity, x-twist,
-    y-twist, collisions."""
+    y-twist, collisions.  At class c < p φ and ψ stop at degree c, whose
+    longer words vanish on the ring."""
     ring = group.ring
-    phi, psi = pair.back_substituted()
+    phi, psi = pair.phi, pair.psi
+    if not ring.uniform:
+        phi, psi = (s.with_max_degree(ring.class_) for s in (phi, psi))
     n = group.size
     if n * n <= (liering.TWIST_PAIR_BUDGET if budget is None else budget):
         ia, ib = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
@@ -477,9 +480,6 @@ class ForgedPair:
 
     def __init__(self, phi, psi, certified_to):
         self.phi, self.psi, self.certified_to = phi, psi, certified_to
-
-    def back_substituted(self):
-        return self.phi, self.psi
 
 
 class ForgedGroup:
@@ -532,9 +532,8 @@ class TestTwistReference:
         assert ring.class_ == 3
         regime = ValuationRegime.generic(5)
         pair = solve_phi_psi(substituted_series(regime, 3), regime, 3)
-        phi, psi = pair.back_substituted()
         assert all(any(len(w) > 1 for w, _ in _poly_terms(s))
-                   for s in (phi, psi))
+                   for s in (pair.phi, pair.psi))
         got, want = self.both(LazardGroup(ring), pair)
         assert got == want
         assert got[1][1] == "exhaustive"
@@ -565,9 +564,9 @@ class TestTwistReference:
         return generic_pair(p, degree=2)
 
     def test_series_read_no_x(self):
-        phi, psi = self.degree_two(3).back_substituted()
-        assert [w for w, _ in _poly_terms(phi)] == [(1,)]
-        assert [w for w, _ in _poly_terms(psi)] == []
+        pair = self.degree_two(3)
+        assert [w for w, _ in _poly_terms(pair.phi)] == [(1,)]
+        assert [w for w, _ in _poly_terms(pair.psi)] == []
 
     @pytest.mark.parametrize("scenario, start", [
         ("y-twist", "y-twist"), ("both-twists", "x-twist"),
@@ -638,7 +637,7 @@ def forged_pairs(ring, pair):
     """(name, pair) for φ or ψ plus k·w, w in x, y, [x, y], [x, [x, y]] up to
     the class and k in 1, 2, p: each a Lie series, so a polynomial check
     sees it."""
-    phi, psi = pair.back_substituted()
+    phi, psi = pair.phi, pair.psi
     top = phi.max_degree
     for (degree, index), word in (((1, 0), "x"), ((1, 1), "y"),
                                   ((2, 0), "[x,y]"), ((3, 0), "[x,[x,y]]")):
@@ -695,11 +694,10 @@ class TestSimplexCertificate:
         # injectivity is proved, not counted, in twist_map: count it here
         E = ring.grid.elements
         n = len(E)
-        phi, psi = generic_pair(ring.p,
-                                max(2, ring.class_)).back_substituted()
+        pair = generic_pair(ring.p, max(2, ring.class_))
         U, V = E[:, None], E[None, :]
-        xt = ring.exp_ad_batch(ring.evaluate_series_batch(phi, U, V), U)
-        yt = ring.exp_ad_batch(ring.evaluate_series_batch(psi, U, V), V)
+        xt = ring.exp_ad_batch(ring.evaluate_series_batch(pair.phi, U, V), U)
+        yt = ring.exp_ad_batch(ring.evaluate_series_batch(pair.psi, U, V), V)
         codes = ring.grid.index_batch(xt) * n + ring.grid.index_batch(yt)
         assert np.unique(codes).size == n * n
 
