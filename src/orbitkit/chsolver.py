@@ -39,7 +39,7 @@ from . import freelie
 from .errors import (InputBoundViolation, LinearSystemInconsistent,
                      OutputBoundViolation, PropertyFailed)
 from .freelie import (LiePoly, bch, bracket_table, exp_ad_apply, generator,
-                      lyndon_count, valuation_of, vp)
+                      is_prime, lyndon_count, valuation_of, vp)
 from .ratlin import solve_right
 
 
@@ -63,6 +63,8 @@ class ValuationRegime:
 
     @classmethod
     def generic(cls, p: int) -> "ValuationRegime":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if p < 3:
             raise ValueError("generic regime needs p >= 3 (use p2_half/p2_quarter)")
         return cls(f"generic:{p}", p,
@@ -78,6 +80,8 @@ class ValuationRegime:
 
     @classmethod
     def sqrtp(cls, p: int) -> "ValuationRegime":
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         if p < 5:
             raise ValueError("sqrtp regime needs p >= 5")
         return cls(f"sqrtp:{p}", p,

@@ -29,7 +29,7 @@ from .chsolver import ValuationRegime, solve_phi_psi, substituted_series
 from .errors import (AssertionFailed, CheckFailure, InputBoundViolation,
                      InputRejected, OrbitkitError, OutputBoundViolation,
                      PropertyFailed, RegimeViolation)
-from .freelie import DEGREE_CAP, INFINITY, bch, render_basis
+from .freelie import DEGREE_CAP, INFINITY, bch, is_prime, render_basis
 from .liering import LazardGroup, make_ring, twist_map
 from .oracle import character_table, match_tables
 from .orbitmethod import (coadjoint_orbits, kirillov_character,
@@ -126,7 +126,14 @@ def load_subring_spec(path):
     return gens, obj.get("label")
 
 
+def _require_prime(p) -> None:
+    if not is_prime(p):
+        raise ValueError(f"--prime {p} is not prime")
+
+
 def _regime(name: str, p) -> ValuationRegime:
+    if p is not None:
+        _require_prime(p)
     if name == "generic":
         if p is None:
             raise ValueError("--regime generic needs --prime")
@@ -211,6 +218,7 @@ def cmd_bch(args) -> int:
     else:
         if p is None:
             raise ValueError("bch needs --prime (or a --regime fixing it)")
+        _require_prime(p)
         # raw CH is the unscaled series held to the certificate's floor
         regime = ValuationRegime("CH", p, lambda n: -Fraction(n - 1, p - 1),
                                  None)

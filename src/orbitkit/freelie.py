@@ -34,6 +34,18 @@ DEGREE_CAP = 8
 INFINITY = math.inf
 
 
+def is_prime(n: int) -> bool:
+    """Trial division: the primes the commands and constructors accept."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _vp_int(n: int, p: int) -> int:
     v = 0
     while n % p == 0:

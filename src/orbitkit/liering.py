@@ -89,20 +89,9 @@ import numpy as np
 from .errors import (EvaluationNotIntegral, IntegerHeadroomExceeded,
                      JacobiViolation, PropertyFailed, RegimeViolation,
                      SubringNotClosed, WellDefinednessViolation)
-from .freelie import (DEGREE_CAP, bch, lyndon_count, lyndon_words,
-                      standard_factorization, vp)
+from .freelie import (DEGREE_CAP, bch, is_prime, lyndon_count,
+                      lyndon_words, standard_factorization, vp)
 from .modlin import cyclic_basis, howell_form, solve_mod, span_equal
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _plan_steps(words):
@@ -644,7 +633,7 @@ def make_ring(p, moduli, brackets, *, lifts=None, label=None) -> FiniteLieRing:
     of the same constants; the uniform evaluation path needs them whenever the
     canonical integers do not already satisfy Jacobi exactly over Z.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     moduli = tuple(int(k) for k in moduli)
     if any(k < 1 for k in moduli):
@@ -762,7 +751,7 @@ def uniform_quotient(p, rank, constants, r, *, label=None) -> FiniteLieRing:
     constants must satisfy Jacobi exactly.  The result has all moduli equal
     to r and carries the exact constants as its evaluation lifts.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if r < 1:
         raise ValueError("r must be >= 1")

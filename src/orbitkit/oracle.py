@@ -271,19 +271,44 @@ class CharTable:
                 f"degrees up to {int(self.degrees.max(initial=1))})")
 
 
-def class_matrix(part, a, law=GROUP):
-    """Burnside's class matrix M_a as an (r, r) integer array.
+def _class_blocks(part, classes):
+    """Runs of consecutive ``classes`` whose members pair with the r
+    representatives in at most ``_BLOCK_CELLS`` cells; a class with more
+    cells than that is a run of its own."""
+    r = len(part)
+    block, cells = [], 0
+    for a in classes:
+        size = int(part.sizes[a]) * r
+        if block and cells + size > _BLOCK_CELLS:
+            yield block
+            block, cells = [], 0
+        block.append(a)
+        cells += size
+    if block:
+        yield block
+
+
+def class_matrices(part, classes, law=GROUP):
+    """(a, M_a) for each class a of ``classes``, in that order: Burnside's
+    class matrix M_a as an (r, r) integer array.
 
     (M_a)_{b,c} counts pairs x in C_a, y in C_b with x y = z_c, the
     representative of class c: the x in C_a with x^{-1} z_c in C_b.
     ``law`` picks the meaning of x^{-1} z_c as in ``harmonic.translates``;
-    ``ADDITIVE`` counts the x in C_a with z_c - x in C_b instead.
+    ``ADDITIVE`` counts the x in C_a with z_c - x in C_b instead.  One
+    ``translates`` call serves each run of ``_class_blocks``, and each
+    class's labels are counted by one ``bincount``.
     """
     r = len(part)
-    b = part.labels[translates(part.group, law, part.classes[a],
-                               part.reps)]
-    flat = b * r + np.arange(r, dtype=np.int64)
-    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
+    cols = np.arange(r, dtype=np.int64)
+    for block in _class_blocks(part, classes):
+        rows = np.concatenate([part.classes[a] for a in block])
+        flat = part.labels[translates(part.group, law, rows,
+                                      part.reps)] * r + cols
+        ends = np.cumsum(part.sizes[block])[:-1]
+        for a, counts in zip(block, np.split(flat, ends)):
+            yield a, np.bincount(counts.ravel(),
+                                 minlength=r * r).reshape(r, r)
 
 
 def _split(N, gap):
@@ -518,14 +543,20 @@ def character_table(group: LazardGroup, *, seed=0) -> CharTable:
             raise ValidationFailed(
                 f"degrees {degrees} are not integers to 1e-6")
         rows = (rounded[None, :] * omega / sizes[:, None]).T
+        del omega
 
         # each gate subtracts its diagonal target in place, through a
-        # strided view of the diagonal; off the diagonal the target is 0
-        row_orth = (rows * sizes[None, :]) @ rows.conj().T
+        # strided view of the diagonal; off the diagonal the target is 0.
+        # The gates share one conjugate, and each r x r temporary is freed
+        # before the next is built.
+        conj = rows.conj()
+        row_orth = (rows * sizes[None, :]) @ conj.T
         row_orth /= n
         row_orth.reshape(-1)[::r + 1] -= 1.0
         dev_row = np.max(np.abs(row_orth))
-        col_orth = rows.T @ rows.conj()
+        del row_orth
+        col_orth = rows.T @ conj
+        del conj
         target = n / sizes
         col_orth.reshape(-1)[::r + 1] -= target
         dev = np.abs(col_orth)

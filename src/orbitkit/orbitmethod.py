@@ -24,11 +24,14 @@ N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b} under both laws, so those
 checks are exact at every group order.  The certified generators act
 additively, so the additive counts are constant on classes as the group
 counts are, and both laws are counted at the class representatives only,
-as r x r matrices (``oracle.class_matrix`` under either law).  The
-idempotent suite checks that each orbit idempotent is constant on the
-oracle's classes and multiplies the idempotents in the class algebra,
-again through Burnside's class matrices, so every suite runs at any group
-order without an n x n table.
+as r x r matrices (``oracle.class_matrices`` under either law, a run of
+classes per translation call).  The idempotent suite checks that each
+orbit idempotent is constant on the oracle's classes and Hermitian, and
+multiplies the idempotents in the class algebra, again through Burnside's
+class matrices: class functions commute and Hermitian ones have Hermitian
+products, so one class of each inverse pair and the pairs j <= i give
+every product.  Every suite runs at any group order without an n x n
+table.
 
 ``kirillov_character`` returns the character's values on G.  The exact
 suites (exp* here and the p = 2 counts, like ``liering``'s twist check)
@@ -39,6 +42,7 @@ report; the idempotent suite returns its measured deviations, with
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -48,8 +52,8 @@ from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
 from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
                        exp_star, fourier, inverse_fourier)
 from .liering import LazardGroup, Subring, min_uniform_depth
-from .oracle import (class_matrix, conjugacy_classes, conjugation_certificate,
-                     permutation_orbits)
+from .oracle import (class_matrices, conjugacy_classes,
+                     conjugation_certificate, permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
@@ -145,15 +149,17 @@ def kirillov_character(group: LazardGroup,
 
 # -- class-indicator counts ------------------------------------------------------
 
-def _count_mismatch(part, a, rows=None):
+def _count_mismatch(part, a, by_group, by_sum, rows=None):
     """First (a, b, c), b in ``rows`` (every class when None) and c in G in
     row-major order, where N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
     differs between the group and the additive law; None when they agree.
+    ``by_group`` and ``by_sum`` are the class matrices of a under the two
+    laws.
 
     Convolving the indicators of C_a and C_b gives N_a[b, .]/|G| under each
     law, so agreement for every a is the exact all-pairs intertwining test.
     The two laws are compared as r x r count matrices at the class
-    representatives, ``class_matrix`` under each law, and that suffices:
+    representatives, ``class_matrices`` under each law, and that suffices:
 
     * The group counts are constant on classes: conjugation by g permutes
       C_a and C_b and maps h^{-1} x_c to (g h g^-1)^{-1} (g x_c g^-1).
@@ -175,12 +181,24 @@ def _count_mismatch(part, a, rows=None):
     first row at which any element differs.
     """
     keep = slice(None) if rows is None else rows
-    bad = (class_matrix(part, a)[keep]
-           != class_matrix(part, a, ADDITIVE)[keep])
+    bad = by_group[keep] != by_sum[keep]
     if not bad.any():
         return None
     b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
     return (a, int(b if rows is None else rows[b]), part.reps[c])
+
+
+def _first_mismatch(part, classes, rows=None):
+    """The first ``_count_mismatch`` over ``classes`` in their order, with
+    the rows b in ``rows``; None when every class agrees.  Both laws' class
+    matrices come from ``class_matrices``, a run of classes at a time."""
+    laws = zip(class_matrices(part, classes),
+               class_matrices(part, classes, ADDITIVE))
+    for (a, by_group), (_, by_sum) in laws:
+        hit = _count_mismatch(part, a, by_group, by_sum, rows)
+        if hit is not None:
+            return hit
+    return None
 
 
 # -- verification suites --------------------------------------------------------
@@ -191,28 +209,44 @@ _CLASS_CELLS = 1 << 18
 
 
 def _class_algebra_deviations(part, at_reps):
-    """Idempotent and orthogonality deviations of class functions, worked
-    out in the class algebra.
+    """Idempotent and orthogonality deviations of Hermitian class functions,
+    worked out in the class algebra.
 
     ``at_reps`` holds the values e_i(z_a) of k class functions at the class
-    representatives z_a, one row each.  Their group convolutions there are
+    representatives z_a, one row each, Hermitian exactly: e_i(z_a*) =
+    conj e_i(z_a), a* the class of the inverses of C_a (``part.inverse``).
+    Their group convolutions there are
 
       (e_i * e_j)(z_c) = (1/|G|) sum_a e_i(z_a) sum_b e_j(z_b) M_a[b, c]
 
     with M_a Burnside's class matrix, and each is compared with
     delta_ij e_i(z_c).  The triples x y = z in C_a x C_b x C_c, counted once
-    by (x, y) and once by (z, y^-1), give |C_c| M_a[b, c] = |C_a| M_c[b*, a],
-    b* the class of the inverses of C_b (``part.inverse``).  So
-    the class matrix of c alone gives every product at z_c:
+    by (x, y) and once by (z, y^-1), give |C_c| M_a[b, c] = |C_a| M_c[b*, a].
+    So the class matrix of c alone gives every product at z_c:
 
       (e_i * e_j)(z_c) = (1/(|G| |C_c|)) sum_{b,a} e_j(z_b*) M_c[b, a]
                          |C_a| e_i(z_a).
 
-    Classes c go in blocks of about ``_CLASS_CELLS`` / (r k).  A block is
-    one real product of its stacked class matrices with the real and
-    imaginary parts of |C_a| e_i(z_a), then two real products of
+    Half the cells, twice.  Class functions commute under convolution, so
+    e_i * e_j = e_j * e_i; the inputs are Hermitian, so is their product,
+    and (e_i * e_j)(z_c*) = conj (e_i * e_j)(z_c).  Every cell (c, j, i)
+    therefore has the deviation of a cell with c <= c* and j <= i, which
+    comes earlier in (c, j, i) order, and only those cells are computed.
+
+    The classes c <= c* go in blocks of s, about ``_CLASS_CELLS`` / (r k).
+    A block is one real product of its stacked class matrices with the real
+    and imaginary parts of |C_a| e_i(z_a), then, strip by strip of w
+    consecutive i, two real products of the rows j < (the strip's end) of
     [Re e_j(z_b*) | -Im e_j(z_b*)] and [Im e_j(z_b*) | Re e_j(z_b*)] with
-    those, so the r^4 work runs as real BLAS and no r x r x r array exists.
+    the strip's columns, so the r^4 work runs as real BLAS and no
+    r x r x r array exists.  w is sqrt(4 ``_CLASS_CELLS`` / (s r)), about
+    2 sqrt(k), rounded up to a multiple of 8, and the last strip takes the
+    rest.  A multiple of 8 keeps a strip's columns in the 8-wide tiles of
+    the whole block's product (OpenBLAS's double kernels), and at the
+    default ``_CLASS_CELLS`` a strip's first square is large enough to be
+    summed over b as that product sums it, so each computed cell carries
+    the round-off of the unstripped product (``TestClassAlgebraKernel``
+    compares them bit for bit).
 
     Returns (idempotent deviation, orthogonality deviation, witness).  The
     witness (i, j, grid index of z_c) is the first largest off-diagonal
@@ -224,44 +258,79 @@ def _class_algebra_deviations(part, at_reps):
     fold_im = np.hstack([left.imag, left.real])
     right = at_reps * part.sizes
     right = np.hstack([right.real.T, right.imag.T])
-    diag = np.arange(k)
+    classes = [c for c in range(r) if c <= part.inverse[c]]
+    step = max(1, _CLASS_CELLS // (r * k))
     dev_idem = dev_orth = 0.0
     witness = None
-    step = max(1, _CLASS_CELLS // (r * k))
+    found = class_matrices(part, classes)
     # the class matrices of a block, written in place as float64 (exact:
     # every count is at most |G| < 2^53)
-    matrices = np.empty((min(step, r) * r, r))
-    for lo in range(0, r, step):
-        cs = np.arange(lo, min(r, lo + step))
-        s = len(cs)
-        stacked = matrices[:s * r]
-        for t, c in enumerate(cs):
-            stacked[t * r:(t + 1) * r] = class_matrix(part, c)
-        # inner[(t, b), (c, i)] = sum_a M_c[b, a] |C_a| e_i(z_a), its real
-        # part at t = 0 and its imaginary part at t = 1
-        inner = (stacked @ right).reshape(s, r, 2, k).transpose(
-            2, 1, 0, 3).reshape(2 * r, s * k)
-        scale = (1.0 / (n * part.sizes[cs]))[None, :, None]
-        conv_re = (fold_re @ inner).reshape(k, s, k)
+    matrices = np.empty((min(step, len(classes)) * r, r))
+    for lo in range(0, len(classes), step):
+        cs = classes[lo:lo + step]
+        stacked = matrices[:len(cs) * r]
+        for t, (_, M) in enumerate(itertools.islice(found, len(cs))):
+            stacked[t * r:(t + 1) * r] = M
+        idem, top, key = _block_deviations(
+            stacked, right, fold_re, fold_im, at_reps[:, cs],
+            1.0 / (n * part.sizes[cs]))
+        dev_idem = max(dev_idem, idem)
+        # the first class c holding the block's maximum, at its first (j, i)
+        t = int(np.argmax(top))
+        if top[t] > dev_orth:
+            dev_orth = float(top[t])
+            j, i = divmod(int(key[t]), k)
+            witness = (i, j, part.reps[cs[t]])
+    return dev_idem, dev_orth, witness
+
+
+def _block_deviations(stacked, right, fold_re, fold_im, targets, scale):
+    """One block of ``_class_algebra_deviations``, strip by strip: the
+    largest idempotent deviation, and for each class the largest
+    off-diagonal deviation over the cells j <= i, with its first cell in
+    (j, i) order as j k + i.
+
+    ``stacked`` holds the block's s class matrices M_c; for its t-th class
+    c, ``targets[:, t]`` holds the e_i(z_c) and ``scale[t]`` is
+    1 / (|G| |C_c|).  Every temporary is freed on return, before the next
+    block's products are built.
+    """
+    k, s = targets.shape
+    r = len(right)
+    # inner[t, b, 0 | 1, i] = sum_a M_c[b, a] |C_a| e_i(z_a), real and
+    # imaginary part
+    inner = (stacked @ right).reshape(s, r, 2, k)
+    scale = scale[None, :, None]
+    width = 8 * max(1, -(-math.isqrt(4 * _CLASS_CELLS // (s * r)) // 8))
+    # the last strip takes the rest, so no strip is narrower than w
+    starts = list(range(0, max(k - width, 0) + 1, width))
+    dev_idem = 0.0
+    tops, keys = [], []
+    for i0, i1 in zip(starts, starts[1:] + [k]):
+        w = i1 - i0
+        strip = inner[..., i0:i1].transpose(2, 1, 0, 3).reshape(2 * r, s * w)
+        # conv[j, t, i - i0] = (e_i * e_j)(z_c) - delta_ij e_i(z_c)
+        conv_re = (fold_re[:i1] @ strip).reshape(i1, s, w)
         conv_re *= scale
-        conv_im = (fold_im @ inner).reshape(k, s, k)
+        conv_im = (fold_im[:i1] @ strip).reshape(i1, s, w)
         conv_im *= scale
-        del inner
-        # conv[j, c, i] = (e_i * e_j)(z_c) - delta_ij e_i(z_c)
-        conv_re[diag, :, diag] -= at_reps[:, cs].real
-        conv_im[diag, :, diag] -= at_reps[:, cs].imag
+        d = np.arange(w)
+        conv_re[i0 + d, :, d] -= targets[i0:i1].real
+        conv_im[i0 + d, :, d] -= targets[i0:i1].imag
         dev = np.hypot(conv_re, conv_im, out=conv_re)
         del conv_im
-        dev_idem = max(dev_idem, float(dev[diag, :, diag].max()))
-        dev[diag, :, diag] = 0.0
-        # the first largest in (c, j, i) order: the first class c holding
-        # the block's maximum, then the first (j, i) at c
-        c = int(np.argmax(dev.max(axis=(0, 2))))
-        j, i = np.unravel_index(int(np.argmax(dev[:, c, :])), (k, k))
-        if dev[j, c, i] > dev_orth:
-            dev_orth = float(dev[j, c, i])
-            witness = (int(i), int(j), part.reps[lo + c])
-    return dev_idem, dev_orth, witness
+        dev_idem = max(dev_idem, float(dev[i0 + d, :, d].max()))
+        # the diagonal, and the cells j > i that mirror computed ones
+        jj, ii = np.tril_indices(w)
+        dev[i0 + jj, :, ii] = 0.0
+        # each class's first largest cell in (j, i) order
+        flat = dev.transpose(1, 0, 2).reshape(s, i1 * w)
+        at = np.argmax(flat, axis=1)
+        tops.append(flat[np.arange(s), at])
+        keys.append(at // w * k + i0 + at % w)
+    tops, keys = np.array(tops), np.array(keys)
+    top = tops.max(axis=0)
+    return dev_idem, top, np.where(tops == top, keys, k * k).min(axis=0)
 
 
 def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
@@ -274,18 +343,25 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     certificate.
 
     (b) and (c) run in the class algebra, at every group order.  First each
-    e_i must be constant on the oracle's conjugacy classes: the deviation
-    d = max_{i,x} |e_i(x) - e_i(z_[x])|, z_[x] the representative of the
-    class of x, must be within ``tol``, else the report fails with the
-    witness (i, x).  The class-constant e~_i then convolve exactly as class
-    functions do, so (e~_i * e~_j) is read off Burnside's class matrices at
-    the representatives (``_class_algebra_deviations``), and the witness of
-    a failure is (i, j, grid index of z_c).  That is the old all-of-G check
-    up to d: with e_i = e~_i + D_i, |D_i| <= d and |(f * g)(x)| <=
+    e_i must be constant on the oracle's conjugacy classes and Hermitian.
+    The constancy deviation is d = max_{i,x} |e_i(x) - e_i(z_[x])|, z_[x]
+    the representative of the class of x.  The class function e~_i takes
+    the value e~_i(z_a) = (e_i(z_a) + conj e_i(z_a*)) / 2 on C_a, a* the
+    class of the inverses of C_a; it is Hermitian exactly in floating
+    point, since the sum commutes and conj and the halving are exact.  The
+    Hermitian deviation is h = max_{i,a} |e_i(z_a) - e~_i(z_a)|, and
+    d + h must be within ``tol``, else the report fails with the witness
+    (i, x) when d >= h and (i, grid index of z_a) otherwise.  The e~_i
+    convolve exactly as class functions do, so (e~_i * e~_j) is read off
+    Burnside's class matrices at the representatives
+    (``_class_algebra_deviations``, which computes one class of each
+    inverse pair and the pairs j <= i), and the witness of a failure is
+    (i, j, grid index of z_c).  That is the old all-of-G check up to
+    d + h: with e_i = e~_i + D_i, |D_i| <= d + h and |(f * g)(x)| <=
     ||f||_2 ||g||_2 (mass-1 Haar norms), at every x in G
       |(e_i * e_j - delta_ij e_i)(x)|
         <= max_c |(e~_i * e~_j - delta_ij e~_i)(z_c)|
-           + d (1 + d + ||e_i||_2 + ||e_j||_2),
+           + (d + h) (1 + d + h + ||e_i||_2 + ||e_j||_2),
     and the same with the two sides swapped; ||e_Omega||_2 = |Omega|^{1/2}.
     Characters are consumed one at a time: no n x n or k x n array is
     formed.
@@ -298,17 +374,23 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     at_reps = np.empty((len(orbits), len(part)), dtype=np.complex128)
     total = np.zeros(n, dtype=np.complex128)
     dev_fourier, dev_const, const_witness = 0.0, 0.0, None
+    dev_herm, herm_witness = 0.0, None
     for i, orbit in enumerate(orbits):
         row = math.isqrt(orbit.size) * kirillov_character(group, orbit).values
         F = fourier(exp_star(ClassFunction(group, row)))
         ind = np.zeros(n)
         ind[orbit.indices] = 1.0
         dev_fourier = max(dev_fourier, float(np.max(np.abs(F.values - ind))))
-        at_reps[i] = row[part.reps]
-        spread = np.abs(row - at_reps[i][part.labels])
+        values = row[part.reps]
+        spread = np.abs(row - values[part.labels])
         x = int(np.argmax(spread))
         if spread[x] > dev_const:
             dev_const, const_witness = float(spread[x]), (i, x)
+        at_reps[i] = (values + values[part.inverse].conj()) / 2
+        spread = np.abs(values - at_reps[i])
+        a = int(np.argmax(spread))
+        if spread[a] > dev_herm:
+            dev_herm, herm_witness = float(spread[a]), (i, part.reps[a])
         total += row
 
     dev_idem, dev_orth, witness = _class_algebra_deviations(part, at_reps)
@@ -318,8 +400,9 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     identity_target[0] = n
     dev_complete = float(np.max(np.abs(total - identity_target)))
 
-    if dev_const > tol:
-        passed, witness = False, const_witness
+    if dev_const + dev_herm > tol:
+        passed = False
+        witness = const_witness if dev_const >= dev_herm else herm_witness
     else:
         passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
     return {"orbits": len(at_reps), "fourier_indicator": dev_fourier,
@@ -342,10 +425,9 @@ def verify_exp_star(group: LazardGroup) -> None:
     if group.ring.p < 3:
         raise RegimeViolation(f"p = {group.ring.p} < 3")
     part = conjugacy_classes(group)
-    for a in range(len(part)):
-        hit = _count_mismatch(part, a)
-        if hit is not None:
-            raise PropertyFailed(f"witness: {hit}")
+    hit = _first_mismatch(part, range(len(part)))
+    if hit is not None:
+        raise PropertyFailed(f"witness: {hit}")
 
 
 # -- p = 2 ----------------------------------------------------------------------
@@ -483,24 +565,18 @@ def p2_convolution_check(group: LazardGroup) -> dict:
     outside = [a for a in range(r) if a not in set(inside)]
     one_sided = ring.uniform_depth >= 3
 
-    for a in inside:
-        hit = _count_mismatch(part, a, inside)
+    hit = _first_mismatch(part, inside, inside)
+    if hit is not None:
+        raise UnexpectedFailure(
+            f"G^2-supported pair breaks exp* at (classes, element) = {hit}")
+    if one_sided:
+        hit = _first_mismatch(part, inside)
+        if hit is None:
+            hit = _first_mismatch(part, outside, inside)
         if hit is not None:
             raise UnexpectedFailure(
-                f"G^2-supported pair breaks exp* at (classes, element) "
-                f"= {hit}")
-    if one_sided:
-        checks = [(a, None) for a in inside] + [(a, inside) for a in outside]
-        for a, rows in checks:
-            hit = _count_mismatch(part, a, rows)
-            if hit is not None:
-                raise UnexpectedFailure(
-                    f"one-sided G^2 pair breaks exp* at {hit}")
-    search = outside if one_sided else None
-    expected = None
-    for a in outside:
-        expected = _count_mismatch(part, a, search)
-        if expected is not None:
-            break
+                f"one-sided G^2 pair breaks exp* at {hit}")
+    expected = _first_mismatch(part, outside,
+                               outside if one_sided else None)
     return {"part_b": "exact", "part_a": "exact" if one_sided else "skipped",
             "expected_failure": expected}

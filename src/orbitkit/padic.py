@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
                      JacobiViolation, RegimeViolation, ValidationFailed)
-from .freelie import vp
+from .freelie import is_prime, vp
 from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
                       min_uniform_depth, uniform_quotient)
 from .oracle import character_table, match_tables
@@ -52,7 +52,7 @@ class QpLieAlgebra:
     __slots__ = ("p", "dimension", "constants", "class_", "label")
 
     def __init__(self, p: int, dimension: int, constants, label=None):
-        if p < 2:
+        if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         self.p = p
         self.dimension = dimension

@@ -31,6 +31,13 @@ class TestRegimeConstructors:
         with pytest.raises(ValueError):
             ValuationRegime.sqrtp(3)
 
+    @pytest.mark.parametrize("make, p", [
+        (ValuationRegime.generic, 9), (ValuationRegime.sqrtp, 25),
+        (ValuationRegime.generic, 1)])
+    def test_composite_or_unit_prime_is_refused(self, make, p):
+        with pytest.raises(ValueError, match=f"p = {p} is not prime"):
+            make(p)
+
     def test_tags_are_distinct(self):
         assert len({r.tag for r in REGIMES}) == len(REGIMES)
 

@@ -80,6 +80,18 @@ class TestBch:
                            "p3-uniform", "--prime", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--degree", "1", "--prime", "0"),
+        ("--degree", "2", "--prime", "-3"),
+        ("--degree", "2", "--regime", "generic", "--prime", "9"),
+        ("--degree", "2", "--regime", "sqrtp", "--prime", "25"),
+    ], ids=["zero", "negative", "generic-composite", "sqrtp-composite"])
+    def test_prime_that_is_not_prime_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, "bch", *argv)
+        assert code == 2 and not out
+        prime = argv[-1]
+        assert err == f"error: ValueError: --prime {prime} is not prime\n"
+
 
 class TestSolve:
     def test_generic_report(self, capsys):
@@ -392,8 +404,9 @@ class TestErrorExitCodes:
         # counts forged to differ first at class 2 name the witness
         real = orbitmethod._count_mismatch
 
-        def forged(part, a, rows=None):
-            return (a, 1, 4) if a == 2 else real(part, a, rows)
+        def forged(part, a, by_group, by_sum, rows=None):
+            return (a, 1, 4) if a == 2 else real(part, a, by_group, by_sum,
+                                                 rows)
         monkeypatch.setattr(orbitmethod, "_count_mismatch", forged)
         code, rep, _ = run_json(capsys, "verify", "--input", F3,
                                 "--checks", "expstar")
@@ -614,7 +627,7 @@ REPORT_DIGESTS = {
     ("verify", "heisenberg_f5"):
         "6dcdbbcd934deb8efdcfa32ec280a5f37bfc2112f682b58553b3890f85229e3b",
     ("verify", "heisenberg_z9"):
-        "f7d557fee0b26564556afacbb1b2544963b084d394907b174a03df7bdba4dfed",
+        "a6e3f8f2006114cd574e9fc44dc833cedbda4599cf991b2609b09d4d16819dfa",
     ("verify", "rank3_z8_p2"):
         "a97012abcd0abe0db88b246dde0ae27228e27c03bbc664243435de7ec77089c4",
     ("restrict", "heisenberg_f3"):

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from orbitkit import oracle, orbitmethod
+from orbitkit import harmonic, oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                              DomainMismatch, NoMatching, StabilityCheckFailed,
                              ValidationFailed)
 from orbitkit.freelie import bch, vp
-from orbitkit.harmonic import ClassFunction
+from orbitkit.harmonic import ADDITIVE, GROUP, ClassFunction
 from orbitkit.liering import FiniteLieRing, LazardGroup, Subring, _poly_terms
-from orbitkit.oracle import (character_table, class_matrix,
+from orbitkit.oracle import (character_table, class_matrices,
                              conjugacy_classes, conjugation_certificate,
                              match_tables, permutation_orbits,
                              restriction_multiplicity)
@@ -298,6 +298,62 @@ class TestConjugacyClasses:
             conjugacy_classes(h3_group)
 
 
+def bincount_class_matrix(part, a, law):
+    """Burnside's class matrix M_a built for the class a alone: one
+    translation call for the members of C_a, one bincount of the labels."""
+    r = len(part)
+    b = part.labels[harmonic.translates(part.group, law, part.classes[a],
+                                        part.reps)]
+    flat = b * r + np.arange(r, dtype=np.int64)
+    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
+
+
+def assert_class_matrices(group, classes=None):
+    """class_matrices yields every asked class once, in the order asked,
+    with the matrix the per-class build gives, under both laws."""
+    part = conjugacy_classes(group)
+    classes = list(range(len(part))) if classes is None else classes
+    for law in (GROUP, ADDITIVE):
+        got = list(class_matrices(part, classes, law))
+        assert [a for a, _ in got] == classes
+        for a, M in got:
+            assert np.array_equal(M, bincount_class_matrix(part, a, law))
+
+
+class TestClassMatrices:
+    @pytest.mark.parametrize("path", spec_paths())
+    def test_specs(self, path):
+        group = LazardGroup(load_ring_spec(path))
+        part = conjugacy_classes(group)
+        r = len(part)
+        if path.stem == "u4_f5":
+            # 96 classes of 125 members pair with the 265 representatives
+            # in more cells than one block holds
+            assert {int(s) * r > harmonic._BLOCK_CELLS
+                    for s in part.sizes} == {False, True}
+        assert_class_matrices(group)
+
+    @settings(max_examples=8)
+    @given(ring=small_rings())
+    def test_drawn_rings(self, ring):
+        assert_class_matrices(LazardGroup(ring))
+
+    def test_blocks_in_the_order_asked(self, h5_group, monkeypatch):
+        # three singletons' cells fill a block; a class of five members
+        # overflows it and runs alone, here in a reversed and repeated order
+        r = len(conjugacy_classes(h5_group))
+        monkeypatch.setattr(oracle, "_BLOCK_CELLS", 3 * r)
+        part = conjugacy_classes(h5_group)
+        classes = list(range(r))[::-1] + [0, 0, 1]
+        runs = list(oracle._class_blocks(part, classes))
+        assert [a for run in runs for a in run] == classes
+        assert all(sum(part.sizes[run]) * r <= 3 * r or len(run) == 1
+                   for run in runs)
+        assert any(len(run) == 1 and part.sizes[run[0]] * r > 3 * r
+                   for run in runs)
+        assert_class_matrices(h5_group, classes)
+
+
 class TestCharacterTable:
     def test_heisenberg_f3_degrees(self, h3_group):
         table = character_table(h3_group)
@@ -547,8 +603,8 @@ def full_sum_table(group, *, seed=0, retries=8, gap=1e-6, tol=1e-8):
     weights = np.random.default_rng(seed).standard_normal((retries, r))
     combined = np.zeros((retries, r * r))
     for lo in range(0, r, 16):
-        block = np.array([class_matrix(part, a).ravel()
-                          for a in range(lo, min(lo + 16, r))])
+        block = np.array([M.ravel() for _, M in
+                          class_matrices(part, range(lo, min(lo + 16, r)))])
         combined += weights[:, lo:lo + 16] @ block
     combined = combined.reshape(retries, r, r)
     identity_class = part.labels[
@@ -640,7 +696,7 @@ def assert_burnside_relation(group):
     assert np.array_equal(part.inverse[part.inverse], np.arange(len(part)))
     assert np.array_equal(part.sizes[part.inverse], part.sizes)
     sizes = part.sizes
-    matrices = [class_matrix(part, a) for a in range(len(part))]
+    matrices = [M for _, M in class_matrices(part, range(len(part)))]
     for a, M in enumerate(matrices):
         assert np.array_equal(M * sizes[None, :],
                               matrices[star[a]].T * sizes[:, None])
@@ -860,11 +916,12 @@ class TestPrefixSplit:
         rng = random.Random(0)
         weights = [rng.gauss(0.0, 1.0) for _ in range(r)]
         root = np.sqrt(part.sizes)
+        matrices = dict(class_matrices(part, range(r)))
         M = np.zeros((r, r))
         for a in order[:32]:
-            M += weights[a] * class_matrix(part, a)
+            M += weights[a] * matrices[a]
             if star[a] != a:
-                M += weights[star[a]] * class_matrix(part, star[a])
+                M += weights[star[a]] * matrices[star[a]]
         N = M * root[None, :] / root[:, None]
         assert np.allclose(calls[0][1], N + N.T, rtol=0, atol=1e-9)
 

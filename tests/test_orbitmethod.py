@@ -675,13 +675,90 @@ class TestAgainstTheTable:
         for key in ("idempotent", "orthogonal"):
             assert report[key] < 1e-8
 
+    def test_row_not_hermitian_fails_at_a_representative(self, h5_group,
+                                                         monkeypatch):
+        # constant on every class, but moved on one class C_c* of an
+        # inverse pair c < c* only: the Hermitian gate fails, and names a
+        # representative of the pair
+        orbits, chars = idempotent_inputs(h5_group)
+        part = conjugacy_classes(h5_group)
+        c = next(a for a in range(len(part)) if a < part.inverse[a])
+        i = 3
+        values = chars[i].values.copy()
+        values[part.classes[part.inverse[c]]] += 1e-6
+        forging(monkeypatch, orbits, forged(chars, i, values))
+        report = verify_idempotents(h5_group)
+        assert not report["passed"]
+        wi, x = report["witness"]
+        assert wi == i and x in (part.reps[c], part.reps[part.inverse[c]])
+
+    def test_failure_planted_at_the_larger_class_is_reported(self, h5,
+                                                             h5_group,
+                                                             monkeypatch):
+        # a Hermitian change on the pair c < c*, so it passes the gate: the
+        # kernel computes c only, and its deviations are the table's
+        orbits, chars = idempotent_inputs(h5_group)
+        part = conjugacy_classes(h5_group)
+        c = next(a for a in range(len(part))
+                 if a < part.inverse[a] and part.sizes[a] > 1)
+        i = next(idx for idx, o in enumerate(orbits) if o.size == 25)
+        delta = 0.01 + 0.02j
+        values = chars[i].values.copy()
+        values[part.classes[part.inverse[c]]] += delta
+        values[part.classes[c]] += np.conj(delta)
+        chars = forged(chars, i, values)
+        forging(monkeypatch, orbits, chars)
+        report = verify_idempotents(h5_group)
+        old = table_idempotents(h5, h5_group, orbits, chars)
+        assert not report["passed"] and not old["passed"]
+        for key in ("idempotent", "orthogonal"):
+            assert report[key] > 1e-3
+            assert abs(report[key] - old[key]) <= 1e-12, key
+        # the witness sits at a class the kernel computes
+        w = part.labels[report["witness"][2]]
+        assert w <= part.inverse[w]
+
+
+class TestClassMatrixBlocks:
+    """The count and idempotent checks build their class matrices a run of
+    classes per translation call, not one class at a time."""
+
+    def test_translation_calls_per_check(self, z9_group, monkeypatch):
+        part = conjugacy_classes(z9_group)
+        r = len(part)
+        calls = []
+        real = oracle.translates
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(oracle, "translates", counted)
+        verify_exp_star(z9_group)
+        runs = len(list(oracle._class_blocks(part, range(r))))
+        assert len(calls) <= 2 * runs < r
+        calls.clear()
+        verify_idempotents(z9_group)
+        computed = [c for c in range(r) if c <= part.inverse[c]]
+        assert len(calls) <= len(list(oracle._class_blocks(part, computed)))
+        assert len(calls) < r
+
 
 # -- the class-algebra kernel against its first form ----------------------------
 
+def hermitian(part, at_reps):
+    """The projection verify_idempotents applies before the class-algebra
+    kernel: (e(z_a) + conj e(z_a*)) / 2, Hermitian bit for bit."""
+    return (at_reps + at_reps[:, part.inverse].conj()) / 2
+
+
 def listed_deviations(part, at_reps):
-    """_class_algebra_deviations as it stood with a list of class matrices
-    per block, stacked and cast to float64, and the witness found by
-    argmax over the (c, j, i) transpose of the deviations."""
+    """_class_algebra_deviations in its first form: per block, a list of
+    class matrices stacked and cast to float64, every (j, i) product of the
+    block's classes in one pair of products, and the witness found by
+    argmax over the (c, j, i) transpose of the deviations.  Its maxima run
+    over the cells the kernel computes: the blocks hold the classes
+    c <= c*, so each block's first product is the kernel's, and the cells
+    j > i count as 0."""
     n, r, k = len(part.group), len(part), len(at_reps)
     left = at_reps[:, part.inverse]
     fold_re = np.hstack([left.real, -left.imag])
@@ -689,14 +766,16 @@ def listed_deviations(part, at_reps):
     right = at_reps * part.sizes
     right = np.hstack([right.real.T, right.imag.T])
     diag = np.arange(k)
+    below = np.tril_indices(k, -1)
     dev_idem = dev_orth = 0.0
     witness = None
+    computed = [c for c in range(r) if c <= part.inverse[c]]
     step = max(1, orbitmethod._CLASS_CELLS // (r * k))
-    for lo in range(0, r, step):
-        cs = np.arange(lo, min(r, lo + step))
+    for lo in range(0, len(computed), step):
+        cs = computed[lo:lo + step]
         s = len(cs)
-        stacked = np.vstack([oracle.class_matrix(part, c)
-                             for c in cs]).astype(np.float64)
+        stacked = np.vstack([M for _, M in oracle.class_matrices(part, cs)
+                             ]).astype(np.float64)
         inner = (stacked @ right).reshape(s, r, 2, k).transpose(
             2, 1, 0, 3).reshape(2 * r, s * k)
         scale = (1.0 / (n * part.sizes[cs]))[None, :, None]
@@ -709,18 +788,21 @@ def listed_deviations(part, at_reps):
         dev = np.hypot(conv_re, conv_im)
         dev_idem = max(dev_idem, float(dev[diag, :, diag].max()))
         dev[diag, :, diag] = 0.0
+        dev[below[0], :, below[1]] = 0.0
         dev = dev.transpose(1, 0, 2)
         c, j, i = np.unravel_index(int(np.argmax(dev)), dev.shape)
         if dev[c, j, i] > dev_orth:
             dev_orth = float(dev[c, j, i])
-            witness = (int(i), int(j), part.reps[lo + int(c)])
+            witness = (int(i), int(j), part.reps[cs[int(c)]])
     return dev_idem, dev_orth, witness
 
 
 def assert_same_deviations(group, at_reps, monkeypatch, cells=(None, 1)):
     """Both kernels give the same deviations, bit for bit, and the same
-    witness, at the default block size and with one class per block."""
+    witness, at the default block size and with one class per block, on
+    the Hermitian projection of ``at_reps``."""
     part = conjugacy_classes(group)
+    at_reps = hermitian(part, at_reps)
     for size in cells:
         if size is not None:
             monkeypatch.setattr(orbitmethod, "_CLASS_CELLS", size)
@@ -740,8 +822,9 @@ def characters_at_reps(group):
 
 
 class TestClassAlgebraKernel:
-    """The class-algebra products written into one buffer per block, with
-    the witness read per class, against the listed first form."""
+    """The class-algebra products over one class of each inverse pair and
+    the strips of pairs j <= i, with the witness read per class and strip,
+    against the listed first form."""
 
     @pytest.mark.parametrize("path", table_spec_paths())
     def test_specs(self, path, monkeypatch):

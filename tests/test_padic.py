@@ -56,6 +56,11 @@ class TestQpLieAlgebra:
         with pytest.raises(ValidationFailed):
             QpLieAlgebra(3, 2, {(0, 1): {0: 1}})
 
+    def test_composite_prime_rejected(self):
+        # p = 9 passed the old p >= 2 check
+        with pytest.raises(ValueError, match="p = 9 is not prime"):
+            QpLieAlgebra(9, 3, {(0, 1): {2: 1}})
+
     def test_bad_indices_rejected(self):
         with pytest.raises(ValueError):
             QpLieAlgebra(3, 2, {(1, 0): {0: 1}})
