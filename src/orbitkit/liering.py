@@ -824,6 +824,27 @@ class Grid:
             X = np.mod(X, self._mods)
         return X @ self.strides
 
+    def linear_perm(self, B) -> np.ndarray:
+        """Row index of x B mod the sizes for every row x of the grid.
+
+        The images are built coordinate-major, one grid coordinate at a
+        time, the leftmost slowest: the images of the rows so far plus
+        t B[j] for t < sizes[j].  A table entry t B[j, k] mod m_k starts
+        from a product of two residues, below (m - 1)^2 for the largest size
+        m, and each step adds two canonical residues and subtracts m_k where
+        the sum reaches it, so no intermediate exceeds (m - 1)^2 < 2^63:
+        make_ring's headroom check bounds (W - 1)^2 for a working modulus
+        W >= m.
+        """
+        rank = len(self.sizes)
+        mods = self._mods[:, None]
+        out = np.zeros((rank, 1), dtype=np.int64)
+        for j, size in enumerate(self.sizes):
+            steps = B[j][:, None] * np.arange(size, dtype=np.int64) % mods
+            out = (out[:, :, None] + steps[:, None, :]).reshape(rank, -1)
+            np.subtract(out, mods, out=out, where=out >= mods)
+        return self.strides @ out
+
 
 class LazardGroup:
     """exp(g) as coordinate vectors with CH multiplication; its elements are

@@ -132,26 +132,6 @@ def _conjugation_perm(group: LazardGroup, g) -> np.ndarray:
     return inverse[_left_perm(group, g)]
 
 
-def _linear_perm(ring, B) -> np.ndarray:
-    """Grid index of x B mod the moduli for every row x of the grid.
-
-    The images are built coordinate-major, one grid coordinate at a time,
-    the leftmost slowest: the images of the rows so far plus t B[j] for
-    t < sizes[j].  A table entry t B[j, k] mod m_k starts from a product of
-    two residues, below (m - 1)^2 for the largest modulus m, and each step
-    adds two canonical residues and subtracts m_k where the sum reaches it,
-    so no intermediate exceeds (m - 1)^2 < 2^63: make_ring's headroom check
-    bounds (W - 1)^2 for a working modulus W >= m.
-    """
-    mods = ring._mods[:, None]
-    out = np.zeros((ring.rank, 1), dtype=np.int64)
-    for j, size in enumerate(ring.sizes):
-        steps = B[j][:, None] * np.arange(size, dtype=np.int64) % mods
-        out = (out[:, :, None] + steps[:, None, :]).reshape(ring.rank, -1)
-        np.subtract(out, mods, out=out, where=out >= mods)
-    return ring.grid.strides @ out
-
-
 def conjugation_certificate(group: LazardGroup) -> ConjClassPartition:
     """The group's conjugation certificate, built on first use and kept on
     the group, so every closure that shares the group shares one check.
@@ -181,9 +161,10 @@ def conjugation_certificate(group: LazardGroup) -> ConjClassPartition:
     linearity Ad(s) acts on the coordinates as x -> x B_s, and the adjoint
     check makes B_s exp(ad e_i), an automorphism of g (make_ring validates
     the bracket on the moduli) and the matrix the orbit side applies.  The
-    dual maps f -> f o Ad(s) then generate the coadjoint action of G on g*
-    and, restricted to the Ad(G)-stable lattice 2g, its action on (2g)*, so
-    their orbits are the coadjoint orbits with no sampled audit.
+    dual maps f -> f o Ad(s) then generate the coadjoint action of G on g*,
+    so their orbits are the coadjoint orbits with no sampled audit.
+    Restriction to the Ad(G)-stable lattice 2g commutes with them and is
+    onto, so the coadjoint orbits in (2g)* are the images of those in g*.
 
     The classes are closed in the same pass.  The certificate is the
     class partition, which keeps the rank x rank matrices but not the
@@ -210,7 +191,7 @@ def _certify(group: LazardGroup) -> ConjClassPartition:
     matrices, perms = [], []
     for s, right in zip(gens, rights):
         B = group.conjugate_batch(s, basis)
-        linear = _linear_perm(ring, B)
+        linear = ring.grid.linear_perm(B)
         bad = np.flatnonzero(_left_perm(group, s) != right[linear])
         if bad.size:
             perm = _conjugation_perm(group, s)
@@ -482,25 +463,10 @@ def _central_characters(part, plan, weights, gap):
 def _row_order(degrees, rows):
     """Row order of a character table: by degree, then by the values rounded
     to 8 decimals, column by column; ties keep their order.  Values round as
-    np.round rounds them, which is what ``round`` does to numpy scalars.
-
-    The sort reads a prefix of the columns, doubling from 8, and stops at
-    the first prefix whose keys (degree, then the prefix's values) are
-    pairwise distinct: every two rows then differ within the prefix, so
-    the columns after it could not change the order.  Only the last
-    prefix, all columns, may leave ties."""
-    degrees = np.asarray(degrees)
-    cols = rows.shape[1]
-    prefix = min(8, cols)
-    while True:
-        part = rows[:, :prefix]
-        keys = np.round(np.stack([part.real, part.imag], axis=-1), 8)
-        keys = np.column_stack([degrees, keys.reshape(len(rows), -1)])
-        order = np.lexsort(keys.T[::-1])
-        ranked = keys[order]
-        if prefix == cols or np.all(np.any(ranked[1:] != ranked[:-1], axis=1)):
-            return order.tolist()
-        prefix = min(2 * prefix, cols)
+    np.round rounds them, which is what ``round`` does to numpy scalars."""
+    keys = np.round(np.stack([rows.real, rows.imag], axis=-1), 8)
+    keys = np.column_stack([np.asarray(degrees), keys.reshape(len(rows), -1)])
+    return np.lexsort(keys.T[::-1]).tolist()
 
 
 def character_table(group: LazardGroup, *, seed=0) -> CharTable:

@@ -3,16 +3,19 @@
 Each function takes the group G = exp(g) (the p = 2 cells its oracle
 table, which holds G) and reads G's one certificate; none builds a group.
 
-The coadjoint action is carried out exactly on exponent vectors: a
-character f with weight row w (exponents scaled onto a common modulus p^K)
-moves to w' = w @ M under f -> f o Ad(s), M the column matrix of Ad(s),
-and w' divides back down to an exponent vector because Ad(s) is an
-automorphism of g.  The matrices are those of the group's conjugation
-certificate (``oracle.conjugation_certificate``), the one class partition
-per group that the class-algebra checks below read too.  It proves that
-the basis exponentials s = e^{e_i} generate G and act by exp(ad e_i), so
-the orbits under their dual maps are exactly the coadjoint orbits, in g*
-and, restricted to 2g, in (2g)*; no orbit is audited by sampling.
+The coadjoint action is carried out exactly on exponent vectors: f ->
+f o Ad(s) sends the exponents a of f to a D, D the transposed matrix of
+Ad(s) rescaled by the moduli, integral as Ad(s) is an automorphism of g,
+and the grid's one linear builder (``Grid.linear_perm``, shared with the
+conjugation certificate) makes D a permutation of g*.  The matrices are
+those of the group's conjugation certificate
+(``oracle.conjugation_certificate``), the one class partition per group
+that the class-algebra checks below read too.  It proves that the basis
+exponentials s = e^{e_i} generate G and act by exp(ad e_i), so the orbits
+under their dual maps are exactly the coadjoint orbits in g*; no orbit is
+audited by sampling.  One integer index map restricts characters to a
+subring (``restriction_indices``): the (2g)* orbits are its images of the
+g* orbits, and padic's restriction harness reads containment through it.
 
 The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
 inverse Fourier transform of the orbit's indicator, one library FFT on the
@@ -94,28 +97,56 @@ class CoadjointOrbit:
         return f"CoadjointOrbit(size={self.size}, rep={first})"
 
 
-def _dual_permutation(space: DualSpace, matrix, g, lattice) -> np.ndarray:
-    """Index permutation of a dual space under f -> f o Ad(e^g), given the
-    column matrix of Ad(e^g) on the coordinates of the space's ring;
-    ``lattice`` names the dual in the error when a character leaves it."""
-    moved = (space.weights @ matrix) % space.ring.big
-    if np.any(moved % space.scale):
-        raise PropertyFailed(f"Ad*(e^{tuple(g)}) left the {lattice}")
-    return space.ring.grid.index_batch(moved // space.scale)
+def _coadjoint_perms(group: LazardGroup, space: DualSpace) -> list:
+    """Index permutations of g* (``space``) under f -> f o Ad(s), one per
+    generator s = e^{e_i} of the group's conjugation certificate.
+
+    With B = B_s, f o Ad(s) has the exponents a D, D[i, j] = B[j, i]
+    p^(k_j - k_i), canonical mod p^(k_j) when integral; else the character
+    e_i leaves the lattice and PropertyFailed says so.  The action is
+    linear, so that check on D covers every character.
+    """
+    ring = group.ring
+    perms = []
+    for i, B in enumerate(conjugation_certificate(group).matrices):
+        moved = B.T * space.scale[:, None]
+        if np.any(moved % space.scale):
+            raise PropertyFailed(
+                f"Ad*(e^{ring.basis(i)}) left the character lattice")
+        perms.append(ring.grid.linear_perm(moved // space.scale))
+    return perms
+
+
+def restriction_indices(space: DualSpace, basis, target) -> np.ndarray:
+    """Index in DualSpace(``target``) of each character of ``space``
+    restricted to the span of the rows b_j of ``basis``, whose orders
+    p^(k'_j) are ``target``'s moduli (a subring's basis and induced ring).
+
+    The character with weights w takes exp(2 pi i (w . b_j) / p^K) at b_j,
+    and w . b_j mod p^K is a multiple of p^(K - k'_j) whose quotient is the
+    exponent j.  Restriction is onto and commutes with every automorphism
+    that preserves the span.  No int64 overflow: w_i < p^K and
+    b_ji < p^(k_i), so w . b_j < p^K sum_i p^(k_i) <= n^2, n the order of
+    the space's ring; each caller holds the character table of a group of
+    order at least n, so n <= ``oracle.ORDER_CAP`` = 10^5.
+    """
+    ring = space.ring
+    basis = np.asarray(basis, dtype=np.int64).reshape(len(basis), ring.rank)
+    shift = np.array([ring.big // s for s in target.sizes], dtype=np.int64)
+    exponents = (space.weights @ basis.T) % ring.big // shift
+    return exponents @ target.grid.strides
 
 
 def coadjoint_orbits(group: LazardGroup) -> list[CoadjointOrbit]:
     """Partition of g* into coadjoint orbits, ordered by smallest member.
 
     g* is closed under the duals f -> f o Ad(s) of the certified matrices
-    of ``group``'s conjugation certificate; the module docstring says why
-    these orbits are exact.
+    of ``group``'s conjugation certificate (``_coadjoint_perms``); the
+    module docstring says why these orbits are exact.
     """
-    ring = group.ring
-    space = DualSpace(ring)
-    perms = [_dual_permutation(space, B.T, ring.basis(i), "character lattice")
-             for i, B in enumerate(conjugation_certificate(group).matrices)]
-    _, orbit_sets = permutation_orbits(len(space), perms)
+    space = DualSpace(group.ring)
+    _, orbit_sets = permutation_orbits(len(space),
+                                       _coadjoint_perms(group, space))
     return [CoadjointOrbit(space, idx) for idx in orbit_sets]
 
 
@@ -457,21 +488,6 @@ def _require_p2_uniform(ring):
             f"in 4g")
 
 
-def _restricted_action(ring, sub: Subring, matrix, g):
-    """The column matrix ``matrix`` of Ad(e^g) on g, restricted to 2g and
-    written in the subring basis (column convention)."""
-    cols = []
-    for b in sub.basis_coords:
-        moved = tuple(int(x) for x in (matrix @ np.array(b, dtype=np.int64))
-                      % ring._mods)
-        try:
-            cols.append(sub.express(moved))
-        except ValueError as exc:
-            raise PropertyFailed(f"Ad(e^{g}) does not preserve 2g") from exc
-    k = len(sub.basis_coords)
-    return np.array(cols, dtype=np.int64).reshape(k, k).T
-
-
 def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
     """Partition of the irreducibles of G by coadjoint orbits in (2g)*.
 
@@ -486,24 +502,23 @@ def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
     chi_rho|_{G^2} is a scalar multiple of e_Omega (normalized-vector
     comparison), and the cells must cover every irreducible exactly once.
 
-    The orbits in (2g)* are closed under the duals of the group's
-    certified matrices restricted to 2g.  Restriction to the Ad(G)-stable
-    lattice 2g is a homomorphism of the action, so they are exact as in
-    ``coadjoint_orbits``.
+    The orbits in (2g)* are the images of the coadjoint orbits in g* under
+    restriction (``restriction_indices``), which is onto and commutes with
+    the action, as Ad(G) preserves 2g: each permutation of g* pushes down
+    through any table of preimages, and their orbits are exact.
     """
     group = table.partition.group
     ring = group.ring
     _require_p2_uniform(ring)
     sub = Subring(ring, [ring.scale(ring.basis(i), 2)
                          for i in range(ring.rank)], label="2g")
-    kspace = DualSpace(sub.induced)
-    perms = []
-    for i, B in enumerate(conjugation_certificate(group).matrices):
-        g = ring.basis(i)
-        perms.append(_dual_permutation(
-            kspace, _restricted_action(ring, sub, B.T, g), g,
-            "(2g)* character lattice"))
-    _, orbit_sets = permutation_orbits(len(kspace), perms)
+    space, kspace = DualSpace(ring), DualSpace(sub.induced)
+    image = restriction_indices(space, sub.basis_coords, sub.induced)
+    pre = np.empty(len(kspace), dtype=np.int64)
+    pre[image] = np.arange(len(space))
+    _, orbit_sets = permutation_orbits(
+        len(kspace),
+        [image[perm[pre]] for perm in _coadjoint_perms(group, space)])
 
     idx_g2 = sub.ambient_indices()
     chi_g2 = table.rows[:, table.partition.labels[idx_g2]]
@@ -559,10 +574,10 @@ def p2_convolution_check(group: LazardGroup) -> dict:
     _require_p2_uniform(ring)
     part = conjugacy_classes(group)
     r = len(part)
-    even = np.all(group.elements % 2 == 0, axis=1) if ring.rank \
-        else np.ones(len(group), dtype=bool)
-    inside = [a for a in range(r) if bool(even[part.classes[a]].all())]
-    outside = [a for a in range(r) if a not in set(inside)]
+    even = np.all(group.elements % 2 == 0, axis=1)
+    in_g2 = [bool(even[c].all()) for c in part.classes]
+    inside = [a for a in range(r) if in_g2[a]]
+    outside = [a for a in range(r) if not in_g2[a]]
     one_sided = ring.uniform_depth >= 3
 
     hit = _first_mismatch(part, inside, inside)

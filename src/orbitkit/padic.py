@@ -22,8 +22,8 @@ from .freelie import is_prime, vp
 from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
                       min_uniform_depth, uniform_quotient)
 from .oracle import character_table, match_tables
-from .orbitmethod import coadjoint_orbits, kirillov_character, \
-    p2_orbit_partition
+from .orbitmethod import (coadjoint_orbits, kirillov_character,
+                          p2_orbit_partition, restriction_indices)
 from .ratlin import p_local_hermite, rational_span_basis, solve_right
 
 
@@ -242,17 +242,6 @@ def quotient_to_finite(lattice: PLattice, algebra: QpLieAlgebra, r: int, *,
 
 # -- restriction ----------------------------------------------------------------
 
-def _phase_keys(orbit, basis=None) -> set:
-    """The characters of ``orbit`` as exact phases, one tuple per character:
-    its values on the rows of ``basis`` (elements of the orbit's ring), or
-    with no ``basis`` its own weights, which already lie in [0, big)."""
-    big = orbit.space.ring.big
-    weights = orbit.space.weights[orbit.indices]
-    if basis is not None:
-        weights = np.mod(weights @ basis.T, big)
-    return {tuple(Fraction(int(w), big) for w in row) for row in weights}
-
-
 def _multiplicity_matrix(sub, table_g, table_k):
     """M[rho, kappa] = <chi_rho|_K, chi_kappa> over all oracle row pairs."""
     idx = sub.ambient_indices()
@@ -270,7 +259,8 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     Om0 appears in the restriction of Om's irreducible(s) to K".  Orbit
     sides are matched to oracle rows, so the multiplicities are the brute
     force ones.  For p = 2 both sides run through the orbit partitions of
-    the duals of the doubled rings, with alpha = 2.
+    the duals of the doubled rings, with alpha = 2.  res(Om) holds the
+    ``restriction_indices`` of Om, so containment compares integer sets.
 
     Returns alpha, the orbit counts of both sides, the pairs compared and
     how many are contained; ``finite_shadow`` records that Fell-topology
@@ -309,11 +299,12 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
         orbs_g, rows_g = [c.orbit for c in pg], [c.irreducibles for c in pg]
         orbs_k, rows_k = [c.orbit for c in pk], [c.irreducibles for c in pk]
         basis = [g2.express(sub.embed_coords(b)) for b in k2.basis_coords]
-    basis = np.array(basis, dtype=np.int64).reshape(
-        len(basis), orbs_g[0].space.ring.rank)
-    cells_g = [(_phase_keys(o, basis), rows)
+    image = restriction_indices(orbs_g[0].space, basis,
+                                orbs_k[0].space.ring)
+    cells_g = [(set(image[o.indices].tolist()), rows)
                for o, rows in zip(orbs_g, rows_g)]
-    cells_k = [(_phase_keys(o), rows) for o, rows in zip(orbs_k, rows_k)]
+    cells_k = [(set(o.indices.tolist()), rows)
+               for o, rows in zip(orbs_k, rows_k)]
 
     pairs = contained = 0
     for a, (res_a, rows_a) in enumerate(cells_g):

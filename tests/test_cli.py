@@ -616,9 +616,11 @@ class TestInputHandling:
 
 
 # sha256 of whole reports at seed 0, recorded with numpy 2.4.6 on Python
-# 3.11: reports must stay byte-identical across refactors.  The float fields
-# (max_deviation, the idempotent deviations) carry round-off, so another
-# numpy or BLAS build may need them recorded afresh.
+# 3.11 at the default BLAS thread count of a 2-core machine: reports must
+# stay byte-identical across refactors.  The float fields (max_deviation,
+# the idempotent deviations) carry round-off, which can move with the BLAS
+# thread count as well as the numpy or BLAS build, so another setting may
+# need them recorded afresh.
 REPORT_DIGESTS = {
     ("chartable", "heisenberg_f3"):
         "d0af7b7ebeda0c3d41b44ac30fb55edf977b0833f8e9e2b700c1403ed9f1bc50",

@@ -85,10 +85,24 @@ def bfs_orbits(n, perms):
     return labels, orbits
 
 
+def dual_permutations(group):
+    """The permutation of g* under f -> f o Ad(s) for each certified
+    generator s, by the definition: each character's weights times B_s^T,
+    divided back down to exponents and indexed on the grid."""
+    space = harmonic.DualSpace(group.ring)
+    perms = []
+    for B in conjugation_certificate(group).matrices:
+        moved = (space.weights @ B.T) % group.ring.big
+        assert not np.any(moved % space.scale)
+        perms.append(group.ring.grid.index_batch(moved // space.scale))
+    return perms
+
+
 def closures_match_bfs(monkeypatch, ring):
     """Run the class and coadjoint closures of a ring on one group, compare
     every permutation_orbits call they make (generation, classes, g*) with
-    the breadth-first reference, and check the certificate they share."""
+    the breadth-first reference, each g* permutation with its definition
+    (``dual_permutations``), and check the certificate they share."""
     calls = []
     real = oracle.permutation_orbits
 
@@ -110,6 +124,12 @@ def closures_match_bfs(monkeypatch, ring):
         for got, want in zip(orbits, want_orbits):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+    dual = calls[2][1]
+    want = dual_permutations(group)
+    assert len(dual) == len(want)
+    for got, perm in zip(dual, want):
+        assert got.dtype == perm.dtype
+        assert np.array_equal(got, perm)
     assert_certificate(group)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit import harmonic, oracle, orbitmethod
+from orbitkit import harmonic, liering, oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import PropertyFailed, RegimeViolation, UnexpectedFailure
 from orbitkit.harmonic import ADDITIVE, ClassFunction, DualSpace
@@ -60,6 +60,31 @@ class TestCoadjointOrbits:
         assert repr(orbit) == f"CoadjointOrbit(size=9, rep={first})"
         assert np.flatnonzero(orbit.indicator().values).tolist() \
             == orbit.indices.tolist()
+
+    def test_non_integral_dual_leaves_the_lattice(self, monkeypatch):
+        # moduli (2, 1) at p = 3: a matrix sending e_1 to (1, 1) would send
+        # the character e_0 to the exponents (1, 1/3); forged onto e^x
+        ring = make_ring(3, (2, 1), {})
+        group = LazardGroup(ring)
+        cert = oracle.conjugation_certificate(group)
+        monkeypatch.setattr(cert, "matrices",
+                            (np.array([[1, 0], [1, 1]]),) + cert.matrices[1:])
+        with pytest.raises(PropertyFailed) as info:
+            coadjoint_orbits(group)
+        assert str(info.value) == "Ad*(e^(1, 0)) left the character lattice"
+
+    def test_no_grid_lookup(self, h5_group, monkeypatch):
+        # the dual permutations come from the grid's linear builder alone
+        oracle.conjugation_certificate(h5_group)
+        calls = []
+        real = liering.Grid.index_batch
+
+        def counted(self, X):
+            calls.append(np.shape(X))
+            return real(self, X)
+        monkeypatch.setattr(liering.Grid, "index_batch", counted)
+        assert len(coadjoint_orbits(h5_group)) == 29
+        assert calls == []
 
 
 class TestKirillovCharacter:
@@ -184,6 +209,29 @@ class TestP2OrbitPartition:
         even = np.flatnonzero(~np.any(group.elements % 2, axis=1))
         assert sorted(sub.ambient_indices().tolist()) == even.tolist()
 
+    @pytest.mark.parametrize("moduli", [(3, 3, 3), (3, 2, 3), (2, 3, 3)])
+    def test_orbits_match_the_restricted_closure(self, moduli):
+        ring = make_ring(2, moduli, {(0, 1): {2: 4}})
+        group = LazardGroup(ring)
+        sub, cells = p2_orbit_partition(character_table(group))
+        want = restricted_closure(group, sub)
+        assert [c.orbit.indices.tolist() for c in cells] == \
+            [o.tolist() for o in want]
+
+    def test_no_subring_solve(self, rank3_z8_table, monkeypatch):
+        # the (2g)* permutations are pushed down from g*: once 2g is built,
+        # no image is solved for in the subring basis
+        calls = []
+        real = liering.Subring.express
+
+        def counted(self, x):
+            calls.append(x)
+            return real(self, x)
+        monkeypatch.setattr(liering.Subring, "express", counted)
+        _, cells = p2_orbit_partition(rank3_z8_table)
+        assert len(cells) == 64
+        assert calls == []
+
     def test_abelian_cells(self, abelian_z4sq_group):
         _, cells = p2_orbit_partition(character_table(abelian_z4sq_group))
         assert len(cells) == 4
@@ -198,6 +246,24 @@ class TestP2OrbitPartition:
         ring = make_ring(2, (1, 1), {})
         with pytest.raises(RegimeViolation):
             p2_orbit_partition(character_table(LazardGroup(ring)))
+
+
+def restricted_closure(group, sub):
+    """The (2g)* orbits as closed under each certified matrix restricted to
+    2g: the images of the subring basis solved for in that basis, and the
+    dual permutation of the restricted matrix from the weights."""
+    ring = group.ring
+    kspace = DualSpace(sub.induced)
+    k = len(sub.basis_coords)
+    perms = []
+    for B in oracle.conjugation_certificate(group).matrices:
+        cols = [sub.express(tuple((np.array(b) @ B % ring._mods).tolist()))
+                for b in sub.basis_coords]
+        R = np.array(cols, dtype=np.int64).reshape(k, k).T
+        moved = (kspace.weights @ R) % sub.induced.big
+        assert not np.any(moved % kspace.scale)
+        perms.append(sub.induced.grid.index_batch(moved // kspace.scale))
+    return oracle.permutation_orbits(len(kspace), perms)[1]
 
 
 class TestP2ConvolutionCheck:

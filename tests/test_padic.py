@@ -3,8 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from orbitkit import padic
 from orbitkit.errors import (InputBoundViolation, JacobiViolation,
                              RegimeViolation, ValidationFailed)
 from orbitkit.padic import (PLattice, QpLieAlgebra, quotient_to_finite,
@@ -189,6 +191,28 @@ class TestQuotientToFinite:
             quotient_to_finite(chain[0], alg, 0)
 
 
+def recording(monkeypatch, name):
+    """Record (arguments, result) of each call to padic's ``name``."""
+    real, seen = getattr(padic, name), []
+
+    def wrapper(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+    monkeypatch.setattr(padic, name, wrapper)
+    return seen
+
+
+def phase_keys(orbit, basis=None):
+    """The characters of ``orbit`` as exact phases, one tuple each: their
+    values on the rows of ``basis``, or with no ``basis`` their own
+    weights, as fractions of the orbit ring's p^K."""
+    big = orbit.space.ring.big
+    weights = orbit.space.weights[orbit.indices]
+    if basis is not None:
+        weights = np.mod(weights @ basis.T, big)
+    return {tuple(Fraction(int(w), big) for w in row) for row in weights}
+
+
 class TestRestrictionHarness:
     def test_heisenberg_f3_center(self, h3):
         report = restriction_harness(h3, [(0, 0, 1)])
@@ -208,6 +232,32 @@ class TestRestrictionHarness:
         assert report["pairs"] == 128
         assert report["contained"] == 64
         assert report["orbits_k"] == 2
+
+    @pytest.mark.parametrize("name, generators", [
+        ("h3", [(0, 0, 1)]),
+        ("z9", [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+        ("rank3_z8", [(0, 0, 1)]),
+    ])
+    def test_containment_matches_the_phase_keys(self, name, generators,
+                                                request, monkeypatch):
+        # the orbits and the restriction map the harness uses, recorded
+        p2 = name == "rank3_z8"
+        sides = recording(monkeypatch,
+                          "p2_orbit_partition" if p2 else "coadjoint_orbits")
+        maps = recording(monkeypatch, "restriction_indices")
+        report = restriction_harness(request.getfixturevalue(name),
+                                     generators)
+        orbs_g, orbs_k = ([c.orbit for c in out[1]] if p2 else out
+                          for _, out in sides)
+        (space, basis, _), image = maps[0]
+        basis = np.array(basis, dtype=np.int64).reshape(len(basis), -1)
+        by_index = [set(image[o.indices].tolist()) >= set(o0.indices.tolist())
+                    for o in orbs_g for o0 in orbs_k]
+        by_phase = [phase_keys(o, basis) >= phase_keys(o0)
+                    for o in orbs_g for o0 in orbs_k]
+        assert by_index == by_phase
+        assert sum(by_index) == report["contained"]
+        assert orbs_g[0].space is space
 
     def test_wrong_alpha_rejected(self, h3, rank3_z8):
         with pytest.raises(RegimeViolation):
