@@ -309,7 +309,7 @@ def cmd_chartable(args) -> int:
             raise RegimeViolation(
                 "the orbit-method character formula needs p >= 3")
         orbits = coadjoint_orbits(group)
-        chars = [kirillov_character(group, orb) for orb in orbits]
+        chars = kirillov_character(group, orbits)
         degrees = [math.isqrt(o.size) for o in orbits]
         report["kirillov"] = {
             "orbits": len(orbits),
@@ -484,6 +484,19 @@ def cmd_restrict(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
+def _tolerance(text) -> float:
+    """A finite float: nan compares false against every deviation, so it
+    would pass or fail checks at random, and inf would pass them all."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitkit",
@@ -523,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True, help="ring spec JSON")
     c.add_argument("--method", choices=("kirillov", "oracle", "both"),
                    default="both")
-    c.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    c.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     common(c)
     c.set_defaults(func=cmd_chartable)
 
@@ -532,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks",
                    help="comma list: idempotents,expstar,twist,p2 (default: "
                         "every check applicable to the regime)")
-    v.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    v.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     common(v)
     v.set_defaults(func=cmd_verify)
 
@@ -548,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", required=True, help="ring spec JSON")
     r.add_argument("--subring", required=True, help="subring spec JSON")
     r.add_argument("--alpha", type=int, default=None)
-    r.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
+    r.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
     common(r)
     r.set_defaults(func=cmd_restrict)
     return parser

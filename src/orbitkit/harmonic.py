@@ -14,7 +14,8 @@ h^{-1} gamma with gamma - h, the group law on exp(g) with CH composition.
 ``translates`` computes h^{-1} gamma under either law, for ``convolve`` and
 for the class counts of the oracle and the verification suites.
 g* is the same mixed-radix grid as g (C order on shape ``ring.sizes``), so
-the transforms are library FFTs, ``numpy.fft.fftn``/``ifftn`` on that shape.
+the transforms are library FFTs, ``numpy.fft.fftn``/``ifftn`` on that shape,
+or over the grid axes of a stack of functions, one per row.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class DualSpace:
 
 
 class ClassFunction:
-    """Dense complex function on a ring g or a Lazard group G.
+    """Dense complex function on a ring g or a Lazard group G, or a stack of
+    them, one per row.
 
     Values are indexed by the shared lexicographic element enumeration.
     Constancy on conjugacy classes is not enforced here; the suites that
@@ -81,13 +83,13 @@ class ClassFunction:
     def __init__(self, domain, values):
         vals = np.asarray(values, dtype=np.complex128)
         n = _ring_of(domain).order()
-        if vals.shape != (n,):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != n:
             raise ValueError(f"expected {n} values, got shape {vals.shape}")
         self.domain = domain
         self.values = vals
 
     def __len__(self):
-        return len(self.values)
+        return self.values.shape[-1]
 
     def __repr__(self):
         kind = "G" if isinstance(self.domain, LazardGroup) else "g"
@@ -95,19 +97,20 @@ class ClassFunction:
 
 
 class DualFunction:
-    """Dense complex function on g*, indexed in DualSpace order."""
+    """Dense complex function on g*, indexed in DualSpace order, or a stack
+    of them, one per row."""
 
     __slots__ = ("ring", "values")
 
     def __init__(self, ring: FiniteLieRing, values):
         vals = np.asarray(values, dtype=np.complex128)
-        if vals.shape != (ring.order(),):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != ring.order():
             raise ValueError(f"expected {ring.order()} values")
         self.ring = ring
         self.values = vals
 
     def __len__(self):
-        return len(self.values)
+        return self.values.shape[-1]
 
     def __repr__(self):
         return f"DualFunction(|g*|={len(self)})"
@@ -142,28 +145,24 @@ def translates(domain, law, rows, cols=None):
 
     The additive law reads per-coordinate tables built once per call,
     T_i[v, c] = ((x_{c,i} - v) mod s_i)·stride_i, and adds the rows
-    T_i[x_{h,i}] over the coordinates, one h at a time: the index of
-    x_c - x_h without forming the difference.  The group law runs the CH
-    kernel in blocks of about ``_BLOCK_CELLS`` pairs.
+    T_i[x_{h,i}] over the coordinates, one gather per coordinate: the
+    index of x_c - x_h without forming the difference.  The group law runs
+    the CH kernel in blocks of about ``_BLOCK_CELLS`` pairs.
     """
     _check_law(domain, law)
     ring = _ring_of(domain)
     grid = ring.grid
     H = grid.elements[rows]
     C = grid.elements if cols is None else grid.elements[cols]
-    out = np.empty((len(H), len(C)), dtype=np.int64)
     if law == ADDITIVE:
-        tables = []
+        out = np.zeros((len(H), len(C)), dtype=np.int64)
         for i, (s, stride) in enumerate(zip(grid.sizes, grid.strides)):
             # diff[v, u] = ((u - v) mod s)·stride, read at u = x_{c,i}
             v = np.arange(s, dtype=np.int64)
             diff = (v - v[:, None]) % s * stride
-            tables.append(np.take(diff, C[:, i], axis=1))
-        for row, h in zip(out, H):
-            row[...] = 0
-            for table, v in zip(tables, h):
-                row += table[v]
+            out += np.take(diff, C[:, i], axis=1)[H[:, i]]
         return out
+    out = np.empty((len(H), len(C)), dtype=np.int64)
     step = max(1, _BLOCK_CELLS // len(C))
     for start in range(0, len(H), step):
         h = H[start:start + step]
@@ -194,19 +193,32 @@ def convolve(f1: ClassFunction, f2: ClassFunction, law: str) -> ClassFunction:
     return ClassFunction(f1.domain, out / n)
 
 
+def _grid_fft(transform, ring, values):
+    """``transform`` over the grid axes of ``values``, in their shape; every
+    axis writes to one output array, bit for bit as one allocated per
+    axis."""
+    lead = values.ndim - 1
+    shaped = values.reshape(values.shape[:lead] + ring.sizes)
+    axes = tuple(range(lead, shaped.ndim))
+    return transform(shaped, axes=axes,
+                     out=np.empty_like(shaped)).reshape(values.shape)
+
+
 def fourier(f: ClassFunction) -> DualFunction:
     """(F f)(phi) = (1/|g|) sum_x f(x) conj(phi(x)), one FFT on the grid."""
     if isinstance(f.domain, LazardGroup):
         raise DomainMismatch("Fourier transform lives on the ring side; "
                              "pull back with exp_star first")
     ring = f.domain
-    out = np.fft.fftn(f.values.reshape(ring.sizes)).ravel() / len(f.values)
+    out = _grid_fft(np.fft.fftn, ring, f.values)
+    out /= len(f)
     return DualFunction(ring, out)
 
 
 def inverse_fourier(F: DualFunction) -> ClassFunction:
     """f(x) = sum_phi (F f)(phi) phi(x); counting measure on g*."""
     ring = F.ring
-    out = len(F.values) * np.fft.ifftn(F.values.reshape(ring.sizes)).ravel()
+    out = _grid_fft(np.fft.ifftn, ring, F.values)
+    out *= len(F)
     return ClassFunction(ring, out)
 

@@ -269,6 +269,15 @@ def _class_blocks(part, classes):
         yield block
 
 
+def _block_labels(part, classes, law):
+    """(block, labels) per run of ``_class_blocks``: labels[h, c] is the
+    class of x^{-1} z_c under ``law``, x the run's h-th member."""
+    for block in _class_blocks(part, classes):
+        rows = np.concatenate([part.classes[a] for a in block])
+        yield block, part.labels[translates(part.group, law, rows,
+                                            part.reps)]
+
+
 def class_matrices(part, classes, law=GROUP):
     """(a, M_a) for each class a of ``classes``, in that order: Burnside's
     class matrix M_a as an (r, r) integer array.
@@ -282,14 +291,37 @@ def class_matrices(part, classes, law=GROUP):
     """
     r = len(part)
     cols = np.arange(r, dtype=np.int64)
-    for block in _class_blocks(part, classes):
-        rows = np.concatenate([part.classes[a] for a in block])
-        flat = part.labels[translates(part.group, law, rows,
-                                      part.reps)] * r + cols
+    for block, flat in _block_labels(part, classes, law):
+        flat *= r
+        flat += cols
         ends = np.cumsum(part.sizes[block])[:-1]
         for a, counts in zip(block, np.split(flat, ends)):
             yield a, np.bincount(counts.ravel(),
                                  minlength=r * r).reshape(r, r)
+
+
+def class_keys(part, classes, law=GROUP, rows=None):
+    """(block, keys) per run of ``_class_blocks``: the sorted keys
+    (t r + b) r + c, one per member x of the run's t-th class a and class
+    c, b the class of x^{-1} z_c under ``law``, kept when b is in ``rows``
+    (every class when None).  Key (t r + b) r + c occurs (M_a)_{b,c}
+    times, so two laws' keys agree exactly when the run's class matrices
+    (``class_matrices``) agree in those rows; no r x r matrix is formed.
+    """
+    r = len(part)
+    cols = np.arange(r, dtype=np.int64)
+    keep = None
+    if rows is not None:
+        keep = np.zeros(r, dtype=bool)
+        keep[rows] = True
+    for block, labels in _block_labels(part, classes, law):
+        t = np.repeat(np.arange(len(block), dtype=np.int64) * r,
+                      part.sizes[block])
+        keys = ((labels + t[:, None]) * r + cols).ravel()
+        if keep is not None:
+            keys = keys[keep[labels].ravel()]
+        keys.sort()
+        yield block, keys
 
 
 def _split(N, gap):

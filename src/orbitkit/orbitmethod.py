@@ -18,17 +18,18 @@ subring (``restriction_indices``): the (2g)* orbits are its images of the
 g* orbits, and padic's restriction harness reads containment through it.
 
 The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
-inverse Fourier transform of the orbit's indicator, one library FFT on the
-ring's grid, checked constant on every conjugacy class; orbit membership
-stays exact, the values carry the FFT's round-off.  The convolution-identity
+inverse Fourier transform of the orbit's indicator, one library FFT per
+block of orbits on the ring's grid, checked constant on every conjugacy
+class; orbit membership stays exact, the values carry the FFT's round-off.
+The convolution-identity
 suites reduce exhaustive claims about conjugation-invariant functions to
 class-indicator pairs (bilinearity) and compare the integer counts
 N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b} under both laws, so those
 checks are exact at every group order.  The certified generators act
 additively, so the additive counts are constant on classes as the group
 counts are, and both laws are counted at the class representatives only,
-as r x r matrices (``oracle.class_matrices`` under either law, a run of
-classes per translation call).  The idempotent suite checks that each
+as sorted keys (``oracle.class_keys``, a run of classes per translation
+call).  The idempotent suite checks that each
 orbit idempotent is constant on the oracle's classes and Hermitian, and
 multiplies the idempotents in the class algebra, again through Burnside's
 class matrices: class functions commute and Hermitian ones have Hermitian
@@ -36,7 +37,7 @@ products, so one class of each inverse pair and the pairs j <= i give
 every product.  Every suite runs at any group order without an n x n
 table.
 
-``kirillov_character`` returns the character's values on G.  The exact
+``kirillov_character`` returns the characters' values on G.  The exact
 suites (exp* here and the p = 2 counts, like ``liering``'s twist check)
 raise their failure with its witness and return only what a pass leaves to
 report; the idempotent suite returns its measured deviations, with
@@ -52,10 +53,11 @@ import numpy as np
 
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
-from .harmonic import (ADDITIVE, ClassFunction, DualFunction, DualSpace,
-                       exp_star, fourier, inverse_fourier)
+from .harmonic import (_BLOCK_CELLS, ADDITIVE, GROUP, ClassFunction,
+                       DualFunction, DualSpace, exp_star, fourier,
+                       inverse_fourier)
 from .liering import LazardGroup, Subring, min_uniform_depth
-from .oracle import (class_matrices, conjugacy_classes,
+from .oracle import (class_keys, class_matrices, conjugacy_classes,
                      conjugation_certificate, permutation_orbits)
 
 # The order limit of the n x n idempotent table that verify_idempotents
@@ -87,14 +89,26 @@ class CoadjointOrbit:
     def size(self) -> int:
         return len(self.indices)
 
-    def indicator(self) -> DualFunction:
-        vals = np.zeros(len(self.space))
-        vals[self.indices] = 1.0
-        return DualFunction(self.space.ring, vals)
-
     def __repr__(self):
         first = tuple(self.space.exponents[self.indices[0]].tolist())
         return f"CoadjointOrbit(size={self.size}, rep={first})"
+
+
+def indicators(orbits) -> DualFunction:
+    """The indicators of ``orbits`` (in one DualSpace), one row each."""
+    space = orbits[0].space
+    vals = np.zeros((len(orbits), len(space)), dtype=np.complex128)
+    for row, orbit in zip(vals, orbits):
+        row[orbit.indices] = 1.0
+    return DualFunction(space.ring, vals)
+
+
+def _orbit_blocks(orbits, n):
+    """(start, block) of runs of ``orbits`` whose functions on n elements
+    fill ``_BLOCK_CELLS`` words (two per value), one orbit at least."""
+    step = max(1, _BLOCK_CELLS // 2 // n)
+    for lo in range(0, len(orbits), step):
+        yield lo, orbits[lo:lo + step]
 
 
 def _coadjoint_perms(group: LazardGroup, space: DualSpace) -> list:
@@ -150,32 +164,50 @@ def coadjoint_orbits(group: LazardGroup) -> list[CoadjointOrbit]:
     return [CoadjointOrbit(space, idx) for idx in orbit_sets]
 
 
-def kirillov_character(group: LazardGroup,
-                       orbit: CoadjointOrbit) -> ClassFunction:
-    """The orbit character chi_Omega on G, via the identity coordinate map
-    exp, as its values on G.
+def _class_spread(rows, part):
+    """|f(x) - f(z_[x])| for each row f and x, z_[x] the representative of
+    the class of x."""
+    spread = rows[:, part.reps][:, part.labels]
+    np.subtract(rows, spread, out=spread)
+    return np.abs(spread)
 
-    The orbit size must be a perfect square (its root is the degree), and
-    the character must be constant on every conjugacy class, exactly as
+
+def kirillov_character(group: LazardGroup, orbits) -> list[ClassFunction]:
+    """The orbit characters chi_Omega of ``orbits`` on G, in their order,
+    via the identity coordinate map exp, as their values on G.
+
+    Each orbit size must be a perfect square (its root is the degree), and
+    each character must be constant on every conjugacy class, exactly as
     the group's conjugation certificate closes them (the classes behind
     ``coadjoint_orbits``, with no order cap): max_x |chi(x) - chi(z_[x])|
     <= ``CONSTANCY_TOL``, z_[x] the representative of the class of x, else
     PropertyFailed names the deviation and the first grid index where it
-    is largest.
+    is largest; the first failing orbit raises.  One inverse FFT and one
+    check serve each ``_orbit_blocks`` block, bit for bit as one orbit at a
+    time.
     """
-    size = orbit.size
-    root = math.isqrt(size)
-    if root * root != size:
-        raise PropertyFailed(f"orbit size {size} is not a perfect square")
     part = conjugation_certificate(group)
-    vals = inverse_fourier(orbit.indicator()).values / root
-    spread = np.abs(vals - vals[part.reps][part.labels])
-    x = int(np.argmax(spread))
-    if spread[x] > CONSTANCY_TOL:
+    roots = [math.isqrt(orbit.size) for orbit in orbits]
+    square = next((i for i, (orbit, root) in enumerate(zip(orbits, roots))
+                   if root * root != orbit.size), len(orbits))
+    chars = []
+    for lo, block in _orbit_blocks(orbits[:square], len(group)):
+        vals = inverse_fourier(indicators(block)).values
+        vals /= np.array(roots[lo:lo + len(block)])[:, None]
+        spread = _class_spread(vals, part)
+        x = spread.argmax(axis=1)
+        top = spread[np.arange(len(block)), x]
+        varies = np.flatnonzero(top > CONSTANCY_TOL)
+        if varies.size:
+            t = varies[0]
+            raise PropertyFailed(
+                f"orbit character varies on a conjugacy class: deviation "
+                f"{top[t]:.2e} at grid index {x[t]}")
+        chars += [ClassFunction(group, row) for row in vals]
+    if square < len(orbits):
         raise PropertyFailed(
-            f"orbit character varies on a conjugacy class: deviation "
-            f"{spread[x]:.2e} at grid index {x}")
-    return ClassFunction(group, vals)
+            f"orbit size {orbits[square].size} is not a perfect square")
+    return chars
 
 
 # -- class-indicator counts ------------------------------------------------------
@@ -221,14 +253,28 @@ def _count_mismatch(part, a, by_group, by_sum, rows=None):
 
 def _first_mismatch(part, classes, rows=None):
     """The first ``_count_mismatch`` over ``classes`` in their order, with
-    the rows b in ``rows``; None when every class agrees.  Both laws' class
-    matrices come from ``class_matrices``, a run of classes at a time."""
-    laws = zip(class_matrices(part, classes),
-               class_matrices(part, classes, ADDITIVE))
-    for (a, by_group), (_, by_sum) in laws:
-        hit = _count_mismatch(part, a, by_group, by_sum, rows)
-        if hit is not None:
-            return hit
+    the rows b in ``rows``; None when every class agrees.
+
+    Both laws' ``class_keys`` are compared a run of classes at a time.
+    Where the sorted keys first differ, the smaller key (or the only one)
+    is one of the run's first class whose matrices differ: earlier classes
+    have equal keys, and later classes' keys are larger.  Only that class's
+    two matrices are built, for the witness.
+    """
+    r = len(part)
+    laws = zip(class_keys(part, classes, GROUP, rows),
+               class_keys(part, classes, ADDITIVE, rows))
+    for (block, by_group), (_, by_sum) in laws:
+        if np.array_equal(by_group, by_sum):
+            continue
+        m = min(len(by_group), len(by_sum))
+        at = int(np.argmax(np.append(by_group[:m] != by_sum[:m], True)))
+        key = min(int(keys[at]) for keys in (by_group, by_sum)
+                  if at < len(keys))
+        a = block[key // (r * r)]
+        (_, M), = class_matrices(part, [a])
+        (_, N), = class_matrices(part, [a], ADDITIVE)
+        return _count_mismatch(part, a, M, N, rows)
     return None
 
 
@@ -394,8 +440,9 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
         <= max_c |(e~_i * e~_j - delta_ij e~_i)(z_c)|
            + (d + h) (1 + d + h + ||e_i||_2 + ||e_j||_2),
     and the same with the two sides swapped; ||e_Omega||_2 = |Omega|^{1/2}.
-    Characters are consumed one at a time: no n x n or k x n array is
-    formed.
+    The orbits run in ``_orbit_blocks``: no n x n or k x n array is formed.
+    Each witness is the first largest in (i, x) order, and (d) adds the
+    idempotents in orbit order, as one orbit at a time did.
     """
     if group.ring.p < 3:
         raise RegimeViolation(f"p = {group.ring.p} < 3")
@@ -406,23 +453,31 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     total = np.zeros(n, dtype=np.complex128)
     dev_fourier, dev_const, const_witness = 0.0, 0.0, None
     dev_herm, herm_witness = 0.0, None
-    for i, orbit in enumerate(orbits):
-        row = math.isqrt(orbit.size) * kirillov_character(group, orbit).values
-        F = fourier(exp_star(ClassFunction(group, row)))
-        ind = np.zeros(n)
-        ind[orbit.indices] = 1.0
-        dev_fourier = max(dev_fourier, float(np.max(np.abs(F.values - ind))))
-        values = row[part.reps]
-        spread = np.abs(row - values[part.labels])
-        x = int(np.argmax(spread))
-        if spread[x] > dev_const:
-            dev_const, const_witness = float(spread[x]), (i, x)
-        at_reps[i] = (values + values[part.inverse].conj()) / 2
-        spread = np.abs(values - at_reps[i])
-        a = int(np.argmax(spread))
-        if spread[a] > dev_herm:
-            dev_herm, herm_witness = float(spread[a]), (i, part.reps[a])
-        total += row
+    for lo, block in _orbit_blocks(orbits, n):
+        rows = np.array([c.values for c in kirillov_character(group, block)])
+        rows *= np.array([math.isqrt(o.size) for o in block])[:, None]
+        F = fourier(exp_star(ClassFunction(group, rows))).values
+        for t, orbit in enumerate(block):
+            F[t, orbit.indices] -= 1.0
+        dev_fourier = max(dev_fourier, float(np.max(np.abs(F))))
+        del F
+        spread = _class_spread(rows, part)
+        t, x = map(int, np.unravel_index(np.argmax(spread), spread.shape))
+        if spread[t, x] > dev_const:
+            dev_const, const_witness = float(spread[t, x]), (lo + t, x)
+        values = rows[:, part.reps]
+        at = at_reps[lo:lo + len(block)]
+        at[...] = (values + values[:, part.inverse].conj()) / 2
+        spread = np.abs(values - at)
+        t, a = map(int, np.unravel_index(np.argmax(spread), spread.shape))
+        if spread[t, a] > dev_herm:
+            dev_herm, herm_witness = float(spread[t, a]), (lo + t,
+                                                          part.reps[a])
+        for row in rows:
+            total += row
+        # free the block's arrays (row is a view) before the next block
+        # and the class algebra
+        del rows, row, spread
 
     dev_idem, dev_orth, witness = _class_algebra_deviations(part, at_reps)
 
@@ -449,9 +504,10 @@ def verify_exp_star(group: LazardGroup) -> None:
     the invariant functions, so by bilinearity it compares the integer
     counts N_a[b, c] of both laws for every pair of classes and every
     element, read at the class representatives (``_count_mismatch`` says
-    why that covers every element).  No pair of functions is drawn or
-    convolved: every invariant pair follows from the exact counts.  The
-    first mismatch raises PropertyFailed with its (a, b, c) as the witness.
+    why that covers every element), as sorted keys (``_first_mismatch``).
+    No pair of functions is drawn or convolved: every invariant pair
+    follows from the exact counts.  The first mismatch raises
+    PropertyFailed with its (a, b, c) as the witness.
     """
     if group.ring.p < 3:
         raise RegimeViolation(f"p = {group.ring.p} < 3")
@@ -525,9 +581,11 @@ def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
 
     cells = []
     assigned = np.full(len(table.rows), -1, dtype=np.int64)
-    for idx in orbit_sets:
-        orbit = CoadjointOrbit(kspace, idx)
-        ehat = inverse_fourier(orbit.indicator()).values
+    orbits = [CoadjointOrbit(kspace, idx) for idx in orbit_sets]
+    ehats = itertools.chain.from_iterable(
+        inverse_fourier(indicators(block)).values
+        for _, block in _orbit_blocks(orbits, len(kspace)))
+    for orbit, ehat in zip(orbits, ehats):
         scores = np.abs(chi_g2 @ np.conj(ehat)) / len(kspace)
         members = np.nonzero(scores > tol)[0]
         # normalize both vectors at the same entry (e_Omega's peak), else

@@ -250,6 +250,14 @@ def _multiplicity_matrix(sub, table_g, table_k):
     return rows_g @ rows_k.conj().T / len(idx)
 
 
+def _cell_of(cells, size):
+    """The index of the cell holding each of 0..size-1."""
+    out = np.empty(size, dtype=np.int64)
+    for i, members in enumerate(cells):
+        out[np.asarray(members, dtype=np.int64)] = i
+    return out
+
+
 def restriction_harness(ring, generators, alpha=None, *, seed=0,
                         tol=1e-8) -> dict:
     """Orbit containment iff restriction support, over all orbit pairs.
@@ -260,7 +268,9 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     sides are matched to oracle rows, so the multiplicities are the brute
     force ones.  For p = 2 both sides run through the orbit partitions of
     the duals of the doubled rings, with alpha = 2.  res(Om) holds the
-    ``restriction_indices`` of Om, so containment compares integer sets.
+    ``restriction_indices`` of Om, and Om0 lies in it exactly when it holds
+    |Om0| characters of Om0, an integer count; all pairs are decided at
+    once, and the first to disagree in row-major order is the witness.
 
     Returns alpha, the orbit counts of both sides, the pairs compared and
     how many are contained; ``finite_shadow`` records that Fell-topology
@@ -286,11 +296,9 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
         orbs_g = coadjoint_orbits(group)
         orbs_k = coadjoint_orbits(kgroup)
         rows_g = [(row,) for row in match_tables(
-            [kirillov_character(group, o) for o in orbs_g],
-            table_g).assignment]
+            kirillov_character(group, orbs_g), table_g).assignment]
         rows_k = [(row,) for row in match_tables(
-            [kirillov_character(kgroup, o) for o in orbs_k],
-            table_k).assignment]
+            kirillov_character(kgroup, orbs_k), table_k).assignment]
         basis = sub.basis_coords
     else:
         # the subrings 2g and 2(alpha*k) the cells' orbits live in the duals of
@@ -301,23 +309,26 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
         basis = [g2.express(sub.embed_coords(b)) for b in k2.basis_coords]
     image = restriction_indices(orbs_g[0].space, basis,
                                 orbs_k[0].space.ring)
-    cells_g = [(set(image[o.indices].tolist()), rows)
-               for o, rows in zip(orbs_g, rows_g)]
-    cells_k = [(set(o.indices.tolist()), rows)
-               for o, rows in zip(orbs_k, rows_k)]
-
-    pairs = contained = 0
-    for a, (res_a, rows_a) in enumerate(cells_g):
-        for b, (keys_b, rows_b) in enumerate(cells_k):
-            inside = keys_b <= res_a
-            supported = bool(np.max(np.abs(
-                mult[np.ix_(rows_a, rows_b)])) > tol)
-            if inside != supported:
-                raise EquivalenceFailed(
-                    f"witness pair (orbit {a}, suborbit {b}): "
-                    f"containment={inside}, restriction support={supported}")
-            pairs += 1
-            contained += inside
-    return {"alpha": alpha, "orbits_g": len(cells_g),
-            "orbits_k": len(cells_k), "pairs": pairs, "contained": contained,
+    # the distinct pairs (Om, y in res(Om)) as sorted keys, counted per Om0
+    m, shape = len(orbs_k[0].space), (len(orbs_g), len(orbs_k))
+    hits = np.sort(_cell_of([o.indices for o in orbs_g], len(image)) * m
+                   + image)
+    hits = hits[np.diff(hits, prepend=-1) != 0]
+    suborbit = _cell_of([o.indices for o in orbs_k], m)
+    counts = np.bincount(hits // m * shape[1] + suborbit[hits % m],
+                         minlength=shape[0] * shape[1]).reshape(shape)
+    inside = counts == [o.size for o in orbs_k]
+    rho, kappa = np.nonzero(np.abs(mult) > tol)
+    supported = np.zeros(shape, dtype=bool)
+    supported[_cell_of(rows_g, len(mult))[rho],
+              _cell_of(rows_k, mult.shape[1])[kappa]] = True
+    bad = np.flatnonzero(inside != supported)
+    if bad.size:
+        a, b = divmod(int(bad[0]), shape[1])
+        raise EquivalenceFailed(
+            f"witness pair (orbit {a}, suborbit {b}): "
+            f"containment={bool(inside[a, b])}, "
+            f"restriction support={bool(supported[a, b])}")
+    return {"alpha": alpha, "orbits_g": shape[0], "orbits_k": shape[1],
+            "pairs": inside.size, "contained": int(inside.sum()),
             "finite_shadow": True}

@@ -22,8 +22,9 @@ from orbitkit.freelie import _dynkin_bch, bch, valuation_of
 from orbitkit.harmonic import inverse_fourier
 from orbitkit.liering import LazardGroup, make_ring, twist_map
 from orbitkit.oracle import character_table, match_tables
-from orbitkit.orbitmethod import (coadjoint_orbits, kirillov_character,
-                                  p2_orbit_partition, verify_exp_star)
+from orbitkit.orbitmethod import (coadjoint_orbits, indicators,
+                                  kirillov_character, p2_orbit_partition,
+                                  verify_exp_star)
 from orbitkit.padic import QpLieAlgebra, restriction_harness, uniform_chain
 
 from conftest import heisenberg, upper_unitriangular4
@@ -84,8 +85,7 @@ def orbits_of(name):
 
 @functools.lru_cache(maxsize=None)
 def chars_of(name):
-    return tuple(kirillov_character(group_of(name), orb)
-                 for orb in orbits_of(name))
+    return tuple(kirillov_character(group_of(name), orbits_of(name)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,7 +195,7 @@ def test_p2_partition():
     assert sorted(g2.tolist()) == np.flatnonzero(even).tolist()
     chi_g2 = table.rows[:, table.partition.labels][:, g2]
     for cell in cells:
-        e = inverse_fourier(cell.orbit.indicator()).values
+        e = inverse_fourier(indicators([cell.orbit])).values[0]
         peak = int(np.argmax(np.abs(e)))
         vhat = e / e[peak]
         for rho in cell.irreducibles:

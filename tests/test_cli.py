@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbitkit import chsolver, cli, errors, freelie, oracle, orbitmethod
 from orbitkit.errors import (AutomorphismCheckFailed, DomainMismatch,
                              LinearSystemInconsistent)
+from orbitkit.harmonic import ADDITIVE
 
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 F3 = str(SPEC_DIR / "heisenberg_f3.json")
@@ -278,7 +280,8 @@ class TestVerify:
 
     def test_idempotent_suite_shares_the_group(self, capsys, monkeypatch):
         # the orbits and the characters take the command's group and its
-        # certificate; the seed reaches neither, since both are exact
+        # certificate; the seed reaches neither, since both are exact.  The
+        # 11 orbits of H(F3) hold 297 values, one block of characters
         calls = []
 
         def spy(name):
@@ -293,8 +296,8 @@ class TestVerify:
         code, _, _ = run_json(capsys, "verify", "--input", F3, "--checks",
                               "idempotents", "--seed", "3")
         assert code == 0
-        assert calls[0][0] == "coadjoint_orbits"
-        assert {call[0] for call in calls[1:]} == {"kirillov_character"}
+        assert [call[0] for call in calls] == ["coadjoint_orbits",
+                                               "kirillov_character"]
         group = calls[0][1]
         assert group is not None
         assert all(call[1] is group for call in calls)
@@ -401,13 +404,24 @@ class TestErrorExitCodes:
             "witness": "LinearSystemInconsistent: degree 2 step unsolvable"}
 
     def test_exp_star_mismatch_is_a_failed_check(self, capsys, monkeypatch):
-        # counts forged to differ first at class 2 name the witness
-        real = orbitmethod._count_mismatch
+        # additive keys forged to lose the smallest key of class 2, and
+        # counts forged to differ there: the keys find class 2 first, and
+        # its counts name the witness
+        real_keys, real_mismatch = (orbitmethod.class_keys,
+                                    orbitmethod._count_mismatch)
 
-        def forged(part, a, by_group, by_sum, rows=None):
-            return (a, 1, 4) if a == 2 else real(part, a, by_group, by_sum,
-                                                 rows)
-        monkeypatch.setattr(orbitmethod, "_count_mismatch", forged)
+        def keys(part, classes, law, rows=None):
+            for block, found in real_keys(part, classes, law, rows):
+                if law == ADDITIVE and 2 in block:
+                    first = block.index(2) * len(part) ** 2
+                    found = np.delete(found, np.searchsorted(found, first))
+                yield block, found
+
+        def counts(part, a, by_group, by_sum, rows=None):
+            return (a, 1, 4) if a == 2 else real_mismatch(
+                part, a, by_group, by_sum, rows)
+        monkeypatch.setattr(orbitmethod, "class_keys", keys)
+        monkeypatch.setattr(orbitmethod, "_count_mismatch", counts)
         code, rep, _ = run_json(capsys, "verify", "--input", F3,
                                 "--checks", "expstar")
         assert code == 1
@@ -614,6 +628,25 @@ class TestInputHandling:
         assert info.value.code == 0
         assert "orbitkit" in capsys.readouterr().out
 
+    # nan once failed verify's idempotent suite with a bogus witness, and
+    # restrict's equivalence, and both reports printed "tolerance": NaN
+    @pytest.mark.parametrize("argv", [
+        ["chartable", "--input", F3, "--tolerance", "nan"],
+        ["verify", "--input", F3, "--tolerance", "nan"],
+        ["verify", "--input", Z8, "--tolerance", "inf"],
+        ["restrict", "--input", F3, "--subring", CENTER, "--tolerance=-inf"],
+    ], ids=["chartable-nan", "verify-nan", "verify-p2-inf",
+            "restrict-minus-inf"])
+    def test_non_finite_tolerance_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        value = argv[-1].removeprefix("--tolerance=")
+        assert out == ""
+        assert err.endswith(f"error: argument --tolerance: {value!r} is "
+                            f"not a finite number\n")
+
 
 # sha256 of whole reports at seed 0, recorded with numpy 2.4.6 on Python
 # 3.11 at the default BLAS thread count of a 2-core machine: reports must
@@ -725,18 +758,28 @@ def test_reports_are_byte_identical(command, case, tmp_path, capsys):
 
 def test_chartable_imports_neither_numpy_random_nor_ma(tmp_path):
     # importing numpy.random costs about 14 ms and numpy.ma about 28 ms, and
-    # a chartable job needs neither: the weights come from random.Random
+    # no one-shot job needs either: the weights come from random.Random.
+    # np.unique without return_inverse, np.unique(..., axis=0) and
+    # np.setdiff1d import numpy.ma (numpy 2.4), so a command that calls one
+    # pays it.  chartable, verify at p >= 3 and at p = 2, and restrict run
+    # in one child, each with its own report
+    report = str(tmp_path / "report.json")
+    commands = [
+        ["chartable", "--input", F3, "--method", "both"],
+        ["verify", "--input", F3],
+        ["verify", "--input", Z8],
+        ["restrict", "--input", F3, "--subring", CENTER]]
     script = (
         "import sys\n"
         "from orbitkit import cli\n"
-        f"code = cli.main(['chartable', '--input', {F3!r}, '--method', "
-        f"'both', '--output', {str(tmp_path / 'report.json')!r}])\n"
-        "print(code, [m for m in ('numpy.random', 'numpy.ma') "
+        f"codes = [cli.main(argv + ['--output', {report!r}]) "
+        f"for argv in {commands!r}]\n"
+        "print(codes, [m for m in ('numpy.random', 'numpy.ma') "
         "if m in sys.modules])\n")
     done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    assert done.stdout == "0 []\n"
+    assert done.stdout == "[0, 0, 0, 0] []\n"
 
 
 def _child_env():

@@ -19,7 +19,8 @@ from orbitkit.harmonic import (ClassFunction, DualFunction, DualSpace,
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.oracle import character_table, conjugacy_classes
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
-                                  kirillov_character, p2_orbit_partition)
+                                  indicators, kirillov_character,
+                                  p2_orbit_partition)
 
 from conftest import character_values, heisenberg, phases
 
@@ -110,8 +111,8 @@ class TestKirillovAgainstDirectSums:
     def test_orbit_characters(self, make):
         ring = make()
         group = LazardGroup(ring)
-        for orbit in coadjoint_orbits(group):
-            chi = kirillov_character(group, orbit)
+        orbits = coadjoint_orbits(group)
+        for orbit, chi in zip(orbits, kirillov_character(group, orbits)):
             direct = direct_orbit_sum(ring, orbit.space, orbit.indices)
             direct /= math.isqrt(orbit.size)
             assert np.max(np.abs(chi.values - direct)) <= TOL
@@ -128,7 +129,7 @@ class TestP2IdempotentsAgainstDirectSums:
             space = cell.orbit.space
             assert space.ring is sub.induced
             direct = direct_orbit_sum(space.ring, space, cell.orbit.indices)
-            vals = inverse_fourier(cell.orbit.indicator()).values
+            vals = inverse_fourier(indicators([cell.orbit])).values[0]
             assert np.max(np.abs(vals - direct)) <= TOL
 
 
@@ -150,14 +151,14 @@ class TestKirillovClassCheck:
         # the largest deviations tie, so the argmax is read from the values
         # the check computes; the exact-phase sums must agree that it is a
         # largest one
-        fft = spread(inverse_fourier(forged.indicator()).values / 3)
+        fft = spread(inverse_fourier(indicators([forged])).values[0] / 3)
         x = int(np.argmax(fft))
         direct = spread(direct_orbit_sum(ring, space, forged.indices) / 3)
         assert direct[x] > 1e-9
         assert abs(direct[x] - direct.max()) <= TOL
         assert abs(fft[x] - direct[x]) <= TOL
         with pytest.raises(PropertyFailed) as info:
-            kirillov_character(group, forged)
+            kirillov_character(group, [forged])
         assert str(info.value) == (
             f"orbit character varies on a conjugacy class: deviation "
             f"{fft[x]:.2e} at grid index {x}")

@@ -529,8 +529,7 @@ class TestMatchAgainstKuhn:
     def test_orbit_characters_and_variants(self, name, request):
         group = request.getfixturevalue(f"{name}_group")
         table = character_table(group)
-        chars = [kirillov_character(group, o)
-                 for o in coadjoint_orbits(group)]
+        chars = kirillov_character(group, coadjoint_orbits(group))
         assert assert_same_matching(chars, table) == "matched"
         for tol in (1e-300, 1e-14, 0.69):
             assert_same_matching(chars, table, tol)

@@ -19,13 +19,19 @@ from orbitkit.harmonic import ADDITIVE, ClassFunction, DualSpace
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.oracle import character_table, conjugacy_classes, match_tables
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
-                                  kirillov_character, p2_convolution_check,
-                                  p2_orbit_partition, verify_exp_star,
-                                  verify_idempotents)
+                                  indicators, kirillov_character,
+                                  p2_convolution_check, p2_orbit_partition,
+                                  verify_exp_star, verify_idempotents)
 
 from conftest import inner
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def ring_spec_paths():
+    return [pytest.param(path, id=path.stem)
+            for path in sorted(SPECS.glob("*.json"))
+            if "moduli" in json.loads(path.read_text())]
 
 
 class TestCoadjointOrbits:
@@ -58,7 +64,7 @@ class TestCoadjointOrbits:
         orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
         first = tuple(orbit.space.exponents[orbit.indices.min()].tolist())
         assert repr(orbit) == f"CoadjointOrbit(size=9, rep={first})"
-        assert np.flatnonzero(orbit.indicator().values).tolist() \
+        assert np.flatnonzero(indicators([orbit]).values[0]).tolist() \
             == orbit.indices.tolist()
 
     def test_non_integral_dual_leaves_the_lattice(self, monkeypatch):
@@ -90,8 +96,7 @@ class TestCoadjointOrbits:
 class TestKirillovCharacter:
     def test_degrees_on_heisenberg(self, h3_group):
         # the degree is the value at the identity, grid index 0
-        chars = [kirillov_character(h3_group, o)
-                 for o in coadjoint_orbits(h3_group)]
+        chars = kirillov_character(h3_group, coadjoint_orbits(h3_group))
         degrees = [round(c.values[0].real) for c in chars]
         assert Counter(degrees) == {1: 9, 3: 2}
         assert sum(d ** 2 for d in degrees) == 27
@@ -99,7 +104,7 @@ class TestKirillovCharacter:
     def test_degree_three_character_is_central(self, h3_group):
         # chi vanishes off Z(G) and has |chi| = 3 on it
         orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
-        chi = kirillov_character(h3_group, orbit)
+        chi, = kirillov_character(h3_group, [orbit])
         E = h3_group.elements
         vals = chi.values
         central = (E[:, 0] == 0) & (E[:, 1] == 0)
@@ -107,29 +112,100 @@ class TestKirillovCharacter:
         assert np.allclose(np.abs(vals[central]), 3.0)
 
     def test_value_at_identity_is_degree(self, h5, h5_group):
-        for orbit in coadjoint_orbits(h5_group):
-            chi = kirillov_character(h5_group, orbit)
+        orbits = coadjoint_orbits(h5_group)
+        for orbit, chi in zip(orbits, kirillov_character(h5_group, orbits)):
             idx = h5.grid.index_batch((0, 0, 0))
             assert abs(chi.values[idx] - math.isqrt(orbit.size)) < 1e-12
 
     def test_orthonormal_family(self, h3_group):
-        chars = [kirillov_character(h3_group, o)
-                 for o in coadjoint_orbits(h3_group)]
+        chars = kirillov_character(h3_group, coadjoint_orbits(h3_group))
         for i, ci in enumerate(chars):
             for j, cj in enumerate(chars):
                 target = 1.0 if i == j else 0.0
                 assert abs(inner(ci, cj) - target) < 1e-9
 
     def test_matches_oracle_table(self, h3_group):
-        chars = [kirillov_character(h3_group, o)
-                 for o in coadjoint_orbits(h3_group)]
+        chars = kirillov_character(h3_group, coadjoint_orbits(h3_group))
         report = match_tables(chars, character_table(h3_group))
         assert report.max_deviation < 1e-8
 
     def test_non_square_orbit_rejected(self, h3, h3_group):
         fake = CoadjointOrbit(DualSpace(h3), [0, 1])
         with pytest.raises(PropertyFailed):
-            kirillov_character(h3_group, fake)
+            kirillov_character(h3_group, [fake])
+
+
+def one_orbit_character(group, orbit):
+    """An orbit character as kirillov_character computed it one orbit at a
+    time: one inverse FFT of the orbit's indicator on the grid, divided by
+    the degree."""
+    ring = group.ring
+    n = ring.order()
+    ind = np.zeros(n, dtype=np.complex128)
+    ind[orbit.indices] = 1.0
+    vals = n * np.fft.ifftn(ind.reshape(ring.sizes)).ravel()
+    return vals / math.isqrt(orbit.size)
+
+
+def one_orbit_failure(group, orbit):
+    """The failure text of that one-orbit check, or None."""
+    if math.isqrt(orbit.size) ** 2 != orbit.size:
+        return f"orbit size {orbit.size} is not a perfect square"
+    part = conjugacy_classes(group)
+    vals = one_orbit_character(group, orbit)
+    spread = np.abs(vals - vals[part.reps][part.labels])
+    x = int(np.argmax(spread))
+    if spread[x] > orbitmethod.CONSTANCY_TOL:
+        return (f"orbit character varies on a conjugacy class: deviation "
+                f"{spread[x]:.2e} at grid index {x}")
+    return None
+
+
+def forged_h3_orbits(h3):
+    """A square orbit that is not a union of orbits (the nine characters
+    (a, 0, c)) and an orbit of size 2, neither an orbit of H(F3)."""
+    space = DualSpace(h3)
+    square = CoadjointOrbit(space, sorted(
+        h3.grid.index_batch((a, 0, c)) for a in range(3) for c in range(3)))
+    return square, CoadjointOrbit(space, [0, 1])
+
+
+class TestKirillovBlocks:
+    """The characters of a block of orbits, one FFT for the block, against
+    the one-orbit transform."""
+
+    @pytest.mark.parametrize("path", [p for p in ring_spec_paths()
+                                      if "rank3_z8" not in p.id])
+    @pytest.mark.parametrize("cells", [None, 1], ids=["blocks", "single"])
+    def test_bit_for_bit(self, path, cells, monkeypatch):
+        # H(Z/9) takes ten blocks of 11 orbits and one of 5, U4(F5) 265
+        # blocks of one
+        if cells is not None:
+            monkeypatch.setattr(orbitmethod, "_BLOCK_CELLS", cells)
+        group = LazardGroup(load_ring_spec(path))
+        orbits = coadjoint_orbits(group)
+        chars = kirillov_character(group, orbits)
+        assert len(chars) == len(orbits)
+        for orbit, chi in zip(orbits, chars):
+            assert chi.domain is group
+            assert chi.values.tobytes() == \
+                one_orbit_character(group, orbit).tobytes()
+
+    @pytest.mark.parametrize("order", [("square", "odd"), ("odd", "square")])
+    def test_first_failure_in_orbit_order(self, h3, h3_group, order):
+        # the forged orbits sit in the middle of one block of eleven real
+        # orbits; whichever comes first raises, with its one-orbit text
+        square, odd = forged_h3_orbits(h3)
+        first, second = (square, odd) if order[0] == "square" else (odd,
+                                                                     square)
+        orbits = coadjoint_orbits(h3_group)
+        orbits = orbits[:5] + [first] + orbits[5:8] + [second] + orbits[8:]
+        assert len(list(orbitmethod._orbit_blocks(orbits, 27))) == 1
+        want = one_orbit_failure(h3_group, first)
+        assert want is not None
+        with pytest.raises(PropertyFailed) as info:
+            kirillov_character(h3_group, orbits)
+        assert str(info.value) == want
 
 
 class TestVerifyIdempotents:
@@ -606,11 +682,104 @@ class TestCountCheckProperties:
                        else ("raised", f"witness: {witness}"))
 
 
+# -- the sorted keys against dense class matrices --------------------------------
+
+def dense_first_mismatch(part, classes, rows=None):
+    """_first_mismatch as it stood with dense counts: both laws' r x r
+    class matrices of every class in turn, and the first (a, b, c) where
+    they differ, b in ``rows`` and c in row-major order."""
+    keep = slice(None) if rows is None else rows
+    laws = zip(oracle.class_matrices(part, classes),
+               oracle.class_matrices(part, classes, ADDITIVE))
+    for (a, by_group), (_, by_sum) in laws:
+        bad = by_group[keep] != by_sum[keep]
+        if bad.any():
+            b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return (a, int(b if rows is None else rows[b]), part.reps[c])
+    return None
+
+
+def count_scans(group):
+    """(classes, rows) of each scan the count checks make: every class at
+    p >= 3; the G^2-supported classes and the others, against those rows
+    and against every row, at p = 2."""
+    part = conjugacy_classes(group)
+    r = len(part)
+    if group.ring.p > 2:
+        return [(list(range(r)), None)]
+    even = np.all(group.elements % 2 == 0, axis=1)
+    inside = [a for a in range(r) if even[part.classes[a]].all()]
+    outside = [a for a in range(r) if a not in set(inside)]
+    return [(cs, rows) for cs in (inside, outside) for rows in (inside, None)]
+
+
+def assert_keys_match_dense(group):
+    part = conjugacy_classes(group)
+    found = []
+    for classes, rows in count_scans(group):
+        got = orbitmethod._first_mismatch(part, classes, rows)
+        assert got == dense_first_mismatch(part, classes, rows)
+        found.append(got)
+    return found
+
+
+class TestSortedKeys:
+    """_first_mismatch compares each run of classes as sorted keys and
+    builds one class's matrices for the witness: its verdict and witness
+    against the dense comparison of every class."""
+
+    @pytest.mark.parametrize("path", ring_spec_paths())
+    def test_specs(self, path):
+        assert_keys_match_dense(LazardGroup(load_ring_spec(path)))
+
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_drawn_rings(self, data):
+        # with one swap of representative columns, or none
+        ring = data.draw(small_rings())
+        group = LazardGroup(ring)
+        patched = harmonic.translates
+        if data.draw(st.booleans()):
+            patched = _swapped_translates(*data.draw(swaps(
+                len(group), conjugacy_classes(group).reps)))
+        with _patching_translates(patched):
+            assert_keys_match_dense(group)
+
+    def test_swapped_labels_in_one_row(self, h5_group):
+        # two representative columns of one additive row trade labels:
+        # every class keeps its multiset of labels, and of columns, so only
+        # keys that pair each label with its column (t, b, c) see it
+        part = conjugacy_classes(h5_group)
+        h = int(part.classes[3][0])
+        cols = [0, part.reps[-1]]
+        row = harmonic.translates(h5_group, ADDITIVE, [h], cols)[0]
+        assert part.labels[row[0]] != part.labels[row[1]]
+        with _patching_translates(_swapped_translates(h, cols)):
+            found = assert_keys_match_dense(h5_group)
+        assert found[0] is not None and found[0][0] == 3
+
+    def test_the_keys_decide(self, h5_group, monkeypatch):
+        # keys forged equal hide the swap from the new check alone: the
+        # verdict is read from the keys, with no dense pass behind them
+        part = conjugacy_classes(h5_group)
+        h = int(part.classes[3][0])
+        cols = [0, part.reps[-1]]
+        real = orbitmethod.class_keys
+        monkeypatch.setattr(
+            orbitmethod, "class_keys",
+            lambda part, classes, law, rows=None: real(part, classes,
+                                                       harmonic.GROUP, rows))
+        with _patching_translates(_swapped_translates(h, cols)):
+            classes = range(len(part))
+            assert dense_first_mismatch(part, classes) is not None
+            assert orbitmethod._first_mismatch(part, classes) is None
+
+
 # -- the n x n idempotent table as a reference ---------------------------------
 
 def idempotent_inputs(group):
     orbits = coadjoint_orbits(group)
-    return orbits, [kirillov_character(group, o) for o in orbits]
+    return orbits, kirillov_character(group, orbits)
 
 
 def forged(characters, i, values):
@@ -622,11 +791,12 @@ def forged(characters, i, values):
 
 def forging(monkeypatch, orbits, characters):
     """Patch orbitmethod.kirillov_character, which verify_idempotents calls
-    once per orbit, to return the given character of each orbit, looked up
-    by the orbit's smallest member."""
+    once per block of orbits, to return the given character of each orbit,
+    looked up by the orbit's smallest member."""
     by_rep = {int(o.indices[0]): ch for o, ch in zip(orbits, characters)}
     monkeypatch.setattr(orbitmethod, "kirillov_character",
-                        lambda group, orbit: by_rep[int(orbit.indices[0])])
+                        lambda group, block: [by_rep[int(o.indices[0])]
+                                              for o in block])
 
 
 def table_idempotents(ring, group, orbits, characters, tol=1e-8):

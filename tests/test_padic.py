@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from orbitkit import padic
-from orbitkit.errors import (InputBoundViolation, JacobiViolation,
-                             RegimeViolation, ValidationFailed)
+from orbitkit.errors import (EquivalenceFailed, InputBoundViolation,
+                             JacobiViolation, RegimeViolation,
+                             ValidationFailed)
 from orbitkit.padic import (PLattice, QpLieAlgebra, quotient_to_finite,
                             restriction_harness, uniform_chain)
 
@@ -213,6 +214,43 @@ def phase_keys(orbit, basis=None):
     return {tuple(Fraction(int(w), big) for w in row) for row in weights}
 
 
+def pair_loop(orbs_g, rows_g, orbs_k, rows_k, image, mult, tol):
+    """restriction_harness's comparison as its first form made it, one orbit
+    pair at a time: containment as integer sets, support as the largest
+    multiplicity of the pair's table rows.  Returns (pairs, contained), or
+    the text of the first disagreement."""
+    cells_g = [(set(image[o.indices].tolist()), rows)
+               for o, rows in zip(orbs_g, rows_g)]
+    cells_k = [(set(o.indices.tolist()), rows)
+               for o, rows in zip(orbs_k, rows_k)]
+    pairs = contained = 0
+    for a, (res_a, rows_a) in enumerate(cells_g):
+        for b, (keys_b, rows_b) in enumerate(cells_k):
+            inside = keys_b <= res_a
+            supported = bool(np.max(np.abs(
+                mult[np.ix_(rows_a, rows_b)])) > tol)
+            if inside != supported:
+                return (f"witness pair (orbit {a}, suborbit {b}): "
+                        f"containment={inside}, "
+                        f"restriction support={supported}")
+            pairs += 1
+            contained += inside
+    return pairs, contained
+
+
+def forge_support(monkeypatch):
+    """Raise the last multiplicity below the tolerance to 1: a pair of
+    orbits gains support that containment does not give it."""
+    real = padic._multiplicity_matrix
+
+    def forged(*args):
+        mult = real(*args)
+        rho, kappa = np.argwhere(np.abs(mult) <= 1e-8)[-1]
+        mult[rho, kappa] = 1.0
+        return mult
+    monkeypatch.setattr(padic, "_multiplicity_matrix", forged)
+
+
 class TestRestrictionHarness:
     def test_heisenberg_f3_center(self, h3):
         report = restriction_harness(h3, [(0, 0, 1)])
@@ -258,6 +296,43 @@ class TestRestrictionHarness:
         assert by_index == by_phase
         assert sum(by_index) == report["contained"]
         assert orbs_g[0].space is space
+
+    # tol = 1.5 drops the support of every multiplicity-1 pair
+    @pytest.mark.parametrize("change", ["none", "tol", "forged"])
+    @pytest.mark.parametrize("name, generators", [
+        ("h3", [(0, 0, 1)]),
+        ("z9", [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+        ("rank3_z8", [(0, 0, 1)]),
+    ])
+    def test_pairs_match_the_pair_loop(self, name, generators, change,
+                                       request, monkeypatch):
+        if change == "forged":
+            forge_support(monkeypatch)
+        tol = 1.5 if change == "tol" else 1e-8
+        p2 = name == "rank3_z8"
+        sides = recording(monkeypatch,
+                          "p2_orbit_partition" if p2 else "match_tables")
+        orbit_sides = recording(monkeypatch, "coadjoint_orbits")
+        maps = recording(monkeypatch, "restriction_indices")
+        mults = recording(monkeypatch, "_multiplicity_matrix")
+        try:
+            report = restriction_harness(request.getfixturevalue(name),
+                                         generators, tol=tol)
+            got = report["pairs"], report["contained"]
+        except EquivalenceFailed as exc:
+            got = str(exc)
+        if p2:
+            (orbs_g, rows_g), (orbs_k, rows_k) = (
+                ([c.orbit for c in cells], [c.irreducibles for c in cells])
+                for (_, (_, cells)) in sides)
+        else:
+            (orbs_g, rows_g), (orbs_k, rows_k) = (
+                (orbits, [(row,) for row in matched.assignment])
+                for (_, orbits), (_, matched) in zip(orbit_sides, sides))
+        want = pair_loop(orbs_g, rows_g, orbs_k, rows_k, maps[0][1],
+                         mults[0][1], tol)
+        assert got == want
+        assert isinstance(got, tuple) == (change == "none")
 
     def test_wrong_alpha_rejected(self, h3, rank3_z8):
         with pytest.raises(RegimeViolation):
