@@ -66,9 +66,17 @@ def _reject_unknown(obj, allowed, what):
         raise ValueError(f"{what}: unknown keys {unknown}")
 
 
+def _expect(value, kind, message):
+    """``value`` if it has the JSON type ``kind``, else ValueError; a bool
+    is no int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{message}, got {value!r}")
+    return value
+
+
 def _parse_brackets(raw, rank, value_parser):
     constants = {}
-    for key, row in raw.items():
+    for key, row in _expect(raw, dict, "brackets must be an object").items():
         m = _KEY_RE.match(key)
         if not m:
             raise ValueError(f'bracket key "{key}" is not "(i,j)"')
@@ -77,7 +85,8 @@ def _parse_brackets(raw, rank, value_parser):
             raise ValueError(
                 f'bracket key "{key}" needs 1 <= i < j <= {rank}')
         entries = {}
-        for target, value in row.items():
+        for target, value in _expect(
+                row, dict, f'bracket "{key}" must be an object').items():
             k = int(target) - 1
             if not 0 <= k < rank:
                 raise ValueError(
@@ -88,24 +97,22 @@ def _parse_brackets(raw, rank, value_parser):
 
 
 def _parse_rational(value) -> Fraction:
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    raise ValueError(f"rational constants must be int or 'a/b', got {value!r}")
+    return Fraction(_expect(value, int,
+                            "rational constants must be int or 'a/b'"))
 
 
 def _parse_integer(value) -> int:
-    if not isinstance(value, int):
-        raise ValueError(f"ring constants must be integers, got {value!r}")
-    return value
+    return _expect(value, int, "ring constants must be integers")
 
 
 def load_ring_spec(path):
     obj = _load_object(path)
     _reject_unknown(obj, {"p", "moduli", "brackets", "label"}, path)
-    p = obj["p"]
-    moduli = tuple(obj["moduli"])
+    p = _expect(obj["p"], int, "p must be an integer")
+    moduli = _expect(obj["moduli"], list, "moduli must be a list")
+    moduli = tuple(_expect(k, int, "moduli must be integers") for k in moduli)
     constants = _parse_brackets(obj.get("brackets", {}), len(moduli),
                                 _parse_integer)
     return make_ring(p, moduli, constants, label=obj.get("label"))
@@ -114,15 +121,19 @@ def load_ring_spec(path):
 def load_qp_spec(path) -> QpLieAlgebra:
     obj = _load_object(path)
     _reject_unknown(obj, {"p", "dimension", "brackets", "label"}, path)
-    n = obj["dimension"]
+    p = _expect(obj["p"], int, "p must be an integer")
+    n = _expect(obj["dimension"], int, "dimension must be an integer")
     constants = _parse_brackets(obj.get("brackets", {}), n, _parse_rational)
-    return QpLieAlgebra(obj["p"], n, constants, label=obj.get("label"))
+    return QpLieAlgebra(p, n, constants, label=obj.get("label"))
 
 
 def load_subring_spec(path):
     obj = _load_object(path)
     _reject_unknown(obj, {"generators", "label"}, path)
-    gens = [tuple(int(x) for x in g) for g in obj["generators"]]
+    gens = [tuple(_expect(x, int, "generator entries must be integers")
+                  for x in _expect(g, list, "each generator must be a list"))
+            for g in _expect(obj["generators"], list,
+                             "generators must be a list")]
     return gens, obj.get("label")
 
 
@@ -206,10 +217,14 @@ def _degree_counts(degrees) -> dict:
 
 # -- commands --------------------------------------------------------------------
 
-def cmd_bch(args) -> int:
-    if args.degree < 1 or args.degree > DEGREE_CAP:
+def _require_degree(degree) -> None:
+    if degree < 1 or degree > DEGREE_CAP:
         raise InputBoundViolation(
             f"--degree must be between 1 and {DEGREE_CAP}")
+
+
+def cmd_bch(args) -> int:
+    _require_degree(args.degree)
     p = args.prime
     if args.regime:
         regime = _regime(args.regime, p)
@@ -271,6 +286,7 @@ def _bound_data(pair, regime, degree):
 
 
 def cmd_solve(args) -> int:
+    _require_degree(args.degree)
     regime = _regime(args.regime, args.prime)
     series = substituted_series(regime, args.degree)
     checks = []
@@ -401,6 +417,8 @@ def cmd_verify(args) -> int:
         unknown = sorted(set(selected) - set(applicable))
         if unknown:
             raise ValueError(f"unknown checks {unknown}")
+        if len(set(selected)) < len(selected):
+            raise ValueError(f"checks {selected} name a check twice")
         blocked = [name for name in selected if not applicable[name]]
         if blocked:
             raise RegimeViolation(

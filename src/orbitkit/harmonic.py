@@ -3,18 +3,19 @@
 The additive group of g = prod_i Z/p^{k_i} is self-dual: a character is an
 exponent vector a with a_i in Z/p^{k_i}, pairing with x in g as
 zeta^{sum_i a_i x_i p^{K-k_i}} where K = max k_i and zeta = exp(2 pi i/p^K).
-``DualSpace`` holds every character as a row of its exponent table, and its
-``weights`` turn pairings into exact integer phases in Z/p^K; complex values
-appear only in the functions on g, G and g* and their transforms, in double
-precision, where desk-scale group orders keep rounding far below tolerance.
+So g* is the ring's grid, the same rows that enumerate g and G, and a
+function on g* is a vector aligned with them.  Pairings are exact integer
+phases in Z/p^K (``orbitmethod.pairing_scale``); complex values appear only
+in the functions on g, G and g* and their transforms, in double precision,
+where desk-scale group orders keep rounding far below tolerance.
 
 Haar measure is normalized to total mass 1 on every domain.  Two
 convolutions share that normalization: the additive law on g replaces
 h^{-1} gamma with gamma - h, the group law on exp(g) with CH composition.
 ``translates`` computes h^{-1} gamma under either law, for ``convolve`` and
 for the class counts of the oracle and the verification suites.
-g* is the same mixed-radix grid as g (C order on shape ``ring.sizes``), so
-the transforms are library FFTs, ``numpy.fft.fftn``/``ifftn`` on that shape,
+That grid is mixed-radix, C order on shape ``ring.sizes``, so the
+transforms are library FFTs, ``numpy.fft.fftn``/``ifftn`` on that shape,
 or over the grid axes of a stack of functions, one per row.
 """
 
@@ -41,32 +42,6 @@ def _same_domain(a, b) -> bool:
     if isinstance(a, LazardGroup) != isinstance(b, LazardGroup):
         return False
     return _ring_of(a) is _ring_of(b)
-
-
-class DualSpace:
-    """The full dual g* as an indexed exponent table.
-
-    Row i of ``exponents`` is the exponent vector of the i-th character: the
-    ring's grid, the same rows that enumerate g and G, so functions on g*
-    are plain vectors aligned with them.  ``scale`` is p^{K-k_i} per
-    coordinate and ``weights`` the rows times it: pairing exponents are
-    weights @ x mod p^K.
-    """
-
-    __slots__ = ("ring", "exponents", "scale", "weights")
-
-    def __init__(self, ring: FiniteLieRing):
-        self.ring = ring
-        self.exponents = ring.grid.elements
-        self.scale = np.array([ring.big // s for s in ring.sizes],
-                              dtype=np.int64)
-        self.weights = self.exponents * self.scale
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __repr__(self):
-        return f"DualSpace(|g*|={len(self)}, ring={self.ring!r})"
 
 
 class ClassFunction:
@@ -97,8 +72,8 @@ class ClassFunction:
 
 
 class DualFunction:
-    """Dense complex function on g*, indexed in DualSpace order, or a stack
-    of them, one per row."""
+    """Dense complex function on g*, indexed by the rows of the ring's grid,
+    or a stack of them, one per row."""
 
     __slots__ = ("ring", "values")
 

@@ -185,16 +185,10 @@ class FiniteLieRing:
             raise ValueError(f"expected {self.rank} coordinates")
         return tuple(int(x) for x in arr % self._mods)
 
-    def zero(self):
-        return (0,) * self.rank
-
     def basis(self, i: int):
         e = [0] * self.rank
         e[i] = 1
         return tuple(e)
-
-    def add(self, u, v):
-        return self.element([a + b for a, b in zip(u, v)])
 
     def scale(self, u, t: int):
         return self.element([t * x for x in u])
@@ -1016,9 +1010,13 @@ class Subring:
     The additive span of the generators is kept as a cyclic basis
     (``modlin.cyclic_basis``) of the embedded copy inside (Z/p^cap)^rank;
     each basis row contributes a cyclic factor whose order is read off the
-    row's least valuation.  ``label`` names the induced ring."""
+    row's least valuation.  ``basis_coords`` holds the rows b_j in ambient
+    coordinates: the induced ring's element c is sum_j c_j b_j
+    (``ambient_indices``), and its dual is the image of the ambient one
+    under ``orbitmethod.restriction_indices``.  ``label`` names the induced
+    ring."""
 
-    __slots__ = ("ring", "basis_coords", "orders", "induced", "_rows")
+    __slots__ = ("ring", "basis_coords", "orders", "induced")
 
     def __init__(self, ring: FiniteLieRing, generators, *, label=None):
         self.ring = ring
@@ -1026,10 +1024,10 @@ class Subring:
         rows = [ring.embed(ring.element(gen)) for gen in generators]
         # basis realizing the cyclic decomposition: coordinates mod the row
         # orders form a group isomorphism, which Howell pivots cannot promise
-        self._rows = cyclic_basis(rows, p, big) if rows else []
-        self.basis_coords = [ring.unembed(r) for r in self._rows]
+        rows = cyclic_basis(rows, p, big) if rows else []
+        self.basis_coords = [ring.unembed(r) for r in rows]
         caps = []
-        for r in self._rows:
+        for r in rows:
             v = min(int(vp(x, p)) for x in r if x)
             caps.append(ring.cap - v)
         self.orders = tuple(caps)
@@ -1038,7 +1036,7 @@ class Subring:
         for i in range(len(self.basis_coords)):
             for j in range(i + 1, len(self.basis_coords)):
                 val = ring.bracket(self.basis_coords[i], self.basis_coords[j])
-                sol = solve_mod(self._rows, ring.embed(val), p, big)
+                sol = solve_mod(rows, ring.embed(val), p, big)
                 if sol is None:
                     raise SubringNotClosed(
                         f"[b_{i}, b_{j}] = {val} is outside the span")
@@ -1052,31 +1050,12 @@ class Subring:
         self.induced = make_ring(p, self.orders, consts,
                                  label=f"{label or 'subring'}[induced]")
 
-    def express(self, x):
-        """Coordinates of x in the subring basis (canonical mod the orders)."""
-        if not self._rows:
-            if any(self.ring.element(x)):
-                raise ValueError(f"{x} is not in the trivial subring")
-            return ()
-        sol = solve_mod(self._rows, self.ring.embed(self.ring.element(x)),
-                        self.ring.p, self.ring.big)
-        if sol is None:
-            raise ValueError(f"{x} is not in the subring")
-        return tuple(c % self.ring.p ** k for c, k in zip(sol, self.orders))
-
     def ambient_indices(self):
         """Index in the ambient ring's grid of each element of the induced
         ring, taken in the induced ring's grid order."""
         basis = np.array(self.basis_coords, dtype=np.int64).reshape(
             len(self.basis_coords), self.ring.rank)
         return self.ring.grid.index_batch(self.induced.grid.elements @ basis)
-
-    def embed_coords(self, coords):
-        """Subring coordinates -> ambient ring element."""
-        out = self.ring.zero()
-        for c, b in zip(coords, self.basis_coords):
-            out = self.ring.add(out, self.ring.scale(b, int(c)))
-        return out
 
     def __repr__(self):
         return (f"Subring(rank={len(self.basis_coords)}, "

@@ -636,9 +636,10 @@ def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
 
 
 def restriction_multiplicity(group: LazardGroup, sub: Subring,
-                             chi_g: ClassFunction,
-                             chi_k: ClassFunction) -> complex:
-    """<chi_g|_K, chi_k> over K = exp of the subring, mass-1 Haar on K."""
+                             chi_g: ClassFunction, chi_k: ClassFunction):
+    """<chi_g|_K, chi_k> over K = exp of the subring, mass-1 Haar on K; for
+    stacks of functions, one per row, the pairing of row i of ``chi_g``
+    with row j of ``chi_k`` at [i, j]."""
     if not isinstance(chi_g.domain, LazardGroup):
         raise DomainMismatch("chi_g must live on the ambient group")
     if chi_g.domain.ring is not group.ring or sub.ring is not group.ring:
@@ -648,4 +649,4 @@ def restriction_multiplicity(group: LazardGroup, sub: Subring,
     if ring_k is not sub.induced:
         raise DomainMismatch("chi_k must live on the subring's induced ring")
     idx = sub.ambient_indices()
-    return complex(np.vdot(chi_k.values, chi_g.values[idx]) / len(idx))
+    return chi_g.values[..., idx] @ chi_k.values.conj().T / len(idx)

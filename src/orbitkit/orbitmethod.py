@@ -3,6 +3,7 @@
 Each function takes the group G = exp(g) (the p = 2 cells its oracle
 table, which holds G) and reads G's one certificate; none builds a group.
 
+g* is the ring's grid, paired with g through ``pairing_scale``.
 The coadjoint action is carried out exactly on exponent vectors: f ->
 f o Ad(s) sends the exponents a of f to a D, D the transposed matrix of
 Ad(s) rescaled by the moduli, integral as Ad(s) is an automorphism of g,
@@ -54,9 +55,8 @@ import numpy as np
 from .errors import (PartitionFailure, PropertyFailed, RegimeViolation,
                      UnexpectedFailure)
 from .harmonic import (_BLOCK_CELLS, ADDITIVE, GROUP, ClassFunction,
-                       DualFunction, DualSpace, exp_star, fourier,
-                       inverse_fourier)
-from .liering import LazardGroup, Subring, min_uniform_depth
+                       DualFunction, exp_star, fourier, inverse_fourier)
+from .liering import FiniteLieRing, LazardGroup, Subring, min_uniform_depth
 from .oracle import (class_keys, class_matrices, conjugacy_classes,
                      conjugation_certificate, permutation_orbits)
 
@@ -71,18 +71,17 @@ CONSTANCY_TOL = 1e-9
 
 
 class CoadjointOrbit:
-    """A G-orbit in the dual, held as sorted indices into a DualSpace.
+    """A G-orbit in g*, held as sorted indices into its ring's grid.
 
-    The indices are rows of the space's exponent table, so the orbit's
-    characters are ``space.exponents[indices]``; the first is its smallest
-    member, which the repr prints.  The orbit enters the character formula
-    through its indicator function on g*.
+    The orbit's characters are ``ring.grid.elements[indices]``; the first
+    is its smallest member, which the repr prints.  The orbit enters the
+    character formula through its indicator function on g*.
     """
 
-    __slots__ = ("space", "indices")
+    __slots__ = ("ring", "indices")
 
-    def __init__(self, space: DualSpace, indices):
-        self.space = space
+    def __init__(self, ring: FiniteLieRing, indices):
+        self.ring = ring
         self.indices = np.asarray(indices, dtype=np.int64)
 
     @property
@@ -90,17 +89,17 @@ class CoadjointOrbit:
         return len(self.indices)
 
     def __repr__(self):
-        first = tuple(self.space.exponents[self.indices[0]].tolist())
+        first = tuple(self.ring.grid.elements[self.indices[0]].tolist())
         return f"CoadjointOrbit(size={self.size}, rep={first})"
 
 
 def indicators(orbits) -> DualFunction:
-    """The indicators of ``orbits`` (in one DualSpace), one row each."""
-    space = orbits[0].space
-    vals = np.zeros((len(orbits), len(space)), dtype=np.complex128)
+    """The indicators of ``orbits`` (in one ring's dual), one row each."""
+    ring = orbits[0].ring
+    vals = np.zeros((len(orbits), ring.order()), dtype=np.complex128)
     for row, orbit in zip(vals, orbits):
         row[orbit.indices] = 1.0
-    return DualFunction(space.ring, vals)
+    return DualFunction(ring, vals)
 
 
 def _orbit_blocks(orbits, n):
@@ -111,9 +110,9 @@ def _orbit_blocks(orbits, n):
         yield lo, orbits[lo:lo + step]
 
 
-def _coadjoint_perms(group: LazardGroup, space: DualSpace) -> list:
-    """Index permutations of g* (``space``) under f -> f o Ad(s), one per
-    generator s = e^{e_i} of the group's conjugation certificate.
+def _coadjoint_perms(group: LazardGroup) -> list:
+    """Index permutations of g* under f -> f o Ad(s), one per generator
+    s = e^{e_i} of the group's conjugation certificate.
 
     With B = B_s, f o Ad(s) has the exponents a D, D[i, j] = B[j, i]
     p^(k_j - k_i), canonical mod p^(k_j) when integral; else the character
@@ -121,33 +120,40 @@ def _coadjoint_perms(group: LazardGroup, space: DualSpace) -> list:
     linear, so that check on D covers every character.
     """
     ring = group.ring
+    scale = pairing_scale(ring)
     perms = []
     for i, B in enumerate(conjugation_certificate(group).matrices):
-        moved = B.T * space.scale[:, None]
-        if np.any(moved % space.scale):
+        moved = B.T * scale[:, None]
+        if np.any(moved % scale):
             raise PropertyFailed(
                 f"Ad*(e^{ring.basis(i)}) left the character lattice")
-        perms.append(ring.grid.linear_perm(moved // space.scale))
+        perms.append(ring.grid.linear_perm(moved // scale))
     return perms
 
 
-def restriction_indices(space: DualSpace, basis, target) -> np.ndarray:
-    """Index in DualSpace(``target``) of each character of ``space``
+def pairing_scale(ring: FiniteLieRing) -> np.ndarray:
+    """p^(K - k_i) per coordinate, K the largest modulus exponent: the
+    character with exponents a takes exp(2 pi i (a * scale) . x / p^K)."""
+    return np.array([ring.big // s for s in ring.sizes], dtype=np.int64)
+
+
+def restriction_indices(ring: FiniteLieRing, basis, target) -> np.ndarray:
+    """Index in the dual of ``target`` of each character of ``ring``
     restricted to the span of the rows b_j of ``basis``, whose orders
     p^(k'_j) are ``target``'s moduli (a subring's basis and induced ring).
 
-    The character with weights w takes exp(2 pi i (w . b_j) / p^K) at b_j,
-    and w . b_j mod p^K is a multiple of p^(K - k'_j) whose quotient is the
-    exponent j.  Restriction is onto and commutes with every automorphism
-    that preserves the span.  No int64 overflow: w_i < p^K and
-    b_ji < p^(k_i), so w . b_j < p^K sum_i p^(k_i) <= n^2, n the order of
-    the space's ring; each caller holds the character table of a group of
+    The phase w . b_j of the character with weights w = a * scale
+    (``pairing_scale``) is a multiple of p^(K - k'_j) mod p^K whose
+    quotient is the exponent j.  Restriction is onto and commutes with
+    every automorphism that preserves the span.  No int64 overflow: w_i <
+    p^K and b_ji < p^(k_i), so w . b_j < p^K sum_i p^(k_i) <= n^2, n the
+    order of ``ring``; each caller holds the character table of a group of
     order at least n, so n <= ``oracle.ORDER_CAP`` = 10^5.
     """
-    ring = space.ring
     basis = np.asarray(basis, dtype=np.int64).reshape(len(basis), ring.rank)
     shift = np.array([ring.big // s for s in target.sizes], dtype=np.int64)
-    exponents = (space.weights @ basis.T) % ring.big // shift
+    phases = ring.grid.elements @ (basis * pairing_scale(ring)).T
+    exponents = phases % ring.big // shift
     return exponents @ target.grid.strides
 
 
@@ -158,10 +164,9 @@ def coadjoint_orbits(group: LazardGroup) -> list[CoadjointOrbit]:
     of ``group``'s conjugation certificate (``_coadjoint_perms``); the
     module docstring says why these orbits are exact.
     """
-    space = DualSpace(group.ring)
-    _, orbit_sets = permutation_orbits(len(space),
-                                       _coadjoint_perms(group, space))
-    return [CoadjointOrbit(space, idx) for idx in orbit_sets]
+    ring = group.ring
+    _, orbit_sets = permutation_orbits(ring.order(), _coadjoint_perms(group))
+    return [CoadjointOrbit(ring, idx) for idx in orbit_sets]
 
 
 def _class_spread(rows, part):
@@ -568,25 +573,24 @@ def p2_orbit_partition(table, *, tol=1e-8) -> tuple[Subring, list[P2Cell]]:
     _require_p2_uniform(ring)
     sub = Subring(ring, [ring.scale(ring.basis(i), 2)
                          for i in range(ring.rank)], label="2g")
-    space, kspace = DualSpace(ring), DualSpace(sub.induced)
-    image = restriction_indices(space, sub.basis_coords, sub.induced)
-    pre = np.empty(len(kspace), dtype=np.int64)
-    pre[image] = np.arange(len(space))
+    image = restriction_indices(ring, sub.basis_coords, sub.induced)
+    m = sub.induced.order()
+    pre = np.empty(m, dtype=np.int64)
+    pre[image] = np.arange(len(image))
     _, orbit_sets = permutation_orbits(
-        len(kspace),
-        [image[perm[pre]] for perm in _coadjoint_perms(group, space)])
+        m, [image[perm[pre]] for perm in _coadjoint_perms(group)])
 
     idx_g2 = sub.ambient_indices()
     chi_g2 = table.rows[:, table.partition.labels[idx_g2]]
 
     cells = []
     assigned = np.full(len(table.rows), -1, dtype=np.int64)
-    orbits = [CoadjointOrbit(kspace, idx) for idx in orbit_sets]
+    orbits = [CoadjointOrbit(sub.induced, idx) for idx in orbit_sets]
     ehats = itertools.chain.from_iterable(
         inverse_fourier(indicators(block)).values
-        for _, block in _orbit_blocks(orbits, len(kspace)))
+        for _, block in _orbit_blocks(orbits, m))
     for orbit, ehat in zip(orbits, ehats):
-        scores = np.abs(chi_g2 @ np.conj(ehat)) / len(kspace)
+        scores = np.abs(chi_g2 @ np.conj(ehat)) / m
         members = np.nonzero(scores > tol)[0]
         # normalize both vectors at the same entry (e_Omega's peak), else
         # float noise can move argmax and flip the comparison by a unit

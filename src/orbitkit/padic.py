@@ -7,7 +7,8 @@ membership, nesting and index computations are exact.  The chain k_1 ⊆
 k_2 ⊆ ... is built from right-normed brackets of the scaled basis p^{-j}x_k
 and certified by five exact lattice checks.  Reducing a uniform lattice mod
 p^r lands back in the finite-ring machinery, where the restriction harness
-compares exact orbit containment against oracle restriction multiplicities.
+compares exact orbit containment, read off g*, against oracle restriction
+multiplicities.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from .errors import (AssertionFailed, EquivalenceFailed, InputBoundViolation,
 from .freelie import is_prime, vp
 from .liering import (LazardGroup, Subring, _exact_bracket, jacobi_defects,
                       min_uniform_depth, uniform_quotient)
-from .oracle import character_table, match_tables
+from .harmonic import ClassFunction
+from .oracle import character_table, match_tables, restriction_multiplicity
 from .orbitmethod import (coadjoint_orbits, kirillov_character,
                           p2_orbit_partition, restriction_indices)
-from .ratlin import p_local_hermite, rational_span_basis, solve_right
+from .ratlin import (in_p_lattice, p_local_hermite, rational_span_basis,
+                     solve_right)
 
 
 def _as_fraction_rows(constants, dimension):
@@ -121,7 +124,7 @@ class PLattice:
         return tuple(sol)
 
     def contains(self, vector) -> bool:
-        return all(vp(c, self.p) >= 0 for c in self.coordinates(vector))
+        return in_p_lattice(vector, self.basis, self.p)
 
     def __contains__(self, vector) -> bool:
         return self.contains(vector)
@@ -242,14 +245,6 @@ def quotient_to_finite(lattice: PLattice, algebra: QpLieAlgebra, r: int, *,
 
 # -- restriction ----------------------------------------------------------------
 
-def _multiplicity_matrix(sub, table_g, table_k):
-    """M[rho, kappa] = <chi_rho|_K, chi_kappa> over all oracle row pairs."""
-    idx = sub.ambient_indices()
-    rows_g = table_g.rows[:, table_g.partition.labels[idx]]
-    rows_k = table_k.rows[:, table_k.partition.labels]
-    return rows_g @ rows_k.conj().T / len(idx)
-
-
 def _cell_of(cells, size):
     """The index of the cell holding each of 0..size-1."""
     out = np.empty(size, dtype=np.int64)
@@ -288,10 +283,13 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
     kgroup = LazardGroup(sub.induced)
     table_g = character_table(group, seed=seed)
     table_k = character_table(kgroup, seed=seed)
-    mult = _multiplicity_matrix(sub, table_g, table_k)
+    # each side's irreducibles on its group, one row each
+    mult = restriction_multiplicity(group, sub, *(
+        ClassFunction(t.partition.group, t.rows[:, t.partition.labels])
+        for t in (table_g, table_k)))
 
     # each side's orbits, the table rows of each orbit's irreducibles, and
-    # the basis of the K side's ring in the coordinates of the G side's
+    # the restriction map from the G side's dual to the K side's
     if p >= 3:
         orbs_g = coadjoint_orbits(group)
         orbs_k = coadjoint_orbits(kgroup)
@@ -299,18 +297,25 @@ def restriction_harness(ring, generators, alpha=None, *, seed=0,
             kirillov_character(group, orbs_g), table_g).assignment]
         rows_k = [(row,) for row in match_tables(
             kirillov_character(kgroup, orbs_k), table_k).assignment]
-        basis = sub.basis_coords
+        image = restriction_indices(ring, sub.basis_coords, sub.induced)
     else:
         # the subrings 2g and 2(alpha*k) the cells' orbits live in the duals of
         g2, pg = p2_orbit_partition(table_g)
         k2, pk = p2_orbit_partition(table_k)
         orbs_g, rows_g = [c.orbit for c in pg], [c.irreducibles for c in pg]
         orbs_k, rows_k = [c.orbit for c in pk], [c.irreducibles for c in pk]
-        basis = [g2.express(sub.embed_coords(b)) for b in k2.basis_coords]
-    image = restriction_indices(orbs_g[0].space, basis,
-                                orbs_k[0].space.ring)
+        # g* -> (2g)* is onto, so (2g)* -> (2 alpha k)* is read off g*:
+        # res_2g(f) goes to res_{2 alpha k}(f), 2(alpha k) in g's coordinates
+        k2_rows = np.array(k2.basis_coords, dtype=np.int64).reshape(
+            len(k2.basis_coords), sub.induced.rank)
+        sub_rows = np.array(sub.basis_coords, dtype=np.int64).reshape(
+            len(sub.basis_coords), ring.rank)
+        to_g2 = restriction_indices(ring, g2.basis_coords, g2.induced)
+        image = np.empty(g2.induced.order(), dtype=np.int64)
+        image[to_g2] = restriction_indices(
+            ring, k2_rows @ sub_rows % ring.sizes, k2.induced)
     # the distinct pairs (Om, y in res(Om)) as sorted keys, counted per Om0
-    m, shape = len(orbs_k[0].space), (len(orbs_g), len(orbs_k))
+    m, shape = orbs_k[0].ring.order(), (len(orbs_g), len(orbs_k))
     hits = np.sort(_cell_of([o.indices for o in orbs_g], len(image)) * m
                    + image)
     hits = hits[np.diff(hits, prepend=-1) != 0]

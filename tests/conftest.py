@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from orbitkit.harmonic import ClassFunction, DualSpace
+from orbitkit.harmonic import ClassFunction
 from orbitkit.liering import LazardGroup, make_ring
+from orbitkit.modlin import solve_mod
+from orbitkit.orbitmethod import pairing_scale
 
 
 # property tests draw the same examples on every run and store none
@@ -22,23 +24,41 @@ def heisenberg(p, exponent=1):
                      label=f"heis(p={p},e={exponent})")
 
 
-def phases(space, exponents, X):
-    """Pairing exponents in Z/p^K of the character with these exponents
-    (reduced mod the moduli) at the coordinate rows X, from the space's
-    weights."""
-    weights = space.weights[space.ring.grid.index_batch(exponents)]
-    return (np.asarray(X, dtype=np.int64) @ weights) % space.ring.big
+def phases(ring, exponents, X):
+    """Pairing exponents in Z/p^K of the ring's character with these
+    exponents (reduced mod the moduli) at the coordinate rows X: the
+    exponents times the pairing scale, dotted with each row."""
+    a = ring.grid.elements[ring.grid.index_batch(exponents)]
+    return (np.asarray(X, dtype=np.int64) @ (a * pairing_scale(ring))) \
+        % ring.big
 
 
-def character_values(space, exponents, X):
+def character_values(ring, exponents, X):
     """The character's complex values at the rows X."""
-    return np.exp(2j * np.pi * phases(space, exponents, X) / space.ring.big)
+    return np.exp(2j * np.pi * phases(ring, exponents, X) / ring.big)
 
 
 def as_function(ring, exponents):
     """A dual character of the ring as a dense function on it."""
-    return ClassFunction(ring, character_values(DualSpace(ring), exponents,
+    return ClassFunction(ring, character_values(ring, exponents,
                                                 ring.grid.elements))
+
+
+def express(sub, x):
+    """Coordinates of the ambient element x in the subring basis, canonical
+    mod the orders, solved for in the embedded copy (modlin.solve_mod);
+    ValueError when x lies outside the subring."""
+    ring = sub.ring
+    rows = [ring.embed(b) for b in sub.basis_coords]
+    target = ring.embed(ring.element(x))
+    if not rows:
+        if any(target):
+            raise ValueError(f"{x} is not in the trivial subring")
+        return ()
+    sol = solve_mod(rows, target, ring.p, ring.big)
+    if sol is None:
+        raise ValueError(f"{x} is not in the subring")
+    return tuple(c % ring.p ** k for c, k in zip(sol, sub.orders))
 
 
 def inner(f1, f2):

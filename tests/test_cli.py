@@ -153,6 +153,16 @@ class TestSolve:
                            "--degree", "3")
         assert code == 2
 
+    # degree 0 once printed "certified_to": 0 with the identity PASS, and
+    # degree 9 ran above the cap bch enforces
+    @pytest.mark.parametrize("degree", ["0", "-3", "9"])
+    def test_degree_out_of_range(self, capsys, degree):
+        code, out, err = run(capsys, "solve", "--regime", "generic",
+                             "--prime", "5", "--degree", degree)
+        assert code == 2 and not out
+        assert err == (f"error: InputBoundViolation: --degree must be "
+                       f"between 1 and {freelie.DEGREE_CAP}\n")
+
 
 class TestChartable:
     def test_both_methods_match_on_f3(self, capsys):
@@ -607,6 +617,55 @@ class TestInputHandling:
         spec.write_text("[1, 2, 3]")
         code, _, err = run(capsys, "chartable", "--input", str(spec))
         assert code == 2
+
+    # each of these once ended in a traceback (exit 1) or was silently
+    # taken (a float modulus truncated, true read as 1)
+    @pytest.mark.parametrize("command, spec, message", [
+        ("chartable", {"p": "3", "moduli": [1, 1, 1]},
+         "p must be an integer, got '3'"),
+        ("chartable", {"p": 3, "moduli": 3}, "moduli must be a list, got 3"),
+        ("chartable", {"p": 3, "moduli": [1, 1, 1], "brackets": [1]},
+         "brackets must be an object, got [1]"),
+        ("chartable", {"p": 3, "moduli": [1, 1, 1],
+                       "brackets": {"(1,2)": 5}},
+         'bracket "(1,2)" must be an object, got 5'),
+        ("chartable", {"p": 3, "moduli": [1.5, 1, 1]},
+         "moduli must be integers, got 1.5"),
+        ("chartable", {"p": 3, "moduli": [True, 1, 1]},
+         "moduli must be integers, got True"),
+        ("chartable", {"p": 3, "moduli": [1, 1, 1],
+                       "brackets": {"(1,2)": {"3": True}}},
+         "ring constants must be integers, got True"),
+        ("chain", {"p": 3, "dimension": "3"},
+         "dimension must be an integer, got '3'"),
+        ("chain", {"p": "3", "dimension": 3},
+         "p must be an integer, got '3'"),
+        ("chain", {"p": 3, "dimension": 3,
+                   "brackets": {"(1,2)": {"3": True}}},
+         "rational constants must be int or 'a/b', got True"),
+        ("restrict", {"generators": [1, 2]},
+         "each generator must be a list, got 1"),
+        ("restrict", {"generators": [[0, 0, True]]},
+         "generator entries must be integers, got True"),
+        ("verify", None, "checks ['expstar', 'expstar'] name a check twice"),
+    ], ids=["p-string", "moduli-int", "brackets-list", "bracket-row-int",
+            "modulus-float", "modulus-bool", "constant-bool",
+            "dimension-string", "qp-p-string", "rational-bool",
+            "generator-int", "generator-entry-bool", "checks-repeated"])
+    def test_malformed_input_is_refused(self, capsys, tmp_path, command,
+                                        spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = {"chartable": ["chartable", "--method", "oracle",
+                              "--input", str(path)],
+                "chain": ["chain", "--levels", "2", "--input", str(path)],
+                "restrict": ["restrict", "--input", F3,
+                             "--subring", str(path)],
+                "verify": ["verify", "--input", F3,
+                           "--checks", "expstar,expstar"]}[command]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err == f"error: ValueError: {message}\n"
 
     def test_seed_flag_lands_in_report(self, capsys, monkeypatch):
         monkeypatch.delenv("ORBITKIT_SEED", raising=False)

@@ -1,6 +1,6 @@
 """The FFT-based transforms against exact-phase references.
 
-Each reference takes its pairing exponents from the DualSpace weights
+Each reference takes its pairing exponents from the pairing scale
 (conftest ``phases``, exact in Z/p^K) and sums in Python complex
 arithmetic, so it shares no code with numpy.fft.  The tolerance 1e-12 is
 fixed from double precision: a sum of at most 729 unit-size terms rounds
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from orbitkit.errors import PropertyFailed
-from orbitkit.harmonic import (ClassFunction, DualFunction, DualSpace,
-                               fourier, inverse_fourier)
+from orbitkit.harmonic import (ClassFunction, DualFunction, fourier,
+                               inverse_fourier)
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.oracle import character_table, conjugacy_classes
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
@@ -48,9 +48,7 @@ def filiform_f5():
 def phase_matrix(ring):
     """P[a][x] = exact pairing exponent of character a at element x."""
     X = ring.grid.elements
-    space = DualSpace(ring)
-    return [[int(e) for e in phases(space, exponents, X)]
-            for exponents in space.exponents]
+    return [[int(e) for e in phases(ring, exponents, X)] for exponents in X]
 
 
 def reference_fourier(ring, values):
@@ -96,12 +94,12 @@ class TestTransformsAgainstExactPhases:
         assert np.max(np.abs(got - reference_inverse(ring, vals))) <= TOL
 
 
-def direct_orbit_sum(ring, space, indices):
+def direct_orbit_sum(ring, indices):
     """sum_{f in Omega} f(x) over the ring's grid, one character at a time."""
     X = ring.grid.elements
     total = np.zeros(len(X), dtype=np.complex128)
     for i in indices:
-        total += character_values(space, space.exponents[int(i)], X)
+        total += character_values(ring, X[int(i)], X)
     return total
 
 
@@ -113,7 +111,7 @@ class TestKirillovAgainstDirectSums:
         group = LazardGroup(ring)
         orbits = coadjoint_orbits(group)
         for orbit, chi in zip(orbits, kirillov_character(group, orbits)):
-            direct = direct_orbit_sum(ring, orbit.space, orbit.indices)
+            direct = direct_orbit_sum(ring, orbit.indices)
             direct /= math.isqrt(orbit.size)
             assert np.max(np.abs(chi.values - direct)) <= TOL
 
@@ -126,9 +124,8 @@ class TestP2IdempotentsAgainstDirectSums:
         # indicator on the dual of the ring of 2g
         sub, cells = p2_orbit_partition(character_table(group))
         for cell in cells:
-            space = cell.orbit.space
-            assert space.ring is sub.induced
-            direct = direct_orbit_sum(space.ring, space, cell.orbit.indices)
+            assert cell.orbit.ring is sub.induced
+            direct = direct_orbit_sum(sub.induced, cell.orbit.indices)
             vals = inverse_fourier(indicators([cell.orbit])).values[0]
             assert np.max(np.abs(vals - direct)) <= TOL
 
@@ -137,9 +134,8 @@ class TestKirillovClassCheck:
     def test_forged_orbit_fails_the_class_check(self):
         ring = heisenberg(3)
         group = LazardGroup(ring)
-        space = DualSpace(ring)
         # nine characters (a, 0, c): a square count, not a union of orbits
-        forged = CoadjointOrbit(space, sorted(
+        forged = CoadjointOrbit(ring, sorted(
             ring.grid.index_batch((a, 0, c))
             for a in range(3) for c in range(3)))
         part = conjugacy_classes(group)
@@ -153,7 +149,7 @@ class TestKirillovClassCheck:
         # largest one
         fft = spread(inverse_fourier(indicators([forged])).values[0] / 3)
         x = int(np.argmax(fft))
-        direct = spread(direct_orbit_sum(ring, space, forged.indices) / 3)
+        direct = spread(direct_orbit_sum(ring, forged.indices) / 3)
         assert direct[x] > 1e-9
         assert abs(direct[x] - direct.max()) <= TOL
         assert abs(fft[x] - direct[x]) <= TOL

@@ -17,12 +17,12 @@ from orbitkit.cli import load_ring_spec
 from orbitkit.errors import (JacobiViolation, PropertyFailed, RegimeViolation,
                              SubringNotClosed, WellDefinednessViolation)
 from orbitkit.freelie import LiePoly
-from orbitkit.harmonic import DualSpace
 from orbitkit.liering import (Grid, LazardGroup, Subring, _poly_terms,
                               make_ring, twist_map, uniform_quotient)
 from orbitkit.oracle import conjugation_certificate
+from orbitkit.orbitmethod import coadjoint_orbits
 
-from conftest import ch, character_values, check_group_axioms
+from conftest import ch, character_values, check_group_axioms, express
 from test_kernel import RINGS as KERNEL_RINGS, class2_ring
 
 
@@ -220,9 +220,10 @@ class TestGrid:
             h3.grid.elements[0, 0] = 1
 
     def test_one_grid_per_ring_for_g_and_dual(self, z9):
+        # g* is the grid too: a coadjoint orbit indexes it through the ring
         assert z9.grid is z9.grid
-        assert DualSpace(z9).exponents is LazardGroup(z9).elements
         assert LazardGroup(z9).elements is z9.grid.elements
+        assert coadjoint_orbits(LazardGroup(z9))[0].ring is z9
 
     @pytest.mark.parametrize("generators", [[(3, 0, 0), (0, 3, 0), (0, 0, 3)],
                                             [(0, 0, 1)], []])
@@ -231,7 +232,11 @@ class TestGrid:
         idx = sub.ambient_indices()
         assert len(idx) == sub.induced.order()
         for i, row in enumerate(sub.induced.grid.elements.tolist()):
-            assert tuple(z9.grid.elements[idx[i]]) == sub.embed_coords(row)
+            # sum_j c_j b_j, added up one basis row at a time
+            x = [0] * z9.rank
+            for c, b in zip(row, sub.basis_coords):
+                x = [(u + c * v) % s for u, v, s in zip(x, b, z9.sizes)]
+            assert tuple(z9.grid.elements[idx[i]]) == tuple(x)
 
 
 class TestAdjoint:
@@ -257,7 +262,7 @@ class TestAdjoint:
         rng = random.Random(2)
         for _ in range(10):
             word = [rng.randrange(3) for _ in range(5)]
-            g, B = z9.zero(), np.eye(3, dtype=np.int64)
+            g, B = (0, 0, 0), np.eye(3, dtype=np.int64)
             for i in word:
                 g = ch(z9, g, z9.basis(i))
             # x -> x B_{s_k} ... B_{s_1} conjugates by s_1 ... s_k
@@ -716,21 +721,24 @@ class TestSubring:
         sub = Subring(h3, [(0, 0, 1)])
         assert sub.orders == (1,)
         assert sub.induced.order() == 3
-        assert sub.express((0, 0, 2)) == (2,)
+        assert sub.basis_coords == [(0, 0, 1)]
+        assert h3.grid.elements[sub.ambient_indices()].tolist() == \
+            [[0, 0, 0], [0, 0, 1], [0, 0, 2]]
+        assert express(sub, (0, 0, 2)) == (2,)
         with pytest.raises(ValueError, match="not in the subring"):
-            sub.express((1, 0, 0))
+            express(sub, (1, 0, 0))
 
     def test_unclosed_generators_are_rejected(self, h3):
         with pytest.raises(SubringNotClosed):
             Subring(h3, [(1, 0, 0), (0, 1, 0)])
 
     def test_express_embed_roundtrip(self, z9):
+        # the embedding is ambient_indices; solving back in the subring
+        # basis (conftest ``express``) returns the induced coordinates
         sub = Subring(z9, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
-        rng = random.Random(0)
-        for _ in range(15):
-            coords = tuple(rng.randrange(3) for _ in range(3))
-            x = sub.embed_coords(coords)
-            assert sub.express(x) == coords
+        ambient = z9.grid.elements[sub.ambient_indices()]
+        for coords, x in zip(sub.induced.grid.elements.tolist(), ambient):
+            assert express(sub, tuple(x.tolist())) == tuple(coords)
 
     def test_scaled_subring(self, z9):
         sub = Subring(z9, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
@@ -753,10 +761,9 @@ class TestSubring:
         assert restrict_dual(sub, (1, 2, 0)) == (0,)
         idx = sub.ambient_indices()
         for exponents in ((0, 0, 2), (1, 2, 1), (2, 0, 0)):
-            ambient = character_values(DualSpace(h3), exponents,
-                                       h3.grid.elements)
+            ambient = character_values(h3, exponents, h3.grid.elements)
             restricted = character_values(
-                DualSpace(sub.induced), restrict_dual(sub, exponents),
+                sub.induced, restrict_dual(sub, exponents),
                 sub.induced.grid.elements)
             assert np.allclose(ambient[idx], restricted, atol=1e-12)
 

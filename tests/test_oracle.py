@@ -22,7 +22,8 @@ from orbitkit.oracle import (character_table, class_matrices,
                              conjugacy_classes, conjugation_certificate,
                              match_tables, permutation_orbits,
                              restriction_multiplicity)
-from orbitkit.orbitmethod import coadjoint_orbits, kirillov_character
+from orbitkit.orbitmethod import (coadjoint_orbits, kirillov_character,
+                                  pairing_scale)
 
 from conftest import as_function
 from test_orbitmethod import small_rings
@@ -89,12 +90,14 @@ def dual_permutations(group):
     """The permutation of g* under f -> f o Ad(s) for each certified
     generator s, by the definition: each character's weights times B_s^T,
     divided back down to exponents and indexed on the grid."""
-    space = harmonic.DualSpace(group.ring)
+    ring = group.ring
+    scale = pairing_scale(ring)
+    weights = ring.grid.elements * scale
     perms = []
     for B in conjugation_certificate(group).matrices:
-        moved = (space.weights @ B.T) % group.ring.big
-        assert not np.any(moved % space.scale)
-        perms.append(group.ring.grid.index_batch(moved // space.scale))
+        moved = (weights @ B.T) % ring.big
+        assert not np.any(moved % scale)
+        perms.append(ring.grid.index_batch(moved // scale))
     return perms
 
 
@@ -626,8 +629,8 @@ def full_sum_table(group, *, seed=0, retries=8, gap=1e-6, tol=1e-8):
                           class_matrices(part, range(lo, min(lo + 16, r)))])
         combined += weights[:, lo:lo + 16] @ block
     combined = combined.reshape(retries, r, r)
-    identity_class = part.labels[
-        group.ring.grid.index_batch(group.ring.zero())]
+    # the identity is grid index 0
+    identity_class = part.labels[0]
     for attempt in range(retries):
         vals, vecs = np.linalg.eig(combined[attempt])
         dist = np.abs(vals[:, None] - vals[None, :])
@@ -708,7 +711,8 @@ def assert_burnside_relation(group):
     identity alone in class 0 and a -> a* a size-keeping involution."""
     part = conjugacy_classes(group)
     assert conjugation_certificate(group) is part is group.certificate
-    assert part.labels[group.ring.grid.index_batch(group.ring.zero())] == 0
+    # the identity is grid index 0
+    assert part.labels[0] == 0
     assert part.sizes[0] == 1
     star = inverse_classes(group, part)
     assert np.array_equal(part.inverse, star)
@@ -792,7 +796,7 @@ def generated_subgroup_is_g(group, elements):
     right = group.ring.grid.index_batch(group.ring.ch_batch(
         E[:, None], E[np.asarray(elements)][None])).T
     labels, _ = permutation_orbits(len(group), list(right))
-    identity = group.ring.grid.index_batch(group.ring.zero())
+    identity = 0  # the grid index of the identity
     return bool(np.all(labels == labels[identity]))
 
 

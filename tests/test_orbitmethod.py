@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from orbitkit import harmonic, liering, oracle, orbitmethod
 from orbitkit.cli import load_ring_spec
 from orbitkit.errors import PropertyFailed, RegimeViolation, UnexpectedFailure
-from orbitkit.harmonic import ADDITIVE, ClassFunction, DualSpace
+from orbitkit.harmonic import ADDITIVE, ClassFunction
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.oracle import character_table, conjugacy_classes, match_tables
 from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
@@ -23,7 +23,7 @@ from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   p2_convolution_check, p2_orbit_partition,
                                   verify_exp_star, verify_idempotents)
 
-from conftest import inner
+from conftest import express, inner
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -62,7 +62,7 @@ class TestCoadjointOrbits:
 
     def test_representative_and_indicator(self, h3_group):
         orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
-        first = tuple(orbit.space.exponents[orbit.indices.min()].tolist())
+        first = tuple(orbit.ring.grid.elements[orbit.indices.min()].tolist())
         assert repr(orbit) == f"CoadjointOrbit(size=9, rep={first})"
         assert np.flatnonzero(indicators([orbit]).values[0]).tolist() \
             == orbit.indices.tolist()
@@ -130,7 +130,7 @@ class TestKirillovCharacter:
         assert report.max_deviation < 1e-8
 
     def test_non_square_orbit_rejected(self, h3, h3_group):
-        fake = CoadjointOrbit(DualSpace(h3), [0, 1])
+        fake = CoadjointOrbit(h3, [0, 1])
         with pytest.raises(PropertyFailed):
             kirillov_character(h3_group, [fake])
 
@@ -164,10 +164,9 @@ def one_orbit_failure(group, orbit):
 def forged_h3_orbits(h3):
     """A square orbit that is not a union of orbits (the nine characters
     (a, 0, c)) and an orbit of size 2, neither an orbit of H(F3)."""
-    space = DualSpace(h3)
-    square = CoadjointOrbit(space, sorted(
+    square = CoadjointOrbit(h3, sorted(
         h3.grid.index_batch((a, 0, c)) for a in range(3) for c in range(3)))
-    return square, CoadjointOrbit(space, [0, 1])
+    return square, CoadjointOrbit(h3, [0, 1])
 
 
 class TestKirillovBlocks:
@@ -280,7 +279,7 @@ class TestP2OrbitPartition:
         # each e_Omega lives on G^2 = exp(2g), the ring of every cell's
         # orbit, and that is the even coordinates of G
         sub, cells = p2_orbit_partition(rank3_z8_table)
-        assert all(c.orbit.space.ring is sub.induced for c in cells)
+        assert all(c.orbit.ring is sub.induced for c in cells)
         group = rank3_z8_table.partition.group
         even = np.flatnonzero(~np.any(group.elements % 2, axis=1))
         assert sorted(sub.ambient_indices().tolist()) == even.tolist()
@@ -296,17 +295,23 @@ class TestP2OrbitPartition:
 
     def test_no_subring_solve(self, rank3_z8_table, monkeypatch):
         # the (2g)* permutations are pushed down from g*: once 2g is built,
-        # no image is solved for in the subring basis
+        # no image is solved for in the subring basis, so the partition
+        # makes only the solves of building 2g
         calls = []
-        real = liering.Subring.express
+        real = liering.solve_mod
 
-        def counted(self, x):
-            calls.append(x)
-            return real(self, x)
-        monkeypatch.setattr(liering.Subring, "express", counted)
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(liering, "solve_mod", counted)
+        ring = rank3_z8_table.partition.group.ring
+        liering.Subring(ring, [ring.scale(ring.basis(i), 2)
+                               for i in range(ring.rank)])
+        building = len(calls)
+        calls.clear()
         _, cells = p2_orbit_partition(rank3_z8_table)
         assert len(cells) == 64
-        assert calls == []
+        assert len(calls) == building
 
     def test_abelian_cells(self, abelian_z4sq_group):
         _, cells = p2_orbit_partition(character_table(abelian_z4sq_group))
@@ -326,20 +331,22 @@ class TestP2OrbitPartition:
 
 def restricted_closure(group, sub):
     """The (2g)* orbits as closed under each certified matrix restricted to
-    2g: the images of the subring basis solved for in that basis, and the
-    dual permutation of the restricted matrix from the weights."""
-    ring = group.ring
-    kspace = DualSpace(sub.induced)
+    2g: the images of the subring basis solved for in that basis (conftest
+    ``express``), and the dual permutation of the restricted matrix from
+    the exponents times the pairing scale."""
+    ring, induced = group.ring, sub.induced
+    scale = orbitmethod.pairing_scale(induced)
+    weights = induced.grid.elements * scale
     k = len(sub.basis_coords)
     perms = []
     for B in oracle.conjugation_certificate(group).matrices:
-        cols = [sub.express(tuple((np.array(b) @ B % ring._mods).tolist()))
+        cols = [express(sub, tuple((np.array(b) @ B % ring._mods).tolist()))
                 for b in sub.basis_coords]
         R = np.array(cols, dtype=np.int64).reshape(k, k).T
-        moved = (kspace.weights @ R) % sub.induced.big
-        assert not np.any(moved % kspace.scale)
-        perms.append(sub.induced.grid.index_batch(moved // kspace.scale))
-    return oracle.permutation_orbits(len(kspace), perms)[1]
+        moved = (weights @ R) % induced.big
+        assert not np.any(moved % scale)
+        perms.append(induced.grid.index_batch(moved // scale))
+    return oracle.permutation_orbits(induced.order(), perms)[1]
 
 
 class TestP2ConvolutionCheck:
@@ -824,7 +831,7 @@ def table_idempotents(ring, group, orbits, characters, tol=1e-8):
                 dev_orth, witness = dev, (i, j, int(np.argmax(
                     np.abs(conv[i]))))
     identity_target = np.zeros(n)
-    identity_target[ring.grid.index_batch(ring.zero())] = n
+    identity_target[0] = n  # the identity is grid index 0
     dev_complete = float(np.max(np.abs(E.sum(axis=0) - identity_target)))
     passed = max(dev_fourier, dev_idem, dev_orth, dev_complete) <= tol
     return {"orbits": len(E), "fourier_indicator": dev_fourier,

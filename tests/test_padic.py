@@ -8,10 +8,14 @@ import pytest
 
 from orbitkit import padic
 from orbitkit.errors import (EquivalenceFailed, InputBoundViolation,
-                             JacobiViolation, RegimeViolation,
+                             JacobiViolation, OrbitkitError, RegimeViolation,
                              ValidationFailed)
+from orbitkit.liering import Subring, make_ring
+from orbitkit.orbitmethod import pairing_scale, restriction_indices
 from orbitkit.padic import (PLattice, QpLieAlgebra, quotient_to_finite,
                             restriction_harness, uniform_chain)
+
+from conftest import express
 
 
 def heis_qp(p):
@@ -196,19 +200,52 @@ def recording(monkeypatch, name):
     """Record (arguments, result) of each call to padic's ``name``."""
     real, seen = getattr(padic, name), []
 
-    def wrapper(*args):
-        seen.append((args, real(*args)))
+    def wrapper(*args, **kwargs):
+        seen.append((args, real(*args, **kwargs)))
         return seen[-1][1]
     monkeypatch.setattr(padic, name, wrapper)
     return seen
 
 
+def harness_image(maps):
+    """The restriction map from the G side's dual to the K side's, from the
+    recorded ``restriction_indices`` calls: one for p >= 3; for p = 2,
+    g* -> (2g)* and g* -> (2 alpha k)*, whose composite is the map on
+    (2g)*."""
+    if len(maps) == 1:
+        return maps[0][1]
+    ((_, _, g2_ring), to_g2), (_, to_k2) = maps
+    image = np.empty(g2_ring.order(), dtype=np.int64)
+    image[to_g2] = to_k2
+    return image
+
+
+def scaled_sum(ring, coords, rows):
+    """sum_j c_j b_j in the ring, one scale-and-add per row."""
+    x = (0,) * ring.rank
+    for c, b in zip(coords, rows):
+        x = ring.element([u + c * v for u, v in zip(x, b)])
+    return x
+
+
+def express_basis(ring, generators, g2, k2):
+    """The basis of 2(alpha k) in the coordinates of 2g, as the p = 2 branch
+    of the harness once found it: each row embedded in g through the basis
+    of alpha k (``scaled_sum``), then solved for in the basis of 2g
+    (conftest ``express``, through modlin.solve_mod)."""
+    sub = Subring(ring, [ring.scale(ring.element(g), 2) for g in generators])
+    return [express(g2, scaled_sum(ring, b, sub.basis_coords))
+            for b in k2.basis_coords]
+
+
 def phase_keys(orbit, basis=None):
     """The characters of ``orbit`` as exact phases, one tuple each: their
     values on the rows of ``basis``, or with no ``basis`` their own
-    weights, as fractions of the orbit ring's p^K."""
-    big = orbit.space.ring.big
-    weights = orbit.space.weights[orbit.indices]
+    exponents times the pairing scale, as fractions of the orbit ring's
+    p^K."""
+    ring = orbit.ring
+    big = ring.big
+    weights = ring.grid.elements[orbit.indices] * pairing_scale(ring)
     if basis is not None:
         weights = np.mod(weights @ basis.T, big)
     return {tuple(Fraction(int(w), big) for w in row) for row in weights}
@@ -238,17 +275,53 @@ def pair_loop(orbs_g, rows_g, orbs_k, rows_k, image, mult, tol):
     return pairs, contained
 
 
+def multiplicity_matrix(sub, table_g, table_k):
+    """M[rho, kappa] = <chi_rho|_K, chi_kappa> over all oracle row pairs, as
+    the harness once computed it itself."""
+    idx = sub.ambient_indices()
+    rows_g = table_g.rows[:, table_g.partition.labels[idx]]
+    rows_k = table_k.rows[:, table_k.partition.labels]
+    return rows_g @ rows_k.conj().T / len(idx)
+
+
 def forge_support(monkeypatch):
     """Raise the last multiplicity below the tolerance to 1: a pair of
     orbits gains support that containment does not give it."""
-    real = padic._multiplicity_matrix
+    real = padic.restriction_multiplicity
 
     def forged(*args):
         mult = real(*args)
         rho, kappa = np.argwhere(np.abs(mult) <= 1e-8)[-1]
         mult[rho, kappa] = 1.0
         return mult
-    monkeypatch.setattr(padic, "_multiplicity_matrix", forged)
+    monkeypatch.setattr(padic, "restriction_multiplicity", forged)
+
+
+def drawn_p2_ring(seed):
+    """A seeded non-abelian p = 2 ring of rank 3 with [x, y] in 4g, the
+    harness's uniform depth 2: moduli 2 or 3 for x and y and 3 or 4 for z,
+    and the first draw that make_ring accepts and that keeps its
+    bracket."""
+    rng = random.Random(seed)
+    while True:
+        moduli = (rng.randint(2, 3), rng.randint(2, 3), rng.randint(3, 4))
+        c = 4 * rng.randrange(1, 4)
+        try:
+            ring = make_ring(2, moduli, {(0, 1): {2: c}},
+                             label=f"drawn-{seed}")
+        except (ValueError, OrbitkitError):
+            continue
+        if ring.class_ == 2:
+            return ring
+
+
+P2_CASES = {
+    "rank3_z8": (lambda: make_ring(2, (3,) * 3, {(0, 1): {2: 4}}),
+                 [(0, 0, 1)]),
+    "224c8": (lambda: make_ring(2, (2, 2, 4), {(0, 1): {2: 8}}),
+              [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    "drawn": (lambda: drawn_p2_ring(5), [(1, 0, 0), (0, 0, 1)]),
+}
 
 
 class TestRestrictionHarness:
@@ -279,23 +352,58 @@ class TestRestrictionHarness:
     def test_containment_matches_the_phase_keys(self, name, generators,
                                                 request, monkeypatch):
         # the orbits and the restriction map the harness uses, recorded
+        ring = request.getfixturevalue(name)
         p2 = name == "rank3_z8"
         sides = recording(monkeypatch,
                           "p2_orbit_partition" if p2 else "coadjoint_orbits")
         maps = recording(monkeypatch, "restriction_indices")
-        report = restriction_harness(request.getfixturevalue(name),
-                                     generators)
+        report = restriction_harness(ring, generators)
         orbs_g, orbs_k = ([c.orbit for c in out[1]] if p2 else out
                           for _, out in sides)
-        (space, basis, _), image = maps[0]
+        if p2:
+            (_, (g2, _)), (_, (k2, _)) = sides
+            basis = express_basis(ring, generators, g2, k2)
+        else:
+            (_, basis, _), _ = maps[0]
         basis = np.array(basis, dtype=np.int64).reshape(len(basis), -1)
+        image = harness_image(maps)
         by_index = [set(image[o.indices].tolist()) >= set(o0.indices.tolist())
                     for o in orbs_g for o0 in orbs_k]
         by_phase = [phase_keys(o, basis) >= phase_keys(o0)
                     for o in orbs_g for o0 in orbs_k]
         assert by_index == by_phase
         assert sum(by_index) == report["contained"]
-        assert orbs_g[0].space is space
+        assert maps[0][0][0] is ring
+
+    @pytest.mark.parametrize("case", sorted(P2_CASES))
+    def test_p2_map_matches_the_solved_basis(self, case, monkeypatch):
+        # the map (2g)* -> (2 alpha k)* read off g* equals the one restricted
+        # along the basis solved for in 2g
+        make, generators = P2_CASES[case]
+        ring = make()
+        sides = recording(monkeypatch, "p2_orbit_partition")
+        maps = recording(monkeypatch, "restriction_indices")
+        restriction_harness(ring, generators)
+        (_, (g2, _)), (_, (k2, _)) = sides
+        want = restriction_indices(
+            g2.induced, express_basis(ring, generators, g2, k2), k2.induced)
+        assert np.array_equal(harness_image(maps), want)
+
+    @pytest.mark.parametrize("name, generators", [
+        ("h3", [(0, 0, 1)]),
+        ("z9", [(3, 0, 0), (0, 3, 0), (0, 0, 3)]),
+        ("rank3_z8", [(0, 0, 1)]),
+    ])
+    def test_stacked_multiplicities_are_bit_for_bit(self, name, generators,
+                                                    request, monkeypatch):
+        tables = recording(monkeypatch, "character_table")
+        mults = recording(monkeypatch, "restriction_multiplicity")
+        restriction_harness(request.getfixturevalue(name), generators)
+        ((_, sub, _, _), got), = mults
+        (_, table_g), (_, table_k) = tables
+        want = multiplicity_matrix(sub, table_g, table_k)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     # tol = 1.5 drops the support of every multiplicity-1 pair
     @pytest.mark.parametrize("change", ["none", "tol", "forged"])
@@ -314,7 +422,7 @@ class TestRestrictionHarness:
                           "p2_orbit_partition" if p2 else "match_tables")
         orbit_sides = recording(monkeypatch, "coadjoint_orbits")
         maps = recording(monkeypatch, "restriction_indices")
-        mults = recording(monkeypatch, "_multiplicity_matrix")
+        mults = recording(monkeypatch, "restriction_multiplicity")
         try:
             report = restriction_harness(request.getfixturevalue(name),
                                          generators, tol=tol)
@@ -329,7 +437,7 @@ class TestRestrictionHarness:
             (orbs_g, rows_g), (orbs_k, rows_k) = (
                 (orbits, [(row,) for row in matched.assignment])
                 for (_, orbits), (_, matched) in zip(orbit_sides, sides))
-        want = pair_loop(orbs_g, rows_g, orbs_k, rows_k, maps[0][1],
+        want = pair_loop(orbs_g, rows_g, orbs_k, rows_k, harness_image(maps),
                          mults[0][1], tol)
         assert got == want
         assert isinstance(got, tuple) == (change == "none")

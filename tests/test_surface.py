@@ -18,6 +18,9 @@ field that only tests read is a second report nothing prints.  A name bound
 at module level (a constant) counts as read when some module loads it, as
 a ``Name`` or as an ``Attribute``.
 
+The allow-lists below hold names kept only for the benchmark, so each
+entry must still be named by it (``benchmark_names``).
+
 Every name an annotation reads must also be bound in its module: under
 ``from __future__ import annotations`` no annotation is evaluated, so one
 that names a deleted type would otherwise pass unnoticed.
@@ -27,16 +30,15 @@ import ast
 import builtins
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "orbitkit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "orbitkit"
+PERFBENCH = ROOT / "perfbench"
 
 # definitions no src code uses, each with the reason it stays
 ALLOWED = {
     "convolve": "the benchmark's harmonic.convolve span wraps it",
-    "restriction_multiplicity":
-        "the benchmark's oracle.restriction_multiplicity span wraps it",
     "quotient_to_finite":
         "the benchmark's padic.quotient_to_finite span wraps it",
-    "in_p_lattice": "the benchmark's ratlin.busy span wraps it",
 }
 
 # slots no src code reads, each with the reason it stays
@@ -68,10 +70,6 @@ SHARED_METHODS = {
     "scale": {
         "liering.FiniteLieRing.scale": ("orbitmethod", "ring.scale("),
         "padic.PLattice.scale": ("padic", "lat.scale(factor)"),
-    },
-    "zero": {
-        "freelie.LiePoly.zero": ("chsolver", "LiePoly.zero(1)"),
-        "liering.FiniteLieRing.zero": ("liering", "self.ring.zero()"),
     },
 }
 
@@ -198,6 +196,49 @@ def keywords_passed(trees):
                         called = owner
                     passed.update((called, kw.arg) for kw in node.keywords)
     return passed
+
+
+def benchmark_names():
+    """The names the benchmark reaches: each dotted part of the strings of
+    ``perfbench/layers.py``'s TARGETS, the attributes read by the work
+    counters TARGETS names, and every name, attribute, import and string
+    in ``perfbench/tests``.  The files are only read."""
+    tree = ast.parse((PERFBENCH / "layers.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body
+             if isinstance(node, _FUNCS)}
+    targets = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    names = set()
+    for row in targets.elts:
+        for item in row.elts:
+            if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                names.update(item.value.split("."))
+            elif isinstance(item, ast.Name) and item.id in funcs:
+                names.update(node.attr for node in ast.walk(funcs[item.id])
+                             if isinstance(node, ast.Attribute))
+    for path in sorted((PERFBENCH / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                names.add(node.value)
+    return names
+
+
+def test_allow_lists_name_what_the_benchmark_reaches():
+    # each entry stays only for the benchmark, so one it no longer names
+    # is stale and goes
+    reached = benchmark_names()
+    entries = [*ALLOWED, *UNREAD_SLOTS, *UNREAD_NAMES]
+    assert [entry for entry in entries
+            if entry.rpartition(".")[2] not in reached] == []
 
 
 def test_every_definition_is_used_in_src():
