@@ -319,11 +319,14 @@ def cmd_chartable(args) -> int:
               "tolerance": args.tolerance, "checks": checks}
     start = time.perf_counter()
     group = LazardGroup(ring)
-    chars = table = None
-    if args.method in ("kirillov", "both"):
-        if ring.p < 3:
-            raise RegimeViolation(
-                "the orbit-method character formula needs p >= 3")
+    if args.method != "oracle" and ring.p < 3:
+        raise RegimeViolation(
+            "the orbit-method character formula needs p >= 3")
+    # the table comes first, so a ring above its class cap is refused
+    # before any orbit is computed
+    table = (None if args.method == "kirillov"
+             else character_table(group, seed=seed))
+    if args.method != "oracle":
         orbits = coadjoint_orbits(group)
         chars = kirillov_character(group, orbits)
         degrees = [math.isqrt(o.size) for o in orbits]
@@ -333,8 +336,7 @@ def cmd_chartable(args) -> int:
             "degrees": _degree_counts(degrees),
             "sum_degree_sq": sum(d ** 2 for d in degrees)}
         checks.append({"name": "kirillov", "status": "PASS"})
-    if args.method in ("oracle", "both"):
-        table = character_table(group, seed=seed)
+    if table is not None:
         report["oracle"] = {
             "classes": len(table.rows),
             "degrees": _degree_counts(table.degrees)}
@@ -554,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", required=True, help="ring spec JSON")
     c.add_argument("--method", choices=("kirillov", "oracle", "both"),
                    default="both")
-    c.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    c.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
+                   help="match tolerance, used as given")
     common(c)
     c.set_defaults(func=cmd_chartable)
 
@@ -563,7 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks",
                    help="comma list: idempotents,expstar,twist,p2 (default: "
                         "every check applicable to the regime)")
-    v.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    v.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
+                   help="idempotents and p2 use max(tolerance, 1e-8)")
     common(v)
     v.set_defaults(func=cmd_verify)
 
@@ -579,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--input", required=True, help="ring spec JSON")
     r.add_argument("--subring", required=True, help="subring spec JSON")
     r.add_argument("--alpha", type=int, default=None)
-    r.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE)
+    r.add_argument("--tolerance", type=_tolerance, default=DEFAULT_TOLERANCE,
+                   help="used as max(tolerance, 1e-8)")
     common(r)
     r.set_defaults(func=cmd_restrict)
     return parser

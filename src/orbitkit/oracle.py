@@ -122,16 +122,6 @@ def _left_perm(group: LazardGroup, g) -> np.ndarray:
             @ group.ring.grid.strides)
 
 
-def _conjugation_perm(group: LazardGroup, g) -> np.ndarray:
-    """Grid indices of g x g^-1 over every x, read as (g x) g^-1: the left
-    product moved back through the inverse of the right permutation.  The
-    certificate builds it only to name a witness."""
-    right = _right_perm(group, g)
-    inverse = np.empty_like(right)
-    inverse[right] = np.arange(len(right))
-    return inverse[_left_perm(group, g)]
-
-
 def conjugation_certificate(group: LazardGroup) -> ConjClassPartition:
     """The group's conjugation certificate, built on first use and kept on
     the group, so every closure that shares the group shares one check.
@@ -192,13 +182,15 @@ def _certify(group: LazardGroup) -> ConjClassPartition:
     for s, right in zip(gens, rights):
         B = group.conjugate_batch(s, basis)
         linear = ring.grid.linear_perm(B)
-        bad = np.flatnonzero(_left_perm(group, s) != right[linear])
+        left = _left_perm(group, s)
+        bad = np.flatnonzero(left != right[linear])
         if bad.size:
-            perm = _conjugation_perm(group, s)
+            # s x s^-1 is the y with y s = s x
             x = int(bad[0])
+            y = int(np.flatnonzero(right == left[x])[0])
             raise AutomorphismCheckFailed(
                 f"conjugation by e^{s} is not linear: grid index {x} goes "
-                f"to {int(perm[x])}, x B_s to {int(linear[x])}")
+                f"to {y}, x B_s to {int(linear[x])}")
         expected = ring.exp_ad_matrix(s).T
         wrong = np.flatnonzero(np.any(B != expected, axis=1))
         if wrong.size:
@@ -278,20 +270,18 @@ def _block_labels(part, classes, law):
                                             part.reps)]
 
 
-def class_matrices(part, classes, law=GROUP):
+def class_matrices(part, classes):
     """(a, M_a) for each class a of ``classes``, in that order: Burnside's
     class matrix M_a as an (r, r) integer array.
 
     (M_a)_{b,c} counts pairs x in C_a, y in C_b with x y = z_c, the
-    representative of class c: the x in C_a with x^{-1} z_c in C_b.
-    ``law`` picks the meaning of x^{-1} z_c as in ``harmonic.translates``;
-    ``ADDITIVE`` counts the x in C_a with z_c - x in C_b instead.  One
+    representative of class c: the x in C_a with x^{-1} z_c in C_b.  One
     ``translates`` call serves each run of ``_class_blocks``, and each
     class's labels are counted by one ``bincount``.
     """
     r = len(part)
     cols = np.arange(r, dtype=np.int64)
-    for block, flat in _block_labels(part, classes, law):
+    for block, flat in _block_labels(part, classes, GROUP):
         flat *= r
         flat += cols
         ends = np.cumsum(part.sizes[block])[:-1]
@@ -300,24 +290,33 @@ def class_matrices(part, classes, law=GROUP):
                                  minlength=r * r).reshape(r, r)
 
 
+def _key_dtype(count, r):
+    """int32 if it holds the largest key of ``count`` classes, count r^2 - 1,
+    else int64."""
+    return np.int32 if count * r * r <= np.iinfo(np.int32).max else np.int64
+
+
 def class_keys(part, classes, law=GROUP, rows=None):
     """(block, keys) per run of ``_class_blocks``: the sorted keys
     (t r + b) r + c, one per member x of the run's t-th class a and class
     c, b the class of x^{-1} z_c under ``law``, kept when b is in ``rows``
     (every class when None).  Key (t r + b) r + c occurs (M_a)_{b,c}
-    times, so two laws' keys agree exactly when the run's class matrices
-    (``class_matrices``) agree in those rows; no r x r matrix is formed.
+    times, M_a the class matrix under ``law``, so two laws' keys agree
+    exactly when the run's class matrices agree in those rows; no r x r
+    matrix is formed.  The keys are int32 where ``_key_dtype`` allows,
+    which sorts them faster in the same order.
     """
     r = len(part)
-    cols = np.arange(r, dtype=np.int64)
     keep = None
     if rows is not None:
         keep = np.zeros(r, dtype=bool)
         keep[rows] = True
     for block, labels in _block_labels(part, classes, law):
-        t = np.repeat(np.arange(len(block), dtype=np.int64) * r,
+        kind = _key_dtype(len(block), r)
+        t = np.repeat(np.arange(len(block), dtype=kind) * r,
                       part.sizes[block])
-        keys = ((labels + t[:, None]) * r + cols).ravel()
+        keys = ((labels.astype(kind) + t[:, None]) * r
+                + np.arange(r, dtype=kind)).ravel()
         if keep is not None:
             keys = keys[keep[labels].ravel()]
         keys.sort()

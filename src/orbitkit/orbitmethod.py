@@ -217,17 +217,15 @@ def kirillov_character(group: LazardGroup, orbits) -> list[ClassFunction]:
 
 # -- class-indicator counts ------------------------------------------------------
 
-def _count_mismatch(part, a, by_group, by_sum, rows=None):
-    """First (a, b, c), b in ``rows`` (every class when None) and c in G in
+def _first_mismatch(part, classes, rows=None):
+    """First (a, b, c), a in ``classes`` in their order, b in ``rows``
+    (every class when None; callers pass it increasing) and c in G in
     row-major order, where N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b}
     differs between the group and the additive law; None when they agree.
-    ``by_group`` and ``by_sum`` are the class matrices of a under the two
-    laws.
 
     Convolving the indicators of C_a and C_b gives N_a[b, .]/|G| under each
     law, so agreement for every a is the exact all-pairs intertwining test.
-    The two laws are compared as r x r count matrices at the class
-    representatives, ``class_matrices`` under each law, and that suffices:
+    Comparing the counts at the class representatives suffices:
 
     * The group counts are constant on classes: conjugation by g permutes
       C_a and C_b and maps h^{-1} x_c to (g h g^-1)^{-1} (g x_c g^-1).
@@ -236,35 +234,16 @@ def _count_mismatch(part, a, by_group, by_sum, rows=None):
       and permutes C_a and C_b, so x_c B_s - x_h B_s = (x_c - x_h) B_s
       gives N+_a[b, c B_s] = N+_a[b, c].  The generators generate G, so
       N+_a is constant on every class.
-    * So a mismatch at any c also shows at the representative of its
-      class, and the first failing a is the one a count at every element
-      finds.
+    * So row b of the element-level difference is constant on classes, and
+      its first nonzero element is the representative z_c, the smallest
+      member, of the first class c where it is nonzero.
 
-    The witness is read off the same matrices.  Row b of the element-level
-    difference is constant on each class, so its first nonzero element is
-    the smallest member of the first class where it is nonzero.  The
-    representatives are the smallest members and the classes are ordered
-    by them, so that element is z_c for the first class c at which row b of
-    the two matrices differs, and the first such b in ``rows`` order is the
-    first row at which any element differs.
-    """
-    keep = slice(None) if rows is None else rows
-    bad = by_group[keep] != by_sum[keep]
-    if not bad.any():
-        return None
-    b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return (a, int(b if rows is None else rows[b]), part.reps[c])
-
-
-def _first_mismatch(part, classes, rows=None):
-    """The first ``_count_mismatch`` over ``classes`` in their order, with
-    the rows b in ``rows``; None when every class agrees.
-
-    Both laws' ``class_keys`` are compared a run of classes at a time.
-    Where the sorted keys first differ, the smaller key (or the only one)
-    is one of the run's first class whose matrices differ: earlier classes
-    have equal keys, and later classes' keys are larger.  Only that class's
-    two matrices are built, for the witness.
+    Both laws' ``class_keys`` are compared a run of classes at a time.  Key
+    (t r + b) r + c occurs N_a[b, z_c] times, a the run's t-th class.
+    Where the sorted keys first differ, the smaller key (the only one, if
+    one law's keys ran out) is the smallest whose counts differ, as every
+    smaller key occurs equally often under both laws.  It decodes to the
+    witness (a, b, z_c): keys order by (t, b, c), and ``rows`` increases.
     """
     r = len(part)
     laws = zip(class_keys(part, classes, GROUP, rows),
@@ -276,10 +255,8 @@ def _first_mismatch(part, classes, rows=None):
         at = int(np.argmax(np.append(by_group[:m] != by_sum[:m], True)))
         key = min(int(keys[at]) for keys in (by_group, by_sum)
                   if at < len(keys))
-        a = block[key // (r * r)]
-        (_, M), = class_matrices(part, [a])
-        (_, N), = class_matrices(part, [a], ADDITIVE)
-        return _count_mismatch(part, a, M, N, rows)
+        t, b, c = key // (r * r), key // r % r, key % r
+        return (block[t], b, part.reps[c])
     return None
 
 
@@ -508,8 +485,8 @@ def verify_exp_star(group: LazardGroup) -> None:
     The check is exhaustive and exact at every size: class indicators span
     the invariant functions, so by bilinearity it compares the integer
     counts N_a[b, c] of both laws for every pair of classes and every
-    element, read at the class representatives (``_count_mismatch`` says
-    why that covers every element), as sorted keys (``_first_mismatch``).
+    element, read at the class representatives as sorted keys
+    (``_first_mismatch`` says why that covers every element).
     No pair of functions is drawn or convolved: every invariant pair
     follows from the exact counts.  The first mismatch raises
     PropertyFailed with its (a, b, c) as the witness.
@@ -626,7 +603,7 @@ def p2_convolution_check(group: LazardGroup) -> dict:
     support suffices when [g,g] lies in 8g (uniform depth >= 3).  Each claim
     is checked exactly at every size, by comparing the integer counts
     N_a[b, c] of both laws for the classes a, b it covers, read at the
-    class representatives (``_count_mismatch`` with the rows b).  A claim
+    class representatives (``_first_mismatch`` with the rows b).  A claim
     that fails raises UnexpectedFailure.  Returns ``part_b`` ("exact"),
     ``part_a`` ("exact", or "skipped" below uniform depth 3) and
     ``expected_failure``: the first (a, b, c) of a conjugation-invariant

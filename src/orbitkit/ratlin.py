@@ -141,20 +141,9 @@ def p_local_hermite(columns, p: int):
 
 
 def in_p_lattice(vector, basis_columns, p: int) -> bool:
-    """Is the vector a Z_(p)-combination of the basis columns?"""
-    if not basis_columns:
-        return not any(vector)
-    matrix = [[basis_columns[j][i] for j in range(len(basis_columns))]
-              for i in range(len(vector))]
-    sol = solve_right(matrix, list(vector))
-    if sol is None:
-        return False
-    # solve_right eliminates fully, so the combination is exact iff the
-    # residual vanishes
-    residual = list(map(Fraction, vector))
-    for j, c in enumerate(sol):
-        for i in range(len(residual)):
-            residual[i] -= c * Fraction(basis_columns[j][i])
-    if any(residual):
-        return False
-    return all(vp(c, p) >= 0 for c in sol)
+    """Is the vector a Z_(p)-combination of the basis columns, which must be
+    independent?  ``solve_right`` gives the one combination, or None outside
+    their Q-span."""
+    matrix = [[col[i] for col in basis_columns] for i in range(len(vector))]
+    sol = solve_right(matrix, vector)
+    return sol is not None and all(vp(c, p) >= 0 for c in sol)

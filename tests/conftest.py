@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from orbitkit import oracle
 from orbitkit.harmonic import ClassFunction
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.modlin import solve_mod
@@ -69,6 +70,27 @@ def inner(f1, f2):
 def ch(ring, u, v):
     """The group product exp(u) exp(v) of two elements, as a tuple."""
     return tuple(ring.ch_batch(u, v).tolist())
+
+
+def conjugation_perm(group, g):
+    """Grid indices of g x g^-1 over every x, read as (g x) g^-1: the left
+    product moved back through the inverse of the right permutation."""
+    right = oracle._right_perm(group, g)
+    inverse = np.empty_like(right)
+    inverse[right] = np.arange(len(right))
+    return inverse[oracle._left_perm(group, g)]
+
+
+def bincount_class_matrix(part, a, law):
+    """Burnside's class matrix M_a under ``law``, built for the class a
+    alone: one translation call for the members of C_a, one bincount of
+    the labels.  It translates through ``oracle.translates``, so a test
+    that patches the oracle's translations patches this reference too."""
+    r = len(part)
+    b = part.labels[oracle.translates(part.group, law, part.classes[a],
+                                      part.reps)]
+    flat = b * r + np.arange(r, dtype=np.int64)
+    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
 
 
 def check_group_axioms(group, rng=None, *, assoc_limit=130, trials=10_000):

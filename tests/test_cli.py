@@ -203,6 +203,28 @@ class TestChartable:
         assert err.startswith("error: AutomorphismCheckFailed: conjugation "
                               "by e^(1, 0, 0) is not linear: grid index 5 ")
 
+    def test_both_refuses_above_the_class_cap_before_orbits(self, capsys,
+                                                            monkeypatch):
+        # H(F3) has 11 classes: with the cap at 10 the table refuses the
+        # ring before any orbit character is computed
+        calls = []
+        real = cli.kirillov_character
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(cli, "kirillov_character", counted)
+        monkeypatch.setattr(oracle, "CLASS_CAP", 10)
+        assert run(capsys, "chartable", "--input", F3, "--method",
+                   "both") == (2, "", "error: ValueError: 11 classes exceed "
+                                      "the cap 10\n")
+        assert calls == []
+        # below p = 3 the regime is refused first, whatever the cap
+        code, _, err = run(capsys, "chartable", "--input", Z8, "--method",
+                           "both")
+        assert code == 2
+        assert err.startswith("error: RegimeViolation: ")
+
     def test_kirillov_refused_at_p2(self, capsys):
         code, _, err = run(capsys, "chartable", "--input", Z8,
                            "--method", "kirillov")
@@ -414,11 +436,10 @@ class TestErrorExitCodes:
             "witness": "LinearSystemInconsistent: degree 2 step unsolvable"}
 
     def test_exp_star_mismatch_is_a_failed_check(self, capsys, monkeypatch):
-        # additive keys forged to lose the smallest key of class 2, and
-        # counts forged to differ there: the keys find class 2 first, and
-        # its counts name the witness
-        real_keys, real_mismatch = (orbitmethod.class_keys,
-                                    orbitmethod._count_mismatch)
+        # additive keys forged to lose the smallest key of class 2, the one
+        # count N_2[0, z_2] = 1 (z_2 is its own class): the witness is
+        # decoded from that key
+        real_keys = orbitmethod.class_keys
 
         def keys(part, classes, law, rows=None):
             for block, found in real_keys(part, classes, law, rows):
@@ -426,18 +447,13 @@ class TestErrorExitCodes:
                     first = block.index(2) * len(part) ** 2
                     found = np.delete(found, np.searchsorted(found, first))
                 yield block, found
-
-        def counts(part, a, by_group, by_sum, rows=None):
-            return (a, 1, 4) if a == 2 else real_mismatch(
-                part, a, by_group, by_sum, rows)
         monkeypatch.setattr(orbitmethod, "class_keys", keys)
-        monkeypatch.setattr(orbitmethod, "_count_mismatch", counts)
         code, rep, _ = run_json(capsys, "verify", "--input", F3,
                                 "--checks", "expstar")
         assert code == 1
         assert rep["checks"] == [{
             "name": "expstar", "status": "FAIL",
-            "witness": "PropertyFailed: witness: (2, 1, 4)"}]
+            "witness": "PropertyFailed: witness: (2, 0, 2)"}]
 
     def test_shallow_p2_ring_is_refused_before_any_table(self, capsys,
                                                          monkeypatch,
@@ -724,6 +740,10 @@ REPORT_DIGESTS = {
         "a6e3f8f2006114cd574e9fc44dc833cedbda4599cf991b2609b09d4d16819dfa",
     ("verify", "rank3_z8_p2"):
         "a97012abcd0abe0db88b246dde0ae27228e27c03bbc664243435de7ec77089c4",
+    # "spec:checks" runs only those checks.  U4(F5)'s exact checks report
+    # no float field, and read the same at one and two BLAS threads
+    ("verify", "u4_f5:expstar,twist"):
+        "71ba29df329797b2589594e9ff35e317f23c5b807f3f5914a7427294586f21c6",
     ("restrict", "heisenberg_f3"):
         "ec60b247497d291bf0fe286b6849bfd26a4833c233630e2c621086d786522ad8",
     ("restrict", "heisenberg_z9"):
@@ -795,7 +815,10 @@ def report_argv(command, case, out, tmp_path):
     report = ["--seed", "0", "--output", str(out)]
     if command == "solve":
         return ["solve", *series, *report]
-    argv = [command, "--input", str(SPEC_DIR / f"{case}.json"), *report]
+    spec, _, checks = case.partition(":")
+    argv = [command, "--input", str(SPEC_DIR / f"{spec}.json"), *report]
+    if checks:
+        argv += ["--checks", checks]
     if command == "chartable":
         argv += ["--method", "both"]
     elif command == "restrict":

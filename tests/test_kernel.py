@@ -25,10 +25,10 @@ from orbitkit.freelie import LiePoly, bch, lyndon_words, standard_bracketing
 from orbitkit.liering import (LazardGroup, _coordinate_major, _plan_steps,
                               _poly_terms, _reduce, _row_major,
                               jacobi_defects, make_ring, uniform_quotient)
-from orbitkit.oracle import _conjugation_perm, _row_order, character_table
+from orbitkit.oracle import _row_order, character_table
 from orbitkit.padic import QpLieAlgebra
 
-from conftest import ch, heisenberg, upper_unitriangular4
+from conftest import ch, conjugation_perm, heisenberg, upper_unitriangular4
 from test_orbitmethod import small_rings
 
 
@@ -893,7 +893,7 @@ def test_conjugation_perm_equals_index_batch(ring):
               for _ in range(3)] + [tuple(s - 1 for s in ring.sizes)]:
         images = group.conjugate_batch(g, group.elements)
         assert np.all((images >= 0) & (images < ring._mods))
-        assert np.array_equal(_conjugation_perm(group, g),
+        assert np.array_equal(conjugation_perm(group, g),
                               group.ring.grid.index_batch(images))
 
 

@@ -16,7 +16,7 @@ from orbitkit.errors import (AutomorphismCheckFailed, DegenerateSpectrum,
                              DomainMismatch, NoMatching, StabilityCheckFailed,
                              ValidationFailed)
 from orbitkit.freelie import bch, vp
-from orbitkit.harmonic import ADDITIVE, GROUP, ClassFunction
+from orbitkit.harmonic import GROUP, ClassFunction
 from orbitkit.liering import FiniteLieRing, LazardGroup, Subring, _poly_terms
 from orbitkit.oracle import (character_table, class_matrices,
                              conjugacy_classes, conjugation_certificate,
@@ -25,7 +25,7 @@ from orbitkit.oracle import (character_table, class_matrices,
 from orbitkit.orbitmethod import (coadjoint_orbits, kirillov_character,
                                   pairing_scale)
 
-from conftest import as_function
+from conftest import as_function, bincount_class_matrix, conjugation_perm
 from test_orbitmethod import small_rings
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -195,13 +195,11 @@ class TestConjugationCertificate:
             monkeypatch.setattr(oracle, name, wrapper)
         spy("_right_perm")
         spy("_left_perm")
-        spy("_conjugation_perm")
         group = LazardGroup(h3)
         assert group.certificate is None
         cert = conjugation_certificate(group)
         basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        # one left product per generator; the conjugation permutation is
-        # built only for a witness
+        # one right and one left product per generator, and no more
         assert seen == [("_right_perm", g) for g in basis] + \
             [("_left_perm", g) for g in basis]
         assert group.certificate is cert
@@ -231,7 +229,7 @@ class TestConjugationCertificate:
         # left multiplication by e^y forged to swap the products of grid
         # indices 5 and 7, so conjugation by e^y swaps their images;
         # neither is a basis vector (indices 9, 3 and 1)
-        want = oracle._conjugation_perm(LazardGroup(h3), (0, 1, 0))
+        want = conjugation_perm(LazardGroup(h3), (0, 1, 0))
         real = oracle._left_perm
 
         def forged(group, g):
@@ -321,26 +319,15 @@ class TestConjugacyClasses:
             conjugacy_classes(h3_group)
 
 
-def bincount_class_matrix(part, a, law):
-    """Burnside's class matrix M_a built for the class a alone: one
-    translation call for the members of C_a, one bincount of the labels."""
-    r = len(part)
-    b = part.labels[harmonic.translates(part.group, law, part.classes[a],
-                                        part.reps)]
-    flat = b * r + np.arange(r, dtype=np.int64)
-    return np.bincount(flat.ravel(), minlength=r * r).reshape(r, r)
-
-
 def assert_class_matrices(group, classes=None):
     """class_matrices yields every asked class once, in the order asked,
-    with the matrix the per-class build gives, under both laws."""
+    with the matrix the per-class build gives."""
     part = conjugacy_classes(group)
     classes = list(range(len(part))) if classes is None else classes
-    for law in (GROUP, ADDITIVE):
-        got = list(class_matrices(part, classes, law))
-        assert [a for a, _ in got] == classes
-        for a, M in got:
-            assert np.array_equal(M, bincount_class_matrix(part, a, law))
+    got = list(class_matrices(part, classes))
+    assert [a for a, _ in got] == classes
+    for a, M in got:
+        assert np.array_equal(M, bincount_class_matrix(part, a, GROUP))
 
 
 class TestClassMatrices:

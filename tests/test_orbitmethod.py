@@ -23,7 +23,7 @@ from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   p2_convolution_check, p2_orbit_partition,
                                   verify_exp_star, verify_idempotents)
 
-from conftest import express, inner
+from conftest import bincount_class_matrix, express, inner
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -691,14 +691,16 @@ class TestCountCheckProperties:
 
 # -- the sorted keys against dense class matrices --------------------------------
 
-def dense_first_mismatch(part, classes, rows=None):
+def dense_first_mismatch(part, classes, rows=None, forged=None):
     """_first_mismatch as it stood with dense counts: both laws' r x r
     class matrices of every class in turn, and the first (a, b, c) where
-    they differ, b in ``rows`` and c in row-major order."""
+    they differ, b in ``rows`` and c in row-major order.  ``forged``, a
+    cell (a, b, c, step), adds step to the additive count N+_a[b, c]."""
     keep = slice(None) if rows is None else rows
-    laws = zip(oracle.class_matrices(part, classes),
-               oracle.class_matrices(part, classes, ADDITIVE))
-    for (a, by_group), (_, by_sum) in laws:
+    for a, by_group in oracle.class_matrices(part, classes):
+        by_sum = bincount_class_matrix(part, a, ADDITIVE)
+        if forged is not None and forged[0] == a:
+            by_sum[forged[1], forged[2]] += forged[3]
         bad = by_group[keep] != by_sum[keep]
         if bad.any():
             b, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -732,8 +734,8 @@ def assert_keys_match_dense(group):
 
 class TestSortedKeys:
     """_first_mismatch compares each run of classes as sorted keys and
-    builds one class's matrices for the witness: its verdict and witness
-    against the dense comparison of every class."""
+    decodes the witness from the first key whose counts differ: its verdict
+    and witness against the dense comparison of every class."""
 
     @pytest.mark.parametrize("path", ring_spec_paths())
     def test_specs(self, path):
@@ -764,6 +766,73 @@ class TestSortedKeys:
         with _patching_translates(_swapped_translates(h, cols)):
             found = assert_keys_match_dense(h5_group)
         assert found[0] is not None and found[0][0] == 3
+
+    @pytest.mark.parametrize("fixture", ["h5_group", "z9_group"])
+    @pytest.mark.parametrize("forgery", ["a key counted twice",
+                                         "the largest key dropped"])
+    def test_witness_of_forged_keys(self, request, monkeypatch, fixture,
+                                    forgery):
+        # the additive keys of one run forged: a middle key of class 3
+        # counted once more, so both arrays hold the same keys and differ
+        # only in how often one occurs; or the run's largest key dropped,
+        # so the additive array runs out first.  The dense counts get the
+        # same cell forged, and both name it.
+        part = conjugacy_classes(request.getfixturevalue(fixture))
+        r = len(part)
+        real = orbitmethod.class_keys
+        cells = []
+
+        def forge(block, found):
+            """The run's forged keys, and the forged key with its step."""
+            if forgery == "a key counted twice" and 3 in block:
+                t = block.index(3)
+                lo, hi = np.searchsorted(found, [t * r * r, (t + 1) * r * r])
+                at = (lo + hi) // 2
+                return np.insert(found, at, found[at]), int(found[at]), 1
+            if forgery == "the largest key dropped" and block[-1] == r - 1:
+                return found[:-1], int(found[-1]), -1
+            return found, None, 0
+
+        def keys(part, classes, law, rows=None):
+            for block, found in real(part, classes, law, rows):
+                if law == ADDITIVE:
+                    found, key, step = forge(block, found)
+                    if key is not None:
+                        cells.append((block[key // (r * r)], key // r % r,
+                                      key % r, step))
+                yield block, found
+        monkeypatch.setattr(orbitmethod, "class_keys", keys)
+        got = orbitmethod._first_mismatch(part, range(r))
+        (a, b, c, step), = cells
+        assert got == (a, b, part.reps[c])
+        assert got == dense_first_mismatch(part, range(r),
+                                           forged=(a, b, c, step))
+
+    @pytest.mark.parametrize("path", ring_spec_paths())
+    def test_key_widths_agree(self, path, monkeypatch):
+        # every spec ring's keys fit int32, and int64 keys are the same
+        group = LazardGroup(load_ring_spec(path))
+        part = conjugacy_classes(group)
+        for classes, rows in count_scans(group):
+            for law in (harmonic.GROUP, ADDITIVE):
+                narrow = list(oracle.class_keys(part, classes, law, rows))
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_key_dtype",
+                                  lambda count, r: np.int64)
+                    wide = list(oracle.class_keys(part, classes, law, rows))
+                assert [block for block, _ in narrow] == \
+                    [block for block, _ in wide]
+                for (_, k32), (_, k64) in zip(narrow, wide):
+                    assert k32.dtype == np.int32 and k64.dtype == np.int64
+                    assert np.array_equal(k32, k64)
+
+    def test_key_width_bound(self):
+        # the largest key of a run of k classes is k r^2 - 1
+        top = 2 ** 31 - 1
+        assert oracle._key_dtype(top, 1) is np.int32
+        assert oracle._key_dtype(top + 1, 1) is np.int64
+        assert oracle._key_dtype(1, 46340) is np.int32
+        assert oracle._key_dtype(2, 32768) is np.int64
 
     def test_the_keys_decide(self, h5_group, monkeypatch):
         # keys forged equal hide the swap from the new check alone: the

@@ -187,3 +187,60 @@ class TestInPLattice:
     def test_empty_basis_contains_only_zero(self):
         assert in_p_lattice([0, 0], [], 5)
         assert not in_p_lattice([1, 0], [], 5)
+
+
+def residual_in_p_lattice(vector, basis_columns, p):
+    """in_p_lattice with the residual pass it once ran: solve_right's
+    combination counts only when it gives back the vector exactly.  Also
+    returns whether that pass ever rejected a combination."""
+    if not basis_columns:
+        return not any(vector), False
+    matrix = [[basis_columns[j][i] for j in range(len(basis_columns))]
+              for i in range(len(vector))]
+    sol = solve_right(matrix, list(vector))
+    if sol is None:
+        return False, False
+    residual = list(map(Fraction, vector))
+    for j, c in enumerate(sol):
+        for i in range(len(residual)):
+            residual[i] -= c * Fraction(basis_columns[j][i])
+    if any(residual):
+        return False, True
+    return all(vp(c, p) >= 0 for c in sol), False
+
+
+def combination(rng, vectors, bound):
+    """A combination of the vectors with integer coefficients drawn from
+    -bound..bound."""
+    coeffs = [rng.randint(-bound, bound) for _ in vectors]
+    return [sum(c * v[i] for c, v in zip(coeffs, vectors))
+            for i in range(len(vectors[0]))]
+
+
+class TestInPLatticeAgainstResidualPass:
+    def test_drawn_rank_deficient_bases(self):
+        # k columns spanning rank < k in Q^n: vectors outside the span, and
+        # inside it with p-integral and with 1/p coefficients
+        rng = random.Random(35)
+        seen = set()
+        for trial in range(60):
+            p = rng.choice((2, 3, 5))
+            n = rng.randint(2, 4)
+            rank = rng.randint(1, n - 1)
+            free = [[p_rich_fraction(rng) for _ in range(n)]
+                    for _ in range(rank)]
+            if len(rational_span_basis(free)) < rank:
+                continue
+            basis = free + [combination(rng, free, 2)
+                            for _ in range(rng.randint(1, 2))]
+            rng.shuffle(basis)
+            scale = rng.choice((1, Fraction(1, p)))
+            inside = [scale * x for x in combination(rng, basis, 3)]
+            outside = [x + p_rich_fraction(rng) for x in inside]
+            for vector in (inside, outside):
+                spans = len(rational_span_basis(free + [vector])) == rank
+                want, rejected = residual_in_p_lattice(vector, basis, p)
+                assert not rejected
+                assert in_p_lattice(vector, basis, p) == want
+                seen.add((spans, want))
+        assert seen == {(True, True), (True, False), (False, False)}
