@@ -49,8 +49,8 @@ class ClassFunction:
     them, one per row.
 
     Values are indexed by the shared lexicographic element enumeration.
-    Constancy on conjugacy classes is not enforced here; the suites that
-    rely on it check it (``kirillov_character``, ``verify_idempotents``).
+    Constancy on conjugacy classes is not enforced here; the idempotent
+    suite, which relies on it, checks it (``verify_idempotents``).
     """
 
     __slots__ = ("domain", "values")

@@ -593,10 +593,10 @@ class MatchReport:
 def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
     """Perfect matching of candidate characters against oracle table rows.
 
-    The candidates, ClassFunctions on G, are compared entrywise at the
-    class representatives; row j is allowed for candidate i when the max
-    deviation is below ``tol``, which must be below 0.7.  Then each
-    candidate has at most one allowed row.  The table passed its
+    The candidates are rows of values at the r class representatives (a
+    (k, r) array, else DomainMismatch); row j is allowed for candidate i
+    when the max deviation is below ``tol``, which must be below 0.7.
+    Then each candidate has at most one allowed row.  The table passed its
     row-orthogonality gate, so for any two rows
     |<chi_i, chi_j> - delta_ij| <= ``ORTHOGONALITY_TOL`` = 1e-8, and
     for distinct rows
@@ -615,10 +615,11 @@ def match_tables(characters, table: CharTable, tol=1e-8) -> MatchReport:
     """
     if not tol < 0.7:
         raise ValueError(f"match tolerance {tol} is not below 0.7")
-    reps = np.array(table.partition.reps)
-    cand = np.array([c.values[reps] for c in characters])
+    cand, r = np.asarray(characters), len(table.rows)
+    if cand.shape[1:] != (r,):
+        raise DomainMismatch(f"candidates of shape {cand.shape} are not "
+                             f"values at {r} class representatives")
     k = len(cand)
-    r = len(table.rows)
     dev = np.zeros((k, r))
     for i in range(k):
         dev[i] = np.max(np.abs(cand[i][None, :] - table.rows), axis=1)

@@ -20,9 +20,9 @@ g* orbits, and padic's restriction harness reads containment through it.
 
 The orbit character chi(e^x) = |Omega|^{-1/2} sum_{f in Omega} f(x) is the
 inverse Fourier transform of the orbit's indicator, one library FFT per
-block of orbits on the ring's grid, checked constant on every conjugacy
-class; orbit membership stays exact, the values carry the FFT's round-off.
-The convolution-identity
+block of orbits on the ring's grid, read at the class representatives of
+orbits checked closed under the certificate's dual maps; orbit membership
+stays exact, the values carry the FFT's round-off.  The convolution-identity
 suites reduce exhaustive claims about conjugation-invariant functions to
 class-indicator pairs (bilinearity) and compare the integer counts
 N_a[b, c] = #{h in C_a : h^{-1} x_c in C_b} under both laws, so those
@@ -38,11 +38,11 @@ products, so one class of each inverse pair and the pairs j <= i give
 every product.  Every suite runs at any group order without an n x n
 table.
 
-``kirillov_character`` returns the characters' values on G.  The exact
-suites (exp* here and the p = 2 counts, like ``liering``'s twist check)
-raise their failure with its witness and return only what a pass leaves to
-report; the idempotent suite returns its measured deviations, with
-``passed`` and the witness, since a near-miss is read off those.
+``kirillov_character`` returns values at the class representatives.  The
+exact suites (exp* here and the p = 2 counts, like ``liering``'s twist
+check) raise their failure with its witness and return only what a pass
+leaves to report; the idempotent suite returns its measured deviations,
+with ``passed`` and the witness, since a near-miss is read off those.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ from .oracle import (class_keys, class_matrices, conjugacy_classes,
 # no longer builds.  Nothing in src/ reads it; perfbench's tests import it,
 # and it goes with the next benchmark change (ROADMAP item 1).
 _TABLE_LIMIT = 2048
-
-# How far an orbit character may vary on a conjugacy class
-# (kirillov_character); its values carry the FFT's round-off.
-CONSTANCY_TOL = 1e-9
 
 
 class CoadjointOrbit:
@@ -169,49 +165,43 @@ def coadjoint_orbits(group: LazardGroup) -> list[CoadjointOrbit]:
     return [CoadjointOrbit(ring, idx) for idx in orbit_sets]
 
 
-def _class_spread(rows, part):
-    """|f(x) - f(z_[x])| for each row f and x, z_[x] the representative of
-    the class of x."""
-    spread = rows[:, part.reps][:, part.labels]
-    np.subtract(rows, spread, out=spread)
-    return np.abs(spread)
-
-
-def kirillov_character(group: LazardGroup, orbits) -> list[ClassFunction]:
-    """The orbit characters chi_Omega of ``orbits`` on G, in their order,
-    via the identity coordinate map exp, as their values on G.
-
-    Each orbit size must be a perfect square (its root is the degree), and
-    each character must be constant on every conjugacy class, exactly as
-    the group's conjugation certificate closes them (the classes behind
-    ``coadjoint_orbits``, with no order cap): max_x |chi(x) - chi(z_[x])|
-    <= ``CONSTANCY_TOL``, z_[x] the representative of the class of x, else
-    PropertyFailed names the deviation and the first grid index where it
-    is largest; the first failing orbit raises.  One inverse FFT and one
-    check serve each ``_orbit_blocks`` block, bit for bit as one orbit at a
-    time.
-    """
-    part = conjugation_certificate(group)
-    roots = [math.isqrt(orbit.size) for orbit in orbits]
-    square = next((i for i, (orbit, root) in enumerate(zip(orbits, roots))
-                   if root * root != orbit.size), len(orbits))
-    chars = []
-    for lo, block in _orbit_blocks(orbits[:square], len(group)):
+def _block_characters(group: LazardGroup, orbits):
+    """(start, block, chi_Omega on G per orbit) per ``_orbit_blocks`` block
+    of ``orbits``: one inverse FFT of the indicators, divided by the
+    degrees, bit for bit as one orbit at a time.  Each orbit must be of
+    square size and closed under the duals of the certified generators
+    (``_coadjoint_perms``), checked one at a time, overlapping or not; the
+    first that fails raises PropertyFailed, a closure failure naming the
+    orbit's position and its first member that a generator moves out."""
+    perms = _coadjoint_perms(group)
+    inside = np.zeros(len(group), dtype=bool)
+    for lo, block in _orbit_blocks(orbits, len(group)):
+        roots = [math.isqrt(orbit.size) for orbit in block]
+        for t, (orbit, root) in enumerate(zip(block, roots), lo):
+            if root * root != orbit.size:
+                raise PropertyFailed(
+                    f"orbit size {orbit.size} is not a perfect square")
+            inside[orbit.indices] = True
+            leaves = np.logical_or.reduce(
+                [~inside[perm[orbit.indices]] for perm in perms])
+            inside[orbit.indices] = False
+            if np.any(leaves):
+                raise PropertyFailed(
+                    f"orbit {t} is not closed under the coadjoint action: "
+                    f"grid index {orbit.indices[leaves.argmax()]} leaves it")
         vals = inverse_fourier(indicators(block)).values
-        vals /= np.array(roots[lo:lo + len(block)])[:, None]
-        spread = _class_spread(vals, part)
-        x = spread.argmax(axis=1)
-        top = spread[np.arange(len(block)), x]
-        varies = np.flatnonzero(top > CONSTANCY_TOL)
-        if varies.size:
-            t = varies[0]
-            raise PropertyFailed(
-                f"orbit character varies on a conjugacy class: deviation "
-                f"{top[t]:.2e} at grid index {x[t]}")
-        chars += [ClassFunction(group, row) for row in vals]
-    if square < len(orbits):
-        raise PropertyFailed(
-            f"orbit size {orbits[square].size} is not a perfect square")
+        vals /= np.array(roots)[:, None]
+        yield lo, block, vals
+
+
+def kirillov_character(group: LazardGroup, orbits) -> np.ndarray:
+    """chi_Omega for each of ``orbits`` via the identity coordinate map
+    exp, at the class representatives of the group's certificate, one row
+    each: the full-grid values of ``_block_characters`` read there."""
+    reps = conjugation_certificate(group).reps
+    chars = np.empty((len(orbits), len(reps)), dtype=np.complex128)
+    for lo, block, vals in _block_characters(group, orbits):
+        chars[lo:lo + len(block)] = vals[:, reps]
     return chars
 
 
@@ -435,19 +425,19 @@ def verify_idempotents(group: LazardGroup, *, tol=1e-8) -> dict:
     total = np.zeros(n, dtype=np.complex128)
     dev_fourier, dev_const, const_witness = 0.0, 0.0, None
     dev_herm, herm_witness = 0.0, None
-    for lo, block in _orbit_blocks(orbits, n):
-        rows = np.array([c.values for c in kirillov_character(group, block)])
+    for lo, block, rows in _block_characters(group, orbits):
         rows *= np.array([math.isqrt(o.size) for o in block])[:, None]
         F = fourier(exp_star(ClassFunction(group, rows))).values
         for t, orbit in enumerate(block):
             F[t, orbit.indices] -= 1.0
         dev_fourier = max(dev_fourier, float(np.max(np.abs(F))))
         del F
-        spread = _class_spread(rows, part)
+        # the constancy deviation d and the Hermitian deviation h
+        values = rows[:, part.reps]
+        spread = np.abs(rows - values[:, part.labels])
         t, x = map(int, np.unravel_index(np.argmax(spread), spread.shape))
         if spread[t, x] > dev_const:
             dev_const, const_witness = float(spread[t, x]), (lo + t, x)
-        values = rows[:, part.reps]
         at = at_reps[lo:lo + len(block)]
         at[...] = (values + values[:, part.inverse].conj()) / 2
         spread = np.abs(values - at)

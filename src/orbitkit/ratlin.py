@@ -25,6 +25,12 @@ def solve_right(matrix, rhs):
     same under any pivot-row rule, and the solution returned is the unique
     one supported on them.
     """
+    return _eliminate(matrix, rhs)[0]
+
+
+def _eliminate(matrix, rhs):
+    """``solve_right``'s elimination: (solution or None, {pivot column:
+    pivot row})."""
     m = len(matrix)
     cols = len(matrix[0]) if m else 0
     rows = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
@@ -48,11 +54,11 @@ def solve_right(matrix, rhs):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[pivot])]
     for i in range(m):
         if i not in used and rows[i][cols]:
-            return None
+            return None, pivot_of_col
     sol = [Fraction(0)] * cols
     for j, i in pivot_of_col.items():
         sol[j] = rows[i][cols]
-    return sol
+    return sol, pivot_of_col
 
 
 def rational_span_basis(vectors):
@@ -141,9 +147,12 @@ def p_local_hermite(columns, p: int):
 
 
 def in_p_lattice(vector, basis_columns, p: int) -> bool:
-    """Is the vector a Z_(p)-combination of the basis columns, which must be
-    independent?  ``solve_right`` gives the one combination, or None outside
-    their Q-span."""
+    """Is the vector a Z_(p)-combination of the basis columns?  One
+    elimination gives the combination, or None outside their Q-span, and
+    ValueError names the first column without a pivot (a dependent one)."""
     matrix = [[col[i] for col in basis_columns] for i in range(len(vector))]
-    sol = solve_right(matrix, vector)
+    sol, pivots = _eliminate(matrix, vector)
+    free = [j for j in range(len(basis_columns)) if j not in pivots]
+    if free:
+        raise ValueError(f"basis column {free[0]} depends on earlier ones")
     return sol is not None and all(vp(c, p) >= 0 for c in sol)

@@ -10,7 +10,8 @@ from orbitkit import oracle
 from orbitkit.harmonic import ClassFunction
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.modlin import solve_mod
-from orbitkit.orbitmethod import pairing_scale
+from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
+                                  pairing_scale)
 
 
 # property tests draw the same examples on every run and store none
@@ -79,6 +80,74 @@ def conjugation_perm(group, g):
     inverse = np.empty_like(right)
     inverse[right] = np.arange(len(right))
     return inverse[oracle._left_perm(group, g)]
+
+
+def leaving_member(group, indices):
+    """The smallest of the dual characters ``indices`` (grid indices) that
+    f -> f o Ad(e^{e_i}) moves out of them for some basis vector e_i, or
+    None when they are closed.  Each image is found by its exact phases
+    at the conjugates e^{e_i} x e^{-e_i} (``conjugation_perm``), searched
+    over every character: for small rings."""
+    ring = group.ring
+    X = ring.grid.elements
+    table = np.array([phases(ring, a, X) for a in X])
+    lookup = {row.tobytes(): b for b, row in enumerate(table)}
+    conj = [conjugation_perm(group, ring.basis(i)) for i in range(ring.rank)]
+    members = {int(f) for f in indices}
+    for f in sorted(members):
+        if any(lookup[table[f][c].tobytes()] not in members for c in conj):
+            return f
+    return None
+
+
+def closure_failure(group, orbit, position):
+    """kirillov_character's text for the orbit at ``position`` when it is
+    not closed (``leaving_member``), else None."""
+    x = leaving_member(group, orbit.indices)
+    if x is None:
+        return None
+    return (f"orbit {position} is not closed under the coadjoint action: "
+            f"grid index {x} leaves it")
+
+
+def forged_h3_orbits(h3):
+    """A square orbit that is not a union of orbits (the nine characters
+    (a, 0, c)) and an orbit of size 2, neither an orbit of H(F3)."""
+    square = CoadjointOrbit(h3, sorted(
+        h3.grid.index_batch((a, 0, c)) for a in range(3) for c in range(3)))
+    return square, CoadjointOrbit(h3, [0, 1])
+
+
+def forged_closure_lists(h3_group):
+    """Orbit lists of H(F3) whose orbits are all square, each with one
+    orbit that is not closed under the coadjoint action, by name, with that
+    orbit's position:
+
+    * "square": the (a, 0, c) square in place of the first orbit of size 9;
+    * "moved": that orbit with one member moved to the next grid index;
+    * "overlapping": the second orbit of size 9 replaced by the first with
+      its smallest member swapped for a fixed character.  It overlaps the
+      first in eight members, and every member it moves out lies in the
+      first, so only a check of each orbit on its own catches it.
+    """
+    h3 = h3_group.ring
+    orbits = coadjoint_orbits(h3_group)
+    big = [i for i, o in enumerate(orbits) if o.size == 9]
+    idx = orbits[big[0]].indices
+    at = next(t for t, x in enumerate(idx) if x + 1 not in idx)
+    moved = CoadjointOrbit(h3, sorted(np.append(np.delete(idx, at),
+                                                idx[at] + 1)))
+    fixed = next(o.indices[0] for o in orbits if o.size == 1)
+    overlapping = CoadjointOrbit(h3, sorted(np.append(idx[1:], fixed)))
+    lists = {}
+    for name, forged, position in (
+            ("square", forged_h3_orbits(h3)[0], big[0]),
+            ("moved", moved, big[0]),
+            ("overlapping", overlapping, big[1])):
+        out = list(orbits)
+        out[position] = forged
+        lists[name] = (out, position)
+    return lists
 
 
 def bincount_class_matrix(part, a, law):

@@ -16,6 +16,8 @@ from orbitkit.errors import (AutomorphismCheckFailed, DomainMismatch,
                              LinearSystemInconsistent)
 from orbitkit.harmonic import ADDITIVE
 
+from conftest import closure_failure, forged_closure_lists
+
 SPEC_DIR = Path(__file__).resolve().parents[1] / "specs"
 F3 = str(SPEC_DIR / "heisenberg_f3.json")
 F5 = str(SPEC_DIR / "heisenberg_f5.json")
@@ -325,11 +327,13 @@ class TestVerify:
             monkeypatch.setattr(orbitmethod, name, wrapper)
         spy("coadjoint_orbits")
         spy("kirillov_character")
+        spy("_block_characters")
         code, _, _ = run_json(capsys, "verify", "--input", F3, "--checks",
                               "idempotents", "--seed", "3")
         assert code == 0
+        # the suite reads the block helper, not kirillov_character
         assert [call[0] for call in calls] == ["coadjoint_orbits",
-                                               "kirillov_character"]
+                                               "_block_characters"]
         group = calls[0][1]
         assert group is not None
         assert all(call[1] is group for call in calls)
@@ -409,6 +413,38 @@ def _raiser(exc):
     def fail(*args, **kwargs):
         raise exc
     return fail
+
+
+class TestForgedOrbits:
+    """One orbit of H(F3) that is not closed under the coadjoint action
+    (conftest ``forged_closure_lists``) stops the orbit side: chartable
+    exits 1, and verify's idempotent check fails, naming the orbit and a
+    member that leaves it."""
+
+    @staticmethod
+    def forge(monkeypatch, module, name, h3_group):
+        monkeypatch.setattr(module, "coadjoint_orbits", lambda group: (
+            forged_closure_lists(group)[name][0]))
+        orbits, position = forged_closure_lists(h3_group)[name]
+        return closure_failure(h3_group, orbits[position], position)
+
+    @pytest.mark.parametrize("name", ["square", "moved", "overlapping"])
+    def test_chartable_both_exits_1(self, capsys, monkeypatch, name,
+                                    h3_group):
+        want = self.forge(monkeypatch, cli, name, h3_group)
+        assert run(capsys, "chartable", "--input", F3, "--method",
+                   "both") == (1, "", f"error: PropertyFailed: {want}\n")
+
+    @pytest.mark.parametrize("name", ["square", "moved", "overlapping"])
+    def test_verify_idempotents_fails(self, capsys, monkeypatch, name,
+                                      h3_group):
+        want = self.forge(monkeypatch, orbitmethod, name, h3_group)
+        code, rep, _ = run_json(capsys, "verify", "--input", F3, "--checks",
+                                "idempotents")
+        assert code == 1
+        assert check_named(rep, "idempotents") == {
+            "name": "idempotents", "status": "FAIL",
+            "witness": f"PropertyFailed: {want}"}
 
 
 class TestErrorExitCodes:

@@ -8,6 +8,7 @@ to about 1e-13.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -18,11 +19,11 @@ from orbitkit.harmonic import (ClassFunction, DualFunction, fourier,
                                inverse_fourier)
 from orbitkit.liering import LazardGroup, make_ring
 from orbitkit.oracle import character_table, conjugacy_classes
-from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
-                                  indicators, kirillov_character,
-                                  p2_orbit_partition)
+from orbitkit.orbitmethod import (CoadjointOrbit, _block_characters,
+                                  coadjoint_orbits, indicators,
+                                  kirillov_character, p2_orbit_partition)
 
-from conftest import character_values, heisenberg, phases
+from conftest import character_values, heisenberg, leaving_member, phases
 
 TOL = 1e-12
 
@@ -110,10 +111,17 @@ class TestKirillovAgainstDirectSums:
         ring = make()
         group = LazardGroup(ring)
         orbits = coadjoint_orbits(group)
-        for orbit, chi in zip(orbits, kirillov_character(group, orbits)):
+        reps = conjugacy_classes(group).reps
+        chars = kirillov_character(group, orbits)
+        # the block helper's values on G, which verify reads, and the
+        # characters at the class representatives
+        blocks = _block_characters(group, orbits)
+        rows = itertools.chain.from_iterable(vals for _, _, vals in blocks)
+        for orbit, chi, row in zip(orbits, chars, rows, strict=True):
             direct = direct_orbit_sum(ring, orbit.indices)
             direct /= math.isqrt(orbit.size)
-            assert np.max(np.abs(chi.values - direct)) <= TOL
+            assert np.max(np.abs(row - direct)) <= TOL
+            assert np.max(np.abs(chi - direct[reps])) <= TOL
 
 
 class TestP2IdempotentsAgainstDirectSums:
@@ -134,27 +142,16 @@ class TestKirillovClassCheck:
     def test_forged_orbit_fails_the_class_check(self):
         ring = heisenberg(3)
         group = LazardGroup(ring)
-        # nine characters (a, 0, c): a square count, not a union of orbits
+        # nine characters (a, 0, c): a square count, not a union of orbits,
+        # so not closed.  Its first member moved out is (0, 0, 1): composed
+        # with Ad(e^(1, 0, 0)) it reads (0, 1, 1), found by exact phases
         forged = CoadjointOrbit(ring, sorted(
             ring.grid.index_batch((a, 0, c))
             for a in range(3) for c in range(3)))
-        part = conjugacy_classes(group)
-        reps = [c[0] for c in part.classes]
-
-        def spread(vals):
-            return np.abs(vals - vals[reps][part.labels])
-
-        # the largest deviations tie, so the argmax is read from the values
-        # the check computes; the exact-phase sums must agree that it is a
-        # largest one
-        fft = spread(inverse_fourier(indicators([forged])).values[0] / 3)
-        x = int(np.argmax(fft))
-        direct = spread(direct_orbit_sum(ring, forged.indices) / 3)
-        assert direct[x] > 1e-9
-        assert abs(direct[x] - direct.max()) <= TOL
-        assert abs(fft[x] - direct[x]) <= TOL
+        x = int(ring.grid.index_batch((0, 0, 1)))
+        assert leaving_member(group, forged.indices) == x
         with pytest.raises(PropertyFailed) as info:
             kirillov_character(group, [forged])
         assert str(info.value) == (
-            f"orbit character varies on a conjugacy class: deviation "
-            f"{fft[x]:.2e} at grid index {x}")
+            f"orbit 0 is not closed under the coadjoint action: "
+            f"grid index {x} leaves it")

@@ -415,39 +415,52 @@ class TestCharacterTable:
 
 
 class TestMatchTables:
+    """Candidates are rows of values at the class representatives, as
+    kirillov_character returns them."""
+
     def test_table_matches_itself(self, h3_group):
         table = character_table(h3_group)
-        report = match_tables(full_functions(table), table)
+        report = match_tables(table.rows.copy(), table)
         assert report.assignment == tuple(range(len(table)))
         assert report.max_deviation < 1e-10
 
     def test_shuffled_candidates_recover_assignment(self, h3_group):
         table = character_table(h3_group)
-        funcs = full_functions(table)
         rng = np.random.default_rng(4)
-        order = rng.permutation(len(funcs))
-        report = match_tables([funcs[i] for i in order], table)
+        order = rng.permutation(len(table.rows))
+        report = match_tables(table.rows[order], table)
         assert report.assignment == tuple(int(i) for i in order)
 
     def test_corrupted_candidate_fails(self, h3_group):
         table = character_table(h3_group)
-        funcs = full_functions(table)
-        funcs[5] = ClassFunction(h3_group, funcs[5].values * 2.0)
+        funcs = table.rows.copy()
+        funcs[5] *= 2.0
         with pytest.raises(NoMatching):
             match_tables(funcs, table)
 
     def test_wrong_count_fails(self, h3_group):
         table = character_table(h3_group)
         with pytest.raises(NoMatching):
-            match_tables(full_functions(table)[:-1], table)
+            match_tables(table.rows[:-1], table)
+
+    def test_columns_must_be_the_class_count(self, h3_group):
+        # H(F3) has 11 classes: values on all 27 elements, at one class
+        # too few, or a single row are not candidates
+        table = character_table(h3_group)
+        for funcs in (full_functions(table), table.rows[:, :-1],
+                      table.rows[0]):
+            with pytest.raises(DomainMismatch) as info:
+                match_tables(funcs, table)
+            assert str(info.value) == (
+                f"candidates of shape {np.shape(funcs)} are not values at "
+                f"11 class representatives")
 
 
 def kuhn_match(characters, table, tol=1e-8):
     """The reference matching, which assumes nothing about the table:
     every allowed edge, then a Kuhn augmenting search.  Returns
     (assignment, deviations), or raises NoMatching."""
-    reps = np.array(table.partition.reps)
-    cand = np.array([c.values[reps] for c in characters])
+    cand = np.asarray(characters)
     k, r = len(cand), len(table.rows)
     dev = np.zeros((k, r))
     for i in range(k):
@@ -491,25 +504,25 @@ def assert_same_matching(candidates, table, tol=1e-8):
     return "matched"
 
 
-def candidate_lists(table, funcs):
-    """Shuffled, truncated, corrupted and duplicated variants of a
-    candidate list that matches the table, with the expected outcome."""
-    group = table.partition.group
+def candidate_lists(funcs):
+    """Shuffled, truncated, corrupted and duplicated variants of candidate
+    rows that match a table, with the expected outcome."""
     r = len(funcs)
-    order = np.random.default_rng(r).permutation(r).tolist()
-    shuffled = [funcs[i] for i in order]
-    noisy = [ClassFunction(group, f.values + 1e-10) for f in shuffled]
-    doubled = list(shuffled)
-    doubled[3] = ClassFunction(group, funcs[order[1]].values * 2.0)
-    moved = list(shuffled)
-    moved[-1] = ClassFunction(group, moved[-1].values + 0.5)
+    order = np.random.default_rng(r).permutation(r)
+    shuffled = funcs[order]
+    noisy = shuffled + 1e-10
+    doubled = shuffled.copy()
+    doubled[3] = funcs[order[1]] * 2.0
+    moved = shuffled.copy()
+    moved[-1] += 0.5
     return [
         (funcs, "matched"), (shuffled, "matched"), (noisy, "matched"),
-        (shuffled[:-1], "refused"), (shuffled[:2] + shuffled[3:], "refused"),
+        (shuffled[:-1], "refused"),
+        (np.delete(shuffled, 2, axis=0), "refused"),
         (doubled, "refused"), (moved, "refused"),
-        (shuffled[:2] + [shuffled[0]] + shuffled[3:], "refused"),
-        (shuffled + [shuffled[5]], "refused"),
-        (shuffled[:-1] + [shuffled[0]], "refused")]
+        (np.vstack([shuffled[:2], shuffled[:1], shuffled[3:]]), "refused"),
+        (np.vstack([shuffled, shuffled[5:6]]), "refused"),
+        (np.vstack([shuffled[:-1], shuffled[:1]]), "refused")]
 
 
 class TestMatchAgainstKuhn:
@@ -523,25 +536,23 @@ class TestMatchAgainstKuhn:
         assert assert_same_matching(chars, table) == "matched"
         for tol in (1e-300, 1e-14, 0.69):
             assert_same_matching(chars, table, tol)
-        for candidates, outcome in candidate_lists(table, chars):
+        for candidates, outcome in candidate_lists(chars):
             assert assert_same_matching(candidates, table) == outcome
 
     @settings(max_examples=1)
     @given(ring=small_rings())
     def test_drawn_ring(self, ring):
         table = character_table(LazardGroup(ring))
-        for candidates, outcome in candidate_lists(table,
-                                                   full_functions(table)):
+        for candidates, outcome in candidate_lists(table.rows):
             assert assert_same_matching(candidates, table) == outcome
 
     def test_tolerance_must_stay_below_the_row_gap(self, h3_group):
         table = character_table(h3_group)
-        funcs = full_functions(table)
-        assert match_tables(funcs, table, tol=0.69).assignment \
+        assert match_tables(table.rows, table, tol=0.69).assignment \
             == tuple(range(len(table)))
         for tol in (0.7, 1.0, float("nan")):
             with pytest.raises(ValueError, match="is not below 0.7"):
-                match_tables(funcs, table, tol=tol)
+                match_tables(table.rows, table, tol=tol)
 
 
 class TestRestrictionMultiplicity:

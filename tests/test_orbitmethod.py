@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -23,7 +24,8 @@ from orbitkit.orbitmethod import (CoadjointOrbit, coadjoint_orbits,
                                   p2_convolution_check, p2_orbit_partition,
                                   verify_exp_star, verify_idempotents)
 
-from conftest import bincount_class_matrix, express, inner
+from conftest import (bincount_class_matrix, closure_failure, express,
+                      forged_closure_lists, forged_h3_orbits, leaving_member)
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -94,35 +96,40 @@ class TestCoadjointOrbits:
 
 
 class TestKirillovCharacter:
+    """The characters at the class representatives, one row per orbit."""
+
     def test_degrees_on_heisenberg(self, h3_group):
-        # the degree is the value at the identity, grid index 0
+        # the degree is the value at the identity, grid index 0, the
+        # representative of the first class
         chars = kirillov_character(h3_group, coadjoint_orbits(h3_group))
-        degrees = [round(c.values[0].real) for c in chars]
+        assert chars.shape == (11, 11)
+        assert conjugacy_classes(h3_group).reps[0] == 0
+        degrees = [round(v.real) for v in chars[:, 0]]
         assert Counter(degrees) == {1: 9, 3: 2}
         assert sum(d ** 2 for d in degrees) == 27
 
     def test_degree_three_character_is_central(self, h3_group):
         # chi vanishes off Z(G) and has |chi| = 3 on it
         orbit = max(coadjoint_orbits(h3_group), key=lambda o: o.size)
-        chi, = kirillov_character(h3_group, [orbit])
-        E = h3_group.elements
-        vals = chi.values
+        (vals,) = kirillov_character(h3_group, [orbit])
+        E = h3_group.elements[conjugacy_classes(h3_group).reps]
         central = (E[:, 0] == 0) & (E[:, 1] == 0)
         assert np.max(np.abs(vals[~central])) < 1e-12
         assert np.allclose(np.abs(vals[central]), 3.0)
 
-    def test_value_at_identity_is_degree(self, h5, h5_group):
+    def test_value_at_identity_is_degree(self, h5_group):
         orbits = coadjoint_orbits(h5_group)
-        for orbit, chi in zip(orbits, kirillov_character(h5_group, orbits)):
-            idx = h5.grid.index_batch((0, 0, 0))
-            assert abs(chi.values[idx] - math.isqrt(orbit.size)) < 1e-12
+        chars = kirillov_character(h5_group, orbits)
+        for orbit, chi in zip(orbits, chars):
+            assert abs(chi[0] - math.isqrt(orbit.size)) < 1e-12
 
     def test_orthonormal_family(self, h3_group):
+        # class functions: the mass-1 inner product weights each
+        # representative by its class size
         chars = kirillov_character(h3_group, coadjoint_orbits(h3_group))
-        for i, ci in enumerate(chars):
-            for j, cj in enumerate(chars):
-                target = 1.0 if i == j else 0.0
-                assert abs(inner(ci, cj) - target) < 1e-9
+        part = conjugacy_classes(h3_group)
+        gram = (chars * part.sizes) @ chars.conj().T / 27
+        assert np.max(np.abs(gram - np.eye(len(chars)))) < 1e-9
 
     def test_matches_oracle_table(self, h3_group):
         chars = kirillov_character(h3_group, coadjoint_orbits(h3_group))
@@ -134,11 +141,27 @@ class TestKirillovCharacter:
         with pytest.raises(PropertyFailed):
             kirillov_character(h3_group, [fake])
 
+    def test_peak_memory_is_a_block(self):
+        # U4(F5): the 265 x 15625 complex values on the grid (66 MB) are
+        # never held, one block of one orbit at a time
+        group = LazardGroup(load_ring_spec(SPECS / "u4_f5.json"))
+        orbits = coadjoint_orbits(group)
+        full = len(orbits) * len(group) * 16
+        assert full > 66e6
+        tracemalloc.start()
+        try:
+            chars = kirillov_character(group, orbits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chars.shape == (265, 265)
+        assert peak < full / 10
+
 
 def one_orbit_character(group, orbit):
-    """An orbit character as kirillov_character computed it one orbit at a
-    time: one inverse FFT of the orbit's indicator on the grid, divided by
-    the degree."""
+    """An orbit character as it was computed one orbit at a time: one
+    inverse FFT of the orbit's indicator on the grid, divided by the
+    degree."""
     ring = group.ring
     n = ring.order()
     ind = np.zeros(n, dtype=np.complex128)
@@ -147,26 +170,49 @@ def one_orbit_character(group, orbit):
     return vals / math.isqrt(orbit.size)
 
 
-def one_orbit_failure(group, orbit):
-    """The failure text of that one-orbit check, or None."""
+def one_orbit_failure(group, orbit, position):
+    """The failure text of the one-orbit checks of the orbit at
+    ``position``, or None: its size, then its closure."""
     if math.isqrt(orbit.size) ** 2 != orbit.size:
         return f"orbit size {orbit.size} is not a perfect square"
-    part = conjugacy_classes(group)
-    vals = one_orbit_character(group, orbit)
-    spread = np.abs(vals - vals[part.reps][part.labels])
-    x = int(np.argmax(spread))
-    if spread[x] > orbitmethod.CONSTANCY_TOL:
-        return (f"orbit character varies on a conjugacy class: deviation "
-                f"{spread[x]:.2e} at grid index {x}")
-    return None
+    return closure_failure(group, orbit, position)
 
 
-def forged_h3_orbits(h3):
-    """A square orbit that is not a union of orbits (the nine characters
-    (a, 0, c)) and an orbit of size 2, neither an orbit of H(F3)."""
-    square = CoadjointOrbit(h3, sorted(
-        h3.grid.index_batch((a, 0, c)) for a in range(3) for c in range(3)))
-    return square, CoadjointOrbit(h3, [0, 1])
+class TestKirillovClosure:
+    """Each orbit must be closed under the certificate's dual maps, an
+    exact check, one orbit at a time."""
+
+    @pytest.mark.parametrize("name", ["square", "moved", "overlapping"])
+    def test_forged_orbit_is_named(self, h3_group, name):
+        orbits, position = forged_closure_lists(h3_group)[name]
+        want = one_orbit_failure(h3_group, orbits[position], position)
+        assert want is not None
+        with pytest.raises(PropertyFailed) as info:
+            kirillov_character(h3_group, orbits)
+        assert str(info.value) == want
+        x = int(want.split("grid index ")[1].split()[0])
+        # the named member's orbit reaches outside the forged one
+        owner = next(o for o in coadjoint_orbits(h3_group)
+                     if x in o.indices)
+        assert x in orbits[position].indices
+        assert not set(owner.indices) <= set(orbits[position].indices)
+
+    def test_overlap_is_checked_orbit_by_orbit(self, h3_group):
+        # the overlapping forgery shares eight members with an earlier
+        # orbit, and moves its members only into that orbit
+        orbits, position = forged_closure_lists(h3_group)["overlapping"]
+        forged = set(orbits[position].indices.tolist())
+        earlier = set(itertools.chain.from_iterable(
+            o.indices.tolist() for o in orbits[:position]))
+        assert max(len(forged & set(o.indices.tolist()))
+                   for o in orbits[:position]) == 8
+        assert leaving_member(h3_group, forged) is not None
+        assert leaving_member(h3_group, forged | earlier) is None
+
+    def test_real_orbits_are_closed(self, h5_group):
+        # every orbit of H(F5) passes the reference closure check
+        assert all(leaving_member(h5_group, o.indices) is None
+                   for o in coadjoint_orbits(h5_group))
 
 
 class TestKirillovBlocks:
@@ -178,17 +224,21 @@ class TestKirillovBlocks:
     @pytest.mark.parametrize("cells", [None, 1], ids=["blocks", "single"])
     def test_bit_for_bit(self, path, cells, monkeypatch):
         # H(Z/9) takes ten blocks of 11 orbits and one of 5, U4(F5) 265
-        # blocks of one
+        # blocks of one; the block helper's full-grid values, which verify
+        # reads, and kirillov_character's values at the representatives
         if cells is not None:
             monkeypatch.setattr(orbitmethod, "_BLOCK_CELLS", cells)
         group = LazardGroup(load_ring_spec(path))
         orbits = coadjoint_orbits(group)
+        reps = conjugacy_classes(group).reps
         chars = kirillov_character(group, orbits)
-        assert len(chars) == len(orbits)
-        for orbit, chi in zip(orbits, chars):
-            assert chi.domain is group
-            assert chi.values.tobytes() == \
-                one_orbit_character(group, orbit).tobytes()
+        assert chars.shape == (len(orbits), len(reps))
+        blocks = orbitmethod._block_characters(group, orbits)
+        rows = itertools.chain.from_iterable(vals for _, _, vals in blocks)
+        for orbit, chi, row in zip(orbits, chars, rows, strict=True):
+            want = one_orbit_character(group, orbit)
+            assert row.tobytes() == want.tobytes()
+            assert chi.tobytes() == want[reps].tobytes()
 
     @pytest.mark.parametrize("order", [("square", "odd"), ("odd", "square")])
     def test_first_failure_in_orbit_order(self, h3, h3_group, order):
@@ -200,8 +250,9 @@ class TestKirillovBlocks:
         orbits = coadjoint_orbits(h3_group)
         orbits = orbits[:5] + [first] + orbits[5:8] + [second] + orbits[8:]
         assert len(list(orbitmethod._orbit_blocks(orbits, 27))) == 1
-        want = one_orbit_failure(h3_group, first)
+        want = one_orbit_failure(h3_group, first, 5)
         assert want is not None
+        assert one_orbit_failure(h3_group, second, 9) is not None
         with pytest.raises(PropertyFailed) as info:
             kirillov_character(h3_group, orbits)
         assert str(info.value) == want
@@ -854,33 +905,38 @@ class TestSortedKeys:
 # -- the n x n idempotent table as a reference ---------------------------------
 
 def idempotent_inputs(group):
+    """The orbits and their characters on G, one row each, bit for bit as
+    the block helper yields them (``TestKirillovBlocks``)."""
     orbits = coadjoint_orbits(group)
-    return orbits, kirillov_character(group, orbits)
+    return orbits, np.array([one_orbit_character(group, o) for o in orbits])
 
 
 def forged(characters, i, values):
     """The characters with row i's values replaced."""
-    out = list(characters)
-    out[i] = ClassFunction(characters[i].domain, values)
+    out = characters.copy()
+    out[i] = values
     return out
 
 
 def forging(monkeypatch, orbits, characters):
-    """Patch orbitmethod.kirillov_character, which verify_idempotents calls
-    once per block of orbits, to return the given character of each orbit,
-    looked up by the orbit's smallest member."""
-    by_rep = {int(o.indices[0]): ch for o, ch in zip(orbits, characters)}
-    monkeypatch.setattr(orbitmethod, "kirillov_character",
-                        lambda group, block: [by_rep[int(o.indices[0])]
-                                              for o in block])
+    """Patch orbitmethod._block_characters, which verify_idempotents reads
+    a block of orbits at a time, to yield the given character of each
+    orbit, looked up by the orbit's smallest member."""
+    by_rep = {int(o.indices[0]): row for o, row in zip(orbits, characters)}
+
+    def blocks(group, orbits):
+        for lo, block in orbitmethod._orbit_blocks(orbits, len(group)):
+            yield lo, block, np.array([by_rep[int(o.indices[0])]
+                                       for o in block])
+    monkeypatch.setattr(orbitmethod, "_block_characters", blocks)
 
 
 def table_idempotents(ring, group, orbits, characters, tol=1e-8):
     """verify_idempotents as it stood with the n x n table: every product
     e_i * e_j at every element of G, from one gathered table per j."""
     n = len(group)
-    E = np.array([math.isqrt(o.size) * ch.values
-                  for o, ch in zip(orbits, characters)])
+    E = np.array([math.isqrt(o.size) * row
+                  for o, row in zip(orbits, characters)])
     dev_fourier = 0.0
     for orbit, row in zip(orbits, E):
         F = harmonic.fourier(harmonic.exp_star(ClassFunction(group, row)))
@@ -950,8 +1006,7 @@ class TestAgainstTheTable:
                                                  monkeypatch):
         orbits, chars = idempotent_inputs(h5_group)
         i, k = [idx for idx, o in enumerate(orbits) if o.size == 25][:2]
-        rows = [math.isqrt(o.size) * ch.values
-                for o, ch in zip(orbits, chars)]
+        rows = [math.isqrt(o.size) * row for o, row in zip(orbits, chars)]
         chars = forged(chars, i, (rows[i] + rows[k]) / 5)
         forging(monkeypatch, orbits, chars)
         report = verify_idempotents(h5_group)
@@ -976,7 +1031,7 @@ class TestAgainstTheTable:
         cls = next(c for c in part.classes if len(c) > 1)
         x = int(cls[-1])
         i = 3
-        values = chars[i].values.copy()
+        values = chars[i].copy()
         values[x] += 1e-6
         forging(monkeypatch, orbits, forged(chars, i, values))
         report = verify_idempotents(h5_group)
@@ -996,7 +1051,7 @@ class TestAgainstTheTable:
         part = conjugacy_classes(h5_group)
         c = next(a for a in range(len(part)) if a < part.inverse[a])
         i = 3
-        values = chars[i].values.copy()
+        values = chars[i].copy()
         values[part.classes[part.inverse[c]]] += 1e-6
         forging(monkeypatch, orbits, forged(chars, i, values))
         report = verify_idempotents(h5_group)
@@ -1015,7 +1070,7 @@ class TestAgainstTheTable:
                  if a < part.inverse[a] and part.sizes[a] > 1)
         i = next(idx for idx, o in enumerate(orbits) if o.size == 25)
         delta = 0.01 + 0.02j
-        values = chars[i].values.copy()
+        values = chars[i].copy()
         values[part.classes[part.inverse[c]]] += delta
         values[part.classes[c]] += np.conj(delta)
         chars = forged(chars, i, values)
@@ -1127,10 +1182,9 @@ def assert_same_deviations(group, at_reps, monkeypatch, cells=(None, 1)):
 
 
 def characters_at_reps(group):
-    part = conjugacy_classes(group)
-    orbits, chars = idempotent_inputs(group)
-    return np.array([math.isqrt(o.size) * ch.values[part.reps]
-                     for o, ch in zip(orbits, chars)])
+    orbits = coadjoint_orbits(group)
+    roots = [math.isqrt(o.size) for o in orbits]
+    return np.array(roots)[:, None] * kirillov_character(group, orbits)
 
 
 class TestClassAlgebraKernel:

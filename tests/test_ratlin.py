@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from orbitkit.freelie import vp
 from orbitkit.ratlin import (in_p_lattice, p_local_hermite,
                              rational_span_basis, solve_right)
@@ -188,6 +190,19 @@ class TestInPLattice:
         assert in_p_lattice([0, 0], [], 5)
         assert not in_p_lattice([1, 0], [], 5)
 
+    def test_dependent_basis_is_refused(self):
+        # 3 = 3 * 1 over Q: the second column depends on the first, which
+        # once gave False for the vector 1; a zero column depends on none,
+        # and the refusal comes whether or not the vector lies in the span
+        cases = [([1], [[3], [1]], 1), ([1, 0], [[0, 0]], 0),
+                 ([0, 1], [[1, 0], [2, 0], [0, 1]], 1),
+                 ([1, 0], [[1, 0], [0, 1], [1, 1]], 2)]
+        for vector, basis, column in cases:
+            with pytest.raises(ValueError) as info:
+                in_p_lattice(vector, basis, 3)
+            assert str(info.value) == \
+                f"basis column {column} depends on earlier ones"
+
 
 def residual_in_p_lattice(vector, basis_columns, p):
     """in_p_lattice with the residual pass it once ran: solve_right's
@@ -219,8 +234,11 @@ def combination(rng, vectors, bound):
 
 class TestInPLatticeAgainstResidualPass:
     def test_drawn_rank_deficient_bases(self):
-        # k columns spanning rank < k in Q^n: vectors outside the span, and
-        # inside it with p-integral and with 1/p coefficients
+        # k columns spanning rank < k in Q^n are refused, naming the first
+        # column in the span of the ones before it.  The independent
+        # columns, in order, decide as the residual pass does: vectors
+        # outside the span, and inside it with p-integral and with 1/p
+        # coefficients
         rng = random.Random(35)
         seen = set()
         for trial in range(60):
@@ -234,13 +252,22 @@ class TestInPLatticeAgainstResidualPass:
             basis = free + [combination(rng, free, 2)
                             for _ in range(rng.randint(1, 2))]
             rng.shuffle(basis)
+            ranks = [len(rational_span_basis(basis[:j]))
+                     for j in range(len(basis) + 1)]
+            grows = [j for j in range(len(basis)) if ranks[j + 1] > ranks[j]]
+            first = min(set(range(len(basis))) - set(grows))
+            independent = [basis[j] for j in grows]
             scale = rng.choice((1, Fraction(1, p)))
             inside = [scale * x for x in combination(rng, basis, 3)]
             outside = [x + p_rich_fraction(rng) for x in inside]
             for vector in (inside, outside):
+                with pytest.raises(ValueError) as info:
+                    in_p_lattice(vector, basis, p)
+                assert str(info.value) == \
+                    f"basis column {first} depends on earlier ones"
                 spans = len(rational_span_basis(free + [vector])) == rank
-                want, rejected = residual_in_p_lattice(vector, basis, p)
+                want, rejected = residual_in_p_lattice(vector, independent, p)
                 assert not rejected
-                assert in_p_lattice(vector, basis, p) == want
+                assert in_p_lattice(vector, independent, p) == want
                 seen.add((spans, want))
         assert seen == {(True, True), (True, False), (False, False)}
